@@ -22,8 +22,10 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/compiler"
 	"repro/internal/fleet"
 	"repro/internal/judge"
+	"repro/internal/machine"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
 	"repro/internal/remote"
@@ -357,6 +359,44 @@ func BenchmarkThroughputDAGScheduling(b *testing.B) {
 		}
 		b.ReportMetric(perf.Rate(files, b.Elapsed()), "files/sec")
 	})
+}
+
+// BenchmarkThroughputMachine — the execution layer alone: every file
+// of both dialects' scaled Part-Two suites that compiles, run through
+// the interpreter with the agent toolchain's machine options. The
+// suites are compiled outside the timer, so files/sec and allocs/op
+// are the machine's own.
+func BenchmarkThroughputMachine(b *testing.B) {
+	type program struct {
+		obj  *compiler.Object
+		opts machine.Options
+	}
+	var progs []program
+	for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
+		suite, err := BuildSuite(PartTwoSpec(d).Scaled(benchScale))
+		if err != nil {
+			b.Fatal(err)
+		}
+		tools := agent.NewTools(d)
+		for _, pf := range suite {
+			if res := tools.Personality.Compile(pf.Name, pf.Source, pf.Lang); res.OK && res.Object != nil {
+				progs = append(progs, program{res.Object, tools.MachineOpts})
+			}
+		}
+	}
+	if len(progs) == 0 {
+		b.Fatal("no file of the suites compiled")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	files := 0
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			machine.Run(p.obj, p.opts)
+			files++
+		}
+	}
+	b.ReportMetric(perf.Rate(files, b.Elapsed()), "files/sec")
 }
 
 // BenchmarkThroughputServer — the judging daemon over loopback HTTP:

@@ -140,7 +140,7 @@ func (ex *exec) doPrintfTo(args []testlang.Expr, toErr bool) value {
 	if s, ok := args[0].(*testlang.StringLitExpr); ok {
 		format = s.Value
 	} else {
-		format = ex.eval(args[0]).s
+		format = ex.eval(args[0]).str()
 	}
 	vals := make([]value, 0, len(args)-1)
 	for _, a := range args[1:] {
@@ -226,7 +226,7 @@ func formatC(format string, args []value) string {
 		case 'g', 'G':
 			fmt.Fprintf(&b, spec+"g", next().asFloat())
 		case 's':
-			fmt.Fprintf(&b, spec+"s", next().s)
+			fmt.Fprintf(&b, spec+"s", next().str())
 		case 'c':
 			b.WriteByte(byte(next().asInt()))
 		case 'p':

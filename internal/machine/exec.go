@@ -9,6 +9,9 @@ import (
 type exec struct {
 	in  *interp
 	env *env
+	// bud is the step budget of the goroutine running this exec;
+	// children and callees share it.
+	bud *budget
 	// inDevice is true inside a device compute region (affects fault
 	// flavour and nested construct behaviour).
 	inDevice bool
@@ -77,20 +80,13 @@ func (ex *exec) declareVar(v *testlang.VarDecl, into *env) {
 	var init value
 	if v.Init != nil {
 		init = convertTo(ex.eval(v.Init), v.Type)
-		if r, isRef := refOf(init); isRef && v.Type.Ptr > 0 && !r.blk.materialized {
-			r.blk.materialize(v.Type)
+		if init.k == kRef && v.Type.Ptr > 0 && !init.b.materialized {
+			init.b.materialize(v.Type)
 		}
 	} else {
 		init = zeroValue(v.Type)
 	}
 	into.declare(v.Name, init)
-}
-
-func refOf(v value) (ref, bool) {
-	if v.k == kRef {
-		return v.r, true
-	}
-	return ref{}, false
 }
 
 // fillInitList writes a (possibly nested) brace initialiser into a
@@ -118,10 +114,13 @@ func (ex *exec) execStmt(s testlang.Stmt) {
 	if s == nil {
 		return
 	}
-	ex.in.step()
+	ex.bud.step()
 	switch n := s.(type) {
 	case *testlang.Block:
-		inner := ex.child(newEnv(ex.env))
+		inner := ex
+		if blockDeclares(n) {
+			inner = ex.child(newEnv(ex.env))
+		}
 		for _, st := range n.Stmts {
 			inner.execStmt(st)
 		}
@@ -178,8 +177,55 @@ func (ex *exec) runBody(body testlang.Stmt) (brk bool) {
 	return false
 }
 
+// blockDeclares reports whether a block declares into its own scope.
+// Blocks that declare nothing run in the enclosing scope, which saves
+// a scope allocation on most loop-body iterations.
+func blockDeclares(b *testlang.Block) bool {
+	for _, st := range b.Stmts {
+		if declaresInto(st) {
+			return true
+		}
+	}
+	return false
+}
+
+// declaresInto reports whether executing s can declare a name into
+// the scope s runs in. Only a DeclStmt declares into ex.env; if,
+// while, directives and a for without a declaring init run their
+// bodies in the same scope and so pass the question on, while a block
+// or a for with a declaring init decides for a scope of its own.
+// Directive bodies are passed on conservatively: extra scopes are
+// always safe, missing ones are not.
+func declaresInto(s testlang.Stmt) bool {
+	switch n := s.(type) {
+	case *testlang.DeclStmt:
+		return true
+	case *testlang.IfStmt:
+		return declaresInto(n.Then) || declaresInto(n.Else)
+	case *testlang.WhileStmt:
+		return declaresInto(n.Body)
+	case *testlang.ForStmt:
+		return !forScoped(n) && declaresInto(n.Body)
+	case *testlang.DirectiveStmt:
+		return declaresInto(n.Body)
+	}
+	return false
+}
+
+// forScoped reports whether a for loop needs a scope of its own: its
+// init or its (non-block) body declares.
+func forScoped(n *testlang.ForStmt) bool {
+	if _, ok := n.Init.(*testlang.DeclStmt); ok {
+		return true
+	}
+	return declaresInto(n.Body)
+}
+
 func (ex *exec) execFor(n *testlang.ForStmt) {
-	loopEx := ex.child(newEnv(ex.env))
+	loopEx := ex
+	if forScoped(n) {
+		loopEx = ex.child(newEnv(ex.env))
+	}
 	loopEx.execStmt(n.Init)
 	for {
 		if n.Cond != nil && !loopEx.eval(n.Cond).truthy() {
@@ -204,7 +250,7 @@ func (ex *exec) execWhile(n *testlang.WhileStmt) {
 
 // eval evaluates an expression to a value.
 func (ex *exec) eval(e testlang.Expr) value {
-	ex.in.step()
+	ex.bud.step()
 	switch n := e.(type) {
 	case nil:
 		return intVal(0)
@@ -213,7 +259,7 @@ func (ex *exec) eval(e testlang.Expr) value {
 	case *testlang.FloatLitExpr:
 		return floatVal(n.Value)
 	case *testlang.StringLitExpr:
-		return strVal(n.Value)
+		return strVal(&n.Value)
 	case *testlang.CharLitExpr:
 		return intVal(int64(n.Value))
 	case *testlang.IdentExpr:
@@ -241,8 +287,8 @@ func (ex *exec) eval(e testlang.Expr) value {
 	case *testlang.CastExpr:
 		v := ex.eval(n.X)
 		if n.To.Ptr > 0 {
-			if r, ok := refOf(v); ok && !r.blk.materialized {
-				r.blk.materialize(n.To)
+			if v.k == kRef && !v.b.materialized {
+				v.b.materialize(n.To)
 			}
 			return v
 		}
@@ -259,6 +305,9 @@ func (ex *exec) eval(e testlang.Expr) value {
 	}
 }
 
+// Text of the stdio stream identifiers as printf arguments.
+var stderrName, stdoutName = "<stderr>", "<stdout>"
+
 func (ex *exec) evalIdent(n *testlang.IdentExpr) value {
 	if c, ok := ex.env.lookup(n.Name); ok {
 		return c.v
@@ -267,9 +316,9 @@ func (ex *exec) evalIdent(n *testlang.IdentExpr) value {
 	case "NULL":
 		return nullVal()
 	case "stderr":
-		return strVal("<stderr>")
+		return strVal(&stderrName)
 	case "stdout":
-		return strVal("<stdout>")
+		return strVal(&stdoutName)
 	case "RAND_MAX":
 		return intVal(2147483647)
 	case "EXIT_SUCCESS":
@@ -285,44 +334,47 @@ func (ex *exec) evalIdent(n *testlang.IdentExpr) value {
 	panic(segfault())
 }
 
-// resolveIndex computes the block/offset for one index step, trapping
-// on null, freed, or out-of-range accesses.
-func (ex *exec) resolveIndex(n *testlang.IndexExpr) (r ref, off int) {
-	base := ex.eval(n.X)
+// resolveIndex computes the ref value and element offset for one
+// index step, trapping on null, freed, or out-of-range accesses.
+func (ex *exec) resolveIndex(n *testlang.IndexExpr) (base value, off int) {
+	base = ex.eval(n.X)
 	idx := int(ex.eval(n.Index).asInt())
-	br, ok := refOf(base)
-	if !ok || br.blk == nil || br.blk.freed {
+	blk := base.b
+	if base.k != kRef || blk == nil || blk.freed {
 		panic(ex.pointerFault())
 	}
-	if !br.blk.materialized {
-		br.blk.materialize(testlang.Type{Base: "int"})
+	if !blk.materialized {
+		blk.materialize(testlang.Type{Base: "int"})
 	}
-	if len(br.dims) > 1 {
+	if dims := blk.dims[base.d:]; len(dims) > 1 {
 		stride := 1
-		for _, d := range br.dims[1:] {
+		for _, d := range dims[1:] {
 			stride *= d
 		}
-		if idx < 0 || idx >= br.dims[0] {
+		if idx < 0 || idx >= dims[0] {
 			panic(ex.pointerFault())
 		}
-		return br, br.off + idx*stride
+		return base, int(base.i) + idx*stride
 	}
-	o := br.off + idx
-	if o < 0 || o >= len(br.blk.cells) {
+	o := int(base.i) + idx
+	if o < 0 || o >= len(blk.cells) {
 		panic(ex.pointerFault())
 	}
-	return br, o
+	return base, o
 }
+
+// viewRank is the number of view dimensions left on a ref value.
+func (v value) viewRank() int { return len(v.b.dims) - int(v.d) }
 
 // indexPlaceOrView evaluates an index expression: an inner index of a
 // multi-dimensional array yields a sub-view ref; a final index yields
 // the element value.
 func (ex *exec) indexPlaceOrView(n *testlang.IndexExpr) value {
-	r, off := ex.resolveIndex(n)
-	if len(r.dims) > 1 {
-		return refVal(ref{blk: r.blk, off: off, dims: r.dims[1:]})
+	base, off := ex.resolveIndex(n)
+	if base.viewRank() > 1 {
+		return value{k: kRef, b: base.b, i: int64(off), d: base.d + 1}
 	}
-	return r.blk.cells[off]
+	return base.b.cells[off]
 }
 
 // lvalue resolves an expression to its storage place.
@@ -334,25 +386,24 @@ func (ex *exec) lvalue(e testlang.Expr) place {
 		}
 		panic(segfault())
 	case *testlang.IndexExpr:
-		r, off := ex.resolveIndex(n)
-		if len(r.dims) > 1 {
+		base, off := ex.resolveIndex(n)
+		if base.viewRank() > 1 {
 			panic(ex.pointerFault()) // assigning to a whole row
 		}
-		return elemPlace{blk: r.blk, off: off}
+		return elemPlace{blk: base.b, off: off}
 	case *testlang.UnaryExpr:
 		if n.Op == "*" {
 			v := ex.eval(n.X)
-			r, ok := refOf(v)
-			if !ok || r.blk == nil || r.blk.freed {
+			if v.k != kRef || v.b == nil || v.b.freed {
 				panic(ex.pointerFault())
 			}
-			if !r.blk.materialized {
-				r.blk.materialize(testlang.Type{Base: "int"})
+			if !v.b.materialized {
+				v.b.materialize(testlang.Type{Base: "int"})
 			}
-			if r.off < 0 || r.off >= len(r.blk.cells) {
+			if v.i < 0 || v.i >= int64(len(v.b.cells)) {
 				panic(ex.pointerFault())
 			}
-			return elemPlace{blk: r.blk, off: r.off}
+			return elemPlace{blk: v.b, off: int(v.i)}
 		}
 	}
 	panic(segfault())
@@ -407,9 +458,8 @@ func applyDelta(v value, op string) value {
 		return floatVal(v.f + float64(d))
 	}
 	if v.k == kRef {
-		r := v.r
-		r.off += int(d)
-		return refVal(r)
+		v.i += d
+		return v
 	}
 	return intVal(v.i + d)
 }
@@ -443,19 +493,19 @@ func (ex *exec) evalUnary(n *testlang.UnaryExpr) value {
 func (ex *exec) addressOf(e testlang.Expr) value {
 	switch t := e.(type) {
 	case *testlang.IndexExpr:
-		r, off := ex.resolveIndex(t)
-		return refVal(ref{blk: r.blk, off: off})
+		base, off := ex.resolveIndex(t)
+		return elemRef(base.b, off)
 	case *testlang.IdentExpr:
 		v := ex.eval(t)
-		if r, ok := refOf(v); ok {
-			return refVal(r)
+		if v.k == kRef {
+			return v
 		}
 		// Address of a scalar: a one-cell alias block. Writes through
 		// the alias do not propagate back to the variable; the corpus
 		// does not use scalar aliasing, and probed files that do get
 		// deterministic (if not bit-faithful) behaviour.
 		blk := &block{cells: []value{v}, materialized: true, name: t.Name}
-		return refVal(ref{blk: blk})
+		return elemRef(blk, 0)
 	default:
 		return nullVal()
 	}
@@ -537,7 +587,7 @@ func pointerEqual(l, r value) bool {
 		return ln && rn
 	}
 	if l.k == kRef && r.k == kRef {
-		return l.r.blk == r.r.blk && l.r.off == r.r.off
+		return l.b == r.b && l.i == r.i
 	}
 	return false
 }
@@ -550,17 +600,17 @@ func boolToInt(b bool) value {
 }
 
 func arith(op string, l, r value) value {
-	if lr, ok := refOf(l); ok && (op == "+" || op == "-") {
-		d := int(r.asInt())
+	if l.k == kRef && (op == "+" || op == "-") {
+		d := r.asInt()
 		if op == "-" {
 			d = -d
 		}
-		lr.off += d
-		return refVal(lr)
+		l.i += d
+		return l
 	}
-	if rr, ok := refOf(r); ok && op == "+" {
-		rr.off += int(l.asInt())
-		return refVal(rr)
+	if r.k == kRef && op == "+" {
+		r.i += l.asInt()
+		return r
 	}
 	if l.k == kFloat || r.k == kFloat {
 		a, b := l.asFloat(), r.asFloat()
@@ -630,6 +680,7 @@ func (ex *exec) callFunction(fd *testlang.FuncDecl, args []value) value {
 	callee := &exec{
 		in:          ex.in,
 		env:         fnEnv,
+		bud:         ex.bud,
 		inDevice:    ex.inDevice,
 		workerID:    ex.workerID,
 		regionWidth: ex.regionWidth,

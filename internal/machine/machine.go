@@ -16,7 +16,13 @@ type Options struct {
 	Workers int
 	// StepLimit bounds total interpreted steps across all workers;
 	// exceeding it kills the run with ReturnCode 124, modelling the
-	// batch-system time limit the paper's pipeline runs under.
+	// batch-system time limit the paper's pipeline runs under. A run
+	// never executes more than StepLimit steps. Steps that run one
+	// after another (code outside parallel regions, and region workers
+	// run serially: one worker, or a race-detector build) trap at
+	// exactly step StepLimit+1. Concurrent region workers claim steps
+	// in chunks of 1024, so one may trap while another still holds
+	// unspent steps: up to 1024 steps per worker sooner.
 	// 0 means DefaultStepLimit.
 	StepLimit int64
 	// OutputLimit bounds captured stdout/stderr bytes (each).
@@ -41,7 +47,11 @@ type Result struct {
 	// "device-fault", "step-limit", "abort", "fpe", ""), for tests and
 	// reports; the judge only sees ReturnCode/Stderr like a real run.
 	Trap string
-	// Steps is the number of interpreted steps, for benchmarks.
+	// Steps is the number of interpreted steps, for benchmarks. It
+	// never exceeds Options.StepLimit. For a completed run it is exact
+	// and independent of scheduling: a work-shared loop costs the same
+	// steps at any Options.Workers (a redundant omp parallel body runs
+	// once per worker, so it costs more at a larger width).
 	Steps int64
 }
 
@@ -72,7 +82,10 @@ type interp struct {
 	stderr   strings.Builder
 	outTrunc bool
 
-	steps atomic.Int64
+	// remaining is the part of the step limit no goroutine has
+	// claimed; budgets claim it in chunks and return what they do not
+	// spend.
+	remaining atomic.Int64
 
 	// atomicMu serialises atomic updates and critical sections.
 	atomicMu sync.Mutex
@@ -105,9 +118,12 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 		opts.OutputLimit = DefaultOutputLimit
 	}
 	in := &interp{obj: obj, opts: opts, presence: map[*block]*presenceEntry{}}
+	in.remaining.Store(opts.StepLimit)
+	bud := &budget{in: in}
 	res = &Result{}
 	defer func() {
-		res.Steps = in.steps.Load()
+		bud.release()
+		res.Steps = opts.StepLimit - in.remaining.Load()
 		res.Stdout = in.stdout.String()
 		res.Stderr = in.stderr.String()
 		switch sig := recover().(type) {
@@ -132,7 +148,7 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 		panic(trapSignal{kind: "no-object", rc: 127, msg: "exec format error"})
 	}
 	in.globals = newEnv(nil)
-	ex := &exec{in: in, env: in.globals}
+	ex := &exec{in: in, env: in.globals, bud: bud}
 	for _, g := range obj.Globals {
 		ex.declareVar(g, in.globals)
 	}
@@ -145,11 +161,48 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	return res
 }
 
+// stepChunk is how many steps a budget claims from the shared
+// counter at a time: large enough that the shared cache line is
+// touched once per thousand steps, small enough that concurrent
+// workers strand little of the limit.
+const stepChunk = 1024
+
+// budget is one goroutine's share of the step limit. Only its own
+// goroutine touches left, so a step costs no shared-memory traffic.
+type budget struct {
+	in   *interp
+	left int64
+}
+
 // step counts one interpreted step and enforces the step limit.
-func (in *interp) step() {
-	n := in.steps.Add(1)
-	if n > in.opts.StepLimit {
-		panic(trapSignal{kind: "step-limit", rc: 124, msg: "Killed: execution time limit exceeded"})
+func (b *budget) step() {
+	if b.left == 0 {
+		b.claim()
+	}
+	b.left--
+}
+
+// claim takes the next chunk from the unclaimed steps, trapping when
+// none are left.
+func (b *budget) claim() {
+	for {
+		r := b.in.remaining.Load()
+		if r <= 0 {
+			panic(trapSignal{kind: "step-limit", rc: 124, msg: "Killed: execution time limit exceeded"})
+		}
+		n := min64(r, stepChunk)
+		if b.in.remaining.CompareAndSwap(r, r-n) {
+			b.left = n
+			return
+		}
+	}
+}
+
+// release returns the unspent steps to the shared counter.
+func (b *budget) release() {
+	if b.left > 0 {
+		b.in.remaining.Add(b.left)
+		b.left = 0
 	}
 }
 

@@ -144,12 +144,7 @@ func BenchmarkInterpreterVecAdd(b *testing.B) {
 		b.Fatal(res.Stderr)
 	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := Run(res.Object, Options{})
-		if r.ReturnCode != 0 {
-			b.Fatal(r.Stderr)
-		}
-	}
+	runInterpreterBench(b, res.Object)
 	b.ReportMetric(float64(Run(res.Object, Options{}).Steps), "steps/run")
 }
 
@@ -162,10 +157,19 @@ func BenchmarkInterpreterMatmul(b *testing.B) {
 	if !res.OK {
 		b.Fatal(res.Stderr)
 	}
+	runInterpreterBench(b, res.Object)
+}
+
+// runInterpreterBench runs obj b.N times and reports the interpreter's
+// cost per step.
+func runInterpreterBench(b *testing.B, obj *compiler.Object) {
+	var steps int64
 	for i := 0; i < b.N; i++ {
-		r := Run(res.Object, Options{})
+		r := Run(obj, Options{})
 		if r.ReturnCode != 0 {
 			b.Fatal(r.Stderr)
 		}
+		steps += r.Steps
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }

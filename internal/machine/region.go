@@ -114,7 +114,7 @@ func (ex *exec) hostBlockOf(name string, trapNull bool) *block {
 	}
 	switch c.v.k {
 	case kRef:
-		return c.v.r.blk
+		return c.v.b
 	case kNull:
 		if trapNull {
 			panic(deviceFault(name, "in data clause is a null pointer"))
@@ -156,6 +156,7 @@ func (in *interp) ensurePresent(host *block, name string, copyIn bool, lo, n int
 	dev := &block{
 		cells:        make([]value, len(host.cells)),
 		elem:         host.elem,
+		dims:         host.dims,
 		materialized: true,
 		onDevice:     true,
 		name:         name,
@@ -328,16 +329,15 @@ func (ex *exec) deviceBindings(body testlang.Stmt, plan *compiler.DirPlan) (*env
 			}
 			continue
 		}
-		r, ok := refOf(c.v)
-		if !ok {
+		if c.v.k != kRef {
 			continue
 		}
-		host := r.blk
+		host := c.v.b
 		if host.freed {
 			panic(segfault())
 		}
 		if dev, present := ex.in.lookupPresent(host); present {
-			overlay.declare(name, refVal(ref{blk: dev, off: r.off, dims: r.dims}))
+			overlay.declare(name, c.v.on(dev))
 			continue
 		}
 		if ex.in.obj.Dialect == spec.OpenACC {
@@ -348,16 +348,16 @@ func (ex *exec) deviceBindings(body testlang.Stmt, plan *compiler.DirPlan) (*env
 				host.materialize(testlang.Type{Base: "int"})
 			}
 			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
-			overlay.declare(name, refVal(ref{blk: dev, off: r.off, dims: r.dims}))
+			overlay.declare(name, c.v.on(dev))
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
 			continue
 		}
 		// OpenMP 4.5: declared arrays (known size) are implicitly
 		// mapped tofrom; heap pointers are firstprivate and unusable on
 		// the device.
-		if len(r.dims) > 0 {
+		if c.v.viewRank() > 0 {
 			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
-			overlay.declare(name, refVal(ref{blk: dev, off: r.off, dims: r.dims}))
+			overlay.declare(name, c.v.on(dev))
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
 			continue
 		}
@@ -456,9 +456,10 @@ func (ex *exec) execHostParallel(ds *testlang.DirectiveStmt, plan *compiler.DirP
 	w := ex.workerCount(plan)
 	use := collectUses(ds.Body)
 	reds := newReductionSet(ex, plan, use)
-	runWorkers(w, func(id int) {
+	ex.runWorkers(w, func(id int, bud *budget) {
 		wEnv := newEnv(ex.env)
 		wEx := ex.child(wEnv)
+		wEx.bud = bud
 		wEx.workerID = id
 		wEx.regionWidth = w
 		wEx.redundant = true
@@ -470,20 +471,27 @@ func (ex *exec) execHostParallel(ds *testlang.DirectiveStmt, plan *compiler.DirP
 	reds.fold(ex)
 }
 
-// runWorkers executes body(id) for id in [0,w), one goroutine per
-// worker, re-raising the first worker panic after all finish. Under
-// race-detector builds the workers run serially: the corpus contains
-// deliberately racy test programs whose shared writes the detector
-// would flag inside the simulator (see race_on.go).
-func runWorkers(w int, body func(id int)) {
+// runWorkers executes body(id, bud) for id in [0,w), one goroutine
+// per worker, re-raising the first worker panic after all finish.
+// Each worker gets its own step budget and returns what it did not
+// spend, trap or not; the forking exec returns its unspent steps
+// first, so workers run one after another trap at exactly the step a
+// single counter would. Under race-detector builds the workers run
+// serially: the corpus contains deliberately racy test programs whose
+// shared writes the detector would flag inside the simulator (see
+// race_on.go).
+func (ex *exec) runWorkers(w int, body func(id int, bud *budget)) {
+	ex.bud.release()
 	panics := make(chan any, w)
 	guarded := func(id int) {
+		bud := &budget{in: ex.in}
 		defer func() {
+			bud.release()
 			if r := recover(); r != nil {
 				panics <- r
 			}
 		}()
-		body(id)
+		body(id, bud)
 	}
 	if raceEnabled || w == 1 {
 		for id := 0; id < w; id++ {
@@ -737,10 +745,11 @@ func (ex *exec) runDistributed(loop *testlang.ForStmt, spec loopSpec, plan *comp
 	}
 	use := collectUses(loop.Body)
 	reds := newReductionSet(ex, plan, use)
-	runWorkers(w, func(id int) {
+	ex.runWorkers(w, func(id int, bud *budget) {
 		lo, hi := chunk(spec.count, w, id)
 		wEnv := newEnv(ex.env)
 		wEx := ex.child(wEnv)
+		wEx.bud = bud
 		wEx.workerID = id
 		wEx.regionWidth = w
 		wEx.redundant = false

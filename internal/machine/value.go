@@ -32,19 +32,23 @@ const (
 	kNull
 )
 
-// value is one runtime value. Refs point into blocks; strings appear
-// only as printf arguments.
+// value is one runtime value, kept at 40 bytes: every array cell is a
+// value and the interpreter copies values on every step. A ref is
+// (b, i = element offset, d = leading dimensions stripped from the
+// block's dims); a string points at its text.
 type value struct {
 	k kind
+	d int32
 	i int64
 	f float64
-	s string
-	r ref
+	b *block
+	s *string
 }
 
-// ref is a view into a block: element offset plus remaining view
-// dimensions (for multi-dimensional arrays, indexing strips one
-// dimension per step).
+// ref is the unpacked view of a ref value: element offset plus
+// remaining view dimensions (for multi-dimensional arrays, indexing
+// strips one dimension per step). dims is always a suffix of
+// blk.dims.
 type ref struct {
 	blk  *block
 	off  int
@@ -56,6 +60,9 @@ type ref struct {
 type block struct {
 	cells []value
 	elem  testlang.Type
+	// dims are a declared array's dimensions (nil for heap blocks);
+	// device mirrors carry their host block's.
+	dims []int
 	// byteSize is remembered for heap blocks allocated before their
 	// element type is known (malloc result not yet cast/assigned).
 	byteSize int64
@@ -70,9 +77,44 @@ type block struct {
 
 func intVal(i int64) value     { return value{k: kInt, i: i} }
 func floatVal(f float64) value { return value{k: kFloat, f: f} }
-func strVal(s string) value    { return value{k: kStr, s: s} }
 func nullVal() value           { return value{k: kNull} }
-func refVal(r ref) value       { return value{k: kRef, r: r} }
+
+// strVal wraps a string the caller keeps alive (a literal in the AST
+// or a package variable), so making the value does not allocate.
+func strVal(s *string) value { return value{k: kStr, s: s} }
+
+// refVal packs a ref view; r.dims must be a suffix of r.blk.dims.
+func refVal(r ref) value {
+	return value{k: kRef, b: r.blk, i: int64(r.off), d: int32(len(r.blk.dims) - len(r.dims))}
+}
+
+// elemRef is a ref to one element: no view dimensions left.
+func elemRef(blk *block, off int) value {
+	return value{k: kRef, b: blk, i: int64(off), d: int32(len(blk.dims))}
+}
+
+// on is a ref value's view moved onto another block with the same
+// dims, such as its device mirror.
+func (v value) on(b *block) value {
+	v.b = b
+	return v
+}
+
+// refOf unpacks a ref value.
+func refOf(v value) (ref, bool) {
+	if v.k != kRef {
+		return ref{}, false
+	}
+	return ref{blk: v.b, off: int(v.i), dims: v.b.dims[v.d:]}, true
+}
+
+// str is a value's text: the string for kStr, "" for anything else.
+func (v value) str() string {
+	if v.k == kStr {
+		return *v.s
+	}
+	return ""
+}
 
 // zeroValue returns the zero of a declared type. The simulation gives
 // deterministic zeros to uninitialised scalars (documented divergence
@@ -153,9 +195,9 @@ func (v value) String() string {
 	case kFloat:
 		return fmt.Sprintf("%g", v.f)
 	case kStr:
-		return v.s
+		return *v.s
 	case kRef:
-		return fmt.Sprintf("<%s+%d>", v.r.blk.name, v.r.off)
+		return fmt.Sprintf("<%s+%d>", v.b.name, v.i)
 	default:
 		return "<null>"
 	}
@@ -193,7 +235,7 @@ func newArrayBlock(name string, elem testlang.Type, dims []int) *block {
 	for _, d := range dims {
 		n *= d
 	}
-	b := &block{elem: elem, materialized: true, name: name}
+	b := &block{elem: elem, dims: dims, materialized: true, name: name}
 	b.cells = make([]value, n)
 	zero := zeroValue(elem)
 	for i := range b.cells {
