@@ -26,8 +26,8 @@
 // dedup on the new owner absorbs repeats).
 //
 // The HTTP face of the tier is Frontend (cmd/llm4vv-router): the
-// daemon wire protocol plus priority-class load shedding, per-client
-// admission quotas, and Prometheus /metrics — see frontend.go.
+// daemon's own wire protocol (server.Face) over a Router, admitted by
+// priority-class ceilings and per-client quotas — see frontend.go.
 package fleet
 
 import (

@@ -1,15 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,7 +21,7 @@ import (
 // Defaults for FrontendConfig zero values.
 const (
 	DefaultQueueLimit = 1024
-	DefaultRetryAfter = 50 * time.Millisecond
+	DefaultRetryAfter = server.DefaultRetryAfter
 )
 
 // FrontendConfig configures the router daemon's HTTP face. Router is
@@ -62,18 +58,27 @@ type FrontendConfig struct {
 	Fault *fault.Injector
 }
 
-// Frontend is the HTTP admission layer over a Router: the daemon wire
-// protocol plus priority-class load shedding, per-client quotas, and
-// Prometheus metrics. Construct with NewFrontend and mount Handler.
+// Frontend is the router daemon's HTTP face: the daemon's wire
+// protocol (server.Face) over a Router, admitted by classPolicy, plus
+// the router's own /healthz, /v1/backends, and /metrics bodies.
+// Construct with NewFrontend and mount Handler.
+type Frontend struct {
+	cfg    FrontendConfig
+	rec    *perf.Recorder
+	policy *classPolicy
+}
+
+// classPolicy is the router's admission policy: priority-class
+// ceilings under per-client in-flight quotas.
 //
 // A request's priority class comes from the X-LLM4VV-Priority header
 // ("interactive" or "bulk"); absent the header, single-prompt
 // requests default to interactive and batch requests to bulk — the
 // batch path is the sweep path, and overload should shed sweeps
 // before humans.
-type Frontend struct {
-	cfg FrontendConfig
-	rec *perf.Recorder
+type classPolicy struct {
+	queueLimit, bulkLimit, clientQuota int
+	logger                             *slog.Logger
 
 	inflight atomic.Int64
 	mu       sync.Mutex
@@ -97,57 +102,62 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if cfg.BulkLimit <= 0 || cfg.BulkLimit > cfg.QueueLimit {
 		cfg.BulkLimit = cfg.QueueLimit / 2
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	return &Frontend{cfg: cfg, rec: perf.NewRecorder(), clients: map[string]int64{}}
-}
-
-// join opens the router-side trace span for one request, continuing
-// the caller's trace when the propagation headers carry one.
-func (f *Frontend) join(r *http.Request, name string) (context.Context, *trace.Span) {
-	if f.cfg.Tracer == nil {
-		return r.Context(), nil
-	}
-	traceHex, spanHex := trace.Extract(r.Header)
-	return f.cfg.Tracer.Join(r.Context(), traceHex, spanHex, name)
+	return &Frontend{cfg: cfg, rec: perf.NewRecorder(), policy: &classPolicy{
+		queueLimit: cfg.QueueLimit, bulkLimit: cfg.BulkLimit, clientQuota: cfg.ClientQuota,
+		logger: cfg.Logger, clients: map[string]int64{},
+	}}
 }
 
 // Stats is a snapshot of the admission counters.
 func (f *Frontend) Stats() FrontendStats {
+	c := f.policy
 	return FrontendStats{
-		AdmittedInteractive: f.admittedInteractive.Load(),
-		AdmittedBulk:        f.admittedBulk.Load(),
-		ShedInteractive:     f.shedInteractive.Load(),
-		ShedBulk:            f.shedBulk.Load(),
-		QuotaRejected:       f.quotaRejected.Load(),
+		AdmittedInteractive: c.admittedInteractive.Load(),
+		AdmittedBulk:        c.admittedBulk.Load(),
+		ShedInteractive:     c.shedInteractive.Load(),
+		ShedBulk:            c.shedBulk.Load(),
+		QuotaRejected:       c.quotaRejected.Load(),
 	}
 }
 
-// Handler returns the router daemon's route table — the same paths a
-// replica serves, so clients are none the wiser.
+// Handler returns the router daemon's route table — the same paths
+// and wire protocol a replica serves, so clients are none the wiser.
 func (f *Frontend) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/complete", f.handleComplete)
-	mux.HandleFunc("/v1/complete_batch", f.handleCompleteBatch)
-	mux.HandleFunc("/v1/backends", f.handleBackends)
-	mux.HandleFunc("/healthz", f.handleHealthz)
-	mux.HandleFunc("/metrics", f.handleMetrics)
-	mux.HandleFunc("/debug/traces", f.handleDebugTraces)
-	return mux
+	face := &server.Face{
+		Endpoint:   server.Endpoint{Complete: f.route, CompleteBatch: f.routeBatch},
+		Admission:  f.policy,
+		Span:       "router.request",
+		BatchSpan:  "router.batch_request",
+		Instance:   perf.Label("router", f.cfg.ID),
+		FailStatus: http.StatusBadGateway,
+		RetryAfter: f.cfg.RetryAfter,
+		Tracer:     f.cfg.Tracer,
+		Fault:      f.cfg.Fault,
+		Resilience: f.cfg.Router, // per-replica retries and breaker gauges
+		Healthz:    f.healthz,
+		Backends:   f.backends,
+		Metrics:    f.emitMetrics,
+	}
+	return face.Handler()
 }
 
-// handleDebugTraces serves the tracer's recent-fragment ring as a
-// JSON array; an empty array without a tracer, mirroring the daemon.
-func (f *Frontend) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	recent := f.cfg.Tracer.Recent()
-	if recent == nil {
-		recent = []trace.Record{}
-	}
-	writeJSON(w, http.StatusOK, recent)
+// route is the router's single-prompt endpoint. Singles keep the
+// replicas' /v1/complete path, so replica-side micro-batching still
+// coalesces them; the slot is released on return.
+func (f *Frontend) route(ctx context.Context, prompt string, release func()) (string, error) {
+	defer release()
+	defer func(start time.Time) { f.rec.Observe("route", time.Since(start)) }(time.Now())
+	return f.cfg.Router.CompleteContext(ctx, prompt)
+}
+
+// routeBatch is the router's batch endpoint: the shard fans out by
+// ring owner, one CompleteBatch wire call per replica.
+func (f *Frontend) routeBatch(ctx context.Context, prompts []string) ([]string, error) {
+	defer func(start time.Time) { f.rec.Observe("route_batch", time.Since(start)) }(time.Now())
+	return f.cfg.Router.CompleteBatch(ctx, prompts)
 }
 
 // classOf resolves a request's priority class: the explicit header
@@ -177,159 +187,74 @@ func clientOf(r *http.Request) string {
 	return host
 }
 
-// admit reserves n prompt slots under the class ceiling and the
-// client quota, answering the 429 itself on refusal. The returned
-// release must run when the prompts resolve.
-func (f *Frontend) admit(w http.ResponseWriter, class, client string, n int) (release func(), ok bool) {
-	limit := int64(f.cfg.QueueLimit)
+// Ceiling reports the batch's class ceiling, capped by the client
+// quota when one is set.
+func (c *classPolicy) Ceiling(r *http.Request) (int, string, string) {
+	n, limit, flag := c.queueLimit, "router queue limit", "-queue"
+	if classOf(r, true) == remote.PriorityBulk {
+		n, limit, flag = c.bulkLimit, "router bulk queue limit", "-bulk-queue"
+	}
+	if c.clientQuota > 0 && c.clientQuota < n {
+		n, limit, flag = c.clientQuota, "router client quota", "-client-quota"
+	}
+	return n, limit, flag
+}
+
+// Admit reserves n prompt slots under the class ceiling and the
+// client quota. Every refusal is logged with the identity needed to
+// attribute a shed sweep afterwards: the trace (empty when the caller
+// sent none), the priority class, and the quota client.
+func (c *classPolicy) Admit(r *http.Request, span *trace.Span, n int, batch bool) (func(), string) {
+	class, client := classOf(r, batch), clientOf(r)
+	span.SetAttr("priority", class)
+	limit, shed, admitted := c.queueLimit, &c.shedInteractive, &c.admittedInteractive
 	if class == remote.PriorityBulk {
-		limit = int64(f.cfg.BulkLimit)
+		limit, shed, admitted = c.bulkLimit, &c.shedBulk, &c.admittedBulk
 	}
-	if f.inflight.Add(int64(n)) > limit {
-		f.inflight.Add(int64(-n))
-		if class == remote.PriorityBulk {
-			f.shedBulk.Add(1)
-		} else {
-			f.shedInteractive.Add(1)
-		}
-		f.reject(w, fmt.Sprintf("router overloaded (%s class), retry later", class))
-		return nil, false
+	var refusal string
+	if c.inflight.Add(int64(n)) > int64(limit) {
+		shed.Add(1)
+		refusal = fmt.Sprintf("router overloaded (%s class), retry later", class)
+	} else if q := int64(c.clientQuota); q > 0 && c.clientAdd(client, int64(n)) > q {
+		c.clientAdd(client, int64(-n))
+		c.quotaRejected.Add(1)
+		refusal = fmt.Sprintf("client %q exceeds its in-flight quota of %d prompts, retry later", client, q)
 	}
-	if q := int64(f.cfg.ClientQuota); q > 0 {
-		if f.clientAdd(client, int64(n)) > q {
-			f.clientAdd(client, int64(-n))
-			f.inflight.Add(int64(-n))
-			f.quotaRejected.Add(1)
-			f.reject(w, fmt.Sprintf("client %q exceeds its in-flight quota of %d prompts, retry later", client, q))
-			return nil, false
-		}
+	if refusal != "" {
+		c.inflight.Add(int64(-n))
+		c.logger.Warn("router: request shed (429)",
+			"trace_id", span.TraceHex(), "priority", class, "client", client, "prompts", n)
+		return nil, refusal
 	}
-	if class == remote.PriorityBulk {
-		f.admittedBulk.Add(int64(n))
-	} else {
-		f.admittedInteractive.Add(int64(n))
-	}
+	admitted.Add(int64(n))
 	return func() {
-		f.inflight.Add(int64(-n))
-		if f.cfg.ClientQuota > 0 {
-			f.clientAdd(client, int64(-n))
+		c.inflight.Add(int64(-n))
+		if c.clientQuota > 0 {
+			c.clientAdd(client, int64(-n))
 		}
-	}, true
+	}, ""
 }
 
 // clientAdd adjusts one client's in-flight count, dropping zeroed
 // entries so the table tracks only active clients.
-func (f *Frontend) clientAdd(client string, n int64) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := f.clients[client] + n
+func (c *classPolicy) clientAdd(client string, n int64) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v := c.clients[client] + n
 	if v <= 0 {
-		delete(f.clients, client)
+		delete(c.clients, client)
 		return v
 	}
-	f.clients[client] = v
+	c.clients[client] = v
 	return v
 }
 
-// reject answers a shed request: 429 with the fractional Retry-After
-// hint the remote client's backoff honours.
-func (f *Frontend) reject(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", strconv.FormatFloat(f.cfg.RetryAfter.Seconds(), 'f', -1, 64))
-	writeError(w, http.StatusTooManyRequests, msg)
-}
-
-// logShed records a 429 with the identity needed to attribute a shed
-// sweep afterwards: the trace (empty when the caller sent none), the
-// priority class, and the quota client.
-func (f *Frontend) logShed(span *trace.Span, class, client string, prompts int) {
-	span.SetAttr("shed", "true")
-	f.cfg.Logger.Warn("router: request shed (429)",
-		"trace_id", span.TraceHex(), "priority", class, "client", client, "prompts", prompts)
-}
-
-// statusFor maps a routing error: the requester's own context ending
-// is 504, a fleet with no replica able to serve is 502 — a true
-// gateway failure, transient to retrying clients.
-func statusFor(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusBadGateway
-}
-
-func (f *Frontend) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req server.CompleteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Prompt == "" {
-		writeError(w, http.StatusBadRequest, "empty prompt")
-		return
-	}
-	ctx, span := f.join(r, "router.request")
-	defer span.End()
-	class, client := classOf(r, false), clientOf(r)
-	span.SetAttr("priority", class)
-	release, ok := f.admit(w, class, client, 1)
-	if !ok {
-		f.logShed(span, class, client, 1)
-		return
-	}
-	defer release()
-	start := time.Now()
-	resp, err := f.cfg.Router.CompleteContext(ctx, req.Prompt)
-	f.rec.Observe("route", time.Since(start))
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, server.CompleteResponse{Response: resp})
-}
-
-func (f *Frontend) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.CompleteBatchRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if len(req.Prompts) == 0 {
-		writeJSON(w, http.StatusOK, server.CompleteBatchResponse{Responses: []string{}})
-		return
-	}
-	class := classOf(r, true)
-	if len(req.Prompts) > f.cfg.QueueLimit {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d prompts exceeds the router queue limit %d; lower the client shard size or raise -queue", len(req.Prompts), f.cfg.QueueLimit))
-		return
-	}
-	ctx, span := f.join(r, "router.batch_request")
-	defer span.End()
-	client := clientOf(r)
-	span.SetAttr("priority", class)
-	span.SetAttr("prompts", strconv.Itoa(len(req.Prompts)))
-	release, ok := f.admit(w, class, client, len(req.Prompts))
-	if !ok {
-		f.logShed(span, class, client, len(req.Prompts))
-		return
-	}
-	defer release()
-	start := time.Now()
-	resps, err := f.cfg.Router.CompleteBatch(ctx, req.Prompts)
-	f.rec.Observe("route_batch", time.Since(start))
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, server.CompleteBatchResponse{Responses: resps})
-}
-
-// handleBackends answers /v1/backends on the fleet's behalf: the
+// backends answers /v1/backends on the fleet's behalf: the
 // first healthy replica that can describe itself does (replicas of one
 // fleet serve the same backend by construction), decorated with the
 // router's ID and the replica list. A fleet with no describable
 // replica still reports its shape.
-func (f *Frontend) handleBackends(w http.ResponseWriter, r *http.Request) {
+func (f *Frontend) backends(r *http.Request) (int, any) {
 	resp := server.BackendsResponse{
 		Serving:   "fleet:" + strings.Join(f.cfg.Router.Addrs(), ","),
 		Batch:     true,
@@ -358,10 +283,12 @@ func (f *Frontend) handleBackends(w http.ResponseWriter, r *http.Request) {
 		resp = info
 		break
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
-func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// healthz is the router's /healthz body: healthy while at least one
+// replica is.
+func (f *Frontend) healthz(*http.Request) (int, any) {
 	replicas := f.cfg.Router.Replicas()
 	ok := false
 	for _, rs := range replicas {
@@ -376,26 +303,22 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// the remote client's Ping fail over to another router.
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, HealthResponse{
+	return status, HealthResponse{
 		OK:       ok,
 		RouterID: f.cfg.ID,
 		Replicas: replicas,
 		Routing:  f.cfg.Router.Stats(),
 		Serving:  f.Stats(),
-	})
+	}
 }
 
-// handleMetrics serves the router's Prometheus exposition: admission
-// counters by priority class, routing counters, per-replica health and
-// traffic, and the route-stage latency summaries. Families come from
-// the perf registry (perf.Families), which docs/OPERATIONS.md
-// documents one for one.
-func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// emitMetrics writes the router's /metrics families: admission
+// counters by priority class, routing counters, per-replica health
+// and traffic, and the route-stage latency summaries.
+func (f *Frontend) emitMetrics(p *perf.Prom) {
 	router := perf.Label("router", f.cfg.ID)
 	rs := f.cfg.Router.Stats()
 	fs := f.Stats()
-	var buf bytes.Buffer
-	p := perf.NewProm(&buf)
 	p.Emit(perf.FamRouterAdmitted,
 		perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityInteractive)}, Value: float64(fs.AdmittedInteractive)},
 		perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityBulk)}, Value: float64(fs.AdmittedBulk)},
@@ -410,7 +333,7 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.EmitValue(perf.FamRouterRoutedPrompts, float64(rs.RoutedPrompts), router)
 	p.EmitValue(perf.FamRouterFailovers, float64(rs.Failovers), router)
 	p.EmitValue(perf.FamRouterSpills, float64(rs.Spills), router)
-	p.EmitValue(perf.FamRouterInflight, float64(f.inflight.Load()), router)
+	p.EmitValue(perf.FamRouterInflight, float64(f.policy.inflight.Load()), router)
 	replicas := f.cfg.Router.Replicas()
 	healthy := make([]perf.Sample, len(replicas))
 	prompts := make([]perf.Sample, len(replicas))
@@ -429,50 +352,4 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Emit(perf.FamRouterReplicaPrompts, prompts...)
 	p.Emit(perf.FamRouterReplicaFailures, failures...)
 	p.EmitSummaries(perf.FamRouterStageSeconds, f.rec.Snapshot(), router)
-	if exemplars := f.cfg.Tracer.SlowExemplars(); len(exemplars) > 0 {
-		samples := make([]perf.Sample, len(exemplars))
-		for i, ex := range exemplars {
-			samples[i] = perf.Sample{
-				Labels: [][2]string{router, perf.Label("stage", ex.Stage), perf.Label("trace_id", ex.Trace)},
-				Value:  time.Duration(ex.DurNS).Seconds(),
-			}
-		}
-		p.Emit(perf.FamTraceSlowExemplar, samples...)
-	}
-	// The Router implements both optional resilience sources (Retries,
-	// BreakerStates), so the router exposition carries per-replica
-	// breaker gauges under the same families the daemon exports.
-	server.EmitResilience(p, f.cfg.Fault, f.cfg.Router, router)
-	if err := p.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(buf.Bytes())
-}
-
-// readJSON / writeJSON / writeError mirror the daemon's handlers so
-// the router speaks the identical wire protocol, ErrorResponse bodies
-// included.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Error: msg})
 }

@@ -101,7 +101,7 @@ func TestFrontendBulkShedsFirst(t *testing.T) {
 		}
 	}()
 	// Wait until the held request occupies its slot.
-	for f.inflight.Load() != 1 {
+	for f.policy.inflight.Load() != 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -129,7 +129,7 @@ func TestFrontendBulkShedsFirst(t *testing.T) {
 			t.Errorf("interactive status %d under load", resp.StatusCode)
 		}
 	}()
-	for f.inflight.Load() != 2 {
+	for f.policy.inflight.Load() != 2 {
 		time.Sleep(time.Millisecond)
 	}
 	release()
@@ -141,8 +141,8 @@ func TestFrontendBulkShedsFirst(t *testing.T) {
 	if st.AdmittedInteractive != 2 {
 		t.Fatalf("admitted interactive = %d, want 2", st.AdmittedInteractive)
 	}
-	if f.inflight.Load() != 0 {
-		t.Fatalf("inflight %d after release, want 0", f.inflight.Load())
+	if f.policy.inflight.Load() != 0 {
+		t.Fatalf("inflight %d after release, want 0", f.policy.inflight.Load())
 	}
 }
 
@@ -183,7 +183,7 @@ func TestFrontendClientQuota(t *testing.T) {
 		postJSON(t, ts.URL+"/v1/complete", server.CompleteRequest{Prompt: "held"},
 			map[string]string{remote.ClientHeader: "greedy"})
 	}()
-	for f.inflight.Load() != 1 {
+	for f.policy.inflight.Load() != 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -205,7 +205,7 @@ func TestFrontendClientQuota(t *testing.T) {
 			t.Errorf("other client status %d", resp.StatusCode)
 		}
 	}()
-	for f.inflight.Load() != 2 {
+	for f.policy.inflight.Load() != 2 {
 		time.Sleep(time.Millisecond)
 	}
 	close(a.gate)
@@ -214,9 +214,9 @@ func TestFrontendClientQuota(t *testing.T) {
 	if st := f.Stats(); st.QuotaRejected != 1 {
 		t.Fatalf("QuotaRejected = %d, want 1", st.QuotaRejected)
 	}
-	f.mu.Lock()
-	n := len(f.clients)
-	f.mu.Unlock()
+	f.policy.mu.Lock()
+	n := len(f.policy.clients)
+	f.policy.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("client table holds %d entries after drain, want 0", n)
 	}
@@ -322,30 +322,42 @@ func TestFrontendMetrics(t *testing.T) {
 	_ = f
 }
 
-// TestFrontendBadRequests: malformed bodies, empty prompts, and wrong
-// methods answer with the daemon's error wire format.
-func TestFrontendBadRequests(t *testing.T) {
-	a := newFakeReplica("a")
-	_, ts := startFrontend(t, FrontendConfig{ID: "r1", QueueLimit: 4}, a)
-	resp, err := http.Get(ts.URL + "/v1/complete")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET complete status %d", resp.StatusCode)
-	}
-	r2, _ := postJSON(t, ts.URL+"/v1/complete", server.CompleteRequest{}, nil)
-	if r2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty prompt status %d", r2.StatusCode)
-	}
-	r3, _ := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{Prompts: make([]string, 5)}, nil)
-	if r3.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized batch status %d", r3.StatusCode)
-	}
-	r4, _ := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{}, nil)
-	if r4.StatusCode != http.StatusOK {
-		t.Fatalf("empty batch status %d", r4.StatusCode)
+// TestFrontendBatchAboveCeiling413: a batch above its class ceiling,
+// or above its client's quota, can never be admitted, so it gets the
+// permanent 413 naming the limit and the fix — the stock client fails
+// at once instead of retrying a 429 until it gives up.
+func TestFrontendBatchAboveCeiling413(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  FrontendConfig
+		n    int
+		want string
+	}{
+		{"bulk ceiling", FrontendConfig{ID: "r1", QueueLimit: 8}, 5, "router bulk queue limit 4; lower the client shard size or raise -bulk-queue"},
+		{"client quota", FrontendConfig{ID: "r1", ClientQuota: 2}, 3, "router client quota 2; lower the client shard size or raise -client-quota"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := startFrontend(t, tc.cfg, newFakeReplica("a"))
+			prompts := make([]string, tc.n)
+			for i := range prompts {
+				prompts[i] = fmt.Sprintf("p%d", i)
+			}
+			resp, body := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{Prompts: prompts}, nil)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), tc.want) {
+				t.Fatalf("status %d body %s; want 413 naming %q", resp.StatusCode, body, tc.want)
+			}
+			be := remote.New(ts.URL)
+			start := time.Now()
+			if _, err := be.CompleteBatch(t.Context(), prompts); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("client error %v; want the 413 naming %q", err, tc.want)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("client took %v on a permanent 413", elapsed)
+			}
+			if r := be.Retries(); r != 0 {
+				t.Fatalf("client retried a permanent 413 %d times", r)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -15,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/judge"
 	"repro/internal/perf"
-	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -36,19 +32,6 @@ const dedupPhase = "serve/completions"
 // errShuttingDown answers requests caught mid-shutdown, mapped to 503
 // on every path so clean shutdowns never read as internal errors.
 var errShuttingDown = errors.New("server shutting down")
-
-// statusFor classifies a resolution error: shutdown is 503, the
-// requester's own context ending is 504, anything else is a true 500.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, errShuttingDown):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
 
 // Config configures a Server. LLM is the only required field.
 type Config struct {
@@ -114,9 +97,38 @@ type result struct {
 
 // pending is one /v1/complete request queued for the micro-batcher.
 type pending struct {
-	ctx    context.Context
-	prompt string
-	done   chan result // buffered(1): delivery never blocks dispatch
+	ctx     context.Context
+	prompt  string
+	release func()      // frees the admission slot once the prompt resolves
+	done    chan result // buffered(1): delivery never blocks dispatch
+}
+
+// answer delivers p's result and frees its admission slot: the prompt
+// is done, whether or not its requester is still waiting.
+func (p *pending) answer(res result) {
+	p.done <- res
+	p.release()
+}
+
+// queuePolicy is the daemon's admission policy: one bound on the
+// prompts queued or in flight across both completion routes.
+type queuePolicy struct {
+	limit    int
+	inflight atomic.Int64 // prompts admitted and not yet answered
+	rejected atomic.Int64
+}
+
+func (q *queuePolicy) Ceiling(*http.Request) (int, string, string) {
+	return q.limit, "daemon queue limit", "-queue"
+}
+
+func (q *queuePolicy) Admit(_ *http.Request, _ *trace.Span, n int, _ bool) (func(), string) {
+	if q.inflight.Add(int64(n)) > int64(q.limit) {
+		q.inflight.Add(int64(-n))
+		q.rejected.Add(1)
+		return nil, "server overloaded, retry later"
+	}
+	return func() { q.inflight.Add(int64(-n)) }, ""
 }
 
 // Server is the judging daemon. Construct with New, mount Handler on
@@ -127,10 +139,10 @@ type Server struct {
 	// "daemon.complete" fault point when chaos injection is armed.
 	// Config.LLM stays unwrapped for structural queries (Describe,
 	// breaker states) — the fault shim must never mask those.
-	llm      judge.LLM
-	batch    judge.BatchLLM // nil when the endpoint is single-prompt only
-	queue    chan *pending
-	inflight atomic.Int64 // prompts admitted and not yet answered
+	llm       judge.LLM
+	batch     judge.BatchLLM // nil when the endpoint is single-prompt only
+	queue     chan *pending
+	admission queuePolicy
 
 	// delay is the adaptive straggler-gather wait, retuned after every
 	// micro-batch between minDelay and Config.BatchMaxDelay: batches
@@ -152,7 +164,6 @@ type Server struct {
 
 	requests        atomic.Int64
 	batchRequests   atomic.Int64
-	rejected        atomic.Int64
 	endpointCalls   atomic.Int64
 	endpointPrompts atomic.Int64
 	coalesced       atomic.Int64
@@ -209,13 +220,11 @@ func New(cfg Config) *Server {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = DefaultQueueLimit
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	s := &Server{
-		cfg:   cfg,
-		queue: make(chan *pending, cfg.QueueLimit),
-		rec:   perf.NewRecorder(),
+		cfg:       cfg,
+		queue:     make(chan *pending, cfg.QueueLimit),
+		admission: queuePolicy{limit: cfg.QueueLimit},
+		rec:       perf.NewRecorder(),
 	}
 	s.minDelay = int64(cfg.BatchMaxDelay / 16)
 	if s.minDelay < 1 {
@@ -239,8 +248,7 @@ func (s *Server) Close() {
 	for {
 		select {
 		case p := <-s.queue:
-			p.done <- result{err: errShuttingDown}
-			s.inflight.Add(-1)
+			p.answer(result{err: errShuttingDown})
 		default:
 			return
 		}
@@ -252,7 +260,7 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Requests:        s.requests.Load(),
 		BatchRequests:   s.batchRequests.Load(),
-		Rejected:        s.rejected.Load(),
+		Rejected:        s.admission.rejected.Load(),
 		EndpointCalls:   s.endpointCalls.Load(),
 		EndpointPrompts: s.endpointPrompts.Load(),
 		Coalesced:       s.coalesced.Load(),
@@ -261,27 +269,57 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Handler returns the daemon's route table.
+// Handler returns the daemon's route table: the shared Face over the
+// micro-batcher, its fault middleware on the two completion routes.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/v1/complete", fault.Middleware(s.cfg.Fault, "daemon.handler", http.HandlerFunc(s.handleComplete)))
-	mux.Handle("/v1/complete_batch", fault.Middleware(s.cfg.Fault, "daemon.handler", http.HandlerFunc(s.handleCompleteBatch)))
-	mux.HandleFunc("/v1/backends", s.handleBackends)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/traces", s.handleDebugTraces)
-	return mux
+	face := &Face{
+		Endpoint:   Endpoint{Complete: s.enqueue, CompleteBatch: s.resolveBatch},
+		Admission:  &s.admission,
+		Span:       "server.request",
+		BatchSpan:  "server.batch_request",
+		Instance:   perf.Label("replica", s.cfg.ReplicaID),
+		FailStatus: http.StatusInternalServerError,
+		RetryAfter: s.cfg.RetryAfter,
+		Tracer:     s.cfg.Tracer,
+		Fault:      s.cfg.Fault,
+		Resilience: s.cfg.LLM,
+		Wrap: func(h http.Handler) http.Handler {
+			return fault.Middleware(s.cfg.Fault, "daemon.handler", h)
+		},
+		Healthz:  s.healthz,
+		Backends: s.backends,
+		Metrics:  s.emitMetrics,
+	}
+	return face.Handler()
 }
 
-// join opens the server-side trace span for one request, continuing
-// the caller's trace when the propagation headers carry one. With no
-// tracer configured it returns the context untouched and a nil span.
-func (s *Server) join(r *http.Request, name string) (context.Context, *trace.Span) {
-	if s.cfg.Tracer == nil {
-		return r.Context(), nil
+// enqueue is the daemon's single-prompt endpoint: the prompt joins the
+// micro-batcher's queue carrying its slot's release, which runs when
+// the prompt is answered (flush, or the Close drain).
+func (s *Server) enqueue(ctx context.Context, prompt string, release func()) (string, error) {
+	s.requests.Add(1)
+	p := &pending{ctx: ctx, prompt: prompt, release: release, done: make(chan result, 1)}
+	select {
+	case s.queue <- p:
+	case <-s.baseCtx.Done():
+		release()
+		return "", errShuttingDown
 	}
-	traceHex, spanHex := trace.Extract(r.Header)
-	return s.cfg.Tracer.Join(r.Context(), traceHex, spanHex, name)
+	select {
+	case res := <-p.done:
+		return res.resp, res.err
+	case <-ctx.Done():
+		// Client gone or deadline passed; the coalesced batch still
+		// completes for its other members.
+		return "", ctx.Err()
+	}
+}
+
+// resolveBatch is the daemon's batch endpoint: one shard, resolved
+// as one unit.
+func (s *Server) resolveBatch(ctx context.Context, prompts []string) ([]string, error) {
+	s.batchRequests.Add(1)
+	return s.resolve(ctx, prompts)
 }
 
 // collect is the micro-batcher: it takes the first queued prompt,
@@ -374,12 +412,11 @@ func (s *Server) adapt(size int) {
 // when its prompt is truly done, so QueueLimit bounds real
 // outstanding work even when requesters disconnect early.
 func (s *Server) flush(batch []*pending) {
-	defer s.inflight.Add(int64(-len(batch)))
 	defer putBatchSlice(batch)
 	live := batch[:0]
 	for _, p := range batch {
 		if err := p.ctx.Err(); err != nil {
-			p.done <- result{err: err}
+			p.answer(result{err: err})
 			continue
 		}
 		live = append(live, p)
@@ -417,10 +454,10 @@ func (s *Server) flush(batch []*pending) {
 	}
 	for i, p := range live {
 		if err != nil {
-			p.done <- result{err: err}
+			p.answer(result{err: err})
 			continue
 		}
-		p.done <- result{resp: resps[i]}
+		p.answer(result{resp: resps[i]})
 	}
 }
 
@@ -529,98 +566,8 @@ func (s *Server) completeEndpoint(ctx context.Context, prompts []string) ([]stri
 	return judge.CompleteAll(ctx, s.llm, prompts)
 }
 
-// admit reserves n prompt slots, reporting false — and answering the
-// request with 429 + Retry-After — when the daemon is at QueueLimit.
-func (s *Server) admit(w http.ResponseWriter, n int) bool {
-	if s.inflight.Add(int64(n)) > int64(s.cfg.QueueLimit) {
-		s.inflight.Add(int64(-n))
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.FormatFloat(s.cfg.RetryAfter.Seconds(), 'f', -1, 64))
-		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Prompt == "" {
-		writeError(w, http.StatusBadRequest, "empty prompt")
-		return
-	}
-	ctx, span := s.join(r, "server.request")
-	defer span.End()
-	if !s.admit(w, 1) {
-		span.SetAttr("shed", "true")
-		return
-	}
-	// The slot is released when the pending resolves (flush, or the
-	// Close drain) — not when this handler returns — so a requester
-	// that gives up early cannot free capacity its abandoned prompt
-	// still occupies.
-	s.requests.Add(1)
-	p := &pending{ctx: ctx, prompt: req.Prompt, done: make(chan result, 1)}
-	select {
-	case s.queue <- p:
-	case <-s.baseCtx.Done():
-		s.inflight.Add(-1)
-		writeError(w, http.StatusServiceUnavailable, errShuttingDown.Error())
-		return
-	}
-	select {
-	case res := <-p.done:
-		if res.err != nil {
-			span.SetAttr("error", res.err.Error())
-			writeError(w, statusFor(res.err), res.err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, CompleteResponse{Response: res.resp})
-	case <-r.Context().Done():
-		// Client gone or deadline passed; the coalesced batch still
-		// completes for its other members.
-		writeError(w, http.StatusGatewayTimeout, r.Context().Err().Error())
-	}
-}
-
-func (s *Server) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
-	var req CompleteBatchRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if len(req.Prompts) == 0 {
-		writeJSON(w, http.StatusOK, CompleteBatchResponse{Responses: []string{}})
-		return
-	}
-	// A shard that can never fit is a configuration error, not
-	// overload: answer with a permanent 413 (clients retry 429
-	// forever to no avail) naming the fix.
-	if len(req.Prompts) > s.cfg.QueueLimit {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d prompts exceeds the daemon queue limit %d; lower the client shard size or raise -queue", len(req.Prompts), s.cfg.QueueLimit))
-		return
-	}
-	ctx, span := s.join(r, "server.batch_request")
-	defer span.End()
-	span.SetAttr("prompts", strconv.Itoa(len(req.Prompts)))
-	if !s.admit(w, len(req.Prompts)) {
-		span.SetAttr("shed", "true")
-		return
-	}
-	defer s.inflight.Add(int64(-len(req.Prompts)))
-	s.batchRequests.Add(1)
-	resps, err := s.resolve(ctx, req.Prompts)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, CompleteBatchResponse{Responses: resps})
-}
-
-func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
+// backends is the daemon's /v1/backends body.
+func (s *Server) backends(*http.Request) (int, any) {
 	resp := BackendsResponse{
 		Serving:    s.cfg.Backend,
 		Seed:       s.cfg.Seed,
@@ -634,29 +581,27 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	if p, ok := s.cfg.LLM.(interface{ Describe() ([]string, string) }); ok {
 		resp.PanelMembers, resp.PanelStrategy = p.Describe()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+// healthz is the daemon's /healthz body.
+func (s *Server) healthz(*http.Request) (int, any) {
+	return http.StatusOK, HealthResponse{
 		OK:        true,
 		Backend:   s.cfg.Backend,
 		Seed:      s.cfg.Seed,
 		ReplicaID: s.cfg.ReplicaID,
 		Stats:     s.Stats(),
-	})
+	}
 }
 
-// handleMetrics serves GET /metrics: the serving counters and the
-// per-stage latency summaries in Prometheus text exposition, every
-// series labelled with this instance's replica ID so a fleet's scrapes
-// aggregate without relabelling. Families come from the perf registry
-// (perf.Families), which docs/OPERATIONS.md documents one for one.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// emitMetrics writes the daemon's /metrics families: the serving
+// counters, the per-stage latency summaries, and the store gauges,
+// every series labelled with this instance's replica ID so a fleet's
+// scrapes aggregate without relabelling.
+func (s *Server) emitMetrics(p *perf.Prom) {
 	st := s.Stats()
 	replica := perf.Label("replica", s.cfg.ReplicaID)
-	var buf bytes.Buffer
-	p := perf.NewProm(&buf)
 	p.EmitValue(perf.FamRequests, float64(st.Requests), replica)
 	p.EmitValue(perf.FamBatchRequests, float64(st.BatchRequests), replica)
 	p.EmitValue(perf.FamRejected, float64(st.Rejected), replica)
@@ -665,10 +610,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.EmitValue(perf.FamCoalescedBatches, float64(st.Coalesced), replica)
 	p.EmitValue(perf.FamStoreHits, float64(st.StoreHits), replica)
 	p.EmitValue(perf.FamGatherDelay, time.Duration(st.GatherDelayNS).Seconds(), replica)
-	p.EmitValue(perf.FamInflight, float64(s.inflight.Load()), replica)
+	p.EmitValue(perf.FamInflight, float64(s.admission.inflight.Load()), replica)
 	p.EmitSummaries(perf.FamStageSeconds, s.rec.Snapshot(), replica)
-	emitSlowExemplars(p, s.cfg.Tracer, replica)
-	EmitResilience(p, s.cfg.Fault, s.cfg.LLM, replica)
 	if s.cfg.Store != nil {
 		sst := s.cfg.Store.Stats()
 		p.EmitValue(perf.FamStoreKeys, float64(sst.Keys), replica)
@@ -676,112 +619,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.EmitValue(perf.FamStoreActiveBytes, float64(sst.ActiveBytes), replica)
 		p.EmitValue(perf.FamStoreDropped, float64(sst.Dropped), replica)
 	}
-	if err := p.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(buf.Bytes())
-}
-
-// handleDebugTraces serves the tracer's recent-fragment ring as a
-// JSON array — the quick look before reaching for the JSONL sink.
-// Without a tracer it serves an empty array, not an error, so probes
-// need no mode awareness.
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	writeDebugTraces(w, s.cfg.Tracer)
-}
-
-// writeDebugTraces renders a tracer's recent ring (shared with the
-// router's endpoint).
-func writeDebugTraces(w http.ResponseWriter, t *trace.Tracer) {
-	recent := t.Recent()
-	if recent == nil {
-		recent = []trace.Record{}
-	}
-	writeJSON(w, http.StatusOK, recent)
-}
-
-// emitSlowExemplars writes the llm4vv_trace_slow_exemplar family from
-// a tracer's reservoir: one gauge per retained exemplar, valued at
-// the span duration in seconds and labelled with the span name and
-// trace ID (shared with the router's /metrics).
-func emitSlowExemplars(p *perf.Prom, t *trace.Tracer, instance [2]string) {
-	exemplars := t.SlowExemplars()
-	if len(exemplars) == 0 {
-		return
-	}
-	samples := make([]perf.Sample, len(exemplars))
-	for i, ex := range exemplars {
-		samples[i] = perf.Sample{
-			Labels: [][2]string{instance, perf.Label("stage", ex.Stage), perf.Label("trace_id", ex.Trace)},
-			Value:  time.Duration(ex.DurNS).Seconds(),
-		}
-	}
-	p.Emit(perf.FamTraceSlowExemplar, samples...)
-}
-
-// EmitResilience writes the llm4vv_resilience_* families: injected
-// chaos-fault counts per point, remote-client retries, and per-target
-// circuit-breaker states. The retry and breaker sources are optional
-// interfaces matched structurally on the fronted endpoint (the remote
-// client and the fleet router implement both; local backends neither)
-// so this package needs no import of either. Zero-valued series are
-// emitted when a source is absent — the families must always appear
-// on /metrics, armed or not. Shared with the router's endpoint.
-func EmitResilience(p *perf.Prom, inj *fault.Injector, source any, instance [2]string) {
-	points := inj.Injected()
-	if len(points) == 0 {
-		p.EmitValue(perf.FamResilienceFaults, 0, instance)
-	} else {
-		samples := make([]perf.Sample, len(points))
-		for i, pc := range points {
-			samples[i] = perf.Sample{Labels: [][2]string{instance, perf.Label("point", pc.Point)}, Value: float64(pc.Count)}
-		}
-		p.Emit(perf.FamResilienceFaults, samples...)
-	}
-	var retries int64
-	if r, ok := source.(interface{ Retries() int64 }); ok {
-		retries = r.Retries()
-	}
-	p.EmitValue(perf.FamResilienceRetries, float64(retries), instance)
-	var states []resilience.BreakerStatus
-	if b, ok := source.(interface {
-		BreakerStates() []resilience.BreakerStatus
-	}); ok {
-		states = b.BreakerStates()
-	}
-	if len(states) == 0 {
-		p.EmitValue(perf.FamResilienceBreakerState, 0, instance)
-		return
-	}
-	samples := make([]perf.Sample, len(states))
-	for i, st := range states {
-		samples[i] = perf.Sample{Labels: [][2]string{instance, perf.Label("target", st.ID)}, Value: float64(st.State)}
-	}
-	p.Emit(perf.FamResilienceBreakerState, samples...)
-}
-
-// readJSON decodes a POST body, answering 405/400 itself on failure.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
 }
