@@ -361,6 +361,33 @@ func TestFrontendBatchAboveCeiling413(t *testing.T) {
 	}
 }
 
+// TestFrontendBadRequests: malformed bodies, empty prompts, and wrong
+// methods answer with the daemon's error wire format.
+func TestFrontendBadRequests(t *testing.T) {
+	a := newFakeReplica("a")
+	_, ts := startFrontend(t, FrontendConfig{ID: "r1", QueueLimit: 4}, a)
+	resp, err := http.Get(ts.URL + "/v1/complete")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET complete status %d", resp.StatusCode)
+	}
+	r2, _ := postJSON(t, ts.URL+"/v1/complete", server.CompleteRequest{}, nil)
+	if r2.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty prompt status %d", r2.StatusCode)
+	}
+	r3, _ := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{Prompts: make([]string, 5)}, nil)
+	if r3.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch status %d", r3.StatusCode)
+	}
+	r4, _ := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{}, nil)
+	if r4.StatusCode != http.StatusOK {
+		t.Fatalf("empty batch status %d", r4.StatusCode)
+	}
+}
+
 // TestFrontendGatewayErrors: a fleet-wide failure surfaces as 502,
 // which the remote client treats as transient.
 func TestFrontendGatewayErrors(t *testing.T) {

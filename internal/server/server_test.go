@@ -529,6 +529,38 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestEmptyAndMalformedRequests: protocol errors are 4xx, not 5xx or
+// hangs.
+func TestEmptyAndMalformedRequests(t *testing.T) {
+	_, ts, _ := startServer(t, server.Config{LLM: echoLLM{}})
+	cases := []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/complete", `{"prompt":""}`, http.StatusBadRequest},
+		{"/v1/complete", `{garbage`, http.StatusBadRequest},
+		{"/v1/complete_batch", `{"prompts":[]}`, http.StatusOK},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("POST %s %q: got %d want %d", c.path, c.body, resp.StatusCode, c.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/complete")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/complete: got %d want 405", resp.StatusCode)
+	}
+}
+
 // TestAdaptiveGatherDelay: the micro-batcher's straggler wait ramps
 // down while batches fill to BatchMaxSize and back up under light
 // load, always staying within [BatchMaxDelay/16, BatchMaxDelay].
