@@ -297,9 +297,3 @@ func init() {
 		return p
 	})
 }
-
-// NewModel returns the simulated deepseek-coder-33B-instruct endpoint.
-//
-// Deprecated: construct endpoints through the backend registry
-// (NewBackend / WithBackend) instead.
-func NewModel(seed uint64) judge.LLM { return model.New(seed) }

@@ -30,7 +30,7 @@ func benchDirect(b *testing.B, d spec.Dialect) metrics.Summary {
 	b.Helper()
 	var last metrics.Summary
 	for i := 0; i < b.N; i++ {
-		s, err := RunDirectProbing(PartOneSpec(d).Scaled(benchScale), DefaultModelSeed)
+		s, err := mustRunner(b, WithSeed(DefaultModelSeed)).DirectProbing(context.Background(), PartOneSpec(d).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func benchPartTwo(b *testing.B, d spec.Dialect) PartTwoResult {
 	b.Helper()
 	var last PartTwoResult
 	for i := 0; i < b.N; i++ {
-		r, err := RunPartTwo(PartTwoSpec(d).Scaled(benchScale), DefaultModelSeed)
+		r, err := mustRunner(b, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(d).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,11 +72,11 @@ func BenchmarkTableIII(b *testing.B) {
 	var acc, omp metrics.Summary
 	for i := 0; i < b.N; i++ {
 		var err error
-		acc, err = RunDirectProbing(PartOneSpec(spec.OpenACC).Scaled(benchScale), DefaultModelSeed)
+		acc, err = mustRunner(b, WithSeed(DefaultModelSeed)).DirectProbing(context.Background(), PartOneSpec(spec.OpenACC).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
-		omp, err = RunDirectProbing(PartOneSpec(spec.OpenMP).Scaled(benchScale), DefaultModelSeed)
+		omp, err = mustRunner(b, WithSeed(DefaultModelSeed)).DirectProbing(context.Background(), PartOneSpec(spec.OpenMP).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,11 +106,11 @@ func BenchmarkTableVI(b *testing.B) {
 	var acc, omp PartTwoResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		acc, err = RunPartTwo(PartTwoSpec(spec.OpenACC).Scaled(benchScale), DefaultModelSeed)
+		acc, err = mustRunner(b, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
-		omp, err = RunPartTwo(PartTwoSpec(spec.OpenMP).Scaled(benchScale), DefaultModelSeed)
+		omp, err = mustRunner(b, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,11 +139,11 @@ func BenchmarkTableIX(b *testing.B) {
 	var acc, omp PartTwoResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		acc, err = RunPartTwo(PartTwoSpec(spec.OpenACC).Scaled(benchScale), DefaultModelSeed)
+		acc, err = mustRunner(b, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
-		omp, err = RunPartTwo(PartTwoSpec(spec.OpenMP).Scaled(benchScale), DefaultModelSeed)
+		omp, err = mustRunner(b, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	var r PipelineThroughputResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = RunPipelineThroughput(PartTwoSpec(spec.OpenACC).Scaled(benchScale), DefaultModelSeed, 8)
+		r, err = mustRunner(b, WithSeed(DefaultModelSeed), WithWorkers(8)).PipelineThroughput(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunPipelineThroughput(PartTwoSpec(spec.OpenMP).Scaled(benchScale), DefaultModelSeed, workers); err != nil {
+				if _, err := mustRunner(b, WithSeed(DefaultModelSeed), WithWorkers(workers)).PipelineThroughput(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(benchScale)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -246,7 +246,7 @@ func BenchmarkAblationAgentInfo(b *testing.B) {
 	var r AblationAgentInfoResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = RunAblationAgentInfo(PartTwoSpec(spec.OpenACC).Scaled(benchScale), DefaultModelSeed)
+		r, err = mustRunner(b, WithSeed(DefaultModelSeed)).AblationAgentInfo(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func BenchmarkAblationStages(b *testing.B) {
 	var r AblationStagesResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = RunAblationStages(PartTwoSpec(spec.OpenMP).Scaled(benchScale), DefaultModelSeed)
+		r, err = mustRunner(b, WithSeed(DefaultModelSeed)).AblationStages(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +289,11 @@ func BenchmarkSuiteGeneration(b *testing.B) {
 func BenchmarkGenerationLoop(b *testing.B) {
 	var r *GenerationResult
 	for i := 0; i < b.N; i++ {
-		r = RunGenerationLoop(spec.OpenACC, 1, DefaultModelSeed)
+		var err error
+		r, err = mustRunner(b, WithSeed(DefaultModelSeed)).GenerationLoop(context.Background(), spec.OpenACC, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(100*r.RawSoundRate(), "raw-sound%")
 	b.ReportMetric(100*r.AcceptancePrecision(), "accepted-precision%")

@@ -234,9 +234,7 @@ func BenchmarkThroughputPipeline(b *testing.B) {
 // carriers), fragments serialised to a discarded writer. Gated as its
 // own files/sec band next to the untraced pipeline's, so tracing
 // overhead cannot silently grow — and the untraced benchmark's
-// allocs/op band is the proof that a nil tracer stays free. This one
-// deliberately configures through the deprecated scalar worker knobs,
-// keeping the Config → StageSpec translation layer on the gated path.
+// allocs/op band is the proof that a nil tracer stays free.
 func BenchmarkThroughputPipelineTraced(b *testing.B) {
 	inputs := benchSuiteInputs(b)
 	llm, err := NewBackend(DefaultBackend, DefaultModelSeed)
@@ -244,14 +242,15 @@ func BenchmarkThroughputPipelineTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := pipeline.Config{
-		Tools:          agent.NewTools(spec.OpenACC),
-		Judge:          &judge.Judge{LLM: llm, Style: judge.AgentDirect, Dialect: spec.OpenACC},
-		CompileWorkers: 4,
-		ExecWorkers:    4,
-		JudgeWorkers:   4,
-		JudgeBatch:     16,
-		RecordAll:      true,
-		Tracer:         trace.New(trace.WithWriter(io.Discard), trace.WithProcess("bench")),
+		Tools: agent.NewTools(spec.OpenACC),
+		Judge: &judge.Judge{LLM: llm, Style: judge.AgentDirect, Dialect: spec.OpenACC},
+		Stages: []pipeline.StageSpec{
+			{Name: pipeline.StageCompile, Workers: 4},
+			{Name: pipeline.StageExec, Workers: 4},
+			{Name: pipeline.StageJudge, Workers: 4, Batch: 16},
+		},
+		RecordAll: true,
+		Tracer:    trace.New(trace.WithWriter(io.Discard), trace.WithProcess("bench")),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

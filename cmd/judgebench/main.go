@@ -33,7 +33,8 @@
 // ("judge=16" or "compile=2,exec=2,judge=32") where the uniform
 // per-stage default is too coarse — a remote judge fleet saturates at
 // a different width than the local compile simulator. Stage names are
-// compile, exec, judge; scheduling knobs never change verdicts.
+// compile, exec, judge, and every N must be at least 1; scheduling
+// knobs never change verdicts.
 // -show transcripts require re-judging, so -store
 // and -resume are ignored when -show is set.
 //
@@ -92,7 +93,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 
 	llm4vv "repro"
@@ -127,7 +127,7 @@ func main() {
 	compact := flag.Bool("compact", false, "compact the run store (drop superseded duplicates), then exit (requires -store)")
 	storeStats := flag.Bool("store-stats", false, "print the run store's segment layout and exit (requires -store)")
 	shard := flag.Int("shard", 0, "scheduler shard / judge batch size (0 = automatic)")
-	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated (stages: compile, exec, judge)")
+	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated, N >= 1 (stages: compile, exec, judge)")
 	traceDir := flag.String("trace", "", "write JSONL trace fragments to DIR/judgebench-trace.jsonl")
 	traceView := flag.String("trace-view", "", "render a JSONL trace file as a terminal waterfall, then exit")
 	list := flag.Bool("list", false, "list registered experiments and backends, then exit")
@@ -298,9 +298,11 @@ func main() {
 		llm4vv.WithRecordAll(runRecordAll),
 		llm4vv.WithShardSize(*shard),
 	}
-	stageOpts, err := parseStageWorkers(*stageWorkers)
-	fail(err)
-	opts = append(opts, stageOpts...)
+	stages, err := pipeline.ParseStageWorkers(*stageWorkers)
+	if err != nil {
+		fail(fmt.Errorf("-stage-workers: %w", err))
+	}
+	opts = append(opts, llm4vv.WithStages(stages...))
 	if *storePath != "" {
 		opts = append(opts, llm4vv.WithStore(*storePath), llm4vv.WithResume(*resume))
 	}
@@ -355,25 +357,6 @@ func main() {
 
 // showTranscripts reruns the configuration with responses kept,
 // printing the first N transcripts alongside the scorecard.
-// parseStageWorkers turns a -stage-workers value ("judge=16" or
-// "compile=2,exec=2,judge=32") into WithStageWorkers options; stage
-// names are validated by NewRunner.
-func parseStageWorkers(spec string) ([]llm4vv.Option, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var opts []llm4vv.Option
-	for _, kv := range strings.Split(spec, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if !ok || err != nil {
-			return nil, fmt.Errorf("-stage-workers wants name=N[,name=N...], got %q", kv)
-		}
-		opts = append(opts, llm4vv.WithStageWorkers(strings.TrimSpace(name), n))
-	}
-	return opts, nil
-}
-
 func showTranscripts(ctx context.Context, d spec.Dialect, suiteSpec llm4vv.SuiteSpec, mode string, style judge.Style, pipelineVerdict bool, backend string, seed uint64, scale, show int, recordAll bool) {
 	suite, err := llm4vv.BuildSuite(suiteSpec)
 	fail(err)

@@ -25,9 +25,9 @@
 // sharded scheduler's chunk (and judge batch) size, 0 = automatic.
 // -stage-workers overrides -workers for individual pipeline stages
 // ("judge=16", or comma-separated "compile=2,exec=2,judge=32"; stage
-// names compile, exec, judge) — the knob for sizing the judge pool to
-// a remote fleet while the local tool stages stay narrow. Scheduling
-// knobs never change verdicts or reports.
+// names compile, exec, judge; N >= 1) — the knob for sizing the judge
+// pool to a remote fleet while the local tool stages stay narrow.
+// Scheduling knobs never change verdicts or reports.
 //
 // -serve-addr routes all judging through a running llm4vvd daemon:
 // the address registers as the "remote:<addr>" backend and overrides
@@ -52,11 +52,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	llm4vv "repro"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -67,7 +66,7 @@ func main() {
 	serveAddr := flag.String("serve-addr", "", "judge through the llm4vvd daemon at this address (overrides -backend; a comma-separated list fails over across replicas)")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this duration (0 = no deadline)")
 	workers := flag.Int("workers", 0, "per-stage workers (0 = GOMAXPROCS)")
-	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated (stages: compile, exec, judge; overrides -workers)")
+	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated, N >= 1 (stages: compile, exec, judge; overrides -workers)")
 	shard := flag.Int("shard", 0, "scheduler shard / judge batch size (0 = automatic)")
 	experiment := flag.String("experiment", "all", "all|list|<registered name>")
 	progress := flag.Bool("progress", false, "stream per-file progress to stderr")
@@ -104,17 +103,12 @@ func main() {
 	if *workers > 0 {
 		opts = append(opts, llm4vv.WithWorkers(*workers))
 	}
-	if *stageWorkers != "" {
-		for _, kv := range strings.Split(*stageWorkers, ",") {
-			name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			n, err := strconv.Atoi(strings.TrimSpace(val))
-			if !ok || err != nil {
-				fmt.Fprintf(os.Stderr, "llm4vv: -stage-workers wants name=N[,name=N...], got %q\n", kv)
-				os.Exit(2)
-			}
-			opts = append(opts, llm4vv.WithStageWorkers(strings.TrimSpace(name), n))
-		}
+	stages, err := pipeline.ParseStageWorkers(*stageWorkers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "llm4vv: -stage-workers: %v\n", err)
+		os.Exit(2)
 	}
+	opts = append(opts, llm4vv.WithStages(stages...))
 	if *storePath != "" {
 		opts = append(opts, llm4vv.WithStore(*storePath), llm4vv.WithResume(*resume))
 	}

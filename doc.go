@@ -104,18 +104,10 @@
 // prerequisites complete — no barriers between stages — with
 // multi-file units ordered by Input.DependsOn and per-stage
 // configuration carried by StageSpec (workers, batching, observer).
-// WithStages and WithStageWorkers tune the built-in compile/exec/
-// judge stages per Runner, surfaced as -stage-workers on both
-// commands; NewGraph/RunGraph schedule custom stage DAGs. See
-// DESIGN.md §14.
-//
-// The pre-redesign free functions (RunDirectProbing, RunPartTwo,
-// RunGenerationLoop, ...) remain as deprecated wrappers over a
-// default-configured Runner; likewise pipeline.Config's pre-DAG
-// scalar knobs (CompileWorkers, ExecWorkers, JudgeWorkers,
-// StageObserver) remain as deprecated fields that translate onto the
-// default graph's StageSpec values — migrate by moving each scalar
-// into the corresponding Config.Stages entry.
+// WithStages tunes the built-in compile/exec/judge stages per
+// Runner, surfaced as -stage-workers on both commands;
+// pipeline.Config.Stages does the same for a direct pipeline.Run, and
+// NewGraph/RunGraph schedule custom stage DAGs. See DESIGN.md §14.
 //
 // Every experiment is deterministic given its seeds. See DESIGN.md for
 // the system inventory, the Runner/Backend/Experiment architecture,

@@ -31,7 +31,10 @@ func main() {
 
 	tools := agent.NewTools(spec.OpenMP)
 	outcome := tools.Gather(mutated.Name, mutated.Source, mutated.Lang)
-	llm := llm4vv.NewModel(llm4vv.DefaultModelSeed)
+	llm, err := llm4vv.NewBackend(llm4vv.DefaultBackend, llm4vv.DefaultModelSeed)
+	if err != nil {
+		panic(err)
+	}
 
 	configs := []struct {
 		label string

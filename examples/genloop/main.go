@@ -13,9 +13,8 @@ import (
 )
 
 func main() {
-	// The modern entry point: one Runner, configured once, dispatching
-	// cancellable experiments (the deprecated free function
-	// llm4vv.RunGenerationLoop wraps exactly this).
+	// One Runner, configured once, dispatching cancellable
+	// experiments.
 	runner, err := llm4vv.NewRunner(
 		llm4vv.WithBackend(llm4vv.DefaultBackend),
 		llm4vv.WithSeed(llm4vv.DefaultModelSeed),

@@ -39,8 +39,12 @@ func main() {
 		}
 	}
 
+	llm, err := llm4vv.NewBackend(llm4vv.DefaultBackend, llm4vv.DefaultModelSeed)
+	if err != nil {
+		panic(err)
+	}
 	j := &judge.Judge{
-		LLM:     llm4vv.NewModel(llm4vv.DefaultModelSeed),
+		LLM:     llm,
 		Style:   judge.Direct,
 		Dialect: spec.OpenACC,
 	}

@@ -35,10 +35,14 @@ func main() {
 		inputs[i] = pipeline.Input{Name: pf.Name, Source: pf.Source, Lang: pf.Lang}
 	}
 
+	llm, err := llm4vv.NewBackend(llm4vv.DefaultBackend, llm4vv.DefaultModelSeed)
+	if err != nil {
+		panic(err)
+	}
 	base := pipeline.Config{
 		Tools: agent.NewTools(spec.OpenMP),
 		Judge: &judge.Judge{
-			LLM:     llm4vv.NewModel(llm4vv.DefaultModelSeed),
+			LLM:     llm,
 			Style:   judge.AgentDirect,
 			Dialect: spec.OpenMP,
 		},

@@ -33,8 +33,12 @@ func main() {
 		outcome.Info.CompileRC, outcome.Info.RunRC, outcome.Info.RunStdout)
 
 	// 3. Judge it with the agent-based LLM judge (LLMJ 1).
+	llm, err := llm4vv.NewBackend(llm4vv.DefaultBackend, llm4vv.DefaultModelSeed)
+	if err != nil {
+		panic(err)
+	}
 	j := &judge.Judge{
-		LLM:     llm4vv.NewModel(llm4vv.DefaultModelSeed),
+		LLM:     llm,
 		Style:   judge.AgentDirect,
 		Dialect: spec.OpenACC,
 	}

@@ -1,15 +1,11 @@
 package llm4vv
 
-// The paper's fixed experiments, kept as free functions for
-// compatibility. Each is now a thin wrapper constructing a default
-// Runner and delegating to its context-aware method; new code should
-// build a Runner once (choosing backend, workers, caching, progress)
-// and call the methods — or dispatch registered experiments through
-// RunExperiment — directly.
+// Result types of the paper's fixed experiments, each produced by its
+// Runner method (Runner.PartTwo, Runner.AblationStages, ...) or
+// dispatched by name through RunExperiment.
 
 import (
-	"context"
-
+	"repro/internal/genloop"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/probe"
@@ -18,28 +14,6 @@ import (
 // DefaultModelSeed seeds the simulated LLM for all published
 // experiment numbers.
 const DefaultModelSeed = 33
-
-// seededRunner builds the default-backend Runner the deprecated
-// wrappers run on. The only construction failure is an unknown backend
-// name, impossible here, so errors reduce to a panic guard.
-func seededRunner(modelSeed uint64, opts ...Option) *Runner {
-	r, err := NewRunner(append([]Option{WithSeed(modelSeed)}, opts...)...)
-	if err != nil {
-		panic("llm4vv: default runner construction failed: " + err.Error())
-	}
-	return r
-}
-
-// RunDirectProbing is the Part-One experiment: judge every file of the
-// suite with the direct analysis prompt (no tools, no pipeline) and
-// score the verdicts. It reproduces Tables I and II, and its summaries
-// aggregate into Table III.
-//
-// Deprecated: use NewRunner and Runner.DirectProbing for cancellation,
-// backend selection, and progress streaming.
-func RunDirectProbing(spec SuiteSpec, modelSeed uint64) (metrics.Summary, error) {
-	return seededRunner(modelSeed).DirectProbing(context.Background(), spec)
-}
 
 // PartTwoResult carries every Part-Two measurement for one dialect:
 // the two agent-based judges scored alone (Tables VII-IX) and the two
@@ -61,13 +35,6 @@ type PartTwoResult struct {
 	Stats pipeline.Stats
 }
 
-// RunPartTwo executes the Part-Two experiment for one dialect.
-//
-// Deprecated: use NewRunner and Runner.PartTwo.
-func RunPartTwo(spec SuiteSpec, modelSeed uint64) (PartTwoResult, error) {
-	return seededRunner(modelSeed).PartTwo(context.Background(), spec)
-}
-
 // AblationStagesResult scores the pipeline with progressively more
 // stages enabled: compile only, compile+execute, and the full pipeline
 // with the agent-direct judge. It quantifies DESIGN.md ablation A3
@@ -76,13 +43,6 @@ type AblationStagesResult struct {
 	CompileOnly   metrics.Summary
 	CompileAndRun metrics.Summary
 	FullPipeline  metrics.Summary
-}
-
-// RunAblationStages runs ablation A3 on the Part-Two suite.
-//
-// Deprecated: use NewRunner and Runner.AblationStages.
-func RunAblationStages(spec SuiteSpec, modelSeed uint64) (AblationStagesResult, error) {
-	return seededRunner(modelSeed).AblationStages(context.Background(), spec)
 }
 
 // AblationAgentInfoResult compares the same model judging the same
@@ -94,13 +54,6 @@ type AblationAgentInfoResult struct {
 	WithTools    metrics.Summary
 }
 
-// RunAblationAgentInfo runs ablation A2.
-//
-// Deprecated: use NewRunner and Runner.AblationAgentInfo.
-func RunAblationAgentInfo(spec SuiteSpec, modelSeed uint64) (AblationAgentInfoResult, error) {
-	return seededRunner(modelSeed).AblationAgentInfo(context.Background(), spec)
-}
-
 // PipelineThroughputResult measures the short-circuiting win
 // (DESIGN.md ablation A1): stage executions with and without early
 // exit.
@@ -109,13 +62,9 @@ type PipelineThroughputResult struct {
 	RecordAll    pipeline.Stats
 }
 
-// RunPipelineThroughput runs ablation A1 on the given suite.
-//
-// Deprecated: use NewRunner (WithWorkers) and
-// Runner.PipelineThroughput.
-func RunPipelineThroughput(spec SuiteSpec, modelSeed uint64, workers int) (PipelineThroughputResult, error) {
-	return seededRunner(modelSeed, WithWorkers(workers)).PipelineThroughput(context.Background(), spec)
-}
+// GenerationResult re-exports the generation-loop outcome
+// (Runner.GenerationLoop).
+type GenerationResult = genloop.Result
 
 // Issues re-exports the probe issue ids for example programs.
 var Issues = []probe.Issue{

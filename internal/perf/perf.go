@@ -9,10 +9,9 @@
 // emission sites draw from — docs/OPERATIONS.md documents exactly
 // that list, and a test in this package diffs the two. The package
 // deliberately has no dependencies on the pipeline or judge packages
-// — they expose plain callback hooks
-// (pipeline.Config.StageObserver) and the harness plugs a Recorder
-// in, so production runs without an observer pay a single nil check
-// per stage.
+// — they expose plain callback hooks (pipeline.StageSpec.Observe)
+// and the harness plugs a Recorder in, so production runs without an
+// observer pay a single nil check per stage.
 package perf
 
 import (

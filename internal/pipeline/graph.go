@@ -13,15 +13,14 @@ import (
 //
 // In Config.Stages a spec addresses a built-in stage by Name and
 // overrides only its non-zero fields (zero Workers/Batch and nil
-// Observe inherit the defaults), which is how the deprecated scalar
-// knobs and the new surface coexist. In NewGraph a spec is the stage's
-// complete configuration.
+// Observe inherit the defaults; see MergeStages). In NewGraph a spec
+// is the stage's complete configuration.
 type StageSpec struct {
 	// Name identifies the stage: it is the span name of the stage's
 	// trace executions (batched stages emit "<name>.batch" carrier
 	// spans instead), the label observers and per-stage metric
 	// families key on, and the handle Config.Stages and the Runner's
-	// WithStages/WithStageWorkers options address the stage by. The
+	// WithStages option address the stage by. The
 	// built-in stages are StageCompile, StageExec, and StageJudge.
 	Name string
 	// Workers sizes the stage's worker pool; 0 means 1. Negative
@@ -49,8 +48,8 @@ type StageSpec struct {
 }
 
 // validate rejects specs whose values would hang or misconfigure the
-// scheduler. Shared by NewGraph and the Config.Stages overlay so the
-// error surfaces at construction, not as a stuck run.
+// scheduler. Shared by NewGraph and ValidateStages so the error
+// surfaces at construction, not as a stuck run.
 func (s StageSpec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("pipeline: stage with empty name")

@@ -97,11 +97,11 @@ func TestGraphStagesTopologicalOrder(t *testing.T) {
 func TestNegativeWorkersErrorFromRun(t *testing.T) {
 	inputs, _ := testInputs(t, spec.OpenACC, 4)
 	for _, cfg := range []Config{
-		{CompileWorkers: -1},
-		{ExecWorkers: -3},
-		{JudgeWorkers: -2},
+		{Stages: []StageSpec{{Name: StageCompile, Workers: -1}}},
+		{Stages: []StageSpec{{Name: StageExec, Workers: -3}}},
+		{Stages: []StageSpec{{Name: StageJudge, Workers: -2}}},
 		{Stages: []StageSpec{{Name: StageExec, Workers: -4}}},
-		{JudgeBatch: -16},
+		{Stages: []StageSpec{{Name: StageJudge, Batch: -16}}},
 	} {
 		cfg.Tools = acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, false).Tools
 		cfg.Judge = acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, false).Judge
@@ -111,7 +111,7 @@ func TestNegativeWorkersErrorFromRun(t *testing.T) {
 	}
 	// Zero stays the documented one-worker floor.
 	cfg := acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, false)
-	cfg.CompileWorkers, cfg.ExecWorkers, cfg.JudgeWorkers = 0, 0, 0
+	cfg.Stages = []StageSpec{{Name: StageCompile}, {Name: StageExec}, {Name: StageJudge}}
 	if _, _, err := Run(context.Background(), cfg, inputs); err != nil {
 		t.Fatalf("zero workers must mean one, got error %v", err)
 	}
@@ -133,34 +133,70 @@ func TestConfigStagesValidation(t *testing.T) {
 	}
 }
 
-// TestStageSpecLegacyParity pins the translation layer: the same run
-// configured through the deprecated scalar knobs and through Stages
-// produces identical results and stats.
-func TestStageSpecLegacyParity(t *testing.T) {
-	inputs, _ := testInputs(t, spec.OpenACC, 30)
-	for _, recordAll := range []bool{false, true} {
-		legacy := acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, recordAll)
-		legacy.JudgeBatch = 4
-		specd := Config{
-			Tools: legacy.Tools,
-			Judge: legacy.Judge,
-			Stages: []StageSpec{
-				{Name: StageCompile, Workers: 4},
-				{Name: StageExec, Workers: 4},
-				{Name: StageJudge, Workers: 4, Batch: 4},
-			},
-			RecordAll: recordAll,
+// TestMergeStages pins the one field-wise override rule behind
+// Config.Stages and the Runner's WithStages: non-zero fields win, zero
+// fields inherit, a later override refines an earlier one, and an
+// unseen name is appended. The base slice is left untouched.
+func TestMergeStages(t *testing.T) {
+	var observed string
+	observe := func(stage string, _ time.Duration) { observed = stage }
+	base := []StageSpec{{Name: StageCompile, Workers: 2}, {Name: StageJudge, Workers: 2, Batch: 8}}
+	got := MergeStages(base,
+		StageSpec{Name: StageJudge, Workers: 5},
+		StageSpec{Name: StageJudge, Batch: 3, Observe: observe},
+		StageSpec{Name: StageExec, Workers: 7},
+	)
+	want := []StageSpec{{Name: StageCompile, Workers: 2}, {Name: StageJudge, Workers: 5, Batch: 3}, {Name: StageExec, Workers: 7}}
+	if len(got) != len(want) {
+		t.Fatalf("merged %d specs, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || got[i].Workers != want[i].Workers || got[i].Batch != want[i].Batch {
+			t.Errorf("spec %d = %+v, want %+v", i, got[i], want[i])
 		}
-		got, gotStats := runBG(t, specd, inputs)
-		want, wantStats := runBG(t, legacy, inputs)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("recordAll=%v file %d: Stages run %+v != legacy run %+v", recordAll, i, got[i], want[i])
+	}
+	if got[1].Observe == nil || got[0].Observe != nil {
+		t.Fatal("Observe must move onto the judge spec only")
+	}
+	got[1].Observe(StageJudge, 0)
+	if observed != StageJudge {
+		t.Errorf("merged Observe not the override's")
+	}
+	if base[1].Workers != 2 || base[1].Batch != 8 {
+		t.Errorf("MergeStages modified its base: %+v", base[1])
+	}
+}
+
+func TestParseStageWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    []StageSpec
+		wantErr string
+	}{
+		{in: "", want: nil},
+		{in: "judge=16", want: []StageSpec{{Name: StageJudge, Workers: 16}}},
+		{in: "compile=2,exec=2,judge=32", want: []StageSpec{
+			{Name: StageCompile, Workers: 2}, {Name: StageExec, Workers: 2}, {Name: StageJudge, Workers: 32}}},
+		{in: " compile = 2 , judge=4 ", want: []StageSpec{{Name: StageCompile, Workers: 2}, {Name: StageJudge, Workers: 4}}},
+		{in: "judge", wantErr: "want name=N"},
+		{in: "judge=many", wantErr: "want name=N"},
+		{in: "judge=0", wantErr: "want N >= 1"},
+		{in: "exec=-3", wantErr: "want N >= 1"},
+		{in: "judge=4,", wantErr: "want name=N"},
+	} {
+		got, err := ParseStageWorkers(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%q: err=%v, want %q", tc.in, err, tc.wantErr)
 			}
+			continue
 		}
-		if gotStats.Compiles != wantStats.Compiles || gotStats.Executions != wantStats.Executions ||
-			gotStats.JudgeCalls != wantStats.JudgeCalls {
-			t.Fatalf("recordAll=%v stats diverged: %+v != %+v", recordAll, gotStats, wantStats)
+		if err != nil {
+			t.Errorf("%q: unexpected error %v", tc.in, err)
+			continue
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%q: got %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
 }

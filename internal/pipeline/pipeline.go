@@ -11,11 +11,10 @@
 // the Part-Two data (allowing the same run to score both the pipeline
 // and the agent-based judges on their own).
 //
-// Stages are configured by StageSpec (Config.Stages addresses the
-// built-in stages by name; NewGraph + RunGraph schedule arbitrary
-// DAGs of custom stages). The scalar Config knobs — CompileWorkers,
-// ExecWorkers, JudgeWorkers, StageObserver — remain as deprecated
-// wrappers that translate onto the default graph's specs.
+// Stages are configured by StageSpec: Config.Stages addresses the
+// built-in stages by name (ValidateStages checks the names,
+// MergeStages lays the specs over the defaults), and NewGraph +
+// RunGraph schedule arbitrary DAGs of custom stages.
 //
 // Run is context-aware: cancelling the context stops the stages
 // promptly and returns the results completed so far alongside the
@@ -27,8 +26,10 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/compiler"
@@ -39,8 +40,7 @@ import (
 )
 
 // Names of the built-in stages — the values StageSpec.Name,
-// Config.Stages, and the Runner's WithStages/WithStageWorkers options
-// address them by.
+// Config.Stages, and the Runner's WithStages option address them by.
 const (
 	StageCompile = "compile"
 	StageExec    = "exec"
@@ -72,30 +72,14 @@ type Config struct {
 	Judge *judge.Judge
 	// Stages overrides the built-in stages' specs by name
 	// (StageCompile, StageExec, StageJudge): each entry's non-zero
-	// fields replace that stage's defaults, zero fields inherit them
-	// (including the deprecated scalar knobs below, which supply the
-	// defaults during the migration). Unknown or duplicate names and
-	// negative Workers/Batch values are errors returned by Run.
-	// Custom stage DAGs go through NewGraph and RunGraph instead.
+	// fields replace that stage's defaults, zero fields inherit them —
+	// one worker per stage, and a judge Batch of 1. Judge batching
+	// only changes how prompts reach the endpoint (endpoints
+	// implementing judge.BatchLLM receive whole shards in one
+	// CompleteBatch call), never the verdicts. Unknown or duplicate
+	// names and negative Workers/Batch values are errors returned by
+	// Run. Custom stage DAGs go through NewGraph and RunGraph instead.
 	Stages []StageSpec
-	// CompileWorkers, ExecWorkers, and JudgeWorkers size the built-in
-	// stages' worker pools; 0 means 1, negative values are an error.
-	//
-	// Deprecated: set Stages with per-stage StageSpec values instead.
-	// The fields remain as the Stages defaults and will keep working.
-	CompileWorkers int
-	// Deprecated: see CompileWorkers.
-	ExecWorkers int
-	// Deprecated: see CompileWorkers.
-	JudgeWorkers int
-	// JudgeBatch caps how many queued files one judge worker submits
-	// to the endpoint in a single EvaluateBatch call (0 or 1 = one at
-	// a time). Batching only changes how prompts reach the endpoint —
-	// endpoints implementing judge.BatchLLM receive whole shards in
-	// one CompleteBatch call — never the verdicts, which stay
-	// byte-identical to per-file judging. Equivalent to (and the
-	// default for) the judge stage's StageSpec.Batch.
-	JudgeBatch int
 	// RecordAll disables short-circuiting so every stage runs for
 	// every file.
 	RecordAll bool
@@ -107,13 +91,6 @@ type Config struct {
 	// completion order, not input order. It is called from stage
 	// worker goroutines and must be safe for concurrent use.
 	OnResult func(FileResult)
-	// StageObserver, when set, receives the wall-clock duration of
-	// every stage execution — "compile" and "exec" once per file,
-	// "judge" once per endpoint batch. Applied to every built-in
-	// stage whose spec does not set its own Observe.
-	//
-	// Deprecated: set StageSpec.Observe per stage via Stages instead.
-	StageObserver func(stage string, d time.Duration)
 	// Tracer, when set, opens one trace per file — the root "file"
 	// span, child spans named after each stage that ran for it, and a
 	// "judge.batch" span under the first batched file's trace for each
@@ -124,55 +101,14 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// legacySpecs translates the deprecated scalar knobs onto the default
-// graph's StageSpec values. It is the compile-time-checked bridge
-// between the two surfaces: a Config field renamed or retyped breaks
-// this function, not silently the translation.
-func (cfg *Config) legacySpecs() []StageSpec {
-	return []StageSpec{
-		{Name: StageCompile, Workers: cfg.CompileWorkers, Observe: cfg.StageObserver},
-		{Name: StageExec, Workers: cfg.ExecWorkers, Observe: cfg.StageObserver},
-		{Name: StageJudge, Workers: cfg.JudgeWorkers, Batch: cfg.JudgeBatch, Observe: cfg.StageObserver},
-	}
-}
-
 // builtinSpecs resolves the effective specs of the default graph:
-// the deprecated scalar knobs supply the defaults, Config.Stages
-// overlays them by name (non-zero fields win), and the judge stage is
-// dropped when no judge is configured.
+// Config.Stages laid over the one-worker defaults, with the judge
+// stage dropped when no judge is configured.
 func (cfg *Config) builtinSpecs() ([]StageSpec, error) {
-	specs := cfg.legacySpecs()
-	seen := make(map[string]bool, len(cfg.Stages))
-	for _, o := range cfg.Stages {
-		if seen[o.Name] {
-			return nil, fmt.Errorf("pipeline: duplicate stage %q in Config.Stages", o.Name)
-		}
-		seen[o.Name] = true
-		i := -1
-		for k := range specs {
-			if specs[k].Name == o.Name {
-				i = k
-				break
-			}
-		}
-		if i < 0 {
-			return nil, fmt.Errorf("pipeline: unknown stage %q in Config.Stages (the default graph has %q, %q, and %q; custom graphs go through RunGraph)", o.Name, StageCompile, StageExec, StageJudge)
-		}
-		if o.Workers != 0 {
-			specs[i].Workers = o.Workers
-		}
-		if o.Batch != 0 {
-			specs[i].Batch = o.Batch
-		}
-		if o.Observe != nil {
-			specs[i].Observe = o.Observe
-		}
+	if err := ValidateStages(cfg.Stages); err != nil {
+		return nil, err
 	}
-	for i := range specs {
-		if err := specs[i].validate(); err != nil {
-			return nil, err
-		}
-	}
+	specs := MergeStages([]StageSpec{{Name: StageCompile}, {Name: StageExec}, {Name: StageJudge}}, cfg.Stages...)
 	// The judge stage is always batch-shaped: even single-file
 	// submissions are one coalesced endpoint round-trip, traced as
 	// "judge.batch".
@@ -181,6 +117,82 @@ func (cfg *Config) builtinSpecs() ([]StageSpec, error) {
 	}
 	if cfg.Judge == nil {
 		specs = specs[:2]
+	}
+	return specs, nil
+}
+
+// ValidateStages checks specs addressed at the default graph's
+// built-in stages — Config.Stages, the Runner's WithStages — before
+// any file runs: every name must be StageCompile, StageExec, or
+// StageJudge, no name may repeat, and Workers and Batch must not be
+// negative.
+func ValidateStages(specs []StageSpec) error {
+	seen := make(map[string]bool, len(specs))
+	for _, s := range specs {
+		switch s.Name {
+		case StageCompile, StageExec, StageJudge:
+		default:
+			return fmt.Errorf("pipeline: unknown stage %q (the default graph has %q, %q, and %q; an unknown pipeline stage belongs in a custom graph run through RunGraph)", s.Name, StageCompile, StageExec, StageJudge)
+		}
+		if seen[s.Name] {
+			return fmt.Errorf("pipeline: duplicate stage %q in the stage specs", s.Name)
+		}
+		seen[s.Name] = true
+		if err := s.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MergeStages lays overrides over base by stage name, in order: an
+// override's non-zero fields (Workers, Batch, Observe) replace those
+// of the spec sharing its name, its zero fields leave them alone, and
+// an override naming no spec yet is appended. A later override thus
+// refines an earlier one field-wise. base is not modified.
+func MergeStages(base []StageSpec, overrides ...StageSpec) []StageSpec {
+	out := append([]StageSpec(nil), base...)
+	for _, o := range overrides {
+		i := slices.IndexFunc(out, func(s StageSpec) bool { return s.Name == o.Name })
+		if i < 0 {
+			out = append(out, o)
+			continue
+		}
+		if o.Workers != 0 {
+			out[i].Workers = o.Workers
+		}
+		if o.Batch != 0 {
+			out[i].Batch = o.Batch
+		}
+		if o.Observe != nil {
+			out[i].Observe = o.Observe
+		}
+	}
+	return out
+}
+
+// ParseStageWorkers parses a -stage-workers flag value — "judge=16" or
+// "compile=2, exec=2, judge=32" — into one Workers-only spec per pair,
+// ready for Config.Stages or the Runner's WithStages. Every N must be
+// at least 1: a zero Workers field would inherit the default pool
+// size instead of meaning what it says. Stage names are left to
+// ValidateStages. The empty string parses to no specs.
+func ParseStageWorkers(s string) ([]StageSpec, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var specs []StageSpec
+	for _, kv := range strings.Split(s, ",") {
+		name, val, ok := strings.Cut(kv, "=")
+		n, err := strconv.Atoi(strings.TrimSpace(val))
+		if !ok || err != nil {
+			return nil, fmt.Errorf("pipeline: want name=N[,name=N...], got %q", kv)
+		}
+		name = strings.TrimSpace(name)
+		if n < 1 {
+			return nil, fmt.Errorf("pipeline: stage %q: %d workers, want N >= 1", name, n)
+		}
+		specs = append(specs, StageSpec{Name: name, Workers: n})
 	}
 	return specs, nil
 }
@@ -210,7 +222,8 @@ type Stats struct {
 	Compiles   int64
 	Executions int64
 	// JudgeCalls counts judged files; JudgeBatches counts endpoint
-	// round-trips (equal unless Config.JudgeBatch coalesced files).
+	// round-trips (equal unless the judge stage's Batch coalesced
+	// files).
 	JudgeCalls   int64
 	JudgeBatches int64
 }

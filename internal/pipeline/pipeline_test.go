@@ -62,13 +62,16 @@ func runBG(t testing.TB, cfg Config, inputs []Input) ([]FileResult, Stats) {
 
 func acceptingConfig(d spec.Dialect, llm judge.LLM, recordAll bool) Config {
 	return Config{
-		Tools:          agent.NewTools(d),
-		Judge:          &judge.Judge{LLM: llm, Style: judge.AgentDirect, Dialect: d},
-		CompileWorkers: 4,
-		ExecWorkers:    4,
-		JudgeWorkers:   4,
-		RecordAll:      recordAll,
+		Tools:     agent.NewTools(d),
+		Judge:     &judge.Judge{LLM: llm, Style: judge.AgentDirect, Dialect: d},
+		Stages:    workerStages(4),
+		RecordAll: recordAll,
 	}
+}
+
+// workerStages sizes every built-in stage's pool to w.
+func workerStages(w int) []StageSpec {
+	return []StageSpec{{Name: StageCompile, Workers: w}, {Name: StageExec, Workers: w}, {Name: StageJudge, Workers: w}}
 }
 
 func TestPipelineVerdictIsConjunction(t *testing.T) {
@@ -147,7 +150,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	var base []FileResult
 	for _, w := range []int{1, 2, 8} {
 		cfg := acceptingConfig(spec.OpenMP, alwaysLLM{"valid"}, true)
-		cfg.CompileWorkers, cfg.ExecWorkers, cfg.JudgeWorkers = w, w, w
+		cfg.Stages = workerStages(w)
 		results, _ := runBG(t, cfg, inputs)
 		if base == nil {
 			base = results

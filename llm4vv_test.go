@@ -1,6 +1,7 @@
 package llm4vv
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/probe"
@@ -13,7 +14,7 @@ import (
 // narrow enough that a broken substrate or mis-calibrated judge fails.
 
 func TestPartOneShapeOpenACC(t *testing.T) {
-	s, err := RunDirectProbing(PartOneSpec(spec.OpenACC), DefaultModelSeed)
+	s, err := mustRunner(t, WithSeed(DefaultModelSeed)).DirectProbing(context.Background(), PartOneSpec(spec.OpenACC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestPartOneShapeOpenACC(t *testing.T) {
 }
 
 func TestPartOneShapeOpenMP(t *testing.T) {
-	s, err := RunDirectProbing(PartOneSpec(spec.OpenMP), DefaultModelSeed)
+	s, err := mustRunner(t, WithSeed(DefaultModelSeed)).DirectProbing(context.Background(), PartOneSpec(spec.OpenMP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestPartTwoShapeOpenACC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Part-Two run")
 	}
-	r, err := RunPartTwo(PartTwoSpec(spec.OpenACC), DefaultModelSeed)
+	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenACC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestPartTwoShapeOpenMP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Part-Two run")
 	}
-	r, err := RunPartTwo(PartTwoSpec(spec.OpenMP), DefaultModelSeed)
+	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenMP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestCrossDialectPipelineGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Part-Two runs")
 	}
-	accRes, err := RunPartTwo(PartTwoSpec(spec.OpenACC), DefaultModelSeed)
+	accRes, err := mustRunner(t, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenACC))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ompRes, err := RunPartTwo(PartTwoSpec(spec.OpenMP), DefaultModelSeed)
+	ompRes, err := mustRunner(t, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenMP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,18 +173,18 @@ func TestCrossDialectPipelineGap(t *testing.T) {
 
 func TestDirectProbingDeterministic(t *testing.T) {
 	spec1 := PartOneSpec(spec.OpenMP)
-	a, err := RunDirectProbing(spec1, 5)
+	a, err := mustRunner(t, WithSeed(5)).DirectProbing(context.Background(), spec1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDirectProbing(spec1, 5)
+	b, err := mustRunner(t, WithSeed(5)).DirectProbing(context.Background(), spec1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("identical seeds diverged:\n%+v\n%+v", a, b)
 	}
-	c, err := RunDirectProbing(spec1, 6)
+	c, err := mustRunner(t, WithSeed(6)).DirectProbing(context.Background(), spec1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestDirectProbingDeterministic(t *testing.T) {
 }
 
 func TestAblationAgentInfoShape(t *testing.T) {
-	r, err := RunAblationAgentInfo(PartTwoSpec(spec.OpenACC).Scaled(4), DefaultModelSeed)
+	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).AblationAgentInfo(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestAblationAgentInfoShape(t *testing.T) {
 }
 
 func TestAblationStagesShape(t *testing.T) {
-	r, err := RunAblationStages(PartTwoSpec(spec.OpenMP).Scaled(2), DefaultModelSeed)
+	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).AblationStages(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestAblationStagesShape(t *testing.T) {
 }
 
 func TestPipelineThroughputShape(t *testing.T) {
-	r, err := RunPipelineThroughput(PartTwoSpec(spec.OpenACC).Scaled(4), DefaultModelSeed, 4)
+	r, err := mustRunner(t, WithSeed(DefaultModelSeed), WithWorkers(4)).PipelineThroughput(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,27 +42,12 @@ func WithWorkers(n int) Option {
 // (pipeline.StageCompile, StageExec, StageJudge) and its non-zero
 // fields replace that stage's defaults — Workers falls back to
 // WithWorkers, the judge stage's Batch to the shard size, Observe to
-// none. Later WithStages/WithStageWorkers options refine earlier ones
-// field-wise. Unknown stage names and negative values fail NewRunner.
-// Scheduling knobs never change results: reports stay byte-identical
-// across any worker/batch mix.
+// none. Later WithStages options refine earlier ones field-wise
+// (pipeline.MergeStages). Unknown stage names and negative values
+// fail NewRunner. Scheduling knobs never change results: reports stay
+// byte-identical across any worker/batch mix.
 func WithStages(specs ...pipeline.StageSpec) Option {
-	return func(r *Runner) {
-		for _, s := range specs {
-			r.setStage(s)
-		}
-	}
-}
-
-// WithStageWorkers sizes one pipeline stage's worker pool — shorthand
-// for WithStages(pipeline.StageSpec{Name: name, Workers: n}), the
-// option behind the commands' -stage-workers flag. A judge fleet
-// saturates at a different width than the local compile simulator;
-// this is the per-stage override WithWorkers is too coarse for.
-func WithStageWorkers(name string, n int) Option {
-	return func(r *Runner) {
-		r.setStage(pipeline.StageSpec{Name: name, Workers: n})
-	}
+	return func(r *Runner) { r.stages = pipeline.MergeStages(r.stages, specs...) }
 }
 
 // WithShardSize sets the shard size of the Runner's chunked

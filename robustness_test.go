@@ -1,6 +1,7 @@
 package llm4vv
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/probe"
@@ -17,7 +18,7 @@ func TestShapeRobustAcrossSuiteSeeds(t *testing.T) {
 	for _, seed := range []uint64{101, 202, 303} {
 		spec1 := PartOneSpec(spec.OpenACC)
 		spec1.Seed = seed
-		s, err := RunDirectProbing(spec1, DefaultModelSeed)
+		s, err := mustRunner(t, WithSeed(DefaultModelSeed)).DirectProbing(context.Background(), spec1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func TestShapeRobustAcrossSuiteSeeds(t *testing.T) {
 
 		spec2 := PartOneSpec(spec.OpenMP)
 		spec2.Seed = seed
-		s2, err := RunDirectProbing(spec2, DefaultModelSeed)
+		s2, err := mustRunner(t, WithSeed(DefaultModelSeed)).DirectProbing(context.Background(), spec2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestShapeRobustAcrossModelSeeds(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, modelSeed := range []uint64{1, 99} {
-		r, err := RunPartTwo(PartTwoSpec(spec.OpenMP).Scaled(2), modelSeed)
+		r, err := mustRunner(t, WithSeed(modelSeed)).PartTwo(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(2))
 		if err != nil {
 			t.Fatal(err)
 		}

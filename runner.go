@@ -2,7 +2,6 @@ package llm4vv
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"runtime"
 	"strconv"
@@ -99,19 +98,8 @@ func NewRunner(opts ...Option) (*Runner, error) {
 	if _, err := NewBackend(r.backend, r.seed); err != nil {
 		return nil, err
 	}
-	for _, s := range r.stages {
-		switch s.Name {
-		case pipeline.StageCompile, pipeline.StageExec, pipeline.StageJudge:
-		default:
-			return nil, fmt.Errorf("llm4vv: unknown pipeline stage %q (the validation graph has %q, %q, and %q)",
-				s.Name, pipeline.StageCompile, pipeline.StageExec, pipeline.StageJudge)
-		}
-		if s.Workers < 0 {
-			return nil, fmt.Errorf("llm4vv: stage %q: negative workers %d", s.Name, s.Workers)
-		}
-		if s.Batch < 0 {
-			return nil, fmt.Errorf("llm4vv: stage %q: negative batch %d", s.Name, s.Batch)
-		}
+	if err := pipeline.ValidateStages(r.stages); err != nil {
+		return nil, err
 	}
 	if r.storePath != "" {
 		opts := r.storeOpts
@@ -186,55 +174,15 @@ func (r *Runner) withBackend(name string) *Runner {
 	return &r2
 }
 
-// setStage merges one StageSpec into the Runner's per-stage overrides
-// by name: non-zero fields of s replace the stored spec's, zero
-// fields leave it alone. WithStages and WithStageWorkers both funnel
-// through here, so later options refine earlier ones field-wise.
-func (r *Runner) setStage(s pipeline.StageSpec) {
-	for i := range r.stages {
-		if r.stages[i].Name != s.Name {
-			continue
-		}
-		if s.Workers != 0 {
-			r.stages[i].Workers = s.Workers
-		}
-		if s.Batch != 0 {
-			r.stages[i].Batch = s.Batch
-		}
-		if s.Observe != nil {
-			r.stages[i].Observe = s.Observe
-		}
-		return
-	}
-	r.stages = append(r.stages, s)
-}
-
 // pipelineStages resolves the per-stage specs for one pipeline run
 // over n files: WithWorkers and the shard size supply the defaults,
-// the WithStages/WithStageWorkers overrides refine them by name.
+// the WithStages overrides refine them by name.
 func (r *Runner) pipelineStages(n int) []pipeline.StageSpec {
-	specs := []pipeline.StageSpec{
+	return pipeline.MergeStages([]pipeline.StageSpec{
 		{Name: pipeline.StageCompile, Workers: r.workers},
 		{Name: pipeline.StageExec, Workers: r.workers},
 		{Name: pipeline.StageJudge, Workers: r.workers, Batch: r.shardSizeFor(n)},
-	}
-	for _, o := range r.stages {
-		for i := range specs {
-			if specs[i].Name != o.Name {
-				continue
-			}
-			if o.Workers != 0 {
-				specs[i].Workers = o.Workers
-			}
-			if o.Batch != 0 {
-				specs[i].Batch = o.Batch
-			}
-			if o.Observe != nil {
-				specs[i].Observe = o.Observe
-			}
-		}
-	}
-	return specs
+	}, r.stages...)
 }
 
 // newLLM constructs a fresh endpoint for one experiment call. The

@@ -296,36 +296,6 @@ func TestProgressStreaming(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchRunner pins the compatibility contract:
-// the old free functions are exactly the Runner under default options.
-func TestDeprecatedWrappersMatchRunner(t *testing.T) {
-	s := smallSpec()
-	old, err := RunDirectProbing(s, DefaultModelSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(WithSeed(DefaultModelSeed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := r.DirectProbing(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Accuracy() != neu.Accuracy() || old.Bias() != neu.Bias() {
-		t.Errorf("wrapper diverged from Runner: acc %.4f vs %.4f", old.Accuracy(), neu.Accuracy())
-	}
-	gOld := RunGenerationLoop(spec.OpenMP, 1, DefaultModelSeed)
-	gNew, err := r.GenerationLoop(context.Background(), spec.OpenMP, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gOld.Candidates) != len(gNew.Candidates) {
-		t.Errorf("generation wrapper diverged: %d vs %d candidates",
-			len(gOld.Candidates), len(gNew.Candidates))
-	}
-}
-
 // batchCallCountingLLM wraps the simulated model counting endpoint
 // round-trips (CompleteBatch calls), not prompts — the probe for
 // cross-shard judge-batch coalescing.
@@ -416,7 +386,7 @@ func TestCrossShardBatchCoalescing(t *testing.T) {
 
 	// Parity: resuming from stored verdicts reproduces the all-fresh
 	// summary exactly.
-	ref, err := RunDirectProbing(s, DefaultModelSeed)
+	ref, err := mustRunner(t).DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,13 +406,13 @@ func TestCrossShardBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestStageOptionsValidation: WithStages/WithStageWorkers misuse must
+// TestStageOptionsValidation: WithStages misuse must
 // fail NewRunner, not hang or misbehave mid-experiment.
 func TestStageOptionsValidation(t *testing.T) {
-	if _, err := NewRunner(WithStageWorkers("lint", 4)); err == nil || !strings.Contains(err.Error(), "unknown pipeline stage") {
+	if _, err := NewRunner(WithStages(pipeline.StageSpec{Name: "lint", Workers: 4})); err == nil || !strings.Contains(err.Error(), "unknown pipeline stage") {
 		t.Errorf("unknown stage name: err=%v", err)
 	}
-	if _, err := NewRunner(WithStageWorkers(pipeline.StageJudge, -2)); err == nil || !strings.Contains(err.Error(), "negative") {
+	if _, err := NewRunner(WithStages(pipeline.StageSpec{Name: pipeline.StageJudge, Workers: -2})); err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Errorf("negative workers: err=%v", err)
 	}
 	if _, err := NewRunner(WithStages(pipeline.StageSpec{Name: pipeline.StageJudge, Batch: -1})); err == nil || !strings.Contains(err.Error(), "negative") {
@@ -465,8 +435,8 @@ func TestStageWorkersParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuned, err := NewRunner(
-		WithStageWorkers(pipeline.StageCompile, 1),
-		WithStageWorkers(pipeline.StageExec, 2),
+		WithStages(pipeline.StageSpec{Name: pipeline.StageCompile, Workers: 1}),
+		WithStages(pipeline.StageSpec{Name: pipeline.StageExec, Workers: 2}),
 		WithStages(pipeline.StageSpec{Name: pipeline.StageJudge, Workers: 7, Batch: 3}),
 	)
 	if err != nil {

@@ -117,7 +117,7 @@ type Summary0 struct {
 	Mistakes int
 }
 
-func mustRunner(t *testing.T, opts ...Option) *Runner {
+func mustRunner(t testing.TB, opts ...Option) *Runner {
 	t.Helper()
 	r, err := NewRunner(opts...)
 	if err != nil {
