@@ -57,16 +57,16 @@
 // replica set the client fails over across; for consistent-hash
 // routing over a fleet, point -serve-addr at a running llm4vv-router
 // or use -backend "fleet:addr1,addr2,...". -timeout D cancels the run when the deadline
-// passes, exactly like SIGINT. -store PATH -compact rewrites the run
-// store back to a single canonical file, dropping superseded duplicate
-// and corrupt lines and folding away sealed segments — maintenance for
-// stores grown across many resumed runs. Compact offline: the rewrite
-// renames over the file, so another process holding the same store (a
-// running llm4vvd) would keep appending to the orphaned inode and lose
-// those records. -store PATH -store-stats prints the store's segment
-// layout (active size, sealed segments, index entries, dropped lines)
-// without modifying anything — see docs/OPERATIONS.md for how to read
-// it.
+// passes, exactly like SIGINT. -store PATH -compact folds the run
+// store into one canonical sealed segment plus an empty active file,
+// dropping superseded duplicate and corrupt lines — maintenance for
+// stores grown across many resumed runs. Compact offline: it truncates
+// the active file, so another process appending to the same store (a
+// running llm4vvd) would leave a corrupt line behind. -store PATH
+// -store-stats prints the store's segment layout (active size, sealed
+// segments, index entries, dropped lines) without modifying anything —
+// see docs/OPERATIONS.md for how to read it; a daemon's background
+// merge failures show on its llm4vv_store_merge_failing gauge.
 //
 // -trace DIR enables distributed tracing: every judged file opens its
 // own trace, stage/cache/batch/remote spans land under it, and each
@@ -124,7 +124,7 @@ func main() {
 	panelMembers := flag.String("panel-members", "", "ensemble member spec a+b+c[:strategy]; registers ensemble:<spec> as a backend")
 	storePath := flag.String("store", "", "append sealed verdicts to this JSONL run store")
 	resume := flag.Bool("resume", false, "skip files already recorded in the run store (requires -store)")
-	compact := flag.Bool("compact", false, "compact the run store (drop superseded duplicates), then exit (requires -store)")
+	compact := flag.Bool("compact", false, "compact the run store into one sealed segment (drop superseded duplicates), then exit (requires -store)")
 	storeStats := flag.Bool("store-stats", false, "print the run store's segment layout and exit (requires -store)")
 	shard := flag.Int("shard", 0, "scheduler shard / judge batch size (0 = automatic)")
 	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated, N >= 1 (stages: compile, exec, judge)")
@@ -194,9 +194,6 @@ func main() {
 		fmt.Printf("  sealed: %d segments, %d records\n", stats.SegmentCount(), stats.SegmentRecords())
 		for _, sg := range stats.Segments {
 			fmt.Printf("    %s: %d records, %d bytes, %d index entries\n", sg.Path, sg.Records, sg.Bytes, sg.IndexEntries)
-		}
-		if stats.MergeErr != "" {
-			fmt.Printf("  last merge error: %s\n", stats.MergeErr)
 		}
 		return
 	}

@@ -34,10 +34,11 @@ var (
 // Daemon run-store families (exported only when the daemon holds a
 // store), labelled replica="<name>".
 var (
-	FamStoreKeys        = FamilyDef{"llm4vv_store_keys", "gauge", "Distinct keys in the run store (active + sealed segments)."}
-	FamStoreSegments    = FamilyDef{"llm4vv_store_segments", "gauge", "Sealed segment files in the run store."}
-	FamStoreActiveBytes = FamilyDef{"llm4vv_store_active_bytes", "gauge", "Bytes in the run store's active segment (buffered included)."}
-	FamStoreDropped     = FamilyDef{"llm4vv_store_dropped_lines", "gauge", "Corrupt or truncated store lines skipped at open."}
+	FamStoreKeys         = FamilyDef{"llm4vv_store_keys", "gauge", "Distinct keys in the run store (active + sealed segments)."}
+	FamStoreSegments     = FamilyDef{"llm4vv_store_segments", "gauge", "Sealed segment files in the run store."}
+	FamStoreActiveBytes  = FamilyDef{"llm4vv_store_active_bytes", "gauge", "Bytes in the run store's active segment (buffered included)."}
+	FamStoreDropped      = FamilyDef{"llm4vv_store_dropped_lines", "gauge", "Corrupt or truncated store lines skipped at open."}
+	FamStoreMergeFailing = FamilyDef{"llm4vv_store_merge_failing", "gauge", "1 while the last background segment merge failed, else 0."}
 )
 
 // Router (llm4vv-router) families, labelled router="<name>" (some
@@ -94,6 +95,7 @@ func Families() []FamilyDef {
 		FamStoreSegments,
 		FamStoreActiveBytes,
 		FamStoreDropped,
+		FamStoreMergeFailing,
 		FamRouterAdmitted,
 		FamRouterShed,
 		FamRouterQuotaRejected,

@@ -618,5 +618,10 @@ func (s *Server) emitMetrics(p *perf.Prom) {
 		p.EmitValue(perf.FamStoreSegments, float64(sst.SegmentCount()), replica)
 		p.EmitValue(perf.FamStoreActiveBytes, float64(sst.ActiveBytes), replica)
 		p.EmitValue(perf.FamStoreDropped, float64(sst.Dropped), replica)
+		mergeFailing := 0.0
+		if sst.MergeErr != "" {
+			mergeFailing = 1
+		}
+		p.EmitValue(perf.FamStoreMergeFailing, mergeFailing, replica)
 	}
 }

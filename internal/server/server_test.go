@@ -529,6 +529,59 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsReportMergeFailure: a failed background merge of the
+// daemon's store flips llm4vv_store_merge_failing to 1 — the failure
+// lives only in the process that ran the merge, so /metrics is where
+// an operator can see it.
+func TestMetricsReportMergeFailure(t *testing.T) {
+	// Two seals publish; the third rename — the merge's — fails.
+	var renames atomic.Int32
+	hook := func(op string) error {
+		if op == "rename" && renames.Add(1) > 2 {
+			return fmt.Errorf("injected %s failure", op)
+		}
+		return nil
+	}
+	st, err := store.OpenWith(filepath.Join(t.TempDir(), "serve.jsonl"),
+		store.Options{SealBytes: 1, MergeThreshold: 2, FaultHook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts, _ := startServer(t, server.Config{LLM: echoLLM{}, Backend: "echo", Seed: 7, Store: st, ReplicaID: "replica-f"})
+	metric := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	const healthy, failing = `llm4vv_store_merge_failing{replica="replica-f"} 0`, `llm4vv_store_merge_failing{replica="replica-f"} 1`
+	if body := metric(); !strings.Contains(body, healthy) {
+		t.Fatalf("/metrics missing %q before any merge:\n%s", healthy, body)
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.Put(store.Record{Experiment: "e", Backend: "echo", Seed: 7, FileHash: fmt.Sprintf("h%d", i)}); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st.Stats().MergeErr == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("background merge never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if body := metric(); !strings.Contains(body, failing) {
+		t.Fatalf("/metrics missing %q after a failed merge:\n%s", failing, body)
+	}
+}
+
 // TestEmptyAndMalformedRequests: protocol errors are 4xx, not 5xx or
 // hangs.
 func TestEmptyAndMalformedRequests(t *testing.T) {

@@ -1,9 +1,10 @@
 package store
 
-// Tests for Compact: superseded duplicates and corrupt lines drop out
-// of the file, live records and append behaviour survive, and
-// compaction is canonical — the same records always compact to the
-// same bytes.
+// Tests for Compact: the store folds into one sealed segment and an
+// empty active file, superseded duplicates and corrupt lines drop out,
+// live records and append behaviour survive, and compaction is
+// canonical — the same records always compact to the same segment
+// bytes.
 
 import (
 	"os"
@@ -19,6 +20,28 @@ func countLines(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	return strings.Count(string(data), "\n")
+}
+
+// compactedSegment asserts the post-Compact layout — exactly one sealed
+// segment holding lines lines and an empty active file — and returns
+// the segment's bytes.
+func compactedSegment(t *testing.T, path string, lines int) []byte {
+	t.Helper()
+	segs := segFiles(t, path)
+	if len(segs) != 1 {
+		t.Fatalf("compacted store has segments %v, want exactly one", segs)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(data), "\n"); got != lines {
+		t.Fatalf("compacted segment has %d lines, want %d", got, lines)
+	}
+	if got := countLines(t, path); got != 0 {
+		t.Fatalf("active file has %d lines after compact, want 0", got)
+	}
+	return data
 }
 
 func TestCompactDropsSupersededAndCorrupt(t *testing.T) {
@@ -74,9 +97,7 @@ func TestCompactDropsSupersededAndCorrupt(t *testing.T) {
 	if removed != 3 {
 		t.Errorf("Compact removed %d lines, want 3", removed)
 	}
-	if got := countLines(t, path); got != 3 {
-		t.Errorf("compacted file has %d lines, want 3", got)
-	}
+	compactedSegment(t, path, 3)
 
 	// The survivors are the last-write-wins records, and the store
 	// still appends.
@@ -127,13 +148,13 @@ func TestCompactIsCanonical(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
+		return string(compactedSegment(t, path, len(recs)))
 	}
-	if a, b := write([]int{0, 1, 2}), write([]int{2, 0, 1}); a != b {
+	a, b := write([]int{0, 1, 2}), write([]int{2, 0, 1})
+	if a == "" {
+		t.Fatal("compacted segment is empty")
+	}
+	if a != b {
 		t.Errorf("same records in different orders compacted to different bytes:\n%q\n%q", a, b)
 	}
 }
@@ -151,6 +172,33 @@ func TestCompactEmptyStore(t *testing.T) {
 	}
 	if removed != 0 {
 		t.Errorf("empty store compact removed %d lines", removed)
+	}
+}
+
+// TestCompactClearsCorruptOnlyActiveFile: an active file holding only a
+// torn line has nothing to seal, yet Compact still empties it.
+func TestCompactClearsCorruptOnlyActiveFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, []byte(`{"experiment":"p","back`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	removed, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 1 || s.Dropped() != 0 {
+		t.Errorf("Compact removed %d lines (want 1), left %d dropped (want 0)", removed, s.Dropped())
+	}
+	if got := countLines(t, path); got != 0 {
+		t.Errorf("active file has %d lines after compact, want 0", got)
+	}
+	if segs := segFiles(t, path); len(segs) != 0 {
+		t.Errorf("compact of a record-less store wrote segments %v", segs)
 	}
 }
 

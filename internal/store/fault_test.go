@@ -101,29 +101,51 @@ func TestFaultSealFailurePoisons(t *testing.T) {
 }
 
 func TestFaultCompactFailsCleanly(t *testing.T) {
-	for _, op := range []string{"sync", "rename"} {
+	for _, op := range []string{"sync", "rename", "write"} {
 		t.Run(op, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "st.jsonl")
-			s, err := OpenWith(path, Options{MergeThreshold: -1, FaultHook: opHook(op, 0)})
+			// The hook is armed only after the puts, so the failure lands
+			// on Compact's own segment write, not on an append.
+			armed := false
+			failOp := opHook(op, 0)
+			hook := func(o string) error {
+				if !armed {
+					return nil
+				}
+				return failOp(o)
+			}
+			s, err := OpenWith(path, Options{MergeThreshold: -1, FaultHook: hook})
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
+			defer s.Close()
 			for i := 0; i < 5; i++ {
 				if err := s.Put(mkrec("judge", "b", 1, fmt.Sprintf("h%03d", i), "valid")); err != nil {
 					t.Fatalf("put %d: %v", i, err)
 				}
 			}
+			armed = true
 			if _, err := s.Compact(); !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("Compact = %v, want injected failure", err)
 			}
-			// A failed compact must leave the store readable: the old file
-			// is still in place and lookups still answer.
+			// A failed compact must leave the store readable: no segment
+			// is published, the active file is still in place, and
+			// lookups still answer.
+			if segs := segFiles(t, path); len(segs) != 0 {
+				t.Fatalf("failed compact left segment files: %v", segs)
+			}
 			if s.Len() != 5 {
 				t.Fatalf("Len after failed compact = %d, want 5", s.Len())
 			}
 			if _, ok := s.Get(Key{Experiment: "judge", Backend: "b", Seed: 1, FileHash: "h002"}); !ok {
 				t.Fatalf("Get after failed compact missed a live record")
 			}
+			// Once the disk recovers, a retry compacts normally.
+			armed = false
+			if _, err := s.Compact(); err != nil {
+				t.Fatalf("Compact retry: %v", err)
+			}
+			compactedSegment(t, path, 5)
 		})
 	}
 }

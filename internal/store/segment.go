@@ -3,17 +3,20 @@ package store
 // Sealed segments: the immutable half of the segmented log (see the
 // package comment and docs/STORE.md). A segment is a JSONL file of
 // records sorted by key with exactly one line per key, written once
-// (by a seal or a merge) and never modified. Point lookups go through
-// a per-segment Bloom filter (fast negative) and a sparse in-memory
-// index holding every indexInterval-th key with its byte offset: a
-// lookup binary-searches the index and reads one bounded block of the
-// file, never the whole segment. Range scans binary-search the same
-// index for their start block and stream forward.
+// (by a seal, a background merge, or Compact — all through
+// Store.writeSegment) and never modified. Point lookups go through a
+// per-segment Bloom filter (fast negative) and a sparse in-memory
+// index holding every Options.SparseInterval-th key with its byte
+// offset: a lookup binary-searches the index and reads one bounded
+// block of the file, never the whole segment. Range scans
+// binary-search the same index for their start block and stream
+// forward.
 //
 // Durability: a segment is written to a ".tmp" sibling, fsynced,
-// renamed into place, and the directory fsynced — a crash mid-seal or
-// mid-merge leaves only a tmp file, which Open removes. Once a
-// segment file exists under its final name it is complete.
+// renamed into place, and the directory fsynced — a crash mid-seal,
+// mid-merge, or mid-compact leaves only a tmp file, which Open
+// removes. Once a segment file exists under its final name it is
+// complete.
 
 import (
 	"bufio"
@@ -28,9 +31,9 @@ import (
 	"strings"
 )
 
-// indexInterval is the default sparse-index granularity: one in-memory
-// index entry per this many records, so a point lookup reads at most
-// one interval-sized block from disk.
+// defaultSparseInterval is the default sparse-index granularity: one
+// in-memory index entry per this many records, so a point lookup reads
+// at most one interval-sized block from disk.
 const defaultSparseInterval = 64
 
 // compareKey orders keys by (Experiment, Backend, Seed, FileHash) —
@@ -250,8 +253,8 @@ func (sg *segment) get(k Key) (Record, bool, error) {
 }
 
 // stream is a sequential cursor over records in key order, the common
-// currency of the k-way merges behind Open's accounting, Scan,
-// Compact, and segment merging.
+// currency of the k-way merges behind Open's accounting, Scan, and
+// every segment write.
 type stream interface {
 	// peek returns the current record; ok is false when exhausted.
 	peek() (rec Record, ok bool)
@@ -276,9 +279,6 @@ type segStream struct {
 }
 
 func newSegStream(sg *segment, startOff int64, indexing bool, interval int) (*segStream, error) {
-	if interval <= 0 {
-		interval = defaultSparseInterval
-	}
 	size := sg.size
 	if indexing {
 		fi, err := sg.f.Stat()
@@ -426,13 +426,10 @@ type segWriter struct {
 	w        *bufio.Writer
 	seg      *segment
 	interval int
-	fault    func(op string) error // nil outside chaos runs
+	fault    func(op string) error // the store's fault check; never nil
 }
 
 func newSegWriter(storePath string, seq uint64, expected, interval int, fault func(op string) error) (*segWriter, error) {
-	if interval <= 0 {
-		interval = defaultSparseInterval
-	}
 	path := segPath(storePath, seq)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
@@ -450,16 +447,8 @@ func newSegWriter(storePath string, seq uint64, expected, interval int, fault fu
 	}, nil
 }
 
-// faultOp consults the injected fault hook for one file operation.
-func (sw *segWriter) faultOp(op string) error {
-	if sw.fault == nil {
-		return nil
-	}
-	return sw.fault(op)
-}
-
 func (sw *segWriter) add(rec Record) error {
-	if err := sw.faultOp("write"); err != nil {
+	if err := sw.fault("write"); err != nil {
 		return err
 	}
 	line, err := json.Marshal(rec)
@@ -492,19 +481,19 @@ func (sw *segWriter) finish() (*segment, error) {
 		os.Remove(sw.tmpPath)
 		return nil, err
 	}
-	if err := sw.faultOp("write"); err != nil {
+	if err := sw.fault("write"); err != nil {
 		return fail(err)
 	}
 	if err := sw.w.Flush(); err != nil {
 		return fail(err)
 	}
-	if err := sw.faultOp("sync"); err != nil {
+	if err := sw.fault("sync"); err != nil {
 		return fail(err)
 	}
 	if err := sw.f.Sync(); err != nil {
 		return fail(err)
 	}
-	if err := sw.faultOp("rename"); err != nil {
+	if err := sw.fault("rename"); err != nil {
 		return fail(err)
 	}
 	if err := os.Rename(sw.tmpPath, sw.path); err != nil {
@@ -524,9 +513,8 @@ func (sw *segWriter) abort() {
 }
 
 // syncDir fsyncs the directory containing path, making a just-renamed
-// or just-removed entry durable — the step the pre-segmented Compact
-// skipped (its rename could evaporate in a crash even though the temp
-// file's contents were synced).
+// entry durable: without it the rename itself could evaporate in a
+// crash even though the file's contents were synced.
 func syncDir(path string) error {
 	d, err := os.Open(filepath.Dir(path))
 	if err != nil {

@@ -286,7 +286,7 @@ func TestInterruptedMergeRecovers(t *testing.T) {
 		t.Fatalf("stale segment shadowed the merged record: %+v, %v", rec, ok)
 	}
 
-	// Compact folds the leftovers away entirely.
+	// Compact folds the leftovers into one segment.
 	removed, err := s.Compact()
 	if err != nil {
 		t.Fatalf("compact: %v", err)
@@ -294,8 +294,9 @@ func TestInterruptedMergeRecovers(t *testing.T) {
 	if removed != 2 { // 5 physical lines, 3 live keys
 		t.Fatalf("removed = %d, want 2", removed)
 	}
-	if left := segFiles(t, path); len(left) != 0 {
-		t.Fatalf("segments survived Compact: %v", left)
+	compactedSegment(t, path, 3)
+	if rec, ok := s.Get(Key{Experiment: "judge", Backend: "deepseek-sim", Seed: 33, FileHash: "a"}); !ok || rec.Verdict != "valid" {
+		t.Fatalf("compact lost the live record: %+v, %v", rec, ok)
 	}
 }
 
@@ -540,23 +541,14 @@ func TestCompactFoldsSegmentsIntoCanonicalFile(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("removed = %d, want 1", removed)
 	}
-	if left := segFiles(t, path); len(left) != 0 {
-		t.Fatalf("segments survived Compact: %v", left)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read compacted: %v", err)
-	}
-	if lines := strings.Count(string(data), "\n"); lines != n {
-		t.Fatalf("compacted file has %d lines, want %d", lines, n)
-	}
+	compactedSegment(t, path, n)
 	if s.Len() != n {
 		t.Fatalf("Len = %d, want %d", s.Len(), n)
 	}
 	if rec, ok := s.Get(Key{Experiment: "judge", Backend: "deepseek-sim", Seed: 33, FileHash: "h0"}); !ok || rec.Verdict != "invalid" {
 		t.Fatalf("post-compact Get = %+v, %v", rec, ok)
 	}
-	// Post-compact appends land in the compacted file.
+	// Post-compact appends land in the active file.
 	if err := s.Put(mkrec("judge", "deepseek-sim", 33, "h9", "valid")); err != nil {
 		t.Fatalf("put after compact: %v", err)
 	}

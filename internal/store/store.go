@@ -29,8 +29,9 @@
 //     the active segment plus the sparse indexes.
 //   - Background compaction merges all sealed segments into one when
 //     their count crosses Options.MergeThreshold, without touching the
-//     active segment; Compact remains as the offline full rewrite back
-//     to a single canonical file.
+//     active segment. Compact is the same merge run synchronously
+//     after a seal: it leaves one canonical sealed segment and an
+//     empty active file.
 //
 // Newer always wins: the active segment overrides sealed segments, and
 // a higher-numbered segment overrides a lower one — so last-write-wins
@@ -51,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -155,18 +155,18 @@ type Options struct {
 	// 0 means DefaultMergeThreshold; negative disables merging.
 	MergeThreshold int
 	// Tracer, when set, records each seal and background merge as a
-	// one-span trace ("store.seal" / "store.merge") — maintenance acts
-	// have no caller to parent under, but they compete for the same
-	// disk, so a sweep's slow tail often points here. Nil disables.
+	// one-span trace ("store.seal" / "store.merge", Compact included) —
+	// maintenance acts have no caller to parent under, but they compete
+	// for the same disk, so a sweep's slow tail often points here. Nil
+	// disables.
 	Tracer *trace.Tracer
 	// FaultHook, when set, is consulted before low-level file
 	// operations — "write" (active-segment appends and flushes,
-	// segment-writer output), "sync" (fsync of a sealing, merging, or
-	// compacting file), "rename" (the atomic publish of a sealed,
-	// merged, or compacted file) — and a non-nil return fails that
-	// operation as if the disk had. The chaos suite and the daemons'
-	// -fault flag inject deterministic I/O failure through it (see
-	// internal/fault.Hook); production leaves it nil.
+	// segment-writer output), "sync" (fsync of a new segment file),
+	// "rename" (the atomic publish of a new segment) — and a non-nil
+	// return fails that operation as if the disk had. The chaos suite
+	// and the daemons' -fault flag inject deterministic I/O failure
+	// through it (see internal/fault.Hook); production leaves it nil.
 	FaultHook func(op string) error
 }
 
@@ -370,12 +370,14 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		if err := s.sealLocked(); err != nil {
 			return fail(err)
 		}
+		s.maybeMergeLocked()
 	}
 	return s, nil
 }
 
 // fault consults the configured FaultHook for one low-level file
-// operation; a nil hook admits everything.
+// operation (the store's and its segment writers'); a nil hook admits
+// everything.
 func (s *Store) fault(op string) error {
 	if s.opts.FaultHook == nil {
 		return nil
@@ -511,19 +513,21 @@ func (s *Store) put(rec Record) error {
 			s.werr = fmt.Errorf("store: seal: %w", err)
 			return s.werr
 		}
+		s.maybeMergeLocked()
 	}
 	return nil
 }
 
 // sealLocked turns the active segment into a sealed one: live records
-// written sorted and deduplicated to "<path>.seg-NNNNNN" (fsync,
-// rename, directory fsync), then the active file truncated back to
-// empty. A crash before the rename leaves the active file intact (it
-// is flushed first); a crash after it leaves the records duplicated
-// in both places, which last-write-wins resolution and the next merge
-// absorb. Callers hold mu.
+// written sorted and deduplicated to "<path>.seg-NNNNNN" by
+// writeSegment, then the active file truncated back to empty. A crash
+// before the segment's rename leaves the active file intact (it is
+// flushed first); a crash after it leaves the records duplicated in
+// both places, which last-write-wins resolution and the next merge
+// absorb. An active file holding only corrupt lines is truncated
+// without writing a segment. Callers hold mu.
 func (s *Store) sealLocked() error {
-	if len(s.active) == 0 {
+	if s.activeBytes == 0 {
 		return nil
 	}
 	if s.opts.Tracer != nil {
@@ -537,29 +541,15 @@ func (s *Store) sealLocked() error {
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
-	sw, err := newSegWriter(s.path, s.nextSeq, len(s.active), s.opts.SparseInterval, s.opts.FaultHook)
-	if err != nil {
-		return err
-	}
-	ms := newMemStream(s.active)
-	for {
-		rec, ok := ms.peek()
-		if !ok {
-			break
-		}
-		if err := sw.add(rec); err != nil {
-			sw.abort()
+	if len(s.active) > 0 {
+		seg, err := s.writeSegment(s.nextSeq, []stream{newMemStream(s.active)}, len(s.active))
+		if err != nil {
 			return err
 		}
-		_ = ms.advance()
+		s.nextSeq++
+		s.segs = append(s.segs, seg)
+		s.segLines += seg.count
 	}
-	seg, err := sw.finish()
-	if err != nil {
-		return err
-	}
-	s.nextSeq++
-	s.segs = append(s.segs, seg)
-	s.segLines += seg.count
 
 	if err := s.f.Truncate(0); err != nil {
 		return err
@@ -571,8 +561,32 @@ func (s *Store) sealLocked() error {
 	s.activeLines = 0
 	s.active = make(map[Key]Record)
 	s.armWriter()
-	s.maybeMergeLocked()
 	return nil
+}
+
+// writeSegment is the one path that writes a sealed segment — for a
+// seal, a background merge, and Compact alike: the last-write-wins
+// merge of streams, written as segment seq and published by the
+// segment writer's finish, or aborted (tmp removed) on any error.
+// expected sizes the Bloom filter.
+func (s *Store) writeSegment(seq uint64, streams []stream, expected int) (*segment, error) {
+	sw, err := newSegWriter(s.path, seq, expected, s.opts.SparseInterval, s.fault)
+	if err != nil {
+		return nil, err
+	}
+	var addErr error
+	err = mergeStreams(streams, func(rec Record, _ int, _ []int) bool {
+		addErr = sw.add(rec)
+		return addErr == nil
+	})
+	if err == nil {
+		err = addErr
+	}
+	if err != nil {
+		sw.abort()
+		return nil, err
+	}
+	return sw.finish()
 }
 
 // maybeMergeLocked starts a background merge of every sealed segment
@@ -589,90 +603,66 @@ func (s *Store) maybeMergeLocked() {
 	go s.mergeSegments(snapshot)
 }
 
-// mergeSegments merges a snapshot of sealed segments into a single
-// segment named after the newest input, then swaps it in and removes
-// the inputs. The merge reads immutable files without holding mu; the
-// rename lands on the newest input's name, so a crash at any point
-// leaves a store that opens correctly: before the rename only a tmp
-// file exists (cleaned at Open), after it the lower segments hold
-// only records the merged segment supersedes or duplicates.
+// mergeSegments is the background merge: runMerge reads the immutable
+// snapshot without holding mu, then installMerged swaps the result in
+// under it.
 func (s *Store) mergeSegments(snapshot []*segment) {
 	defer s.mergeWG.Done()
-	var span *trace.Span
-	if s.opts.Tracer != nil {
-		_, span = s.opts.Tracer.StartTrace(context.Background(), "store.merge")
-		span.SetAttr("segments", strconv.Itoa(len(snapshot)))
-	}
 	merged, err := s.runMerge(snapshot)
-	if span != nil {
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End()
-	}
-
 	s.mu.Lock()
-	defer func() {
-		s.merging = false
-		s.mergeCond.Broadcast()
-		s.mu.Unlock()
-	}()
-	if err != nil {
-		s.mergeErr = err
-		return
+	s.mergeErr = err
+	if err == nil {
+		s.installMerged(snapshot, merged)
 	}
-	s.mergeErr = nil
-	// New seals appended behind the snapshot while we merged; the
-	// snapshot is still the prefix of s.segs.
-	oldLines := 0
-	for _, sg := range snapshot {
-		oldLines += sg.count
+	s.merging = false
+	s.mergeCond.Broadcast()
+	s.mu.Unlock()
+}
+
+// runMerge merges a snapshot of sealed segments into a single segment
+// named after the newest input, traced as "store.merge". The rename
+// lands on the newest input's name, so a crash at any point leaves a
+// store that opens correctly: before the rename only a tmp file exists
+// (cleaned at Open), after it the lower segments hold only records the
+// merged segment supersedes or duplicates.
+func (s *Store) runMerge(snapshot []*segment) (merged *segment, err error) {
+	if s.opts.Tracer != nil {
+		_, span := s.opts.Tracer.StartTrace(context.Background(), "store.merge")
+		span.SetAttr("segments", strconv.Itoa(len(snapshot)))
+		defer func() {
+			if err != nil {
+				span.SetAttr("error", err.Error())
+			}
+			span.End()
+		}()
 	}
-	rest := s.segs[len(snapshot):]
-	s.segs = append([]*segment{merged}, rest...)
-	s.segLines += merged.count - oldLines
+	total := 0
+	streams := make([]stream, len(snapshot))
+	for i, sg := range snapshot {
+		ss, err := newSegStream(sg, 0, false, s.opts.SparseInterval)
+		if err != nil {
+			return nil, err
+		}
+		streams[i] = ss
+		total += sg.count
+	}
+	return s.writeSegment(snapshot[len(snapshot)-1].seq, streams, total)
+}
+
+// installMerged swaps a merged segment in for the snapshot it was
+// merged from, then closes and removes the inputs. The snapshot is
+// still the prefix of s.segs: seals that landed while it merged stay
+// behind the merged segment. Callers hold mu.
+func (s *Store) installMerged(snapshot []*segment, merged *segment) {
+	s.segs = append([]*segment{merged}, s.segs[len(snapshot):]...)
+	s.segLines += merged.count
 	for _, sg := range snapshot {
+		s.segLines -= sg.count
 		sg.f.Close()
 		if sg.path != merged.path {
 			os.Remove(sg.path)
 		}
 	}
-}
-
-// runMerge performs the merge I/O: a last-write-wins k-way merge of
-// the snapshot into a new segment file under the newest input's
-// sequence number.
-func (s *Store) runMerge(snapshot []*segment) (*segment, error) {
-	total := 0
-	for _, sg := range snapshot {
-		total += sg.count
-	}
-	sw, err := newSegWriter(s.path, snapshot[len(snapshot)-1].seq, total, s.opts.SparseInterval, s.opts.FaultHook)
-	if err != nil {
-		return nil, err
-	}
-	streams := make([]stream, len(snapshot))
-	for i, sg := range snapshot {
-		ss, err := newSegStream(sg, 0, false, s.opts.SparseInterval)
-		if err != nil {
-			sw.abort()
-			return nil, err
-		}
-		streams[i] = ss
-	}
-	var addErr error
-	err = mergeStreams(streams, func(rec Record, _ int, _ []int) bool {
-		addErr = sw.add(rec)
-		return addErr == nil
-	})
-	if err == nil {
-		err = addErr
-	}
-	if err != nil {
-		sw.abort()
-		return nil, err
-	}
-	return sw.finish()
 }
 
 // Flush forces every buffered append down to the OS — the checkpoint
@@ -700,28 +690,23 @@ func (s *Store) flushLocked() error {
 	return nil
 }
 
-// Compact rewrites the store back to a single file keeping exactly
-// one line per key — the live record Open would resolve — dropping
-// superseded duplicates and corrupt lines and removing every sealed
-// segment, so a long-lived store that absorbed many resumed or
-// replayed runs shrinks back to its distinct-key size. The rewrite
-// goes through a temp file in the same directory, an fsync of that
-// file, an atomic rename, and an fsync of the directory — a crash
-// mid-compact leaves either the old store or the new one, never a mix
-// and never a rename that itself evaporates in the crash. Records
-// land in sorted key order, making compacted stores canonical: two
-// stores holding the same records compact to identical bytes. It
-// returns the number of physical lines removed.
+// Compact folds the whole store into one sealed segment: it seals the
+// active segment, then runs the background merge (runMerge,
+// installMerged) synchronously over every sealed segment. What remains
+// is one segment holding exactly one line per key — the live record
+// Open would resolve, superseded duplicates and corrupt lines dropped
+// — and an empty active file, so a long-lived store that absorbed many
+// resumed or replayed runs shrinks back to its distinct-key size.
+// Segments are sorted, so two stores holding the same records compact
+// to identical segment bytes. A crash mid-compact is a crash mid-seal
+// or mid-merge, which Open already recovers from, and records stream
+// through the merge rather than being loaded into memory. It returns
+// the number of physical lines removed.
 //
-// Compact is the offline, whole-store maintenance pass; the segmented
-// log compacts itself incrementally in the background (see
-// Options.MergeThreshold) without it. It materialises every live
-// record in memory — for stores too large for that, the incremental
-// merge path is the right tool. Compact is for a store this process
-// owns exclusively: the rename unlinks the file out from under any
-// other process holding it open (a running llm4vvd, a concurrent
-// sweep), whose appends would then land in the orphaned inode and
-// vanish. Compact offline.
+// Compact is for a store this process owns exclusively: the seal
+// truncates the active file under any other process appending to it (a
+// running llm4vvd, a concurrent sweep), whose later appends would land
+// past the cut and leave a corrupt line behind. Compact offline.
 func (s *Store) Compact() (removed int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -731,118 +716,20 @@ func (s *Store) Compact() (removed int, err error) {
 	if s.werr != nil {
 		return 0, s.werr
 	}
-	// Carry the live file's permissions over; CreateTemp's private
-	// 0600 default would lock out other readers after the rename.
-	mode := os.FileMode(0o644)
-	if fi, err := s.f.Stat(); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(s.path), filepath.Base(s.path)+".compact-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := tmp.Chmod(mode); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-
-	// One last-write-wins merge of every sealed segment plus the
-	// active index yields the live records in sorted key order; they
-	// stream to the temp file and rebuild the in-memory active index
-	// (post-compact, the whole store is the active segment again).
-	streams := make([]stream, 0, len(s.segs)+1)
-	for _, sg := range s.segs {
-		ss, serr := newSegStream(sg, 0, false, s.opts.SparseInterval)
-		if serr != nil {
-			tmp.Close()
-			return 0, serr
-		}
-		streams = append(streams, ss)
-	}
-	streams = append(streams, newMemStream(s.active))
-	w := bufio.NewWriter(tmp)
-	all := make(map[Key]Record, s.distinct)
-	var wroteBytes int64
-	var emitErr error
-	err = mergeStreams(streams, func(rec Record, _ int, _ []int) bool {
-		line, merr := json.Marshal(rec)
-		if merr != nil {
-			emitErr = merr
-			return false
-		}
-		if _, werr := w.Write(append(line, '\n')); werr != nil {
-			emitErr = fmt.Errorf("store: compact: %w", werr)
-			return false
-		}
-		wroteBytes += int64(len(line)) + 1
-		all[rec.Key()] = rec
-		return true
-	})
-	if err == nil {
-		err = emitErr
-	}
-	if err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
+	before := s.activeLines + s.segLines
+	if err := s.sealLocked(); err != nil {
 		return 0, fmt.Errorf("store: compact: %w", err)
 	}
-	if err := s.fault("sync"); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("store: compact: %w", err)
+	// A lone segment is rewritten too: it may hold corrupt lines.
+	if len(s.segs) > 0 {
+		merged, err := s.runMerge(s.segs)
+		if err != nil {
+			return 0, fmt.Errorf("store: compact: %w", err)
+		}
+		s.installMerged(s.segs, merged)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := s.fault("rename"); err != nil {
-		return 0, fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		return 0, err
-	}
-	if err := syncDir(s.path); err != nil {
-		return 0, err
-	}
-	// Swap the append handle to the new file; the old handle points at
-	// the unlinked inode. Failing here must poison the store — keeping
-	// the stale handle would let every later Put "succeed" into the
-	// deleted inode and silently vanish at exit.
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.werr = fmt.Errorf("store: compact: reopening %s: %w", s.path, err)
-		return 0, s.werr
-	}
-	s.f.Close()
-	s.f = f
-	// The sealed segments are fully folded into the new file; remove
-	// them. A crash between the rename and these removals is benign:
-	// the rewritten active file holds every live key and overrides
-	// whatever the leftovers say.
-	for _, sg := range s.segs {
-		sg.f.Close()
-		os.Remove(sg.path)
-	}
-	removed = s.activeLines + s.segLines - len(all)
-	s.segs = nil
-	s.segLines = 0
-	s.active = all
-	s.activeLines = len(all)
-	s.activeBytes = wroteBytes
-	s.distinct = len(all)
 	s.dropped = 0
-	// Any appends still sitting in the write-behind buffer were
-	// captured by the index and therefore written into the compacted
-	// file above; re-arming the writer on the new handle discards
-	// those buffered bytes instead of appending them as duplicates.
-	s.armWriter()
-	return removed, nil
+	return before - s.segLines, nil
 }
 
 // Filter selects records for Scan. Fields form a hierarchical key

@@ -318,8 +318,8 @@ func TestWriteBehindFlushAndPutAll(t *testing.T) {
 }
 
 // TestCompactDiscardsBufferedDuplicates: records still sitting in the
-// write-behind buffer are captured by Compact's index rewrite; the
-// re-armed writer must not append them again afterwards.
+// write-behind buffer are sealed into Compact's segment; the re-armed
+// writer must not append them to the active file again afterwards.
 func TestCompactDiscardsBufferedDuplicates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	s, err := Open(path)
@@ -332,7 +332,9 @@ func TestCompactDiscardsBufferedDuplicates(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// A post-compact append still works and lands once.
+	seg := compactedSegment(t, path, 1)
+	// A post-compact append still works and lands once, in the active
+	// file; the segment is untouched.
 	if err := s.Put(testRecord("p", "h2", "invalid")); err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +345,11 @@ func TestCompactDiscardsBufferedDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(string(data), "\n"); lines != 2 {
-		t.Fatalf("file has %d lines after compact+append, want 2:\n%s", lines, data)
+	if lines := strings.Count(string(data), "\n"); lines != 1 {
+		t.Fatalf("active file has %d lines after compact+append, want 1:\n%s", lines, data)
+	}
+	if got, err := os.ReadFile(segFiles(t, path)[0]); err != nil || string(got) != string(seg) {
+		t.Fatalf("append after compact changed the segment: %q (err %v), want %q", got, err, seg)
 	}
 	s2, err := Open(path)
 	if err != nil {

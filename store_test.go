@@ -436,6 +436,38 @@ func TestFreshSegmentedStoreParity(t *testing.T) {
 	if !reflect.DeepEqual(sum2, ref) {
 		t.Errorf("segmented-store resume diverged from store-less run:\n %+v\n %+v", sum2, ref)
 	}
+
+	// Compact folds the store into one sealed segment; a run resumed
+	// from it still re-judges nothing and reports identically.
+	st, err := store.OpenWith(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Stats().SegmentCount(); n != 1 {
+		t.Fatalf("compacted store has %d segments, want 1", n)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.n.Store(0)
+	compacted := mustRunner(t, WithBackend(name), WithStore(path), WithStoreOptions(opts),
+		WithResume(true), WithShardSize(2), WithWorkers(2))
+	sum3, err := compacted.DirectProbing(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compacted.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.n.Load() != 0 {
+		t.Errorf("resume from compacted store re-judged %d files, want 0", c.n.Load())
+	}
+	if !reflect.DeepEqual(sum3, ref) {
+		t.Errorf("compacted-store resume diverged from store-less run:\n %+v\n %+v", sum3, ref)
+	}
 }
 
 // TestCompareScenario: the cross-backend sweep covers every registered
