@@ -399,8 +399,9 @@ func BenchmarkThroughputMachine(b *testing.B) {
 }
 
 // BenchmarkThroughputServer — the judging daemon over loopback HTTP:
-// the whole suite as one /v1/complete_batch shard per iteration,
-// through the adaptive micro-batching server core.
+// the whole suite as one /v1/complete_batch shard per iteration. The
+// batch route resolves the shard directly; it never enters the
+// single-prompt micro-batcher.
 func BenchmarkThroughputServer(b *testing.B) {
 	inputs := benchSuiteInputs(b)
 	llm, err := NewBackend(DefaultBackend, DefaultModelSeed)

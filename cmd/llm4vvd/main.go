@@ -8,7 +8,7 @@
 // Usage:
 //
 //	llm4vvd [-addr HOST:PORT] [-backend NAME] [-seed N] \
-//	        [-batch-max N] [-batch-delay D] [-queue N] \
+//	        [-batch-max N] [-queue N] \
 //	        [-replica-id NAME] [-store PATH] [-cache] \
 //	        [-trace F] [-fault SPEC] [-cpuprofile F] [-memprofile F]
 //
@@ -21,10 +21,10 @@
 // replica's dedup store and cache stay authoritative for its share of
 // the key space.
 //
-// Concurrent single-prompt requests are coalesced by a dynamic
-// micro-batcher (-batch-max, -batch-delay) into one CompleteBatch
-// call per shard when the backend supports batching; -queue bounds
-// admission, with overload answered by 429 + Retry-After. -store
+// A lone single-prompt request dispatches at once; requests arriving
+// while an endpoint call is in flight coalesce into one CompleteBatch
+// call of at most -batch-max prompts. -queue (N >= 1, like -batch-max)
+// bounds admission, with overload answered by 429 + Retry-After. -store
 // mounts a persistent run store so identical (backend, seed, prompt)
 // requests — across workers and daemon restarts — dedup to one
 // completion; -cache adds an in-memory memo with singleflight dedup
@@ -88,9 +88,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	backend := flag.String("backend", llm4vv.DefaultBackend, "registered LLM backend to serve")
 	seed := flag.Uint64("seed", llm4vv.DefaultModelSeed, "model sampling seed")
-	batchMax := flag.Int("batch-max", server.DefaultBatchMaxSize, "micro-batcher: max coalesced prompts per endpoint call")
-	batchDelay := flag.Duration("batch-delay", server.DefaultBatchMaxDelay, "micro-batcher: max wait for stragglers")
-	queue := flag.Int("queue", server.DefaultQueueLimit, "admission control: max prompts queued or in flight")
+	batchMax := flag.Int("batch-max", server.DefaultBatchMaxSize, "micro-batcher: max coalesced prompts per endpoint call, N >= 1")
+	queue := flag.Int("queue", server.DefaultQueueLimit, "admission control: max prompts queued or in flight, N >= 1")
 	replicaID := flag.String("replica-id", "", "stable instance name in /healthz, /v1/backends, and /metrics labels (default: the listen address)")
 	storePath := flag.String("store", "", "dedup identical requests through this JSONL run store")
 	cache := flag.Bool("cache", false, "memoise completions in memory with singleflight dedup")
@@ -99,6 +98,9 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at shutdown")
 	flag.Parse()
+	if *batchMax < 1 || *queue < 1 {
+		fail(fmt.Errorf("-batch-max %d, -queue %d: both want N >= 1", *batchMax, *queue))
+	}
 
 	var injector *fault.Injector
 	if *faultSpec != "" {
@@ -130,16 +132,15 @@ func main() {
 		tracer = trace.New(trace.WithWriter(tf), trace.WithProcess("llm4vvd/"+*replicaID))
 	}
 	cfg := server.Config{
-		LLM:           llm,
-		Backend:       *backend,
-		Seed:          *seed,
-		ReplicaID:     *replicaID,
-		Registered:    llm4vv.Backends(),
-		BatchMaxSize:  *batchMax,
-		BatchMaxDelay: *batchDelay,
-		QueueLimit:    *queue,
-		Tracer:        tracer,
-		Fault:         injector,
+		LLM:          llm,
+		Backend:      *backend,
+		Seed:         *seed,
+		ReplicaID:    *replicaID,
+		Registered:   llm4vv.Backends(),
+		BatchMaxSize: *batchMax,
+		QueueLimit:   *queue,
+		Tracer:       tracer,
+		Fault:        injector,
 	}
 	var st *store.Store
 	if *storePath != "" {

@@ -89,7 +89,7 @@
 // eval cache and the daemon dedup key by 32-byte prompt content
 // hashes (judge.PromptKey), the run store is write-behind (buffered
 // appends, Flush checkpoints at batch and phase boundaries), the
-// daemon's micro-batcher adapts its gather delay to load, and the
+// daemon's micro-batcher is work-conserving (no gather timer), and the
 // Runner coalesces judge batches across shard boundaries so
 // resume-thinned sweeps still reach endpoints in full batches. The
 // BenchmarkThroughput* suite reports files/sec, allocs/op, and

@@ -26,7 +26,7 @@ var (
 	FamEndpointPrompts  = FamilyDef{"llm4vv_endpoint_prompts_total", "counter", "Prompts submitted to the fronted endpoint."}
 	FamCoalescedBatches = FamilyDef{"llm4vv_coalesced_batches_total", "counter", "Micro-batches that merged two or more requests."}
 	FamStoreHits        = FamilyDef{"llm4vv_store_hits_total", "counter", "Prompts resolved from the run store or intra-shard dedup."}
-	FamGatherDelay      = FamilyDef{"llm4vv_gather_delay_seconds", "gauge", "Current adaptive micro-batch straggler wait."}
+	FamGatherDelay      = FamilyDef{"llm4vv_gather_delay_seconds", "gauge", "How long the most recent micro-batch waited on an in-flight flush (0 when it dispatched at once)."}
 	FamInflight         = FamilyDef{"llm4vv_inflight_prompts", "gauge", "Prompts admitted and not yet answered."}
 	FamStageSeconds     = FamilyDef{"llm4vv_stage_seconds", "summary", "Per-stage latency quantiles (resolve = one shard, endpoint = one fronted call)."}
 )

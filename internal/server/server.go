@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -18,10 +19,9 @@ import (
 
 // Defaults for the zero values of Config's knobs.
 const (
-	DefaultBatchMaxSize  = 16
-	DefaultBatchMaxDelay = 2 * time.Millisecond
-	DefaultQueueLimit    = 1024
-	DefaultRetryAfter    = 50 * time.Millisecond
+	DefaultBatchMaxSize = 16
+	DefaultQueueLimit   = 1024
+	DefaultRetryAfter   = 50 * time.Millisecond
 )
 
 // dedupPhase is the Experiment field of store records written by the
@@ -55,10 +55,6 @@ type Config struct {
 	// BatchMaxSize caps how many concurrent /v1/complete requests one
 	// micro-batch may coalesce. Default DefaultBatchMaxSize.
 	BatchMaxSize int
-	// BatchMaxDelay is how long a forming micro-batch waits for
-	// stragglers after its first prompt arrives. Default
-	// DefaultBatchMaxDelay.
-	BatchMaxDelay time.Duration
 	// QueueLimit bounds admission: the total prompts queued or in
 	// flight, across both endpoints. Excess requests get 429 with a
 	// Retry-After hint. Default DefaultQueueLimit.
@@ -144,14 +140,8 @@ type Server struct {
 	queue     chan *pending
 	admission queuePolicy
 
-	// delay is the adaptive straggler-gather wait, retuned after every
-	// micro-batch between minDelay and Config.BatchMaxDelay: batches
-	// that fill without the timer halve it (the queue is saturated —
-	// waiting only adds latency), underfull timer-closed batches
-	// double it back toward the configured maximum (light load —
-	// waiting buys coalescing).
-	delay    atomic.Int64
-	minDelay int64
+	flushed    chan time.Duration // each flush's duration, sent to collect as it ends
+	gatherWait atomic.Int64       // GatherDelay, in nanoseconds
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -172,9 +162,8 @@ type Server struct {
 
 // batchPool recycles the micro-batcher's pending-slice backing arrays
 // across batches; promptsPool does the same for the prompt slices a
-// flush extracts. One batch forms every BatchMaxDelay under load, so
-// without pooling the collector allocates two slices per batch
-// forever.
+// flush extracts. Under load one batch forms per flush, so without
+// pooling the collector allocates two slices per batch forever.
 var (
 	batchPool   = sync.Pool{New: func() any { return new([]*pending) }}
 	promptsPool = sync.Pool{New: func() any { return new([]string) }}
@@ -214,9 +203,6 @@ func New(cfg Config) *Server {
 	if cfg.BatchMaxSize <= 0 {
 		cfg.BatchMaxSize = DefaultBatchMaxSize
 	}
-	if cfg.BatchMaxDelay <= 0 {
-		cfg.BatchMaxDelay = DefaultBatchMaxDelay
-	}
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = DefaultQueueLimit
 	}
@@ -224,13 +210,9 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		queue:     make(chan *pending, cfg.QueueLimit),
 		admission: queuePolicy{limit: cfg.QueueLimit},
+		flushed:   make(chan time.Duration),
 		rec:       perf.NewRecorder(),
 	}
-	s.minDelay = int64(cfg.BatchMaxDelay / 16)
-	if s.minDelay < 1 {
-		s.minDelay = 1
-	}
-	s.delay.Store(int64(cfg.BatchMaxDelay))
 	s.llm = fault.LLM(cfg.Fault, "daemon.complete", cfg.LLM)
 	s.batch, _ = s.llm.(judge.BatchLLM)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
@@ -265,7 +247,7 @@ func (s *Server) Stats() Stats {
 		EndpointPrompts: s.endpointPrompts.Load(),
 		Coalesced:       s.coalesced.Load(),
 		StoreHits:       s.storeHits.Load(),
-		GatherDelayNS:   s.delay.Load(),
+		GatherDelayNS:   s.gatherWait.Load(),
 	}
 }
 
@@ -322,24 +304,27 @@ func (s *Server) resolveBatch(ctx context.Context, prompts []string) ([]string, 
 	return s.resolve(ctx, prompts)
 }
 
-// collect is the micro-batcher: it takes the first queued prompt,
-// claims everything already waiting without arming a timer (a queue
-// at BatchMaxSize pays zero gather delay), gathers stragglers for the
-// adaptive delay when the batch is still underfull, and dispatches
-// the coalesced shard on its own goroutine so the next batch starts
-// forming immediately. Batch slices are pooled; flush returns them.
+// collect is the work-conserving micro-batcher: it takes the first
+// queued prompt and everything already waiting, up to BatchMaxSize,
+// and dispatches at once unless a flush is in flight. While one is,
+// the batch gathers until it is full, a flush ends, or it has waited
+// as long as the last completed flush took, so one hung endpoint call
+// cannot hold later prompts. Flush returns the pooled batch slice.
 func (s *Server) collect() {
 	defer s.wg.Done()
+	inflight := 0                        // flushes dispatched and not yet ended
+	last := time.Duration(math.MaxInt64) // last completed flush's duration; no bound until one completes
 	for {
 		var first *pending
 		select {
 		case first = <-s.queue:
+		case last = <-s.flushed:
+			inflight--
+			continue
 		case <-s.baseCtx.Done():
 			return
 		}
 		batch := append(getBatchSlice(), first)
-		// Fast path: drain the backlog. Under sustained load whole
-		// batches form here and the gather timer never runs.
 	drain:
 		for len(batch) < s.cfg.BatchMaxSize {
 			select {
@@ -349,13 +334,18 @@ func (s *Server) collect() {
 				break drain
 			}
 		}
-		if len(batch) < s.cfg.BatchMaxSize {
-			timer := time.NewTimer(s.GatherDelay())
+		var waited time.Duration
+		if inflight > 0 && len(batch) < s.cfg.BatchMaxSize {
+			start := time.Now()
+			timer := time.NewTimer(last)
 		gather:
 			for len(batch) < s.cfg.BatchMaxSize {
 				select {
 				case p := <-s.queue:
 					batch = append(batch, p)
+				case last = <-s.flushed:
+					inflight--
+					break gather
 				case <-timer.C:
 					break gather
 				case <-s.baseCtx.Done():
@@ -363,56 +353,47 @@ func (s *Server) collect() {
 				}
 			}
 			timer.Stop()
+			waited = time.Since(start)
 		}
-		s.adapt(len(batch))
+		s.gatherWait.Store(int64(waited))
 		if len(batch) > 1 {
 			s.coalesced.Add(1)
 		}
+		inflight++
 		s.wg.Add(1)
-		go func(batch []*pending) {
-			defer s.wg.Done()
-			s.flush(batch)
-		}(batch)
+		go s.flush(batch)
 	}
 }
 
-// GatherDelay reports the micro-batcher's current adaptive straggler
-// wait (exposed in /healthz stats as gather_delay_ns).
+// GatherDelay reports how long the most recent micro-batch waited on
+// an in-flight flush before dispatch — 0 when it dispatched at once
+// (exposed in /healthz stats as gather_delay_ns).
 func (s *Server) GatherDelay() time.Duration {
-	return time.Duration(s.delay.Load())
+	return time.Duration(s.gatherWait.Load())
 }
 
-// adapt retunes the gather delay from the size of the batch that just
-// formed: a full batch halves the wait (down to BatchMaxDelay/16),
-// a batch at half capacity or less doubles it (up to BatchMaxDelay).
-// Between the two thresholds the delay holds steady.
-func (s *Server) adapt(size int) {
-	cur := s.delay.Load()
-	switch {
-	case size >= s.cfg.BatchMaxSize:
-		if next := cur / 2; next >= s.minDelay {
-			s.delay.Store(next)
-		} else {
-			s.delay.Store(s.minDelay)
-		}
-	case size*2 <= s.cfg.BatchMaxSize:
-		next := cur * 2
-		if maxd := int64(s.cfg.BatchMaxDelay); next > maxd {
-			next = maxd
-		}
-		s.delay.Store(next)
+// flushEnded reports a flush's duration to collect before its members
+// are answered, so no requester holding an answer sees its flush still
+// in flight. After Close cancels baseCtx the report is dropped.
+func (s *Server) flushEnded(start time.Time) {
+	select {
+	case s.flushed <- time.Since(start):
+	case <-s.baseCtx.Done():
 	}
 }
 
-// flush resolves one coalesced micro-batch. Members whose context
-// already ended are answered with that error and excluded; the rest
-// share one resolve pass. A member's own deadline elapsing mid-flight
-// is handled on the handler side — the batch completes for everyone
-// else regardless. Every member's admission slot is released here,
-// when its prompt is truly done, so QueueLimit bounds real
-// outstanding work even when requesters disconnect early.
+// flush resolves one coalesced micro-batch on its own goroutine, so
+// the next batch forms meanwhile. Members whose context already ended
+// are answered with that error and excluded; the rest share one
+// resolve pass. A member's own deadline elapsing mid-flight is handled
+// on the handler side — the batch completes for everyone else
+// regardless. Every member's admission slot is released here, when
+// its prompt is truly done, so QueueLimit bounds real outstanding work
+// even when requesters disconnect early.
 func (s *Server) flush(batch []*pending) {
+	defer s.wg.Done()
 	defer putBatchSlice(batch)
+	start := time.Now()
 	live := batch[:0]
 	for _, p := range batch {
 		if err := p.ctx.Err(); err != nil {
@@ -422,6 +403,7 @@ func (s *Server) flush(batch []*pending) {
 		live = append(live, p)
 	}
 	if len(live) == 0 {
+		s.flushEnded(start)
 		return
 	}
 	prompts := getPromptsSlice()
@@ -447,6 +429,7 @@ func (s *Server) flush(batch []*pending) {
 		}
 	}
 	resps, err := s.resolve(rctx, prompts)
+	s.flushEnded(start)
 	if err != nil && s.baseCtx.Err() != nil {
 		// The base context ends only at Close: report shutdown, not
 		// the bare cancellation it caused.

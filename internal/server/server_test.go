@@ -133,9 +133,8 @@ func TestMicroBatcherCoalesces(t *testing.T) {
 	const clients = 32
 	counter := &countingLLM{inner: echoLLM{}, delay: time.Millisecond}
 	srv, _, rb := startServer(t, server.Config{
-		LLM:           counter,
-		BatchMaxSize:  16,
-		BatchMaxDelay: 25 * time.Millisecond,
+		LLM:          counter,
+		BatchMaxSize: 16,
 	})
 
 	var wg sync.WaitGroup
@@ -183,11 +182,10 @@ func TestOverload429(t *testing.T) {
 	gate := make(chan struct{})
 	counter := &countingLLM{inner: echoLLM{}, gate: gate}
 	srv, ts, _ := startServer(t, server.Config{
-		LLM:           counter,
-		BatchMaxSize:  1,
-		BatchMaxDelay: time.Millisecond,
-		QueueLimit:    2,
-		RetryAfter:    100 * time.Millisecond,
+		LLM:          counter,
+		BatchMaxSize: 1,
+		QueueLimit:   2,
+		RetryAfter:   100 * time.Millisecond,
 	})
 
 	// Fill the daemon to its limit, then one more.
@@ -287,7 +285,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	counter := &countingLLM{inner: echoLLM{}, gate: gate}
-	_, _, rb := startServer(t, server.Config{LLM: counter, BatchMaxDelay: time.Millisecond})
+	_, _, rb := startServer(t, server.Config{LLM: counter})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -309,7 +307,7 @@ func TestDeadlinePropagation(t *testing.T) {
 func TestAbandonedPromptHoldsSlot(t *testing.T) {
 	gate := make(chan struct{})
 	counter := &countingLLM{inner: echoLLM{}, gate: gate}
-	srv := server.New(server.Config{LLM: counter, BatchMaxDelay: time.Millisecond, QueueLimit: 1})
+	srv := server.New(server.Config{LLM: counter, QueueLimit: 1})
 	defer srv.Close()
 	h := srv.Handler()
 	post := func(ctx context.Context, prompt string) int {
@@ -359,7 +357,7 @@ func TestStoreDedupAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &countingLLM{inner: echoLLM{}}
-	cfg := server.Config{LLM: counter, Backend: "echo", Seed: 7, Store: st, BatchMaxDelay: time.Millisecond}
+	cfg := server.Config{LLM: counter, Backend: "echo", Seed: 7, Store: st}
 	_, _, rb := startServer(t, cfg)
 
 	prompts := []string{"alpha", "beta", "alpha", "gamma", "beta"}
@@ -393,7 +391,7 @@ func TestStoreDedupAcrossRestart(t *testing.T) {
 	}
 	defer st2.Close()
 	counter2 := &countingLLM{inner: echoLLM{}}
-	cfg2 := server.Config{LLM: counter2, Backend: "echo", Seed: 7, Store: st2, BatchMaxDelay: time.Millisecond}
+	cfg2 := server.Config{LLM: counter2, Backend: "echo", Seed: 7, Store: st2}
 	_, _, rb2 := startServer(t, cfg2)
 	after, err := rb2.CompleteBatch(context.Background(), prompts)
 	if err != nil {
@@ -415,7 +413,7 @@ func TestStoreDedupAcrossRestart(t *testing.T) {
 	}
 	defer st3.Close()
 	counter3 := &countingLLM{inner: echoLLM{}}
-	_, _, rb3 := startServer(t, server.Config{LLM: counter3, Backend: "echo", Seed: 8, Store: st3, BatchMaxDelay: time.Millisecond})
+	_, _, rb3 := startServer(t, server.Config{LLM: counter3, Backend: "echo", Seed: 8, Store: st3})
 	if _, err := rb3.CompleteBatch(context.Background(), prompts[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -614,59 +612,115 @@ func TestEmptyAndMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGatherDelay: the micro-batcher's straggler wait ramps
-// down while batches fill to BatchMaxSize and back up under light
-// load, always staying within [BatchMaxDelay/16, BatchMaxDelay].
-func TestAdaptiveGatherDelay(t *testing.T) {
-	const maxDelay = 8 * time.Millisecond
-	const batchMax = 4
-	srv, _, rb := startServer(t, server.Config{
-		LLM:           echoLLM{},
-		BatchMaxSize:  batchMax,
-		BatchMaxDelay: maxDelay,
-	})
-	if got := srv.GatherDelay(); got != maxDelay {
-		t.Fatalf("initial gather delay = %v, want %v", got, maxDelay)
-	}
-
-	// Saturating rounds: batchMax concurrent singles per round fill
-	// every batch, so the delay must ramp down from the maximum.
-	fullRound := func() {
-		var wg sync.WaitGroup
-		for i := 0; i < batchMax; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, err := rb.CompleteContext(context.Background(), fmt.Sprintf("full-%d", i)); err != nil {
-					t.Error(err)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	rampedDown := false
-	for round := 0; round < 50 && !rampedDown; round++ {
-		fullRound()
-		rampedDown = srv.GatherDelay() < maxDelay
-	}
-	if !rampedDown {
-		t.Fatalf("gather delay never ramped down under sustained full batches (still %v)", srv.GatherDelay())
-	}
-	if floor := maxDelay / 16; srv.GatherDelay() < floor {
-		t.Fatalf("gather delay %v fell below the floor %v", srv.GatherDelay(), floor)
-	}
-
-	// Light load: lone sequential requests form batches of one, so the
-	// delay must ramp back to the configured maximum.
-	for i := 0; i < 16 && srv.GatherDelay() != maxDelay; i++ {
+// TestLoneSingleNeverWaits: with nothing in flight a single prompt
+// dispatches at once — its own endpoint call, no coalescing, and a
+// zero gather wait — however many arrive one after another.
+func TestLoneSingleNeverWaits(t *testing.T) {
+	counter := &countingLLM{inner: echoLLM{}}
+	srv, _, rb := startServer(t, server.Config{LLM: counter})
+	for i := 1; i <= 8; i++ {
 		if _, err := rb.CompleteContext(context.Background(), fmt.Sprintf("lone-%d", i)); err != nil {
 			t.Fatal(err)
 		}
+		if got := counter.calls.Load(); got != int64(i) {
+			t.Fatalf("after %d sequential singles the endpoint saw %d calls", i, got)
+		}
+		if got := srv.GatherDelay(); got != 0 {
+			t.Fatalf("single %d waited %v with no flush in flight, want 0", i, got)
+		}
 	}
-	if got := srv.GatherDelay(); got != maxDelay {
-		t.Fatalf("gather delay = %v after light load, want ramp back to %v", got, maxDelay)
+	if st := srv.Stats(); st.Coalesced != 0 || st.GatherDelayNS != 0 {
+		t.Fatalf("sequential singles: coalesced %d, gather_delay_ns %d; want 0, 0", st.Coalesced, st.GatherDelayNS)
 	}
-	if st := srv.Stats(); st.GatherDelayNS != int64(maxDelay) {
-		t.Fatalf("stats gather_delay_ns = %d, want %d", st.GatherDelayNS, int64(maxDelay))
+}
+
+// TestSinglesDuringFlushCoalesce: singles that arrive while a flush
+// is in flight — spaced far wider than any fixed straggler timer —
+// gather into one batch that reaches the endpoint as a single call
+// once that flush ends.
+func TestSinglesDuringFlushCoalesce(t *testing.T) {
+	const n, spacing = 4, 10 * time.Millisecond
+	counter := &countingLLM{inner: echoLLM{}, delay: 200 * time.Millisecond}
+	srv, _, rb := startServer(t, server.Config{LLM: counter, BatchMaxSize: n})
+	// The warm call gives the batcher a measured flush time, so the
+	// gather below runs under its bound, not the cold-start rule.
+	if _, err := rb.CompleteContext(context.Background(), "warm"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	call := func(prompt string) {
+		defer wg.Done()
+		if resp, err := rb.CompleteContext(context.Background(), prompt); err != nil {
+			t.Error(err)
+		} else if resp != "echo:"+prompt {
+			t.Errorf("%s got %q", prompt, resp)
+		}
+	}
+	wg.Add(1)
+	go call("running")
+	for counter.calls.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go call(fmt.Sprintf("during-%d", i))
+		time.Sleep(spacing)
+	}
+	wg.Wait()
+	if calls, sent := counter.calls.Load(), counter.sent.Load(); calls != 3 || sent != n+2 {
+		t.Fatalf("endpoint saw %d calls with %d prompts, want 3 calls (warm, running, one batch of %d) with %d", calls, sent, n, n+2)
+	}
+	if st := srv.Stats(); st.Coalesced != 1 || st.GatherDelayNS == 0 {
+		t.Fatalf("coalesced %d, gather_delay_ns %d; want 1 batch that waited on the running flush", st.Coalesced, st.GatherDelayNS)
+	}
+}
+
+// holdLLM echoes, except that any call carrying the prompt "hold"
+// signals held and then blocks until release closes.
+type holdLLM struct{ held, release chan struct{} }
+
+func (h holdLLM) Complete(prompt string) string {
+	r, _ := h.CompleteBatch(context.Background(), []string{prompt})
+	return r[0]
+}
+
+func (h holdLLM) CompleteBatch(ctx context.Context, prompts []string) ([]string, error) {
+	for _, p := range prompts {
+		if p == "hold" {
+			close(h.held)
+			<-h.release
+		}
+	}
+	return echoLLM{}.CompleteBatch(ctx, prompts)
+}
+
+// TestHungFlushDoesNotHoldSingles: once a flush has completed, the
+// batcher bounds its wait on an in-flight flush by the last measured
+// flush time, so one endpoint call that never returns cannot stall
+// later prompts.
+func TestHungFlushDoesNotHoldSingles(t *testing.T) {
+	llm := holdLLM{held: make(chan struct{}), release: make(chan struct{})}
+	_, _, rb := startServer(t, server.Config{LLM: llm})
+	// Registered after startServer, so it runs first: a failure must
+	// not leave Close waiting on the held flush.
+	release := sync.OnceFunc(func() { close(llm.release) })
+	t.Cleanup(release)
+	if _, err := rb.CompleteContext(context.Background(), "warm"); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error, 1)
+	go func() {
+		_, err := rb.CompleteContext(context.Background(), "hold")
+		held <- err
+	}()
+	<-llm.held
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if resp, err := rb.CompleteContext(ctx, "later"); err != nil || resp != "echo:later" {
+		t.Fatalf("single behind a held flush: %q, %v", resp, err)
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
 }

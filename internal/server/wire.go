@@ -7,12 +7,13 @@
 //	GET  /healthz                               -> liveness plus serving stats
 //	GET  /metrics                               -> Prometheus text exposition
 //
-// The server's core is a dynamic micro-batcher: concurrent single-
-// prompt requests are coalesced — up to Config.BatchMaxSize prompts,
-// waiting at most Config.BatchMaxDelay for stragglers — into one
-// CompleteBatch call when the fronted endpoint implements
-// judge.BatchLLM, so many independent workers hitting /v1/complete
-// cost far fewer endpoint round-trips than requests. Admission is
+// The server's core is a work-conserving micro-batcher: a lone
+// single-prompt request dispatches at once, and requests arriving
+// while an endpoint call is in flight coalesce — up to
+// Config.BatchMaxSize prompts — into one CompleteBatch call when the
+// fronted endpoint implements judge.BatchLLM, so many independent
+// workers hitting /v1/complete cost far fewer endpoint round-trips
+// than requests. Admission is
 // bounded: at most Config.QueueLimit prompts may be queued or in
 // flight, and requests beyond that are refused immediately with 429
 // and a Retry-After hint rather than queued without bound. Request
@@ -114,9 +115,7 @@ type Stats struct {
 	// (or deduplicated against an identical prompt in the same shard)
 	// without an endpoint call.
 	StoreHits int64 `json:"store_hits"`
-	// GatherDelayNS is the micro-batcher's current adaptive straggler
-	// wait in nanoseconds: it ramps down toward BatchMaxDelay/16 while
-	// batches fill to BatchMaxSize and back up toward BatchMaxDelay
-	// under light load.
+	// GatherDelayNS is how long the most recent micro-batch waited on
+	// an in-flight flush, in nanoseconds; 0 when it dispatched at once.
 	GatherDelayNS int64 `json:"gather_delay_ns"`
 }
