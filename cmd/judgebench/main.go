@@ -28,8 +28,8 @@
 // every (backend, file) pair a previous run already judged — so an
 // interrupted sweep restarts where it stopped, and a sweep re-run
 // after registering one more backend judges only the new backend.
-// -shard sets the scheduler's shard (and judge batch) size; 0 picks
-// one automatically. -stage-workers sizes individual pipeline stages
+// -shard sets the judge stage's batch size; 0 picks one
+// automatically. -stage-workers sizes individual pipeline stages
 // ("judge=16" or "compile=2,exec=2,judge=32") where the uniform
 // per-stage default is too coarse — a remote judge fleet saturates at
 // a different width than the local compile simulator. Stage names are
@@ -126,7 +126,7 @@ func main() {
 	resume := flag.Bool("resume", false, "skip files already recorded in the run store (requires -store)")
 	compact := flag.Bool("compact", false, "compact the run store into one sealed segment (drop superseded duplicates), then exit (requires -store)")
 	storeStats := flag.Bool("store-stats", false, "print the run store's segment layout and exit (requires -store)")
-	shard := flag.Int("shard", 0, "scheduler shard / judge batch size (0 = automatic)")
+	shard := flag.Int("shard", 0, "judge batch size (0 = automatic)")
 	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated, N >= 1 (stages: compile, exec, judge)")
 	traceDir := flag.String("trace", "", "write JSONL trace fragments to DIR/judgebench-trace.jsonl")
 	traceView := flag.String("trace-view", "", "render a JSONL trace file as a terminal waterfall, then exit")

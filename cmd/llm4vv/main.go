@@ -22,7 +22,7 @@
 // -store PATH every sealed verdict was appended to the run store on
 // the way, and re-running with -resume picks up where the interrupted
 // run stopped, re-judging zero completed files. -shard sets the
-// sharded scheduler's chunk (and judge batch) size, 0 = automatic.
+// judge stage's batch size, 0 = automatic.
 // -stage-workers overrides -workers for individual pipeline stages
 // ("judge=16", or comma-separated "compile=2,exec=2,judge=32"; stage
 // names compile, exec, judge; N >= 1) — the knob for sizing the judge
@@ -67,7 +67,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this duration (0 = no deadline)")
 	workers := flag.Int("workers", 0, "per-stage workers (0 = GOMAXPROCS)")
 	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated, N >= 1 (stages: compile, exec, judge; overrides -workers)")
-	shard := flag.Int("shard", 0, "scheduler shard / judge batch size (0 = automatic)")
+	shard := flag.Int("shard", 0, "judge batch size (0 = automatic)")
 	experiment := flag.String("experiment", "all", "all|list|<registered name>")
 	progress := flag.Bool("progress", false, "stream per-file progress to stderr")
 	storePath := flag.String("store", "", "append sealed verdicts to this JSONL run store")

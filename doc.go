@@ -23,14 +23,15 @@
 //     WithProgress, WithStore, WithStoreOptions, WithResume), its
 //     context-aware methods
 //     run every experiment cancellably and can stream per-file
-//     progress. Work is scheduled in shards by a chunked
-//     work-stealing scheduler, and each shard's prompts reach the
-//     endpoint as one batch when it supports that.
+//     progress. Every phase runs on the pipeline's stage graph —
+//     direct judging as a one-stage graph of the judge stage — and
+//     each judge batch's prompts reach the endpoint in one call when
+//     it supports that.
 //   - Backend registry: RegisterBackend plugs alternate LLM endpoints
 //     in by name; the simulated deepseek model ships as
 //     DefaultBackend. The required contract is judge.LLM; endpoints
 //     may add judge.ContextLLM (cancellation), judge.BatchLLM (whole
-//     shards per call), and genloop.Author (test authoring).
+//     batches per call), and genloop.Author (test authoring).
 //   - Experiment registry: RegisterExperiment makes a scenario
 //     dispatchable by name through RunExperiment; Part One, Part Two,
 //     the ablations, the generation loop, and the cross-backend
@@ -73,7 +74,7 @@
 //
 // Backends compose into voting ensembles: "ensemble:a+b+c[:strategy]"
 // (NewPanel, RegisterEnsembleBackend) seats any registered backends —
-// remote daemons included — on one panel that fans every shard out
+// remote daemons included — on one panel that fans every batch out
 // concurrently per member and combines votes by majority, unanimity
 // with a deterministic tiebreak, or store-calibrated weights, with
 // quorum semantics when members fail. The "panel" experiment scores a
@@ -88,9 +89,10 @@
 // buffers — one allocation per prompt, the returned string), the
 // eval cache and the daemon dedup key by 32-byte prompt content
 // hashes (judge.PromptKey), the run store is write-behind (buffered
-// appends, Flush checkpoints at batch and phase boundaries), the
-// daemon's micro-batcher is work-conserving (no gather timer), and the
-// Runner coalesces judge batches across shard boundaries so
+// appends, a Flush checkpoint after every judge batch's worth of
+// records and at phase end, in every phase), the daemon's
+// micro-batcher is work-conserving (no gather timer), and resumed
+// files are filtered out before the stage graph runs, so
 // resume-thinned sweeps still reach endpoints in full batches. The
 // BenchmarkThroughput* suite reports files/sec, allocs/op, and
 // p50/p99 stage latencies per path, and cmd/benchci gates the

@@ -81,8 +81,8 @@ func main() {
 	}
 
 	// 4. The daemon's counters show what the wire cost: the Runner's
-	// sharded scheduler sent whole shards, so endpoint calls stay far
-	// below the prompt count.
+	// judge stage sent whole batches, so endpoint calls stay far below
+	// the prompt count.
 	st := srv.Stats()
 	fmt.Printf("\ndaemon stats: %d batch requests, %d endpoint calls for %d prompts, %d store/dedup hits\n",
 		st.BatchRequests, st.EndpointCalls, st.EndpointPrompts, st.StoreHits)

@@ -91,7 +91,8 @@ type scheduler struct {
 	// The first stage error (a failing context-aware backend, or the
 	// context itself) aborts the run: workers drain without working
 	// once it is set, and the run reports it even when ctx stays
-	// live. runErr is only read after the worker pools are joined.
+	// live. runErr is read after the worker pools are joined, or by
+	// abortErr once failed is set.
 	runErr  error
 	errOnce sync.Once
 	failed  atomic.Bool
@@ -105,6 +106,15 @@ func (sc *scheduler) fail(err error) {
 }
 
 func (sc *scheduler) aborted() bool { return sc.failed.Load() || sc.ctx.Err() != nil }
+
+// abortErr is the error an aborted run reports so far: the first stage
+// error, else the context's. Only meaningful once aborted is true.
+func (sc *scheduler) abortErr() error {
+	if sc.failed.Load() {
+		return sc.runErr
+	}
+	return sc.ctx.Err()
+}
 
 // RunGraph schedules files through a custom stage graph and returns
 // per-file results in input order. cfg supplies only the run-level
@@ -181,6 +191,27 @@ func runGraph(ctx context.Context, rc runConfig, g *Graph, files []Input) ([]Fil
 		}
 	}
 
+	// Seed every (file, stage) pair whose initial prerequisite count
+	// is zero — the graph's root stages, for files with no upstream
+	// DependsOn. Everything else dispatches when completions drive
+	// its counter to zero. The initial counts, not the live counters,
+	// decide seeding: on-the-spot completions may already be
+	// decrementing. Seeding precedes the worker pools, so a
+	// batch-shaped root stage (a judge-only graph) finds its whole
+	// ready queue filled and submits full batches from the first.
+	for i := range sc.items {
+		it := &sc.items[i]
+		nd := 0
+		if deps != nil {
+			nd = len(deps[i])
+		}
+		for s := 0; s < ns; s++ {
+			if g.indeg[s]+nd == 0 {
+				sc.dispatch(it, s)
+			}
+		}
+	}
+
 	var wg sync.WaitGroup
 	for s := range g.stages {
 		spec := g.specs[s]
@@ -202,24 +233,6 @@ func runGraph(ctx context.Context, rc runConfig, g *Graph, files []Input) ([]Fil
 					}
 				}
 			}(s, bcap)
-		}
-	}
-
-	// Seed every (file, stage) pair whose initial prerequisite count
-	// is zero — the graph's root stages, for files with no upstream
-	// DependsOn. Everything else dispatches when completions drive
-	// its counter to zero. The initial counts, not the live counters,
-	// decide seeding: a worker may already be decrementing.
-	for i := range sc.items {
-		it := &sc.items[i]
-		nd := 0
-		if deps != nil {
-			nd = len(deps[i])
-		}
-		for s := 0; s < ns; s++ {
-			if g.indeg[s]+nd == 0 {
-				sc.dispatch(it, s)
-			}
 		}
 	}
 	wg.Wait()
@@ -346,17 +359,26 @@ func (sc *scheduler) arrive(it *Item, s int) {
 // seal fixes a file's fate: its final verdict is computable from the
 // stages that ran, so it streams to the caller without waiting for
 // the rest of the suite. Sealing ends the file's trace. Aborted runs
-// drain without sealing — partial files keep their zero-valued stage
-// flags and are never streamed, exactly as the linear pipeline
-// behaved.
+// drain without streaming — partial files keep their zero-valued
+// stage flags, exactly as the linear pipeline behaved — but still end
+// the trace, its root carrying the run error, so the spans recorded
+// before the abort (a failed fleet attempt, say) reach the sink.
 func (sc *scheduler) seal(it *Item) {
 	if sc.aborted() {
+		if it.span != nil {
+			it.span.SetAttr("error", sc.abortErr().Error())
+			it.span.End()
+		}
 		return
 	}
 	r := it.result
 	r.Valid = finalVerdict(r, sc.rc.judgeEnabled)
 	if it.span != nil {
-		it.span.SetAttr("valid", strconv.FormatBool(r.Valid))
+		// A run that neither compiled the file nor defers to a judge
+		// (a judge-only graph) has no pipeline verdict to report.
+		if r.CompileRan || sc.rc.judgeEnabled {
+			it.span.SetAttr("valid", strconv.FormatBool(r.Valid))
+		}
 		if r.JudgeRan {
 			it.span.SetAttr("verdict", r.Verdict.String())
 		}

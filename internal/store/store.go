@@ -13,7 +13,8 @@
 //     JSON object per line, append-only, fully indexed in memory.
 //     Appends are write-behind — records land in a buffered writer
 //     and reach the OS when the buffer fills, on an explicit Flush
-//     (runs checkpoint at shard and phase boundaries), and on Close.
+//     (a Runner checkpoints after every judge batch's worth of
+//     records and at phase end), and on Close.
 //     A crash loses at most the un-flushed tail plus at most one torn
 //     final line, and Open tolerates exactly that: unparsable or
 //     incomplete lines are counted (Dropped) and skipped, recovery is
@@ -453,21 +454,6 @@ func (s *Store) Put(rec Record) error {
 	return s.put(rec)
 }
 
-// PutAll appends a batch of records under one lock acquisition — the
-// natural sink for a shard of sealed verdicts. The first failure
-// poisons the store and stops the batch; records before it are
-// indexed and buffered as usual.
-func (s *Store) PutAll(recs []Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range recs {
-		if err := s.put(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // put is Put without the lock. The encoder writes the record and its
 // terminating '\n' straight into the write-behind buffer: no
 // intermediate marshal slice, no per-record syscall. New keys consult
@@ -666,9 +652,10 @@ func (s *Store) installMerged(snapshot []*segment, merged *segment) {
 }
 
 // Flush forces every buffered append down to the OS — the checkpoint
-// primitive: runs call it at shard and phase boundaries so an
-// interrupted run loses at most the records buffered since the last
-// checkpoint, and those are exactly the ones resume re-judges.
+// primitive: runs call it after every judge batch's worth of records
+// and at phase end so an interrupted run loses at most the records
+// buffered since the last checkpoint, and those are exactly the ones
+// resume re-judges.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

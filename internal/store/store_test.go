@@ -259,11 +259,11 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteBehindFlushAndPutAll: appends are buffered (index-visible
-// immediately, file-visible after Flush), PutAll batches a whole
-// shard, and the flushed bytes are identical to the pre-write-behind
-// format — one compact JSON object per line, in append order.
-func TestWriteBehindFlushAndPutAll(t *testing.T) {
+// TestWriteBehindFlush: appends are buffered (index-visible
+// immediately, file-visible after Flush), and the flushed bytes are
+// identical to the pre-write-behind format — one compact JSON object
+// per line, in append order.
+func TestWriteBehindFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	s, err := Open(path)
 	if err != nil {
@@ -275,11 +275,13 @@ func TestWriteBehindFlushAndPutAll(t *testing.T) {
 		testRecord("p", "h2", "invalid"),
 		testRecord("p", "h3", "valid"),
 	}
-	if err := s.PutAll(recs); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (PutAll must index immediately)", s.Len())
+		t.Fatalf("Len = %d, want 3 (Put must index immediately)", s.Len())
 	}
 	if data, _ := os.ReadFile(path); len(data) != 0 {
 		t.Fatalf("file has %d bytes before Flush, want 0 (write-behind)", len(data))

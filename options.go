@@ -25,9 +25,10 @@ func WithSeed(seed uint64) Option {
 	return func(r *Runner) { r.seed = seed }
 }
 
-// WithWorkers sets the per-stage worker count for pipeline stages and
-// the fan-out of direct judging loops. Values below 1 are treated as
-// 1. Default: GOMAXPROCS.
+// WithWorkers sets the per-stage worker count of every stage graph
+// the Runner schedules — the pipeline's compile, exec, and judge
+// stages, and the judge stage direct-judging and panel phases run
+// alone. Values below 1 are treated as 1. Default: GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(r *Runner) {
 		if n < 1 {
@@ -42,7 +43,9 @@ func WithWorkers(n int) Option {
 // (pipeline.StageCompile, StageExec, StageJudge) and its non-zero
 // fields replace that stage's defaults — Workers falls back to
 // WithWorkers, the judge stage's Batch to the shard size, Observe to
-// none. Later WithStages options refine earlier ones field-wise
+// none. The judge spec also governs direct-judging and panel phases,
+// which run the judge stage alone. Later WithStages options refine
+// earlier ones field-wise
 // (pipeline.MergeStages). Unknown stage names and negative values
 // fail NewRunner. Scheduling knobs never change results: reports stay
 // byte-identical across any worker/batch mix.
@@ -50,15 +53,13 @@ func WithStages(specs ...pipeline.StageSpec) Option {
 	return func(r *Runner) { r.stages = pipeline.MergeStages(r.stages, specs...) }
 }
 
-// WithShardSize sets the shard size of the Runner's chunked
-// work-stealing scheduler: direct-judging loops claim contiguous
-// shards of this many files off a shared cursor, each shard's prompts
-// are submitted to the endpoint as one batch (a single CompleteBatch
-// call for backends implementing judge.BatchLLM), and pipeline judge
-// workers coalesce up to this many queued files per endpoint call.
-// Sharding changes scheduling and endpoint round-trips, never results.
-// Values below 1 — and the default 0 — select an automatic size
-// balancing worker utilisation against batching overhead.
+// WithShardSize sets the judge stage's batch size in every phase:
+// judge workers coalesce up to this many ready files per endpoint
+// call (a single CompleteBatch call for backends implementing
+// judge.BatchLLM), and the run store is checkpointed after every this
+// many sealed records. Batching changes endpoint round-trips, never
+// results. Values below 1 — and the default 0 — select an automatic
+// size balancing worker utilisation against batching overhead.
 func WithShardSize(n int) Option {
 	return func(r *Runner) {
 		if n < 0 {

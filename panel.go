@@ -52,63 +52,47 @@ type PanelDialectResult struct {
 // backend — which must produce panel transcripts: an ensemble
 // backend, or a remote daemon fronting one — using the direct
 // analysis prompt, and scores verdict quality and inter-judge
-// agreement together. Scheduling follows the Runner's sharded
-// work-stealing scheduler with per-shard batched judging; with a
-// store configured, each file's verdict and member votes append as
-// its shard completes, and with resume on, stored files are loaded
-// (votes included) instead of judged.
+// agreement together. It runs on the same one-stage judge graph as
+// the direct-judging phases; with a store configured, each file's
+// verdict and member votes append as the file seals, and with resume
+// on, stored files are loaded (votes included) instead of judged — a
+// corrupt stored record fails the run before any judging.
 func (r *Runner) PanelProbing(ctx context.Context, s SuiteSpec) (PanelDialectResult, error) {
 	suite, err := BuildSuite(s)
 	if err != nil {
 		return PanelDialectResult{}, err
 	}
 	j := &judge.Judge{LLM: r.panelLLM(), Style: judge.Direct, Dialect: s.Dialect}
-	tr := r.track(panelPhase, len(suite))
-	hashes := r.hashSources(len(suite), func(i int) string { return suite[i].Source })
-	prior := r.storedRecords(panelPhase, len(suite), hashes)
-
-	verdicts := make([]judge.Verdict, len(suite))
 	votes := make([][]ensemble.Vote, len(suite))
 	strategies := make([]string, len(suite))
-	err = r.judgeSharded(ctx, j, len(suite), false,
-		func(i int) (bool, error) {
-			rec := prior[i]
-			if rec == nil {
-				return false, nil
+	results, err := r.judgeSuite(ctx, phase{
+		name: panelPhase, key: panelPhase, inputs: suiteInputs(suite),
+		load: func(i int, rec store.Record) error {
+			strat, vs, err := ensemble.DecodeVotes(rec.Votes)
+			if err != nil {
+				// A corrupt stored record fails the run before any
+				// file fans out to the panel members.
+				return fmt.Errorf("llm4vv: stored panel record for %s: %w", suite[i].Name, err)
 			}
-			strat, vs, derr := ensemble.DecodeVotes(rec.Votes)
-			if derr != nil {
-				// A corrupt stored record fails the run right here —
-				// the scheduler stops before fanning further files out
-				// to the panel members.
-				return true, fmt.Errorf("llm4vv: stored panel record for %s: %w", suite[i].Name, derr)
-			}
-			verdicts[i], votes[i], strategies[i] = verdictFromName(rec.Verdict), vs, strat
-			tr.file(suite[i].Name)
-			return true, nil
+			votes[i], strategies[i] = vs, strat
+			return nil
 		},
-		func(i int) string { return suite[i].Name },
-		func(i int) (string, *judge.ToolInfo) { return suite[i].Source, nil },
-		func(i int, ev judge.Evaluation) (*store.Record, error) {
-			strat, vs, ok := ensemble.ParseVotes(ev.Response)
-			if !ok {
-				return nil, fmt.Errorf("llm4vv: backend %q returned a single-judge response for %s; the panel experiment needs an ensemble backend (ensemble:a+b+c) or a daemon serving one",
-					r.backend, suite[i].Name)
-			}
-			verdicts[i], votes[i], strategies[i] = ev.Verdict, vs, strat
-			tr.file(suite[i].Name)
-			if r.store == nil {
-				return nil, nil
-			}
-			return &store.Record{
-				Experiment: panelPhase, Backend: r.backend, Seed: r.seed,
-				FileHash: hashes[i], Name: suite[i].Name,
-				JudgeRan: true, Verdict: ev.Verdict.String(),
-				Votes: ensemble.EncodeVotes(strat, vs),
-			}, nil
-		})
+		extend: func(i int, rec *store.Record) { rec.Votes = ensemble.EncodeVotes(strategies[i], votes[i]) },
+	}, j, nil, func(i int, ev judge.Evaluation) error {
+		strat, vs, ok := ensemble.ParseVotes(ev.Response)
+		if !ok {
+			return fmt.Errorf("llm4vv: backend %q returned a single-judge response for %s; the panel experiment needs an ensemble backend (ensemble:a+b+c) or a daemon serving one",
+				r.backend, suite[i].Name)
+		}
+		votes[i], strategies[i] = vs, strat
+		return nil
+	})
 	if err != nil {
 		return PanelDialectResult{}, err
+	}
+	verdicts := make([]judge.Verdict, len(results))
+	for i, fr := range results {
+		verdicts[i] = fr.Verdict
 	}
 	return scorePanel(s.Dialect, suite, verdicts, votes, strategies)
 }

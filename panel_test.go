@@ -127,6 +127,76 @@ func TestPanelRemoteSingleJudgeErrors(t *testing.T) {
 	}
 }
 
+// TestPanelCorruptStoredRecordFailsBeforeJudging: a stored panel
+// record whose votes do not decode fails a resumed run naming the
+// file, before a single prompt reaches any panel member.
+func TestPanelCorruptStoredRecordFailsBeforeJudging(t *testing.T) {
+	name, counter := registerCounting(t)
+	backend := "ensemble:" + name + "+" + name + "+" + name
+	path := filepath.Join(t.TempDir(), "panel.jsonl")
+	s := PartOneSpec(spec.OpenACC).Scaled(8)
+	suite, err := BuildSuite(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := suite[len(suite)/2]
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(store.Record{
+		Experiment: panelPhase, Backend: backend, Seed: DefaultModelSeed,
+		FileHash: store.HashSource(bad.Source), Name: bad.Name,
+		JudgeRan: true, Verdict: "valid", Votes: "garbage",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mustRunner(t, WithBackend(backend), WithStore(path), WithResume(true))
+	defer r.Close()
+	_, err = r.PanelProbing(context.Background(), s)
+	if err == nil || !strings.Contains(err.Error(), bad.Name) {
+		t.Fatalf("resume over a corrupt panel record returned %v, want an error naming %s", err, bad.Name)
+	}
+	if n := counter.n.Load(); n != 0 {
+		t.Errorf("corrupt stored record let %d prompts reach the panel, want 0", n)
+	}
+}
+
+// TestPanelSingleJudgeStoresNothing: when a daemon fronting a plain
+// judge answers the panel, the vote parse aborts the run before the
+// failing batch is stored — no panel record lands in the run store.
+func TestPanelSingleJudgeStoresNothing(t *testing.T) {
+	srv := server.New(server.Config{LLM: model.New(DefaultModelSeed), Backend: DefaultBackend, Seed: DefaultModelSeed})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	path := filepath.Join(t.TempDir(), "panel.jsonl")
+	r := mustRunner(t, WithBackend("remote:"+strings.TrimPrefix(ts.URL, "http://")), WithStore(path))
+	_, err := RunExperiment(context.Background(), r, "panel", panelParams(spec.OpenACC))
+	if err == nil || !strings.Contains(err.Error(), "single-judge") {
+		t.Fatalf("panel over a single-judge daemon returned %v, want a single-judge error", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	n := 0
+	if err := st.Scan(store.Filter{Experiment: panelPhase}, func(store.Record) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Errorf("failed panel run stored %d %s records, want 0", n, panelPhase)
+	}
+}
+
 // TestPanelResumeRejudgesNothing: a finished panel run resumed under
 // the same configuration loads every verdict and vote from the store
 // — zero prompts reach any member — and reproduces the report

@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -185,6 +184,13 @@ func (r *Runner) pipelineStages(n int) []pipeline.StageSpec {
 	}, r.stages...)
 }
 
+// judgeSpec is the Runner's judge StageSpec for an n-file run: the one
+// stage direct-judging phases run on, and the record count between
+// the run store's checkpoints in every phase.
+func (r *Runner) judgeSpec(n int) pipeline.StageSpec {
+	return r.pipelineStages(n)[2]
+}
+
 // newLLM constructs a fresh endpoint for one experiment call. The
 // backend name was validated at construction — NewRunner's NewBackend
 // probe errors on unknown names and nil-producing factories alike —
@@ -217,10 +223,10 @@ func (t *tracker) file(name string) {
 	t.fn(Progress{Phase: t.phase, File: name, Done: int(t.done.Add(1)), Total: t.total})
 }
 
-// shardSizeFor resolves the Runner's shard size for an n-file
-// workload: the WithShardSize override when set, otherwise a chunk
-// small enough that every worker gets several shards to steal (load
-// balance) but large enough to amortise per-shard batching overhead.
+// shardSizeFor resolves the judge stage's default batch size for an
+// n-file workload: the WithShardSize override when set, otherwise a
+// batch small enough that every judge worker gets several to take
+// (load balance) but large enough to amortise per-call overhead.
 func (r *Runner) shardSizeFor(n int) int {
 	if r.shardSize > 0 {
 		return r.shardSize
@@ -237,223 +243,6 @@ func (r *Runner) shardSizeFor(n int) int {
 		shard = 64
 	}
 	return shard
-}
-
-// forEachShard is the Runner's sharded scheduler: [0,n) is split into
-// contiguous shards of shardSizeFor(n) files, and the Runner's workers
-// claim shards off a shared cursor (chunked work stealing — a fast
-// worker simply claims more shards). fn(start, end) processes one
-// shard and streams its results as it goes; the first error stops the
-// scheduler, and a cancelled context stops it between shards. Shard
-// boundaries never affect results: fn writes each file's outcome to
-// its own slot, so any schedule assembles the same output.
-func (r *Runner) forEachShard(ctx context.Context, n int, fn func(start, end int) error) error {
-	return r.forEachShardWorkers(ctx, n, func() (func(start, end int) error, func() error) {
-		return fn, nil
-	})
-}
-
-// forEachShardWorkers is forEachShard with per-worker state: each
-// scheduler worker calls newWorker once for its own (fn, flush) pair,
-// so fn can accumulate work across the shards that worker claims —
-// the mechanism behind cross-shard judge-batch coalescing — and flush
-// (optional) runs when the worker exhausts the cursor, submitting
-// whatever its accumulator still holds. flush is skipped on error or
-// cancellation: a stopping run must not submit new endpoint work.
-func (r *Runner) forEachShardWorkers(ctx context.Context, n int, newWorker func() (fn func(start, end int) error, flush func() error)) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	shard := r.shardSizeFor(n)
-	shards := (n + shard - 1) / shard
-	workers := r.workers
-	if workers > shards {
-		workers = shards
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var firstErr error
-	var errOnce sync.Once
-	var stop atomic.Bool
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn, flush := newWorker()
-			for {
-				if stop.Load() || ctx.Err() != nil {
-					return
-				}
-				start := int(cursor.Add(int64(shard))) - shard
-				if start >= n {
-					// Re-check for a concurrent failure or cancellation:
-					// flush submits new endpoint work, which a stopping
-					// run must not do.
-					if flush != nil && !stop.Load() && ctx.Err() == nil {
-						if err := flush(); err != nil {
-							fail(err)
-						}
-					}
-					return
-				}
-				end := start + shard
-				if end > n {
-					end = n
-				}
-				if err := fn(start, end); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// judgeSharded drives one judge over [0,n) with the sharded
-// scheduler, coalescing judge batches across shard boundaries: files
-// the skip filter passes over (resume hits) thin a shard out, and
-// instead of submitting the undersized remainder alone, each worker
-// carries it into the next shard it claims until a full batch of
-// shardSizeFor(n) files forms — so a heavily-resumed run still
-// reaches the endpoint in full CompleteBatch calls instead of a
-// trickle of fragments. The trailing partial batch is submitted by
-// the worker's flush. Batching never changes verdicts (judging is
-// per-prompt deterministic), only how prompts are grouped on the
-// wire.
-//
-// skip(i) reports whether file i needs no judging (sealing resumed
-// files itself); a skip error — a corrupt stored record — stops the
-// scheduler like any judging error, before further endpoint work.
-// name(i) names file i for progress-independent concerns (today: the
-// "name" attribute on per-file trace spans). input(i) supplies the
-// code and optional tool info for file i (infos are forwarded to
-// EvaluateBatch only when withInfo is set); seal(i, ev) seals file
-// i's freshly judged evaluation and may return a store record for it
-// — the whole batch's records land in one PutAll under one store
-// lock, followed by one Flush checkpoint, so a crash re-judges at
-// most one batch per worker.
-//
-// With a tracer configured (WithTracer), each judged file opens its
-// own per-file trace root, and every endpoint submission opens a
-// "judge.batch" carrier span under the batch's first file — so the
-// remote spans a batched call produces attach to a trace even though
-// the batch serves many; the carrier's trace names the batch size.
-func (r *Runner) judgeSharded(ctx context.Context, j *judge.Judge, n int, withInfo bool,
-	skip func(i int) (bool, error),
-	name func(i int) string,
-	input func(i int) (code string, info *judge.ToolInfo),
-	seal func(i int, ev judge.Evaluation) (*store.Record, error)) error {
-	target := r.shardSizeFor(n)
-	return r.forEachShardWorkers(ctx, n, func() (func(start, end int) error, func() error) {
-		var idx []int
-		var codes []string
-		var infos []*judge.ToolInfo
-		var spans []*trace.Span
-		var recs []store.Record
-		submit := func() error {
-			if len(idx) == 0 {
-				return nil
-			}
-			var infoArg []*judge.ToolInfo
-			if withInfo {
-				infoArg = infos
-			}
-			jctx := ctx
-			var bspan *trace.Span
-			if len(spans) > 0 && spans[0] != nil {
-				jctx, bspan = trace.Start(trace.ContextWith(ctx, spans[0]), "judge.batch")
-				bspan.SetAttr("batch_size", strconv.Itoa(len(idx)))
-			}
-			evs, err := j.EvaluateBatch(jctx, codes, infoArg)
-			bspan.End()
-			if err != nil {
-				for _, sp := range spans {
-					sp.SetAttr("error", err.Error())
-					sp.End()
-				}
-				return err
-			}
-			recs = recs[:0]
-			for k, ev := range evs {
-				if sp := spanAt(spans, k); sp != nil {
-					sp.SetAttr("verdict", ev.Verdict.String())
-					sp.End()
-				}
-				rec, err := seal(idx[k], ev)
-				if err != nil {
-					for kk := k + 1; kk < len(spans); kk++ {
-						spans[kk].End()
-					}
-					return err
-				}
-				if rec != nil {
-					recs = append(recs, *rec)
-				}
-			}
-			if r.storeOK() && len(recs) > 0 {
-				// Sealed-batch append failures degrade like putRecord's:
-				// the Runner goes store-less with a logged warning and
-				// Runner.Close surfaces the error; the run itself keeps
-				// producing results.
-				if err := r.store.PutAll(recs); err != nil {
-					r.degradeStore(err)
-				} else {
-					r.flushStore()
-				}
-			}
-			idx, codes, infos, spans = idx[:0], codes[:0], infos[:0], spans[:0]
-			return nil
-		}
-		fn := func(start, end int) error {
-			for i := start; i < end; i++ {
-				skipped, err := skip(i)
-				if err != nil {
-					return err
-				}
-				if skipped {
-					continue
-				}
-				code, info := input(i)
-				idx = append(idx, i)
-				codes = append(codes, code)
-				if withInfo {
-					infos = append(infos, info)
-				}
-				if r.tracer != nil {
-					_, sp := r.tracer.StartTrace(ctx, "file")
-					sp.SetAttr("name", name(i))
-					spans = append(spans, sp)
-				}
-			}
-			if len(idx) >= target {
-				return submit()
-			}
-			return nil
-		}
-		return fn, submit
-	})
-}
-
-// spanAt indexes a possibly-empty span slice: judgeSharded only fills
-// spans when a tracer is configured, so batch loops index through this
-// nil-tolerant accessor instead.
-func spanAt(spans []*trace.Span, k int) *trace.Span {
-	if k < len(spans) {
-		return spans[k]
-	}
-	return nil
 }
 
 // flushStore checkpoints the write-behind run store — called at batch
@@ -527,83 +316,57 @@ func verdictFromName(s string) judge.Verdict {
 	}
 }
 
-// judgeDirect runs a judge over every suite file with the sharded
-// scheduler, submitting prompts in coalesced batches (endpoints
-// implementing judge.BatchLLM receive whole batches in single calls;
-// undersized shard remainders merge across shards — see judgeSharded)
-// and streaming per-file progress as verdicts seal. With a store
-// configured, sealed verdicts append as each batch completes; with
-// resume on, files already stored under this phase are loaded instead
-// of judged.
-func (r *Runner) judgeDirect(ctx context.Context, phase string, j *judge.Judge, suite []probe.ProbedFile, infoFor func(pf probe.ProbedFile) *judge.ToolInfo) ([]metrics.Outcome, error) {
-	tr := r.track(phase, len(suite))
-	hashes := r.hashSources(len(suite), func(i int) string { return suite[i].Source })
-	prior := r.storedRecords(phase, len(suite), hashes)
-	outcomes := make([]metrics.Outcome, len(suite))
-	err := r.judgeSharded(ctx, j, len(suite), infoFor != nil,
-		func(i int) (bool, error) {
-			rec := prior[i]
-			if rec == nil {
-				return false, nil
-			}
-			outcomes[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: verdictFromName(rec.Verdict) == judge.Valid}
-			tr.file(suite[i].Name)
-			return true, nil
-		},
-		func(i int) string { return suite[i].Name },
-		func(i int) (string, *judge.ToolInfo) {
-			if infoFor != nil {
-				return suite[i].Source, infoFor(suite[i])
-			}
-			return suite[i].Source, nil
-		},
-		func(i int, ev judge.Evaluation) (*store.Record, error) {
-			outcomes[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: ev.Verdict == judge.Valid}
-			tr.file(suite[i].Name)
-			if r.store == nil {
-				return nil, nil
-			}
-			return &store.Record{
-				Experiment: phase, Backend: r.backend, Seed: r.seed,
-				FileHash: hashes[i], Name: suite[i].Name,
-				JudgeRan: true, Verdict: ev.Verdict.String(),
-			}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return outcomes, nil
+// phase is one store-aware experiment phase, run by runPhase.
+type phase struct {
+	// name labels the phase's progress events; key is its run-store
+	// experiment phase — name, unless the phase's records must not mix
+	// with another mode's.
+	name, key string
+	inputs    []pipeline.Input
+	// run processes the files the store could not supply through a
+	// stage graph. cfg carries the run-level hooks (store sink,
+	// progress, tracer); orig maps a pending file's index back into
+	// inputs.
+	run func(cfg pipeline.Config, pending []pipeline.Input, orig []int) ([]pipeline.FileResult, pipeline.Stats, error)
+	// load, when set, receives each resumed file's stored record
+	// before anything runs; its error (a corrupt record) fails the
+	// phase before any endpoint work.
+	load func(i int, rec store.Record) error
+	// extend, when set, adds phase-specific fields to file i's fresh
+	// record (the panel's member votes).
+	extend func(i int, rec *store.Record)
 }
 
-// runPipeline is the store-aware wrapper around pipeline.Run shared
-// by every pipeline-backed experiment. With resume on, files already
-// stored under phase skip the pipeline entirely and reconstruct their
-// FileResult from the record; the rest stream through the staged
-// pipeline (judging in shards of the Runner's shard size) and append
-// to the store the moment their fate is sealed, so an interrupted run
-// loses at most in-flight files. Returned results are in input order;
+// runPhase runs one experiment phase against the run store; every
+// stored phase goes through it. With resume on, files already stored
+// under the phase key skip the graph entirely and reconstruct their
+// FileResult from the record; the rest run through ph.run and append
+// to the store the moment their fate is sealed. The store is
+// checkpointed (Flush) after every judge-batch-size of records and at
+// phase end, so an interrupted run loses at most the records sealed
+// since the last checkpoint. Returned results are in input order;
 // Stats counts only the work actually performed, which is the point
 // of resuming.
-func (r *Runner) runPipeline(ctx context.Context, phase string, jd *judge.Judge, tools *agent.Tools, recordAll bool, inputs []pipeline.Input) ([]pipeline.FileResult, pipeline.Stats, error) {
-	tr := r.track(phase, len(inputs))
-	storePhase := phase
-	if recordAll {
-		// Short-circuit and record-all runs agree on verdicts but not
-		// on which stages ran, so their records must not mix.
-		storePhase += "+record-all"
-	}
+func (r *Runner) runPhase(ctx context.Context, ph phase) ([]pipeline.FileResult, pipeline.Stats, error) {
+	inputs := ph.inputs
+	tr := r.track(ph.name, len(inputs))
 	hashes := r.hashSources(len(inputs), func(i int) string { return inputs[i].Source })
-	prior := r.storedRecords(storePhase, len(inputs), hashes)
+	prior := r.storedRecords(ph.key, len(inputs), hashes)
 
 	results := make([]pipeline.FileResult, len(inputs))
 	var pending []pipeline.Input
-	var origIdx []int
+	var orig []int
 	for i, in := range inputs {
 		rec := prior[i]
 		if rec == nil {
-			origIdx = append(origIdx, i)
+			orig = append(orig, i)
 			pending = append(pending, in)
 			continue
+		}
+		if ph.load != nil {
+			if err := ph.load(i, *rec); err != nil {
+				return nil, pipeline.Stats{Files: len(inputs)}, err
+			}
 		}
 		results[i] = pipeline.FileResult{
 			Index: i, Name: in.Name,
@@ -614,43 +377,134 @@ func (r *Runner) runPipeline(ctx context.Context, phase string, jd *judge.Judge,
 		}
 		tr.file(in.Name)
 	}
-	stats := pipeline.Stats{Files: len(inputs)}
 	if len(pending) == 0 {
-		return results, stats, ctx.Err()
+		return results, pipeline.Stats{Files: len(inputs)}, ctx.Err()
 	}
 
-	res, st, err := pipeline.Run(ctx, pipeline.Config{
-		Tools:     tools,
-		Judge:     jd,
-		Stages:    r.pipelineStages(len(pending)),
-		RecordAll: recordAll,
-		Tracer:    r.tracer,
+	every := int64(r.judgeSpec(len(pending)).Batch)
+	var stored atomic.Int64
+	res, st, err := ph.run(pipeline.Config{
+		Tracer: r.tracer,
 		OnResult: func(fr pipeline.FileResult) {
 			if r.store != nil {
-				r.putRecord(store.Record{
-					Experiment: storePhase, Backend: r.backend, Seed: r.seed,
-					FileHash: hashes[origIdx[fr.Index]], Name: fr.Name,
+				i := orig[fr.Index]
+				rec := store.Record{
+					Experiment: ph.key, Backend: r.backend, Seed: r.seed,
+					FileHash: hashes[i], Name: fr.Name,
 					CompileRan: fr.CompileRan, CompileOK: fr.CompileOK,
 					ExecRan: fr.ExecRan, ExecOK: fr.ExecOK,
 					JudgeRan: fr.JudgeRan, Verdict: fr.Verdict.String(),
 					Valid: fr.Valid,
-				})
+				}
+				if ph.extend != nil {
+					ph.extend(i, &rec)
+				}
+				r.putRecord(rec)
+				if stored.Add(1)%every == 0 {
+					r.flushStore()
+				}
 			}
 			tr.file(fr.Name)
 		},
-	}, pending)
+	}, pending, orig)
 	for k, fr := range res {
-		fr.Index = origIdx[k]
+		fr.Index = orig[k]
 		results[fr.Index] = fr
 	}
-	stats.Compiles = st.Compiles
-	stats.Executions = st.Executions
-	stats.JudgeCalls = st.JudgeCalls
-	stats.JudgeBatches = st.JudgeBatches
-	// Phase checkpoint: the write-behind store buffers OnResult
-	// appends (fills also auto-flush); settle them before returning.
+	st.Files = len(inputs)
 	r.flushStore()
-	return results, stats, err
+	return results, st, err
+}
+
+// runPipeline runs one pipeline-backed phase: the compile → execute →
+// judge graph, with runPhase's resume and store checkpoints.
+func (r *Runner) runPipeline(ctx context.Context, name string, jd *judge.Judge, tools *agent.Tools, recordAll bool, inputs []pipeline.Input) ([]pipeline.FileResult, pipeline.Stats, error) {
+	key := name
+	if recordAll {
+		// Short-circuit and record-all runs agree on verdicts but not
+		// on which stages ran, so their records must not mix.
+		key += "+record-all"
+	}
+	return r.runPhase(ctx, phase{name: name, key: key, inputs: inputs,
+		run: func(cfg pipeline.Config, pending []pipeline.Input, _ []int) ([]pipeline.FileResult, pipeline.Stats, error) {
+			cfg.Tools, cfg.Judge, cfg.RecordAll = tools, jd, recordAll
+			cfg.Stages = r.pipelineStages(len(pending))
+			return pipeline.Run(ctx, cfg, pending)
+		}})
+}
+
+// judgeSuite runs a direct-judging phase on a one-stage graph whose
+// only stage is the Runner's judge stage (judgeSpec): each ready batch
+// goes to j.EvaluateBatch in one call — one CompleteBatch for endpoints
+// implementing judge.BatchLLM — with tool information from info when
+// set. seal, when set, vets file i's evaluation before the file seals;
+// its error (the panel's vote parse rejecting a single-judge response)
+// aborts the run before that batch reaches the store. Resumed files
+// need no batch coalescing: runPhase filters them out before the graph
+// runs, and the ready queue fills whole batches.
+func (r *Runner) judgeSuite(ctx context.Context, ph phase, j *judge.Judge, info func(in pipeline.Input) *judge.ToolInfo, seal func(i int, ev judge.Evaluation) error) ([]pipeline.FileResult, error) {
+	ph.run = func(cfg pipeline.Config, pending []pipeline.Input, orig []int) ([]pipeline.FileResult, pipeline.Stats, error) {
+		g, err := pipeline.NewGraph([]pipeline.Stage{pipeline.StageFunc{
+			StageSpec: r.judgeSpec(len(pending)),
+			RunFunc: func(ctx context.Context, items []*pipeline.Item) error {
+				codes := make([]string, len(items))
+				var infos []*judge.ToolInfo
+				if info != nil {
+					infos = make([]*judge.ToolInfo, len(items))
+				}
+				for k, it := range items {
+					codes[k] = it.Input.Source
+					if info != nil {
+						infos[k] = info(it.Input)
+					}
+				}
+				evs, err := j.EvaluateBatch(ctx, codes, infos)
+				if err != nil {
+					return err
+				}
+				for k, it := range items {
+					if seal != nil {
+						if err := seal(orig[it.Index], evs[k]); err != nil {
+							return err
+						}
+					}
+					fr := it.Result()
+					fr.JudgeRan, fr.Verdict = true, evs[k].Verdict
+				}
+				return nil
+			},
+		}})
+		if err != nil {
+			return nil, pipeline.Stats{}, err
+		}
+		return pipeline.RunGraph(ctx, cfg, g, pending)
+	}
+	results, _, err := r.runPhase(ctx, ph)
+	return results, err
+}
+
+// judgeDirect runs one direct-judging phase over the suite and scores
+// each file's verdict; info, when set, supplies per-file tool
+// information (the agent-info ablation).
+func (r *Runner) judgeDirect(ctx context.Context, name string, j *judge.Judge, suite []probe.ProbedFile, info func(in pipeline.Input) *judge.ToolInfo) ([]metrics.Outcome, error) {
+	results, err := r.judgeSuite(ctx, phase{name: name, key: name, inputs: suiteInputs(suite)}, j, info, nil)
+	if err != nil {
+		return nil, err
+	}
+	outcomes := make([]metrics.Outcome, len(results))
+	for i, fr := range results {
+		outcomes[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: fr.Verdict == judge.Valid}
+	}
+	return outcomes, nil
+}
+
+// suiteInputs lists a probed suite as pipeline inputs.
+func suiteInputs(suite []probe.ProbedFile) []pipeline.Input {
+	inputs := make([]pipeline.Input, len(suite))
+	for i, pf := range suite {
+		inputs[i] = pipeline.Input{Name: pf.Name, Source: pf.Source, Lang: pf.Lang}
+	}
+	return inputs
 }
 
 // DirectProbing is the Part-One experiment: judge every file of the
@@ -680,12 +534,8 @@ func (r *Runner) ValidateSuite(ctx context.Context, s SuiteSpec, style judge.Sty
 	if err != nil {
 		return nil, pipeline.Stats{}, err
 	}
-	inputs := make([]pipeline.Input, len(suite))
-	for i, pf := range suite {
-		inputs[i] = pipeline.Input{Name: pf.Name, Source: pf.Source, Lang: pf.Lang}
-	}
 	jd := &judge.Judge{LLM: r.newLLM(), Style: style, Dialect: s.Dialect}
-	return r.runPipeline(ctx, "pipeline/"+style.String(), jd, agent.NewTools(s.Dialect), r.recordAll, inputs)
+	return r.runPipeline(ctx, "pipeline/"+style.String(), jd, agent.NewTools(s.Dialect), r.recordAll, suiteInputs(suite))
 }
 
 // PartTwo executes the Part-Two experiment for one dialect: both
@@ -698,10 +548,7 @@ func (r *Runner) PartTwo(ctx context.Context, s SuiteSpec) (PartTwoResult, error
 	if err != nil {
 		return PartTwoResult{}, err
 	}
-	inputs := make([]pipeline.Input, len(suite))
-	for i, pf := range suite {
-		inputs[i] = pipeline.Input{Name: pf.Name, Source: pf.Source, Lang: pf.Lang}
-	}
+	inputs := suiteInputs(suite)
 	llm := r.newLLM()
 	tools := agent.NewTools(s.Dialect)
 
@@ -744,10 +591,7 @@ func (r *Runner) AblationStages(ctx context.Context, s SuiteSpec) (AblationStage
 		return AblationStagesResult{}, err
 	}
 	tools := agent.NewTools(s.Dialect)
-	inputs := make([]pipeline.Input, len(suite))
-	for i, pf := range suite {
-		inputs[i] = pipeline.Input{Name: pf.Name, Source: pf.Source, Lang: pf.Lang}
-	}
+	inputs := suiteInputs(suite)
 
 	score := func(phase string, judgeOn, execOn bool) (metrics.Summary, error) {
 		var jd *judge.Judge
@@ -799,8 +643,8 @@ func (r *Runner) AblationAgentInfo(ctx context.Context, s SuiteSpec) (AblationAg
 	if err != nil {
 		return AblationAgentInfoResult{}, err
 	}
-	with, err := r.judgeDirect(ctx, "ablation-agent-info/agent", agentJudge, suite, func(pf probe.ProbedFile) *judge.ToolInfo {
-		outcome := tools.Gather(pf.Name, pf.Source, pf.Lang)
+	with, err := r.judgeDirect(ctx, "ablation-agent-info/agent", agentJudge, suite, func(in pipeline.Input) *judge.ToolInfo {
+		outcome := tools.Gather(in.Name, in.Source, in.Lang)
 		info := outcome.Info
 		return &info
 	})
@@ -823,10 +667,7 @@ func (r *Runner) PipelineThroughput(ctx context.Context, s SuiteSpec) (PipelineT
 	if err != nil {
 		return PipelineThroughputResult{}, err
 	}
-	inputs := make([]pipeline.Input, len(suite))
-	for i, pf := range suite {
-		inputs[i] = pipeline.Input{Name: pf.Name, Source: pf.Source, Lang: pf.Lang}
-	}
+	inputs := suiteInputs(suite)
 	tools := agent.NewTools(s.Dialect)
 	var out PipelineThroughputResult
 	for _, recordAll := range []bool{false, true} {

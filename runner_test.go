@@ -6,10 +6,13 @@ package llm4vv
 // and the one-Register-call scenario extension path.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/testlang"
+	"repro/internal/trace"
 )
 
 // smallSpec is a fast mixed suite for API tests.
@@ -454,5 +458,103 @@ func TestStageWorkersParity(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("file %d: tuned run %+v != default run %+v", i, got[i], want[i])
 		}
+	}
+
+	// Direct and panel judging run on the judge stage too, so the
+	// tuned judge spec governs them — and must not move their scores.
+	wantDirect, err := base.DirectProbing(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotDirect, err := tuned.DirectProbing(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotDirect, wantDirect) {
+		t.Errorf("direct probing: tuned %+v != default %+v", gotDirect, wantDirect)
+	}
+	basePanel, err := base.panelRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tunedPanel, err := tuned.panelRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPanel, err := basePanel.PanelProbing(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotPanel, err := tunedPanel.PanelProbing(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotPanel, wantPanel) {
+		t.Errorf("panel probing: tuned %+v != default %+v", gotPanel, wantPanel)
+	}
+}
+
+// TestAbortedRunEndsEveryTraceRoot: a traced run cancelled mid-way
+// still ends every file's trace root — one "file" root per input
+// reaches the sink — and each root the abort left unsealed carries
+// the run error, for a direct-judging phase and a pipeline phase.
+func TestAbortedRunEndsEveryTraceRoot(t *testing.T) {
+	s := smallSpec(testlang.LangC, testlang.LangCPP, testlang.LangFortran)
+	phases := map[string]func(ctx context.Context, r *Runner) error{
+		"direct-probing": func(ctx context.Context, r *Runner) error {
+			_, err := r.DirectProbing(ctx, s)
+			return err
+		},
+		"validate-suite": func(ctx context.Context, r *Runner) error {
+			_, _, err := r.ValidateSuite(ctx, s, judge.AgentDirect)
+			return err
+		},
+	}
+	for phase, run := range phases {
+		t.Run(phase, func(t *testing.T) {
+			var buf bytes.Buffer // the tracer serialises writes under its own lock
+			tracer := trace.New(trace.WithWriter(&buf))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var sealed atomic.Int64
+			r := mustRunner(t, WithTracer(tracer), WithWorkers(2), WithShardSize(2),
+				WithProgress(func(Progress) {
+					if sealed.Add(1) == 3 {
+						cancel()
+					}
+				}))
+			if err := run(ctx, r); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+			}
+
+			roots, errRoots := 0, 0
+			for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+				if len(bytes.TrimSpace(line)) == 0 {
+					continue
+				}
+				var rec trace.Record
+				if err := json.Unmarshal(line, &rec); err != nil {
+					t.Fatalf("bad trace fragment %q: %v", line, err)
+				}
+				for _, sp := range rec.Spans {
+					if sp.Name != "file" || sp.Parent != "" {
+						continue
+					}
+					roots++
+					if e := attrOf(sp, "error"); e != "" {
+						errRoots++
+						if !strings.Contains(e, context.Canceled.Error()) {
+							t.Errorf("unsealed root %s carries error %q, want the run error", attrOf(sp, "name"), e)
+						}
+					}
+				}
+			}
+			if roots != s.Total() {
+				t.Errorf("sink received %d file roots, want one per input (%d)", roots, s.Total())
+			}
+			if want := s.Total() - int(sealed.Load()); errRoots != want || want == 0 {
+				t.Errorf("%d roots carry an error, want %d (every file the cancel left unsealed)", errRoots, want)
+			}
+		})
 	}
 }

@@ -1,22 +1,25 @@
 package llm4vv
 
-// Tests for the evaluation-at-scale layer: the sharded scheduler's
-// parity with flat per-file scheduling, batched judging through
-// BatchLLM, and the persistent run store's resume semantics —
-// including the headline contract that an interrupted stored run,
-// resumed, re-judges zero completed files and reproduces the metrics
-// of an uninterrupted run exactly.
+// Tests for the evaluation-at-scale layer: scheduling parity across
+// worker counts and judge batch sizes, batched judging through
+// BatchLLM, and the persistent run store's checkpoint and resume
+// semantics — including the headline contract that an interrupted
+// stored run, resumed, re-judges zero completed files and reproduces
+// the metrics of an uninterrupted run exactly.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/judge"
 	"repro/internal/model"
@@ -255,6 +258,94 @@ func TestInterruptedRunResumesExactly(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("resumed metrics differ from uninterrupted run:\n resumed %+v\n ref     %+v", got, ref)
+	}
+}
+
+// blockingLLM answers like the simulated model but holds its third
+// batch call until release closes, signalling blocked on entry — the
+// probe for what a run has checkpointed while a batch is in flight.
+type blockingLLM struct {
+	inner   *model.Model
+	calls   atomic.Int64
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingLLM) Complete(prompt string) string { return b.inner.Complete(prompt) }
+
+func (b *blockingLLM) CompleteBatch(ctx context.Context, prompts []string) ([]string, error) {
+	if b.calls.Add(1) == 3 {
+		close(b.blocked)
+		select {
+		case <-b.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return b.inner.CompleteBatch(ctx, prompts)
+}
+
+// TestCheckpointPerJudgeBatch: a stored run flushes its records after
+// every judge batch, not only at phase end — while the endpoint holds
+// the third batch, the first two batches' records are already on
+// disk. Checked for a direct-judging phase and a pipeline phase.
+func TestCheckpointPerJudgeBatch(t *testing.T) {
+	s := smallSpec(testlang.LangC, testlang.LangCPP, testlang.LangFortran)
+	phases := map[string]func(r *Runner) error{
+		"direct-probing": func(r *Runner) error {
+			_, err := r.DirectProbing(context.Background(), s)
+			return err
+		},
+		"validate-suite": func(r *Runner) error {
+			_, _, err := r.ValidateSuite(context.Background(), s, judge.AgentDirect)
+			return err
+		},
+	}
+	for phase, run := range phases {
+		t.Run(phase, func(t *testing.T) {
+			b := &blockingLLM{blocked: make(chan struct{}), release: make(chan struct{})}
+			name := fmt.Sprintf("test-blocking-%d", countingSerial.Add(1))
+			RegisterBackend(name, func(seed uint64) judge.LLM {
+				b.inner = model.New(seed)
+				return b
+			})
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			r := mustRunner(t, WithBackend(name), WithStore(path), WithWorkers(1), WithShardSize(2))
+			var release sync.Once
+			defer release.Do(func() { close(b.release) })
+			done := make(chan error, 1)
+			go func() { done <- run(r) }()
+
+			select {
+			case <-b.blocked:
+			case err := <-done:
+				t.Fatalf("run finished (err %v) without a third endpoint batch", err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("endpoint never received a third batch")
+			}
+			// The second batch's checkpoint may still be landing on
+			// another stage's worker; give it a moment, not a phase.
+			lines := 0
+			for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lines = bytes.Count(data, []byte("\n")); lines >= 2 {
+					break
+				}
+			}
+			if lines < 2 {
+				t.Errorf("%d complete lines on disk while the third batch is in flight, want >= 2 (a checkpoint per judge batch)", lines)
+			}
+			release.Do(func() { close(b.release) })
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
