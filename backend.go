@@ -134,47 +134,75 @@ func Backends() []string {
 	return names
 }
 
+// registerConcrete registers factory under name unless name is
+// taken: the idempotent registration front-ends call from flag
+// handling, where re-registration must not panic.
+func registerConcrete(name string, factory BackendFactory) {
+	backendRegistry.Lock()
+	defer backendRegistry.Unlock()
+	if _, ok := backendRegistry.factories[name]; !ok {
+		backendRegistry.factories[name] = factory
+	}
+}
+
+// dialRemote resolves a daemon address for RegisterRemoteBackend and
+// the "remote" scheme alike: one address gets its own client, a
+// comma-separated replica list the memoised fleet Router over it.
+func dialRemote(addr string) (string, judge.LLM, error) {
+	if !strings.Contains(addr, ",") {
+		return "remote:" + addr, remote.New(addr), nil
+	}
+	rt, err := fleetRouter(addr)
+	if err != nil {
+		return "", nil, fmt.Errorf("llm4vv: replica list %q: %w", addr, err)
+	}
+	return "fleet:" + strings.Join(rt.Addrs(), ","), rt, nil
+}
+
 // RegisterRemoteBackend concretely registers the judging daemon at
-// addr under the name "remote:<addr>" and returns that name. Unlike
-// RegisterBackend it is idempotent — front-ends call it from flag
-// handling, where re-registration must not panic. Concrete
-// registration is what admits a daemon into Backends() and therefore
-// into the cross-backend compare sweep; ad-hoc "remote:<addr>" names
-// resolve through the scheme registry without it.
+// addr under the name "remote:<addr>" (a replica list: its fleet
+// Router, "fleet:<list>") and returns that name. It is idempotent, for
+// flag handling. Concrete registration is what admits a daemon into
+// Backends() and therefore into the cross-backend compare sweep;
+// ad-hoc "remote:<addr>" names resolve through the scheme registry
+// without it.
 //
 // The seed passed at construction is inert for remote endpoints: the
 // daemon's backend and seed are fixed when it starts, so experiments
 // needing a particular seed must run against a daemon started with
 // it.
-func RegisterRemoteBackend(addr string) string {
-	name := "remote:" + addr
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	if _, ok := backendRegistry.factories[name]; !ok {
-		backendRegistry.factories[name] = func(seed uint64) judge.LLM { return remote.New(addr) }
+func RegisterRemoteBackend(addr string) (string, error) {
+	name, _, err := dialRemote(addr)
+	if err != nil {
+		return "", err
 	}
-	return name
+	registerConcrete(name, func(uint64) judge.LLM {
+		_, llm, _ := dialRemote(addr)
+		return llm
+	})
+	return name, nil
 }
 
-// fleetRouters memoizes one Router per address list: a Router owns a
-// background health loop, so resolving "fleet:<addrs>" twice must
-// share the instance rather than leak a second watcher.
+// fleetRouters memoizes one Router per canonical address list: a
+// Router owns a background health loop, so every spelling of one fleet
+// must share the instance rather than leak a second watcher.
 var fleetRouters = struct {
 	sync.Mutex
 	routers map[string]*fleet.Router
 }{routers: map[string]*fleet.Router{}}
 
 func fleetRouter(addrs string) (*fleet.Router, error) {
+	key := strings.Join(fleet.SplitAddrs(addrs), ",")
 	fleetRouters.Lock()
 	defer fleetRouters.Unlock()
-	if rt, ok := fleetRouters.routers[addrs]; ok {
+	if rt, ok := fleetRouters.routers[key]; ok {
 		return rt, nil
 	}
-	rt, err := fleet.Dial(addrs)
+	rt, err := fleet.Dial(key)
 	if err != nil {
 		return nil, err
 	}
-	fleetRouters.routers[addrs] = rt
+	fleetRouters.routers[key] = rt
 	return rt, nil
 }
 
@@ -188,21 +216,12 @@ func fleetRouter(addrs string) (*fleet.Router, error) {
 // seed — produces reports byte-identical to a single daemon. The
 // construction seed is inert, as for any remote endpoint.
 func RegisterFleetBackend(addrs string) (string, error) {
-	if _, err := fleetRouter(addrs); err != nil {
+	rt, err := fleetRouter(addrs)
+	if err != nil {
 		return "", err
 	}
-	name := "fleet:" + addrs
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	if _, ok := backendRegistry.factories[name]; !ok {
-		backendRegistry.factories[name] = func(seed uint64) judge.LLM {
-			rt, err := fleetRouter(addrs)
-			if err != nil {
-				return nil
-			}
-			return rt
-		}
-	}
+	name := "fleet:" + strings.Join(rt.Addrs(), ",")
+	registerConcrete(name, func(uint64) judge.LLM { return rt })
 	return name, nil
 }
 
@@ -259,23 +278,22 @@ func RegisterEnsembleBackend(spec string) (string, error) {
 		return "", err
 	}
 	name := "ensemble:" + spec
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	if _, ok := backendRegistry.factories[name]; !ok {
-		backendRegistry.factories[name] = func(seed uint64) judge.LLM {
-			p, err := NewPanel(spec, seed)
-			if err != nil {
-				return nil
-			}
-			return p
+	registerConcrete(name, func(seed uint64) judge.LLM {
+		p, err := NewPanel(spec, seed)
+		if err != nil {
+			return nil
 		}
-	}
+		return p
+	})
 	return name, nil
 }
 
 func init() {
 	RegisterBackend(DefaultBackend, func(seed uint64) judge.LLM { return model.New(seed) })
-	RegisterBackendScheme("remote", func(addr string, seed uint64) judge.LLM { return remote.New(addr) })
+	RegisterBackendScheme("remote", func(addr string, seed uint64) judge.LLM {
+		_, llm, _ := dialRemote(addr)
+		return llm
+	})
 	// "fleet:addr1,addr2,..." routes prompts across a replica set by
 	// consistent hashing with health-aware failover (internal/fleet).
 	RegisterBackendScheme("fleet", func(addrs string, seed uint64) judge.LLM {

@@ -50,14 +50,13 @@
 // the daemon must itself serve an ensemble backend (llm4vvd -backend
 // ensemble:...); judgebench verifies that before judging starts.
 //
-// -serve-addr routes judging through a running llm4vvd daemon: the
-// address registers as the "remote:<addr>" backend and overrides
-// -backend (with -compare, the daemon joins the sweep alongside the
-// in-process backends). A comma-separated address list enrols a
-// replica set the client fails over across; for consistent-hash
-// routing over a fleet, point -serve-addr at a running llm4vv-router
-// or use -backend "fleet:addr1,addr2,...". -timeout D cancels the run when the deadline
-// passes, exactly like SIGINT. -store PATH -compact folds the run
+// -serve-addr routes judging through a running llm4vvd daemon or
+// llm4vv-router: the address registers as the "remote:<addr>" backend
+// and overrides -backend (with -compare, the daemon joins the sweep
+// alongside the in-process backends). A comma-separated replica list
+// registers as the fleet router "fleet:addr1,addr2,..." instead.
+// -timeout D cancels the run when the deadline passes, exactly like
+// SIGINT. -store PATH -compact folds the run
 // store into one canonical sealed segment plus an empty active file,
 // dropping superseded duplicate and corrupt lines — maintenance for
 // stores grown across many resumed runs. Compact offline: it truncates
@@ -101,8 +100,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
-	"repro/internal/remote"
 	"repro/internal/report"
+	"repro/internal/server"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -114,7 +113,7 @@ func main() {
 	scale := flag.Int("scale", 4, "divide suite sizes by this factor")
 	seed := flag.Uint64("seed", llm4vv.DefaultModelSeed, "model seed")
 	backend := flag.String("backend", llm4vv.DefaultBackend, "registered LLM backend")
-	serveAddr := flag.String("serve-addr", "", "judge through the llm4vvd daemon at this address (overrides -backend; a comma-separated list fails over across replicas)")
+	serveAddr := flag.String("serve-addr", "", "judge through the llm4vvd daemon or router at this address (overrides -backend; a comma-separated replica list routes through the fleet router, as -backend fleet:LIST)")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this duration (0 = no deadline)")
 	show := flag.Int("show", 0, "print this many sample transcripts")
 	recordAll := flag.Bool("record-all", true, "run every stage for every file (false = short-circuit)")
@@ -207,7 +206,9 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		*backend = llm4vv.RegisterRemoteBackend(*serveAddr)
+		name, err := llm4vv.RegisterRemoteBackend(*serveAddr)
+		fail(err)
+		*backend = name
 	}
 	if *panelMembers != "" {
 		// Concrete registration admits the panel into Backends() (and
@@ -228,7 +229,15 @@ func main() {
 			// and when -panel-members was given too, that the daemon
 			// serves that exact panel rather than silently scoring a
 			// different one.
-			info, err := remote.New(*serveAddr).Info(ctx)
+			llm, err := llm4vv.NewBackend(*backend, *seed)
+			fail(err)
+			d, ok := llm.(interface {
+				Info(context.Context) (server.BackendsResponse, error)
+			})
+			if !ok {
+				fail(fmt.Errorf("backend %q cannot describe what it serves", *backend))
+			}
+			info, err := d.Info(ctx)
 			fail(err)
 			if !strings.HasPrefix(info.Serving, "ensemble:") {
 				fail(fmt.Errorf("daemon at %s serves backend %q, not an ensemble; start llm4vvd with -backend ensemble:a+b+c", *serveAddr, info.Serving))

@@ -59,7 +59,8 @@
 // and the "remote:<addr>" backend (RegisterRemoteBackend, or the
 // -serve-addr flag on both commands) points any experiment at a
 // running daemon with byte-identical metrics — see DESIGN.md §8 and
-// examples/service.
+// examples/service. A comma-separated address list resolves to the
+// "fleet:<list>" backend below.
 //
 // Daemons scale horizontally as a fleet: cmd/llm4vv-router fronts N
 // replicas behind one address, consistent-hash routing each prompt to

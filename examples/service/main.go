@@ -47,7 +47,10 @@ func main() {
 
 	// 2. Register the daemon as a backend. Every experiment can now
 	// select it by name, exactly like an in-process endpoint.
-	remoteName := llm4vv.RegisterRemoteBackend(ln.Addr().String())
+	remoteName, err := llm4vv.RegisterRemoteBackend(ln.Addr().String())
+	if err != nil {
+		panic(err)
+	}
 
 	// 3. Judge the same suite both ways.
 	suite := llm4vv.PartOneSpec(spec.OpenACC).Scaled(8)

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/server"
 	"repro/internal/spec"
 )
@@ -90,57 +91,119 @@ func TestExperimentViaFleetParity(t *testing.T) {
 // byte-identical to in-process. The dead replica keeps answering
 // health probes here, so it stays in the ring and every later shard
 // that hashes to it exercises the request-path failover rather than a
-// quiet eviction.
+// quiet eviction. A replica list given as a daemon address (the
+// -serve-addr path) must fail over through the same fleet Router.
 func TestFleetReplicaKillMidSweep(t *testing.T) {
-	var completions, afterKill atomic.Int64
-	kill := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/complete") {
-				if completions.Add(1) > 1 {
-					afterKill.Add(1)
-					http.Error(w, "replica killed mid-sweep", http.StatusServiceUnavailable)
-					return
-				}
+	for _, tc := range []struct {
+		name    string
+		backend func(t *testing.T, addrs string) string
+	}{
+		{"fleet scheme", func(t *testing.T, addrs string) string { return "fleet:" + addrs }},
+		{"remote list", func(t *testing.T, addrs string) string {
+			name, err := RegisterRemoteBackend(addrs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			h.ServeHTTP(w, r)
+			t.Cleanup(func() {
+				backendRegistry.Lock()
+				delete(backendRegistry.factories, name)
+				backendRegistry.Unlock()
+			})
+			if name != "fleet:"+addrs {
+				t.Fatalf("RegisterRemoteBackend(%q) = %q, want the fleet router's name", addrs, name)
+			}
+			return name
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var completions, afterKill atomic.Int64
+			kill := func(h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if strings.HasPrefix(r.URL.Path, "/v1/complete") {
+						if completions.Add(1) > 1 {
+							afterKill.Add(1)
+							http.Error(w, "replica killed mid-sweep", http.StatusServiceUnavailable)
+							return
+						}
+					}
+					h.ServeHTTP(w, r)
+				})
+			}
+			addrs := startFleetReplica(t, kill) + "," + startFleetReplica(t, nil) + "," + startFleetReplica(t, nil)
+			params := ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC}, Scale: 16}
+			// Small shards split the sweep into many routed batches, so the
+			// kill lands mid-run with later shards still owed to the victim.
+			opts := []Option{WithShardSize(2)}
+
+			local, err := NewRunner(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lres, err := RunExperiment(context.Background(), local, "part1", params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := NewRunner(append(opts, WithBackend(tc.backend(t, addrs)))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fres, err := RunExperiment(context.Background(), fr, "part1", params)
+			if err != nil {
+				t.Fatalf("sweep failed after replica kill: %v", err)
+			}
+			if lres.Report() != fres.Report() {
+				t.Errorf("report diverged after replica kill:\n--- local ---\n%s\n--- fleet ---\n%s",
+					lres.Report(), fres.Report())
+			}
+			if completions.Load() == 0 {
+				t.Error("killed replica never saw a request; kill did not land mid-sweep")
+			}
+			if afterKill.Load() == 0 {
+				t.Fatal("no request reached the killed replica after the kill")
+			}
+			rt, err := fleetRouter(addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rt.Stats().Failovers == 0 {
+				t.Error("requests hit the dead replica but no failovers were recorded")
+			}
 		})
 	}
-	addrs := startFleetReplica(t, kill) + "," + startFleetReplica(t, nil) + "," + startFleetReplica(t, nil)
-	params := ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC}, Scale: 16}
-	// Small shards split the sweep into many routed batches, so the
-	// kill lands mid-run with later shards still owed to the victim.
-	opts := []Option{WithShardSize(2)}
+}
 
-	local, err := NewRunner(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lres, err := RunExperiment(context.Background(), local, "part1", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewRunner(append(opts, WithBackend("fleet:"+addrs))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fres, err := RunExperiment(context.Background(), fr, "part1", params)
-	if err != nil {
-		t.Fatalf("sweep failed after replica kill: %v", err)
-	}
-	if lres.Report() != fres.Report() {
-		t.Errorf("report diverged after replica kill:\n--- local ---\n%s\n--- fleet ---\n%s",
-			lres.Report(), fres.Report())
-	}
-	if completions.Load() == 0 {
-		t.Error("killed replica never saw a request; kill did not land mid-sweep")
-	}
-	if afterKill.Load() > 0 {
-		rt, err := fleetRouter(addrs)
+// TestFleetSpellingsShareOneRouter: spellings of one address list that
+// differ only in spaces and empty entries resolve to one Router and
+// one registry name, so a fleet runs one health loop and joins a
+// compare sweep once.
+func TestFleetSpellingsShareOneRouter(t *testing.T) {
+	a, b := startFleetReplica(t, nil), startFleetReplica(t, nil)
+	want := "fleet:" + a + "," + b
+	defer func() {
+		backendRegistry.Lock()
+		delete(backendRegistry.factories, want)
+		backendRegistry.Unlock()
+	}()
+	var first *fleet.Router
+	for _, list := range []string{a + "," + b, a + ", " + b, a + "," + b + ",", " " + a + ",," + b} {
+		name, err := RegisterFleetBackend(list)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.Stats().Failovers == 0 {
-			t.Error("requests hit the dead replica but no failovers were recorded")
+		if name != want {
+			t.Errorf("RegisterFleetBackend(%q) = %q, want %q", list, name, want)
+		}
+		if name, err = RegisterRemoteBackend(list); err != nil || name != want {
+			t.Errorf("RegisterRemoteBackend(%q) = %q, %v, want %q", list, name, err, want)
+		}
+		rt, err := fleetRouter(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = rt
+		} else if rt != first {
+			t.Errorf("fleetRouter(%q) started a second Router for one fleet", list)
 		}
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"repro/internal/judge"
 	"repro/internal/remote"
 	"repro/internal/resilience"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
@@ -210,15 +211,23 @@ func Dial(addrs string, opts ...remote.Option) (*Router, error) {
 // cfg.Replicas is replaced by clients dialled from the address list.
 func DialConfig(addrs string, cfg Config, opts ...remote.Option) (*Router, error) {
 	cfg.Replicas = nil
-	for _, a := range strings.Split(addrs, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
+	for _, a := range SplitAddrs(addrs) {
 		o := append([]remote.Option{remote.WithRetries(1)}, opts...)
 		cfg.Replicas = append(cfg.Replicas, Replica{Addr: a, Client: remote.New(a, o...)})
 	}
 	return NewRouter(cfg)
+}
+
+// SplitAddrs reads a comma-separated address list the way Dial does:
+// entries trimmed, empty ones dropped.
+func SplitAddrs(list string) []string {
+	var out []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // Close stops the health loop. In-flight requests finish on their own.
@@ -570,6 +579,32 @@ func (rt *Router) Retries() int64 {
 		}
 	}
 	return total
+}
+
+// Info answers /v1/backends for the fleet: the first healthy replica
+// that describes itself within 2s (replicas of one fleet serve the
+// same backend), with Replicas set. Failing that, the fleet's shape,
+// plus the last describer's error if one was tried.
+func (rt *Router) Info(ctx context.Context) (server.BackendsResponse, error) {
+	info := server.BackendsResponse{Serving: "fleet:" + strings.Join(rt.Addrs(), ","), Batch: true}
+	var err error
+	for _, st := range rt.replicas {
+		d, ok := st.client.(interface {
+			Info(context.Context) (server.BackendsResponse, error)
+		})
+		if !ok || !st.healthy.Load() {
+			continue
+		}
+		actx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		got, derr := d.Info(actx)
+		cancel()
+		if err = derr; err == nil {
+			info = got
+			break
+		}
+	}
+	info.Replicas = rt.Addrs()
+	return info, err
 }
 
 // Addrs reports the configured replica addresses in order.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/judge"
+	"repro/internal/server"
 )
 
 // fakeReplica is an in-process Client: answers "<addr>:<prompt>",
@@ -542,5 +543,103 @@ func TestRouterRetriesSum(t *testing.T) {
 	}
 	if got := len(rt.BreakerStates()); got != 1 {
 		t.Fatalf("BreakerStates reported %d entries", got)
+	}
+}
+
+// describingReplica is a fakeReplica that also answers Info, the way a
+// daemon's /v1/backends does; failing makes Info error while the
+// replica stays healthy.
+type describingReplica struct {
+	*fakeReplica
+	failing bool
+}
+
+func (d *describingReplica) Info(context.Context) (server.BackendsResponse, error) {
+	if d.failing {
+		return server.BackendsResponse{}, fmt.Errorf("replica %s cannot describe itself", d.addr)
+	}
+	return server.BackendsResponse{Serving: "deepseek-sim", Seed: 7, ReplicaID: d.addr}, nil
+}
+
+// TestRouterInfo: the first healthy replica that describes itself
+// answers for the fleet, with the replica list attached; evicted
+// replicas are skipped; with no describer the fleet reports its shape.
+func TestRouterInfo(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		clients func() []Client
+		evict   string // replica killed and evicted before Info
+		answer  string // ReplicaID of the describing replica; "" for the shape
+		wantErr bool
+	}{
+		{
+			name: "first healthy describer",
+			clients: func() []Client {
+				return []Client{&describingReplica{fakeReplica: newFakeReplica("a")}, &describingReplica{fakeReplica: newFakeReplica("b")}}
+			},
+			answer: "a",
+		},
+		{
+			name: "evicted first replica skipped",
+			clients: func() []Client {
+				return []Client{&describingReplica{fakeReplica: newFakeReplica("a")}, &describingReplica{fakeReplica: newFakeReplica("b")}}
+			},
+			evict:  "a",
+			answer: "b",
+		},
+		{
+			name: "failing describer skipped",
+			clients: func() []Client {
+				return []Client{&describingReplica{fakeReplica: newFakeReplica("a"), failing: true}, &describingReplica{fakeReplica: newFakeReplica("b")}}
+			},
+			answer: "b",
+		},
+		{
+			name: "no describer gives the fleet shape",
+			clients: func() []Client {
+				return []Client{newFakeReplica("a"), newFakeReplica("b")}
+			},
+		},
+		{
+			name: "every describer failing gives the shape and the error",
+			clients: func() []Client {
+				return []Client{&describingReplica{fakeReplica: newFakeReplica("a"), failing: true}, &describingReplica{fakeReplica: newFakeReplica("b"), failing: true}}
+			},
+			wantErr: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{HealthInterval: -1}
+			for i, c := range tc.clients() {
+				addr := string(rune('a' + i))
+				cfg.Replicas = append(cfg.Replicas, Replica{Addr: addr, Client: c})
+				if addr == tc.evict {
+					c.(*describingReplica).dead.Store(true)
+				}
+			}
+			rt, err := NewRouter(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			rt.CheckNow()
+
+			info, err := rt.Info(context.Background())
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Info error %v, want error: %v", err, tc.wantErr)
+			}
+			if got := strings.Join(info.Replicas, ","); got != "a,b" {
+				t.Errorf("Replicas = %q, want a,b", got)
+			}
+			if tc.answer != "" {
+				if info.ReplicaID != tc.answer || info.Serving != "deepseek-sim" || info.Seed != 7 {
+					t.Errorf("answered by %+v, want replica %s's description", info, tc.answer)
+				}
+				return
+			}
+			if info.Serving != "fleet:a,b" || !info.Batch || info.ReplicaID != "" {
+				t.Errorf("shape %+v, want Serving fleet:a,b with Batch set", info)
+			}
+		})
 	}
 }

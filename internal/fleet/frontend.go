@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -249,41 +248,13 @@ func (c *classPolicy) clientAdd(client string, n int64) int64 {
 	return v
 }
 
-// backends answers /v1/backends on the fleet's behalf: the
-// first healthy replica that can describe itself does (replicas of one
-// fleet serve the same backend by construction), decorated with the
-// router's ID and the replica list. A fleet with no describable
-// replica still reports its shape.
+// backends answers /v1/backends on the fleet's behalf: the Router's
+// description (Router.Info) stamped with the router's ID. A fleet with
+// no describable replica still reports its shape.
 func (f *Frontend) backends(r *http.Request) (int, any) {
-	resp := server.BackendsResponse{
-		Serving:   "fleet:" + strings.Join(f.cfg.Router.Addrs(), ","),
-		Batch:     true,
-		ReplicaID: f.cfg.ID,
-		Replicas:  f.cfg.Router.Addrs(),
-	}
-	type describer interface {
-		Info(ctx context.Context) (server.BackendsResponse, error)
-	}
-	for _, st := range f.cfg.Router.replicas {
-		if !st.healthy.Load() {
-			continue
-		}
-		d, ok := st.client.(describer)
-		if !ok {
-			break
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-		info, err := d.Info(ctx)
-		cancel()
-		if err != nil {
-			continue
-		}
-		info.ReplicaID = f.cfg.ID
-		info.Replicas = f.cfg.Router.Addrs()
-		resp = info
-		break
-	}
-	return http.StatusOK, resp
+	info, _ := f.cfg.Router.Info(r.Context())
+	info.ReplicaID = f.cfg.ID
+	return http.StatusOK, info
 }
 
 // healthz is the router's /healthz body: healthy while at least one

@@ -14,23 +14,13 @@
 // "retry immediately", but never waiting past the caller's context
 // deadline budget (a hint that cannot fit the remaining budget fails
 // immediately instead of parking the client) — while permanent 4xx
-// errors and context cancellation fail immediately. Each base
-// address carries a consecutive-failure circuit breaker
-// (internal/resilience): a tripped replica is skipped in favour of
-// the next base until its cooldown admits a half-open probe, unless
-// every breaker refuses, in which case the request proceeds anyway —
-// progress beats protection. Connections are reused across requests
-// via a shared keep-alive transport sized for the Runner's worker
-// fan-out.
+// errors and context cancellation fail immediately. Connections are
+// reused across requests via a shared keep-alive transport sized for
+// the Runner's worker fan-out.
 //
-// The address may be a comma-separated replica list ("a:1,b:1,c:1"):
-// the client sticks to one preferred replica — so its dedup/cache
-// entries stay warm — and rotates to the next on connection errors
-// and 5xx failures, which is how `judgebench -serve-addr` survives a
-// replica dying mid-sweep with or without an llm4vv-router tier in
-// front. (429 overload does not rotate: the replica is alive and its
-// Retry-After hint is respected in place.) Consistent-hash routing
-// across replicas is the router's job — see internal/fleet.
+// A Backend talks to one daemon or router. Failover across a replica
+// list is the fleet Router's job (internal/fleet), which holds one
+// Backend per replica.
 //
 // Requests carry the fleet admission headers: WithPriority tags the
 // priority class (PriorityHeader; batch calls default to bulk, the
@@ -86,21 +76,18 @@ const (
 	PriorityBulk        = "bulk"
 )
 
-// Backend is a remote judging endpoint — one daemon, or a preferred-
-// plus-fallback replica list. Construct with New; the zero value is
-// not usable.
+// Backend is a remote judging endpoint: one daemon or router.
+// Construct with New; the zero value is not usable.
 type Backend struct {
-	bases    []string
-	cur      atomic.Uint64 // index (mod len(bases)) of the preferred replica
+	base     string
 	hc       *http.Client
 	retries  int
 	backoff  time.Duration
 	priority string
 	client   string
 
-	policy   *resilience.Policy
-	breakers []*resilience.Breaker // one per base, indexed like bases
-	retried  atomic.Int64          // retry waits performed (metrics)
+	policy  *resilience.Policy
+	retried atomic.Int64 // retry waits performed (metrics)
 }
 
 // Option configures a Backend.
@@ -129,26 +116,15 @@ func WithPriority(class string) Option { return func(b *Backend) { b.priority = 
 // router's per-client admission quotas.
 func WithClientID(id string) Option { return func(b *Backend) { b.client = id } }
 
-// New returns a client for the daemon at addr ("host:port" or a full
-// http:// URL), or for a comma-separated replica list with failover
-// across its members.
+// New returns a client for the daemon or router at addr ("host:port"
+// or a full http:// URL).
 func New(addr string, opts ...Option) *Backend {
-	var bases []string
-	for _, a := range strings.Split(addr, ",") {
-		a = strings.TrimSuffix(strings.TrimSpace(a), "/")
-		if a == "" {
-			continue
-		}
-		if !strings.Contains(a, "://") {
-			a = "http://" + a
-		}
-		bases = append(bases, a)
-	}
-	if len(bases) == 0 {
-		bases = []string{"http://" + addr}
+	base := strings.TrimSuffix(strings.TrimSpace(addr), "/")
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
 	}
 	b := &Backend{
-		bases:   bases,
+		base:    base,
 		hc:      &http.Client{Transport: transport},
 		retries: DefaultRetries,
 		backoff: DefaultBackoff,
@@ -157,10 +133,6 @@ func New(addr string, opts ...Option) *Backend {
 		opt(b)
 	}
 	b.policy = resilience.NewPolicy(b.backoff, maxBackoff)
-	b.breakers = make([]*resilience.Breaker, len(b.bases))
-	for i := range b.breakers {
-		b.breakers[i] = resilience.NewBreaker(resilience.BreakerConfig{})
-	}
 	return b
 }
 
@@ -168,55 +140,6 @@ func New(addr string, opts ...Option) *Backend {
 // the series behind llm4vv_resilience_retries_total on endpoints
 // fronting this client.
 func (b *Backend) Retries() int64 { return b.retried.Load() }
-
-// BreakerStates reports each base address's circuit-breaker state in
-// configured order, for the llm4vv_resilience_breaker_state gauge.
-func (b *Backend) BreakerStates() []resilience.BreakerStatus {
-	out := make([]resilience.BreakerStatus, len(b.bases))
-	for i, base := range b.bases {
-		out[i] = resilience.BreakerStatus{ID: base, State: b.breakers[i].State(), Trips: b.breakers[i].Trips()}
-	}
-	return out
-}
-
-// Addrs reports the configured base URLs in their configured order
-// (the preferred replica rotates separately).
-func (b *Backend) Addrs() []string { return append([]string(nil), b.bases...) }
-
-// pick returns the currently preferred replica's URL and the
-// preference counter it was read at, for rotate.
-func (b *Backend) pick() (string, uint64) {
-	idx := b.cur.Load()
-	return b.bases[idx%uint64(len(b.bases))], idx
-}
-
-// rotate moves the preference off a replica that just failed, unless a
-// concurrent request already did (the counter moved past idx).
-func (b *Backend) rotate(idx uint64) {
-	b.cur.CompareAndSwap(idx, idx+1)
-}
-
-// pickBreaker is the breaker-aware pick: the preferred replica when
-// its breaker admits, else the first later base whose breaker does
-// (moving the preference onto it, so the sticky-replica contract and
-// the warm dedup cache follow the healthy member). When every
-// breaker refuses the preferred replica is returned anyway: with no
-// alternative left, progress beats protection, and the attempt's
-// outcome feeds back into its breaker either way.
-func (b *Backend) pickBreaker() (string, uint64, *resilience.Breaker) {
-	idx := b.cur.Load()
-	n := uint64(len(b.bases))
-	for off := uint64(0); off < n; off++ {
-		i := (idx + off) % n
-		if b.breakers[i].Allow() {
-			if off != 0 {
-				b.cur.CompareAndSwap(idx, idx+off)
-			}
-			return b.bases[i], idx + off, b.breakers[i]
-		}
-	}
-	return b.bases[idx%n], idx, b.breakers[idx%n]
-}
 
 // Complete implements judge.LLM. The error-free contract has nowhere
 // to surface a network failure, so one maps to an empty response
@@ -258,73 +181,44 @@ func (b *Backend) CompleteBatch(ctx context.Context, prompts []string) ([]string
 // serves under which seed, whether it batches, and — when it fronts a
 // voting ensemble — the panel members and strategy. Front-ends use it
 // to fail fast when an experiment needs a panel but the daemon serves
-// a single judge. With a replica list, the first reachable replica
-// answers — replicas of one fleet serve the same backend by
-// construction.
+// a single judge.
 func (b *Backend) Info(ctx context.Context) (server.BackendsResponse, error) {
 	var out server.BackendsResponse
-	var lastErr error
-	for range b.bases {
-		base, idx := b.pick()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/backends", nil)
-		if err != nil {
-			return out, err
-		}
-		resp, err := b.hc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("remote: daemon at %s unreachable: %w", base, err)
-			b.rotate(idx)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("remote: daemon at %s: %s", base, resp.Status)
-			drain(resp)
-			b.rotate(idx)
-			continue
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		drain(resp)
-		if err != nil {
-			return out, fmt.Errorf("remote: daemon at %s: decoding /v1/backends: %w", base, err)
-		}
-		return out, nil
-	}
-	return out, lastErr
+	err := b.get(ctx, "/v1/backends", &out)
+	return out, err
 }
 
 // Ping checks daemon liveness via /healthz — how front-ends fail fast
-// on a bad -serve-addr before starting a sweep. With a replica list,
-// any one healthy replica answers.
-func (b *Backend) Ping(ctx context.Context) error {
-	var lastErr error
-	for range b.bases {
-		base, idx := b.pick()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := b.hc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("remote: daemon at %s unreachable: %w", base, err)
-			b.rotate(idx)
-			continue
-		}
-		drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("remote: daemon at %s unhealthy: %s", base, resp.Status)
-			b.rotate(idx)
-			continue
-		}
+// on a bad -serve-addr before starting a sweep, and how the fleet
+// Router probes its replicas.
+func (b *Backend) Ping(ctx context.Context) error { return b.get(ctx, "/healthz", nil) }
+
+// get issues one GET, requires a 200, and decodes the body into out
+// unless out is nil.
+func (b *Backend) get(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := b.hc.Do(req)
+	if err != nil {
+		return fmt.Errorf("remote: daemon at %s unreachable: %w", b.base, err)
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("remote: daemon at %s: %s %s", b.base, path, resp.Status)
+	}
+	if out == nil {
 		return nil
 	}
-	return lastErr
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("remote: daemon at %s: decoding %s: %w", b.base, path, err)
+	}
+	return nil
 }
 
 // post submits one JSON request with retry-on-transient-failure
-// semantics and decodes the success body into out. Connection errors
-// and 5xx responses rotate the preferred replica before the retry;
-// 429 overload stays put — the replica is alive, and moving a busy
-// fleet's load around only spreads the overload.
+// semantics and decodes the success body into out.
 //
 // When the context carries a trace span, the whole call — retries
 // included — is recorded as one "remote.call" child span whose ID is
@@ -351,8 +245,7 @@ func (b *Backend) doPost(ctx context.Context, path string, in, out any) error {
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		base, idx, br := b.pickBreaker()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+path, bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -375,46 +268,28 @@ func (b *Backend) doPost(ctx context.Context, path string, in, out any) error {
 				return ctx.Err()
 			}
 			lastErr = err
-			br.Failure()
-			b.rotate(idx)
 		case resp.StatusCode == http.StatusOK:
 			data, derr := io.ReadAll(resp.Body)
 			drain(resp)
 			if derr == nil {
-				if uerr := json.Unmarshal(data, out); uerr == nil {
-					br.Success()
+				if derr = json.Unmarshal(data, out); derr == nil {
 					return nil
-				} else {
-					derr = uerr
 				}
 			}
 			// Torn, truncated, or otherwise undecodable success body.
 			// Nothing half-parsed may reach the caller, and the bytes on
-			// the wire are as transient as a dropped connection — retry
-			// on the next replica.
+			// the wire are as transient as a dropped connection — retry.
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			lastErr = fmt.Errorf("remote: daemon at %s: decoding %s response: %w", base, path, derr)
-			br.Failure()
-			b.rotate(idx)
+			lastErr = fmt.Errorf("remote: daemon at %s: decoding %s response: %w", b.base, path, derr)
 		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
 			lastErr = httpError(resp)
 			retryAfter, hasHint = parseRetryAfter(resp.Header.Get("Retry-After"))
 			drain(resp)
-			if resp.StatusCode >= 500 {
-				br.Failure()
-				b.rotate(idx)
-			} else {
-				// 429: the replica is alive, just shedding — not breaker
-				// evidence.
-				br.Success()
-			}
 		default:
 			err := httpError(resp)
 			drain(resp)
-			// The replica answered decisively; the request was at fault.
-			br.Success()
 			return err
 		}
 		if attempt >= b.retries {

@@ -53,7 +53,8 @@ func TestRetriesTransient5xx(t *testing.T) {
 	h := &scripted{script: []int{http.StatusInternalServerError, http.StatusBadGateway}}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	resp, err := client(ts, 3).CompleteContext(context.Background(), "p")
+	b := client(ts, 3)
+	resp, err := b.CompleteContext(context.Background(), "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +63,9 @@ func TestRetriesTransient5xx(t *testing.T) {
 	}
 	if got := h.attempts.Load(); got != 3 {
 		t.Errorf("took %d attempts, want 3 (2 failures + success)", got)
+	}
+	if got := b.Retries(); got != 2 {
+		t.Errorf("Retries() = %d, want 2 (one wait per 5xx)", got)
 	}
 }
 
@@ -182,69 +186,6 @@ func TestZeroBackoffRetriesImmediately(t *testing.T) {
 	}
 	if got := h.attempts.Load(); got != 3 {
 		t.Errorf("made %d attempts, want 3", got)
-	}
-}
-
-func TestMultiAddressFailover(t *testing.T) {
-	// Replica one answers until "killed", then the client must rotate
-	// to replica two and finish the run there — without exhausting its
-	// retry budget on the corpse.
-	var oneDead atomic.Bool
-	one := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if oneDead.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		var req server.CompleteRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		_ = json.NewEncoder(w).Encode(server.CompleteResponse{Response: "one:" + req.Prompt})
-	}))
-	defer one.Close()
-	var twoRequests atomic.Int64
-	two := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		twoRequests.Add(1)
-		var req server.CompleteRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		_ = json.NewEncoder(w).Encode(server.CompleteResponse{Response: "two:" + req.Prompt})
-	}))
-	defer two.Close()
-
-	b := remote.New(one.URL+","+two.URL, remote.WithRetries(3), remote.WithBackoff(time.Millisecond))
-	if got := len(b.Addrs()); got != 2 {
-		t.Fatalf("Addrs reports %d bases, want 2", got)
-	}
-	resp, err := b.CompleteContext(context.Background(), "a")
-	if err != nil || resp != "one:a" {
-		t.Fatalf("healthy preferred replica: got %q, %v", resp, err)
-	}
-	oneDead.Store(true)
-	resp, err = b.CompleteContext(context.Background(), "b")
-	if err != nil || resp != "two:b" {
-		t.Fatalf("failover: got %q, %v", resp, err)
-	}
-	// Preference sticks to the survivor: no further traffic probes the
-	// dead replica.
-	before := twoRequests.Load()
-	for i := 0; i < 3; i++ {
-		if resp, err := b.CompleteContext(context.Background(), "c"); err != nil || resp != "two:c" {
-			t.Fatalf("post-failover request %d: got %q, %v", i, resp, err)
-		}
-	}
-	if got := twoRequests.Load() - before; got != 3 {
-		t.Errorf("survivor served %d of 3 post-failover requests", got)
-	}
-	if err := b.Ping(context.Background()); err != nil {
-		t.Errorf("Ping with one live replica: %v", err)
-	}
-}
-
-func TestMultiAddressAllDead(t *testing.T) {
-	b := remote.New("127.0.0.1:1,127.0.0.1:1", remote.WithRetries(2), remote.WithBackoff(time.Millisecond))
-	if _, err := b.CompleteContext(context.Background(), "p"); err == nil {
-		t.Fatal("expected an error with every replica dead")
-	}
-	if err := b.Ping(context.Background()); err == nil {
-		t.Fatal("expected Ping to fail with every replica dead")
 	}
 }
 
@@ -398,46 +339,5 @@ func TestRetryAfterClampedByDeadlineBudget(t *testing.T) {
 	}
 	if elapsed > 50*time.Millisecond {
 		t.Fatalf("client parked %v on an hour-long Retry-After with a 100ms budget", elapsed)
-	}
-}
-
-func TestBreakerSkipsTrippedReplica(t *testing.T) {
-	// Replica one fails every request; after enough consecutive
-	// failures its breaker trips and traffic pins to replica two
-	// without spending attempts on the corpse.
-	var oneHits, twoHits atomic.Int64
-	one := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		oneHits.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer one.Close()
-	two := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		twoHits.Add(1)
-		var req server.CompleteRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		_ = json.NewEncoder(w).Encode(server.CompleteResponse{Response: "two:" + req.Prompt})
-	}))
-	defer two.Close()
-
-	b := remote.New(one.URL+","+two.URL, remote.WithRetries(2), remote.WithBackoff(time.Millisecond))
-	for i := 0; i < 10; i++ {
-		if _, err := b.CompleteContext(context.Background(), "p"); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	states := b.BreakerStates()
-	if len(states) != 2 {
-		t.Fatalf("BreakerStates reported %d entries", len(states))
-	}
-	if states[1].State.String() != "closed" {
-		t.Errorf("healthy replica breaker %v", states[1].State)
-	}
-	// The dead replica saw only the few pre-trip attempts, not one per
-	// request: the breaker, not luck, is what pinned traffic away.
-	if got := oneHits.Load(); got > 6 {
-		t.Errorf("tripped replica still served %d attempts", got)
-	}
-	if b.Retries() == 0 {
-		t.Error("Retries() counted no retry waits despite failovers")
 	}
 }

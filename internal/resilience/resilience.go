@@ -1,15 +1,12 @@
 // Package resilience is the unified failure-handling policy layer:
 // one jittered-exponential-backoff retry policy with deadline-budget
-// awareness, and one per-target circuit breaker, consumed by the
-// remote client's multi-address failover and the fleet Router in
-// place of their former ad-hoc logic.
+// awareness, consumed by the remote client, and one per-target
+// circuit breaker, consumed by the fleet Router for each replica.
 //
 // The two pieces compose but do not couple: a Policy decides how long
 // to wait between attempts against one logical service, a Breaker
 // decides whether a specific target is worth an attempt at all.
-// Both are safe for concurrent use; a nil *Breaker behaves as a
-// permanently closed one, so call sites need no guards when breaking
-// is optional.
+// Both are safe for concurrent use.
 package resilience
 
 import (
@@ -161,9 +158,7 @@ const (
 // Breaker is a consecutive-failure circuit breaker for one target:
 // Threshold consecutive failures trip it open, the Cooldown later it
 // admits exactly one half-open probe, and the probe's outcome closes
-// it or re-opens it. A nil *Breaker is permanently closed (always
-// allows, never counts), so optional breaking needs no call-site
-// guards.
+// it or re-opens it.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -197,9 +192,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // until that probe reports Success or Failure — so call Allow only
 // when the request will actually be sent.
 func (b *Breaker) Allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -223,9 +215,6 @@ func (b *Breaker) Allow() bool {
 
 // Success records a successful request, closing the breaker.
 func (b *Breaker) Success() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.state = StateClosed
 	b.failures = 0
@@ -237,9 +226,6 @@ func (b *Breaker) Success() {
 // toward the trip threshold, in the half-open state it re-opens the
 // breaker for another cooldown.
 func (b *Breaker) Failure() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -271,9 +257,6 @@ func (b *Breaker) trip() {
 // half-open probe slot. An open breaker whose cooldown has elapsed
 // still reports open until an Allow claims the probe.
 func (b *Breaker) State() State {
-	if b == nil {
-		return StateClosed
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
@@ -281,9 +264,6 @@ func (b *Breaker) State() State {
 
 // Trips reports how many times the breaker has tripped open.
 func (b *Breaker) Trips() uint64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.trips

@@ -193,21 +193,6 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
-func TestNilBreakerIsPermanentlyClosed(t *testing.T) {
-	var b *Breaker
-	if !b.Allow() {
-		t.Fatal("nil breaker refused")
-	}
-	b.Failure()
-	b.Success()
-	if got := b.State(); got != StateClosed {
-		t.Fatalf("nil breaker state %v, want closed", got)
-	}
-	if got := b.Trips(); got != 0 {
-		t.Fatalf("nil breaker trips %d, want 0", got)
-	}
-}
-
 func TestStateStrings(t *testing.T) {
 	for s, want := range map[State]string{StateClosed: "closed", StateHalfOpen: "half-open", StateOpen: "open", State(7): "state(7)"} {
 		if got := s.String(); got != want {

@@ -219,13 +219,13 @@ func emitSlowExemplars(p *perf.Prom, t *trace.Tracer, instance [2]string) {
 }
 
 // emitResilience writes the llm4vv_resilience_* families: injected
-// chaos-fault counts per point, remote-client retries, and per-target
+// chaos-fault counts per point, remote-client retries, and per-replica
 // circuit-breaker states. The retry and breaker sources are optional
-// interfaces matched structurally on source (the remote client and
-// the fleet router implement both; local backends neither) so this
-// package needs no import of either. Zero-valued series are emitted
-// when a source is absent — the families must always appear on
-// /metrics, armed or not.
+// interfaces matched structurally on source (the remote client
+// implements Retries, the fleet router both; local backends neither)
+// so this package needs no import of either. Zero-valued series are
+// emitted when a source is absent — the families must always appear
+// on /metrics, armed or not.
 func emitResilience(p *perf.Prom, inj *fault.Injector, source any, instance [2]string) {
 	points := inj.Injected()
 	if len(points) == 0 {

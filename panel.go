@@ -191,15 +191,15 @@ type PanelScenarioResult struct {
 }
 
 // panelRunner resolves which backend the panel experiment judges
-// with: an ensemble backend runs as-is, a remote backend is trusted
-// to front a panel daemon-side (its responses carry the votes), and
-// any other backend is wrapped in the Runner's panel spec (WithPanel;
-// default three seats of itself, each under its own derived member
-// seed). The wrap is validated eagerly so a bad member spec fails
+// with: an ensemble backend runs as-is, a remote or fleet backend is
+// trusted to front a panel daemon-side (its responses carry the
+// votes), and any other backend is wrapped in the Runner's panel spec
+// (WithPanel; default three seats of itself, each under its own
+// derived member seed). The wrap is validated eagerly so a bad member spec fails
 // before any judging starts.
 func (r *Runner) panelRunner() (*Runner, error) {
 	b := r.backend
-	if strings.HasPrefix(b, "ensemble:") || strings.HasPrefix(b, "remote:") {
+	if strings.HasPrefix(b, "ensemble:") || strings.HasPrefix(b, "remote:") || strings.HasPrefix(b, "fleet:") {
 		return r, nil
 	}
 	memberSpec := r.panelSpec

@@ -7,6 +7,7 @@ package llm4vv
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -66,47 +67,64 @@ func TestPanelMembersDiverge(t *testing.T) {
 }
 
 // TestPanelViaRemoteParity is the acceptance bar: the panel
-// experiment through a daemon serving the same ensemble is
-// byte-identical to in-process, because the daemon's responses carry
-// the member votes verbatim.
+// experiment through a daemon serving the same ensemble — or through a
+// replica list of such daemons, which resolves to the fleet router —
+// is byte-identical to in-process, because the daemons' responses
+// carry the member votes verbatim.
 func TestPanelViaRemoteParity(t *testing.T) {
 	memberSpec := DefaultBackend + "+" + DefaultBackend + "+" + DefaultBackend
-	panel, err := NewPanel(memberSpec, DefaultModelSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(server.Config{LLM: panel, Backend: "ensemble:" + memberSpec, Seed: DefaultModelSeed})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	remoteName := RegisterRemoteBackend(strings.TrimPrefix(ts.URL, "http://"))
-	defer func() {
-		// Deregister so later compare sweeps do not dial a daemon that
-		// died with this test.
-		backendRegistry.Lock()
-		delete(backendRegistry.factories, remoteName)
-		backendRegistry.Unlock()
-	}()
-
 	local := newTestRunner(t)
 	lres, err := RunExperiment(context.Background(), local, "panel", panelParams(spec.OpenACC))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := NewRunner(WithBackend(remoteName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rres, err := RunExperiment(context.Background(), rr, "panel", panelParams(spec.OpenACC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lres.Report() != rres.Report() {
-		t.Errorf("panel report diverged through the daemon:\n--- local ---\n%s\n--- remote ---\n%s",
-			lres.Report(), rres.Report())
-	}
-	if st := srv.Stats(); st.EndpointPrompts == 0 {
-		t.Error("remote panel run never reached the daemon's endpoint")
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d replicas", replicas), func(t *testing.T) {
+			var srvs []*server.Server
+			var addrs []string
+			for i := 0; i < replicas; i++ {
+				panel, err := NewPanel(memberSpec, DefaultModelSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := server.New(server.Config{LLM: panel, Backend: "ensemble:" + memberSpec, Seed: DefaultModelSeed})
+				t.Cleanup(srv.Close)
+				ts := httptest.NewServer(srv.Handler())
+				t.Cleanup(ts.Close)
+				srvs = append(srvs, srv)
+				addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
+			}
+			remoteName, err := RegisterRemoteBackend(strings.Join(addrs, ","))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				// Deregister so later compare sweeps do not dial a daemon
+				// that died with this test.
+				backendRegistry.Lock()
+				delete(backendRegistry.factories, remoteName)
+				backendRegistry.Unlock()
+			})
+			rr, err := NewRunner(WithBackend(remoteName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rres, err := RunExperiment(context.Background(), rr, "panel", panelParams(spec.OpenACC))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lres.Report() != rres.Report() {
+				t.Errorf("panel report diverged through %s:\n--- local ---\n%s\n--- remote ---\n%s",
+					remoteName, lres.Report(), rres.Report())
+			}
+			var prompts int64
+			for _, srv := range srvs {
+				prompts += srv.Stats().EndpointPrompts
+			}
+			if prompts == 0 {
+				t.Error("remote panel run never reached a daemon's endpoint")
+			}
+		})
 	}
 }
 

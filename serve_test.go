@@ -48,7 +48,10 @@ func remoteBackendName(t *testing.T) string {
 			Seed:    DefaultModelSeed,
 		})
 		ts := httptest.NewServer(testDaemon.srv.Handler())
-		testDaemon.name = RegisterRemoteBackend(strings.TrimPrefix(ts.URL, "http://"))
+		testDaemon.name, err = RegisterRemoteBackend(strings.TrimPrefix(ts.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
 	return testDaemon.name
 }
@@ -201,27 +204,46 @@ func TestBackendSchemeResolution(t *testing.T) {
 	}
 }
 
+// TestRegisterRemoteBackendIdempotent: one address registers as
+// "remote:<addr>", a replica list as its fleet Router's canonical
+// "fleet:<list>"; either way the name is stable and appears once in
+// Backends(), and a list naming no address is refused.
 func TestRegisterRemoteBackendIdempotent(t *testing.T) {
-	// White-box cleanup: the unreachable test address must not stay
-	// registered, or later compare sweeps would dial it.
-	a := RegisterRemoteBackend("192.0.2.9:7777")
-	defer func() {
-		backendRegistry.Lock()
-		delete(backendRegistry.factories, a)
-		backendRegistry.Unlock()
-	}()
-	b := RegisterRemoteBackend("192.0.2.9:7777")
-	if a != b || a != "remote:192.0.2.9:7777" {
-		t.Fatalf("RegisterRemoteBackend returned %q then %q", a, b)
-	}
-	count := 0
-	for _, name := range Backends() {
-		if name == a {
-			count++
+	replicas := startFleetReplica(t, nil) + "," + startFleetReplica(t, nil)
+	for _, tc := range []struct{ addr, want string }{
+		{"192.0.2.9:7777", "remote:192.0.2.9:7777"},
+		{strings.ReplaceAll(replicas, ",", ", "), "fleet:" + replicas},
+	} {
+		a, err := RegisterRemoteBackend(tc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// White-box cleanup: the test addresses must not stay
+		// registered, or later compare sweeps would dial them.
+		defer func() {
+			backendRegistry.Lock()
+			delete(backendRegistry.factories, a)
+			backendRegistry.Unlock()
+		}()
+		b, err := RegisterRemoteBackend(tc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b || a != tc.want {
+			t.Fatalf("RegisterRemoteBackend(%q) returned %q then %q, want %q", tc.addr, a, b, tc.want)
+		}
+		count := 0
+		for _, name := range Backends() {
+			if name == a {
+				count++
+			}
+		}
+		if count != 1 {
+			t.Errorf("backend %q registered %d times", a, count)
 		}
 	}
-	if count != 1 {
-		t.Errorf("backend %q registered %d times", a, count)
+	if _, err := RegisterRemoteBackend(" , "); err == nil {
+		t.Error("address list naming no address accepted")
 	}
 }
 
