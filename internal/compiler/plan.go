@@ -287,7 +287,7 @@ func (c *checker) validateDirective(ds *testlang.DirectiveStmt, atFileScope bool
 	plan.Device = plan.Kind.IsDevice(c.pers.Dialect, dir.Name)
 
 	for _, cl := range dir.Clauses {
-		arg, valid := sd.Clauses[cl.Name]
+		arg, valid := sd.Clause(cl.Name)
 		if !valid {
 			c.errorf(dir.Pos(), "invalid clause %q on %s directive %q", cl.Name, c.pers.Dialect, dir.Name)
 			continue

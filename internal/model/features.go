@@ -122,7 +122,7 @@ func extractCFeatures(ft *Features, src string, d spec.Dialect) {
 				// reads as a directive problem.
 				if sd, found := table.Lookup(dir.Name); found {
 					for _, cl := range dir.Clauses {
-						if _, valid := sd.Clauses[cl.Name]; !valid {
+						if _, valid := sd.Clause(cl.Name); !valid {
 							ft.UnknownDirectives++
 							if ft.FirstUnknown == "" {
 								ft.FirstUnknown = dir.Name + " " + cl.Name

@@ -84,22 +84,27 @@ const (
 	ArgIfExpr
 )
 
-// Clause describes one clause accepted by one or more directives.
-type Clause struct {
-	Name string
-	Arg  ClauseArg
+// clause is one (name, argument shape) pair of a clause group.
+type clause struct {
+	name string
+	arg  ClauseArg
 }
 
 // Directive describes one directive of a dialect: its (possibly
 // multi-word) name, the clauses it accepts, whether it must be
 // associated with an immediately following loop or structured block,
 // and the model version that introduced it.
+//
+// Directives live in one static table per dialect, shared by every
+// caller and goroutine. A *Directive returned by Lookup or
+// LongestDirective must only be read.
 type Directive struct {
 	// Name is the space-separated directive name as written after the
 	// sentinel, e.g. "parallel loop" or "target teams distribute".
 	Name string
-	// Clauses maps clause name to its argument shape.
-	Clauses map[string]ClauseArg
+	// clauses are the clause groups the directive accepts. Groups may
+	// overlap, but never with different argument shapes for one name.
+	clauses [][]clause
 	// Association describes what program construct must follow.
 	Association Association
 	// Version is the minimum specification version (x10: 45 = 4.5,
@@ -108,6 +113,36 @@ type Directive struct {
 	// Standalone directives (e.g. "update", "barrier") take effect at
 	// their own position rather than opening a region.
 	Standalone bool
+}
+
+// Clause returns the argument shape of clause name on d, and whether
+// d accepts that clause at all.
+func (d *Directive) Clause(name string) (ClauseArg, bool) {
+	for _, g := range d.clauses {
+		for _, c := range g {
+			if c.name == name {
+				return c.arg, true
+			}
+		}
+	}
+	return ArgNone, false
+}
+
+// prefixOf returns how many words d's name consumes when it is a
+// prefix of words, or 0 when it is not.
+func (d *Directive) prefixOf(words []string) int {
+	rest := d.Name
+	for n, w := range words {
+		head, tail, more := strings.Cut(rest, " ")
+		if w != head {
+			return 0
+		}
+		if !more {
+			return n + 1
+		}
+		rest = tail
+	}
+	return 0
 }
 
 // Association describes the construct a directive must be attached to.
@@ -130,27 +165,49 @@ const (
 // numeric types the test corpus uses.
 var ReductionOps = []string{"+", "*", "max", "min", "&&", "||"}
 
-// Spec is a complete directive specification for one dialect.
+// Spec is a complete directive specification for one dialect. The two
+// specs are static, read-only tables shared by every caller; obtain
+// one with ForDialect and never modify it or its directives.
 type Spec struct {
-	Dialect    Dialect
-	directives map[string]*Directive
+	Dialect Dialect
 	// MaxVersion is the highest specification version the simulated
 	// compiler accepts (e.g. 45 for OpenMP 4.5).
 	MaxVersion int
+	directives []Directive
+}
+
+// ForDialect returns the specification for the given dialect.
+func ForDialect(d Dialect) *Spec {
+	if d == OpenACC {
+		return &openACC
+	}
+	return &openMP
 }
 
 // Lookup returns the directive with the given space-normalised name.
 func (s *Spec) Lookup(name string) (*Directive, bool) {
-	d, ok := s.directives[normalize(name)]
-	return d, ok
+	d := s.find(name)
+	if d == nil {
+		d = s.find(normalize(name))
+	}
+	return d, d != nil
+}
+
+func (s *Spec) find(name string) *Directive {
+	for i := range s.directives {
+		if s.directives[i].Name == name {
+			return &s.directives[i]
+		}
+	}
+	return nil
 }
 
 // Directives returns all directive names, sorted, for deterministic
 // iteration by the corpus generator and mutators.
 func (s *Spec) Directives() []string {
-	names := make([]string, 0, len(s.directives))
-	for n := range s.directives {
-		names = append(names, n)
+	names := make([]string, len(s.directives))
+	for i := range s.directives {
+		names[i] = s.directives[i].Name
 	}
 	sort.Strings(names)
 	return names
@@ -162,7 +219,7 @@ func (s *Spec) HasClause(dir, cl string) bool {
 	if !ok {
 		return false
 	}
-	_, ok = d.Clauses[cl]
+	_, ok = d.Clause(cl)
 	return ok
 }
 
@@ -172,239 +229,202 @@ func (s *Spec) HasClause(dir, cl string) bool {
 // Directive grammars are word-greedy: "target teams distribute
 // parallel for" must win over "target".
 func (s *Spec) LongestDirective(words []string) (d *Directive, consumed int, ok bool) {
-	best := 0
-	var bestDir *Directive
-	for n := range s.directives {
-		parts := strings.Fields(n)
-		if len(parts) > len(words) || len(parts) <= best {
-			continue
-		}
-		match := true
-		for i, p := range parts {
-			if words[i] != p {
-				match = false
-				break
-			}
-		}
-		if match {
-			best = len(parts)
-			bestDir = s.directives[n]
+	for i := range s.directives {
+		if n := s.directives[i].prefixOf(words); n > consumed {
+			d, consumed = &s.directives[i], n
 		}
 	}
-	if bestDir == nil {
-		return nil, 0, false
-	}
-	return bestDir, best, true
+	return d, consumed, d != nil
 }
 
 func normalize(name string) string {
 	return strings.Join(strings.Fields(name), " ")
 }
 
-func buildSpec(d Dialect, maxVersion int, dirs []*Directive) *Spec {
-	m := make(map[string]*Directive, len(dirs))
-	for _, dir := range dirs {
-		m[normalize(dir.Name)] = dir
-	}
-	return &Spec{Dialect: d, directives: m, MaxVersion: maxVersion}
-}
+// The tables below are composite literals of constants and references
+// to other literals only — no maps, no function calls — so the
+// compiler lays them out as static data: building them costs nothing
+// at init and they add nothing to the live heap.
 
-// clauseSet builds a clause map from (name, arg) pairs declared with
-// the cl helper.
-func clauseSet(cs ...Clause) map[string]ClauseArg {
-	m := make(map[string]ClauseArg, len(cs))
-	for _, c := range cs {
-		m[c.Name] = c.Arg
-	}
-	return m
-}
-
-func cl(name string, arg ClauseArg) Clause { return Clause{Name: name, Arg: arg} }
-
-// Shared clause groups.
+// Shared OpenACC clause groups.
 var (
-	accDataClauses = []Clause{
-		cl("copy", ArgVarList),
-		cl("copyin", ArgVarList),
-		cl("copyout", ArgVarList),
-		cl("create", ArgVarList),
-		cl("present", ArgVarList),
-		cl("deviceptr", ArgVarList),
-		cl("no_create", ArgVarList),
-		cl("attach", ArgVarList),
+	accDataClauses = []clause{
+		{"copy", ArgVarList},
+		{"copyin", ArgVarList},
+		{"copyout", ArgVarList},
+		{"create", ArgVarList},
+		{"present", ArgVarList},
+		{"deviceptr", ArgVarList},
+		{"no_create", ArgVarList},
+		{"attach", ArgVarList},
 	}
-	accComputeClauses = append([]Clause{
-		cl("if", ArgIfExpr),
-		cl("async", ArgOptionalIntExpr),
-		cl("wait", ArgOptionalIntExpr),
-		cl("num_gangs", ArgIntExpr),
-		cl("num_workers", ArgIntExpr),
-		cl("vector_length", ArgIntExpr),
-		cl("private", ArgVarList),
-		cl("firstprivate", ArgVarList),
-		cl("reduction", ArgReduction),
-		cl("default", ArgVarList), // default(none) / default(present)
-	}, accDataClauses...)
-	accLoopClauses = []Clause{
-		cl("gang", ArgOptionalIntExpr),
-		cl("worker", ArgOptionalIntExpr),
-		cl("vector", ArgOptionalIntExpr),
-		cl("seq", ArgNone),
-		cl("independent", ArgNone),
-		cl("auto", ArgNone),
-		cl("collapse", ArgIntExpr),
-		cl("tile", ArgVarList),
-		cl("private", ArgVarList),
-		cl("reduction", ArgReduction),
+	accComputeClauses = []clause{
+		{"if", ArgIfExpr},
+		{"async", ArgOptionalIntExpr},
+		{"wait", ArgOptionalIntExpr},
+		{"num_gangs", ArgIntExpr},
+		{"num_workers", ArgIntExpr},
+		{"vector_length", ArgIntExpr},
+		{"private", ArgVarList},
+		{"firstprivate", ArgVarList},
+		{"reduction", ArgReduction},
+		{"default", ArgVarList}, // default(none) / default(present)
+	}
+	accLoopClauses = []clause{
+		{"gang", ArgOptionalIntExpr},
+		{"worker", ArgOptionalIntExpr},
+		{"vector", ArgOptionalIntExpr},
+		{"seq", ArgNone},
+		{"independent", ArgNone},
+		{"auto", ArgNone},
+		{"collapse", ArgIntExpr},
+		{"tile", ArgVarList},
+		{"private", ArgVarList},
+		{"reduction", ArgReduction},
+	}
+	accAsyncClauses = []clause{
+		{"if", ArgIfExpr},
+		{"async", ArgOptionalIntExpr},
+		{"wait", ArgOptionalIntExpr},
+	}
+	accDeviceClauses = []clause{
+		{"device_type", ArgVarList},
+		{"device_num", ArgIntExpr},
 	}
 )
 
-// OpenACCSpec returns the OpenACC 3.x specification table accepted by
-// the simulated nvc compiler.
-func OpenACCSpec() *Spec {
-	return buildSpec(OpenACC, 33, []*Directive{
-		{Name: "parallel", Clauses: clauseSet(accComputeClauses...), Association: AssocBlock, Version: 10},
-		{Name: "kernels", Clauses: clauseSet(accComputeClauses...), Association: AssocBlock, Version: 10},
-		{Name: "serial", Clauses: clauseSet(append([]Clause{
-			cl("if", ArgIfExpr), cl("async", ArgOptionalIntExpr), cl("wait", ArgOptionalIntExpr),
-			cl("private", ArgVarList), cl("firstprivate", ArgVarList), cl("reduction", ArgReduction),
-		}, accDataClauses...)...), Association: AssocBlock, Version: 27},
-		{Name: "parallel loop", Clauses: clauseSet(append(append([]Clause{}, accComputeClauses...), accLoopClauses...)...), Association: AssocLoop, Version: 10},
-		{Name: "kernels loop", Clauses: clauseSet(append(append([]Clause{}, accComputeClauses...), accLoopClauses...)...), Association: AssocLoop, Version: 10},
-		{Name: "serial loop", Clauses: clauseSet(accLoopClauses...), Association: AssocLoop, Version: 27},
-		{Name: "loop", Clauses: clauseSet(accLoopClauses...), Association: AssocLoop, Version: 10},
-		{Name: "data", Clauses: clauseSet(append([]Clause{cl("if", ArgIfExpr), cl("async", ArgOptionalIntExpr), cl("wait", ArgOptionalIntExpr)}, accDataClauses...)...), Association: AssocBlock, Version: 10},
-		{Name: "enter data", Clauses: clauseSet(cl("copyin", ArgVarList), cl("create", ArgVarList), cl("attach", ArgVarList), cl("if", ArgIfExpr), cl("async", ArgOptionalIntExpr), cl("wait", ArgOptionalIntExpr)), Association: AssocNone, Standalone: true, Version: 20},
-		{Name: "exit data", Clauses: clauseSet(cl("copyout", ArgVarList), cl("delete", ArgVarList), cl("detach", ArgVarList), cl("if", ArgIfExpr), cl("async", ArgOptionalIntExpr), cl("wait", ArgOptionalIntExpr), cl("finalize", ArgNone)), Association: AssocNone, Standalone: true, Version: 20},
-		{Name: "host_data", Clauses: clauseSet(cl("use_device", ArgVarList), cl("if", ArgIfExpr), cl("if_present", ArgNone)), Association: AssocBlock, Version: 10},
-		{Name: "update", Clauses: clauseSet(cl("host", ArgVarList), cl("self", ArgVarList), cl("device", ArgVarList), cl("if", ArgIfExpr), cl("async", ArgOptionalIntExpr), cl("wait", ArgOptionalIntExpr), cl("if_present", ArgNone)), Association: AssocNone, Standalone: true, Version: 10},
-		{Name: "atomic", Clauses: clauseSet(cl("read", ArgNone), cl("write", ArgNone), cl("update", ArgNone), cl("capture", ArgNone)), Association: AssocStatement, Version: 20},
-		{Name: "wait", Clauses: clauseSet(cl("async", ArgOptionalIntExpr), cl("if", ArgIfExpr)), Association: AssocNone, Standalone: true, Version: 10},
-		{Name: "routine", Clauses: clauseSet(cl("gang", ArgNone), cl("worker", ArgNone), cl("vector", ArgNone), cl("seq", ArgNone), cl("bind", ArgVarList)), Association: AssocNone, Standalone: true, Version: 20},
-		{Name: "declare", Clauses: clauseSet(append([]Clause{cl("device_resident", ArgVarList), cl("link", ArgVarList)}, accDataClauses...)...), Association: AssocNone, Standalone: true, Version: 10},
-		{Name: "init", Clauses: clauseSet(cl("device_type", ArgVarList), cl("device_num", ArgIntExpr)), Association: AssocNone, Standalone: true, Version: 30},
-		{Name: "shutdown", Clauses: clauseSet(cl("device_type", ArgVarList), cl("device_num", ArgIntExpr)), Association: AssocNone, Standalone: true, Version: 30},
-		{Name: "set", Clauses: clauseSet(cl("device_type", ArgVarList), cl("device_num", ArgIntExpr), cl("default_async", ArgIntExpr)), Association: AssocNone, Standalone: true, Version: 30},
-	})
-}
+// openACC is the OpenACC 3.x specification table accepted by the
+// simulated nvc compiler.
+var openACC = Spec{Dialect: OpenACC, MaxVersion: 33, directives: []Directive{
+	{Name: "parallel", clauses: [][]clause{accComputeClauses, accDataClauses}, Association: AssocBlock, Version: 10},
+	{Name: "kernels", clauses: [][]clause{accComputeClauses, accDataClauses}, Association: AssocBlock, Version: 10},
+	{Name: "serial", clauses: [][]clause{accAsyncClauses, {
+		{"private", ArgVarList}, {"firstprivate", ArgVarList}, {"reduction", ArgReduction},
+	}, accDataClauses}, Association: AssocBlock, Version: 27},
+	{Name: "parallel loop", clauses: [][]clause{accComputeClauses, accDataClauses, accLoopClauses}, Association: AssocLoop, Version: 10},
+	{Name: "kernels loop", clauses: [][]clause{accComputeClauses, accDataClauses, accLoopClauses}, Association: AssocLoop, Version: 10},
+	{Name: "serial loop", clauses: [][]clause{accLoopClauses}, Association: AssocLoop, Version: 27},
+	{Name: "loop", clauses: [][]clause{accLoopClauses}, Association: AssocLoop, Version: 10},
+	{Name: "data", clauses: [][]clause{accAsyncClauses, accDataClauses}, Association: AssocBlock, Version: 10},
+	{Name: "enter data", clauses: [][]clause{{{"copyin", ArgVarList}, {"create", ArgVarList}, {"attach", ArgVarList}}, accAsyncClauses}, Association: AssocNone, Standalone: true, Version: 20},
+	{Name: "exit data", clauses: [][]clause{{{"copyout", ArgVarList}, {"delete", ArgVarList}, {"detach", ArgVarList}, {"finalize", ArgNone}}, accAsyncClauses}, Association: AssocNone, Standalone: true, Version: 20},
+	{Name: "host_data", clauses: [][]clause{{{"use_device", ArgVarList}, {"if", ArgIfExpr}, {"if_present", ArgNone}}}, Association: AssocBlock, Version: 10},
+	{Name: "update", clauses: [][]clause{{{"host", ArgVarList}, {"self", ArgVarList}, {"device", ArgVarList}, {"if_present", ArgNone}}, accAsyncClauses}, Association: AssocNone, Standalone: true, Version: 10},
+	{Name: "atomic", clauses: [][]clause{{{"read", ArgNone}, {"write", ArgNone}, {"update", ArgNone}, {"capture", ArgNone}}}, Association: AssocStatement, Version: 20},
+	{Name: "wait", clauses: [][]clause{{{"async", ArgOptionalIntExpr}, {"if", ArgIfExpr}}}, Association: AssocNone, Standalone: true, Version: 10},
+	{Name: "routine", clauses: [][]clause{{{"gang", ArgNone}, {"worker", ArgNone}, {"vector", ArgNone}, {"seq", ArgNone}, {"bind", ArgVarList}}}, Association: AssocNone, Standalone: true, Version: 20},
+	{Name: "declare", clauses: [][]clause{{{"device_resident", ArgVarList}, {"link", ArgVarList}}, accDataClauses}, Association: AssocNone, Standalone: true, Version: 10},
+	{Name: "init", clauses: [][]clause{accDeviceClauses}, Association: AssocNone, Standalone: true, Version: 30},
+	{Name: "shutdown", clauses: [][]clause{accDeviceClauses}, Association: AssocNone, Standalone: true, Version: 30},
+	{Name: "set", clauses: [][]clause{accDeviceClauses, {{"default_async", ArgIntExpr}}}, Association: AssocNone, Standalone: true, Version: 30},
+}}
 
 // Shared OpenMP clause groups (<= 4.5 feature set).
 var (
-	ompParallelClauses = []Clause{
-		cl("if", ArgIfExpr),
-		cl("num_threads", ArgIntExpr),
-		cl("default", ArgVarList), // default(shared) / default(none)
-		cl("private", ArgVarList),
-		cl("firstprivate", ArgVarList),
-		cl("shared", ArgVarList),
-		cl("reduction", ArgReduction),
-		cl("proc_bind", ArgVarList),
+	ompParallelClauses = []clause{
+		{"if", ArgIfExpr},
+		{"num_threads", ArgIntExpr},
+		{"default", ArgVarList}, // default(shared) / default(none)
+		{"private", ArgVarList},
+		{"firstprivate", ArgVarList},
+		{"shared", ArgVarList},
+		{"reduction", ArgReduction},
+		{"proc_bind", ArgVarList},
 	}
-	ompForClauses = []Clause{
-		cl("private", ArgVarList),
-		cl("firstprivate", ArgVarList),
-		cl("lastprivate", ArgVarList),
-		cl("reduction", ArgReduction),
-		cl("schedule", ArgVarList),
-		cl("collapse", ArgIntExpr),
-		cl("ordered", ArgNone),
-		cl("nowait", ArgNone),
+	ompForClauses = []clause{
+		{"private", ArgVarList},
+		{"firstprivate", ArgVarList},
+		{"lastprivate", ArgVarList},
+		{"reduction", ArgReduction},
+		{"schedule", ArgVarList},
+		{"collapse", ArgIntExpr},
+		{"ordered", ArgNone},
+		{"nowait", ArgNone},
 	}
-	ompTargetClauses = []Clause{
-		cl("if", ArgIfExpr),
-		cl("device", ArgIntExpr),
-		cl("map", ArgMap),
-		cl("private", ArgVarList),
-		cl("firstprivate", ArgVarList),
-		cl("defaultmap", ArgVarList),
-		cl("nowait", ArgNone),
-		cl("depend", ArgVarList),
-		cl("is_device_ptr", ArgVarList),
+	ompTargetClauses = []clause{
+		{"if", ArgIfExpr},
+		{"device", ArgIntExpr},
+		{"map", ArgMap},
+		{"private", ArgVarList},
+		{"firstprivate", ArgVarList},
+		{"defaultmap", ArgVarList},
+		{"nowait", ArgNone},
+		{"depend", ArgVarList},
+		{"is_device_ptr", ArgVarList},
 	}
-	ompTeamsClauses = []Clause{
-		cl("num_teams", ArgIntExpr),
-		cl("thread_limit", ArgIntExpr),
-		cl("default", ArgVarList),
-		cl("private", ArgVarList),
-		cl("firstprivate", ArgVarList),
-		cl("shared", ArgVarList),
-		cl("reduction", ArgReduction),
+	ompTeamsClauses = []clause{
+		{"num_teams", ArgIntExpr},
+		{"thread_limit", ArgIntExpr},
+		{"default", ArgVarList},
+		{"private", ArgVarList},
+		{"firstprivate", ArgVarList},
+		{"shared", ArgVarList},
+		{"reduction", ArgReduction},
 	}
-	ompSimdClauses = []Clause{
-		cl("safelen", ArgIntExpr),
-		cl("simdlen", ArgIntExpr),
-		cl("linear", ArgVarList),
-		cl("aligned", ArgVarList),
-		cl("private", ArgVarList),
-		cl("lastprivate", ArgVarList),
-		cl("reduction", ArgReduction),
-		cl("collapse", ArgIntExpr),
+	ompSimdClauses = []clause{
+		{"safelen", ArgIntExpr},
+		{"simdlen", ArgIntExpr},
+		{"linear", ArgVarList},
+		{"aligned", ArgVarList},
+		{"private", ArgVarList},
+		{"lastprivate", ArgVarList},
+		{"reduction", ArgReduction},
+		{"collapse", ArgIntExpr},
+	}
+	ompDistClauses = []clause{
+		{"private", ArgVarList},
+		{"firstprivate", ArgVarList},
+		{"lastprivate", ArgVarList},
+		{"collapse", ArgIntExpr},
+		{"dist_schedule", ArgVarList},
+	}
+	ompTargetMotionClauses = []clause{
+		{"if", ArgIfExpr},
+		{"device", ArgIntExpr},
+		{"nowait", ArgNone},
+		{"depend", ArgVarList},
 	}
 )
 
-func merge(groups ...[]Clause) map[string]ClauseArg {
-	var all []Clause
-	for _, g := range groups {
-		all = append(all, g...)
-	}
-	return clauseSet(all...)
-}
-
-// OpenMPSpec returns the OpenMP specification table restricted to
-// version 4.5 and below, matching the paper's Part-Two constraint that
-// every feature present be fully supported by the LLVM offloading
-// compiler.
-func OpenMPSpec() *Spec {
-	distClauses := []Clause{
-		cl("private", ArgVarList), cl("firstprivate", ArgVarList),
-		cl("lastprivate", ArgVarList), cl("collapse", ArgIntExpr),
-		cl("dist_schedule", ArgVarList),
-	}
-	return buildSpec(OpenMP, 45, []*Directive{
-		{Name: "parallel", Clauses: merge(ompParallelClauses), Association: AssocBlock, Version: 10},
-		{Name: "for", Clauses: merge(ompForClauses), Association: AssocLoop, Version: 10},
-		{Name: "parallel for", Clauses: merge(ompParallelClauses, ompForClauses), Association: AssocLoop, Version: 10},
-		{Name: "simd", Clauses: merge(ompSimdClauses), Association: AssocLoop, Version: 40},
-		{Name: "for simd", Clauses: merge(ompForClauses, ompSimdClauses), Association: AssocLoop, Version: 40},
-		{Name: "parallel for simd", Clauses: merge(ompParallelClauses, ompForClauses, ompSimdClauses), Association: AssocLoop, Version: 40},
-		{Name: "sections", Clauses: merge(ompForClauses[:4:4]), Association: AssocBlock, Version: 10},
-		{Name: "section", Clauses: clauseSet(), Association: AssocBlock, Version: 10},
-		{Name: "single", Clauses: clauseSet(cl("private", ArgVarList), cl("firstprivate", ArgVarList), cl("nowait", ArgNone)), Association: AssocBlock, Version: 10},
-		{Name: "master", Clauses: clauseSet(), Association: AssocBlock, Version: 10},
-		{Name: "critical", Clauses: clauseSet(), Association: AssocBlock, Version: 10},
-		{Name: "barrier", Clauses: clauseSet(), Association: AssocNone, Standalone: true, Version: 10},
-		{Name: "taskwait", Clauses: clauseSet(), Association: AssocNone, Standalone: true, Version: 30},
-		{Name: "task", Clauses: clauseSet(cl("if", ArgIfExpr), cl("private", ArgVarList), cl("firstprivate", ArgVarList), cl("shared", ArgVarList), cl("depend", ArgVarList), cl("untied", ArgNone), cl("final", ArgIfExpr), cl("priority", ArgIntExpr)), Association: AssocBlock, Version: 30},
-		{Name: "atomic", Clauses: clauseSet(cl("read", ArgNone), cl("write", ArgNone), cl("update", ArgNone), cl("capture", ArgNone), cl("seq_cst", ArgNone)), Association: AssocStatement, Version: 10},
-		{Name: "flush", Clauses: clauseSet(), Association: AssocNone, Standalone: true, Version: 10},
-		{Name: "ordered", Clauses: clauseSet(cl("simd", ArgNone), cl("threads", ArgNone)), Association: AssocBlock, Version: 10},
-		{Name: "target", Clauses: merge(ompTargetClauses), Association: AssocBlock, Version: 40},
-		{Name: "target data", Clauses: clauseSet(cl("if", ArgIfExpr), cl("device", ArgIntExpr), cl("map", ArgMap), cl("use_device_ptr", ArgVarList)), Association: AssocBlock, Version: 40},
-		{Name: "target enter data", Clauses: clauseSet(cl("if", ArgIfExpr), cl("device", ArgIntExpr), cl("map", ArgMap), cl("nowait", ArgNone), cl("depend", ArgVarList)), Association: AssocNone, Standalone: true, Version: 45},
-		{Name: "target exit data", Clauses: clauseSet(cl("if", ArgIfExpr), cl("device", ArgIntExpr), cl("map", ArgMap), cl("nowait", ArgNone), cl("depend", ArgVarList)), Association: AssocNone, Standalone: true, Version: 45},
-		{Name: "target update", Clauses: clauseSet(cl("if", ArgIfExpr), cl("device", ArgIntExpr), cl("to", ArgVarList), cl("from", ArgVarList), cl("nowait", ArgNone), cl("depend", ArgVarList)), Association: AssocNone, Standalone: true, Version: 40},
-		{Name: "teams", Clauses: merge(ompTeamsClauses), Association: AssocBlock, Version: 40},
-		{Name: "distribute", Clauses: clauseSet(distClauses...), Association: AssocLoop, Version: 40},
-		{Name: "target teams", Clauses: merge(ompTargetClauses, ompTeamsClauses), Association: AssocBlock, Version: 40},
-		{Name: "teams distribute", Clauses: merge(ompTeamsClauses, distClauses), Association: AssocLoop, Version: 40},
-		{Name: "target teams distribute", Clauses: merge(ompTargetClauses, ompTeamsClauses, distClauses), Association: AssocLoop, Version: 40},
-		{Name: "teams distribute parallel for", Clauses: merge(ompTeamsClauses, distClauses, ompParallelClauses, ompForClauses), Association: AssocLoop, Version: 40},
-		{Name: "target teams distribute parallel for", Clauses: merge(ompTargetClauses, ompTeamsClauses, distClauses, ompParallelClauses, ompForClauses), Association: AssocLoop, Version: 40},
-		{Name: "target parallel for", Clauses: merge(ompTargetClauses, ompParallelClauses, ompForClauses), Association: AssocLoop, Version: 45},
-		{Name: "target parallel", Clauses: merge(ompTargetClauses, ompParallelClauses), Association: AssocBlock, Version: 45},
-		{Name: "declare target", Clauses: clauseSet(cl("to", ArgVarList), cl("link", ArgVarList)), Association: AssocNone, Standalone: true, Version: 40},
-		{Name: "end declare target", Clauses: clauseSet(), Association: AssocNone, Standalone: true, Version: 40},
-		{Name: "threadprivate", Clauses: clauseSet(), Association: AssocNone, Standalone: true, Version: 10},
-	})
-}
-
-// ForDialect returns the specification for the given dialect.
-func ForDialect(d Dialect) *Spec {
-	if d == OpenACC {
-		return OpenACCSpec()
-	}
-	return OpenMPSpec()
-}
+// openMP is the OpenMP specification table restricted to version 4.5
+// and below, matching the paper's Part-Two constraint that every
+// feature present be fully supported by the LLVM offloading compiler.
+var openMP = Spec{Dialect: OpenMP, MaxVersion: 45, directives: []Directive{
+	{Name: "parallel", clauses: [][]clause{ompParallelClauses}, Association: AssocBlock, Version: 10},
+	{Name: "for", clauses: [][]clause{ompForClauses}, Association: AssocLoop, Version: 10},
+	{Name: "parallel for", clauses: [][]clause{ompParallelClauses, ompForClauses}, Association: AssocLoop, Version: 10},
+	{Name: "simd", clauses: [][]clause{ompSimdClauses}, Association: AssocLoop, Version: 40},
+	{Name: "for simd", clauses: [][]clause{ompForClauses, ompSimdClauses}, Association: AssocLoop, Version: 40},
+	{Name: "parallel for simd", clauses: [][]clause{ompParallelClauses, ompForClauses, ompSimdClauses}, Association: AssocLoop, Version: 40},
+	{Name: "sections", clauses: [][]clause{{{"private", ArgVarList}, {"firstprivate", ArgVarList}, {"lastprivate", ArgVarList}, {"reduction", ArgReduction}}}, Association: AssocBlock, Version: 10},
+	{Name: "section", Association: AssocBlock, Version: 10},
+	{Name: "single", clauses: [][]clause{{{"private", ArgVarList}, {"firstprivate", ArgVarList}, {"nowait", ArgNone}}}, Association: AssocBlock, Version: 10},
+	{Name: "master", Association: AssocBlock, Version: 10},
+	{Name: "critical", Association: AssocBlock, Version: 10},
+	{Name: "barrier", Association: AssocNone, Standalone: true, Version: 10},
+	{Name: "taskwait", Association: AssocNone, Standalone: true, Version: 30},
+	{Name: "task", clauses: [][]clause{{{"if", ArgIfExpr}, {"private", ArgVarList}, {"firstprivate", ArgVarList}, {"shared", ArgVarList}, {"depend", ArgVarList}, {"untied", ArgNone}, {"final", ArgIfExpr}, {"priority", ArgIntExpr}}}, Association: AssocBlock, Version: 30},
+	{Name: "atomic", clauses: [][]clause{{{"read", ArgNone}, {"write", ArgNone}, {"update", ArgNone}, {"capture", ArgNone}, {"seq_cst", ArgNone}}}, Association: AssocStatement, Version: 10},
+	{Name: "flush", Association: AssocNone, Standalone: true, Version: 10},
+	{Name: "ordered", clauses: [][]clause{{{"simd", ArgNone}, {"threads", ArgNone}}}, Association: AssocBlock, Version: 10},
+	{Name: "target", clauses: [][]clause{ompTargetClauses}, Association: AssocBlock, Version: 40},
+	{Name: "target data", clauses: [][]clause{{{"if", ArgIfExpr}, {"device", ArgIntExpr}, {"map", ArgMap}, {"use_device_ptr", ArgVarList}}}, Association: AssocBlock, Version: 40},
+	{Name: "target enter data", clauses: [][]clause{ompTargetMotionClauses, {{"map", ArgMap}}}, Association: AssocNone, Standalone: true, Version: 45},
+	{Name: "target exit data", clauses: [][]clause{ompTargetMotionClauses, {{"map", ArgMap}}}, Association: AssocNone, Standalone: true, Version: 45},
+	{Name: "target update", clauses: [][]clause{ompTargetMotionClauses, {{"to", ArgVarList}, {"from", ArgVarList}}}, Association: AssocNone, Standalone: true, Version: 40},
+	{Name: "teams", clauses: [][]clause{ompTeamsClauses}, Association: AssocBlock, Version: 40},
+	{Name: "distribute", clauses: [][]clause{ompDistClauses}, Association: AssocLoop, Version: 40},
+	{Name: "target teams", clauses: [][]clause{ompTargetClauses, ompTeamsClauses}, Association: AssocBlock, Version: 40},
+	{Name: "teams distribute", clauses: [][]clause{ompTeamsClauses, ompDistClauses}, Association: AssocLoop, Version: 40},
+	{Name: "target teams distribute", clauses: [][]clause{ompTargetClauses, ompTeamsClauses, ompDistClauses}, Association: AssocLoop, Version: 40},
+	{Name: "teams distribute parallel for", clauses: [][]clause{ompTeamsClauses, ompDistClauses, ompParallelClauses, ompForClauses}, Association: AssocLoop, Version: 40},
+	{Name: "target teams distribute parallel for", clauses: [][]clause{ompTargetClauses, ompTeamsClauses, ompDistClauses, ompParallelClauses, ompForClauses}, Association: AssocLoop, Version: 40},
+	{Name: "target parallel for", clauses: [][]clause{ompTargetClauses, ompParallelClauses, ompForClauses}, Association: AssocLoop, Version: 45},
+	{Name: "target parallel", clauses: [][]clause{ompTargetClauses, ompParallelClauses}, Association: AssocBlock, Version: 45},
+	{Name: "declare target", clauses: [][]clause{{{"to", ArgVarList}, {"link", ArgVarList}}}, Association: AssocNone, Standalone: true, Version: 40},
+	{Name: "end declare target", Association: AssocNone, Standalone: true, Version: 40},
+	{Name: "threadprivate", Association: AssocNone, Standalone: true, Version: 10},
+}}
 
 // MapTypes lists the OpenMP map-type keywords valid in <= 4.5.
 var MapTypes = []string{"to", "from", "tofrom", "alloc", "release", "delete"}

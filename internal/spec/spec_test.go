@@ -21,7 +21,7 @@ func TestDialectStrings(t *testing.T) {
 }
 
 func TestOpenACCCoreDirectives(t *testing.T) {
-	s := OpenACCSpec()
+	s := ForDialect(OpenACC)
 	for _, name := range []string{
 		"parallel", "kernels", "serial", "parallel loop", "kernels loop",
 		"loop", "data", "enter data", "exit data", "update", "atomic",
@@ -40,7 +40,7 @@ func TestOpenACCCoreDirectives(t *testing.T) {
 }
 
 func TestOpenMPCoreDirectives(t *testing.T) {
-	s := OpenMPSpec()
+	s := ForDialect(OpenMP)
 	for _, name := range []string{
 		"parallel", "for", "parallel for", "target", "target data",
 		"target teams distribute parallel for", "teams", "distribute",
@@ -57,7 +57,7 @@ func TestOpenMPCoreDirectives(t *testing.T) {
 }
 
 func TestOpenMPVersionGate(t *testing.T) {
-	s := OpenMPSpec()
+	s := ForDialect(OpenMP)
 	if s.MaxVersion != 45 {
 		t.Fatalf("OpenMP MaxVersion = %d, want 45 (paper restricts to <= 4.5)", s.MaxVersion)
 	}
@@ -71,7 +71,7 @@ func TestOpenMPVersionGate(t *testing.T) {
 }
 
 func TestClauseTables(t *testing.T) {
-	acc := OpenACCSpec()
+	acc := ForDialect(OpenACC)
 	cases := []struct {
 		dir, clause string
 		want        bool
@@ -98,7 +98,7 @@ func TestClauseTables(t *testing.T) {
 		}
 	}
 
-	omp := OpenMPSpec()
+	omp := ForDialect(OpenMP)
 	ompCases := []struct {
 		dir, clause string
 		want        bool
@@ -125,13 +125,13 @@ func TestClauseTables(t *testing.T) {
 }
 
 func TestHasClauseUnknownDirective(t *testing.T) {
-	if OpenMPSpec().HasClause("no-such-directive", "private") {
+	if ForDialect(OpenMP).HasClause("no-such-directive", "private") {
 		t.Fatal("HasClause returned true for unknown directive")
 	}
 }
 
 func TestLongestDirective(t *testing.T) {
-	omp := OpenMPSpec()
+	omp := ForDialect(OpenMP)
 	cases := []struct {
 		words    []string
 		wantName string
@@ -162,7 +162,7 @@ func TestLongestDirective(t *testing.T) {
 }
 
 func TestLongestDirectiveOpenACC(t *testing.T) {
-	acc := OpenACCSpec()
+	acc := ForDialect(OpenACC)
 	d, n, ok := acc.LongestDirective([]string{"parallel", "loop", "gang"})
 	if !ok || d.Name != "parallel loop" || n != 2 {
 		t.Fatalf("got %v/%d/%v, want parallel loop/2/true", d, n, ok)
@@ -174,7 +174,7 @@ func TestLongestDirectiveOpenACC(t *testing.T) {
 }
 
 func TestDirectivesSortedAndComplete(t *testing.T) {
-	for _, s := range []*Spec{OpenACCSpec(), OpenMPSpec()} {
+	for _, s := range []*Spec{ForDialect(OpenACC), ForDialect(OpenMP)} {
 		names := s.Directives()
 		if len(names) < 15 {
 			t.Errorf("%v spec suspiciously small: %d directives", s.Dialect, len(names))
@@ -193,15 +193,15 @@ func TestDirectivesSortedAndComplete(t *testing.T) {
 }
 
 func TestLookupNormalisesWhitespace(t *testing.T) {
-	omp := OpenMPSpec()
+	omp := ForDialect(OpenMP)
 	if _, ok := omp.Lookup("  parallel   for "); !ok {
 		t.Fatal("Lookup should normalise interior/exterior whitespace")
 	}
 }
 
 func TestAssociations(t *testing.T) {
-	acc := OpenACCSpec()
-	omp := OpenMPSpec()
+	acc := ForDialect(OpenACC)
+	omp := ForDialect(OpenMP)
 	cases := []struct {
 		spec *Spec
 		dir  string
@@ -228,14 +228,14 @@ func TestAssociations(t *testing.T) {
 }
 
 func TestStandaloneFlags(t *testing.T) {
-	acc := OpenACCSpec()
+	acc := ForDialect(OpenACC)
 	for _, name := range []string{"update", "wait", "enter data", "exit data", "routine", "declare"} {
 		d, _ := acc.Lookup(name)
 		if d == nil || !d.Standalone {
 			t.Errorf("OpenACC %q should be standalone", name)
 		}
 	}
-	omp := OpenMPSpec()
+	omp := ForDialect(OpenMP)
 	for _, name := range []string{"barrier", "taskwait", "flush", "target update", "threadprivate"} {
 		d, _ := omp.Lookup(name)
 		if d == nil || !d.Standalone {

@@ -230,7 +230,7 @@ func (c *fortranChecker) handleDirective(body string, line int) {
 			c.pendingLoopDir = dir
 		}
 		for _, clause := range dir.Clauses {
-			if _, ok := sd.Clauses[clause.Name]; !ok {
+			if _, ok := sd.Clause(clause.Name); !ok {
 				// "end" clauses like "!$acc end parallel" arrive as
 				// unknown-directive lines instead; clause mismatch here
 				// is a genuine error.
