@@ -34,24 +34,27 @@ func (ex *exec) child(e *env) *exec {
 	return &c
 }
 
-// place is an assignable storage location.
-type place interface {
-	load() value
-	store(v value)
-}
-
-type cellPlace struct{ c *cell }
-
-func (p cellPlace) load() value   { return p.c.v }
-func (p cellPlace) store(v value) { p.c.v = v }
-
-type elemPlace struct {
+// place is an assignable storage location: a variable's cell, or
+// element off of blk when c is nil. It is returned by value, so
+// resolving an assignment target allocates nothing.
+type place struct {
+	c   *cell
 	blk *block
 	off int
 }
 
-func (p elemPlace) load() value { return p.blk.cells[p.off] }
-func (p elemPlace) store(v value) {
+func (p place) load() value {
+	if p.c != nil {
+		return p.c.v
+	}
+	return p.blk.cells[p.off]
+}
+
+func (p place) store(v value) {
+	if p.c != nil {
+		p.c.v = v
+		return
+	}
 	p.blk.cells[p.off] = convertTo(v, p.blk.elem)
 }
 
@@ -382,7 +385,7 @@ func (ex *exec) lvalue(e testlang.Expr) place {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
 		if c, ok := ex.env.lookup(n.Name); ok {
-			return cellPlace{c}
+			return place{c: c}
 		}
 		panic(segfault())
 	case *testlang.IndexExpr:
@@ -390,7 +393,7 @@ func (ex *exec) lvalue(e testlang.Expr) place {
 		if base.viewRank() > 1 {
 			panic(ex.pointerFault()) // assigning to a whole row
 		}
-		return elemPlace{blk: base.b, off: off}
+		return place{blk: base.b, off: off}
 	case *testlang.UnaryExpr:
 		if n.Op == "*" {
 			v := ex.eval(n.X)
@@ -403,7 +406,7 @@ func (ex *exec) lvalue(e testlang.Expr) place {
 			if v.i < 0 || v.i >= int64(len(v.b.cells)) {
 				panic(ex.pointerFault())
 			}
-			return elemPlace{blk: v.b, off: int(v.i)}
+			return place{blk: v.b, off: int(v.i)}
 		}
 	}
 	panic(segfault())

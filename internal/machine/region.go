@@ -538,7 +538,7 @@ func (ex *exec) workerCount(plan *compiler.DirPlan) int {
 // well-formed tests the corpus emits.
 func (ex *exec) privatizeScalars(use *useSet, into *env) {
 	for name := range use.plainWrites {
-		if _, already := into.vars[name]; already {
+		if _, already := into.local(name); already {
 			continue
 		}
 		if c, ok := ex.env.lookup(name); ok && c.v.k != kRef {

@@ -276,20 +276,40 @@ type cell struct {
 	v value
 }
 
-// env is a lexical scope chain.
+// binding is one name in one scope.
+type binding struct {
+	name string
+	c    *cell
+}
+
+// env is a lexical scope chain. A scope is a slice scanned newest
+// first rather than a map: scopes are small (six names at most over
+// the corpus), so a scan beats hashing the name on every step. bind
+// replaces an existing binding of the same name, so a scope never
+// holds a name twice however often a loop body redeclares it.
 type env struct {
 	parent *env
-	vars   map[string]*cell
+	vars   []binding
 }
 
 func newEnv(parent *env) *env {
-	return &env{parent: parent, vars: map[string]*cell{}}
+	return &env{parent: parent}
 }
 
 func (e *env) lookup(name string) (*cell, bool) {
 	for cur := e; cur != nil; cur = cur.parent {
-		if c, ok := cur.vars[name]; ok {
+		if c, ok := cur.local(name); ok {
 			return c, true
+		}
+	}
+	return nil, false
+}
+
+// local looks a name up in this scope alone.
+func (e *env) local(name string) (*cell, bool) {
+	for i := len(e.vars) - 1; i >= 0; i-- {
+		if e.vars[i].name == name {
+			return e.vars[i].c, true
 		}
 	}
 	return nil, false
@@ -297,12 +317,19 @@ func (e *env) lookup(name string) (*cell, bool) {
 
 func (e *env) declare(name string, v value) *cell {
 	c := &cell{v: v}
-	e.vars[name] = c
+	e.bind(name, c)
 	return c
 }
 
 // bind inserts an existing cell under a name (used for privatization
-// overlays and device rebinding).
+// overlays and device rebinding), replacing any binding of the name
+// in this scope.
 func (e *env) bind(name string, c *cell) {
-	e.vars[name] = c
+	for i := range e.vars {
+		if e.vars[i].name == name {
+			e.vars[i].c = c
+			return
+		}
+	}
+	e.vars = append(e.vars, binding{name: name, c: c})
 }
