@@ -12,8 +12,8 @@
 //	              [-fault SPEC] [-cpuprofile F] [-memprofile F]
 //
 // Prompts are placed by consistent hashing on their content key, so
-// each replica's dedup store and cache stay authoritative for its
-// share of the key space; bounded-load routing (-load-factor) spills
+// each replica's dedup store stays authoritative for its share of the
+// key space; bounded-load routing (-load-factor) spills
 // hot arcs, and a background health loop (-health-interval) evicts
 // dead replicas from the ring and readmits recoveries, with request
 // failures failing over to the key's next successor. With every

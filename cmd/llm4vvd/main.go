@@ -9,7 +9,7 @@
 //
 //	llm4vvd [-addr HOST:PORT] [-backend NAME] [-seed N] \
 //	        [-batch-max N] [-queue N] \
-//	        [-replica-id NAME] [-store PATH] [-cache] \
+//	        [-replica-id NAME] [-store PATH] \
 //	        [-trace F] [-fault SPEC] [-cpuprofile F] [-memprofile F]
 //
 // -replica-id names the instance in /healthz, /v1/backends, and the
@@ -18,18 +18,18 @@
 // counters and per-stage latency summaries in Prometheus text format.
 // A fleet of llm4vvd replicas scales horizontally behind
 // cmd/llm4vv-router, which consistent-hash routes prompts so each
-// replica's dedup store and cache stay authoritative for its share of
-// the key space.
+// replica's dedup store stays authoritative for its share of the key
+// space.
 //
 // A lone single-prompt request dispatches at once; requests arriving
 // while an endpoint call is in flight coalesce into one CompleteBatch
 // call of at most -batch-max prompts. -queue (N >= 1, like -batch-max)
-// bounds admission, with overload answered by 429 + Retry-After. -store
-// mounts a persistent run store so identical (backend, seed, prompt)
-// requests — across workers and daemon restarts — dedup to one
-// completion; -cache adds an in-memory memo with singleflight dedup
-// of concurrent identical prompts. SIGINT shuts down gracefully:
-// in-flight requests finish, then the store is closed.
+// bounds admission, with overload answered by 429 + Retry-After.
+// Concurrent requests for the same prompt always share one endpoint
+// call. -store mounts a persistent run store so identical (backend,
+// seed, prompt) requests — across workers and daemon restarts — dedup
+// to one completion; it is the daemon's only cache. SIGINT shuts down
+// gracefully: in-flight requests finish, then the store is closed.
 //
 // The daemon can serve a whole voting panel: -backend
 // "ensemble:a+b+c[:strategy]" composes the named backends into one
@@ -77,7 +77,6 @@ import (
 
 	llm4vv "repro"
 	"repro/internal/fault"
-	"repro/internal/judge"
 	"repro/internal/perf"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -92,7 +91,6 @@ func main() {
 	queue := flag.Int("queue", server.DefaultQueueLimit, "admission control: max prompts queued or in flight, N >= 1")
 	replicaID := flag.String("replica-id", "", "stable instance name in /healthz, /v1/backends, and /metrics labels (default: the listen address)")
 	storePath := flag.String("store", "", "dedup identical requests through this JSONL run store")
-	cache := flag.Bool("cache", false, "memoise completions in memory with singleflight dedup")
 	traceFile := flag.String("trace", "", "append JSONL trace fragments to this file (also enables /debug/traces)")
 	faultSpec := flag.String("fault", "", "chaos testing: seeded deterministic fault schedule, \"<seed>:point=kind[@freq][/dur][#count],...\" (see docs/OPERATIONS.md §8)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -116,9 +114,6 @@ func main() {
 
 	llm, err := llm4vv.NewBackend(*backend, *seed)
 	fail(err)
-	if *cache {
-		llm = judge.Cached(llm)
-	}
 
 	if *replicaID == "" {
 		*replicaID = *addr

@@ -19,8 +19,8 @@
 // The API is organised around three pluggable concepts:
 //
 //   - Runner: constructed with functional options (WithBackend,
-//     WithWorkers, WithShardSize, WithRecordAll, WithEvalCache,
-//     WithProgress, WithStore, WithStoreOptions, WithResume), its
+//     WithWorkers, WithShardSize, WithRecordAll, WithProgress,
+//     WithStore, WithStoreOptions, WithResume), its
 //     context-aware methods
 //     run every experiment cancellably and can stream per-file
 //     progress. Every phase runs on the pipeline's stage graph —
@@ -88,8 +88,8 @@
 // The hot paths are measured and gated: prompt assembly is
 // zero-allocation (precomputed per-dialect segments into pooled
 // buffers — one allocation per prompt, the returned string), the
-// eval cache and the daemon dedup key by 32-byte prompt content
-// hashes (judge.PromptKey), the run store is write-behind (buffered
+// daemon's in-flight table and dedup store key by 32-byte prompt
+// content hashes (judge.PromptKey), the run store is write-behind (buffered
 // appends, a Flush checkpoint after every judge batch's worth of
 // records and at phase end, in every phase), the daemon's
 // micro-batcher is work-conserving (no gather timer), and resumed

@@ -253,9 +253,6 @@ func (p *Panel) CompleteBatch(ctx context.Context, prompts []string) ([]string, 
 				defer cancel()
 			}
 			resps, err := judge.CompleteAll(mctx, m.LLM, prompts)
-			if err == nil && len(resps) != len(prompts) {
-				err = fmt.Errorf("ensemble: member %q returned %d responses for %d prompts", m.Name, len(resps), len(prompts))
-			}
 			if err != nil {
 				mspan.SetAttr("error", err.Error())
 			}

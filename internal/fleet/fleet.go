@@ -6,10 +6,10 @@
 //
 // Placement is consistent hashing on judge.PromptKey over a virtual-
 // node ring (Ring): each prompt's completion — and therefore its
-// replica-side dedup store record and cache entry — lives on exactly
-// one replica, every client agrees which, and membership changes move
-// only the departed replica's ~1/N share of the key space, so resume
-// sweeps stay cache-hot through churn. Routing is bounded-load: a
+// replica-side dedup store record — lives on exactly one replica,
+// every client agrees which, and membership changes move only the
+// departed replica's ~1/N share of the key space, so resume sweeps
+// stay store-hot through churn. Routing is bounded-load: a
 // replica already carrying more than LoadFactor times its fair share
 // of in-flight prompts is skipped and the key spills to the next ring
 // successor, which keeps one hot arc from serialising a sweep.

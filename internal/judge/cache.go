@@ -2,38 +2,23 @@ package judge
 
 import (
 	"context"
-	"strconv"
 	"sync"
-
-	"repro/internal/trace"
 )
 
-// Cached wraps an LLM with a concurrency-safe memoisation layer keyed
-// on the prompt's content hash (PromptKey — 32 bytes per entry instead
-// of retaining every prompt string). It is sound for deterministic endpoints
-// (the simulated model's response is a pure function of seed and
-// prompt) and saves the repeated completions a record-all experiment
-// issues when several configurations judge the same file.
+// Cached wraps an LLM with a concurrency-safe memo keyed on the
+// prompt's content hash (PromptKey), kept for the wrapper's lifetime.
+// It is sound for deterministic endpoints (the simulated model's
+// response is a pure function of seed and prompt). Concurrent misses
+// on the same prompt share one endpoint call through an Inflight
+// table. Failed completions are never memoised.
 //
-// Concurrent misses on the same prompt are deduplicated
-// singleflight-style: one caller leads the endpoint call, the others
-// wait for its result, so an expensive endpoint is never asked the
-// same question twice at once. A waiter whose own context ends stops
-// waiting with that context's error; if the leader fails, a waiter
-// retries as its own leader.
-//
-// The wrapper preserves the inner endpoint's optional capabilities: it
-// always implements ContextLLM (delegating to the inner context path
-// when available, so cancellation and endpoint errors still propagate)
-// and BatchLLM (submitting only the shard's uncached, unled prompts to
-// the inner batch path when the endpoint has one), and when the
-// endpoint can also author tests (it has a GenerateTest method, like
-// internal/model) the returned value keeps that too. Generation calls
-// are never cached because the generation loop relies on per-nonce
-// prompts already being unique; failed completions are never cached
-// either.
+// The wrapper always implements ContextLLM and BatchLLM, reaching the
+// inner endpoint through CompleteAll, so the inner cancellation and
+// batch paths still apply. When the endpoint can also author tests (a
+// GenerateTest method, like internal/model) the returned value keeps
+// that, uncached: the generation loop's per-nonce prompts are unique.
 func Cached(llm LLM) LLM {
-	c := &cachedLLM{inner: llm, memo: map[PromptKey]string{}, inflight: map[PromptKey]*flight{}}
+	c := &cachedLLM{inner: llm, memo: map[PromptKey]string{}}
 	if g, ok := llm.(generator); ok {
 		return &cachedAuthor{cachedLLM: c, gen: g}
 	}
@@ -46,120 +31,31 @@ type generator interface {
 	GenerateTest(prompt string) (code, defect string)
 }
 
-// flight is one in-progress endpoint call other callers can wait on.
-// resp and err are written exactly once, before done is closed.
-type flight struct {
-	done chan struct{}
-	resp string
-	err  error
-}
-
 type cachedLLM struct {
 	inner    LLM
+	inflight Inflight
 	mu       sync.Mutex
 	memo     map[PromptKey]string
-	inflight map[PromptKey]*flight
-}
-
-// lead resolves a prompt key through the memo and the in-flight
-// table: either the memoised response (resp, true, nil), an existing
-// flight to wait on (_, false, flight), or leadership of a new flight
-// the caller must complete via land (_, false, nil → the registered
-// flight is returned as leader).
-func (c *cachedLLM) lead(key PromptKey) (resp string, hit bool, waitOn, leader *flight) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if resp, ok := c.memo[key]; ok {
-		return resp, true, nil, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		return "", false, f, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	return "", false, nil, f
-}
-
-// land publishes a leader's outcome: the flight leaves the in-flight
-// table, successful responses are memoised, and waiters are released.
-func (c *cachedLLM) land(key PromptKey, f *flight, resp string, err error) {
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.memo[key] = resp
-	}
-	c.mu.Unlock()
-	f.resp, f.err = resp, err
-	close(f.done)
-}
-
-// complete is the single-prompt singleflight path. call performs the
-// actual endpoint request when this caller wins leadership.
-func (c *cachedLLM) complete(ctx context.Context, prompt string, call func() (string, error)) (string, error) {
-	key := KeyOf(prompt)
-	for {
-		resp, hit, waitOn, leader := c.lead(key)
-		if hit {
-			// A memo hit is worth a (zero-duration) span: it explains a
-			// file whose judge stage cost nothing.
-			_, s := trace.Start(ctx, "cache.hit")
-			s.End()
-			return resp, nil
-		}
-		if leader != nil {
-			resp, err := call()
-			c.land(key, leader, resp, err)
-			return resp, err
-		}
-		_, waitSpan := trace.Start(ctx, "cache.wait")
-		select {
-		case <-waitOn.done:
-			waitSpan.End()
-			if waitOn.err == nil {
-				return waitOn.resp, nil
-			}
-			// The leader failed (typically its context ended). Its
-			// flight is out of the table, so loop and retry as our own
-			// leader rather than inheriting an error this caller's
-			// live context did not cause.
-			if err := ctx.Err(); err != nil {
-				return "", err
-			}
-		case <-ctx.Done():
-			waitSpan.End()
-			return "", ctx.Err()
-		}
-	}
 }
 
 func (c *cachedLLM) Complete(prompt string) string {
-	resp, _ := c.complete(context.Background(), prompt, func() (string, error) {
-		return c.inner.Complete(prompt), nil
-	})
+	resp, _ := c.CompleteContext(context.Background(), prompt)
 	return resp
 }
 
-// CompleteContext keeps the wrapped endpoint's cancellation and error
-// propagation usable through the cache: Evaluate type-asserts
-// ContextLLM and would otherwise fall back to the blocking, no-error
-// Complete path whenever the cache is on.
 func (c *cachedLLM) CompleteContext(ctx context.Context, prompt string) (string, error) {
-	return c.complete(ctx, prompt, func() (string, error) {
-		if cl, ok := c.inner.(ContextLLM); ok {
-			return cl.CompleteContext(ctx, prompt)
-		}
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		return c.inner.Complete(prompt), nil
-	})
+	resps, err := c.CompleteBatch(ctx, []string{prompt})
+	if err != nil {
+		return "", err
+	}
+	return resps[0], nil
 }
 
-// CompleteBatch resolves a shard through the cache, submitting only
-// the prompts this caller leads — deduplicated within the shard — to
-// the inner endpoint in one batch call when it implements BatchLLM.
-// Prompts already memoised cost nothing; prompts led by a concurrent
-// caller are waited on rather than re-asked.
+// CompleteBatch resolves a shard through the memo. When any prompt
+// misses, the shard goes through the in-flight table: the prompts this
+// caller leads are checked against the memo again and the misses sent
+// to the inner endpoint in one CompleteAll call, while prompts led by
+// a concurrent caller are waited on rather than re-asked.
 func (c *cachedLLM) CompleteBatch(ctx context.Context, prompts []string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -169,82 +65,51 @@ func (c *cachedLLM) CompleteBatch(ctx context.Context, prompts []string) ([]stri
 	for i, p := range prompts {
 		keys[i] = KeyOf(p)
 	}
-	var leadPrompts []string
-	var leadKeys []PromptKey
-	leadFlights := map[PromptKey]*flight{}
-	type waiter struct {
-		idx int
-		f   *flight
-	}
-	var waiters []waiter
+	hits := 0
 	c.mu.Lock()
-	for i, p := range prompts {
-		if resp, ok := c.memo[keys[i]]; ok {
+	for i, k := range keys {
+		if resp, ok := c.memo[k]; ok {
 			out[i] = resp
-			continue
+			hits++
 		}
-		if f, ok := c.inflight[keys[i]]; ok {
-			waiters = append(waiters, waiter{i, f})
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[keys[i]] = f
-		leadFlights[keys[i]] = f
-		leadPrompts = append(leadPrompts, p)
-		leadKeys = append(leadKeys, keys[i])
-		waiters = append(waiters, waiter{i, f})
 	}
 	c.mu.Unlock()
-
-	// One span summarises how the shard resolved: memoised, led to the
-	// endpoint, or waited out behind concurrent leaders. Guarded so a
-	// traceless context costs nothing.
-	if _, s := trace.Start(ctx, "cache.batch"); s != nil {
-		s.SetAttr("prompts", strconv.Itoa(len(prompts)))
-		s.SetAttr("led", strconv.Itoa(len(leadPrompts)))
-		s.SetAttr("waited", strconv.Itoa(len(waiters)-len(leadPrompts)))
-		defer s.End()
+	if hits == len(prompts) {
+		return out, nil
 	}
-
-	if len(leadPrompts) > 0 {
-		resps, err := c.innerBatch(ctx, leadPrompts)
-		for k, key := range leadKeys {
-			if err != nil {
-				c.land(key, leadFlights[key], "", err)
-			} else {
-				c.land(key, leadFlights[key], resps[k], nil)
+	err := c.inflight.Do(ctx, keys, out, func(led []int) ([]string, error) {
+		resps := make([]string, len(led))
+		var miss []int // positions in led the memo lacks
+		var missing []string
+		c.mu.Lock()
+		for n, i := range led {
+			if resp, ok := c.memo[keys[i]]; ok {
+				resps[n] = resp
+				continue
 			}
+			miss = append(miss, n)
+			missing = append(missing, prompts[i])
 		}
+		c.mu.Unlock()
+		if len(miss) == 0 {
+			return resps, nil
+		}
+		got, err := CompleteAll(ctx, c.inner, missing)
 		if err != nil {
 			return nil, err
 		}
-	}
-	for _, w := range waiters {
-		select {
-		case <-w.f.done:
-			if w.f.err != nil {
-				// A concurrent leader failed; fall back to the
-				// single-prompt path, which retries under this
-				// caller's context.
-				resp, err := c.CompleteContext(ctx, prompts[w.idx])
-				if err != nil {
-					return nil, err
-				}
-				out[w.idx] = resp
-				continue
-			}
-			out[w.idx] = w.f.resp
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		c.mu.Lock()
+		for m, n := range miss {
+			resps[n] = got[m]
+			c.memo[keys[led[n]]] = got[m]
 		}
+		c.mu.Unlock()
+		return resps, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// innerBatch submits the led prompts through the richest path the
-// inner endpoint offers.
-func (c *cachedLLM) innerBatch(ctx context.Context, prompts []string) ([]string, error) {
-	return CompleteAll(ctx, c.inner, prompts)
 }
 
 type cachedAuthor struct {

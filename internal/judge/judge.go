@@ -36,7 +36,7 @@ type ContextLLM interface {
 // BatchLLM is the optional batched endpoint contract: a whole shard of
 // prompts submitted in one call. Endpoints with a server-side batch
 // API (or ones that amortise per-request overhead, like the simulated
-// model amortising its n-gram tables) implement it; EvaluateBatch uses
+// model amortising its n-gram tables) implement it; CompleteAll uses
 // it when available and falls back to per-prompt completion otherwise.
 // Implementations must return exactly one response per prompt, in
 // prompt order.
@@ -49,9 +49,10 @@ type BatchLLM interface {
 // BatchLLM (validating one response per prompt), otherwise per-prompt
 // completion — cancellable via ContextLLM when available, with the
 // context checked between prompts either way. Responses come back in
-// prompt order, identical to asking each prompt alone. The Cached
-// wrapper's miss path and the judging daemon's dispatch both resolve
-// shards through this helper.
+// prompt order, identical to asking each prompt alone. Every shard in
+// the module resolves through this helper: Judge.EvaluateBatch, each
+// ensemble member's vote, the Cached wrapper's misses and the judging
+// daemon's endpoint calls.
 func CompleteAll(ctx context.Context, llm LLM, prompts []string) ([]string, error) {
 	if bl, ok := llm.(BatchLLM); ok {
 		resps, err := bl.CompleteBatch(ctx, prompts)
@@ -185,44 +186,26 @@ func (j *Judge) Evaluate(ctx context.Context, code string, info *ToolInfo) (Eval
 
 // EvaluateBatch judges a whole shard of files in one pass. infos
 // supplies the per-file tool information for agent styles; nil means
-// no tool information for any file. When the endpoint implements
-// BatchLLM every prompt of the shard is submitted in a single
-// CompleteBatch call; otherwise the shard falls back to per-prompt
-// Evaluate. Either way the returned evaluations are in input order and
-// identical to judging each file alone — batching changes scheduling,
-// never verdicts.
+// no tool information for any file. The shard's prompts resolve
+// through CompleteAll: one CompleteBatch call when the endpoint
+// implements BatchLLM, per-prompt completion otherwise. Either way the
+// returned evaluations are in input order and identical to judging
+// each file alone — batching changes scheduling, never verdicts.
 func (j *Judge) EvaluateBatch(ctx context.Context, codes []string, infos []*ToolInfo) ([]Evaluation, error) {
-	info := func(i int) *ToolInfo {
-		if infos == nil {
-			return nil
-		}
-		return infos[i]
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bl, ok := j.LLM.(BatchLLM)
-	if !ok {
-		evs := make([]Evaluation, len(codes))
-		for i, code := range codes {
-			ev, err := j.Evaluate(ctx, code, info(i))
-			if err != nil {
-				return nil, err
-			}
-			evs[i] = ev
-		}
-		return evs, nil
-	}
 	prompts := make([]string, len(codes))
 	for i, code := range codes {
-		prompts[i] = j.BuildPrompt(code, info(i))
+		var info *ToolInfo
+		if infos != nil {
+			info = infos[i]
+		}
+		prompts[i] = j.BuildPrompt(code, info)
 	}
-	resps, err := bl.CompleteBatch(ctx, prompts)
+	resps, err := CompleteAll(ctx, j.LLM, prompts)
 	if err != nil {
 		return nil, err
-	}
-	if len(resps) != len(prompts) {
-		return nil, fmt.Errorf("judge: batch endpoint returned %d responses for %d prompts", len(resps), len(prompts))
 	}
 	evs := make([]Evaluation, len(codes))
 	for i, resp := range resps {

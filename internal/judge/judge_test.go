@@ -268,3 +268,69 @@ func TestOMPPromptsUseOMPWording(t *testing.T) {
 		t.Error("OMP prompt mentions OpenACC")
 	}
 }
+
+// truncatingBatchLLM is a batch endpoint that drops the last response
+// of every shard.
+type truncatingBatchLLM struct{ batchCountLLM }
+
+func (t *truncatingBatchLLM) CompleteBatch(ctx context.Context, prompts []string) ([]string, error) {
+	out, err := t.batchCountLLM.CompleteBatch(ctx, prompts)
+	return out[:len(out)-1], err
+}
+
+// TestEvaluateBatch: a shard judged through EvaluateBatch matches
+// judging each file alone with Evaluate, whichever contract the
+// endpoint offers; a short batch response and a cancelled context are
+// errors, the latter before any prompt reaches the endpoint.
+func TestEvaluateBatch(t *testing.T) {
+	codes := []string{sampleCode, "int main() { return 1; }\n", sampleCode + "// tail\n"}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	batch, short, idle := &batchCountLLM{}, &truncatingBatchLLM{}, &batchCountLLM{}
+	single, withCtx := &scriptedLLM{response: "FINAL JUDGEMENT: valid"}, &ctxLLM{}
+	cases := []struct {
+		name    string
+		llm     LLM
+		ctx     context.Context
+		wantErr string
+		sent    func() int // prompts the endpoint has seen
+		want    int
+	}{
+		{"batch endpoint", batch, context.Background(), "", func() int { return batch.batched }, len(codes)},
+		{"single-prompt endpoint", single, context.Background(), "", func() int { return len(single.prompts) }, len(codes)},
+		{"context endpoint", withCtx, context.Background(), "", func() int { return withCtx.ctxCalls }, len(codes)},
+		{"short batch response", short, context.Background(), "returned 2 responses for 3 prompts", func() int { return short.batched }, len(codes)},
+		{"cancelled context", idle, cancelled, context.Canceled.Error(), func() int { return idle.batched }, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j := &Judge{LLM: tc.llm, Style: AgentDirect, Dialect: spec.OpenACC}
+			infos := []*ToolInfo{{CompileRC: 1, CompileStderr: "error"}, nil, {Ran: true, RunStdout: "PASS"}}
+			evs, err := j.EvaluateBatch(tc.ctx, codes, infos)
+			if got := tc.sent(); got != tc.want {
+				t.Errorf("endpoint saw %d prompts, want %d", got, tc.want)
+			}
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(evs) != len(codes) {
+				t.Fatalf("%d evaluations for %d files", len(evs), len(codes))
+			}
+			for i, code := range codes {
+				alone, err := j.Evaluate(context.Background(), code, infos[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if evs[i] != alone {
+					t.Errorf("file %d: batch evaluation %+v, alone %+v", i, evs[i], alone)
+				}
+			}
+		})
+	}
+}

@@ -25,8 +25,8 @@ const (
 )
 
 // dedupPhase is the Experiment field of store records written by the
-// server: completion-cache records live in their own phase namespace
-// so they can never collide with an experiment's sealed verdicts.
+// server: dedup records live in their own phase namespace so they can
+// never collide with an experiment's sealed verdicts.
 const dedupPhase = "serve/completions"
 
 // errShuttingDown answers requests caught mid-shutdown, mapped to 503
@@ -139,6 +139,9 @@ type Server struct {
 	batch     judge.BatchLLM // nil when the endpoint is single-prompt only
 	queue     chan *pending
 	admission queuePolicy
+	// inflight holds each prompt from the request that leads it until
+	// its answer lands; admission bounds it to QueueLimit prompts.
+	inflight judge.Inflight
 
 	flushed    chan time.Duration // each flush's duration, sent to collect as it ends
 	gatherWait atomic.Int64       // GatherDelay, in nanoseconds
@@ -449,15 +452,11 @@ func (s *Server) dedupKey(hash string) store.Key {
 	return store.Key{Experiment: dedupPhase, Backend: s.cfg.Backend, Seed: s.cfg.Seed, FileHash: hash}
 }
 
-// resolve answers a shard of prompts: store hits and intra-shard
-// duplicates cost nothing, and the remaining unique prompts go to the
-// endpoint in a single CompleteBatch call when it supports one.
-// Responses come back in prompt order, byte-identical to asking the
-// endpoint each prompt alone. Dedup maps are keyed by the 32-byte
-// prompt content hash (judge.PromptKey), not the prompt text, so a
-// shard of multi-kilobyte prompts costs fixed-size keys; the hex form
-// of the same hash is the store record's FileHash, exactly as
-// store.HashSource would render it.
+// resolve answers a shard of prompts through the in-flight table: a
+// prompt already being resolved, for this shard or a concurrent
+// request, is waited on; lead answers the rest. Responses come back in
+// prompt order, byte-identical to asking the endpoint each prompt
+// alone.
 func (s *Server) resolve(ctx context.Context, prompts []string) ([]string, error) {
 	defer func(start time.Time) { s.rec.Observe("resolve", time.Since(start)) }(time.Now())
 	var span *trace.Span
@@ -467,67 +466,71 @@ func (s *Server) resolve(ctx context.Context, prompts []string) ([]string, error
 		defer span.End()
 	}
 	out := make([]string, len(prompts))
-	// resolved maps a prompt key seen earlier in the shard to the slot
-	// holding its response; missing are the unique prompts that still
-	// need the endpoint, each answering the slots in positions.
-	resolved := map[judge.PromptKey]int{}
-	var missing []string
-	var missingKeys []judge.PromptKey
-	positions := map[judge.PromptKey][]int{}
+	keys := make([]judge.PromptKey, len(prompts))
 	for i, p := range prompts {
-		k := judge.KeyOf(p)
-		if j, dup := resolved[k]; dup {
-			out[i] = out[j]
-			s.storeHits.Add(1)
-			continue
-		}
-		if idxs, dup := positions[k]; dup {
-			positions[k] = append(idxs, i)
-			s.storeHits.Add(1)
-			continue
-		}
+		keys[i] = judge.KeyOf(p)
+	}
+	sent := 0
+	err := s.inflight.Do(ctx, keys, out, func(led []int) ([]string, error) {
+		resps, n, err := s.lead(ctx, prompts, keys, led)
+		sent += n
+		return resps, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.storeHits.Add(int64(len(prompts) - sent))
+	if span != nil {
+		span.SetAttr("dedup_hits", strconv.Itoa(len(prompts)-sent))
+	}
+	return out, nil
+}
+
+// lead answers the prompts this call leads in the in-flight table:
+// store hits cost nothing, and the rest go to the endpoint in one call
+// (lead reports how many). New completions are in the store before
+// lead returns, so before the table lets their prompts go. The store
+// key's FileHash is the hex prompt hash, exactly as store.HashSource
+// would render it.
+func (s *Server) lead(ctx context.Context, prompts []string, keys []judge.PromptKey, led []int) ([]string, int, error) {
+	resps := make([]string, len(led))
+	miss := make([]int, 0, len(led)) // positions in led that need the endpoint
+	missing := make([]string, 0, len(led))
+	for n, i := range led {
 		if s.cfg.Store != nil {
 			// The serve/completions namespace holds only records this
 			// path wrote, so presence alone is the hit signal — an
 			// endpoint whose legitimate response is empty still dedups.
-			if rec, ok := s.cfg.Store.Get(s.dedupKey(k.Hex())); ok {
-				out[i] = rec.Response
-				resolved[k] = i
-				s.storeHits.Add(1)
+			if rec, ok := s.cfg.Store.Get(s.dedupKey(keys[i].Hex())); ok {
+				resps[n] = rec.Response
 				continue
 			}
 		}
-		positions[k] = []int{i}
-		missing = append(missing, p)
-		missingKeys = append(missingKeys, k)
-	}
-	if span != nil {
-		span.SetAttr("dedup_hits", strconv.Itoa(len(prompts)-len(missing)))
+		miss = append(miss, n)
+		missing = append(missing, prompts[i])
 	}
 	if len(missing) == 0 {
-		return out, nil
+		return resps, 0, nil
 	}
-	resps, err := s.completeEndpoint(ctx, missing)
+	got, err := s.completeEndpoint(ctx, missing)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	for m, k := range missingKeys {
-		for _, i := range positions[k] {
-			out[i] = resps[m]
-		}
+	for m, n := range miss {
+		resps[n] = got[m]
 		if s.cfg.Store != nil {
 			_ = s.cfg.Store.Put(store.Record{
 				Experiment: dedupPhase, Backend: s.cfg.Backend, Seed: s.cfg.Seed,
-				FileHash: k.Hex(), JudgeRan: true, Response: resps[m],
+				FileHash: keys[led[n]].Hex(), JudgeRan: true, Response: got[m],
 			})
 		}
 	}
 	if s.cfg.Store != nil {
-		// The store is write-behind; one flush per resolved shard keeps
+		// The store is write-behind; one flush per led shard keeps
 		// dedup records durable at micro-batch granularity.
 		_ = s.cfg.Store.Flush()
 	}
-	return out, nil
+	return resps, len(missing), nil
 }
 
 // completeEndpoint submits unique prompts to the fronted endpoint

@@ -35,20 +35,22 @@ type countingLLM struct {
 	calls atomic.Int64 // endpoint calls (single or batch)
 	sent  atomic.Int64 // prompts submitted
 	delay time.Duration
-	gate  chan struct{} // when non-nil, every call blocks until it closes
+	gate  chan struct{} // when non-nil, every call blocks until it closes or its context ends
 }
 
 func (c *countingLLM) Complete(prompt string) string {
 	c.calls.Add(1)
 	c.sent.Add(1)
-	c.wait()
+	_ = c.wait(context.Background())
 	return c.inner.Complete(prompt)
 }
 
 func (c *countingLLM) CompleteBatch(ctx context.Context, prompts []string) ([]string, error) {
 	c.calls.Add(1)
 	c.sent.Add(int64(len(prompts)))
-	c.wait()
+	if err := c.wait(ctx); err != nil {
+		return nil, err
+	}
 	if bl, ok := c.inner.(judge.BatchLLM); ok {
 		return bl.CompleteBatch(ctx, prompts)
 	}
@@ -59,13 +61,18 @@ func (c *countingLLM) CompleteBatch(ctx context.Context, prompts []string) ([]st
 	return out, nil
 }
 
-func (c *countingLLM) wait() {
+func (c *countingLLM) wait(ctx context.Context) error {
 	if c.delay > 0 {
 		time.Sleep(c.delay)
 	}
 	if c.gate != nil {
-		<-c.gate
+		select {
+		case <-c.gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
+	return nil
 }
 
 // echoLLM answers deterministically without the simulated model's
@@ -722,5 +729,117 @@ func TestHungFlushDoesNotHoldSingles(t *testing.T) {
 	release()
 	if err := <-held; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentDuplicatesShareOneCall: n concurrent requests for one
+// prompt — singles and batches, with the dedup store off and on —
+// send the endpoint one prompt between them. When the leading request
+// is cancelled mid-call its waiters do not inherit its error: one
+// retries as the new leader and everyone else is still answered. Once
+// every request is answered the in-flight table is empty.
+func TestConcurrentDuplicatesShareOneCall(t *testing.T) {
+	const n = 8
+	for _, withStore := range []bool{false, true} {
+		for _, cancelLeader := range []bool{false, true} {
+			t.Run(fmt.Sprintf("store=%v/cancel-leader=%v", withStore, cancelLeader), func(t *testing.T) {
+				gate := make(chan struct{})
+				counter := &countingLLM{inner: echoLLM{}, gate: gate}
+				// BatchMaxSize 1: every single is its own flush, so no
+				// duplicate is folded away by the micro-batcher.
+				cfg := server.Config{LLM: counter, Backend: "echo", BatchMaxSize: 1}
+				if withStore {
+					st, err := store.Open(filepath.Join(t.TempDir(), "serve.jsonl"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					cfg.Store = st
+				}
+				srv := server.New(cfg)
+				defer srv.Close()
+				release := sync.OnceFunc(func() { close(gate) })
+				defer release()
+				h := srv.Handler()
+				type answer struct {
+					code       int
+					body, want string
+				}
+				post := func(ctx context.Context, path, body string) answer {
+					req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, req)
+					return answer{code: rec.Code, body: strings.TrimSpace(rec.Body.String())}
+				}
+				const (
+					single     = `{"prompt":"dup"}`
+					singleWant = `{"response":"echo:dup"}`
+					batch      = `{"prompts":["dup","dup"]}`
+					batchWant  = `{"responses":["echo:dup","echo:dup"]}`
+				)
+				waitFor := func(what string, cond func() bool) {
+					t.Helper()
+					for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("timed out waiting for %s (endpoint calls %d, waiting %d)", what, counter.calls.Load(), srv.InflightWaiting())
+						}
+					}
+				}
+
+				// The leader is a batch request that reaches the gated
+				// endpoint before any other request arrives.
+				leaderCtx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				leader := make(chan answer, 1)
+				go func() { leader <- post(leaderCtx, "/v1/complete_batch", batch) }()
+				waitFor("the leader's endpoint call", func() bool { return counter.calls.Load() == 1 })
+				answers := make(chan answer, n-1)
+				dups := 0 // prompts sent by the requests after the leader
+				for i := 1; i < n; i++ {
+					path, body, want := "/v1/complete", single, singleWant
+					dups++
+					if i%2 == 0 {
+						path, body, want = "/v1/complete_batch", batch, batchWant
+						dups++
+					}
+					go func() {
+						a := post(context.Background(), path, body)
+						a.want = want
+						answers <- a
+					}()
+				}
+				// Every prompt but the one the leader sends waits: the
+				// leader's own duplicate and all of the others'.
+				waitFor("every duplicate to wait on the leader", func() bool { return srv.InflightWaiting() == 1+dups })
+				wantSent := int64(1)
+				if cancelLeader {
+					cancel()
+					if a := <-leader; a.code == http.StatusOK {
+						t.Fatalf("cancelled leader answered 200: %s", a.body)
+					}
+					wantSent++
+					waitFor("a waiter to lead the retry", func() bool {
+						return counter.calls.Load() == 2 && srv.InflightWaiting() == dups-1
+					})
+				}
+				release()
+				for i := 1; i < n; i++ {
+					if a := <-answers; a.code != http.StatusOK || a.body != a.want {
+						t.Errorf("duplicate request answered %d: %s, want %s", a.code, a.body, a.want)
+					}
+				}
+				if !cancelLeader {
+					if a := <-leader; a.code != http.StatusOK || a.body != batchWant {
+						t.Errorf("leader answered %d: %s", a.code, a.body)
+					}
+				}
+				if sent := counter.sent.Load(); sent != wantSent {
+					t.Errorf("endpoint saw %d prompts, want %d", sent, wantSent)
+				}
+				if l := srv.InflightLen(); l != 0 {
+					t.Errorf("in-flight table holds %d prompts after every request was answered", l)
+				}
+			})
+		}
 	}
 }

@@ -21,11 +21,13 @@
 // which net/http cancels when the client disconnects or its deadline
 // passes.
 //
-// With a run store mounted (Config.Store), every completion is
-// recorded keyed by (backend, seed, prompt hash) and identical
-// requests — from any number of workers, across daemon restarts —
-// resolve to the stored response without touching the endpoint:
-// distributed verdict dedup.
+// Concurrent requests for the same prompt share one endpoint call
+// through a judge.Inflight table, with or without a store. With a run
+// store mounted (Config.Store), every completion is also recorded
+// keyed by (backend, seed, prompt hash) and identical requests — from
+// any number of workers, across daemon restarts — resolve to the
+// stored response without touching the endpoint: distributed verdict
+// dedup.
 package server
 
 // CompleteRequest is the body of POST /v1/complete.
@@ -69,10 +71,8 @@ type BackendsResponse struct {
 	Replicas []string `json:"replicas,omitempty"`
 
 	// PanelMembers and PanelStrategy describe the served voting panel
-	// when the daemon fronts an ensemble backend directly (empty for
-	// single-judge backends, and for panels hidden behind wrappers
-	// like the -cache memo — the Serving name still begins with
-	// "ensemble:" there).
+	// when the daemon fronts an ensemble backend (empty for
+	// single-judge backends).
 	PanelMembers  []string `json:"panel_members,omitempty"`
 	PanelStrategy string   `json:"panel_strategy,omitempty"`
 }
@@ -111,9 +111,10 @@ type Stats struct {
 	// Coalesced counts micro-batches that merged two or more
 	// concurrent /v1/complete requests into one dispatch.
 	Coalesced int64 `json:"coalesced"`
-	// StoreHits counts prompts resolved from the mounted run store
-	// (or deduplicated against an identical prompt in the same shard)
-	// without an endpoint call.
+	// StoreHits counts prompts resolved without an endpoint call of
+	// their own: from the mounted run store, or deduplicated against
+	// an identical prompt in the same shard or in flight for a
+	// concurrent request.
 	StoreHits int64 `json:"store_hits"`
 	// GatherDelayNS is how long the most recent micro-batch waited on
 	// an in-flight flush, in nanoseconds; 0 when it dispatched at once.

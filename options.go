@@ -113,15 +113,6 @@ func WithRecordAll(on bool) Option {
 	return func(r *Runner) { r.recordAll = on }
 }
 
-// WithEvalCache memoises endpoint completions keyed on the full prompt
-// text for the lifetime of one experiment call. Sound for
-// deterministic backends (the simulated model answers a prompt
-// identically every time); it saves repeated completions when several
-// configurations judge the same file. Default: off.
-func WithEvalCache(on bool) Option {
-	return func(r *Runner) { r.evalCache = on }
-}
-
 // WithPanel sets the ensemble member spec — "a+b+c" with an optional
 // ":strategy" suffix (majority, unanimous, weighted) — the panel
 // experiment composes when the Runner's backend is not already an
@@ -136,8 +127,8 @@ func WithPanel(spec string) Option {
 
 // WithTracer attaches a distributed tracer: every file an experiment
 // processes opens its own trace (span name "file"), pipeline stages,
-// cache hits, batch coalescing, ensemble member votes, and remote
-// calls record child spans under it, and remote calls propagate the
+// batch coalescing, ensemble member votes, and remote calls record
+// child spans under it, and remote calls propagate the
 // trace across the wire (X-LLM4VV-Trace / X-LLM4VV-Span headers) so
 // daemon- and router-side spans join the same trace. The Runner's
 // run store, when opened by this Runner, inherits the tracer for its

@@ -105,8 +105,8 @@ func (r *Runner) PanelProbing(ctx context.Context, s SuiteSpec) (PanelDialectRes
 // streams out of the store's segment scan — votes decode record by
 // record, so a calibration corpus of millions of panel records never
 // materialises as a slice of store records. Without history — or
-// through wrappers (eval cache) and remote daemons that hide the
-// panel — the constructed weights stand.
+// through a remote daemon, which hides the panel — the constructed
+// weights stand.
 func (r *Runner) panelLLM() judge.LLM {
 	llm := r.newLLM()
 	p, ok := llm.(*ensemble.Panel)

@@ -35,7 +35,6 @@ type Runner struct {
 	stages    []pipeline.StageSpec
 	shardSize int
 	recordAll bool
-	evalCache bool
 	progress  ProgressFunc
 	storePath string
 	storeOpts store.Options
@@ -197,9 +196,6 @@ func (r *Runner) judgeSpec(n int) pipeline.StageSpec {
 // so the registry lookup here cannot fail.
 func (r *Runner) newLLM() judge.LLM {
 	llm, _ := NewBackend(r.backend, r.seed)
-	if r.evalCache {
-		llm = judge.Cached(llm)
-	}
 	return llm
 }
 

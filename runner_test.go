@@ -241,30 +241,6 @@ func TestShortCircuitRecordAllParity(t *testing.T) {
 	}
 }
 
-func TestEvalCachePreservesResults(t *testing.T) {
-	s := smallSpec()
-	plain, err := NewRunner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := NewRunner(WithEvalCache(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := plain.DirectProbing(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cached.DirectProbing(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Accuracy() != b.Accuracy() || a.Bias() != b.Bias() || a.Total != b.Total {
-		t.Errorf("eval cache changed the summary: acc %.4f vs %.4f, bias %.4f vs %.4f",
-			a.Accuracy(), b.Accuracy(), a.Bias(), b.Bias())
-	}
-}
-
 func TestProgressStreaming(t *testing.T) {
 	var mu sync.Mutex
 	var events []Progress
