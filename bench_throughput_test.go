@@ -224,8 +224,8 @@ func BenchmarkThroughputPipeline(b *testing.B) {
 		files += len(inputs)
 	}
 	b.ReportMetric(perf.Rate(files, b.Elapsed()), "files/sec")
-	// Latency families come from whatever stages the graph ran — no
-	// hard-coded stage list to drift when the graph changes.
+	// Latency families come from whatever stages the chain ran — no
+	// hard-coded stage list to drift when the chain changes.
 	rec.ReportQuantiles(b.ReportMetric)
 }
 
@@ -262,102 +262,6 @@ func BenchmarkThroughputPipelineTraced(b *testing.B) {
 		files += len(inputs)
 	}
 	b.ReportMetric(perf.Rate(files, b.Elapsed()), "files/sec")
-}
-
-// BenchmarkThroughputDAGScheduling — the DAG scheduler's convoy
-// elimination on a dependency-heavy corpus. 24 four-file chains
-// (each file DependsOn its predecessor) flow through a two-stage
-// compile → judge graph of synthetic stages with bimodal costs: every
-// dependency level contains one compile-heavy and one judge-heavy
-// straggler amid cheap files, on distinct chains. The "linear"
-// sub-benchmark runs the corpus the only way the pre-DAG pipeline
-// could order dependencies — Kahn waves, one full pipeline pass per
-// dependency level with a barrier between levels, so every level
-// convoys behind its stragglers. The "dag" sub-benchmark declares the
-// dependencies to one barrier-free run, where only the chains that
-// actually contain a straggler wait for it. Both report files/sec
-// (gated: dag must keep beating linear from both sides of its band)
-// and allocs/op; the dependency-free fast path's allocation cost is
-// pinned separately by BenchmarkThroughputPipeline's band.
-func BenchmarkThroughputDAGScheduling(b *testing.B) {
-	const (
-		chains  = 24
-		depth   = 4
-		workers = 8
-		heavy   = 4 * time.Millisecond
-		light   = 500 * time.Microsecond
-	)
-	type cost struct{ compile, judge time.Duration }
-	costs := map[string]cost{}
-	fname := func(c, l int) string { return fmt.Sprintf("u%02d-f%d.c", c, l) }
-	levels := make([][]pipeline.Input, depth) // dependency-stripped, for the wave baseline
-	var chained []pipeline.Input              // dependency-declared, for the DAG run
-	for l := 0; l < depth; l++ {
-		for c := 0; c < chains; c++ {
-			name := fname(c, l)
-			fc := cost{compile: light, judge: light}
-			if c == (l*7)%chains {
-				fc.compile = heavy
-			}
-			if c == (l*7+11)%chains {
-				fc.judge = heavy
-			}
-			costs[name] = fc
-			levels[l] = append(levels[l], pipeline.Input{Name: name})
-			in := pipeline.Input{Name: name}
-			if l > 0 {
-				in.DependsOn = []string{fname(c, l-1)}
-			}
-			chained = append(chained, in)
-		}
-	}
-	mk := func(name string, pick func(cost) time.Duration) pipeline.Stage {
-		return pipeline.StageFunc{
-			StageSpec: pipeline.StageSpec{Name: name, Workers: workers},
-			RunFunc: func(_ context.Context, items []*pipeline.Item) error {
-				for _, it := range items {
-					time.Sleep(pick(costs[it.Input.Name]))
-				}
-				return nil
-			},
-		}
-	}
-	g, err := pipeline.NewGraph(
-		[]pipeline.Stage{
-			mk(pipeline.StageCompile, func(c cost) time.Duration { return c.compile }),
-			mk(pipeline.StageJudge, func(c cost) time.Duration { return c.judge }),
-		},
-		[2]string{pipeline.StageCompile, pipeline.StageJudge},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := chains * depth
-
-	b.Run("linear", func(b *testing.B) {
-		b.ReportAllocs()
-		files := 0
-		for i := 0; i < b.N; i++ {
-			for _, level := range levels {
-				if _, _, err := pipeline.RunGraph(context.Background(), pipeline.Config{}, g, level); err != nil {
-					b.Fatal(err)
-				}
-			}
-			files += total
-		}
-		b.ReportMetric(perf.Rate(files, b.Elapsed()), "files/sec")
-	})
-	b.Run("dag", func(b *testing.B) {
-		b.ReportAllocs()
-		files := 0
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pipeline.RunGraph(context.Background(), pipeline.Config{}, g, chained); err != nil {
-				b.Fatal(err)
-			}
-			files += total
-		}
-		b.ReportMetric(perf.Rate(files, b.Elapsed()), "files/sec")
-	})
 }
 
 // BenchmarkThroughputMachine — the execution layer alone: every file

@@ -92,7 +92,7 @@ func TestChaosFleetByteIdenticalReport(t *testing.T) {
 	registerChaosBackend(t, name, rt)
 
 	params := ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC}, Scale: 16}
-	opts := []Option{WithShardSize(2)} // many routed batches → faults land mid-sweep
+	opts := []Option{judgeBatch(2)} // many routed batches → faults land mid-sweep
 
 	local, err := NewRunner(opts...)
 	if err != nil {

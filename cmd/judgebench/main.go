@@ -28,8 +28,9 @@
 // every (backend, file) pair a previous run already judged — so an
 // interrupted sweep restarts where it stopped, and a sweep re-run
 // after registering one more backend judges only the new backend.
-// -shard sets the judge stage's batch size; 0 picks one
-// automatically. -stage-workers sizes individual pipeline stages
+// -shard N sets the judge stage's batch size (the judge StageSpec's
+// Batch); 0 picks one automatically, and a negative N is refused when
+// the Runner is built. -stage-workers sizes individual pipeline stages
 // ("judge=16" or "compile=2,exec=2,judge=32") where the uniform
 // per-stage default is too coarse — a remote judge fleet saturates at
 // a different width than the local compile simulator. Stage names are
@@ -302,7 +303,7 @@ func main() {
 		llm4vv.WithBackend(*backend),
 		llm4vv.WithSeed(*seed),
 		llm4vv.WithRecordAll(runRecordAll),
-		llm4vv.WithShardSize(*shard),
+		llm4vv.WithStages(pipeline.StageSpec{Name: pipeline.StageJudge, Batch: *shard}),
 	}
 	stages, err := pipeline.ParseStageWorkers(*stageWorkers)
 	if err != nil {

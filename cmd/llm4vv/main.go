@@ -21,8 +21,9 @@
 // (SIGINT) cancels the run's context and exits promptly; with
 // -store PATH every sealed verdict was appended to the run store on
 // the way, and re-running with -resume picks up where the interrupted
-// run stopped, re-judging zero completed files. -shard sets the
-// judge stage's batch size, 0 = automatic.
+// run stopped, re-judging zero completed files. -shard N sets the
+// judge stage's batch size (the judge StageSpec's Batch), 0 =
+// automatic; a negative N is refused when the Runner is built.
 // -stage-workers overrides -workers for individual pipeline stages
 // ("judge=16", or comma-separated "compile=2,exec=2,judge=32"; stage
 // names compile, exec, judge; N >= 1) — the knob for sizing the judge
@@ -102,7 +103,7 @@ func main() {
 	opts := []llm4vv.Option{
 		llm4vv.WithBackend(*backend),
 		llm4vv.WithSeed(*seed),
-		llm4vv.WithShardSize(*shard),
+		llm4vv.WithStages(pipeline.StageSpec{Name: pipeline.StageJudge, Batch: *shard}),
 	}
 	if *workers > 0 {
 		opts = append(opts, llm4vv.WithWorkers(*workers))

@@ -19,12 +19,12 @@
 // The API is organised around three pluggable concepts:
 //
 //   - Runner: constructed with functional options (WithBackend,
-//     WithWorkers, WithShardSize, WithRecordAll, WithProgress,
+//     WithWorkers, WithStages, WithRecordAll, WithProgress,
 //     WithStore, WithStoreOptions, WithResume), its
 //     context-aware methods
 //     run every experiment cancellably and can stream per-file
-//     progress. Every phase runs on the pipeline's stage graph —
-//     direct judging as a one-stage graph of the judge stage — and
+//     progress. Every phase runs on the pipeline's stage chain —
+//     direct judging as a one-stage chain of the judge stage — and
 //     each judge batch's prompts reach the endpoint in one call when
 //     it supports that.
 //   - Backend registry: RegisterBackend plugs alternate LLM endpoints
@@ -93,7 +93,7 @@
 // appends, a Flush checkpoint after every judge batch's worth of
 // records and at phase end, in every phase), the daemon's
 // micro-batcher is work-conserving (no gather timer), and resumed
-// files are filtered out before the stage graph runs, so
+// files are filtered out before the stage chain runs, so
 // resume-thinned sweeps still reach endpoints in full batches. The
 // BenchmarkThroughput* suite reports files/sec, allocs/op, and
 // p50/p99 stage latencies per path, and cmd/benchci gates the
@@ -102,15 +102,15 @@
 // commands profile the same paths in the field. Every optimisation
 // is pinned byte-identical by parity tests — see DESIGN.md §10.
 //
-// The validation pipeline is a stage DAG: internal/pipeline schedules
-// each file through the stages of a Graph the moment its
-// prerequisites complete — no barriers between stages — with
-// multi-file units ordered by Input.DependsOn and per-stage
-// configuration carried by StageSpec (workers, batching, observer).
-// WithStages tunes the built-in compile/exec/judge stages per
-// Runner, surfaced as -stage-workers on both commands;
+// The validation pipeline is a stage chain: internal/pipeline moves
+// each file into stage k+1 the moment it completes stage k — no
+// barriers between stages — with per-stage configuration carried by
+// StageSpec (workers, batching, observer). WithStages tunes the
+// built-in compile/exec/judge stages per Runner, surfaced as
+// -stage-workers and -shard (the judge batch) on both commands;
 // pipeline.Config.Stages does the same for a direct pipeline.Run, and
-// NewGraph/RunGraph schedule custom stage DAGs. See DESIGN.md §14.
+// pipeline.RunChain schedules a chain of custom stages. See DESIGN.md
+// §14.
 //
 // Every experiment is deterministic given its seeds. See DESIGN.md for
 // the system inventory, the Runner/Backend/Experiment architecture,

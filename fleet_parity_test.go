@@ -133,7 +133,7 @@ func TestFleetReplicaKillMidSweep(t *testing.T) {
 			params := ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC}, Scale: 16}
 			// Small shards split the sweep into many routed batches, so the
 			// kill lands mid-run with later shards still owed to the victim.
-			opts := []Option{WithShardSize(2)}
+			opts := []Option{judgeBatch(2)}
 
 			local, err := NewRunner(opts...)
 			if err != nil {

@@ -148,8 +148,8 @@ func nearestRank(sorted []time.Duration, q float64) time.Duration {
 // ReportQuantiles emits "<stage>-p50-ns" and "<stage>-p99-ns" metrics
 // for every recorded stage through report — shaped for
 // testing.B.ReportMetric, so a benchmark publishes per-stage latency
-// families for whatever stages its pipeline graph actually ran, with
-// no hard-coded stage list to fall out of date when the graph changes.
+// families for whatever stages its pipeline chain actually ran, with
+// no hard-coded stage list to fall out of date when the chain changes.
 func (r *Recorder) ReportQuantiles(report func(n float64, unit string)) {
 	for _, st := range r.Snapshot() {
 		report(float64(st.P50), st.Stage+"-p50-ns")

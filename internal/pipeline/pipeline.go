@@ -1,20 +1,19 @@
 // Package pipeline implements the paper's validation pipeline
-// (§III-C) as a stage DAG: files stream through the stages of a
-// Graph — compile → execute → judge by default — each stage backed by
+// (§III-C) as a stage chain: files stream through an ordered list of
+// stages — compile → execute → judge by default — each stage backed by
 // its own worker pool, with no barriers between stages. A file whose
 // compile finished streams straight into execution and judging while
-// slower files are still compiling, and multi-file units declare
-// intra-suite ordering with Input.DependsOn. A file failing an
-// earlier stage has demonstrated its invalidity, so in short-circuit
-// mode it skips the remaining (more expensive) stages; in record-all
+// slower files are still compiling. A file failing an earlier stage
+// has demonstrated its invalidity, so in short-circuit mode it skips
+// the remaining (more expensive) stages; in record-all
 // mode every file runs every stage, which is how the paper gathered
 // the Part-Two data (allowing the same run to score both the pipeline
 // and the agent-based judges on their own).
 //
 // Stages are configured by StageSpec: Config.Stages addresses the
 // built-in stages by name (ValidateStages checks the names,
-// MergeStages lays the specs over the defaults), and NewGraph +
-// RunGraph schedule arbitrary DAGs of custom stages.
+// MergeStages lays the specs over the defaults), and RunChain
+// schedules a chain of custom StageFuncs.
 //
 // Run is context-aware: cancelling the context stops the stages
 // promptly and returns the results completed so far alongside the
@@ -52,15 +51,6 @@ type Input struct {
 	Name   string
 	Source string
 	Lang   testlang.Language
-	// DependsOn names sibling inputs (by Name) this file builds on —
-	// headers, modules, or earlier parts of a multi-file unit. The
-	// scheduler gates the file stage-by-stage behind its
-	// dependencies: it enters a stage only after every named
-	// dependency has completed that stage, with no suite-wide
-	// barriers. Unknown names, self-references, and dependency cycles
-	// are errors; when any input declares dependencies, input names
-	// must be unique.
-	DependsOn []string
 }
 
 // Config configures a pipeline run.
@@ -78,13 +68,14 @@ type Config struct {
 	// implementing judge.BatchLLM receive whole shards in one
 	// CompleteBatch call), never the verdicts. Unknown or duplicate
 	// names and negative Workers/Batch values are errors returned by
-	// Run. Custom stage DAGs go through NewGraph and RunGraph instead.
+	// Run. Custom stage chains go through RunChain instead.
 	Stages []StageSpec
 	// RecordAll disables short-circuiting so every stage runs for
 	// every file.
 	RecordAll bool
 	// KeepResponses retains prompt/response text in results (memory-
-	// heavy for large suites; examples use it, experiments do not).
+	// heavy for large suites; judgebench sets it to print -show
+	// transcripts, experiments do not).
 	KeepResponses bool
 	// OnResult, when set, streams each file's completed FileResult as
 	// its final verdict is determined — before the run finishes and in
@@ -101,7 +92,7 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// builtinSpecs resolves the effective specs of the default graph:
+// builtinSpecs resolves the effective specs of the default chain:
 // Config.Stages laid over the one-worker defaults, with the judge
 // stage dropped when no judge is configured.
 func (cfg *Config) builtinSpecs() ([]StageSpec, error) {
@@ -121,7 +112,7 @@ func (cfg *Config) builtinSpecs() ([]StageSpec, error) {
 	return specs, nil
 }
 
-// ValidateStages checks specs addressed at the default graph's
+// ValidateStages checks specs addressed at the default chain's
 // built-in stages — Config.Stages, the Runner's WithStages — before
 // any file runs: every name must be StageCompile, StageExec, or
 // StageJudge, no name may repeat, and Workers and Batch must not be
@@ -132,7 +123,7 @@ func ValidateStages(specs []StageSpec) error {
 		switch s.Name {
 		case StageCompile, StageExec, StageJudge:
 		default:
-			return fmt.Errorf("pipeline: unknown stage %q (the default graph has %q, %q, and %q; an unknown pipeline stage belongs in a custom graph run through RunGraph)", s.Name, StageCompile, StageExec, StageJudge)
+			return fmt.Errorf("pipeline: unknown stage %q (the default chain has %q, %q, and %q; an unknown pipeline stage belongs in a custom chain run through RunChain)", s.Name, StageCompile, StageExec, StageJudge)
 		}
 		if seen[s.Name] {
 			return fmt.Errorf("pipeline: duplicate stage %q in the stage specs", s.Name)
@@ -228,7 +219,7 @@ type Stats struct {
 	JudgeBatches int64
 }
 
-// Run processes files through the default validation graph — compile
+// Run processes files through the default validation chain — compile
 // → execute → judge — and returns per-file results in input order
 // plus run statistics. When ctx is cancelled mid-run — or a
 // context-aware judge endpoint fails — the stages drain without doing
@@ -242,26 +233,16 @@ func Run(ctx context.Context, cfg Config, files []Input) ([]FileResult, Stats, e
 	if err != nil {
 		return nil, stats, err
 	}
-	stages, edges := builtinStages(&cfg, specs, &stats)
-	g, err := NewGraph(stages, edges...)
-	if err != nil {
-		return nil, stats, err
-	}
-	results, err := runGraph(ctx, runConfig{
-		onResult:     cfg.OnResult,
-		tracer:       cfg.Tracer,
-		judgeEnabled: cfg.Judge != nil,
-	}, g, files)
+	results, _, err := RunChain(ctx, cfg, builtinStages(&cfg, specs, &stats), files)
 	return results, stats, err
 }
 
-// builtinStages declares the paper's three stages on the Stage API,
-// bound to cfg's tools and counters, in spec order (compile, exec,
-// and — when a judge is configured — judge), plus the chain edges
-// connecting them.
-func builtinStages(cfg *Config, specs []StageSpec, stats *Stats) ([]Stage, [][2]string) {
-	stages := []Stage{
-		StageFunc{
+// builtinStages declares the paper's three stages as a chain, bound to
+// cfg's tools and counters, in spec order: compile, exec, and — when a
+// judge is configured — judge.
+func builtinStages(cfg *Config, specs []StageSpec, stats *Stats) []StageFunc {
+	stages := []StageFunc{
+		{
 			StageSpec: specs[0],
 			RunFunc: func(_ context.Context, items []*Item) error {
 				for _, it := range items {
@@ -277,7 +258,7 @@ func builtinStages(cfg *Config, specs []StageSpec, stats *Stats) ([]Stage, [][2]
 				return nil
 			},
 		},
-		StageFunc{
+		{
 			StageSpec: specs[1],
 			// Files that compiled to no executable object (Fortran in
 			// this simulation) carry no execution evidence either way,
@@ -303,11 +284,10 @@ func builtinStages(cfg *Config, specs []StageSpec, stats *Stats) ([]Stage, [][2]
 			},
 		},
 	}
-	edges := [][2]string{{specs[0].Name, specs[1].Name}}
 	if cfg.Judge == nil {
-		return stages, edges
+		return stages
 	}
-	stages = append(stages, StageFunc{
+	return append(stages, StageFunc{
 		StageSpec: specs[2],
 		RunFunc: func(ctx context.Context, items []*Item) error {
 			atomic.AddInt64(&stats.JudgeCalls, int64(len(items)))
@@ -335,7 +315,6 @@ func builtinStages(cfg *Config, specs []StageSpec, stats *Stats) ([]Stage, [][2]
 			return nil
 		},
 	})
-	return stages, append(edges, [2]string{specs[1].Name, specs[2].Name})
 }
 
 // buildToolInfo assembles the agent prompt block from stage results.

@@ -25,7 +25,7 @@ func WithSeed(seed uint64) Option {
 	return func(r *Runner) { r.seed = seed }
 }
 
-// WithWorkers sets the per-stage worker count of every stage graph
+// WithWorkers sets the per-stage worker count of every stage chain
 // the Runner schedules — the pipeline's compile, exec, and judge
 // stages, and the judge stage direct-judging and panel phases run
 // alone. Values below 1 are treated as 1. Default: GOMAXPROCS.
@@ -42,31 +42,20 @@ func WithWorkers(n int) Option {
 // configuration by name: each spec addresses one built-in stage
 // (pipeline.StageCompile, StageExec, StageJudge) and its non-zero
 // fields replace that stage's defaults — Workers falls back to
-// WithWorkers, the judge stage's Batch to the shard size, Observe to
-// none. The judge spec also governs direct-judging and panel phases,
-// which run the judge stage alone. Later WithStages options refine
-// earlier ones field-wise
-// (pipeline.MergeStages). Unknown stage names and negative values
-// fail NewRunner. Scheduling knobs never change results: reports stay
-// byte-identical across any worker/batch mix.
+// WithWorkers, Observe to none, and the judge stage's Batch to an
+// automatic size balancing worker utilisation against batching
+// overhead. The judge spec's Batch is the one way to set the judge
+// batch size: judge workers coalesce up to that many ready files per
+// endpoint call (a single CompleteBatch call for backends implementing
+// judge.BatchLLM), and the run store is checkpointed after every that
+// many sealed records. The judge spec also governs direct-judging and
+// panel phases, which run the judge stage alone. Later WithStages
+// options refine earlier ones field-wise (pipeline.MergeStages).
+// Unknown stage names and negative values fail NewRunner. Scheduling
+// knobs never change results: reports stay byte-identical across any
+// worker/batch mix.
 func WithStages(specs ...pipeline.StageSpec) Option {
 	return func(r *Runner) { r.stages = pipeline.MergeStages(r.stages, specs...) }
-}
-
-// WithShardSize sets the judge stage's batch size in every phase:
-// judge workers coalesce up to this many ready files per endpoint
-// call (a single CompleteBatch call for backends implementing
-// judge.BatchLLM), and the run store is checkpointed after every this
-// many sealed records. Batching changes endpoint round-trips, never
-// results. Values below 1 — and the default 0 — select an automatic
-// size balancing worker utilisation against batching overhead.
-func WithShardSize(n int) Option {
-	return func(r *Runner) {
-		if n < 0 {
-			n = 0
-		}
-		r.shardSize = n
-	}
 }
 
 // WithStore attaches a persistent run store: a segmented JSONL log

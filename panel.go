@@ -52,7 +52,7 @@ type PanelDialectResult struct {
 // backend — which must produce panel transcripts: an ensemble
 // backend, or a remote daemon fronting one — using the direct
 // analysis prompt, and scores verdict quality and inter-judge
-// agreement together. It runs on the same one-stage judge graph as
+// agreement together. It runs on the same one-stage judge chain as
 // the direct-judging phases; with a store configured, each file's
 // verdict and member votes append as the file seals, and with resume
 // on, stored files are loaded (votes included) instead of judged — a

@@ -19,7 +19,7 @@ import (
 )
 
 // Runner is the configured entry point to every experiment: a backend
-// selection, a sampling seed, worker counts, sharding, a run store,
+// selection, a sampling seed, per-stage workers and batching, a run store,
 // and streaming hooks, shared by concurrent experiment calls.
 // Construct one with NewRunner and functional options; the zero value
 // is not usable.
@@ -33,7 +33,6 @@ type Runner struct {
 	seed      uint64
 	workers   int
 	stages    []pipeline.StageSpec
-	shardSize int
 	recordAll bool
 	progress  ProgressFunc
 	storePath string
@@ -173,13 +172,13 @@ func (r *Runner) withBackend(name string) *Runner {
 }
 
 // pipelineStages resolves the per-stage specs for one pipeline run
-// over n files: WithWorkers and the shard size supply the defaults,
-// the WithStages overrides refine them by name.
+// over n files: WithWorkers and the automatic judge batch size supply
+// the defaults, the WithStages overrides refine them by name.
 func (r *Runner) pipelineStages(n int) []pipeline.StageSpec {
 	return pipeline.MergeStages([]pipeline.StageSpec{
 		{Name: pipeline.StageCompile, Workers: r.workers},
 		{Name: pipeline.StageExec, Workers: r.workers},
-		{Name: pipeline.StageJudge, Workers: r.workers, Batch: r.shardSizeFor(n)},
+		{Name: pipeline.StageJudge, Workers: r.workers, Batch: r.autoBatch(n)},
 	}, r.stages...)
 }
 
@@ -219,14 +218,11 @@ func (t *tracker) file(name string) {
 	t.fn(Progress{Phase: t.phase, File: name, Done: int(t.done.Add(1)), Total: t.total})
 }
 
-// shardSizeFor resolves the judge stage's default batch size for an
-// n-file workload: the WithShardSize override when set, otherwise a
-// batch small enough that every judge worker gets several to take
-// (load balance) but large enough to amortise per-call overhead.
-func (r *Runner) shardSizeFor(n int) int {
-	if r.shardSize > 0 {
-		return r.shardSize
-	}
+// autoBatch is the judge stage's default batch size for an n-file
+// workload, used unless a WithStages judge spec sets Batch: small
+// enough that every judge worker gets several batches to take (load
+// balance) but large enough to amortise per-call overhead.
+func (r *Runner) autoBatch(n int) int {
 	workers := r.workers
 	if workers < 1 {
 		workers = 1
@@ -320,7 +316,7 @@ type phase struct {
 	name, key string
 	inputs    []pipeline.Input
 	// run processes the files the store could not supply through a
-	// stage graph. cfg carries the run-level hooks (store sink,
+	// stage chain. cfg carries the run-level hooks (store sink,
 	// progress, tracer); orig maps a pending file's index back into
 	// inputs.
 	run func(cfg pipeline.Config, pending []pipeline.Input, orig []int) ([]pipeline.FileResult, pipeline.Stats, error)
@@ -335,7 +331,7 @@ type phase struct {
 
 // runPhase runs one experiment phase against the run store; every
 // stored phase goes through it. With resume on, files already stored
-// under the phase key skip the graph entirely and reconstruct their
+// under the phase key skip the chain entirely and reconstruct their
 // FileResult from the record; the rest run through ph.run and append
 // to the store the moment their fate is sealed. The store is
 // checkpointed (Flush) after every judge-batch-size of records and at
@@ -413,7 +409,7 @@ func (r *Runner) runPhase(ctx context.Context, ph phase) ([]pipeline.FileResult,
 }
 
 // runPipeline runs one pipeline-backed phase: the compile → execute →
-// judge graph, with runPhase's resume and store checkpoints.
+// judge chain, with runPhase's resume and store checkpoints.
 func (r *Runner) runPipeline(ctx context.Context, name string, jd *judge.Judge, tools *agent.Tools, recordAll bool, inputs []pipeline.Input) ([]pipeline.FileResult, pipeline.Stats, error) {
 	key := name
 	if recordAll {
@@ -429,18 +425,18 @@ func (r *Runner) runPipeline(ctx context.Context, name string, jd *judge.Judge, 
 		}})
 }
 
-// judgeSuite runs a direct-judging phase on a one-stage graph whose
+// judgeSuite runs a direct-judging phase on a one-stage chain whose
 // only stage is the Runner's judge stage (judgeSpec): each ready batch
 // goes to j.EvaluateBatch in one call — one CompleteBatch for endpoints
 // implementing judge.BatchLLM — with tool information from info when
 // set. seal, when set, vets file i's evaluation before the file seals;
 // its error (the panel's vote parse rejecting a single-judge response)
 // aborts the run before that batch reaches the store. Resumed files
-// need no batch coalescing: runPhase filters them out before the graph
+// need no batch coalescing: runPhase filters them out before the chain
 // runs, and the ready queue fills whole batches.
 func (r *Runner) judgeSuite(ctx context.Context, ph phase, j *judge.Judge, info func(in pipeline.Input) *judge.ToolInfo, seal func(i int, ev judge.Evaluation) error) ([]pipeline.FileResult, error) {
 	ph.run = func(cfg pipeline.Config, pending []pipeline.Input, orig []int) ([]pipeline.FileResult, pipeline.Stats, error) {
-		g, err := pipeline.NewGraph([]pipeline.Stage{pipeline.StageFunc{
+		return pipeline.RunChain(ctx, cfg, []pipeline.StageFunc{{
 			StageSpec: r.judgeSpec(len(pending)),
 			RunFunc: func(ctx context.Context, items []*pipeline.Item) error {
 				codes := make([]string, len(items))
@@ -469,11 +465,7 @@ func (r *Runner) judgeSuite(ctx context.Context, ph phase, j *judge.Judge, info 
 				}
 				return nil
 			},
-		}})
-		if err != nil {
-			return nil, pipeline.Stats{}, err
-		}
-		return pipeline.RunGraph(ctx, cfg, g, pending)
+		}}, pending)
 	}
 	results, _, err := r.runPhase(ctx, ph)
 	return results, err
@@ -522,7 +514,7 @@ func (r *Runner) DirectProbing(ctx context.Context, s SuiteSpec) (metrics.Summar
 
 // ValidateSuite streams a probed suite through the compile → execute →
 // judge pipeline with the given judge style, honouring the Runner's
-// worker, shard, record-all, store, and progress settings. It is the
+// worker, stage, record-all, store, and progress settings. It is the
 // generic workload behind the fixed experiments and the natural entry
 // point for new scenarios.
 func (r *Runner) ValidateSuite(ctx context.Context, s SuiteSpec, style judge.Style) ([]pipeline.FileResult, pipeline.Stats, error) {
@@ -674,6 +666,7 @@ func (r *Runner) PipelineThroughput(ctx context.Context, s SuiteSpec) (PipelineT
 			Stages:    r.pipelineStages(len(inputs)),
 			RecordAll: recordAll,
 			OnResult:  func(fr pipeline.FileResult) { tr.file(fr.Name) },
+			Tracer:    r.tracer,
 		}, inputs)
 		if err != nil {
 			return out, err

@@ -41,6 +41,11 @@ func smallSpec(langs ...testlang.Language) SuiteSpec {
 	}
 }
 
+// judgeBatch sets the judge stage's batch size through WithStages.
+func judgeBatch(n int) Option {
+	return WithStages(pipeline.StageSpec{Name: pipeline.StageJudge, Batch: n})
+}
+
 func TestBackendRegistryUnknownName(t *testing.T) {
 	if _, err := NewBackend("no-such-backend", 1); err == nil {
 		t.Fatal("NewBackend accepted an unknown name")
@@ -354,7 +359,7 @@ func TestCrossShardBatchCoalescing(t *testing.T) {
 
 	const shard = 4
 	r := mustRunner(t,
-		WithBackend(name), WithWorkers(1), WithShardSize(shard),
+		WithBackend(name), WithWorkers(1), judgeBatch(shard),
 		WithStore(path), WithResume(true))
 	sum, err := r.DirectProbing(context.Background(), s)
 	if err != nil {
@@ -493,7 +498,7 @@ func TestAbortedRunEndsEveryTraceRoot(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var sealed atomic.Int64
-			r := mustRunner(t, WithTracer(tracer), WithWorkers(2), WithShardSize(2),
+			r := mustRunner(t, WithTracer(tracer), WithWorkers(2), judgeBatch(2),
 				WithProgress(func(Progress) {
 					if sealed.Add(1) == 3 {
 						cancel()
@@ -532,5 +537,36 @@ func TestAbortedRunEndsEveryTraceRoot(t *testing.T) {
 				t.Errorf("%d roots carry an error, want %d (every file the cancel left unsealed)", errRoots, want)
 			}
 		})
+	}
+}
+
+// TestPipelineThroughputTraced: a traced Runner's PipelineThroughput
+// opens one "file" trace per file in each of its two passes
+// (short-circuit and record-all), as WithTracer promises for every
+// experiment.
+func TestPipelineThroughputTraced(t *testing.T) {
+	s := smallSpec(testlang.LangC, testlang.LangFortran)
+	var buf bytes.Buffer
+	r := mustRunner(t, WithTracer(trace.New(trace.WithWriter(&buf))), WithWorkers(2))
+	if _, err := r.PipelineThroughput(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	roots := 0
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec trace.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("bad trace fragment %q: %v", line, err)
+		}
+		for _, sp := range rec.Spans {
+			if sp.Name == "file" && sp.Parent == "" {
+				roots++
+			}
+		}
+	}
+	if want := 2 * s.Total(); roots != want {
+		t.Fatalf("PipelineThroughput produced %d file roots, want %d (one per file per pass)", roots, want)
 	}
 }

@@ -75,7 +75,7 @@ func TestShardedSchedulerParity(t *testing.T) {
 	configs := []cfg{{1, 1}, {1, 0}, {4, 1}, {4, 3}, {8, 0}, {2, 1000}}
 	var ref Summary0
 	for i, c := range configs {
-		r, err := NewRunner(WithWorkers(c.workers), WithShardSize(c.shard))
+		r, err := NewRunner(WithWorkers(c.workers), judgeBatch(c.shard))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +93,11 @@ func TestShardedSchedulerParity(t *testing.T) {
 		}
 	}
 	// Pipeline path: per-file verdicts must match across shard sizes.
-	base, _, err := mustRunner(t, WithWorkers(1), WithShardSize(1)).ValidateSuite(context.Background(), s, judge.AgentDirect)
+	base, _, err := mustRunner(t, WithWorkers(1), judgeBatch(1)).ValidateSuite(context.Background(), s, judge.AgentDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, stats, err := mustRunner(t, WithWorkers(4), WithShardSize(5)).ValidateSuite(context.Background(), s, judge.AgentDirect)
+	sharded, stats, err := mustRunner(t, WithWorkers(4), judgeBatch(5)).ValidateSuite(context.Background(), s, judge.AgentDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestBatchedJudgingParity(t *testing.T) {
 		return singleOnlyLLM{model.New(seed)}
 	})
 	s := smallSpec()
-	batched, err := mustRunner(t, WithShardSize(4)).DirectProbing(context.Background(), s)
+	batched, err := mustRunner(t, judgeBatch(4)).DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := mustRunner(t, WithBackend("test-no-batch"), WithShardSize(4)).DirectProbing(context.Background(), s)
+	single, err := mustRunner(t, WithBackend("test-no-batch"), judgeBatch(4)).DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestResumeSkipsCompletedFiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	s := smallSpec()
 
-	first := mustRunner(t, WithBackend(name), WithStore(path), WithShardSize(3))
+	first := mustRunner(t, WithBackend(name), WithStore(path), judgeBatch(3))
 	sum1, err := first.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestResumeSkipsCompletedFiles(t *testing.T) {
 		t.Fatalf("first run judged %d files, want %d", judged, s.Total())
 	}
 
-	resumed := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true), WithShardSize(3))
+	resumed := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true), judgeBatch(3))
 	sum2, err := resumed.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestInterruptedRunResumesExactly(t *testing.T) {
 	s := smallSpec(testlang.LangC, testlang.LangCPP, testlang.LangFortran)
 
 	// Uninterrupted reference, store-less.
-	ref, err := mustRunner(t, WithBackend(name), WithShardSize(2)).DirectProbing(context.Background(), s)
+	ref, err := mustRunner(t, WithBackend(name), judgeBatch(2)).DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestInterruptedRunResumesExactly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	interrupted := mustRunner(t,
-		WithBackend(name), WithStore(path), WithShardSize(2), WithWorkers(2),
+		WithBackend(name), WithStore(path), judgeBatch(2), WithWorkers(2),
 		WithProgress(func(p Progress) {
 			if p.Done >= 3 {
 				once.Do(cancel)
@@ -244,7 +244,7 @@ func TestInterruptedRunResumesExactly(t *testing.T) {
 	c.n.Store(0)
 
 	// Resume and finish.
-	resumed := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true), WithShardSize(2), WithWorkers(2))
+	resumed := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true), judgeBatch(2), WithWorkers(2))
 	got, err := resumed.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestCheckpointPerJudgeBatch(t *testing.T) {
 				return b
 			})
 			path := filepath.Join(t.TempDir(), "run.jsonl")
-			r := mustRunner(t, WithBackend(name), WithStore(path), WithWorkers(1), WithShardSize(2))
+			r := mustRunner(t, WithBackend(name), WithStore(path), WithWorkers(1), judgeBatch(2))
 			var release sync.Once
 			defer release.Do(func() { close(b.release) })
 			done := make(chan error, 1)
@@ -428,7 +428,7 @@ func TestMigratedStoreResumesExactly(t *testing.T) {
 	s := smallSpec(testlang.LangC, testlang.LangCPP)
 
 	// Phase 1: the "pre-PR" store — one flat JSONL file, no segments.
-	first := mustRunner(t, WithBackend(name), WithStore(path), WithShardSize(3))
+	first := mustRunner(t, WithBackend(name), WithStore(path), judgeBatch(3))
 	sum1, err := first.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func TestMigratedStoreResumesExactly(t *testing.T) {
 	// Phase 2: reopen with a 1-byte seal threshold. Open must migrate
 	// the flat file into sealed segments without losing a record.
 	resumed := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true),
-		WithStoreOptions(store.Options{SealBytes: 1, MergeThreshold: -1}), WithShardSize(3))
+		WithStoreOptions(store.Options{SealBytes: 1, MergeThreshold: -1}), judgeBatch(3))
 	sum2, err := resumed.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +462,7 @@ func TestMigratedStoreResumesExactly(t *testing.T) {
 
 	// Phase 3: a default Open must read the now-segmented store too —
 	// migration is not one-way.
-	again := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true), WithShardSize(3))
+	again := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true), judgeBatch(3))
 	sum3, err := again.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +488,7 @@ func TestFreshSegmentedStoreParity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	s := smallSpec(testlang.LangC, testlang.LangFortran)
 
-	ref, err := mustRunner(t, WithBackend(name), WithShardSize(2)).DirectProbing(context.Background(), s)
+	ref, err := mustRunner(t, WithBackend(name), judgeBatch(2)).DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestFreshSegmentedStoreParity(t *testing.T) {
 
 	opts := store.Options{SealBytes: 1, MergeThreshold: 2}
 	segged := mustRunner(t, WithBackend(name), WithStore(path), WithStoreOptions(opts),
-		WithShardSize(2), WithWorkers(2))
+		judgeBatch(2), WithWorkers(2))
 	got, err := segged.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +513,7 @@ func TestFreshSegmentedStoreParity(t *testing.T) {
 	c.n.Store(0)
 
 	resumed := mustRunner(t, WithBackend(name), WithStore(path), WithStoreOptions(opts),
-		WithResume(true), WithShardSize(2), WithWorkers(2))
+		WithResume(true), judgeBatch(2), WithWorkers(2))
 	sum2, err := resumed.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +545,7 @@ func TestFreshSegmentedStoreParity(t *testing.T) {
 	}
 	c.n.Store(0)
 	compacted := mustRunner(t, WithBackend(name), WithStore(path), WithStoreOptions(opts),
-		WithResume(true), WithShardSize(2), WithWorkers(2))
+		WithResume(true), judgeBatch(2), WithWorkers(2))
 	sum3, err := compacted.DirectProbing(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestFleetFailoverTraceContinuity(t *testing.T) {
 
 	var buf bytes.Buffer // tracer serialises writes under its own lock
 	tracer := trace.New(trace.WithWriter(&buf), trace.WithProcess("test-worker"))
-	fr, err := NewRunner(WithBackend("fleet:"+addrs), WithShardSize(2), WithTracer(tracer))
+	fr, err := NewRunner(WithBackend("fleet:"+addrs), judgeBatch(2), WithTracer(tracer))
 	if err != nil {
 		t.Fatal(err)
 	}
