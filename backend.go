@@ -55,74 +55,79 @@ func RegisterBackend(name string, factory BackendFactory) {
 	backendRegistry.factories[name] = factory
 }
 
-// BackendSchemeFactory constructs an endpoint for a dynamic
-// "scheme:argument" backend name, receiving the argument after the
-// colon. The seed contract matches BackendFactory, though a scheme
-// may document it as inert (a remote daemon's seed is fixed
-// server-side).
-type BackendSchemeFactory func(arg string, seed uint64) judge.LLM
-
-var schemeRegistry = struct {
-	sync.RWMutex
-	factories map[string]BackendSchemeFactory
-}{factories: map[string]BackendSchemeFactory{}}
-
-// RegisterBackendScheme makes a whole family of endpoints
-// constructable by prefixed name: after RegisterBackendScheme("remote",
-// f), any "remote:<addr>" resolves through f without each address
-// being registered individually. Concrete registrations take
-// precedence over scheme resolution. Like RegisterBackend it panics
-// on an empty scheme or a duplicate registration.
-func RegisterBackendScheme(scheme string, factory BackendSchemeFactory) {
-	if scheme == "" || factory == nil {
-		panic("llm4vv: RegisterBackendScheme with empty scheme or nil factory")
-	}
-	schemeRegistry.Lock()
-	defer schemeRegistry.Unlock()
-	if _, dup := schemeRegistry.factories[scheme]; dup {
-		panic(fmt.Sprintf("llm4vv: backend scheme %q registered twice", scheme))
-	}
-	schemeRegistry.factories[scheme] = factory
+// NewBackend constructs the named endpoint with the given seed.
+// Registered names resolve first. Three prefixes then name endpoints
+// that need no registration:
+//
+//   - "remote:ADDR" is the judging daemon or router at ADDR; a
+//     comma-separated replica list routes through the fleet Router,
+//     exactly as "fleet:ADDR,..." does;
+//   - "fleet:ADDR,..." is the fleet Router over those replicas, one
+//     per distinct list (see fleetRouter);
+//   - "ensemble:SPEC" is the voting panel NewPanel(SPEC, seed).
+//
+// The seed is inert for remote and fleet endpoints: a daemon's backend
+// and seed are fixed when it starts, so experiments needing a
+// particular seed must run against a daemon started with it. Unknown
+// names and failed constructions are errors, not panics, because names
+// arrive from flags and requests at runtime.
+func NewBackend(name string, seed uint64) (judge.LLM, error) {
+	_, llm, err := resolveBackend(name, seed)
+	return llm, err
 }
 
-// NewBackend constructs the named endpoint with the given seed.
-// Concrete registered names resolve first; names of the form
-// "scheme:argument" then fall back to the scheme registry (so
-// "remote:127.0.0.1:8080" dials a judging daemon without prior
-// registration). Unknown names — and factories that return nil —
-// are errors, not panics, because names arrive from flags and
-// requests at runtime.
-func NewBackend(name string, seed uint64) (judge.LLM, error) {
+// resolveBackend is NewBackend that also returns the name's canonical
+// spelling, the one NewRunner keys store records by: a replica list
+// under either prefix is "fleet:" plus its trimmed, non-empty entries
+// joined by commas, and every other name is its own canonical form.
+func resolveBackend(name string, seed uint64) (string, judge.LLM, error) {
 	backendRegistry.RLock()
 	factory, ok := backendRegistry.factories[name]
 	backendRegistry.RUnlock()
-	if !ok {
-		scheme, arg, cut := strings.Cut(name, ":")
-		if cut {
-			schemeRegistry.RLock()
-			sf, sok := schemeRegistry.factories[scheme]
-			schemeRegistry.RUnlock()
-			if sok {
-				if llm := sf(arg, seed); llm != nil {
-					return llm, nil
-				}
-				return nil, fmt.Errorf("llm4vv: backend scheme %q produced no endpoint for %q", scheme, name)
-			}
+	if ok {
+		if llm := factory(seed); llm != nil {
+			return name, llm, nil
 		}
-		return nil, fmt.Errorf("llm4vv: unknown backend %q (registered: %v)", name, Backends())
+		return "", nil, fmt.Errorf("llm4vv: backend %q factory returned a nil endpoint", name)
 	}
-	llm := factory(seed)
-	if llm == nil {
-		return nil, fmt.Errorf("llm4vv: backend %q factory returned a nil endpoint", name)
+	switch prefix, arg := backendPrefix(name); prefix {
+	case "remote":
+		if !strings.Contains(arg, ",") {
+			return name, remote.New(arg), nil
+		}
+		fallthrough
+	case "fleet":
+		rt, err := fleetRouter(arg)
+		if err != nil {
+			return "", nil, fmt.Errorf("llm4vv: replica list %q: %w", arg, err)
+		}
+		return "fleet:" + strings.Join(rt.Addrs(), ","), rt, nil
+	case "ensemble":
+		p, err := NewPanel(arg, seed)
+		if err != nil {
+			return "", nil, err
+		}
+		return name, p, nil
 	}
-	return llm, nil
+	return "", nil, fmt.Errorf("llm4vv: unknown backend %q (registered: %v)", name, Backends())
+}
+
+// backendPrefix splits a "remote:", "fleet:" or "ensemble:" backend
+// name into its prefix and argument; any other name has prefix "".
+func backendPrefix(name string) (prefix, arg string) {
+	prefix, arg, _ = strings.Cut(name, ":")
+	switch prefix {
+	case "remote", "fleet", "ensemble":
+		return prefix, arg
+	}
+	return "", ""
 }
 
 // Backends lists the registered backend names, sorted and distinct
 // (the registry is a map, so each name appears exactly once).
-// Scheme-resolved names ("remote:<addr>") appear only once registered
-// concretely (see RegisterRemoteBackend), since a scheme denotes an
-// open-ended family.
+// Prefixed names ("remote:<addr>", "fleet:<list>", "ensemble:<spec>")
+// resolve without registration and are not listed; the compare sweep
+// adds the Runner's own backend to this list.
 func Backends() []string {
 	backendRegistry.RLock()
 	names := make([]string, 0, len(backendRegistry.factories))
@@ -132,55 +137,6 @@ func Backends() []string {
 	backendRegistry.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// registerConcrete registers factory under name unless name is
-// taken: the idempotent registration front-ends call from flag
-// handling, where re-registration must not panic.
-func registerConcrete(name string, factory BackendFactory) {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	if _, ok := backendRegistry.factories[name]; !ok {
-		backendRegistry.factories[name] = factory
-	}
-}
-
-// dialRemote resolves a daemon address for RegisterRemoteBackend and
-// the "remote" scheme alike: one address gets its own client, a
-// comma-separated replica list the memoised fleet Router over it.
-func dialRemote(addr string) (string, judge.LLM, error) {
-	if !strings.Contains(addr, ",") {
-		return "remote:" + addr, remote.New(addr), nil
-	}
-	rt, err := fleetRouter(addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("llm4vv: replica list %q: %w", addr, err)
-	}
-	return "fleet:" + strings.Join(rt.Addrs(), ","), rt, nil
-}
-
-// RegisterRemoteBackend concretely registers the judging daemon at
-// addr under the name "remote:<addr>" (a replica list: its fleet
-// Router, "fleet:<list>") and returns that name. It is idempotent, for
-// flag handling. Concrete registration is what admits a daemon into
-// Backends() and therefore into the cross-backend compare sweep;
-// ad-hoc "remote:<addr>" names resolve through the scheme registry
-// without it.
-//
-// The seed passed at construction is inert for remote endpoints: the
-// daemon's backend and seed are fixed when it starts, so experiments
-// needing a particular seed must run against a daemon started with
-// it.
-func RegisterRemoteBackend(addr string) (string, error) {
-	name, _, err := dialRemote(addr)
-	if err != nil {
-		return "", err
-	}
-	registerConcrete(name, func(uint64) judge.LLM {
-		_, llm, _ := dialRemote(addr)
-		return llm
-	})
-	return name, nil
 }
 
 // fleetRouters memoizes one Router per canonical address list: a
@@ -206,28 +162,9 @@ func fleetRouter(addrs string) (*fleet.Router, error) {
 	return rt, nil
 }
 
-// RegisterFleetBackend concretely registers the judge fleet behind the
-// comma-separated daemon address list under the name "fleet:<addrs>"
-// and returns that name. Like RegisterRemoteBackend it is idempotent
-// and exists for flag handling; concrete registration admits the
-// fleet into Backends() and the compare sweep. The constructed router
-// hashes each prompt onto its owning replica, fails over on replica
-// death, and — replicas of one fleet serving the same backend and
-// seed — produces reports byte-identical to a single daemon. The
-// construction seed is inert, as for any remote endpoint.
-func RegisterFleetBackend(addrs string) (string, error) {
-	rt, err := fleetRouter(addrs)
-	if err != nil {
-		return "", err
-	}
-	name := "fleet:" + strings.Join(rt.Addrs(), ",")
-	registerConcrete(name, func(uint64) judge.LLM { return rt })
-	return name, nil
-}
-
 // NewPanel constructs a voting ensemble from a member spec
 // ("a+b+c[:strategy]", the argument of an "ensemble:" backend name):
-// each member backend is resolved through the registry — including
+// each member backend is resolved through NewBackend — including
 // "remote:<addr>" members, so a panel can seat daemons — under its
 // own derived seed, so a panel of N copies of one simulated backend
 // seats N distinct judges rather than one echoed three times. Member
@@ -263,55 +200,6 @@ func panelMemberSeed(seed uint64, i int, name string) uint64 {
 	return rng.New(seed).Split(fmt.Sprintf("panel-member/%d/%s", i, name)).Uint64()
 }
 
-// RegisterEnsembleBackend concretely registers the panel described by
-// spec ("a+b+c[:strategy]") under the name "ensemble:<spec>" and
-// returns that name. Like RegisterRemoteBackend it is idempotent —
-// front-ends call it from flag handling — and concrete registration
-// is what admits a panel into Backends() and therefore into the
-// cross-backend compare sweep, where it is scored like any single
-// judge. The spec is validated here — member names resolved included,
-// so register members before their ensemble — and a typo fails at
-// flag time with the member's own error, not mid-sweep as a generic
-// nil-endpoint failure.
-func RegisterEnsembleBackend(spec string) (string, error) {
-	if _, err := NewPanel(spec, DefaultModelSeed); err != nil {
-		return "", err
-	}
-	name := "ensemble:" + spec
-	registerConcrete(name, func(seed uint64) judge.LLM {
-		p, err := NewPanel(spec, seed)
-		if err != nil {
-			return nil
-		}
-		return p
-	})
-	return name, nil
-}
-
 func init() {
 	RegisterBackend(DefaultBackend, func(seed uint64) judge.LLM { return model.New(seed) })
-	RegisterBackendScheme("remote", func(addr string, seed uint64) judge.LLM {
-		_, llm, _ := dialRemote(addr)
-		return llm
-	})
-	// "fleet:addr1,addr2,..." routes prompts across a replica set by
-	// consistent hashing with health-aware failover (internal/fleet).
-	RegisterBackendScheme("fleet", func(addrs string, seed uint64) judge.LLM {
-		rt, err := fleetRouter(addrs)
-		if err != nil {
-			return nil
-		}
-		return rt
-	})
-	// "ensemble:a+b+c[:strategy]" composes registered backends into a
-	// voting panel; the scheme contract reports construction failures
-	// as a nil endpoint, which NewBackend turns into an error (use
-	// NewPanel or RegisterEnsembleBackend for the detailed message).
-	RegisterBackendScheme("ensemble", func(spec string, seed uint64) judge.LLM {
-		p, err := NewPanel(spec, seed)
-		if err != nil {
-			return nil
-		}
-		return p
-	})
 }

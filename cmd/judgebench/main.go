@@ -21,9 +21,10 @@
 // cmd/llm4vv uses; -list enumerates registered experiments and
 // backends.
 //
-// -compare sweeps every registered backend over the same suites and
-// renders a cross-backend metrics matrix (accuracy and bias per
-// dialect). Combined with -store PATH, any run appends every sealed
+// -compare sweeps every registered backend, and the one -backend or
+// -serve-addr selects, over the same suites and renders a
+// cross-backend metrics matrix (accuracy and bias per dialect).
+// Combined with -store PATH, any run appends every sealed
 // verdict to a persistent JSONL run store, and with -resume it skips
 // every (backend, file) pair a previous run already judged — so an
 // interrupted sweep restarts where it stopped, and a sweep re-run
@@ -43,19 +44,21 @@
 // ensemble of backends, scored for accuracy and for inter-judge
 // agreement (Fleiss' kappa, pairwise agreement, per-member bias
 // against the consensus). -panel-members chooses the seats —
-// "a+b+c[:strategy]" over registered backend names, strategies
-// majority (default), unanimous, weighted — and registers
-// "ensemble:<spec>" as a concrete backend, so it also joins any
-// -compare sweep; without it the panel seats three copies of
-// -backend, each under its own derived member seed. With -serve-addr
+// "a+b+c[:strategy]" over backend names, strategies majority
+// (default), unanimous, weighted — checks the spec up front (a bad
+// member fails naming it) and registers "ensemble:<spec>" as a
+// backend, so it also joins any -compare sweep; without it the panel
+// seats three copies of -backend, each under its own derived member
+// seed. With -serve-addr
 // the daemon must itself serve an ensemble backend (llm4vvd -backend
 // ensemble:...); judgebench verifies that before judging starts.
 //
 // -serve-addr routes judging through a running llm4vvd daemon or
-// llm4vv-router: the address registers as the "remote:<addr>" backend
-// and overrides -backend (with -compare, the daemon joins the sweep
-// alongside the in-process backends). A comma-separated replica list
-// registers as the fleet router "fleet:addr1,addr2,..." instead.
+// llm4vv-router: it is shorthand for -backend remote:<addr> (with
+// -compare, the daemon joins the sweep alongside the registered
+// backends, as the Runner's own backend always does). A
+// comma-separated replica list runs as the fleet router
+// "fleet:addr1,addr2,..." instead.
 // -timeout D cancels the run when the deadline passes, exactly like
 // SIGINT. -store PATH -compact folds the run
 // store into one canonical sealed segment plus an empty active file,
@@ -113,15 +116,15 @@ func main() {
 	mode := flag.String("mode", "pipeline1", "direct|agent|indirect|pipeline1|pipeline2")
 	scale := flag.Int("scale", 4, "divide suite sizes by this factor")
 	seed := flag.Uint64("seed", llm4vv.DefaultModelSeed, "model seed")
-	backend := flag.String("backend", llm4vv.DefaultBackend, "registered LLM backend")
-	serveAddr := flag.String("serve-addr", "", "judge through the llm4vvd daemon or router at this address (overrides -backend; a comma-separated replica list routes through the fleet router, as -backend fleet:LIST)")
+	backend := flag.String("backend", llm4vv.DefaultBackend, "LLM backend: a registered name, remote:ADDR, fleet:LIST or ensemble:SPEC")
+	serveAddr := flag.String("serve-addr", "", "judge through the llm4vvd daemon or router at this address (as -backend remote:ADDR, overriding -backend; a comma-separated replica list routes through the fleet router, as -backend fleet:LIST)")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this duration (0 = no deadline)")
 	show := flag.Int("show", 0, "print this many sample transcripts")
 	recordAll := flag.Bool("record-all", true, "run every stage for every file (false = short-circuit)")
 	experiment := flag.String("experiment", "", "dispatch a registered experiment instead of a mode")
-	compare := flag.Bool("compare", false, "sweep every registered backend and print a cross-backend metrics matrix")
+	compare := flag.Bool("compare", false, "sweep every registered backend plus -backend and print a cross-backend metrics matrix")
 	panel := flag.Bool("panel", false, "run the panel experiment: ensemble judging with inter-judge agreement metrics")
-	panelMembers := flag.String("panel-members", "", "ensemble member spec a+b+c[:strategy]; registers ensemble:<spec> as a backend")
+	panelMembers := flag.String("panel-members", "", "ensemble member spec a+b+c[:strategy], checked at once; registers ensemble:<spec> as a backend")
 	storePath := flag.String("store", "", "append sealed verdicts to this JSONL run store")
 	resume := flag.Bool("resume", false, "skip files already recorded in the run store (requires -store)")
 	compact := flag.Bool("compact", false, "compact the run store into one sealed segment (drop superseded duplicates), then exit (requires -store)")
@@ -207,16 +210,23 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		name, err := llm4vv.RegisterRemoteBackend(*serveAddr)
-		fail(err)
-		*backend = name
+		*backend = "remote:" + *serveAddr
 	}
 	if *panelMembers != "" {
-		// Concrete registration admits the panel into Backends() (and
-		// so into -compare sweeps); it also becomes the judging
-		// backend unless a daemon was selected.
-		name, err := llm4vv.RegisterEnsembleBackend(*panelMembers)
+		// Registration admits the panel into Backends() (and so into
+		// -compare sweeps); it also becomes the judging backend unless
+		// a daemon was selected. The spec is checked first, so a bad
+		// member fails here naming it.
+		_, err := llm4vv.NewPanel(*panelMembers, *seed)
 		fail(err)
+		members := *panelMembers
+		name := "ensemble:" + members
+		llm4vv.RegisterBackend(name, func(seed uint64) judge.LLM {
+			if p, err := llm4vv.NewPanel(members, seed); err == nil {
+				return p
+			}
+			return nil
+		})
 		if *serveAddr == "" {
 			*backend = name
 		}

@@ -31,11 +31,11 @@
 // Scheduling knobs never change verdicts or reports.
 //
 // -serve-addr routes all judging through a running llm4vvd daemon:
-// the address registers as the "remote:<addr>" backend and overrides
-// -backend, so many worker processes can share one judging service
-// (the daemon's backend and seed govern; they are fixed at daemon
-// start). A comma-separated replica list registers as the fleet router
-// "fleet:addr1,addr2,..." instead. -timeout D wraps the whole run in
+// it is shorthand for -backend remote:<addr>, so many worker
+// processes can share one judging service (the daemon's backend and
+// seed govern; they are fixed at daemon start). A comma-separated
+// replica list runs as the fleet router "fleet:addr1,addr2,..."
+// instead. -timeout D wraps the whole run in
 // a deadline — the run is cancelled cleanly, exactly like SIGINT.
 //
 // -trace DIR enables distributed tracing: every judged file opens its
@@ -62,8 +62,8 @@ import (
 func main() {
 	seed := flag.Uint64("seed", llm4vv.DefaultModelSeed, "model sampling seed")
 	scale := flag.Int("scale", 1, "divide suite sizes by this factor")
-	backend := flag.String("backend", llm4vv.DefaultBackend, "registered LLM backend")
-	serveAddr := flag.String("serve-addr", "", "judge through the llm4vvd daemon or router at this address (overrides -backend; a comma-separated replica list routes through the fleet router, as -backend fleet:LIST)")
+	backend := flag.String("backend", llm4vv.DefaultBackend, "LLM backend: a registered name, remote:ADDR, fleet:LIST or ensemble:SPEC")
+	serveAddr := flag.String("serve-addr", "", "judge through the llm4vvd daemon or router at this address (as -backend remote:ADDR, overriding -backend; a comma-separated replica list routes through the fleet router, as -backend fleet:LIST)")
 	timeout := flag.Duration("timeout", 0, "cancel the whole run after this duration (0 = no deadline)")
 	workers := flag.Int("workers", 0, "per-stage workers (0 = GOMAXPROCS)")
 	stageWorkers := flag.String("stage-workers", "", "per-stage pipeline workers, name=N comma-separated, N >= 1 (stages: compile, exec, judge; overrides -workers)")
@@ -93,12 +93,7 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		name, err := llm4vv.RegisterRemoteBackend(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "llm4vv: -serve-addr: %v\n", err)
-			os.Exit(2)
-		}
-		*backend = name
+		*backend = "remote:" + *serveAddr
 	}
 	opts := []llm4vv.Option{
 		llm4vv.WithBackend(*backend),

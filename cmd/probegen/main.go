@@ -48,10 +48,14 @@ func main() {
 		os.Exit(2)
 	}
 	var suiteSpec llm4vv.SuiteSpec
-	if *part == 1 {
+	switch *part {
+	case 1:
 		suiteSpec = llm4vv.PartOneSpec(d)
-	} else {
+	case 2:
 		suiteSpec = llm4vv.PartTwoSpec(d)
+	default:
+		fmt.Fprintln(os.Stderr, "probegen: -part must be 1 or 2")
+		os.Exit(2)
 	}
 	suiteSpec = suiteSpec.Scaled(*scale)
 

@@ -29,7 +29,9 @@
 //     it supports that.
 //   - Backend registry: RegisterBackend plugs alternate LLM endpoints
 //     in by name; the simulated deepseek model ships as
-//     DefaultBackend. The required contract is judge.LLM; endpoints
+//     DefaultBackend. NewBackend resolves registered names, then the
+//     "remote:", "fleet:" and "ensemble:" prefixes, which need no
+//     registration. The required contract is judge.LLM; endpoints
 //     may add judge.ContextLLM (cancellation), judge.BatchLLM (whole
 //     batches per call), and genloop.Author (test authoring).
 //   - Experiment registry: RegisterExperiment makes a scenario
@@ -56,7 +58,7 @@
 // Judging also runs as a service: cmd/llm4vvd fronts any registered
 // backend over HTTP with dynamic micro-batching, bounded admission
 // (429 + Retry-After on overload), and store-backed completion dedup,
-// and the "remote:<addr>" backend (RegisterRemoteBackend, or the
+// and the "remote:<addr>" backend (named directly, or by the
 // -serve-addr flag on both commands) points any experiment at a
 // running daemon with byte-identical metrics — see DESIGN.md §8 and
 // examples/service. A comma-separated address list resolves to the
@@ -69,14 +71,14 @@
 // ring membership with request failover, priority-class load shedding
 // (bulk sweeps yield to interactive traffic), per-client quotas, and
 // Prometheus /metrics on both tiers. The "fleet:addr1,addr2,..."
-// backend (RegisterFleetBackend) routes in-process, and reports stay
+// backend routes in-process, and reports stay
 // byte-identical to a single daemon even across a replica killed
 // mid-sweep — see DESIGN.md §11 and examples/fleet.
 //
 // Backends compose into voting ensembles: "ensemble:a+b+c[:strategy]"
-// (NewPanel, RegisterEnsembleBackend) seats any registered backends —
-// remote daemons included — on one panel that fans every batch out
-// concurrently per member and combines votes by majority, unanimity
+// (NewPanel) seats any backends — remote daemons included — on one
+// panel that fans every batch out concurrently per member and
+// combines votes by majority, unanimity
 // with a deterministic tiebreak, or store-calibrated weights, with
 // quorum semantics when members fail. The "panel" experiment scores a
 // panel both as a judge and for inter-judge reliability (Fleiss'

@@ -51,12 +51,9 @@ func main() {
 	}
 	fmt.Printf("replicas serving %s on %s\n\n", llm4vv.DefaultBackend, strings.Join(addrs, " and "))
 
-	// 2. Register the fleet as a backend: prompts consistent-hash
-	// across both replicas, each owning its share of the key space.
-	fleetName, err := llm4vv.RegisterFleetBackend(strings.Join(addrs, ","))
-	if err != nil {
-		panic(err)
-	}
+	// 2. Name the fleet as a backend: prompts consistent-hash across
+	// both replicas, each owning its share of the key space.
+	fleetName := "fleet:" + strings.Join(addrs, ",")
 
 	// 3. Judge the same suite both ways.
 	suite := llm4vv.PartOneSpec(spec.OpenACC).Scaled(8)

@@ -45,12 +45,9 @@ func main() {
 	defer httpSrv.Close()
 	fmt.Printf("daemon serving %s on %s\n\n", llm4vv.DefaultBackend, ln.Addr())
 
-	// 2. Register the daemon as a backend. Every experiment can now
-	// select it by name, exactly like an in-process endpoint.
-	remoteName, err := llm4vv.RegisterRemoteBackend(ln.Addr().String())
-	if err != nil {
-		panic(err)
-	}
+	// 2. Name the daemon as a backend. Every experiment can select it
+	// by name, exactly like an in-process endpoint.
+	remoteName := "remote:" + ln.Addr().String()
 
 	// 3. Judge the same suite both ways.
 	suite := llm4vv.PartOneSpec(spec.OpenACC).Scaled(8)

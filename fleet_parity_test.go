@@ -11,11 +11,13 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/judge"
 	"repro/internal/server"
 	"repro/internal/spec"
 )
@@ -99,21 +101,7 @@ func TestFleetReplicaKillMidSweep(t *testing.T) {
 		backend func(t *testing.T, addrs string) string
 	}{
 		{"fleet scheme", func(t *testing.T, addrs string) string { return "fleet:" + addrs }},
-		{"remote list", func(t *testing.T, addrs string) string {
-			name, err := RegisterRemoteBackend(addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				backendRegistry.Lock()
-				delete(backendRegistry.factories, name)
-				backendRegistry.Unlock()
-			})
-			if name != "fleet:"+addrs {
-				t.Fatalf("RegisterRemoteBackend(%q) = %q, want the fleet router's name", addrs, name)
-			}
-			return name
-		}},
+		{"remote list", func(t *testing.T, addrs string) string { return "remote:" + addrs }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var completions, afterKill atomic.Int64
@@ -147,6 +135,9 @@ func TestFleetReplicaKillMidSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if fr.backend != "fleet:"+addrs {
+				t.Fatalf("Runner backend %q, want the fleet router's name", fr.backend)
+			}
 			fres, err := RunExperiment(context.Background(), fr, "part1", params)
 			if err != nil {
 				t.Fatalf("sweep failed after replica kill: %v", err)
@@ -173,81 +164,71 @@ func TestFleetReplicaKillMidSweep(t *testing.T) {
 }
 
 // TestFleetSpellingsShareOneRouter: spellings of one address list that
-// differ only in spaces and empty entries resolve to one Router and
-// one registry name, so a fleet runs one health loop and joins a
-// compare sweep once.
+// differ only in prefix, spaces and empty entries resolve through
+// NewBackend to one Router, so a fleet runs one health loop.
 func TestFleetSpellingsShareOneRouter(t *testing.T) {
 	a, b := startFleetReplica(t, nil), startFleetReplica(t, nil)
-	want := "fleet:" + a + "," + b
-	defer func() {
-		backendRegistry.Lock()
-		delete(backendRegistry.factories, want)
-		backendRegistry.Unlock()
-	}()
-	var first *fleet.Router
+	var first judge.LLM
 	for _, list := range []string{a + "," + b, a + ", " + b, a + "," + b + ",", " " + a + ",," + b} {
-		name, err := RegisterFleetBackend(list)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name != want {
-			t.Errorf("RegisterFleetBackend(%q) = %q, want %q", list, name, want)
-		}
-		if name, err = RegisterRemoteBackend(list); err != nil || name != want {
-			t.Errorf("RegisterRemoteBackend(%q) = %q, %v, want %q", list, name, err, want)
-		}
-		rt, err := fleetRouter(list)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = rt
-		} else if rt != first {
-			t.Errorf("fleetRouter(%q) started a second Router for one fleet", list)
+		for _, prefix := range []string{"fleet:", "remote:"} {
+			llm, err := NewBackend(prefix+list, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := llm.(*fleet.Router); !ok {
+				t.Fatalf("NewBackend(%q) = %T, want *fleet.Router", prefix+list, llm)
+			}
+			if first == nil {
+				first = llm
+			} else if llm != first {
+				t.Errorf("NewBackend(%q) started a second Router for one fleet", prefix+list)
+			}
 		}
 	}
 }
 
-// TestRegisterFleetBackendIdempotent mirrors the remote variant: the
-// name is stable, appears once in Backends(), and scheme-resolved
-// fleet names never leak into the registry uninvited.
-func TestRegisterFleetBackendIdempotent(t *testing.T) {
-	addrs := startFleetReplica(t, nil) + "," + startFleetReplica(t, nil)
-	a, err := RegisterFleetBackend(addrs)
+// TestFleetResumeAcrossSpellings: NewRunner keys store records by the
+// canonical fleet name, so a run stored under "remote:A, B" is resumed
+// in full by a run under "fleet:A,B" — no prompt reaches a replica.
+func TestFleetResumeAcrossSpellings(t *testing.T) {
+	var requests atomic.Int64
+	count := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/complete") {
+				requests.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	a, b := startFleetReplica(t, count), startFleetReplica(t, count)
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	suite := PartOneSpec(spec.OpenACC).Scaled(16)
+
+	first := mustRunner(t, WithBackend("remote:"+a+", "+b), WithStore(path))
+	sum1, err := first.DirectProbing(context.Background(), suite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// White-box cleanup: drop the registration so later compare sweeps
-	// do not dial the torn-down test replicas.
-	defer func() {
-		backendRegistry.Lock()
-		delete(backendRegistry.factories, a)
-		backendRegistry.Unlock()
-	}()
-	b, err := RegisterFleetBackend(addrs)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sent := requests.Load()
+	if sent == 0 {
+		t.Fatal("first run never reached a replica")
+	}
+
+	resumed := mustRunner(t, WithBackend("fleet:"+a+","+b), WithStore(path), WithResume(true))
+	sum2, err := resumed.DirectProbing(context.Background(), suite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b || a != "fleet:"+addrs {
-		t.Fatalf("RegisterFleetBackend returned %q then %q", a, b)
-	}
-	count := 0
-	for _, name := range Backends() {
-		if name == a {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Errorf("backend %q registered %d times", a, count)
-	}
-	llm, err := NewBackend(a, 1)
-	if err != nil {
+	if err := resumed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if llm == nil {
-		t.Fatal("fleet backend resolved to a nil endpoint")
+	if got := requests.Load() - sent; got != 0 {
+		t.Errorf("resumed run sent %d endpoint requests, want 0", got)
 	}
-	if _, err := RegisterFleetBackend(" ,, "); err == nil {
-		t.Error("blank fleet address list accepted")
+	if sum1 != sum2 {
+		t.Errorf("resumed metrics diverged:\n %+v\n %+v", sum1, sum2)
 	}
 }

@@ -98,7 +98,7 @@ func knownStrategy(name string) bool {
 type Member struct {
 	// Name labels the member's votes; it must be non-empty, unique on
 	// the panel, and free of whitespace and '=' (the vote encoding's
-	// separators). The backend scheme names members "backend#index".
+	// separators). llm4vv.NewPanel names members "backend#index".
 	Name string
 	// LLM answers the member's prompts. judge.BatchLLM and
 	// judge.ContextLLM are honoured when implemented.

@@ -1,7 +1,7 @@
 // Package remote implements the client side of the judging service:
 // a backend that satisfies judge.LLM, judge.ContextLLM, and
 // judge.BatchLLM by forwarding prompts to a running llm4vvd daemon
-// over HTTP. Registered in the backend registry as "remote:<addr>",
+// over HTTP. Named "remote:<addr>" as a backend (llm4vv.NewBackend),
 // it lets every existing experiment — part1, part2, ablations,
 // genloop, compare — run unmodified against a daemon, which is how
 // one judging service absorbs the load of many worker processes.
@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -316,16 +317,18 @@ func httpError(resp *http.Response) error {
 // parseRetryAfter reads the Retry-After header; the daemon writes
 // fractional seconds, and plain integer seconds parse too. The second
 // return distinguishes a parsed hint — zero included — from an absent
-// or malformed header.
+// or malformed header. Negative, NaN and infinite values, and hints
+// too long for a time.Duration, count as malformed.
 func parseRetryAfter(v string) (time.Duration, bool) {
 	if v == "" {
 		return 0, false
 	}
 	secs, err := strconv.ParseFloat(v, 64)
-	if err != nil || secs < 0 {
+	ns := secs * float64(time.Second)
+	if err != nil || !(secs >= 0) || ns >= math.MaxInt64 {
 		return 0, false
 	}
-	return time.Duration(secs * float64(time.Second)), true
+	return time.Duration(ns), true
 }
 
 // drain discards any unread body so the keep-alive connection is

@@ -11,10 +11,11 @@ import (
 // Option configures a Runner at construction time.
 type Option func(*Runner)
 
-// WithBackend selects the registered LLM endpoint the Runner judges
-// and generates with. The name is resolved against the backend
-// registry when NewRunner runs, so an unknown name fails fast there
-// rather than mid-experiment. Default: DefaultBackend.
+// WithBackend selects the LLM endpoint the Runner judges and generates
+// with: a registered name, or a "remote:<addr>", "fleet:<list>" or
+// "ensemble:<spec>" name (see NewBackend). The name is resolved when
+// NewRunner runs, so an unknown name fails fast there rather than
+// mid-experiment. Default: DefaultBackend.
 func WithBackend(name string) Option {
 	return func(r *Runner) { r.backend = name }
 }

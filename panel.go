@@ -199,7 +199,7 @@ type PanelScenarioResult struct {
 // before any judging starts.
 func (r *Runner) panelRunner() (*Runner, error) {
 	b := r.backend
-	if strings.HasPrefix(b, "ensemble:") || strings.HasPrefix(b, "remote:") || strings.HasPrefix(b, "fleet:") {
+	if prefix, _ := backendPrefix(b); prefix != "" {
 		return r, nil
 	}
 	memberSpec := r.panelSpec

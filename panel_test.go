@@ -94,17 +94,7 @@ func TestPanelViaRemoteParity(t *testing.T) {
 				srvs = append(srvs, srv)
 				addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
 			}
-			remoteName, err := RegisterRemoteBackend(strings.Join(addrs, ","))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				// Deregister so later compare sweeps do not dial a daemon
-				// that died with this test.
-				backendRegistry.Lock()
-				delete(backendRegistry.factories, remoteName)
-				backendRegistry.Unlock()
-			})
+			remoteName := "remote:" + strings.Join(addrs, ",")
 			rr, err := NewRunner(WithBackend(remoteName))
 			if err != nil {
 				t.Fatal(err)

@@ -78,10 +78,11 @@ func (h *storeHealth) failure() error {
 	return h.err
 }
 
-// NewRunner builds a Runner from options, validating the backend name
-// against the registry — and opening the run store, when one is
-// configured — so misconfiguration fails here rather than
-// mid-experiment.
+// NewRunner builds a Runner from options, resolving the backend name
+// — and opening the run store, when one is configured — so
+// misconfiguration fails here rather than mid-experiment. The Runner
+// keeps the name's canonical spelling (see resolveBackend), so every
+// spelling of one fleet shares its store records.
 func NewRunner(opts ...Option) (*Runner, error) {
 	r := &Runner{
 		backend: DefaultBackend,
@@ -92,9 +93,11 @@ func NewRunner(opts ...Option) (*Runner, error) {
 	for _, opt := range opts {
 		opt(r)
 	}
-	if _, err := NewBackend(r.backend, r.seed); err != nil {
+	name, _, err := resolveBackend(r.backend, r.seed)
+	if err != nil {
 		return nil, err
 	}
+	r.backend = name
 	if err := pipeline.ValidateStages(r.stages); err != nil {
 		return nil, err
 	}
@@ -162,8 +165,8 @@ func (r *Runner) degradeStore(err error) {
 	}
 }
 
-// withBackend returns a copy of the Runner aimed at another registered
-// backend, sharing the store — how the compare scenario sweeps every
+// withBackend returns a copy of the Runner aimed at another backend,
+// sharing the store — how the compare scenario sweeps every
 // backend through one configuration.
 func (r *Runner) withBackend(name string) *Runner {
 	r2 := *r
@@ -190,9 +193,9 @@ func (r *Runner) judgeSpec(n int) pipeline.StageSpec {
 }
 
 // newLLM constructs a fresh endpoint for one experiment call. The
-// backend name was validated at construction — NewRunner's NewBackend
-// probe errors on unknown names and nil-producing factories alike —
-// so the registry lookup here cannot fail.
+// backend name was resolved at construction — NewRunner errors on
+// unknown names and failed constructions alike — so resolving it
+// again here cannot fail.
 func (r *Runner) newLLM() judge.LLM {
 	llm, _ := NewBackend(r.backend, r.seed)
 	return llm

@@ -9,6 +9,7 @@ package llm4vv
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/metrics"
@@ -30,7 +31,7 @@ func init() {
 		"automated test generation filtered by the validation pipeline (§VI)",
 		runGenloopScenario)
 	RegisterExperimentFunc("compare",
-		"cross-backend sweep: judge the same suites with every registered backend and render a metrics matrix",
+		"cross-backend sweep: judge the same suites with every registered backend, and the run's own, and render a metrics matrix",
 		runCompareScenario)
 	RegisterExperimentFunc("panel",
 		"ensemble judging: a voting panel of backends with inter-judge agreement metrics (Fleiss' kappa)",
@@ -238,23 +239,30 @@ func (r *AblationsScenarioResult) Report() string {
 }
 
 // CompareScenarioResult carries the cross-backend sweep: the same
-// Part-One suites judged by every registered backend under one seed,
-// the multi-backend direction of the LLM4VV follow-up work.
+// Part-One suites judged by every registered backend, and the
+// Runner's own, under one seed, the multi-backend direction of the
+// LLM4VV follow-up work.
 type CompareScenarioResult struct {
 	Backends  []string
 	Dialects  []spec.Dialect
 	Summaries map[string]map[spec.Dialect]metrics.Summary
 }
 
-// runCompareScenario sweeps every registered backend through direct
-// probing on the same suites. Each backend runs on a copy of the
+// runCompareScenario sweeps every registered backend, plus the
+// dispatching Runner's own, through direct probing on the same suites
+// — so a daemon, fleet or panel named by WithBackend joins the sweep
+// without being registered. Each backend runs on a copy of the
 // dispatching Runner that shares its run store, so a stored, resumed
 // sweep skips every (backend, file) pair a previous run already
 // judged — adding one backend to a finished sweep judges only the new
 // backend's files.
 func runCompareScenario(ctx context.Context, r *Runner, p ExperimentParams) (ExperimentResult, error) {
+	names := Backends()
+	if i, found := slices.BinarySearch(names, r.backend); !found {
+		names = slices.Insert(names, i, r.backend)
+	}
 	res := &CompareScenarioResult{
-		Backends:  Backends(),
+		Backends:  names,
 		Dialects:  p.EffectiveDialects(),
 		Summaries: map[string]map[spec.Dialect]metrics.Summary{},
 	}

@@ -1,15 +1,16 @@
 package llm4vv
 
 // Tests for the judge-as-a-service layer seen from the public API: a
-// daemon booted in-process fronts the simulated backend, registers as
-// "remote:<addr>", and every experiment — including the cross-backend
-// compare sweep — reproduces byte-identical metrics through it. The
-// daemon lives for the whole test binary (the registry has no
-// unregister), so later compare sweeps legitimately include it.
+// daemon booted in-process fronts the simulated backend, is named
+// "remote:<addr>" without registration, and every experiment —
+// including the cross-backend compare sweep — reproduces
+// byte-identical metrics through it.
 //
-// Also here: the registry error paths added with the service —
-// duplicate and empty registrations panic, nil-producing factories
-// and unknown schemes error, Backends() stays sorted and distinct.
+// Also here: backend name resolution — registered names, the
+// remote:, fleet: and ensemble: prefixes and their canonical
+// spellings, and the error paths: duplicate and empty registrations
+// panic, nil-producing factories and unknown names error, Backends()
+// stays sorted and distinct.
 
 import (
 	"context"
@@ -19,16 +20,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ensemble"
+	"repro/internal/fleet"
 	"repro/internal/judge"
 	"repro/internal/model"
+	"repro/internal/remote"
 	"repro/internal/server"
 	"repro/internal/spec"
 )
 
 // testDaemon boots one shared in-process judging daemon over the
-// default backend and seed, and registers it concretely so it joins
-// Backends() and the compare sweep. It stays up for the process
-// lifetime by design.
+// default backend and seed, named "remote:<addr>". It stays up for the
+// process lifetime by design.
 var testDaemon struct {
 	once sync.Once
 	name string
@@ -48,21 +51,22 @@ func remoteBackendName(t *testing.T) string {
 			Seed:    DefaultModelSeed,
 		})
 		ts := httptest.NewServer(testDaemon.srv.Handler())
-		testDaemon.name, err = RegisterRemoteBackend(strings.TrimPrefix(ts.URL, "http://"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		testDaemon.name = "remote:" + strings.TrimPrefix(ts.URL, "http://")
 	})
 	return testDaemon.name
 }
 
 // TestCompareViaRemoteParity is the acceptance check for the service:
-// the compare experiment sweeps both the in-process backend and the
+// the compare experiment, dispatched on a Runner aimed at the
+// unregistered daemon, sweeps both the in-process backend and the
 // daemon fronting the same backend and seed, and their accuracy/bias
 // metrics must be byte-identical.
 func TestCompareViaRemoteParity(t *testing.T) {
 	remoteName := remoteBackendName(t)
-	r := newTestRunner(t)
+	r, err := NewRunner(WithBackend(remoteName))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := RunExperiment(context.Background(), r, "compare",
 		ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC, spec.OpenMP}, Scale: 8})
 	if err != nil {
@@ -175,75 +179,87 @@ func TestNewBackendNilProducingFactory(t *testing.T) {
 	}
 }
 
-func TestBackendSchemeResolution(t *testing.T) {
-	// The remote scheme resolves unregistered addresses (construction
-	// is offline; nothing dials until judging starts).
-	llm, err := NewBackend("remote:127.0.0.1:1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if llm == nil {
-		t.Fatal("remote scheme produced nil endpoint")
-	}
-	if _, ok := llm.(judge.BatchLLM); !ok {
-		t.Error("remote endpoint does not implement judge.BatchLLM")
-	}
-	if _, ok := llm.(judge.ContextLLM); !ok {
-		t.Error("remote endpoint does not implement judge.ContextLLM")
-	}
-	// Unknown schemes and unknown plain names both error.
-	if _, err := NewBackend("nosuchscheme:arg", 1); err == nil {
-		t.Error("unknown scheme resolved")
-	}
-	// Scheme-resolved names do not appear in Backends() until
-	// registered concretely.
-	for _, name := range Backends() {
-		if name == "remote:127.0.0.1:1" {
-			t.Error("ad-hoc scheme name leaked into Backends()")
-		}
-	}
-}
-
-// TestRegisterRemoteBackendIdempotent: one address registers as
-// "remote:<addr>", a replica list as its fleet Router's canonical
-// "fleet:<list>"; either way the name is stable and appears once in
-// Backends(), and a list naming no address is refused.
-func TestRegisterRemoteBackendIdempotent(t *testing.T) {
-	replicas := startFleetReplica(t, nil) + "," + startFleetReplica(t, nil)
-	for _, tc := range []struct{ addr, want string }{
-		{"192.0.2.9:7777", "remote:192.0.2.9:7777"},
-		{strings.ReplaceAll(replicas, ",", ", "), "fleet:" + replicas},
+// TestNewBackendNames: every way of naming a backend resolves through
+// NewBackend alone, NewRunner keeps the canonical spelling, and every
+// failure names its cause. Replica lists run on live in-process
+// daemons, since a fleet Router probes its replicas.
+func TestNewBackendNames(t *testing.T) {
+	a, b := startFleetReplica(t, nil), startFleetReplica(t, nil)
+	fleetName := "fleet:" + a + "," + b
+	members := DefaultBackend + "+" + DefaultBackend
+	var router *fleet.Router
+	for _, tc := range []struct {
+		name, canonical string
+		check           func(t *testing.T, llm judge.LLM)
+		errHas          string
+	}{
+		{name: DefaultBackend, canonical: DefaultBackend},
+		{name: "remote:127.0.0.1:1", canonical: "remote:127.0.0.1:1", check: func(t *testing.T, llm judge.LLM) {
+			// Construction is offline: nothing dials until judging.
+			if _, ok := llm.(*remote.Backend); !ok {
+				t.Errorf("got %T, want *remote.Backend", llm)
+			}
+			if _, ok := llm.(judge.BatchLLM); !ok {
+				t.Error("remote endpoint does not implement judge.BatchLLM")
+			}
+			if _, ok := llm.(judge.ContextLLM); !ok {
+				t.Error("remote endpoint does not implement judge.ContextLLM")
+			}
+		}},
+		{name: "remote:" + a + ", " + b, canonical: fleetName},
+		{name: fleetName, canonical: fleetName},
+		{name: "fleet:" + a + ", " + b, canonical: fleetName},
+		{name: "fleet:" + a + ",," + b + ",", canonical: fleetName},
+		{name: "fleet: " + a + " ,\t" + b, canonical: fleetName},
+		{name: "ensemble:" + members, canonical: "ensemble:" + members, check: func(t *testing.T, llm judge.LLM) {
+			if _, ok := llm.(*ensemble.Panel); !ok {
+				t.Errorf("got %T, want *ensemble.Panel", llm)
+			}
+		}},
+		{name: "nosuchscheme:arg", errHas: "unknown backend"},
+		{name: "no-such-backend", errHas: "unknown backend"},
+		{name: "fleet: , ", errHas: "no replicas configured"},
+		{name: "remote: , ", errHas: "no replicas configured"},
+		{name: "fleet:" + a + "," + a, errHas: "replica " + a + " configured twice"},
+		{name: "ensemble:" + DefaultBackend + "+no-such-member", errHas: "no-such-member"},
 	} {
-		a, err := RegisterRemoteBackend(tc.addr)
-		if err != nil {
-			t.Fatal(err)
+		llm, err := NewBackend(tc.name, 1)
+		r, rerr := NewRunner(WithBackend(tc.name))
+		if tc.errHas != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Errorf("NewBackend(%q) error = %v, want one naming %q", tc.name, err, tc.errHas)
+			}
+			if rerr == nil {
+				t.Errorf("NewRunner accepted backend %q", tc.name)
+			}
+			continue
 		}
-		// White-box cleanup: the test addresses must not stay
-		// registered, or later compare sweeps would dial them.
-		defer func() {
-			backendRegistry.Lock()
-			delete(backendRegistry.factories, a)
-			backendRegistry.Unlock()
-		}()
-		b, err := RegisterRemoteBackend(tc.addr)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || rerr != nil {
+			t.Fatalf("%q: NewBackend: %v; NewRunner: %v", tc.name, err, rerr)
 		}
-		if a != b || a != tc.want {
-			t.Fatalf("RegisterRemoteBackend(%q) returned %q then %q, want %q", tc.addr, a, b, tc.want)
+		if r.backend != tc.canonical {
+			t.Errorf("NewRunner(WithBackend(%q)) keeps %q, want %q", tc.name, r.backend, tc.canonical)
 		}
-		count := 0
-		for _, name := range Backends() {
-			if name == a {
-				count++
+		if tc.canonical == fleetName {
+			rt, ok := llm.(*fleet.Router)
+			if !ok {
+				t.Fatalf("%q resolved to %T, want *fleet.Router", tc.name, llm)
+			}
+			if router == nil {
+				router = rt
+			} else if rt != router {
+				t.Errorf("%q started a second Router for one fleet", tc.name)
 			}
 		}
-		if count != 1 {
-			t.Errorf("backend %q registered %d times", a, count)
+		if tc.check != nil {
+			tc.check(t, llm)
 		}
 	}
-	if _, err := RegisterRemoteBackend(" , "); err == nil {
-		t.Error("address list naming no address accepted")
+	// Prefixed names resolve without registration and never join it.
+	for _, name := range Backends() {
+		if prefix, _ := backendPrefix(name); prefix != "" {
+			t.Errorf("prefixed name %q leaked into Backends()", name)
+		}
 	}
 }
 
