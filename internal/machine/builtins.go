@@ -8,151 +8,220 @@ import (
 	"repro/internal/testlang"
 )
 
-// evalCall dispatches a call to a user function or a builtin.
-func (ex *exec) evalCall(n *testlang.CallExpr) value {
-	if fd, ok := ex.in.obj.Funcs[n.Fun]; ok && fd.Body != nil {
-		args := make([]value, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = ex.eval(a)
+// call binds a call to a user function's lowered code, or to one
+// builtin's closure; a name that is neither is the unresolved symbol a
+// lenient (implicitly declaring) compile leaves behind, and traps when
+// the call runs.
+func (l *lowerer) call(n *testlang.CallExpr) evalFn {
+	if fd, ok := l.obj.Funcs[n.Fun]; ok && fd.Body != nil {
+		fn, args := l.function(n.Fun, fd), l.exprs(n.Args)
+		return func(ex *exec) value {
+			ex.bud.step()
+			return ex.callFunction(fn, args)
 		}
-		return ex.callFunction(fd, args)
+	}
+	arg := func(i int) evalFn {
+		if i < len(n.Args) {
+			return l.expr(n.Args[i])
+		}
+		return missingArg
 	}
 	switch n.Fun {
 	case "printf":
-		return ex.doPrintf(n.Args, false)
+		return l.printf(n.Args, false)
 	case "fprintf":
 		if len(n.Args) == 0 {
-			return intVal(0)
+			return constant(intVal(0))
 		}
-		toErr := false
-		if id, ok := n.Args[0].(*testlang.IdentExpr); ok && id.Name == "stderr" {
-			toErr = true
-		}
-		return ex.doPrintfTo(n.Args[1:], toErr)
+		id, ok := n.Args[0].(*testlang.IdentExpr)
+		return l.printf(n.Args[1:], ok && id.Name == "stderr")
 	case "malloc":
 		if len(n.Args) != 1 {
-			return nullVal()
+			return constant(nullVal())
 		}
-		bytes := ex.eval(n.Args[0]).asInt()
-		if bytes < 0 || bytes > 1<<28 {
-			return nullVal()
+		size := arg(0)
+		return func(ex *exec) value {
+			ex.bud.step()
+			bytes := size(ex).asInt()
+			if bytes < 0 || bytes > 1<<28 {
+				return nullVal()
+			}
+			return refVal(ref{blk: newHeapBlock(bytes)})
 		}
-		return refVal(ref{blk: newHeapBlock(bytes)})
 	case "calloc":
 		if len(n.Args) != 2 {
-			return nullVal()
+			return constant(nullVal())
 		}
-		count := ex.eval(n.Args[0]).asInt()
-		size := ex.eval(n.Args[1]).asInt()
-		total := count * size
-		if total < 0 || total > 1<<28 {
-			return nullVal()
+		count, size := arg(0), arg(1)
+		return func(ex *exec) value {
+			ex.bud.step()
+			c := count(ex).asInt()
+			total := c * size(ex).asInt()
+			if total < 0 || total > 1<<28 {
+				return nullVal()
+			}
+			return refVal(ref{blk: newHeapBlock(total)})
 		}
-		return refVal(ref{blk: newHeapBlock(total)})
 	case "free":
 		if len(n.Args) != 1 {
+			return constant(intVal(0))
+		}
+		ptr := arg(0)
+		return func(ex *exec) value {
+			ex.bud.step()
+			v := ptr(ex)
+			if v.k == kNull || (v.k == kInt && v.i == 0) {
+				return intVal(0) // free(NULL) is a no-op
+			}
+			r, ok := refOf(v)
+			if !ok || r.off != 0 {
+				panic(abortFault("free(): invalid pointer"))
+			}
+			if r.blk.freed {
+				panic(abortFault("free(): double free detected"))
+			}
+			r.blk.freed = true
 			return intVal(0)
 		}
-		v := ex.eval(n.Args[0])
-		if v.k == kNull || (v.k == kInt && v.i == 0) {
-			return intVal(0) // free(NULL) is a no-op
-		}
-		r, ok := refOf(v)
-		if !ok || r.off != 0 {
-			panic(abortFault("free(): invalid pointer"))
-		}
-		if r.blk.freed {
-			panic(abortFault("free(): double free detected"))
-		}
-		r.blk.freed = true
-		return intVal(0)
 	case "exit":
-		code := int64(0)
-		if len(n.Args) > 0 {
-			code = ex.eval(n.Args[0]).asInt()
+		if len(n.Args) == 0 {
+			return func(ex *exec) value {
+				ex.bud.step()
+				panic(exitSignal{code: 0})
+			}
 		}
-		panic(exitSignal{code: int(code)})
+		code := arg(0)
+		return func(ex *exec) value {
+			ex.bud.step()
+			panic(exitSignal{code: int(code(ex).asInt())})
+		}
 	case "abs", "labs":
-		v := ex.eval(n.Args[0]).asInt()
-		if v < 0 {
-			v = -v
+		x := arg(0)
+		return func(ex *exec) value {
+			ex.bud.step()
+			v := x(ex).asInt()
+			if v < 0 {
+				v = -v
+			}
+			return intVal(v)
 		}
-		return intVal(v)
 	case "fabs", "fabsf":
-		return floatVal(math.Abs(ex.eval(n.Args[0]).asFloat()))
+		return math1(arg(0), math.Abs)
 	case "sqrt", "sqrtf":
-		return floatVal(math.Sqrt(ex.eval(n.Args[0]).asFloat()))
-	case "pow":
-		return floatVal(math.Pow(ex.eval(n.Args[0]).asFloat(), ex.eval(n.Args[1]).asFloat()))
+		return math1(arg(0), math.Sqrt)
 	case "floor":
-		return floatVal(math.Floor(ex.eval(n.Args[0]).asFloat()))
+		return math1(arg(0), math.Floor)
 	case "ceil":
-		return floatVal(math.Ceil(ex.eval(n.Args[0]).asFloat()))
-	case "fmax":
-		return floatVal(math.Max(ex.eval(n.Args[0]).asFloat(), ex.eval(n.Args[1]).asFloat()))
-	case "fmin":
-		return floatVal(math.Min(ex.eval(n.Args[0]).asFloat(), ex.eval(n.Args[1]).asFloat()))
+		return math1(arg(0), math.Ceil)
 	case "sin":
-		return floatVal(math.Sin(ex.eval(n.Args[0]).asFloat()))
+		return math1(arg(0), math.Sin)
 	case "cos":
-		return floatVal(math.Cos(ex.eval(n.Args[0]).asFloat()))
+		return math1(arg(0), math.Cos)
 	case "exp":
-		return floatVal(math.Exp(ex.eval(n.Args[0]).asFloat()))
+		return math1(arg(0), math.Exp)
 	case "log":
-		return floatVal(math.Log(ex.eval(n.Args[0]).asFloat()))
+		return math1(arg(0), math.Log)
+	case "pow":
+		return math2(arg(0), arg(1), math.Pow)
+	case "fmax":
+		return math2(arg(0), arg(1), math.Max)
+	case "fmin":
+		return math2(arg(0), arg(1), math.Min)
 	case "omp_get_num_threads":
-		if ex.regionWidth > 0 {
-			return intVal(int64(ex.regionWidth))
+		return func(ex *exec) value {
+			ex.bud.step()
+			if ex.regionWidth > 0 {
+				return intVal(int64(ex.regionWidth))
+			}
+			return intVal(1)
 		}
-		return intVal(1)
 	case "omp_get_thread_num":
-		return intVal(int64(ex.workerID))
+		return func(ex *exec) value {
+			ex.bud.step()
+			return intVal(int64(ex.workerID))
+		}
 	case "omp_get_max_threads":
-		return intVal(int64(ex.in.opts.Workers))
+		return func(ex *exec) value {
+			ex.bud.step()
+			return intVal(int64(ex.in.opts.Workers))
+		}
 	case "omp_get_num_devices", "acc_get_num_devices":
-		return intVal(1)
+		return constant(intVal(1))
 	case "omp_is_initial_device":
-		return boolToInt(!ex.inDevice)
+		return func(ex *exec) value {
+			ex.bud.step()
+			return boolToInt(!ex.inDevice)
+		}
 	case "acc_get_device_num":
-		return intVal(0)
-	default:
-		// Implicitly declared function (compiled under the lenient
-		// personality): calling it at run time is an unresolved symbol.
-		// A native toolchain would fail at link; the lenient model
-		// mirrors historic behaviour where the call traps at run time.
-		panic(trapSignal{
-			kind: "link",
-			rc:   127,
-			msg:  fmt.Sprintf("symbol lookup error: undefined symbol: %s", n.Fun),
-		})
+		return constant(intVal(0))
+	}
+	// Implicitly declared function (compiled under the lenient
+	// personality): calling it at run time is an unresolved symbol. A
+	// native toolchain would fail at link; the lenient model mirrors
+	// historic behaviour where the call traps at run time.
+	link := trapSignal{
+		kind: "link",
+		rc:   127,
+		msg:  fmt.Sprintf("symbol lookup error: undefined symbol: %s", n.Fun),
+	}
+	return func(ex *exec) value {
+		ex.bud.step()
+		panic(link)
 	}
 }
 
-func (ex *exec) doPrintf(args []testlang.Expr, toErr bool) value {
-	return ex.doPrintfTo(args, toErr)
+// missingArg stands for a builtin argument the call does not pass
+// (sema rejects such calls; a hand-built object can still hold one):
+// evaluating it is the crash reading past the argument list would be.
+func missingArg(*exec) value { panic(segfault()) }
+
+func math1(x evalFn, f func(float64) float64) evalFn {
+	return func(ex *exec) value {
+		ex.bud.step()
+		return floatVal(f(x(ex).asFloat()))
+	}
 }
 
-func (ex *exec) doPrintfTo(args []testlang.Expr, toErr bool) value {
+func math2(x, y evalFn, f func(float64, float64) float64) evalFn {
+	return func(ex *exec) value {
+		ex.bud.step()
+		a := x(ex).asFloat()
+		return floatVal(f(a, y(ex).asFloat()))
+	}
+}
+
+// printf lowers printf and fprintf's format and arguments. A literal
+// format is taken as is, without a step; any other is evaluated.
+func (l *lowerer) printf(args []testlang.Expr, toErr bool) evalFn {
 	if len(args) == 0 {
-		return intVal(0)
+		return constant(intVal(0))
 	}
-	format := ""
+	var format string
+	var formatFn evalFn
 	if s, ok := args[0].(*testlang.StringLitExpr); ok {
 		format = s.Value
 	} else {
-		format = ex.eval(args[0]).str()
+		formatFn = l.expr(args[0])
 	}
-	vals := make([]value, 0, len(args)-1)
-	for _, a := range args[1:] {
-		vals = append(vals, ex.eval(a))
+	rest := l.exprs(args[1:])
+	return func(ex *exec) value {
+		ex.bud.step()
+		f := format
+		if formatFn != nil {
+			f = formatFn(ex).str()
+		}
+		vals := make([]value, len(rest))
+		for i, a := range rest {
+			vals[i] = a(ex)
+		}
+		out := formatC(f, vals)
+		if toErr {
+			ex.in.printErr(out)
+		} else {
+			ex.in.printOut(out)
+		}
+		return intVal(int64(len(out)))
 	}
-	out := formatC(format, vals)
-	if toErr {
-		ex.in.printErr(out)
-	} else {
-		ex.in.printOut(out)
-	}
-	return intVal(int64(len(out)))
 }
 
 // formatC implements the printf subset the corpus and probed files

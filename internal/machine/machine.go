@@ -74,7 +74,6 @@ type continueSignal struct{}
 
 // interp is the shared interpreter state for one run.
 type interp struct {
-	obj  *compiler.Object
 	opts Options
 
 	outMu    sync.Mutex
@@ -117,7 +116,7 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	if opts.OutputLimit <= 0 {
 		opts.OutputLimit = DefaultOutputLimit
 	}
-	in := &interp{obj: obj, opts: opts, presence: map[*block]*presenceEntry{}}
+	in := &interp{opts: opts, presence: map[*block]*presenceEntry{}}
 	in.remaining.Store(opts.StepLimit)
 	bud := &budget{in: in}
 	res = &Result{}
@@ -147,16 +146,16 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	if obj == nil || obj.File == nil {
 		panic(trapSignal{kind: "no-object", rc: 127, msg: "exec format error"})
 	}
+	prog := lower(obj)
 	in.globals = newEnv(nil)
 	ex := &exec{in: in, env: in.globals, bud: bud}
-	for _, g := range obj.Globals {
-		ex.declareVar(g, in.globals)
+	for _, g := range prog.globals {
+		g(ex)
 	}
-	main := obj.Funcs["main"]
-	if main == nil || main.Body == nil {
+	if prog.main == nil {
 		panic(trapSignal{kind: "no-main", rc: 127, msg: "undefined reference to main"})
 	}
-	ret := ex.callFunction(main, nil)
+	ret := ex.callFunction(prog.main, nil)
 	res.ReturnCode = int(ret.asInt()) & 255
 	return res
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"sort"
 	"sync"
 
 	"repro/internal/compiler"
@@ -13,65 +14,149 @@ import (
 // not spawn 100000 goroutines).
 const maxRegionWorkers = 64
 
-// execDirective interprets one directive statement according to its
-// compiled plan.
-func (ex *exec) execDirective(ds *testlang.DirectiveStmt) {
-	plan := ex.in.obj.Plans[ds]
+// dirCode is one lowered directive: its compiled plan with every
+// expression the plan and its clauses evaluate lowered, and the region
+// analyses of its body done once.
+type dirCode struct {
+	// plan is nil for a directive the compiler left unplanned.
+	plan    *compiler.DirPlan
+	dialect spec.Dialect
+	// body is the associated statement (nopStmt when absent).
+	body execFn
+	// cond is the if() clause, nworkers the requested width; nil when
+	// absent.
+	cond     evalFn
+	nworkers evalFn
+	data     []dataOpCode
+	// loop is the body when it is a for statement, shape its canonical
+	// form; loop is nil otherwise.
+	loop  *forLoop
+	shape loopShape
+	// free lists the names the body uses but does not declare, in
+	// first-occurrence order; the device data environment maps those
+	// holding aggregates.
+	free []string
+	// private lists the scalars a parallel region's workers copy: names
+	// the region writes outside protected constructs, without the
+	// construct's reduction variables.
+	private []string
+}
+
+// dataOpCode is a data clause with its sections' bounds lowered.
+type dataOpCode struct {
+	mode compiler.DataMode
+	secs []sectionCode
+}
+
+type sectionCode struct {
+	name string
+	// lo and n are nil when the clause names the whole object.
+	lo, n evalFn
+}
+
+// directive lowers one directive statement with the analyses its kind
+// needs.
+func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
+	d := &dirCode{plan: l.obj.Plans[ds], dialect: l.obj.Dialect}
+	if fs, ok := ds.Body.(*testlang.ForStmt); ok {
+		d.loop = l.forLoop(fs)
+		loop := d.loop
+		d.body = func(ex *exec) {
+			ex.bud.step()
+			loop.run(ex)
+		}
+	} else {
+		d.body = l.stmt(ds.Body)
+	}
+	plan := d.plan
+	if plan == nil {
+		return d
+	}
+	if plan.If != nil {
+		d.cond = l.expr(plan.If)
+	}
+	if plan.NumWorkers != nil {
+		d.nworkers = l.expr(plan.NumWorkers)
+	}
+	d.data = make([]dataOpCode, len(plan.Data))
+	for i, op := range plan.Data {
+		d.data[i] = dataOpCode{mode: op.Mode, secs: make([]sectionCode, len(op.Sections))}
+		for j, sec := range op.Sections {
+			sc := sectionCode{name: sec.Name}
+			if sec.Lo != nil {
+				sc.lo, sc.n = l.expr(sec.Lo), l.expr(sec.Len)
+			}
+			d.data[i].secs[j] = sc
+		}
+	}
+	switch plan.Kind {
+	case compiler.KindComputeBlock:
+		d.free = freeNames(ds.Body)
+	case compiler.KindHostParallel:
+		d.private = privatized(ds.Body, plan)
+	case compiler.KindComputeLoop, compiler.KindHostLoop, compiler.KindLoop:
+		if d.loop == nil {
+			break
+		}
+		if plan.Device {
+			d.free = freeNames(ds.Body)
+		}
+		fs := ds.Body.(*testlang.ForStmt)
+		d.shape = l.loopShape(fs)
+		d.private = privatized(fs.Body, plan)
+	}
+	return d
+}
+
+// run executes the directive according to its plan; the directive
+// statement's own step is the caller's.
+func (d *dirCode) run(ex *exec) {
+	plan := d.plan
 	if plan == nil {
 		// Unknown directives never pass compilation; defensive inline.
-		ex.execStmt(ds.Body)
+		d.body(ex)
 		return
 	}
 	// if() clause: false means "run as if the construct were absent"
 	// (host serial for compute, no-op for data/update).
-	if plan.If != nil && !ex.eval(plan.If).truthy() {
+	if d.cond != nil && !d.cond(ex).truthy() {
 		switch plan.Kind {
 		case compiler.KindComputeBlock, compiler.KindComputeLoop,
 			compiler.KindHostParallel, compiler.KindHostLoop, compiler.KindLoop:
-			ex.execStmt(ds.Body)
+			d.body(ex)
 		}
 		return
 	}
 
 	switch plan.Kind {
-	case compiler.KindNoop:
-		if ds.Body != nil {
-			ex.execStmt(ds.Body)
-		}
-	case compiler.KindInline:
-		ex.execStmt(ds.Body)
+	case compiler.KindNoop, compiler.KindInline:
+		d.body(ex)
 	case compiler.KindOnce:
 		if ex.workerID == 0 {
 			ex.in.atomicMu.Lock()
 			defer ex.in.atomicMu.Unlock()
-			ex.execStmt(ds.Body)
+			d.body(ex)
 		}
-	case compiler.KindCritical:
+	case compiler.KindCritical, compiler.KindAtomic:
 		ex.in.atomicMu.Lock()
 		defer ex.in.atomicMu.Unlock()
-		ex.execStmt(ds.Body)
-	case compiler.KindAtomic:
-		ex.in.atomicMu.Lock()
-		defer ex.in.atomicMu.Unlock()
-		ex.execStmt(ds.Body)
+		d.body(ex)
 	case compiler.KindData:
-		releases := ex.applyDataOps(plan.Data, true)
-		ex.execStmt(ds.Body)
+		releases := ex.applyDataOps(d.data, true)
+		d.body(ex)
 		ex.releaseData(releases)
 	case compiler.KindEnterData:
-		ex.applyDataOps(plan.Data, false)
+		ex.applyDataOps(d.data, false)
 	case compiler.KindExitData:
-		ex.applyExitData(plan.Data)
+		ex.applyExitData(d.data)
 	case compiler.KindUpdate:
-		ex.applyUpdates(plan.Data)
+		ex.applyUpdates(d.data)
 	case compiler.KindComputeBlock:
-		ex.execComputeBlock(ds, plan)
-	case compiler.KindComputeLoop:
-		ex.execParallelLoop(ds, plan)
+		ex.execComputeBlock(d)
+	case compiler.KindComputeLoop, compiler.KindHostLoop:
+		ex.execParallelLoop(d)
 	case compiler.KindHostParallel:
-		ex.execHostParallel(ds, plan)
-	case compiler.KindHostLoop:
-		ex.execParallelLoop(ds, plan)
+		ex.execHostParallel(d)
 	case compiler.KindLoop:
 		// Orphaned / nested loop directive. Three situations:
 		//  - inside a redundant host region (omp parallel): each worker
@@ -82,14 +167,14 @@ func (ex *exec) execDirective(ds *testlang.DirectiveStmt) {
 		//    vector loop): the loop runs inline per outer iteration.
 		switch {
 		case ex.redundant && ex.regionWidth > 1:
-			ex.execChunkedLoop(ds, plan)
+			ex.execChunkedLoop(d)
 		case ex.inDevice && ex.regionWidth <= 1:
-			ex.execParallelLoop(ds, plan)
+			ex.execParallelLoop(d)
 		default:
-			ex.execStmt(ds.Body)
+			d.body(ex)
 		}
 	default:
-		ex.execStmt(ds.Body)
+		d.body(ex)
 	}
 }
 
@@ -126,18 +211,18 @@ func (ex *exec) hostBlockOf(name string, trapNull bool) *block {
 }
 
 // sectionBounds evaluates a section's range against a block.
-func (ex *exec) sectionBounds(sec testlang.Section, blk *block) (lo, n int) {
+func (ex *exec) sectionBounds(sec sectionCode, blk *block) (lo, n int) {
 	if !blk.materialized {
 		blk.materialize(testlang.Type{Base: "int"})
 	}
-	if sec.Lo == nil {
+	if sec.lo == nil {
 		return 0, len(blk.cells)
 	}
-	lo = int(ex.eval(sec.Lo).asInt())
-	n = int(ex.eval(sec.Len).asInt())
+	lo = int(sec.lo(ex).asInt())
+	n = int(sec.n(ex).asInt())
 	if lo < 0 || n < 0 || lo+n > len(blk.cells) {
 		panic(trapSignal{kind: "device-fault", rc: 1,
-			msg: "FATAL ERROR: data transfer for '" + sec.Name + "' is out of bounds"})
+			msg: "FATAL ERROR: data transfer for '" + sec.name + "' is out of bounds"})
 	}
 	return lo, n
 }
@@ -207,41 +292,41 @@ func (in *interp) releaseOne(host *block, copyOut bool, lo, n int) {
 
 // applyDataOps processes enter-side data clauses. When structured is
 // true it returns the matching exit actions.
-func (ex *exec) applyDataOps(ops []compiler.DataOp, structured bool) []structuredRelease {
+func (ex *exec) applyDataOps(ops []dataOpCode, structured bool) []structuredRelease {
 	var releases []structuredRelease
 	for _, op := range ops {
-		for _, sec := range op.Sections {
-			hb := ex.hostBlockOf(sec.Name, op.Mode != compiler.MPresent)
+		for _, sec := range op.secs {
+			hb := ex.hostBlockOf(sec.name, op.mode != compiler.MPresent)
 			if hb == nil {
 				// Scalar clause variable: presence checks pass (scalars
 				// are firstprivate-by-default), movement is a no-op.
 				continue
 			}
 			lo, n := ex.sectionBounds(sec, hb)
-			switch op.Mode {
+			switch op.mode {
 			case compiler.MCopyIn:
-				ex.in.ensurePresent(hb, sec.Name, true, lo, n)
+				ex.in.ensurePresent(hb, sec.name, true, lo, n)
 				if structured {
-					releases = append(releases, structuredRelease{host: hb, varName: sec.Name})
+					releases = append(releases, structuredRelease{host: hb, varName: sec.name})
 				}
 			case compiler.MCopy:
-				ex.in.ensurePresent(hb, sec.Name, true, lo, n)
+				ex.in.ensurePresent(hb, sec.name, true, lo, n)
 				if structured {
-					releases = append(releases, structuredRelease{host: hb, varName: sec.Name, copyOut: true, lo: lo, n: n})
+					releases = append(releases, structuredRelease{host: hb, varName: sec.name, copyOut: true, lo: lo, n: n})
 				}
 			case compiler.MCopyOut:
-				ex.in.ensurePresent(hb, sec.Name, false, lo, n)
+				ex.in.ensurePresent(hb, sec.name, false, lo, n)
 				if structured {
-					releases = append(releases, structuredRelease{host: hb, varName: sec.Name, copyOut: true, lo: lo, n: n})
+					releases = append(releases, structuredRelease{host: hb, varName: sec.name, copyOut: true, lo: lo, n: n})
 				}
 			case compiler.MCreate:
-				ex.in.ensurePresent(hb, sec.Name, false, lo, n)
+				ex.in.ensurePresent(hb, sec.name, false, lo, n)
 				if structured {
-					releases = append(releases, structuredRelease{host: hb, varName: sec.Name})
+					releases = append(releases, structuredRelease{host: hb, varName: sec.name})
 				}
 			case compiler.MPresent:
 				if _, ok := ex.in.lookupPresent(hb); !ok {
-					panic(deviceFault(sec.Name, "was not found on device - please check the data clauses"))
+					panic(deviceFault(sec.name, "was not found on device - please check the data clauses"))
 				}
 			case compiler.MDelete:
 				ex.in.releaseOne(hb, false, 0, 0)
@@ -255,15 +340,15 @@ func (ex *exec) applyDataOps(ops []compiler.DataOp, structured bool) []structure
 }
 
 // applyExitData processes "exit data" clauses: copyout then delete.
-func (ex *exec) applyExitData(ops []compiler.DataOp) {
+func (ex *exec) applyExitData(ops []dataOpCode) {
 	for _, op := range ops {
-		for _, sec := range op.Sections {
-			hb := ex.hostBlockOf(sec.Name, false)
+		for _, sec := range op.secs {
+			hb := ex.hostBlockOf(sec.name, false)
 			if hb == nil {
 				continue
 			}
 			lo, n := ex.sectionBounds(sec, hb)
-			switch op.Mode {
+			switch op.mode {
 			case compiler.MCopyOut, compiler.MCopy:
 				ex.in.releaseOne(hb, true, lo, n)
 			default:
@@ -274,20 +359,20 @@ func (ex *exec) applyExitData(ops []compiler.DataOp) {
 }
 
 // applyUpdates processes an update directive.
-func (ex *exec) applyUpdates(ops []compiler.DataOp) {
+func (ex *exec) applyUpdates(ops []dataOpCode) {
 	for _, op := range ops {
-		for _, sec := range op.Sections {
-			hb := ex.hostBlockOf(sec.Name, true)
+		for _, sec := range op.secs {
+			hb := ex.hostBlockOf(sec.name, true)
 			if hb == nil {
 				continue
 			}
 			dev, ok := ex.in.lookupPresent(hb)
 			if !ok {
-				panic(deviceFault(sec.Name, "in update directive was not found on device"))
+				panic(deviceFault(sec.name, "in update directive was not found on device"))
 			}
 			lo, n := ex.sectionBounds(sec, hb)
 			ex.in.presenceMu.Lock()
-			switch op.Mode {
+			switch op.mode {
 			case compiler.MUpdateHost:
 				copy(hb.cells[lo:lo+n], dev.cells[lo:lo+n])
 			case compiler.MUpdateDevice:
@@ -310,26 +395,21 @@ func (ex *exec) releaseData(releases []structuredRelease) {
 // deviceBindings builds the env overlay mapping aggregate variables
 // referenced in the region body to their device mirrors, applying the
 // dialect's implicit-mapping rules to unmapped aggregates.
-func (ex *exec) deviceBindings(body testlang.Stmt, plan *compiler.DirPlan) (*env, []structuredRelease) {
+func (ex *exec) deviceBindings(d *dirCode) (*env, []structuredRelease) {
 	overlay := newEnv(ex.env)
 	var releases []structuredRelease
-	seen := map[string]bool{}
-	for _, name := range aggregateVars(body, ex.env) {
-		if seen[name] {
+	for _, name := range d.free {
+		c, ok := ex.env.lookup(name)
+		if !ok || (c.v.k != kRef && c.v.k != kNull) {
 			continue
 		}
-		seen[name] = true
-		c, _ := ex.env.lookup(name)
 		if c.v.k == kNull {
 			// Null pointer entering a device region: OpenACC implicit
 			// transfer faults; OpenMP carries the null pointer to the
 			// device where dereferences trap.
-			if ex.in.obj.Dialect == spec.OpenACC {
+			if d.dialect == spec.OpenACC {
 				panic(deviceFault(name, "in implicit data clause is a null pointer"))
 			}
-			continue
-		}
-		if c.v.k != kRef {
 			continue
 		}
 		host := c.v.b
@@ -340,7 +420,7 @@ func (ex *exec) deviceBindings(body testlang.Stmt, plan *compiler.DirPlan) (*env
 			overlay.declare(name, c.v.on(dev))
 			continue
 		}
-		if ex.in.obj.Dialect == spec.OpenACC {
+		if d.dialect == spec.OpenACC {
 			// Implicit copy for unmapped aggregates (OpenACC 2.7+
 			// default for arrays in compute constructs). This is what
 			// masks some "removed allocation clause" mutations.
@@ -367,22 +447,15 @@ func (ex *exec) deviceBindings(body testlang.Stmt, plan *compiler.DirPlan) (*env
 	return overlay, releases
 }
 
-// aggregateVars lists names in body that resolve to aggregates
-// (arrays/pointers) in the enclosing environment.
-func aggregateVars(body testlang.Stmt, e *env) []string {
+// freeNames lists the names body uses but does not declare, each
+// once, in first-occurrence order.
+func freeNames(body testlang.Stmt) []string {
 	var names []string
-	seen := map[string]bool{}
-	local := declaredIn(body)
+	seen := declaredIn(body)
 	testlang.WalkExprs(body, func(x testlang.Expr) {
-		id, ok := x.(*testlang.IdentExpr)
-		if !ok || seen[id.Name] || local[id.Name] {
-			return
-		}
-		if c, found := e.lookup(id.Name); found {
-			if c.v.k == kRef || c.v.k == kNull {
-				seen[id.Name] = true
-				names = append(names, id.Name)
-			}
+		if id, ok := x.(*testlang.IdentExpr); ok && !seen[id.Name] {
+			seen[id.Name] = true
+			names = append(names, id.Name)
 		}
 	})
 	return names
@@ -412,16 +485,16 @@ func declaredIn(body testlang.Stmt) map[string]bool {
 // execComputeBlock runs an offloaded structured block. The block body
 // runs on a single driver thread (gang-redundant execution is not
 // modelled); nested loop directives fork-join their own workers.
-func (ex *exec) execComputeBlock(ds *testlang.DirectiveStmt, plan *compiler.DirPlan) {
-	releases := ex.applyDataOps(plan.Data, true)
-	overlay, implicit := ex.deviceBindings(ds.Body, plan)
+func (ex *exec) execComputeBlock(d *dirCode) {
+	releases := ex.applyDataOps(d.data, true)
+	overlay, implicit := ex.deviceBindings(d)
 	regionEx := ex.child(overlay)
 	regionEx.inDevice = true
 	regionEx.redundant = false
 	regionEx.workerID = 0
 	regionEx.regionWidth = 1
-	regionEx.bindPrivates(plan, overlay)
-	regionEx.execStmt(ds.Body)
+	regionEx.bindPrivates(d.plan, overlay)
+	d.body(regionEx)
 	ex.releaseData(implicit)
 	ex.releaseData(releases)
 }
@@ -452,10 +525,9 @@ func zeroLike(v value) value {
 }
 
 // execHostParallel runs "omp parallel": the body once per worker.
-func (ex *exec) execHostParallel(ds *testlang.DirectiveStmt, plan *compiler.DirPlan) {
-	w := ex.workerCount(plan)
-	use := collectUses(ds.Body)
-	reds := newReductionSet(ex, plan, use)
+func (ex *exec) execHostParallel(d *dirCode) {
+	w := ex.workerCount(d)
+	reds := newReductionSet(ex, d.plan)
 	ex.runWorkers(w, func(id int, bud *budget) {
 		wEnv := newEnv(ex.env)
 		wEx := ex.child(wEnv)
@@ -463,10 +535,10 @@ func (ex *exec) execHostParallel(ds *testlang.DirectiveStmt, plan *compiler.DirP
 		wEx.workerID = id
 		wEx.regionWidth = w
 		wEx.redundant = true
-		wEx.bindPrivates(plan, wEnv)
-		ex.privatizeScalars(use, wEnv)
+		wEx.bindPrivates(d.plan, wEnv)
+		ex.privatizeScalars(d.private, wEnv)
 		reds.bindWorker(wEnv, id)
-		wEx.execStmt(ds.Body)
+		d.body(wEx)
 	})
 	reds.fold(ex)
 }
@@ -516,10 +588,10 @@ func (ex *exec) runWorkers(w int, body func(id int, bud *budget)) {
 }
 
 // workerCount resolves the region width.
-func (ex *exec) workerCount(plan *compiler.DirPlan) int {
+func (ex *exec) workerCount(d *dirCode) int {
 	w := ex.in.opts.Workers
-	if plan.NumWorkers != nil {
-		if n := int(ex.eval(plan.NumWorkers).asInt()); n > 0 {
+	if d.nworkers != nil {
+		if n := int(d.nworkers(ex).asInt()); n > 0 {
 			w = n
 		}
 	}
@@ -536,8 +608,8 @@ func (ex *exec) workerCount(plan *compiler.DirPlan) int {
 // body writes outside protected constructs (firstprivate-initialised),
 // the simulation's race-free model of default data-sharing for the
 // well-formed tests the corpus emits.
-func (ex *exec) privatizeScalars(use *useSet, into *env) {
-	for name := range use.plainWrites {
+func (ex *exec) privatizeScalars(names []string, into *env) {
+	for _, name := range names {
 		if _, already := into.local(name); already {
 			continue
 		}
@@ -550,26 +622,25 @@ func (ex *exec) privatizeScalars(use *useSet, into *env) {
 // execParallelLoop runs a combined compute+loop construct: iterations
 // distributed over workers, with device data setup when the construct
 // is a device one.
-func (ex *exec) execParallelLoop(ds *testlang.DirectiveStmt, plan *compiler.DirPlan) {
-	loop, ok := ds.Body.(*testlang.ForStmt)
-	if !ok {
-		ex.execStmt(ds.Body)
+func (ex *exec) execParallelLoop(d *dirCode) {
+	if d.loop == nil {
+		d.body(ex)
 		return
 	}
 	var releases, implicit []structuredRelease
 	base := ex
-	if plan.Device && !ex.inDevice {
-		releases = ex.applyDataOps(plan.Data, true)
-		overlay, imp := ex.deviceBindings(ds.Body, plan)
+	if d.plan.Device && !ex.inDevice {
+		releases = ex.applyDataOps(d.data, true)
+		overlay, imp := ex.deviceBindings(d)
 		implicit = imp
 		base = ex.child(overlay)
 		base.inDevice = true
 	}
-	spec, canonical := base.analyzeLoop(loop)
+	spec, canonical := d.shape.analyze(base)
 	if !canonical {
-		base.execFor(loop)
+		d.loop.run(base)
 	} else {
-		base.runDistributed(loop, spec, plan)
+		base.runDistributed(d, spec)
 	}
 	ex.releaseData(implicit)
 	ex.releaseData(releases)
@@ -578,23 +649,22 @@ func (ex *exec) execParallelLoop(ds *testlang.DirectiveStmt, plan *compiler.DirP
 // execChunkedLoop work-shares a nested loop directive among the
 // workers of an enclosing host parallel region: worker k executes the
 // k-th chunk.
-func (ex *exec) execChunkedLoop(ds *testlang.DirectiveStmt, plan *compiler.DirPlan) {
-	loop, ok := ds.Body.(*testlang.ForStmt)
-	if !ok {
-		ex.execStmt(ds.Body)
+func (ex *exec) execChunkedLoop(d *dirCode) {
+	if d.loop == nil {
+		d.body(ex)
 		return
 	}
-	spec, canonical := ex.analyzeLoop(loop)
+	spec, canonical := d.shape.analyze(ex)
 	if !canonical {
 		// Non-canonical loops under work-sharing were rejected at
 		// compile time; execute on worker 0 for robustness.
 		if ex.workerID == 0 {
-			ex.execFor(loop)
+			d.loop.run(ex)
 		}
 		return
 	}
 	lo, hi := chunk(spec.count, ex.regionWidth, ex.workerID)
-	ex.runChunk(loop, spec, plan, lo, hi, true)
+	ex.runChunk(d.loop, spec, lo, hi)
 }
 
 // loopSpec is the analysed canonical form of a work-shared loop.
@@ -603,103 +673,138 @@ type loopSpec struct {
 	start   int64
 	step    int64
 	count   int64
-	declTyp testlang.Type
 }
 
-// analyzeLoop extracts the canonical form; ok=false falls back to
-// sequential execution.
-func (ex *exec) analyzeLoop(loop *testlang.ForStmt) (loopSpec, bool) {
-	var s loopSpec
+// loopShape is a loop directive's for statement analysed for its
+// canonical form at lowering time. Which expressions give the start,
+// bound and stride is static; their values are not, so analyze
+// evaluates them per execution, exactly those the analysis reads
+// before it can tell that a loop is not canonical.
+type loopShape struct {
+	varName string
+	// start is nil when the init is not canonical; bound is nil when
+	// the condition is not; stride is the step expression of a
+	// "v += e" or "v -= e" post, nil for ++ and --.
+	start, bound, stride evalFn
+	// sign is the step's direction: -1 for "--" and "-=", else 1.
+	sign int64
+	// condOp is the condition's comparison operator.
+	condOp string
+	// ok is false when the post or the condition's operator is not
+	// canonical.
+	ok bool
+}
+
+func (l *lowerer) loopShape(loop *testlang.ForStmt) loopShape {
+	var s loopShape
 	switch init := loop.Init.(type) {
 	case *testlang.DeclStmt:
 		if len(init.Decls) != 1 || init.Decls[0].Init == nil {
-			return s, false
+			return s
 		}
 		s.varName = init.Decls[0].Name
-		s.declTyp = init.Decls[0].Type
-		if s.declTyp.IsFloat() {
-			return s, false
+		if init.Decls[0].Type.IsFloat() {
+			return s
 		}
-		s.start = ex.eval(init.Decls[0].Init).asInt()
+		s.start = l.expr(init.Decls[0].Init)
 	case *testlang.ExprStmt:
 		asg, ok := init.X.(*testlang.AssignExpr)
 		if !ok || asg.Op != "=" {
-			return s, false
+			return s
 		}
 		id, ok := asg.L.(*testlang.IdentExpr)
 		if !ok {
-			return s, false
+			return s
 		}
 		s.varName = id.Name
-		s.declTyp = testlang.Type{Base: "int"}
-		s.start = ex.eval(asg.R).asInt()
+		s.start = l.expr(asg.R)
 	default:
-		return s, false
+		return s
 	}
 
 	cond, ok := loop.Cond.(*testlang.BinaryExpr)
 	if !ok {
-		return s, false
+		return s
 	}
 	condVar, ok := cond.L.(*testlang.IdentExpr)
 	if !ok || condVar.Name != s.varName {
-		return s, false
+		return s
 	}
-	bound := ex.eval(cond.R).asInt()
+	s.bound = l.expr(cond.R)
+	s.condOp = cond.Op
 
-	s.step = 1
+	s.sign = 1
 	switch post := loop.Post.(type) {
 	case *testlang.UnaryExpr:
 		if post.Op == "--" {
-			s.step = -1
+			s.sign = -1
 		} else if post.Op != "++" {
-			return s, false
+			return s
 		}
 	case *testlang.PostfixExpr:
 		if post.Op == "--" {
-			s.step = -1
+			s.sign = -1
 		} else if post.Op != "++" {
-			return s, false
+			return s
 		}
 	case *testlang.AssignExpr:
 		id, ok := post.L.(*testlang.IdentExpr)
 		if !ok || id.Name != s.varName {
-			return s, false
+			return s
 		}
-		d := ex.eval(post.R).asInt()
+		s.stride = l.expr(post.R)
 		switch post.Op {
 		case "+=":
-			s.step = d
 		case "-=":
-			s.step = -d
+			s.sign = -1
 		default:
-			return s, false
+			return s
 		}
 	default:
-		return s, false
+		return s
 	}
-	if s.step == 0 {
-		return s, false
+	switch s.condOp {
+	case "<", "<=", ">", ">=", "!=":
+		s.ok = true
 	}
+	return s
+}
 
-	switch cond.Op {
+// analyze evaluates the loop's start, bound and stride and computes
+// its trip count; ok=false falls back to sequential execution.
+func (s *loopShape) analyze(ex *exec) (loopSpec, bool) {
+	spec := loopSpec{varName: s.varName}
+	if s.start == nil {
+		return spec, false
+	}
+	spec.start = s.start(ex).asInt()
+	if s.bound == nil {
+		return spec, false
+	}
+	bound := s.bound(ex).asInt()
+	spec.step = s.sign
+	if s.stride != nil {
+		spec.step = s.sign * s.stride(ex).asInt()
+	}
+	if !s.ok || spec.step == 0 {
+		return spec, false
+	}
+	switch s.condOp {
 	case "<":
-		s.count = ceilDiv(bound-s.start, s.step)
+		spec.count = ceilDiv(bound-spec.start, spec.step)
 	case "<=":
-		s.count = ceilDiv(bound-s.start+1, s.step)
+		spec.count = ceilDiv(bound-spec.start+1, spec.step)
 	case ">":
-		s.count = ceilDiv(s.start-bound, -s.step)
+		spec.count = ceilDiv(spec.start-bound, -spec.step)
 	case ">=":
-		s.count = ceilDiv(s.start-bound+1, -s.step)
-	case "!=":
-		s.count = (bound - s.start) / s.step
-	default:
-		return s, false
+		spec.count = ceilDiv(spec.start-bound+1, -spec.step)
+	default: // "!="
+		spec.count = (bound - spec.start) / spec.step
 	}
-	if s.count < 0 {
-		s.count = 0
+	if spec.count < 0 {
+		spec.count = 0
 	}
-	return s, true
+	return spec, true
 }
 
 func ceilDiv(a, b int64) int64 {
@@ -735,16 +840,15 @@ func min64(a, b int64) int64 {
 }
 
 // runDistributed forks workers over the iteration space.
-func (ex *exec) runDistributed(loop *testlang.ForStmt, spec loopSpec, plan *compiler.DirPlan) {
-	w := ex.workerCount(plan)
+func (ex *exec) runDistributed(d *dirCode, spec loopSpec) {
+	w := ex.workerCount(d)
 	if spec.count < int64(w) && spec.count > 0 {
 		w = int(spec.count)
 	}
 	if spec.count == 0 {
 		return
 	}
-	use := collectUses(loop.Body)
-	reds := newReductionSet(ex, plan, use)
+	reds := newReductionSet(ex, d.plan)
 	ex.runWorkers(w, func(id int, bud *budget) {
 		lo, hi := chunk(spec.count, w, id)
 		wEnv := newEnv(ex.env)
@@ -753,24 +857,24 @@ func (ex *exec) runDistributed(loop *testlang.ForStmt, spec loopSpec, plan *comp
 		wEx.workerID = id
 		wEx.regionWidth = w
 		wEx.redundant = false
-		wEx.bindPrivates(plan, wEnv)
-		ex.privatizeScalars(use, wEnv)
+		wEx.bindPrivates(d.plan, wEnv)
+		ex.privatizeScalars(d.private, wEnv)
 		reds.bindWorker(wEnv, id)
-		wEx.runChunk(loop, spec, plan, lo, hi, false)
+		wEx.runChunk(d.loop, spec, lo, hi)
 	})
 	reds.fold(ex)
 }
 
-// runChunk executes iterations [lo,hi) of an analysed loop. When
-// shared is true (nested work-sharing), reductions and privatization
-// were handled by the enclosing region.
-func (ex *exec) runChunk(loop *testlang.ForStmt, spec loopSpec, plan *compiler.DirPlan, lo, hi int64, shared bool) {
+// runChunk executes iterations [lo,hi) of an analysed loop. Under
+// nested work-sharing, reductions and privatization were handled by
+// the enclosing region.
+func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
 	iterEnv := newEnv(ex.env)
 	iterEx := ex.child(iterEnv)
 	loopVar := iterEnv.declare(spec.varName, intVal(0))
 	for i := lo; i < hi; i++ {
 		loopVar.v = intVal(spec.start + i*spec.step)
-		if iterEx.runBody(loop.Body) {
+		if runBody(iterEx, loop.body) {
 			return // break inside a work-shared loop: stop this chunk
 		}
 	}
@@ -778,18 +882,15 @@ func (ex *exec) runChunk(loop *testlang.ForStmt, spec loopSpec, plan *compiler.D
 
 // --- scalar usage classification -------------------------------------
 
-// useSet classifies free scalar variables of a region body.
-type useSet struct {
-	// plainWrites: written outside atomic/critical/once constructs.
-	plainWrites map[string]bool
-	// protectedWrites: written only under mutex-guarded constructs.
-	protectedWrites map[string]bool
-}
-
-// collectUses walks a region body and classifies writes to names
-// declared outside it.
-func collectUses(body testlang.Stmt) *useSet {
-	u := &useSet{plainWrites: map[string]bool{}, protectedWrites: map[string]bool{}}
+// privatized lists, sorted, the names declared outside a region body
+// that the body writes outside atomic/critical/once constructs and
+// never under one, leaving out the construct's reduction variables:
+// each worker of the region gets its own copy of those holding
+// scalars (privatizeScalars).
+func privatized(body testlang.Stmt, plan *compiler.DirPlan) []string {
+	// plainWrites: written outside mutex-guarded constructs;
+	// protectedWrites: written under one.
+	plainWrites, protectedWrites := map[string]bool{}, map[string]bool{}
 	local := declaredIn(body)
 	var visit func(s testlang.Stmt, protected bool)
 	record := func(e testlang.Expr, protected bool) {
@@ -798,9 +899,9 @@ func collectUses(body testlang.Stmt) *useSet {
 			return
 		}
 		if protected {
-			u.protectedWrites[id.Name] = true
+			protectedWrites[id.Name] = true
 		} else {
-			u.plainWrites[id.Name] = true
+			plainWrites[id.Name] = true
 		}
 	}
 	var visitExpr func(e testlang.Expr, protected bool)
@@ -885,7 +986,7 @@ func collectUses(body testlang.Stmt) *useSet {
 						if _, vars, ok := testlang.ReductionParts(cl.Arg); ok {
 							for _, v := range vars {
 								if !local[v] {
-									u.protectedWrites[v] = true
+									protectedWrites[v] = true
 								}
 							}
 						}
@@ -896,11 +997,21 @@ func collectUses(body testlang.Stmt) *useSet {
 		}
 	}
 	visit(body, false)
-	// A name with any protected write must not be privatized.
-	for name := range u.protectedWrites {
-		delete(u.plainWrites, name)
+	// A name with any protected write must not be privatized, and a
+	// reduction variable gets the worker's accumulator instead.
+	for _, red := range plan.Reductions {
+		for _, name := range red.Vars {
+			protectedWrites[name] = true
+		}
 	}
-	return u
+	var names []string
+	for name := range plainWrites {
+		if !protectedWrites[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // --- reductions -------------------------------------------------------
@@ -919,7 +1030,7 @@ type reductionItem struct {
 	isFloat bool
 }
 
-func newReductionSet(ex *exec, plan *compiler.DirPlan, use *useSet) *reductionSet {
+func newReductionSet(ex *exec, plan *compiler.DirPlan) *reductionSet {
 	rs := &reductionSet{}
 	if plan == nil {
 		return rs
@@ -938,9 +1049,6 @@ func newReductionSet(ex *exec, plan *compiler.DirPlan, use *useSet) *reductionSe
 				workers: make([]*cell, maxRegionWorkers),
 			}
 			rs.items = append(rs.items, item)
-			// Reduction vars must not also be privatized.
-			delete(use.plainWrites, name)
-			delete(use.protectedWrites, name)
 		}
 	}
 	return rs

@@ -1,7 +1,8 @@
 // Package machine executes compiled test programs. It is the
 // simulation of the paper's execution substrate (a GPU node running
-// compiled OpenACC/OpenMP binaries): a tree-walking interpreter over
-// the checked AST with
+// compiled OpenACC/OpenMP binaries). Each Run first lowers the checked
+// AST to a tree of Go closures, one per node (lower.go), and then
+// executes those, with
 //
 //   - a host/device memory model with presence tracking, explicit and
 //     implicit data movement, and the dialect-specific strictness that
