@@ -5,12 +5,17 @@ import (
 )
 
 // exec is one thread of interpretation: shared interpreter state plus
-// the local environment and region context.
+// the running function's frame and region context.
 type exec struct {
-	in  *interp
-	env *env
+	in *interp
+	// frame holds the running function's variables, one cell per slot
+	// (lower.go resolves every name to slots). Region workers and
+	// work-shared chunks run on copies (fork).
+	frame []*cell
+	// store backs the cells the frame's own declarations bind (own).
+	store []cell
 	// bud is the step budget of the goroutine running this exec;
-	// children and callees share it.
+	// callees share it.
 	bud *budget
 	// inDevice is true inside a device compute region (affects fault
 	// flavour and nested construct behaviour).
@@ -23,15 +28,39 @@ type exec struct {
 	// each worker runs a different slice of iterations. Nested loop
 	// directives work-share only in redundant regions.
 	redundant bool
+	// locked is true while this goroutine holds atomicMu: inside a
+	// critical, atomic, single or master body.
+	locked bool
 	// callDepth guards against runaway recursion.
 	callDepth int
+	// ret carries a return statement's value while it unwinds the call.
+	ret returnSignal
 }
 
-// child returns an exec sharing everything but using a nested scope.
-func (ex *exec) child(e *env) *exec {
+// fork returns a copy of ex with a frame of its own, for a region's
+// overlays: rebinding a slot of the copy leaves ex's frame as it was,
+// while the cells both frames hold stay shared.
+func (ex *exec) fork() *exec {
 	c := *ex
-	c.env = e
+	c.frame = make([]*cell, len(ex.frame))
+	copy(c.frame, ex.frame)
+	c.store = nil
 	return &c
+}
+
+// own binds slot s to this frame's own cell for it and returns the
+// cell: each run of a declaration in one frame reuses the cell of the
+// run before. Nothing reads that earlier variable any more: its scope
+// has exited or the declaration replaced it, no expression of this
+// frame is mid-evaluation across a statement, and regions, whose
+// copies of the frame share its cells, end before the frame runs on.
+func (ex *exec) own(s int) *cell {
+	if ex.store == nil {
+		ex.store = make([]cell, len(ex.frame))
+	}
+	c := &ex.store[s]
+	ex.frame[s] = c
+	return c
 }
 
 // place is an assignable storage location: a variable's cell, or
@@ -55,7 +84,7 @@ func (p place) store(v value) {
 		p.c.v = v
 		return
 	}
-	p.blk.cells[p.off] = convertTo(v, p.blk.elem)
+	p.blk.cells[p.off] = p.blk.conv.apply(v)
 }
 
 // runBody executes one loop iteration, absorbing continue and
@@ -73,50 +102,6 @@ func runBody(ex *exec, body execFn) (brk bool) {
 	}()
 	body(ex)
 	return false
-}
-
-// blockDeclares reports whether a block declares into its own scope.
-// Blocks that declare nothing run in the enclosing scope, which saves
-// a scope allocation on most loop-body iterations.
-func blockDeclares(b *testlang.Block) bool {
-	for _, st := range b.Stmts {
-		if declaresInto(st) {
-			return true
-		}
-	}
-	return false
-}
-
-// declaresInto reports whether executing s can declare a name into
-// the scope s runs in. Only a DeclStmt declares into ex.env; if,
-// while, directives and a for without a declaring init run their
-// bodies in the same scope and so pass the question on, while a block
-// or a for with a declaring init decides for a scope of its own.
-// Directive bodies are passed on conservatively: extra scopes are
-// always safe, missing ones are not.
-func declaresInto(s testlang.Stmt) bool {
-	switch n := s.(type) {
-	case *testlang.DeclStmt:
-		return true
-	case *testlang.IfStmt:
-		return declaresInto(n.Then) || declaresInto(n.Else)
-	case *testlang.WhileStmt:
-		return declaresInto(n.Body)
-	case *testlang.ForStmt:
-		return !forScoped(n) && declaresInto(n.Body)
-	case *testlang.DirectiveStmt:
-		return declaresInto(n.Body)
-	}
-	return false
-}
-
-// forScoped reports whether a for loop needs a scope of its own: its
-// init or its (non-block) body declares.
-func forScoped(n *testlang.ForStmt) bool {
-	if _, ok := n.Init.(*testlang.DeclStmt); ok {
-		return true
-	}
-	return declaresInto(n.Body)
 }
 
 // index applies one index step to base, trapping on null, freed, or
@@ -335,43 +320,47 @@ func arith(op string, l, r value) value {
 
 // callFunction invokes a user function, evaluating its arguments in
 // the caller. Each argument binds to its parameter as it is evaluated:
-// the callee's scope is invisible until the call, so this is the same
-// as evaluating them all first.
+// the callee's frame is invisible until the call, so this is the same
+// as evaluating them all first. The callee's global aliases read the
+// globals themselves, never a region's overlay in the caller.
 func (ex *exec) callFunction(fn *funcCode, args []evalFn) value {
-	fnEnv := newEnv(ex.in.globals)
-	for i, a := range args {
-		v := a(ex)
-		if i < len(fn.params) {
-			p := fn.params[i]
-			if p.convert {
-				v = convertTo(v, p.typ)
-			}
-			fnEnv.declare(p.name, v)
-		}
-	}
-	for i := len(args); i < len(fn.params); i++ {
-		fnEnv.declare(fn.params[i].name, zeroValue(fn.params[i].typ))
-	}
-	if ex.callDepth > 2000 {
-		panic(segfault()) // stack overflow
-	}
 	callee := &exec{
 		in:          ex.in,
-		env:         fnEnv,
+		frame:       make([]*cell, fn.slots),
 		bud:         ex.bud,
 		inDevice:    ex.inDevice,
 		workerID:    ex.workerID,
 		regionWidth: ex.regionWidth,
+		locked:      ex.locked,
 		callDepth:   ex.callDepth + 1,
+	}
+	for i, a := range args {
+		v := a(ex)
+		if i < len(fn.params) {
+			p := fn.params[i]
+			callee.own(p.slot).v = p.conv.apply(v)
+		}
+	}
+	for i := len(args); i < len(fn.params); i++ {
+		p := fn.params[i]
+		callee.own(p.slot).v = zeroValue(p.typ)
+	}
+	for _, a := range fn.aliases {
+		callee.frame[a.slot] = ex.in.globals[a.global]
+	}
+	if ex.callDepth > 2000 {
+		panic(segfault()) // stack overflow
 	}
 	return runWithReturn(callee, fn.body)
 }
 
+// runWithReturn runs a function body, recovering the value a return
+// statement panics with a pointer to.
 func runWithReturn(ex *exec, body execFn) (ret value) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
-		case returnSignal:
+		case *returnSignal:
 			ret = r.v
 		default:
 			panic(r)

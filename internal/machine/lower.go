@@ -8,8 +8,9 @@ import (
 )
 
 // Lowering turns a checked program into a tree of Go closures once per
-// Run: executing a node never dispatches on its AST type or decodes
-// its operator, because lowering made those decisions, once.
+// Run: executing a node never dispatches on its AST type, decodes its
+// operator or compares a variable's name, because lowering made those
+// decisions, once.
 //
 // Four rules keep the lowered code equivalent to a walk of the AST.
 //   - Steps: a statement or an expression takes one step on entry, as
@@ -18,14 +19,22 @@ import (
 //     argument list take no step of their own.
 //   - Faults: lowering never panics and never traps. A construct that
 //     must fault (a missing builtin argument, an invalid assignment
-//     target, an undefined function) lowers to a closure that faults
-//     when, and only when, it runs.
+//     target, an undefined function, an unbound name) lowers to a
+//     closure that faults when, and only when, it runs.
 //   - Sharing: lowered code is immutable once Run starts executing, so
 //     concurrent region workers share it. Anything a closure needs
-//     per execution lives on the exec, its env, or its stack.
-//   - Names: identifiers are still looked up by name through env on
-//     every use; lowering resolves operators and call targets, not
-//     variables.
+//     per execution lives on the exec, its frame, or its stack.
+//   - Names: every variable use resolves, here, to slots of its
+//     function's frame (varRef); nothing compares a name at run time.
+//     Each declaration site owns a slot, and each global a function
+//     uses gets an alias slot, filled from the globals at call time. A
+//     declaration that may not run (one in the bare body of an if,
+//     while, for or directive) owns a conditional slot: its scope
+//     empties it on entry, and a use that finds it empty falls back to
+//     the slot the name had outside. A loop's condition and post see
+//     its bare body's declarations from the previous iteration. So a
+//     use reads the latest declaration of its name that ran in a scope
+//     enclosing it, and a global when there is none.
 
 type (
 	// evalFn evaluates one expression.
@@ -38,25 +47,108 @@ type (
 
 // program is one object's lowered code.
 type program struct {
-	// globals declare the file-scope variables, in order.
-	globals []execFn
+	// globals declare the file-scope variables, in order, into a frame
+	// of nglobals slots, one per distinct global name.
+	globals  []execFn
+	nglobals int
 	// main is nil when the object defines no main body.
 	main *funcCode
 }
 
-// funcCode is one lowered user function. body is set after the
-// funcCode enters the lowerer's table, so recursive calls bind to it.
+// funcCode is one lowered user function. body, slots and aliases are
+// set after the funcCode enters the lowerer's table, so recursive
+// calls bind to it.
 type funcCode struct {
 	params []paramCode
 	body   execFn
+	// slots is the size of the function's frame.
+	slots int
+	// aliases fill the slots of the globals the function uses.
+	aliases []globalAlias
 }
 
 type paramCode struct {
-	name string
+	slot int
 	typ  testlang.Type
-	// convert reports whether arguments convert to typ (scalars do,
-	// pointers and array parameters keep their value).
-	convert bool
+	// conv converts arguments to typ (scalars convert, pointers and
+	// array parameters keep their value).
+	conv conv
+}
+
+// globalAlias is a function's slot for a global: the call copies the
+// global's cell into it, so a region's overlay on the global in the
+// caller stays invisible to the callee.
+type globalAlias struct {
+	slot, global int
+}
+
+// varRef is a resolved variable: the frame slots that may hold its
+// cell, innermost first. A use reads the first slot that holds a cell.
+// Only a name in reach of a conditional declaration has more than one
+// slot, and only a builtin constant resolves to none.
+type varRef []int
+
+// cellOf returns the cell r names in ex's frame, or nil.
+func (ex *exec) cellOf(r varRef) *cell {
+	for _, s := range r {
+		if c := ex.frame[s]; c != nil {
+			return c
+		}
+	}
+	return nil
+}
+
+// rebind makes r name c in ex's frame, as a declaration in a scope
+// between r's declarations and its uses would: it replaces the cell a
+// use would read, or fills r's outermost slot when none is bound. The
+// caller owns ex's frame (fork).
+func (ex *exec) rebind(r varRef, c *cell) {
+	if len(r) == 0 {
+		return
+	}
+	for _, s := range r[:len(r)-1] {
+		if ex.frame[s] != nil {
+			ex.frame[s] = c
+			return
+		}
+	}
+	ex.frame[r[len(r)-1]] = c
+}
+
+// scope is one lexical scope while lowering a function.
+type scope struct {
+	up   *scope
+	vars []scopeVar
+	// clear lists the conditional slots declared into this scope; the
+	// scope empties them on entry.
+	clear []int
+}
+
+// scopeVar is a name bound in a scope. cond marks a conditional slot
+// of this scope, which further conditional declarations of the name in
+// it reuse, so a use reads whichever of them ran last.
+type scopeVar struct {
+	name string
+	ref  varRef
+	cond bool
+}
+
+func (sc *scope) local(name string) *scopeVar {
+	for i := range sc.vars {
+		if sc.vars[i].name == name {
+			return &sc.vars[i]
+		}
+	}
+	return nil
+}
+
+// bind binds a name in sc, replacing an earlier binding of it.
+func (sc *scope) bind(v scopeVar) {
+	if old := sc.local(v.name); old != nil {
+		*old = v
+		return
+	}
+	sc.vars = append(sc.vars, v)
 }
 
 // lowerer holds the per-run lowering state.
@@ -64,13 +156,27 @@ type lowerer struct {
 	obj *compiler.Object
 	// funcs binds each called user function to its lowered code.
 	funcs map[string]*funcCode
+	// globals numbers the distinct global names.
+	globals map[string]int
+	// fn is the function being lowered, nil for global initializers;
+	// sc is its innermost scope.
+	fn *funcCode
+	sc *scope
+	// cond is set while lowering a bare body: declarations there may
+	// not run.
+	cond bool
 }
 
 // lower compiles obj's globals and its main function, with every user
 // function main and the globals reach, into closures.
 func lower(obj *compiler.Object) *program {
-	l := &lowerer{obj: obj, funcs: map[string]*funcCode{}}
-	p := &program{globals: make([]execFn, len(obj.Globals))}
+	l := &lowerer{obj: obj, funcs: map[string]*funcCode{}, globals: map[string]int{}}
+	for _, g := range obj.Globals {
+		if _, ok := l.globals[g.Name]; !ok {
+			l.globals[g.Name] = len(l.globals)
+		}
+	}
+	p := &program{globals: make([]execFn, len(obj.Globals)), nglobals: len(l.globals)}
 	for i, g := range obj.Globals {
 		p.globals[i] = l.declare(g)
 	}
@@ -87,12 +193,139 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 		return fc
 	}
 	fc := &funcCode{params: make([]paramCode, len(fd.Params))}
-	for i, p := range fd.Params {
-		fc.params[i] = paramCode{name: p.Name, typ: p.Type, convert: !p.Array && p.Type.Ptr == 0}
-	}
 	l.funcs[name] = fc
+	fn, sc, cond := l.fn, l.sc, l.cond
+	l.fn, l.sc, l.cond = fc, &scope{}, false
+	for i, p := range fd.Params {
+		c := convOf(p.Type)
+		if p.Array {
+			c = convKeep
+		}
+		fc.params[i] = paramCode{slot: l.declSlot(p.Name), typ: p.Type, conv: c}
+	}
 	fc.body = l.stmt(fd.Body)
+	l.fn, l.sc, l.cond = fn, sc, cond
 	return fc
+}
+
+// --- names ------------------------------------------------------------
+
+// resolve returns the slots a use of name reads at this point of the
+// program. Inside a function, a name no scope binds becomes a slot of
+// the function's outermost scope: an alias of the global of that name,
+// or a slot nothing declares (a region may still bind it).
+func (l *lowerer) resolve(name string) varRef {
+	for sc := l.sc; sc != nil; sc = sc.up {
+		if v := sc.local(name); v != nil {
+			return v.ref
+		}
+	}
+	g, global := l.globals[name]
+	if l.fn == nil {
+		if global {
+			return varRef{g}
+		}
+		return nil
+	}
+	if _, ok := builtinConst(name); ok && !global {
+		return nil
+	}
+	ref := varRef{l.newSlot()}
+	if global {
+		l.fn.aliases = append(l.fn.aliases, globalAlias{slot: ref[0], global: g})
+	}
+	root := l.sc
+	for root.up != nil {
+		root = root.up
+	}
+	root.vars = append(root.vars, scopeVar{name: name, ref: ref})
+	return ref
+}
+
+func (l *lowerer) newSlot() int {
+	l.fn.slots++
+	return l.fn.slots - 1
+}
+
+// declSlot binds name to the slot a declaration at this point fills. A
+// global's slot is its own; a local declaration gets a new slot, and a
+// conditional one a conditional slot that falls back to the name's
+// slots outside it.
+func (l *lowerer) declSlot(name string) int {
+	if l.fn == nil {
+		return l.globals[name]
+	}
+	sc := l.sc
+	if !l.cond {
+		slot := l.newSlot()
+		sc.bind(scopeVar{name: name, ref: varRef{slot}})
+		return slot
+	}
+	if v := sc.local(name); v != nil && v.cond {
+		return v.ref[0]
+	}
+	outer := l.resolve(name)
+	slot := l.newSlot()
+	sc.bind(scopeVar{name: name, ref: append(varRef{slot}, outer...), cond: true})
+	sc.clear = append(sc.clear, slot)
+	return slot
+}
+
+// push opens a scope; pop closes it and returns its conditional slots.
+func (l *lowerer) push() {
+	l.sc = &scope{up: l.sc}
+}
+
+func (l *lowerer) pop() []int {
+	clear := l.sc.clear
+	l.sc = l.sc.up
+	return clear
+}
+
+// bare lowers the bare body of an if, while, for or directive: it runs
+// in the enclosing scope, but may not run at all.
+func (l *lowerer) bare(s testlang.Stmt) execFn {
+	cond := l.cond
+	l.cond = true
+	f := l.stmt(s)
+	l.cond = cond
+	return f
+}
+
+// predeclare binds the declarations a loop's bare body makes into the
+// current scope before the loop's condition and post are lowered: from
+// the second iteration on, they read them.
+func (l *lowerer) predeclare(body testlang.Stmt) {
+	cond := l.cond
+	l.cond = true
+	bareDecls(body, func(name string) { l.declSlot(name) })
+	l.cond = cond
+}
+
+// bareDecls calls f for each name s declares into the scope it runs
+// in: a declaration, or one in the bare body of an if, while or
+// directive. A block or a for declares into a scope of its own.
+func bareDecls(s testlang.Stmt, f func(string)) {
+	switch n := s.(type) {
+	case *testlang.DeclStmt:
+		for _, d := range n.Decls {
+			f(d.Name)
+		}
+	case *testlang.IfStmt:
+		bareDecls(n.Then, f)
+		bareDecls(n.Else, f)
+	case *testlang.WhileStmt:
+		bareDecls(n.Body, f)
+	case *testlang.DirectiveStmt:
+		bareDecls(n.Body, f)
+	}
+}
+
+// clearSlots empties a scope's conditional slots on entry.
+func clearSlots(ex *exec, slots []int) {
+	for _, s := range slots {
+		ex.frame[s] = nil
+	}
 }
 
 // --- statements -------------------------------------------------------
@@ -116,13 +349,18 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 	case nil:
 		return nopStmt
 	case *testlang.Block:
+		cond := l.cond
+		l.cond = false
+		l.push()
 		body := l.stmts(n.Stmts)
-		if blockDeclares(n) {
+		clear := l.pop()
+		l.cond = cond
+		if len(clear) > 0 {
 			return func(ex *exec) {
 				ex.bud.step()
-				inner := ex.child(newEnv(ex.env))
+				clearSlots(ex, clear)
 				for _, f := range body {
-					f(inner)
+					f(ex)
 				}
 			}
 		}
@@ -150,7 +388,8 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			x(ex)
 		}
 	case *testlang.IfStmt:
-		cond, then, els := l.expr(n.Cond), l.stmt(n.Then), l.stmt(n.Else)
+		cond := l.expr(n.Cond)
+		then, els := l.bare(n.Then), l.bare(n.Else)
 		return func(ex *exec) {
 			ex.bud.step()
 			if cond(ex).truthy() {
@@ -160,13 +399,15 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			}
 		}
 	case *testlang.ForStmt:
-		loop := l.forLoop(n)
+		loop := l.forLoop(n, "")
 		return func(ex *exec) {
 			ex.bud.step()
 			loop.run(ex)
 		}
 	case *testlang.WhileStmt:
-		cond, body := l.expr(n.Cond), l.stmt(n.Body)
+		l.predeclare(n.Body)
+		cond := l.expr(n.Cond)
+		body := l.bare(n.Body)
 		return func(ex *exec) {
 			ex.bud.step()
 			for cond(ex).truthy() {
@@ -179,13 +420,15 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 		if n.X == nil {
 			return func(ex *exec) {
 				ex.bud.step()
-				panic(returnSignal{v: intVal(0)})
+				ex.ret.v = intVal(0)
+				panic(&ex.ret)
 			}
 		}
 		x := l.expr(n.X)
 		return func(ex *exec) {
 			ex.bud.step()
-			panic(returnSignal{v: x(ex)})
+			ex.ret.v = x(ex)
+			panic(&ex.ret)
 		}
 	case *testlang.BreakStmt:
 		return func(ex *exec) {
@@ -210,7 +453,10 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 	}
 }
 
-// declare lowers one variable declaration into the current scope.
+// declare lowers one variable declaration into the current scope. Its
+// initialiser (an array's dimensions) resolves names before the
+// declaration binds its own, and an array's element initialisers
+// after, in the order they run.
 func (l *lowerer) declare(v *testlang.VarDecl) execFn {
 	name := v.Name
 	if len(v.ArrayDims) > 0 {
@@ -220,6 +466,7 @@ func (l *lowerer) declare(v *testlang.VarDecl) execFn {
 				dims[i] = l.expr(d)
 			}
 		}
+		slot := l.declSlot(name)
 		var elems []evalFn
 		if il, ok := v.Init.(*testlang.InitList); ok {
 			elems = l.initElems(il, nil)
@@ -238,28 +485,30 @@ func (l *lowerer) declare(v *testlang.VarDecl) execFn {
 				ds[i] = int(d)
 			}
 			blk := newArrayBlock(name, elem, ds)
-			ex.env.declare(name, refVal(ref{blk: blk, dims: ds}))
+			ex.own(slot).v = refVal(ref{blk: blk, dims: ds})
 			// Initialisers past the array's end are never evaluated.
 			for i, f := range elems {
 				if i >= len(blk.cells) {
 					break
 				}
-				blk.cells[i] = convertTo(f(ex), blk.elem)
+				blk.cells[i] = blk.conv.apply(f(ex))
 			}
 		}
 	}
 	typ := v.Type
 	if v.Init == nil {
 		zero := zeroValue(typ)
-		return func(ex *exec) { ex.env.declare(name, zero) }
+		slot := l.declSlot(name)
+		return func(ex *exec) { ex.own(slot).v = zero }
 	}
 	init := l.expr(v.Init)
+	slot, cv := l.declSlot(name), convOf(typ)
 	return func(ex *exec) {
-		val := convertTo(init(ex), typ)
+		val := cv.apply(init(ex))
 		if val.k == kRef && typ.Ptr > 0 && !val.b.materialized {
 			val.b.materialize(typ)
 		}
-		ex.env.declare(name, val)
+		ex.own(slot).v = val
 	}
 }
 
@@ -279,42 +528,55 @@ func (l *lowerer) initElems(il *testlang.InitList, out []evalFn) []evalFn {
 // forLoop is a lowered for statement. Its body is shared by the serial
 // loop and by work-shared chunks of a loop directive.
 type forLoop struct {
-	// scoped: the loop runs in a scope of its own (forScoped).
-	scoped bool
-	init   execFn
+	init execFn
 	// cond and post are nil when absent.
 	cond evalFn
 	post evalFn
 	body execFn
+	// clear lists the conditional slots of the loop's scope, which its
+	// bare body declares into.
+	clear []int
+	// iv is a loop directive's variable as the body sees it, which a
+	// work-shared chunk binds to a cell of its own.
+	iv varRef
 }
 
-func (l *lowerer) forLoop(n *testlang.ForStmt) *forLoop {
-	f := &forLoop{scoped: forScoped(n), init: l.stmt(n.Init), body: l.stmt(n.Body)}
+// forLoop lowers a for statement in a scope of its own; iv names the
+// loop variable of a loop directive ("" for a plain for).
+func (l *lowerer) forLoop(n *testlang.ForStmt, iv string) *forLoop {
+	cond := l.cond
+	l.cond = false
+	l.push()
+	f := &forLoop{init: l.stmt(n.Init)}
+	l.predeclare(n.Body)
+	if iv != "" {
+		f.iv = l.resolve(iv)
+	}
 	if n.Cond != nil {
 		f.cond = l.expr(n.Cond)
 	}
 	if n.Post != nil {
 		f.post = l.expr(n.Post)
 	}
+	f.body = l.bare(n.Body)
+	f.clear = l.pop()
+	l.cond = cond
 	return f
 }
 
 // run executes the loop; the for statement's own step is the caller's.
 func (f *forLoop) run(ex *exec) {
-	loopEx := ex
-	if f.scoped {
-		loopEx = ex.child(newEnv(ex.env))
-	}
-	f.init(loopEx)
+	clearSlots(ex, f.clear)
+	f.init(ex)
 	for {
-		if f.cond != nil && !f.cond(loopEx).truthy() {
+		if f.cond != nil && !f.cond(ex).truthy() {
 			return
 		}
-		if runBody(loopEx, f.body) {
+		if runBody(ex, f.body) {
 			return
 		}
 		if f.post != nil {
-			f.post(loopEx)
+			f.post(ex)
 		}
 	}
 }
@@ -404,9 +666,10 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 				return v
 			}
 		}
+		cv := convOf(to)
 		return func(ex *exec) value {
 			ex.bud.step()
-			return convertTo(x(ex), to)
+			return cv.apply(x(ex))
 		}
 	case *testlang.InitList:
 		if len(n.Elems) == 0 {
@@ -450,22 +713,36 @@ func builtinConst(name string) (value, bool) {
 	return value{}, false
 }
 
+// ident lowers a variable read. A name bound nowhere at run time reads
+// its builtin constant, or faults: sema rules that out for compiled
+// programs.
 func (l *lowerer) ident(name string) evalFn {
-	if fallback, ok := builtinConst(name); ok {
+	r := l.resolve(name)
+	fallback, isConst := builtinConst(name)
+	switch {
+	case len(r) == 0 && isConst:
+		return constant(fallback)
+	case len(r) == 1:
+		s := r[0]
 		return func(ex *exec) value {
 			ex.bud.step()
-			if c, ok := ex.env.lookup(name); ok {
+			if c := ex.frame[s]; c != nil {
 				return c.v
 			}
-			return fallback
+			if isConst {
+				return fallback
+			}
+			panic(segfault())
 		}
 	}
 	return func(ex *exec) value {
 		ex.bud.step()
-		if c, ok := ex.env.lookup(name); ok {
+		if c := ex.cellOf(r); c != nil {
 			return c.v
 		}
-		// Sema guarantees this does not happen for compiled programs.
+		if isConst {
+			return fallback
+		}
 		panic(segfault())
 	}
 }
@@ -694,9 +971,18 @@ func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 func (l *lowerer) place(e testlang.Expr) placeFn {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
-		name := n.Name
+		r := l.resolve(n.Name)
+		if len(r) == 1 {
+			s := r[0]
+			return func(ex *exec) place {
+				if c := ex.frame[s]; c != nil {
+					return place{c: c}
+				}
+				panic(segfault())
+			}
+		}
 		return func(ex *exec) place {
-			if c, ok := ex.env.lookup(name); ok {
+			if c := ex.cellOf(r); c != nil {
 				return place{c: c}
 			}
 			panic(segfault())

@@ -294,3 +294,220 @@ int main() {
 		}
 	}
 }
+
+// Tests the resolver: every variable use reads the slot lowering
+// resolved it to, and that is the cell a lookup by name in a chain of
+// scopes would find.
+//
+// Testing strategy: whole programs, each row's rc, stdout and steps
+// recorded before names resolved to slots (when a scope chain looked
+// every use up by name at run time), at Workers 1 and 4.
+//
+// Partitions:
+//   - where the read binding was declared: this block, an enclosing
+//     block, a global (through a function's alias), nowhere yet
+//   - declaration that may not run: taken, not taken, taken on an
+//     earlier entry of its scope only, read by its loop's condition
+//   - declarations of one site per scope entry: 1, 10,000
+//   - region overlays: loop variable, private, firstprivate,
+//     reduction, privatized scalar, device mirror seen by a callee
+func TestResolvedNames(t *testing.T) {
+	rows := []struct {
+		name    string
+		dialect spec.Dialect
+		src     string
+		rc      int
+		stdout  string
+		steps   int64
+	}{
+		{name: "shadowing across three nested blocks", dialect: spec.OpenACC, src: `#include <stdio.h>
+int main() {
+    int x = 1;
+    int s = 0;
+    {
+        int x = 2;
+        s = s * 10 + x;
+        {
+            int x = 3;
+            s = s * 10 + x;
+            {
+                int x = 4;
+                s = s * 10 + x;
+            }
+            s = s * 10 + x;
+        }
+        s = s * 10 + x;
+    }
+    printf("%d %d\n", x, s);
+    return 0;
+}
+`, rc: 0, stdout: "1 23432\n", steps: 55},
+		{name: "loop body redeclares a name 10000 times", dialect: spec.OpenACC, src: `#include <stdio.h>
+int main() {
+    int s = 0;
+    for (int i = 0; i < 10000; i++) {
+        int x = i;
+        s += x;
+    }
+    int k = 0;
+    int y = -1;
+    {
+        while (k < 10000) int y = k++;
+        s += y;
+    }
+    printf("%d %d %d\n", s, k, y);
+    return 0;
+}
+`, rc: 0, stdout: "50004999 10000 -1\n", steps: 150029},
+		{name: "untaken declaration falls back to the outer name", dialect: spec.OpenACC, src: `#include <stdio.h>
+int main() {
+    int x = 1;
+    int s = 0;
+    for (int c = 0; c < 3; c++) {
+        if (c == 1) int x = 3;
+        s = s * 10 + x;
+    }
+    printf("%d %d\n", x, s);
+    return 0;
+}
+`, rc: 0, stdout: "1 131\n", steps: 67},
+		{name: "loop condition reads its bare body's declaration", dialect: spec.OpenACC, src: `#include <stdio.h>
+int main() {
+    int x = 0, y = 0, n = 0;
+    {
+        while (x < 5) int x = 10 + n++;
+        printf("%d %d\n", x, n);
+    }
+    for (int i = 0; i < 3 && y < 5; i++) int y = 7 + n++;
+    printf("%d %d\n", y, n);
+    return 0;
+}
+`, rc: 0, stdout: "10 1\n0 2\n", steps: 49},
+		{name: "function reads a global declared before the calling initializer", dialect: spec.OpenACC, src: `#include <stdio.h>
+int g0 = 7;
+int f() { return g0 * 2; }
+int a = f();
+int g = 5;
+int main() {
+    printf("%d %d %d\n", a, f(), g);
+    return 0;
+}
+`, rc: 0, stdout: "14 14 5\n", steps: 21},
+		{name: "function reads a global declared after the calling initializer", dialect: spec.OpenACC, src: `#include <stdio.h>
+int h();
+int a = h();
+int g = 5;
+int h() { return g; }
+int main() {
+    printf("%d\n", a);
+    return 0;
+}
+`, rc: 139, stdout: "", steps: 4},
+		{name: "parallel for over an outer loop variable", dialect: spec.OpenMP, src: `#include <stdio.h>
+int main() {
+    int i = 42;
+    int a[100];
+    #pragma omp parallel for
+    for (i = 0; i < 100; i++) {
+        a[i] = i;
+    }
+    int s = 0;
+    for (int k = 0; k < 100; k++) s += a[k];
+    printf("%d %d\n", i, s);
+    return 0;
+}
+`, rc: 0, stdout: "42 4950\n", steps: 1522},
+		{name: "private firstprivate reduction and privatized scalar", dialect: spec.OpenMP, src: `#include <stdio.h>
+int main() {
+    int p = 5, fp = 7, sum = 0, t = 0;
+    int a[64];
+    #pragma omp parallel for private(p) firstprivate(fp) reduction(+:sum)
+    for (int i = 0; i < 64; i++) {
+        p = i;
+        t = fp + p;
+        sum += t;
+        a[i] = t;
+    }
+    int s = 0;
+    for (int k = 0; k < 64; k++) s += a[k];
+    printf("%d %d %d %d %d\n", p, fp, sum, t, s);
+    return 0;
+}
+`, rc: 0, stdout: "5 7 2464 0 2464\n", steps: 1692},
+		{name: "callee in a compute region sees the host block", dialect: spec.OpenACC, src: `#include <stdio.h>
+int g[8];
+int peek(int k) { return g[k]; }
+int main() {
+    for (int k = 0; k < 8; k++) g[k] = k;
+    int seen = 0;
+    #pragma acc parallel copy(g[0:8])
+    {
+        g[3] = 100;
+        seen = peek(3);
+    }
+    printf("%d %d\n", seen, g[3]);
+    return 0;
+}
+`, rc: 0, stdout: "3 100\n", steps: 108},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			res := compileMaybe(row.src, row.dialect)
+			if !res.OK {
+				t.Fatalf("compile failed:\n%s", res.Stderr)
+			}
+			for _, w := range []int{1, 4} {
+				r := Run(res.Object, Options{Workers: w})
+				if r.ReturnCode != row.rc || r.Stdout != row.stdout || r.Steps != row.steps {
+					t.Fatalf("Workers %d: rc %d stdout %q steps %d stderr %q, want rc %d stdout %q steps %d",
+						w, r.ReturnCode, r.Stdout, r.Steps, r.Stderr, row.rc, row.stdout, row.steps)
+				}
+			}
+		})
+	}
+}
+
+// A reduction clause on a work-shared loop inside a parallel region
+// gives each worker's chunk an accumulator of its own, folded into the
+// shared variable under atomicMu once the chunk is done, so concurrent
+// workers never race on it. Inside a single construct, worker 0 already
+// holds atomicMu: the fold must not take it again (a deadlock). Only
+// worker 0 runs a single body, so only its quarter of the iterations
+// runs.
+func TestChunkedLoopReduction(t *testing.T) {
+	const loop = `
+            #pragma omp for reduction(+:sum)
+            for (int k = 0; k < 100000; k++) {
+                sum += 1;
+            }
+`
+	cases := []struct {
+		name, body, want string
+	}{
+		{name: "in parallel", body: loop, want: "100000\n"},
+		{name: "in single", body: "#pragma omp single\n{\n" + loop + "}\n", want: "25000\n"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := compileMaybe(`#include <stdio.h>
+int main() {
+    int sum = 0;
+    #pragma omp parallel
+    {
+`+c.body+`    }
+    printf("%d\n", sum);
+    return 0;
+}
+`, spec.OpenMP)
+			if !res.OK {
+				t.Fatalf("compile failed:\n%s", res.Stderr)
+			}
+			for n := 0; n < 50; n++ {
+				r := Run(res.Object, Options{Workers: 4})
+				if r.ReturnCode != 0 || r.Stdout != c.want {
+					t.Fatalf("run %d: rc %d stdout %q stderr %q, want rc 0 stdout %q", n, r.ReturnCode, r.Stdout, r.Stderr, c.want)
+				}
+			}
+		})
+	}
+}

@@ -65,7 +65,8 @@ type trapSignal struct {
 // exitSignal unwinds to Run on exit()/main return.
 type exitSignal struct{ code int }
 
-// returnSignal unwinds one function call.
+// returnSignal unwinds one function call. A return statement panics
+// with a pointer to its exec's ret, so returning allocates nothing.
 type returnSignal struct{ v value }
 
 // breakSignal / continueSignal unwind loop bodies.
@@ -94,7 +95,9 @@ type interp struct {
 	presenceMu sync.Mutex
 	presence   map[*block]*presenceEntry
 
-	globals *env
+	// globals is the frame of the file-scope variables: one slot per
+	// distinct name, which a redeclaration fills anew.
+	globals []*cell
 }
 
 type presenceEntry struct {
@@ -147,8 +150,8 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 		panic(trapSignal{kind: "no-object", rc: 127, msg: "exec format error"})
 	}
 	prog := lower(obj)
-	in.globals = newEnv(nil)
-	ex := &exec{in: in, env: in.globals, bud: bud}
+	in.globals = make([]*cell, prog.nglobals)
+	ex := &exec{in: in, frame: in.globals, bud: bud}
 	for _, g := range prog.globals {
 		g(ex)
 	}

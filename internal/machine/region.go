@@ -32,14 +32,32 @@ type dirCode struct {
 	// form; loop is nil otherwise.
 	loop  *forLoop
 	shape loopShape
+	// The variables the directive binds or looks up, resolved where it
+	// stands (the body's own declarations are out of reach).
+	//
 	// free lists the names the body uses but does not declare, in
 	// first-occurrence order; the device data environment maps those
 	// holding aggregates.
-	free []string
+	free []namedRef
+	// privates and firstprivates are the clauses' variables;
+	// reductions the reduction clauses' variables.
+	privates, firstprivates []varRef
+	reductions              []reductionCode
 	// private lists the scalars a parallel region's workers copy: names
 	// the region writes outside protected constructs, without the
-	// construct's reduction variables.
-	private []string
+	// construct's reduction, private and firstprivate variables.
+	private []varRef
+}
+
+// namedRef is a resolved variable with its name, for fault messages.
+type namedRef struct {
+	name string
+	ref  varRef
+}
+
+type reductionCode struct {
+	op  string
+	ref varRef
 }
 
 // dataOpCode is a data clause with its sections' bounds lowered.
@@ -50,6 +68,7 @@ type dataOpCode struct {
 
 type sectionCode struct {
 	name string
+	ref  varRef
 	// lo and n are nil when the clause names the whole object.
 	lo, n evalFn
 }
@@ -58,20 +77,26 @@ type sectionCode struct {
 // needs.
 func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 	d := &dirCode{plan: l.obj.Plans[ds], dialect: l.obj.Dialect}
-	if fs, ok := ds.Body.(*testlang.ForStmt); ok {
-		d.loop = l.forLoop(fs)
-		loop := d.loop
-		d.body = func(ex *exec) {
-			ex.bud.step()
-			loop.run(ex)
-		}
-	} else {
-		d.body = l.stmt(ds.Body)
+	fs, isFor := ds.Body.(*testlang.ForStmt)
+	if plan := d.plan; plan != nil {
+		l.planCode(d, ds, plan)
 	}
-	plan := d.plan
-	if plan == nil {
+	if !isFor {
+		d.body = l.bare(ds.Body)
 		return d
 	}
+	d.loop = l.forLoop(fs, d.shape.varName)
+	loop := d.loop
+	d.body = func(ex *exec) {
+		ex.bud.step()
+		loop.run(ex)
+	}
+	return d
+}
+
+// planCode lowers what a planned directive evaluates and binds before
+// its body runs, with the region analyses its kind needs.
+func (l *lowerer) planCode(d *dirCode, ds *testlang.DirectiveStmt, plan *compiler.DirPlan) {
 	if plan.If != nil {
 		d.cond = l.expr(plan.If)
 	}
@@ -82,30 +107,59 @@ func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 	for i, op := range plan.Data {
 		d.data[i] = dataOpCode{mode: op.Mode, secs: make([]sectionCode, len(op.Sections))}
 		for j, sec := range op.Sections {
-			sc := sectionCode{name: sec.Name}
+			sc := sectionCode{name: sec.Name, ref: l.resolve(sec.Name)}
 			if sec.Lo != nil {
 				sc.lo, sc.n = l.expr(sec.Lo), l.expr(sec.Len)
 			}
 			d.data[i].secs[j] = sc
 		}
 	}
+	clause := map[string]bool{}
+	for _, name := range plan.Private {
+		d.privates = append(d.privates, l.resolve(name))
+		clause[name] = true
+	}
+	for _, name := range plan.FirstPrivate {
+		d.firstprivates = append(d.firstprivates, l.resolve(name))
+		clause[name] = true
+	}
+	for _, red := range plan.Reductions {
+		for _, name := range red.Vars {
+			d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.resolve(name)})
+		}
+	}
+	// A worker copies a written scalar only when no clause bound it.
+	private := func(names []string) {
+		for _, name := range names {
+			if !clause[name] {
+				d.private = append(d.private, l.resolve(name))
+			}
+		}
+	}
+	fs, isFor := ds.Body.(*testlang.ForStmt)
 	switch plan.Kind {
 	case compiler.KindComputeBlock:
-		d.free = freeNames(ds.Body)
+		d.free = l.namedRefs(freeNames(ds.Body))
 	case compiler.KindHostParallel:
-		d.private = privatized(ds.Body, plan)
+		private(privatized(ds.Body, plan))
 	case compiler.KindComputeLoop, compiler.KindHostLoop, compiler.KindLoop:
-		if d.loop == nil {
+		if !isFor {
 			break
 		}
 		if plan.Device {
-			d.free = freeNames(ds.Body)
+			d.free = l.namedRefs(freeNames(ds.Body))
 		}
-		fs := ds.Body.(*testlang.ForStmt)
 		d.shape = l.loopShape(fs)
-		d.private = privatized(fs.Body, plan)
+		private(privatized(fs.Body, plan))
 	}
-	return d
+}
+
+func (l *lowerer) namedRefs(names []string) []namedRef {
+	out := make([]namedRef, len(names))
+	for i, name := range names {
+		out[i] = namedRef{name: name, ref: l.resolve(name)}
+	}
+	return out
 }
 
 // run executes the directive according to its plan; the directive
@@ -133,13 +187,13 @@ func (d *dirCode) run(ex *exec) {
 		d.body(ex)
 	case compiler.KindOnce:
 		if ex.workerID == 0 {
-			ex.in.atomicMu.Lock()
-			defer ex.in.atomicMu.Unlock()
+			ex.lock()
+			defer ex.unlock()
 			d.body(ex)
 		}
 	case compiler.KindCritical, compiler.KindAtomic:
-		ex.in.atomicMu.Lock()
-		defer ex.in.atomicMu.Unlock()
+		ex.lock()
+		defer ex.unlock()
 		d.body(ex)
 	case compiler.KindData:
 		releases := ex.applyDataOps(d.data, true)
@@ -178,6 +232,17 @@ func (d *dirCode) run(ex *exec) {
 	}
 }
 
+// lock takes atomicMu for a critical, atomic, single or master body.
+func (ex *exec) lock() {
+	ex.in.atomicMu.Lock()
+	ex.locked = true
+}
+
+func (ex *exec) unlock() {
+	ex.locked = false
+	ex.in.atomicMu.Unlock()
+}
+
 // --- device data environment ---------------------------------------
 
 // structuredRelease records the exit action of a structured data
@@ -192,9 +257,9 @@ type structuredRelease struct {
 // hostBlockOf resolves a clause variable to its host block; scalars
 // return nil (scalar data clauses have no aggregate mapping in the
 // simulation), null pointers trap.
-func (ex *exec) hostBlockOf(name string, trapNull bool) *block {
-	c, ok := ex.env.lookup(name)
-	if !ok {
+func (ex *exec) hostBlockOf(sec sectionCode, trapNull bool) *block {
+	c := ex.cellOf(sec.ref)
+	if c == nil {
 		return nil
 	}
 	switch c.v.k {
@@ -202,7 +267,7 @@ func (ex *exec) hostBlockOf(name string, trapNull bool) *block {
 		return c.v.b
 	case kNull:
 		if trapNull {
-			panic(deviceFault(name, "in data clause is a null pointer"))
+			panic(deviceFault(sec.name, "in data clause is a null pointer"))
 		}
 		return nil
 	default:
@@ -241,6 +306,7 @@ func (in *interp) ensurePresent(host *block, name string, copyIn bool, lo, n int
 	dev := &block{
 		cells:        make([]value, len(host.cells)),
 		elem:         host.elem,
+		conv:         host.conv,
 		dims:         host.dims,
 		materialized: true,
 		onDevice:     true,
@@ -296,7 +362,7 @@ func (ex *exec) applyDataOps(ops []dataOpCode, structured bool) []structuredRele
 	var releases []structuredRelease
 	for _, op := range ops {
 		for _, sec := range op.secs {
-			hb := ex.hostBlockOf(sec.name, op.mode != compiler.MPresent)
+			hb := ex.hostBlockOf(sec, op.mode != compiler.MPresent)
 			if hb == nil {
 				// Scalar clause variable: presence checks pass (scalars
 				// are firstprivate-by-default), movement is a no-op.
@@ -343,7 +409,7 @@ func (ex *exec) applyDataOps(ops []dataOpCode, structured bool) []structuredRele
 func (ex *exec) applyExitData(ops []dataOpCode) {
 	for _, op := range ops {
 		for _, sec := range op.secs {
-			hb := ex.hostBlockOf(sec.name, false)
+			hb := ex.hostBlockOf(sec, false)
 			if hb == nil {
 				continue
 			}
@@ -362,7 +428,7 @@ func (ex *exec) applyExitData(ops []dataOpCode) {
 func (ex *exec) applyUpdates(ops []dataOpCode) {
 	for _, op := range ops {
 		for _, sec := range op.secs {
-			hb := ex.hostBlockOf(sec.name, true)
+			hb := ex.hostBlockOf(sec, true)
 			if hb == nil {
 				continue
 			}
@@ -392,15 +458,15 @@ func (ex *exec) releaseData(releases []structuredRelease) {
 
 // --- compute regions -------------------------------------------------
 
-// deviceBindings builds the env overlay mapping aggregate variables
-// referenced in the region body to their device mirrors, applying the
+// deviceBindings rebinds, in ex's own frame (fork), the aggregate
+// variables the region body uses to their device mirrors, applying the
 // dialect's implicit-mapping rules to unmapped aggregates.
-func (ex *exec) deviceBindings(d *dirCode) (*env, []structuredRelease) {
-	overlay := newEnv(ex.env)
+func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 	var releases []structuredRelease
-	for _, name := range d.free {
-		c, ok := ex.env.lookup(name)
-		if !ok || (c.v.k != kRef && c.v.k != kNull) {
+	for _, fv := range d.free {
+		name := fv.name
+		c := ex.cellOf(fv.ref)
+		if c == nil || (c.v.k != kRef && c.v.k != kNull) {
 			continue
 		}
 		if c.v.k == kNull {
@@ -417,7 +483,7 @@ func (ex *exec) deviceBindings(d *dirCode) (*env, []structuredRelease) {
 			panic(segfault())
 		}
 		if dev, present := ex.in.lookupPresent(host); present {
-			overlay.declare(name, c.v.on(dev))
+			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
 			continue
 		}
 		if d.dialect == spec.OpenACC {
@@ -428,7 +494,7 @@ func (ex *exec) deviceBindings(d *dirCode) (*env, []structuredRelease) {
 				host.materialize(testlang.Type{Base: "int"})
 			}
 			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
-			overlay.declare(name, c.v.on(dev))
+			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
 			continue
 		}
@@ -437,14 +503,14 @@ func (ex *exec) deviceBindings(d *dirCode) (*env, []structuredRelease) {
 		// the device.
 		if c.v.viewRank() > 0 {
 			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
-			overlay.declare(name, c.v.on(dev))
+			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
 			continue
 		}
 		faultBlk := &block{materialized: true, onDevice: true, name: name}
-		overlay.declare(name, refVal(ref{blk: faultBlk, off: 0}))
+		ex.rebind(fv.ref, &cell{v: refVal(ref{blk: faultBlk, off: 0})})
 	}
-	return overlay, releases
+	return releases
 }
 
 // freeNames lists the names body uses but does not declare, each
@@ -487,28 +553,29 @@ func declaredIn(body testlang.Stmt) map[string]bool {
 // modelled); nested loop directives fork-join their own workers.
 func (ex *exec) execComputeBlock(d *dirCode) {
 	releases := ex.applyDataOps(d.data, true)
-	overlay, implicit := ex.deviceBindings(d)
-	regionEx := ex.child(overlay)
+	regionEx := ex.fork()
+	implicit := regionEx.deviceBindings(d)
 	regionEx.inDevice = true
 	regionEx.redundant = false
 	regionEx.workerID = 0
 	regionEx.regionWidth = 1
-	regionEx.bindPrivates(d.plan, overlay)
+	regionEx.bindPrivates(d)
 	d.body(regionEx)
 	ex.releaseData(implicit)
 	ex.releaseData(releases)
 }
 
-// bindPrivates installs private/firstprivate clause bindings.
-func (ex *exec) bindPrivates(plan *compiler.DirPlan, into *env) {
-	for _, name := range plan.Private {
-		if c, ok := ex.env.lookup(name); ok {
-			into.declare(name, zeroLike(c.v))
+// bindPrivates binds private/firstprivate clause variables to fresh
+// cells in ex's own frame (fork).
+func (ex *exec) bindPrivates(d *dirCode) {
+	for _, r := range d.privates {
+		if c := ex.cellOf(r); c != nil {
+			ex.rebind(r, &cell{v: zeroLike(c.v)})
 		}
 	}
-	for _, name := range plan.FirstPrivate {
-		if c, ok := ex.env.lookup(name); ok {
-			into.declare(name, c.v)
+	for _, r := range d.firstprivates {
+		if c := ex.cellOf(r); c != nil {
+			ex.rebind(r, &cell{v: c.v})
 		}
 	}
 }
@@ -527,20 +594,27 @@ func zeroLike(v value) value {
 // execHostParallel runs "omp parallel": the body once per worker.
 func (ex *exec) execHostParallel(d *dirCode) {
 	w := ex.workerCount(d)
-	reds := newReductionSet(ex, d.plan)
+	reds := ex.newReductionSet(d)
 	ex.runWorkers(w, func(id int, bud *budget) {
-		wEnv := newEnv(ex.env)
-		wEx := ex.child(wEnv)
-		wEx.bud = bud
-		wEx.workerID = id
-		wEx.regionWidth = w
+		wEx := ex.worker(d, bud, id, w)
 		wEx.redundant = true
-		wEx.bindPrivates(d.plan, wEnv)
-		ex.privatizeScalars(d.private, wEnv)
-		reds.bindWorker(wEnv, id)
+		reds.bindWorker(wEx, id)
 		d.body(wEx)
 	})
-	reds.fold(ex)
+	reds.fold()
+}
+
+// worker returns worker id's exec for a region of width w, on a frame
+// of its own with the clause and privatized variables bound.
+func (ex *exec) worker(d *dirCode, bud *budget, id, w int) *exec {
+	wEx := ex.fork()
+	wEx.bud = bud
+	wEx.workerID = id
+	wEx.regionWidth = w
+	wEx.locked = false // a worker's goroutine holds no lock
+	wEx.bindPrivates(d)
+	wEx.privatizeScalars(d.private)
+	return wEx
 }
 
 // runWorkers executes body(id, bud) for id in [0,w), one goroutine
@@ -608,13 +682,10 @@ func (ex *exec) workerCount(d *dirCode) int {
 // body writes outside protected constructs (firstprivate-initialised),
 // the simulation's race-free model of default data-sharing for the
 // well-formed tests the corpus emits.
-func (ex *exec) privatizeScalars(names []string, into *env) {
-	for _, name := range names {
-		if _, already := into.local(name); already {
-			continue
-		}
-		if c, ok := ex.env.lookup(name); ok && c.v.k != kRef {
-			into.declare(name, c.v)
+func (ex *exec) privatizeScalars(refs []varRef) {
+	for _, r := range refs {
+		if c := ex.cellOf(r); c != nil && c.v.k != kRef {
+			ex.rebind(r, &cell{v: c.v})
 		}
 	}
 }
@@ -631,9 +702,8 @@ func (ex *exec) execParallelLoop(d *dirCode) {
 	base := ex
 	if d.plan.Device && !ex.inDevice {
 		releases = ex.applyDataOps(d.data, true)
-		overlay, imp := ex.deviceBindings(d)
-		implicit = imp
-		base = ex.child(overlay)
+		base = ex.fork()
+		implicit = base.deviceBindings(d)
 		base.inDevice = true
 	}
 	spec, canonical := d.shape.analyze(base)
@@ -648,7 +718,8 @@ func (ex *exec) execParallelLoop(d *dirCode) {
 
 // execChunkedLoop work-shares a nested loop directive among the
 // workers of an enclosing host parallel region: worker k executes the
-// k-th chunk.
+// k-th chunk. A reduction variable gets an accumulator per chunk,
+// folded into the variable the worker sees under atomicMu.
 func (ex *exec) execChunkedLoop(d *dirCode) {
 	if d.loop == nil {
 		d.body(ex)
@@ -664,15 +735,25 @@ func (ex *exec) execChunkedLoop(d *dirCode) {
 		return
 	}
 	lo, hi := chunk(spec.count, ex.regionWidth, ex.workerID)
-	ex.runChunk(d.loop, spec, lo, hi)
+	cEx := ex.fork()
+	reds := cEx.newReductionSet(d)
+	reds.bindWorker(cEx, ex.workerID)
+	cEx.runChunk(d.loop, spec, lo, hi)
+	if len(reds.items) == 0 {
+		return
+	}
+	if !ex.locked {
+		ex.lock()
+		defer ex.unlock()
+	}
+	reds.fold()
 }
 
 // loopSpec is the analysed canonical form of a work-shared loop.
 type loopSpec struct {
-	varName string
-	start   int64
-	step    int64
-	count   int64
+	start int64
+	step  int64
+	count int64
 }
 
 // loopShape is a loop directive's for statement analysed for its
@@ -773,7 +854,7 @@ func (l *lowerer) loopShape(loop *testlang.ForStmt) loopShape {
 // analyze evaluates the loop's start, bound and stride and computes
 // its trip count; ok=false falls back to sequential execution.
 func (s *loopShape) analyze(ex *exec) (loopSpec, bool) {
-	spec := loopSpec{varName: s.varName}
+	var spec loopSpec
 	if s.start == nil {
 		return spec, false
 	}
@@ -848,33 +929,28 @@ func (ex *exec) runDistributed(d *dirCode, spec loopSpec) {
 	if spec.count == 0 {
 		return
 	}
-	reds := newReductionSet(ex, d.plan)
+	reds := ex.newReductionSet(d)
 	ex.runWorkers(w, func(id int, bud *budget) {
 		lo, hi := chunk(spec.count, w, id)
-		wEnv := newEnv(ex.env)
-		wEx := ex.child(wEnv)
-		wEx.bud = bud
-		wEx.workerID = id
-		wEx.regionWidth = w
+		wEx := ex.worker(d, bud, id, w)
 		wEx.redundant = false
-		wEx.bindPrivates(d.plan, wEnv)
-		ex.privatizeScalars(d.private, wEnv)
-		reds.bindWorker(wEnv, id)
+		reds.bindWorker(wEx, id)
 		wEx.runChunk(d.loop, spec, lo, hi)
 	})
-	reds.fold(ex)
+	reds.fold()
 }
 
-// runChunk executes iterations [lo,hi) of an analysed loop. Under
-// nested work-sharing, reductions and privatization were handled by
-// the enclosing region.
+// runChunk executes iterations [lo,hi) of an analysed loop on ex's own
+// frame (fork): the loop's scope starts empty and its variable is a
+// cell of the chunk's. Under nested work-sharing, privatization was
+// handled by the enclosing region.
 func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
-	iterEnv := newEnv(ex.env)
-	iterEx := ex.child(iterEnv)
-	loopVar := iterEnv.declare(spec.varName, intVal(0))
+	clearSlots(ex, loop.clear)
+	iv := &cell{v: intVal(0)}
+	ex.rebind(loop.iv, iv)
 	for i := lo; i < hi; i++ {
-		loopVar.v = intVal(spec.start + i*spec.step)
-		if runBody(iterEx, loop.body) {
+		iv.v = intVal(spec.start + i*spec.step)
+		if runBody(ex, loop.body) {
 			return // break inside a work-shared loop: stop this chunk
 		}
 	}
@@ -1024,32 +1100,26 @@ type reductionSet struct {
 
 type reductionItem struct {
 	op      string
-	name    string
+	ref     varRef
 	host    *cell
 	workers []*cell
 	isFloat bool
 }
 
-func newReductionSet(ex *exec, plan *compiler.DirPlan) *reductionSet {
+func (ex *exec) newReductionSet(d *dirCode) *reductionSet {
 	rs := &reductionSet{}
-	if plan == nil {
-		return rs
-	}
-	for _, red := range plan.Reductions {
-		for _, name := range red.Vars {
-			host, ok := ex.env.lookup(name)
-			if !ok {
-				continue
-			}
-			item := reductionItem{
-				op:      red.Op,
-				name:    name,
-				host:    host,
-				isFloat: host.v.k == kFloat,
-				workers: make([]*cell, maxRegionWorkers),
-			}
-			rs.items = append(rs.items, item)
+	for _, red := range d.reductions {
+		host := ex.cellOf(red.ref)
+		if host == nil {
+			continue
 		}
+		rs.items = append(rs.items, reductionItem{
+			op:      red.op,
+			ref:     red.ref,
+			host:    host,
+			isFloat: host.v.k == kFloat,
+			workers: make([]*cell, maxRegionWorkers),
+		})
 	}
 	return rs
 }
@@ -1086,19 +1156,20 @@ func identity(op string, isFloat bool) value {
 	}
 }
 
-// bindWorker installs fresh accumulators for worker id.
-func (rs *reductionSet) bindWorker(into *env, id int) {
+// bindWorker binds fresh accumulators for worker id in wEx's own
+// frame.
+func (rs *reductionSet) bindWorker(wEx *exec, id int) {
 	for i := range rs.items {
 		it := &rs.items[i]
 		c := &cell{v: identity(it.op, it.isFloat)}
 		it.workers[id] = c
-		into.bind(it.name, c)
+		wEx.rebind(it.ref, c)
 	}
 }
 
 // fold combines worker accumulators into the host cells, in worker
 // order for deterministic floating-point results.
-func (rs *reductionSet) fold(ex *exec) {
+func (rs *reductionSet) fold() {
 	for i := range rs.items {
 		it := &rs.items[i]
 		acc := it.host.v

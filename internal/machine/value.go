@@ -61,6 +61,9 @@ type ref struct {
 type block struct {
 	cells []value
 	elem  testlang.Type
+	// conv converts a value stored into a cell to elem; set wherever
+	// elem is.
+	conv conv
 	// dims are a declared array's dimensions (nil for heap blocks);
 	// device mirrors carry their host block's.
 	dims []int
@@ -204,30 +207,62 @@ func (v value) String() string {
 	}
 }
 
-// convertTo coerces v to a declared scalar type on assignment,
-// mirroring C's implicit conversions.
-func convertTo(v value, t testlang.Type) value {
+// conv is a conversion to a declared scalar type, mirroring C's
+// implicit conversions on assignment. It is decided once, where the
+// type is known (a declaration, a parameter, a cast, a block's element
+// type), so a store never compares type names. The zero value keeps
+// the value as it is, as pointer types and untyped blocks do.
+type conv uint8
+
+const (
+	convKeep conv = iota
+	convFloat
+	convInt // int: truncates to 32 bits
+	convLong
+	convChar
+	convBool
+)
+
+// convOf decides the conversion to t.
+func convOf(t testlang.Type) conv {
 	if t.Ptr > 0 {
-		return v // pointer assignment keeps refs/null
+		return convKeep // pointer assignment keeps refs/null
 	}
-	if t.IsFloat() {
+	switch t.Base {
+	case "float", "double":
+		return convFloat
+	case "int":
+		return convInt
+	case "long":
+		return convLong
+	case "char":
+		return convChar
+	case "bool":
+		return convBool
+	}
+	return convKeep
+}
+
+// apply converts v.
+func (c conv) apply(v value) value {
+	switch c {
+	case convKeep:
+		return v
+	case convFloat:
 		return floatVal(v.asFloat())
 	}
-	if t.Base == "int" || t.Base == "long" || t.Base == "char" || t.Base == "bool" {
-		iv := v.asInt()
-		switch t.Base {
-		case "char":
-			iv = int64(int8(iv))
-		case "int":
-			iv = int64(int32(iv))
-		case "bool":
-			if iv != 0 {
-				iv = 1
-			}
+	iv := v.asInt()
+	switch c {
+	case convChar:
+		iv = int64(int8(iv))
+	case convInt:
+		iv = int64(int32(iv))
+	case convBool:
+		if iv != 0 {
+			iv = 1
 		}
-		return intVal(iv)
 	}
-	return v
+	return intVal(iv)
 }
 
 // newArrayBlock allocates a declared array.
@@ -236,7 +271,7 @@ func newArrayBlock(name string, elem testlang.Type, dims []int) *block {
 	for _, d := range dims {
 		n *= d
 	}
-	b := &block{elem: elem, dims: dims, materialized: true, name: name}
+	b := &block{elem: elem, conv: convOf(elem), dims: dims, materialized: true, name: name}
 	b.cells = make([]value, n)
 	zero := zeroValue(elem)
 	for i := range b.cells {
@@ -264,6 +299,7 @@ func (b *block) materialize(t testlang.Type) {
 		n = 0
 	}
 	b.elem = testlang.Type{Base: t.Base}
+	b.conv = convOf(b.elem)
 	b.cells = make([]value, n)
 	zero := zeroValue(b.elem)
 	for i := range b.cells {
@@ -272,65 +308,7 @@ func (b *block) materialize(t testlang.Type) {
 	b.materialized = true
 }
 
-// cell is one variable binding; sharing a *cell shares the variable.
+// cell is one variable's storage; sharing a *cell shares the variable.
 type cell struct {
 	v value
-}
-
-// binding is one name in one scope.
-type binding struct {
-	name string
-	c    *cell
-}
-
-// env is a lexical scope chain. A scope is a slice scanned newest
-// first rather than a map: scopes are small (six names at most over
-// the corpus), so a scan beats hashing the name on every step. bind
-// replaces an existing binding of the same name, so a scope never
-// holds a name twice however often a loop body redeclares it.
-type env struct {
-	parent *env
-	vars   []binding
-}
-
-func newEnv(parent *env) *env {
-	return &env{parent: parent}
-}
-
-func (e *env) lookup(name string) (*cell, bool) {
-	for cur := e; cur != nil; cur = cur.parent {
-		if c, ok := cur.local(name); ok {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
-// local looks a name up in this scope alone.
-func (e *env) local(name string) (*cell, bool) {
-	for i := len(e.vars) - 1; i >= 0; i-- {
-		if e.vars[i].name == name {
-			return e.vars[i].c, true
-		}
-	}
-	return nil, false
-}
-
-func (e *env) declare(name string, v value) *cell {
-	c := &cell{v: v}
-	e.bind(name, c)
-	return c
-}
-
-// bind inserts an existing cell under a name (used for privatization
-// overlays and device rebinding), replacing any binding of the name
-// in this scope.
-func (e *env) bind(name string, c *cell) {
-	for i := range e.vars {
-		if e.vars[i].name == name {
-			e.vars[i].c = c
-			return
-		}
-	}
-	e.vars = append(e.vars, binding{name: name, c: c})
 }
