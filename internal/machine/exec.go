@@ -163,7 +163,7 @@ func coerceLike(dst, v value) value {
 		return floatVal(v.asFloat())
 	case kInt:
 		if v.k == kFloat {
-			return intVal(int64(v.f))
+			return intVal(int64(v.f()))
 		}
 		if v.k == kRef || v.k == kNull {
 			return v
@@ -184,7 +184,7 @@ func delta(op string) int64 {
 
 func applyDelta(v value, d int64) value {
 	if v.k == kFloat {
-		return floatVal(v.f + float64(d))
+		return floatVal(v.f() + float64(d))
 	}
 	if v.k == kRef {
 		v.i += d

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,11 +11,21 @@ import (
 	"repro/internal/spec"
 )
 
-// Every array cell is a value and every step copies several, so the
-// layout is part of the interpreter's cost model.
+// Every array cell is a value and every closure of the lowered code
+// returns one, so the layout is part of the interpreter's cost model.
+// The Go compiler keeps a struct in registers only if it has at most 4
+// fields and at most 32 bytes (ssa.CanSSA in cmd/compile); one field
+// or byte more and every value, place and cell a closure returns,
+// passes or holds across a call goes through memory.
 func TestValueLayoutCompact(t *testing.T) {
-	if n := unsafe.Sizeof(value{}); n > 40 {
-		t.Fatalf("unsafe.Sizeof(value{}) = %d, want <= 40", n)
+	for _, x := range []any{value{}, place{}, cell{}} {
+		typ := reflect.TypeOf(x)
+		if n, f := typ.Size(), typ.NumField(); n > 32 || f > 4 {
+			t.Errorf("%v: %d bytes in %d fields, want at most 32 bytes in 4 fields", typ, n, f)
+		}
+	}
+	if n := unsafe.Sizeof(value{}); n != 24 {
+		t.Errorf("unsafe.Sizeof(value{}) = %d, want 24", n)
 	}
 }
 

@@ -779,7 +779,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return intVal(a.i + b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return floatVal(a.f + b.f)
+				return floatVal(a.f() + b.f())
 			}
 			return arith("+", a, b)
 		}
@@ -791,7 +791,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return intVal(a.i - b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return floatVal(a.f - b.f)
+				return floatVal(a.f() - b.f())
 			}
 			return arith("-", a, b)
 		}
@@ -803,7 +803,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return intVal(a.i * b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return floatVal(a.f * b.f)
+				return floatVal(a.f() * b.f())
 			}
 			return arith("*", a, b)
 		}
@@ -815,7 +815,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return boolToInt(a.i < b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f < b.f)
+				return boolToInt(a.f() < b.f())
 			}
 			return compare("<", a, b)
 		}
@@ -827,7 +827,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return boolToInt(a.i <= b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f <= b.f)
+				return boolToInt(a.f() <= b.f())
 			}
 			return compare("<=", a, b)
 		}
@@ -839,7 +839,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return boolToInt(a.i > b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f > b.f)
+				return boolToInt(a.f() > b.f())
 			}
 			return compare(">", a, b)
 		}
@@ -851,7 +851,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return boolToInt(a.i >= b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f >= b.f)
+				return boolToInt(a.f() >= b.f())
 			}
 			return compare(">=", a, b)
 		}
@@ -863,7 +863,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return boolToInt(a.i == b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f == b.f)
+				return boolToInt(a.f() == b.f())
 			}
 			return compare("==", a, b)
 		}
@@ -875,7 +875,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 			case a.k == kInt && b.k == kInt:
 				return boolToInt(a.i != b.i)
 			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f != b.f)
+				return boolToInt(a.f() != b.f())
 			}
 			return compare("!=", a, b)
 		}
@@ -919,7 +919,7 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 			ex.bud.step()
 			v := x(ex)
 			if v.k == kFloat {
-				return floatVal(-v.f)
+				return floatVal(-v.f())
 			}
 			return intVal(-v.asInt())
 		}
@@ -1085,7 +1085,7 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 			case cur.k == kInt && rhs.k == kInt:
 				out = intVal(cur.i + rhs.i)
 			case cur.k == kFloat && rhs.k == kFloat:
-				out = floatVal(cur.f + rhs.f)
+				out = floatVal(cur.f() + rhs.f())
 			default:
 				out = arith("+", cur, rhs)
 			}

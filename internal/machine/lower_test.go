@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/spec"
@@ -509,5 +511,75 @@ int main() {
 				}
 			}
 		})
+	}
+}
+
+// atomicMu stands for every critical name and every atomic at once, so
+// a mutual-exclusion construct nested in another (real OpenMP allows a
+// critical in a differently named one, and an atomic in a critical)
+// runs under the lock its goroutine already holds instead of taking it
+// again. Each case must finish with every worker's update counted.
+func TestNestedMutualExclusion(t *testing.T) {
+	cases := []struct {
+		name, body string
+		once       bool // only one worker runs the outer construct
+	}{
+		{name: "critical in critical", body: `
+        #pragma omp critical
+        {
+            #pragma omp critical
+            s += 1;
+        }`},
+		{name: "atomic in critical", body: `
+        #pragma omp critical
+        {
+            #pragma omp atomic
+            s += 1;
+        }`},
+		{name: "single holding critical", once: true, body: `
+        #pragma omp single
+        {
+            #pragma omp critical
+            s += 1;
+        }`},
+		{name: "master holding critical", once: true, body: `
+        #pragma omp master
+        {
+            #pragma omp critical
+            s += 1;
+        }`},
+	}
+	for _, c := range cases {
+		res := compileMaybe(`#include <stdio.h>
+int main() {
+    int s = 0;
+    #pragma omp parallel
+    {`+c.body+`
+    }
+    printf("%d\n", s);
+    return 0;
+}
+`, spec.OpenMP)
+		if !res.OK {
+			t.Fatalf("%s: compile failed:\n%s", c.name, res.Stderr)
+		}
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(t *testing.T) {
+				want := w
+				if c.once {
+					want = 1
+				}
+				done := make(chan *Result, 1)
+				go func() { done <- Run(res.Object, Options{Workers: w}) }()
+				select {
+				case r := <-done:
+					if r.ReturnCode != 0 || r.Stdout != fmt.Sprintf("%d\n", want) {
+						t.Fatalf("rc %d stdout %q stderr %q, want rc 0 stdout %q", r.ReturnCode, r.Stdout, r.Stderr, fmt.Sprintf("%d\n", want))
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("run did not finish: the nested construct deadlocked")
+				}
+			})
+		}
 	}
 }

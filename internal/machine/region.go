@@ -187,14 +187,10 @@ func (d *dirCode) run(ex *exec) {
 		d.body(ex)
 	case compiler.KindOnce:
 		if ex.workerID == 0 {
-			ex.lock()
-			defer ex.unlock()
-			d.body(ex)
+			ex.exclusive(d.body)
 		}
 	case compiler.KindCritical, compiler.KindAtomic:
-		ex.lock()
-		defer ex.unlock()
-		d.body(ex)
+		ex.exclusive(d.body)
 	case compiler.KindData:
 		releases := ex.applyDataOps(d.data, true)
 		d.body(ex)
@@ -232,15 +228,23 @@ func (d *dirCode) run(ex *exec) {
 	}
 }
 
-// lock takes atomicMu for a critical, atomic, single or master body.
-func (ex *exec) lock() {
+// exclusive runs a critical, atomic, single or master body, or a
+// reduction fold, holding atomicMu. atomicMu stands for every critical
+// name and every atomic at once, so a body nested in another such
+// construct runs under the lock its goroutine already holds: taking it
+// again would block forever.
+func (ex *exec) exclusive(body execFn) {
+	if ex.locked {
+		body(ex)
+		return
+	}
 	ex.in.atomicMu.Lock()
 	ex.locked = true
-}
-
-func (ex *exec) unlock() {
-	ex.locked = false
-	ex.in.atomicMu.Unlock()
+	defer func() {
+		ex.locked = false
+		ex.in.atomicMu.Unlock()
+	}()
+	body(ex)
 }
 
 // --- device data environment ---------------------------------------
@@ -742,11 +746,7 @@ func (ex *exec) execChunkedLoop(d *dirCode) {
 	if len(reds.items) == 0 {
 		return
 	}
-	if !ex.locked {
-		ex.lock()
-		defer ex.unlock()
-	}
-	reds.fold()
+	ex.exclusive(func(*exec) { reds.fold() })
 }
 
 // loopSpec is the analysed canonical form of a work-shared loop.

@@ -18,6 +18,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/testlang"
 )
@@ -33,17 +34,19 @@ const (
 	kNull
 )
 
-// value is one runtime value, kept at 40 bytes: every array cell is a
-// value and the interpreter copies values on every step. A ref is
-// (b, i = element offset, d = leading dimensions stripped from the
-// block's dims); a string points at its text.
+// value is one runtime value: every array cell is a value and every
+// closure of the lowered code returns one. It has four fields and 24
+// bytes, because the Go compiler keeps a struct in registers only up to
+// four fields and 32 bytes (ssa.CanSSA); past that, every value a
+// closure returns, passes or holds across a call goes through memory.
+// An int is i; a float is its IEEE-754 bits in i (read them with f); a
+// ref is (b, i = element offset, d = leading dimensions stripped from
+// the block's dims); a string is b, a block holding only its text.
 type value struct {
 	k kind
 	d int32
 	i int64
-	f float64
 	b *block
-	s *string
 }
 
 // ref is the unpacked view of a ref value: element offset plus
@@ -77,15 +80,22 @@ type block struct {
 	onDevice bool
 	// name of the originating variable, for fault messages.
 	name string
+	// text is a string value's text; set only on the blocks strVal
+	// makes, which hold nothing else.
+	text *string
 }
 
 func intVal(i int64) value     { return value{k: kInt, i: i} }
-func floatVal(f float64) value { return value{k: kFloat, f: f} }
+func floatVal(f float64) value { return value{k: kFloat, i: int64(math.Float64bits(f))} }
 func nullVal() value           { return value{k: kNull} }
 
+// f is a float value's payload.
+func (v value) f() float64 { return math.Float64frombits(uint64(v.i)) }
+
 // strVal wraps a string the caller keeps alive (a literal in the AST
-// or a package variable), so making the value does not allocate.
-func strVal(s *string) value { return value{k: kStr, s: s} }
+// or a package variable). It allocates the block that carries the
+// text, so lowering makes each string value once, as a constant.
+func strVal(s *string) value { return value{k: kStr, b: &block{text: s}} }
 
 // refVal packs a ref view; r.dims must be a suffix of r.blk.dims.
 func refVal(r ref) value {
@@ -115,7 +125,7 @@ func refOf(v value) (ref, bool) {
 // str is a value's text: the string for kStr, "" for anything else.
 func (v value) str() string {
 	if v.k == kStr {
-		return *v.s
+		return *v.b.text
 	}
 	return ""
 }
@@ -154,7 +164,7 @@ func sizeOf(t testlang.Type) int64 {
 func (v value) asFloat() float64 {
 	switch v.k {
 	case kFloat:
-		return v.f
+		return v.f()
 	case kInt:
 		return float64(v.i)
 	default:
@@ -168,7 +178,7 @@ func (v value) asInt() int64 {
 	case kInt:
 		return v.i
 	case kFloat:
-		return int64(v.f)
+		return int64(v.f())
 	case kNull:
 		return 0
 	default:
@@ -182,7 +192,7 @@ func (v value) truthy() bool {
 	case kInt:
 		return v.i != 0
 	case kFloat:
-		return v.f != 0
+		return v.f() != 0
 	case kRef:
 		return true
 	case kStr:
@@ -197,9 +207,9 @@ func (v value) String() string {
 	case kInt:
 		return fmt.Sprintf("%d", v.i)
 	case kFloat:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.f())
 	case kStr:
-		return *v.s
+		return *v.b.text
 	case kRef:
 		return fmt.Sprintf("<%s+%d>", v.b.name, v.i)
 	default:

@@ -1,6 +1,7 @@
 package testlang
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -262,5 +263,16 @@ func TestLexUnexpectedCharacter(t *testing.T) {
 	_, errs := Tokenize("int x = `y`;")
 	if len(errs) == 0 {
 		t.Fatal("backtick accepted without error")
+	}
+}
+
+// The parser's cur, peek and next return tokens by value. The Go
+// compiler keeps a struct in registers only if it has at most 4 fields
+// and at most 32 bytes (ssa.CanSSA in cmd/compile); a larger Token
+// goes through memory on every call.
+func TestTokenLayoutCompact(t *testing.T) {
+	typ := reflect.TypeOf(Token{})
+	if n, f := typ.Size(), typ.NumField(); n > 32 || f > 4 {
+		t.Fatalf("Token: %d bytes in %d fields, want at most 32 bytes in 4 fields", n, f)
 	}
 }

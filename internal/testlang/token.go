@@ -63,11 +63,10 @@ type Token struct {
 	Kind Kind
 	Text string
 	Line int
-	Col  int
 }
 
 func (t Token) String() string {
-	return fmt.Sprintf("%s %q @%d:%d", t.Kind, t.Text, t.Line, t.Col)
+	return fmt.Sprintf("%s %q @%d", t.Kind, t.Text, t.Line)
 }
 
 // keywords of the C dialect. "unsigned" and "signed" are accepted and
