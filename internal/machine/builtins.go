@@ -323,6 +323,6 @@ func uintptrOf(r ref) uint64 {
 	for _, ch := range r.blk.name {
 		h = (h ^ uint64(ch)) * 0x01000193
 	}
-	h = (h ^ uint64(len(r.blk.cells))) * 0x01000193
+	h = (h ^ uint64(r.blk.length())) * 0x01000193
 	return (h<<8 | 0x7f0000000000) + uint64(r.off)*8
 }

@@ -76,7 +76,7 @@ func (p place) load() value {
 	if p.c != nil {
 		return p.c.v
 	}
-	return p.blk.cells[p.off]
+	return p.blk.get(p.off)
 }
 
 func (p place) store(v value) {
@@ -84,7 +84,7 @@ func (p place) store(v value) {
 		p.c.v = v
 		return
 	}
-	p.blk.cells[p.off] = p.blk.conv.apply(v)
+	p.blk.set(p.off, v)
 }
 
 // runBody executes one loop iteration, absorbing continue and
@@ -128,7 +128,7 @@ func (ex *exec) index(base value, idx evalFn) (value, int) {
 		return base, int(base.i) + i*stride
 	}
 	o := int(base.i) + i
-	if o < 0 || o >= len(blk.cells) {
+	if o < 0 || o >= blk.length() {
 		panic(ex.pointerFault())
 	}
 	return base, o
@@ -144,7 +144,7 @@ func (v value) viewOrLoad(off int) value {
 	if v.viewRank() > 1 {
 		return value{k: kRef, b: v.b, i: int64(off), d: v.d + 1}
 	}
-	return v.b.cells[off]
+	return v.b.get(off)
 }
 
 func (ex *exec) pointerFault() trapSignal {

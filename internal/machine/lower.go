@@ -488,10 +488,10 @@ func (l *lowerer) declare(v *testlang.VarDecl) execFn {
 			ex.own(slot).v = refVal(ref{blk: blk, dims: ds})
 			// Initialisers past the array's end are never evaluated.
 			for i, f := range elems {
-				if i >= len(blk.cells) {
+				if i >= blk.length() {
 					break
 				}
-				blk.cells[i] = blk.conv.apply(f(ex))
+				blk.set(i, f(ex))
 			}
 		}
 	}
@@ -1015,7 +1015,7 @@ func (l *lowerer) deref(x testlang.Expr) placeFn {
 		if !v.b.materialized {
 			v.b.materialize(testlang.Type{Base: "int"})
 		}
-		if v.i < 0 || v.i >= int64(len(v.b.cells)) {
+		if v.i < 0 || v.i >= int64(v.b.length()) {
 			panic(ex.pointerFault())
 		}
 		return place{blk: v.b, off: int(v.i)}

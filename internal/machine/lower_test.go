@@ -583,3 +583,72 @@ int main() {
 		}
 	}
 }
+
+// TestNestedParallelInExclusive runs an omp parallel inside a critical,
+// single or master body whose workers take the lock again (atomic or
+// critical). The encountering goroutine holds that lock while it waits
+// for the inner workers, so they must run under it: on its goroutine,
+// one after another. Each case deadlocked before that. All cases share
+// one deadline, so a regression fails in seconds rather than per case.
+func TestNestedParallelInExclusive(t *testing.T) {
+	type outcome struct {
+		name, want string
+		r          *Result
+	}
+	var cases []string
+	done := make(chan outcome)
+	for _, outer := range []string{"critical", "single", "master"} {
+		for _, inner := range []string{"atomic", "critical"} {
+			res := compileMaybe(`#include <stdio.h>
+int main() {
+    int s = 0;
+    #pragma omp parallel
+    {
+        #pragma omp `+outer+`
+        {
+            #pragma omp parallel
+            {
+                #pragma omp `+inner+`
+                s += 1;
+            }
+        }
+    }
+    printf("%d\n", s);
+    return 0;
+}
+`, spec.OpenMP)
+			if !res.OK {
+				t.Fatalf("%s in %s: compile failed:\n%s", inner, outer, res.Stderr)
+			}
+			for _, w := range []int{1, 2, 4} {
+				want := w // one worker runs the single or master body
+				if outer == "critical" {
+					want = w * w
+				}
+				name := fmt.Sprintf("%s in parallel in %s/workers=%d", inner, outer, w)
+				cases = append(cases, name)
+				go func() {
+					done <- outcome{name, fmt.Sprintf("%d\n", want), Run(res.Object, Options{Workers: w})}
+				}()
+			}
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	finished := map[string]bool{}
+	for range cases {
+		select {
+		case o := <-done:
+			finished[o.name] = true
+			if o.r.ReturnCode != 0 || o.r.Stdout != o.want {
+				t.Errorf("%s: rc %d stdout %q stderr %q, want rc 0 stdout %q", o.name, o.r.ReturnCode, o.r.Stdout, o.r.Stderr, o.want)
+			}
+		case <-deadline:
+			for _, name := range cases {
+				if !finished[name] {
+					t.Errorf("%s: run did not finish: the nested region deadlocked", name)
+				}
+			}
+			return
+		}
+	}
+}

@@ -285,11 +285,11 @@ func (ex *exec) sectionBounds(sec sectionCode, blk *block) (lo, n int) {
 		blk.materialize(testlang.Type{Base: "int"})
 	}
 	if sec.lo == nil {
-		return 0, len(blk.cells)
+		return 0, blk.length()
 	}
 	lo = int(sec.lo(ex).asInt())
 	n = int(sec.n(ex).asInt())
-	if lo < 0 || n < 0 || lo+n > len(blk.cells) {
+	if lo < 0 || n < 0 || lo+n > blk.length() {
 		panic(trapSignal{kind: "device-fault", rc: 1,
 			msg: "FATAL ERROR: data transfer for '" + sec.name + "' is out of bounds"})
 	}
@@ -307,21 +307,10 @@ func (in *interp) ensurePresent(host *block, name string, copyIn bool, lo, n int
 		e.refcount++
 		return e.dev
 	}
-	dev := &block{
-		cells:        make([]value, len(host.cells)),
-		elem:         host.elem,
-		conv:         host.conv,
-		dims:         host.dims,
-		materialized: true,
-		onDevice:     true,
-		name:         name,
-	}
-	zero := zeroValue(host.elem)
-	for i := range dev.cells {
-		dev.cells[i] = zero
-	}
+	dev := &block{dims: host.dims, onDevice: true, name: name}
+	dev.setElem(host.elem, host.length())
 	if copyIn {
-		copy(dev.cells[lo:lo+n], host.cells[lo:lo+n])
+		dev.copyFrom(host, lo, n)
 	}
 	in.presence[host] = &presenceEntry{dev: dev, refcount: 1}
 	return dev
@@ -347,11 +336,11 @@ func (in *interp) releaseOne(host *block, copyOut bool, lo, n int) {
 		return
 	}
 	if copyOut {
-		if lo+n > len(host.cells) {
-			n = len(host.cells) - lo
+		if lo+n > host.length() {
+			n = host.length() - lo
 		}
 		if n > 0 {
-			copy(host.cells[lo:lo+n], e.dev.cells[lo:lo+n])
+			host.copyFrom(e.dev, lo, n)
 		}
 	}
 	e.refcount--
@@ -444,9 +433,9 @@ func (ex *exec) applyUpdates(ops []dataOpCode) {
 			ex.in.presenceMu.Lock()
 			switch op.mode {
 			case compiler.MUpdateHost:
-				copy(hb.cells[lo:lo+n], dev.cells[lo:lo+n])
+				hb.copyFrom(dev, lo, n)
 			case compiler.MUpdateDevice:
-				copy(dev.cells[lo:lo+n], hb.cells[lo:lo+n])
+				dev.copyFrom(hb, lo, n)
 			}
 			ex.in.presenceMu.Unlock()
 		}
@@ -497,18 +486,18 @@ func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 			if !host.materialized {
 				host.materialize(testlang.Type{Base: "int"})
 			}
-			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
+			dev := ex.in.ensurePresent(host, name, true, 0, host.length())
 			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
-			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
+			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: host.length()})
 			continue
 		}
 		// OpenMP 4.5: declared arrays (known size) are implicitly
 		// mapped tofrom; heap pointers are firstprivate and unusable on
 		// the device.
 		if c.v.viewRank() > 0 {
-			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
+			dev := ex.in.ensurePresent(host, name, true, 0, host.length())
 			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
-			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
+			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: host.length()})
 			continue
 		}
 		faultBlk := &block{materialized: true, onDevice: true, name: name}
@@ -615,7 +604,9 @@ func (ex *exec) worker(d *dirCode, bud *budget, id, w int) *exec {
 	wEx.bud = bud
 	wEx.workerID = id
 	wEx.regionWidth = w
-	wEx.locked = false // a worker's goroutine holds no lock
+	// Workers that run concurrently hold no lock; workers forked under
+	// one run serially on the goroutine that holds it (runWorkers).
+	wEx.locked = ex.locked
 	wEx.bindPrivates(d)
 	wEx.privatizeScalars(d.private)
 	return wEx
@@ -626,10 +617,13 @@ func (ex *exec) worker(d *dirCode, bud *budget, id, w int) *exec {
 // Each worker gets its own step budget and returns what it did not
 // spend, trap or not; the forking exec returns its unspent steps
 // first, so workers run one after another trap at exactly the step a
-// single counter would. Under race-detector builds the workers run
-// serially: the corpus contains deliberately racy test programs whose
-// shared writes the detector would flag inside the simulator (see
-// race_on.go).
+// single counter would. Workers forked inside a critical, atomic,
+// single or master body run serially on the goroutine holding
+// atomicMu, since their own exclusive constructs would otherwise block
+// on the lock it holds while it waits for them. Under race-detector
+// builds the workers also run serially: the corpus contains
+// deliberately racy test programs whose shared writes the detector
+// would flag inside the simulator (see race_on.go).
 func (ex *exec) runWorkers(w int, body func(id int, bud *budget)) {
 	ex.bud.release()
 	panics := make(chan any, w)
@@ -643,7 +637,7 @@ func (ex *exec) runWorkers(w int, body func(id int, bud *budget)) {
 		}()
 		body(id, bud)
 	}
-	if raceEnabled || w == 1 {
+	if raceEnabled || w == 1 || ex.locked {
 		for id := 0; id < w; id++ {
 			guarded(id)
 		}

@@ -60,20 +60,37 @@ type ref struct {
 }
 
 // block is one allocation: a declared array, a heap allocation, or a
-// device mirror of either.
+// device mirror of either. Its element storage depends on conv, which
+// is fixed with elem (at declaration, in materialize for a heap block,
+// or from the host block for a mirror):
+//
+//   - a numeric block (conv converts to float, int, long, char or bool)
+//     keeps each element as its raw 8-byte payload in nums: an int, or
+//     a float's IEEE-754 bits. Every store converts through conv, so
+//     every element has the kind numKind, and a load rebuilds the value
+//     from the two. nums holds no pointers, so the garbage collector
+//     never scans it, and it takes a third of the bytes of []value;
+//   - a convKeep block (untyped elements, a scalar's address, the
+//     OpenMP fault block) keeps whole values in cells, since its
+//     elements may be refs.
+//
+// Go through get, set, length and copyFrom, which pick the storage.
 type block struct {
+	nums  []int64
 	cells []value
-	elem  testlang.Type
-	// conv converts a value stored into a cell to elem; set wherever
-	// elem is.
+	// numKind is the kind of every element of a numeric block.
+	numKind kind
+	// conv converts a value stored into an element to elem; set
+	// wherever elem is.
 	conv conv
+	elem testlang.Type
 	// dims are a declared array's dimensions (nil for heap blocks);
 	// device mirrors carry their host block's.
 	dims []int
 	// byteSize is remembered for heap blocks allocated before their
 	// element type is known (malloc result not yet cast/assigned).
 	byteSize int64
-	// materialized reports whether cells have been sized.
+	// materialized reports whether the elements have been sized.
 	materialized bool
 	freed        bool
 	// onDevice marks device mirrors (for diagnostics).
@@ -83,6 +100,62 @@ type block struct {
 	// text is a string value's text; set only on the blocks strVal
 	// makes, which hold nothing else.
 	text *string
+}
+
+// setElem fixes the block's element type and sizes its storage to n
+// zero elements.
+func (b *block) setElem(elem testlang.Type, n int) {
+	b.elem = elem
+	b.conv = convOf(elem)
+	b.materialized = true
+	if b.conv != convKeep {
+		b.numKind = kInt
+		if b.conv == convFloat {
+			b.numKind = kFloat
+		}
+		b.nums = make([]int64, n) // 0 is the payload of both zeros
+		return
+	}
+	b.cells = make([]value, n)
+	zero := zeroValue(elem)
+	for i := range b.cells {
+		b.cells[i] = zero
+	}
+}
+
+// length is the block's element count.
+func (b *block) length() int {
+	if b.conv != convKeep {
+		return len(b.nums)
+	}
+	return len(b.cells)
+}
+
+// get loads element i.
+func (b *block) get(i int) value {
+	if b.conv != convKeep {
+		return value{k: b.numKind, i: b.nums[i]}
+	}
+	return b.cells[i]
+}
+
+// set stores v, converted to the element type, into element i.
+func (b *block) set(i int, v value) {
+	if b.conv != convKeep {
+		b.nums[i] = b.conv.apply(v).i
+		return
+	}
+	b.cells[i] = v
+}
+
+// copyFrom copies elements [lo, lo+n) from src, a block of the same
+// element type and length: a host block and its device mirror.
+func (b *block) copyFrom(src *block, lo, n int) {
+	if b.conv != convKeep {
+		copy(b.nums[lo:lo+n], src.nums[lo:lo+n])
+		return
+	}
+	copy(b.cells[lo:lo+n], src.cells[lo:lo+n])
 }
 
 func intVal(i int64) value     { return value{k: kInt, i: i} }
@@ -281,12 +354,8 @@ func newArrayBlock(name string, elem testlang.Type, dims []int) *block {
 	for _, d := range dims {
 		n *= d
 	}
-	b := &block{elem: elem, conv: convOf(elem), dims: dims, materialized: true, name: name}
-	b.cells = make([]value, n)
-	zero := zeroValue(elem)
-	for i := range b.cells {
-		b.cells[i] = zero
-	}
+	b := &block{dims: dims, name: name}
+	b.setElem(elem, n)
 	return b
 }
 
@@ -296,26 +365,19 @@ func newHeapBlock(bytes int64) *block {
 	return &block{byteSize: bytes, name: "heap"}
 }
 
-// materialize sizes a heap block's cells for element type t. Calling
-// it again with the same element size is a no-op; C-level type puns
-// between same-size types share cells.
+// materialize sizes a heap block's elements for element type t.
+// Calling it again is a no-op: C-level type puns read and write the
+// elements the first type sized, converting through its conv.
 func (b *block) materialize(t testlang.Type) {
 	if b.materialized {
 		return
 	}
-	es := sizeOf(testlang.Type{Base: t.Base})
-	n := b.byteSize / es
+	elem := testlang.Type{Base: t.Base}
+	n := b.byteSize / sizeOf(elem)
 	if n < 0 {
 		n = 0
 	}
-	b.elem = testlang.Type{Base: t.Base}
-	b.conv = convOf(b.elem)
-	b.cells = make([]value, n)
-	zero := zeroValue(b.elem)
-	for i := range b.cells {
-		b.cells[i] = zero
-	}
-	b.materialized = true
+	b.setElem(elem, int(n))
 }
 
 // cell is one variable's storage; sharing a *cell shares the variable.

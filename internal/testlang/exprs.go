@@ -9,10 +9,9 @@ import (
 // directive clause arguments like "num_gangs(n*2)"). It returns the
 // expression and any syntax errors.
 func ParseExprString(s string) (Expr, []error) {
-	toks, lexErrs := Tokenize(s)
-	p := &Parser{toks: toks}
+	p := newParser(s, 0, 0)
 	e := p.parseExpr()
-	errs := append(lexErrs, p.errs...)
+	errs := p.finish()
 	if p.cur().Kind != EOF {
 		errs = append(errs, &ParseError{Line: p.cur().Line, Msg: fmt.Sprintf("unexpected trailing %q in expression", p.cur().Text)})
 	}

@@ -13,16 +13,19 @@ type LexError struct {
 
 func (e *LexError) Error() string { return fmt.Sprintf("line %d: %s", e.Line, e.Msg) }
 
-// Lexer tokenises C-dialect source. It performs a tiny amount of
-// preprocessing itself: "#include" lines become Include tokens,
-// "#pragma" lines become Pragma tokens (with line continuations
-// folded), and object-like "#define NAME value" macros are expanded by
-// substitution, which covers the `#define N 1024` style the V&V suites
-// use.
+// Lexer tokenises C-dialect source one token at a time: the parser
+// pulls each token with Next as it needs it, so no token slice is
+// built for a file. It performs a tiny amount of preprocessing itself:
+// "#include" lines become Include tokens, "#pragma" lines become
+// Pragma tokens (with line continuations folded), and object-like
+// "#define NAME value" macros are expanded by substitution, which
+// covers the `#define N 1024` style the V&V suites use.
 type Lexer struct {
-	src     string
-	pos     int
-	line    int
+	src  string
+	pos  int
+	line int
+	// defines holds each macro's tokenised body. It and defineText
+	// are made at the first #define; most sources have one or none.
 	defines map[string][]Token
 	// defineText keeps each macro's raw body for textual expansion
 	// inside pragma operands, where real preprocessors also expand
@@ -36,7 +39,7 @@ type Lexer struct {
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, defines: map[string][]Token{}, defineText: map[string]string{}}
+	return &Lexer{src: src, line: 1}
 }
 
 // Errors returns the lexical errors encountered so far.
@@ -44,21 +47,6 @@ func (l *Lexer) Errors() []error { return l.errs }
 
 func (l *Lexer) errorf(format string, args ...any) {
 	l.errs = append(l.errs, &LexError{Line: l.line, Msg: fmt.Sprintf(format, args...)})
-}
-
-// Tokenize scans the entire input and returns all tokens up to and
-// including EOF, plus any lexical errors.
-func Tokenize(src string) ([]Token, []error) {
-	l := NewLexer(src)
-	var toks []Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			break
-		}
-	}
-	return toks, l.Errors()
 }
 
 func (l *Lexer) peekByte() byte {
@@ -136,7 +124,9 @@ func (l *Lexer) scan() Token {
 			}
 			text := l.src[start:l.pos]
 			kind := Ident
-			if keywords[text] {
+			// Every keyword is 2 to 8 lower-case letters; most
+			// identifiers are ruled out before the map lookup.
+			if n := len(text); n >= 2 && n <= 8 && text[0] >= 'a' && text[0] <= 'z' && keywords[text] {
 				kind = Keyword
 			}
 			return Token{Kind: kind, Text: text, Line: startLine}
@@ -220,9 +210,27 @@ func strimPrefixWord(s, word string) string {
 }
 
 // readLogicalLine consumes the rest of the current line, folding
-// backslash continuations, and returns its text.
+// backslash continuations, and returns its text: a substring of the
+// source unless a continuation was folded.
 func (l *Lexer) readLogicalLine() string {
-	var b strings.Builder
+	start := l.pos
+	for l.pos < len(l.src) && l.src[l.pos] != '\n' {
+		if l.src[l.pos] == '\\' && l.byteAt(1) == '\n' {
+			var b strings.Builder
+			b.WriteString(l.src[start:l.pos])
+			return l.foldLine(&b)
+		}
+		l.pos++
+	}
+	line := l.src[start:l.pos]
+	if l.pos < len(l.src) {
+		l.advance()
+	}
+	return line
+}
+
+// foldLine appends the rest of a continued line to b.
+func (l *Lexer) foldLine(b *strings.Builder) string {
 	for l.pos < len(l.src) {
 		c := l.peekByte()
 		if c == '\\' && l.byteAt(1) == '\n' {
@@ -260,6 +268,10 @@ func (l *Lexer) recordDefine(rest string, line int) {
 		l.errorf("function-like macro %q not supported", name)
 		return
 	}
+	if l.defines == nil {
+		l.defines = map[string][]Token{}
+		l.defineText = map[string]string{}
+	}
 	body := strings.TrimSpace(rest[i:])
 	if body == "" {
 		l.defines[name] = nil
@@ -288,13 +300,14 @@ func (l *Lexer) expandInText(text string) string {
 		return text
 	}
 	for pass := 0; pass < 4; pass++ {
+		// b receives text up to copied, the first byte not yet
+		// written, once a macro has been found.
 		var b strings.Builder
 		changed := false
+		copied := 0
 		i := 0
 		for i < len(text) {
-			c := text[i]
-			if !isIdentStart(c) {
-				b.WriteByte(c)
+			if !isIdentStart(text[i]) {
 				i++
 				continue
 			}
@@ -302,18 +315,18 @@ func (l *Lexer) expandInText(text string) string {
 			for i < len(text) && isIdentCont(text[i]) {
 				i++
 			}
-			word := text[start:i]
-			if repl, ok := l.defineText[word]; ok && repl != "" {
+			if repl, ok := l.defineText[text[start:i]]; ok && repl != "" {
+				b.WriteString(text[copied:start])
 				b.WriteString(repl)
+				copied = i
 				changed = true
-			} else {
-				b.WriteString(word)
 			}
 		}
-		text = b.String()
 		if !changed {
 			break
 		}
+		b.WriteString(text[copied:])
+		text = b.String()
 	}
 	return text
 }
@@ -451,10 +464,19 @@ func (l *Lexer) scanChar() Token {
 	return Token{Kind: CharLit, Text: string(val), Line: startLine}
 }
 
+// opsByByte lists, for each byte, the multiOps entries that start with
+// it, in multiOps order.
+var opsByByte = func() (t [256][]string) {
+	for _, op := range multiOps {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()
+
 func (l *Lexer) scanOperator() Token {
 	startLine := l.line
 	rest := l.src[l.pos:]
-	for _, op := range multiOps {
+	for _, op := range opsByByte[rest[0]] {
 		if strings.HasPrefix(rest, op) {
 			l.pos += len(op)
 			return Token{Kind: Punct, Text: op, Line: startLine}
@@ -464,8 +486,9 @@ func (l *Lexer) scanOperator() Token {
 	switch c {
 	case '{', '}', '(', ')', '[', ']', ';', ',', '+', '-', '*', '/', '%',
 		'<', '>', '=', '!', '&', '|', '^', '~', '?', ':', '.':
-		return Token{Kind: Punct, Text: string(c), Line: startLine}
+		return Token{Kind: Punct, Text: rest[:1], Line: startLine}
 	default:
+		// string(c) is c's UTF-8 encoding as a rune, not the raw byte.
 		l.errorf("unexpected character %q", string(c))
 		return Token{Kind: Punct, Text: string(c), Line: startLine}
 	}

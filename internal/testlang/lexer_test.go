@@ -2,8 +2,23 @@ package testlang
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 )
+
+// lexAll drains a Lexer over src: every token up to and including EOF,
+// plus the lexical errors.
+func lexAll(src string) ([]Token, []error) {
+	l := NewLexer(src)
+	var toks []Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, l.Errors()
+		}
+	}
+}
 
 func kinds(toks []Token) []Kind {
 	out := make([]Kind, len(toks))
@@ -14,7 +29,7 @@ func kinds(toks []Token) []Kind {
 }
 
 func TestLexBasics(t *testing.T) {
-	toks, errs := Tokenize(`int main() { return 0; }`)
+	toks, errs := lexAll(`int main() { return 0; }`)
 	if len(errs) != 0 {
 		t.Fatalf("unexpected lex errors: %v", errs)
 	}
@@ -53,7 +68,7 @@ func TestLexNumbers(t *testing.T) {
 		{".5", FloatLit, ".5"},
 	}
 	for _, c := range cases {
-		toks, errs := Tokenize(c.src)
+		toks, errs := lexAll(c.src)
 		if len(errs) != 0 {
 			t.Errorf("%q: lex errors %v", c.src, errs)
 			continue
@@ -65,7 +80,7 @@ func TestLexNumbers(t *testing.T) {
 }
 
 func TestLexStringsAndEscapes(t *testing.T) {
-	toks, errs := Tokenize(`printf("a\tb\n");`)
+	toks, errs := lexAll(`printf("a\tb\n");`)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -75,14 +90,14 @@ func TestLexStringsAndEscapes(t *testing.T) {
 }
 
 func TestLexUnterminatedString(t *testing.T) {
-	_, errs := Tokenize("\"abc\nint x;")
+	_, errs := lexAll("\"abc\nint x;")
 	if len(errs) == 0 {
 		t.Fatal("unterminated string produced no error")
 	}
 }
 
 func TestLexCharLiterals(t *testing.T) {
-	toks, errs := Tokenize(`'a' '\n'`)
+	toks, errs := lexAll(`'a' '\n'`)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -100,7 +115,7 @@ func TestLexComments(t *testing.T) {
 int /* inline */ x; /* multi
 line */ int y;
 `
-	toks, errs := Tokenize(src)
+	toks, errs := lexAll(src)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -116,7 +131,7 @@ line */ int y;
 }
 
 func TestLexUnterminatedBlockComment(t *testing.T) {
-	_, errs := Tokenize("int x; /* never closed")
+	_, errs := lexAll("int x; /* never closed")
 	if len(errs) == 0 {
 		t.Fatal("unterminated block comment produced no error")
 	}
@@ -124,7 +139,7 @@ func TestLexUnterminatedBlockComment(t *testing.T) {
 
 func TestLexPragmaAndInclude(t *testing.T) {
 	src := "#include <stdio.h>\n#pragma acc parallel loop\nint x;\n"
-	toks, errs := Tokenize(src)
+	toks, errs := lexAll(src)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -138,7 +153,7 @@ func TestLexPragmaAndInclude(t *testing.T) {
 
 func TestLexPragmaLineContinuation(t *testing.T) {
 	src := "#pragma acc parallel loop \\\n    reduction(+:sum)\nint x;\n"
-	toks, errs := Tokenize(src)
+	toks, errs := lexAll(src)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -152,7 +167,7 @@ func TestLexPragmaLineContinuation(t *testing.T) {
 
 func TestLexDefineSubstitution(t *testing.T) {
 	src := "#define N 1024\nint a[N];\n"
-	toks, errs := Tokenize(src)
+	toks, errs := lexAll(src)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -172,7 +187,7 @@ func TestLexDefineSubstitution(t *testing.T) {
 
 func TestLexDefineMultiTokenBody(t *testing.T) {
 	src := "#define SIZE (16 * 4)\nint a[SIZE];\n"
-	toks, errs := Tokenize(src)
+	toks, errs := lexAll(src)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -206,14 +221,14 @@ func containsSeq(toks []Token, seq []string) bool {
 }
 
 func TestLexFunctionLikeMacroRejected(t *testing.T) {
-	_, errs := Tokenize("#define SQ(x) ((x)*(x))\nint y;\n")
+	_, errs := lexAll("#define SQ(x) ((x)*(x))\nint y;\n")
 	if len(errs) == 0 {
 		t.Fatal("function-like macro accepted")
 	}
 }
 
 func TestLexMultiCharOperators(t *testing.T) {
-	toks, errs := Tokenize("a <= b && c++ != --d || e += 1;")
+	toks, errs := lexAll("a <= b && c++ != --d || e += 1;")
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -236,7 +251,7 @@ func TestLexMultiCharOperators(t *testing.T) {
 
 func TestLexLineNumbers(t *testing.T) {
 	src := "int x;\nint y;\n\nint z;\n"
-	toks, _ := Tokenize(src)
+	toks, _ := lexAll(src)
 	var lines []int
 	for _, tok := range toks {
 		if tok.Kind == Ident {
@@ -250,7 +265,7 @@ func TestLexLineNumbers(t *testing.T) {
 
 func TestLexIfdefSkipped(t *testing.T) {
 	src := "#ifdef FOO\n#endif\nint x;\n"
-	toks, errs := Tokenize(src)
+	toks, errs := lexAll(src)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -260,7 +275,7 @@ func TestLexIfdefSkipped(t *testing.T) {
 }
 
 func TestLexUnexpectedCharacter(t *testing.T) {
-	_, errs := Tokenize("int x = `y`;")
+	_, errs := lexAll("int x = `y`;")
 	if len(errs) == 0 {
 		t.Fatal("backtick accepted without error")
 	}
@@ -274,5 +289,90 @@ func TestTokenLayoutCompact(t *testing.T) {
 	typ := reflect.TypeOf(Token{})
 	if n, f := typ.Size(), typ.NumField(); n > 32 || f > 4 {
 		t.Fatalf("Token: %d bytes in %d fields, want at most 32 bytes in 4 fields", n, f)
+	}
+}
+
+// TestLexerTable pins how the lexer splits every operator, punctuator
+// and keyword, and identifiers that come close to a keyword. It was
+// recorded before the operator and keyword scans were narrowed to the
+// entries that could match, and must keep passing unchanged.
+func TestLexerTable(t *testing.T) {
+	type tok struct {
+		kind Kind
+		text string
+	}
+	type row struct {
+		src  string
+		want []tok
+	}
+	var rows []row
+	for _, op := range multiOps {
+		rows = append(rows, row{op, []tok{{Punct, op}}})
+	}
+	for _, c := range "{}()[];,+-*/%<>=!&|^~?:." {
+		rows = append(rows, row{string(c), []tok{{Punct, string(c)}}})
+	}
+	for _, kw := range []string{"int", "long", "float", "double", "char", "void", "short",
+		"unsigned", "signed", "const", "static", "if", "else", "for", "while", "do",
+		"return", "break", "continue", "sizeof", "struct", "typedef", "extern", "bool"} {
+		rows = append(rows, row{kw, []tok{{Keyword, kw}}})
+	}
+	for _, id := range []string{"int_", "Int", "i", "doubles", "returnx", "_int", "INT",
+		"unsignedx", "continues", "d", "do_", "iff", "x1", "main", "using", "printf", "a_very_long_name"} {
+		rows = append(rows, row{id, []tok{{Ident, id}}})
+	}
+	rows = append(rows,
+		row{"<<==", []tok{{Punct, "<<="}, {Punct, "="}}},
+		row{">>=>", []tok{{Punct, ">>="}, {Punct, ">"}}},
+		row{"x---y", []tok{{Ident, "x"}, {Punct, "--"}, {Punct, "-"}, {Ident, "y"}}},
+		row{"-->", []tok{{Punct, "--"}, {Punct, ">"}}},
+		row{"a->b", []tok{{Ident, "a"}, {Punct, "->"}, {Ident, "b"}}},
+		row{"&&&", []tok{{Punct, "&&"}, {Punct, "&"}}},
+		row{"|||=", []tok{{Punct, "||"}, {Punct, "|="}}},
+		row{"!==", []tok{{Punct, "!="}, {Punct, "="}}},
+		row{"+++", []tok{{Punct, "++"}, {Punct, "+"}}},
+		row{"..", []tok{{Punct, "."}, {Punct, "."}}},
+		row{"....", []tok{{Punct, "..."}, {Punct, "."}}},
+		row{":::", []tok{{Punct, "::"}, {Punct, ":"}}},
+		row{"<<<", []tok{{Punct, "<<"}, {Punct, "<"}}},
+		row{"*=*", []tok{{Punct, "*="}, {Punct, "*"}}},
+		row{"%=%", []tok{{Punct, "%="}, {Punct, "%"}}},
+		row{"^=^", []tok{{Punct, "^="}, {Punct, "^"}}},
+		row{"=>=", []tok{{Punct, "="}, {Punct, ">="}}},
+		row{"a/=b/c", []tok{{Ident, "a"}, {Punct, "/="}, {Ident, "b"}, {Punct, "/"}, {Ident, "c"}}},
+		row{"int*p", []tok{{Keyword, "int"}, {Punct, "*"}, {Ident, "p"}}},
+		row{"if(x)return;", []tok{{Keyword, "if"}, {Punct, "("}, {Ident, "x"}, {Punct, ")"}, {Keyword, "return"}, {Punct, ";"}}},
+		row{".5.x", []tok{{FloatLit, ".5"}, {Punct, "."}, {Ident, "x"}}},
+	)
+	for _, r := range rows {
+		toks, errs := lexAll(r.src)
+		if len(errs) != 0 {
+			t.Errorf("%q: lex errors %v", r.src, errs)
+			continue
+		}
+		want := append(r.want, tok{EOF, ""})
+		if len(toks) != len(want) {
+			t.Errorf("%q lexed as %v, want %v", r.src, toks, want)
+			continue
+		}
+		for i, w := range want {
+			if toks[i].Kind != w.kind || toks[i].Text != w.text || toks[i].Line != 1 {
+				t.Errorf("%q token %d = %v, want %v %q @1", r.src, i, toks[i], w.kind, w.text)
+			}
+		}
+	}
+}
+
+// An unexpected byte is reported, and kept as a token, as the rune of
+// that value: a byte of 0x80 or more becomes two bytes of UTF-8.
+func TestLexUnexpectedByteText(t *testing.T) {
+	for src, want := range map[string]string{"@": "@", "$": "$", "`": "`", "\xff": "ÿ", "\xc3": "Ã"} {
+		toks, errs := lexAll(src)
+		if len(errs) != 1 || errs[0].Error() != "line 1: unexpected character "+strconv.Quote(want) {
+			t.Errorf("%q: errors %v, want one for %q", src, errs, want)
+		}
+		if toks[0].Kind != Punct || toks[0].Text != want {
+			t.Errorf("%q: token %v, want punctuation %q", src, toks[0], want)
+		}
 	}
 }

@@ -20,38 +20,55 @@ func (e *ParseError) Error() string { return fmt.Sprintf("line %d: syntax error:
 // (negative probing can mangle sources arbitrarily).
 const maxParseErrors = 25
 
-// Parser parses C-dialect token streams into a *File.
+// Parser parses C-dialect source into a *File. It never rewinds, so
+// it holds a window of two tokens, the current one and the one after
+// it, and pulls the rest from its Lexer as it advances.
 type Parser struct {
-	toks    []Token
-	pos     int
+	lex        *Lexer
+	tok, ahead Token // cur and peek
+	// n counts the tokens consumed, so parseBlock can tell whether a
+	// statement made progress.
+	n       int
 	errs    []error
 	dialect spec.Dialect
 	lang    Language
 	bailed  bool
 }
 
+func newParser(src string, lang Language, dialect spec.Dialect) *Parser {
+	p := &Parser{lex: NewLexer(src), dialect: dialect, lang: lang}
+	p.tok = p.lex.Next()
+	p.ahead = p.lex.Next()
+	return p
+}
+
 // ParseFile lexes and parses C-dialect source. The returned file is
 // best-effort when errors are present; callers must treat a non-empty
 // error slice as a failed compile.
 func ParseFile(src string, lang Language, dialect spec.Dialect) (*File, []error) {
-	toks, lexErrs := Tokenize(src)
-	p := &Parser{toks: toks, dialect: dialect, lang: lang}
+	p := newParser(src, lang, dialect)
 	f := p.parseFile()
-	return f, append(lexErrs, p.errs...)
+	return f, p.finish()
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
-func (p *Parser) peek() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// finish lexes the rest of the source, past where the parser stopped,
+// and returns every lexical error ahead of the syntax errors.
+func (p *Parser) finish() []error {
+	for t := p.ahead; t.Kind != EOF; t = p.lex.Next() {
 	}
-	return p.toks[len(p.toks)-1]
+	return append(p.lex.Errors(), p.errs...)
 }
 
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) peek() Token { return p.ahead }
+
+// next consumes the current token and returns it; at EOF it stays.
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != EOF {
+		p.tok = p.ahead
+		p.ahead = p.lex.Next()
+		p.n++
 	}
 	return t
 }
@@ -365,12 +382,12 @@ func (p *Parser) parseBlock() *Block {
 	b := &Block{position: position(p.cur().Line)}
 	p.expectPunct("{")
 	for !p.atPunct("}") && p.cur().Kind != EOF && !p.bailed {
-		before := p.pos
+		before := p.n
 		st := p.parseStmt()
 		if st != nil {
 			b.Stmts = append(b.Stmts, st)
 		}
-		if p.pos == before {
+		if p.n == before {
 			// No progress: consume one token to guarantee termination.
 			p.errorf(p.cur().Line, "unexpected token %q", p.cur().Text)
 			p.next()

@@ -342,6 +342,32 @@ func TestParseErrorsCapped(t *testing.T) {
 	}
 }
 
+// TestParseErrorOrder pins the error list's shape: every lexical error
+// comes first, in source order, then the syntax errors, and lexical
+// errors past the point where the parser gives up are still reported.
+func TestParseErrorOrder(t *testing.T) {
+	src := "int main() {\n" + strings.Repeat("x = ;\n", 40) + "}\nint y = `z`;\n\"open\n"
+	_, errs := ParseFile(src, LangC, spec.OpenACC)
+	if len(errs) != 3+maxParseErrors {
+		t.Fatalf("got %d errors, want 3 lexical and %d syntax: %v", len(errs), maxParseErrors, errs)
+	}
+	for i, want := range []string{
+		"line 43: unexpected character \"`\"",
+		"line 43: unexpected character \"`\"",
+		"line 44: unterminated string literal",
+		"line 2: syntax error: expected expression, found punctuation \";\"",
+	} {
+		if got := errs[i].Error(); got != want {
+			t.Errorf("error %d = %q, want %q", i, got, want)
+		}
+	}
+	for i, e := range errs {
+		if _, lex := e.(*LexError); lex != (i < 3) {
+			t.Errorf("error %d (%v): lexical %v, want %v", i, e, lex, i < 3)
+		}
+	}
+}
+
 func TestParseFunctionPrototype(t *testing.T) {
 	src := `
 int helper(int a, double b);
