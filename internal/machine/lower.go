@@ -165,6 +165,12 @@ type lowerer struct {
 	// cond is set while lowering a bare body: declarations there may
 	// not run.
 	cond bool
+	// regions are the planned directives whose bodies enclose this
+	// point of the function, outermost first (region.go). Writes here
+	// are protected in regions[:exclusive]: those an atomic, critical,
+	// single or master around this point nests in.
+	regions   []*region
+	exclusive int
 }
 
 // lower compiles obj's globals and its main function, with every user
@@ -194,8 +200,9 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 	}
 	fc := &funcCode{params: make([]paramCode, len(fd.Params))}
 	l.funcs[name] = fc
-	fn, sc, cond := l.fn, l.sc, l.cond
-	l.fn, l.sc, l.cond = fc, &scope{}, false
+	// A callee is not part of the regions around its first call.
+	fn, sc, cond, regions, exclusive := l.fn, l.sc, l.cond, l.regions, l.exclusive
+	l.fn, l.sc, l.cond, l.regions, l.exclusive = fc, &scope{}, false, nil, 0
 	for i, p := range fd.Params {
 		c := convOf(p.Type)
 		if p.Array {
@@ -204,17 +211,25 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 		fc.params[i] = paramCode{slot: l.declSlot(p.Name), typ: p.Type, conv: c}
 	}
 	fc.body = l.stmt(fd.Body)
-	l.fn, l.sc, l.cond = fn, sc, cond
+	l.fn, l.sc, l.cond, l.regions, l.exclusive = fn, sc, cond, regions, exclusive
 	return fc
 }
 
 // --- names ------------------------------------------------------------
 
 // resolve returns the slots a use of name reads at this point of the
-// program. Inside a function, a name no scope binds becomes a slot of
-// the function's outermost scope: an alias of the global of that name,
-// or a slot nothing declares (a region may still bind it).
+// program, and records the use in the open regions.
 func (l *lowerer) resolve(name string) varRef {
+	r := l.lookup(name)
+	l.used(name, r)
+	return r
+}
+
+// lookup resolves name. Inside a function, a name no scope binds
+// becomes a slot of the function's outermost scope: an alias of the
+// global of that name, or a slot nothing declares (a region may still
+// bind it).
+func (l *lowerer) lookup(name string) varRef {
 	for sc := l.sc; sc != nil; sc = sc.up {
 		if v := sc.local(name); v != nil {
 			return v.ref
@@ -250,7 +265,7 @@ func (l *lowerer) newSlot() int {
 // declSlot binds name to the slot a declaration at this point fills. A
 // global's slot is its own; a local declaration gets a new slot, and a
 // conditional one a conditional slot that falls back to the name's
-// slots outside it.
+// slots outside it. The slot is local to every open region.
 func (l *lowerer) declSlot(name string) int {
 	if l.fn == nil {
 		return l.globals[name]
@@ -259,16 +274,16 @@ func (l *lowerer) declSlot(name string) int {
 	if !l.cond {
 		slot := l.newSlot()
 		sc.bind(scopeVar{name: name, ref: varRef{slot}})
-		return slot
+		return l.declared(slot)
 	}
 	if v := sc.local(name); v != nil && v.cond {
-		return v.ref[0]
+		return l.declared(v.ref[0])
 	}
-	outer := l.resolve(name)
+	outer := l.lookup(name)
 	slot := l.newSlot()
 	sc.bind(scopeVar{name: name, ref: append(varRef{slot}, outer...), cond: true})
 	sc.clear = append(sc.clear, slot)
-	return slot
+	return l.declared(slot)
 }
 
 // push opens a scope; pop closes it and returns its conditional slots.
@@ -399,7 +414,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			}
 		}
 	case *testlang.ForStmt:
-		loop := l.forLoop(n, "")
+		loop := l.forLoop(n, "", nil)
 		return func(ex *exec) {
 			ex.bud.step()
 			loop.run(ex)
@@ -471,7 +486,6 @@ func (l *lowerer) declare(v *testlang.VarDecl) execFn {
 		if il, ok := v.Init.(*testlang.InitList); ok {
 			elems = l.initElems(il, nil)
 		}
-		elem := testlang.Type{Base: v.Type.Base}
 		return func(ex *exec) {
 			ds := make([]int, len(dims))
 			for i, f := range dims {
@@ -484,7 +498,7 @@ func (l *lowerer) declare(v *testlang.VarDecl) execFn {
 				}
 				ds[i] = int(d)
 			}
-			blk := newArrayBlock(name, elem, ds)
+			blk := newArrayBlock(name, v.Type, ds)
 			ex.own(slot).v = refVal(ref{blk: blk, dims: ds})
 			// Initialisers past the array's end are never evaluated.
 			for i, f := range elems {
@@ -503,10 +517,11 @@ func (l *lowerer) declare(v *testlang.VarDecl) execFn {
 	}
 	init := l.expr(v.Init)
 	slot, cv := l.declSlot(name), convOf(typ)
+	pointee := testlang.Type{Base: typ.Base, Ptr: typ.Ptr - 1}
 	return func(ex *exec) {
 		val := cv.apply(init(ex))
 		if val.k == kRef && typ.Ptr > 0 && !val.b.materialized {
-			val.b.materialize(typ)
+			val.b.materialize(pointee)
 		}
 		ex.own(slot).v = val
 	}
@@ -542,8 +557,9 @@ type forLoop struct {
 }
 
 // forLoop lowers a for statement in a scope of its own; iv names the
-// loop variable of a loop directive ("" for a plain for).
-func (l *lowerer) forLoop(n *testlang.ForStmt, iv string) *forLoop {
+// loop variable of a loop directive ("" for a plain for), and rg is the
+// directive's region, whose writes count in the loop body only.
+func (l *lowerer) forLoop(n *testlang.ForStmt, iv string, rg *region) *forLoop {
 	cond := l.cond
 	l.cond = false
 	l.push()
@@ -557,6 +573,9 @@ func (l *lowerer) forLoop(n *testlang.ForStmt, iv string) *forLoop {
 	}
 	if n.Post != nil {
 		f.post = l.expr(n.Post)
+	}
+	if rg != nil {
+		rg.writes = true
 	}
 	f.body = l.bare(n.Body)
 	f.clear = l.pop()
@@ -657,11 +676,12 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.CastExpr:
 		x, to := l.expr(n.X), n.To
 		if to.Ptr > 0 {
+			pointee := testlang.Type{Base: to.Base, Ptr: to.Ptr - 1}
 			return func(ex *exec) value {
 				ex.bud.step()
 				v := x(ex)
 				if v.k == kRef && !v.b.materialized {
-					v.b.materialize(to)
+					v.b.materialize(pointee)
 				}
 				return v
 			}
@@ -972,6 +992,7 @@ func (l *lowerer) place(e testlang.Expr) placeFn {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
 		r := l.resolve(n.Name)
+		l.wrote(r, false)
 		if len(r) == 1 {
 			s := r[0]
 			return func(ex *exec) place {

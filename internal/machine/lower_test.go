@@ -303,7 +303,10 @@ int main() {
 //
 // Testing strategy: whole programs, each row's rc, stdout and steps
 // recorded before names resolved to slots (when a scope chain looked
-// every use up by name at run time), at Workers 1 and 4.
+// every use up by name at run time), at Workers 1 and 4. The last
+// seven rows were recorded while the region analyses still went by
+// name; those whose region body shadows a name, from the same program
+// with the inner declaration renamed, which that analysis got right.
 //
 // Partitions:
 //   - where the read binding was declared: this block, an enclosing
@@ -313,6 +316,11 @@ int main() {
 //   - declarations of one site per scope entry: 1, 10,000
 //   - region overlays: loop variable, private, firstprivate,
 //     reduction, privatized scalar, device mirror seen by a callee
+//   - a region body that shadows an outer variable it uses: loop
+//     variable, scalar, device-mapped array, beside a nested reduction
+//   - what else a region's analyses see: writes under atomic, critical
+//     and single (shared), a callee first lowered inside the region
+//     (not part of it), a pointer the body declares (not mapped)
 func TestResolvedNames(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -451,6 +459,124 @@ int main() {
     return 0;
 }
 `, rc: 0, stdout: "3 100\n", steps: 108},
+		{name: "parallel region privatizes a loop variable its body shadows", dialect: spec.OpenMP, src: `#include <stdio.h>
+int main() {
+    int i = 0, s = 0;
+    #pragma omp parallel num_threads(4)
+    {
+        for (i = 0; i < 1000; i++) {
+            for (int i = 0; i < 1; i++) {
+                s = s;
+            }
+        }
+    }
+    printf("%d\n", i);
+    return 0;
+}
+`, rc: 0, stdout: "0\n", steps: 76043},
+		{name: "compute region maps an array its body shadows later", dialect: spec.OpenACC, src: `#include <stdio.h>
+int a[8];
+int peek(int k) { return a[k]; }
+int main() {
+    for (int k = 0; k < 8; k++) a[k] = k;
+    int seen = 0;
+    #pragma acc parallel
+    {
+        a[3] = 100;
+        seen = peek(3);
+        {
+            int a = 5;
+            seen = seen * 10 + a;
+        }
+    }
+    printf("%d %d\n", seen, a[3]);
+    return 0;
+}
+`, rc: 0, stdout: "35 100\n", steps: 116},
+		{name: "parallel region privatizes a scalar its body shadows later", dialect: spec.OpenMP, src: `#include <stdio.h>
+int main() {
+    int t = 0, s = 0;
+    #pragma omp parallel num_threads(4)
+    {
+        t = t + 1;
+        {
+            int t = 7;
+            s = t;
+        }
+    }
+    printf("%d %d\n", t, s);
+    return 0;
+}
+`, rc: 0, stdout: "0 0\n", steps: 60},
+		{name: "nested reduction variable stays shared beside a shadowing block", dialect: spec.OpenMP, src: `#include <stdio.h>
+int main() {
+    int sum = 0, n = 0;
+    #pragma omp parallel num_threads(4)
+    {
+        #pragma omp for reduction(+:sum)
+        for (int k = 0; k < 100; k++) {
+            sum += k;
+        }
+        {
+            int sum = 5;
+            n = sum;
+        }
+    }
+    printf("%d %d\n", sum, n);
+    return 0;
+}
+`, rc: 0, stdout: "4950 0\n", steps: 452},
+		{name: "writes under atomic critical and single stay shared", dialect: spec.OpenMP, src: `#include <stdio.h>
+int main() {
+    int s = 0, c = 0, o = 0;
+    #pragma omp parallel num_threads(4)
+    {
+        #pragma omp atomic
+        s += 1;
+        #pragma omp critical
+        {
+            c = c + 2;
+        }
+        #pragma omp single
+        o = o + 5;
+    }
+    printf("%d %d %d\n", s, c, o);
+    return 0;
+}
+`, rc: 0, stdout: "4 8 5\n", steps: 71},
+		{name: "callee first lowered in a region is not part of it", dialect: spec.OpenMP, src: `#include <stdio.h>
+int bump(int v) {
+    int w = v + 1;
+    return w;
+}
+int main() {
+    int t = 0;
+    #pragma omp parallel num_threads(4)
+    {
+        int u = bump(1);
+        t = t + u;
+    }
+    printf("%d %d\n", t, bump(t));
+    return 0;
+}
+`, rc: 0, stdout: "0 1\n", steps: 83},
+		{name: "compute region does not map a pointer its body declares", dialect: spec.OpenACC, src: `#include <stdio.h>
+int main() {
+    int a[4];
+    int n = 0;
+    for (int k = 0; k < 2; k++) {
+        #pragma acc parallel if(k == 1)
+        {
+            int *p = NULL;
+            if (k == 1) p = a;
+            a[k] = k + 10;
+            n = n + (p == NULL);
+        }
+    }
+    printf("%d %d %d\n", a[0], a[1], n);
+    return 0;
+}
+`, rc: 0, stdout: "10 11 1\n", steps: 85},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

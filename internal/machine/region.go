@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/compiler"
@@ -35,17 +34,18 @@ type dirCode struct {
 	// The variables the directive binds or looks up, resolved where it
 	// stands (the body's own declarations are out of reach).
 	//
-	// free lists the names the body uses but does not declare, in
-	// first-occurrence order; the device data environment maps those
-	// holding aggregates.
+	// free lists the variables the body uses but does not declare, in
+	// first-use order; a compute construct's device data environment
+	// maps those holding aggregates.
 	free []namedRef
 	// privates and firstprivates are the clauses' variables;
 	// reductions the reduction clauses' variables.
 	privates, firstprivates []varRef
 	reductions              []reductionCode
-	// private lists the scalars a parallel region's workers copy: names
-	// the region writes outside protected constructs, without the
-	// construct's reduction, private and firstprivate variables.
+	// private lists the variables the body writes but does not
+	// declare, none of them under protection (see region), without the
+	// construct's clause variables; a parallel region's workers copy
+	// those holding scalars. Only a loop directive's loop body counts.
 	private []varRef
 }
 
@@ -78,25 +78,53 @@ type sectionCode struct {
 func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 	d := &dirCode{plan: l.obj.Plans[ds], dialect: l.obj.Dialect}
 	fs, isFor := ds.Body.(*testlang.ForStmt)
-	if plan := d.plan; plan != nil {
-		l.planCode(d, ds, plan)
+	var rg *region
+	if d.plan != nil {
+		rg = l.planCode(d, fs)
+	}
+	exclusive := l.exclusive
+	if ds.Dir != nil {
+		switch ds.Dir.Name {
+		case "atomic", "critical", "single", "master":
+			l.exclusive = len(l.regions)
+		}
+	}
+	if rg != nil {
+		l.regions = append(l.regions, rg)
 	}
 	if !isFor {
 		d.body = l.bare(ds.Body)
-		return d
+	} else {
+		d.loop = l.forLoop(fs, d.shape.varName, rg)
+		loop := d.loop
+		d.body = func(ex *exec) {
+			ex.bud.step()
+			loop.run(ex)
+		}
 	}
-	d.loop = l.forLoop(fs, d.shape.varName)
-	loop := d.loop
-	d.body = func(ex *exec) {
-		ex.bud.step()
-		loop.run(ex)
+	l.exclusive = exclusive
+	if rg != nil {
+		l.regions = l.regions[:len(l.regions)-1]
+		d.free = rg.free
+		for _, v := range rg.free {
+			if protected, ok := rg.written[v.ref[0]]; ok && !protected {
+				d.private = append(d.private, v.ref)
+			}
+		}
 	}
 	return d
 }
 
 // planCode lowers what a planned directive evaluates and binds before
-// its body runs, with the region analyses its kind needs.
-func (l *lowerer) planCode(d *dirCode, ds *testlang.DirectiveStmt, plan *compiler.DirPlan) {
+// its body runs, and returns the region that collects its body's
+// analyses, nil when its kind needs none. fs is its body when that is
+// a for statement.
+func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) *region {
+	plan := d.plan
+	// The regions around the directive do not see its clauses, except
+	// that its reduction variables count as protected writes.
+	regions := l.regions
+	l.regions = nil
 	if plan.If != nil {
 		d.cond = l.expr(plan.If)
 	}
@@ -114,52 +142,107 @@ func (l *lowerer) planCode(d *dirCode, ds *testlang.DirectiveStmt, plan *compile
 			d.data[i].secs[j] = sc
 		}
 	}
-	clause := map[string]bool{}
 	for _, name := range plan.Private {
 		d.privates = append(d.privates, l.resolve(name))
-		clause[name] = true
 	}
 	for _, name := range plan.FirstPrivate {
 		d.firstprivates = append(d.firstprivates, l.resolve(name))
-		clause[name] = true
 	}
 	for _, red := range plan.Reductions {
 		for _, name := range red.Vars {
 			d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.resolve(name)})
 		}
 	}
-	// A worker copies a written scalar only when no clause bound it.
-	private := func(names []string) {
-		for _, name := range names {
-			if !clause[name] {
-				d.private = append(d.private, l.resolve(name))
-			}
+	loop := false
+	switch plan.Kind {
+	case compiler.KindComputeLoop, compiler.KindHostLoop, compiler.KindLoop:
+		if fs != nil {
+			d.shape = l.loopShape(fs)
+			loop = true
 		}
 	}
-	fs, isFor := ds.Body.(*testlang.ForStmt)
-	switch plan.Kind {
-	case compiler.KindComputeBlock:
-		d.free = l.namedRefs(freeNames(ds.Body))
-	case compiler.KindHostParallel:
-		private(privatized(ds.Body, plan))
-	case compiler.KindComputeLoop, compiler.KindHostLoop, compiler.KindLoop:
-		if !isFor {
-			break
+	l.regions = regions
+	for _, red := range d.reductions {
+		l.wrote(red.ref, true)
+	}
+	if !loop && plan.Kind != compiler.KindComputeBlock && plan.Kind != compiler.KindHostParallel {
+		return nil
+	}
+	// A loop directive's writes count from its loop body on (forLoop).
+	rg := &region{local: map[int]bool{}, seen: map[int]bool{}, written: map[int]bool{}, writes: !loop}
+	// A worker copies a written scalar only when no clause bound it.
+	bound := func(r varRef) {
+		if len(r) > 0 {
+			rg.written[r[0]] = true
 		}
-		if plan.Device {
-			d.free = l.namedRefs(freeNames(ds.Body))
+	}
+	for _, r := range d.privates {
+		bound(r)
+	}
+	for _, r := range d.firstprivates {
+		bound(r)
+	}
+	for _, red := range d.reductions {
+		bound(red.ref)
+	}
+	return rg
+}
+
+// region collects a planned directive's region analyses while its body
+// is lowered, from the slots the body's names resolve to. A region sees
+// the bodies of the directives nested in it, but not the functions its
+// body calls.
+type region struct {
+	// local marks the slots declared inside the body.
+	local map[int]bool
+	// free lists the variables from outside the body that it uses, each
+	// once, in first-use order; seen holds their first slots.
+	free []namedRef
+	seen map[int]bool
+	// writes is set while the body's writes count: from the start, or
+	// from a loop directive's loop body on. written maps the first slot
+	// of each outside variable written there to whether some write is
+	// protected: inside a nested atomic, critical, single or master, a
+	// nested directive's reduction variable, or one of the directive's
+	// own clause variables.
+	writes  bool
+	written map[int]bool
+}
+
+// outside strips from r the slots the region declares: what is left is
+// the variable a use reads when none of them is bound.
+func (rg *region) outside(r varRef) varRef {
+	for len(r) > 0 && rg.local[r[0]] {
+		r = r[1:]
+	}
+	return r
+}
+
+// declared makes slot local to every open region.
+func (l *lowerer) declared(slot int) int {
+	for _, rg := range l.regions {
+		rg.local[slot] = true
+	}
+	return slot
+}
+
+// used records a use of name, resolved to r, in every open region.
+func (l *lowerer) used(name string, r varRef) {
+	for _, rg := range l.regions {
+		if o := rg.outside(r); len(o) > 0 && !rg.seen[o[0]] {
+			rg.seen[o[0]] = true
+			rg.free = append(rg.free, namedRef{name: name, ref: o})
 		}
-		d.shape = l.loopShape(fs)
-		private(privatized(fs.Body, plan))
 	}
 }
 
-func (l *lowerer) namedRefs(names []string) []namedRef {
-	out := make([]namedRef, len(names))
-	for i, name := range names {
-		out[i] = namedRef{name: name, ref: l.resolve(name)}
+// wrote records a write of r in every open region that collects writes.
+func (l *lowerer) wrote(r varRef, protected bool) {
+	for i, rg := range l.regions {
+		if o := rg.outside(r); rg.writes && len(o) > 0 {
+			rg.written[o[0]] = rg.written[o[0]] || protected || i < l.exclusive
+		}
 	}
-	return out
 }
 
 // run executes the directive according to its plan; the directive
@@ -504,41 +587,6 @@ func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 		ex.rebind(fv.ref, &cell{v: refVal(ref{blk: faultBlk, off: 0})})
 	}
 	return releases
-}
-
-// freeNames lists the names body uses but does not declare, each
-// once, in first-occurrence order.
-func freeNames(body testlang.Stmt) []string {
-	var names []string
-	seen := declaredIn(body)
-	testlang.WalkExprs(body, func(x testlang.Expr) {
-		if id, ok := x.(*testlang.IdentExpr); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			names = append(names, id.Name)
-		}
-	})
-	return names
-}
-
-// declaredIn returns the set of names declared anywhere inside body.
-func declaredIn(body testlang.Stmt) map[string]bool {
-	out := map[string]bool{}
-	testlang.Walk(body, func(s testlang.Stmt) bool {
-		if ds, ok := s.(*testlang.DeclStmt); ok {
-			for _, d := range ds.Decls {
-				out[d.Name] = true
-			}
-		}
-		if fs, ok := s.(*testlang.ForStmt); ok {
-			if ds, ok := fs.Init.(*testlang.DeclStmt); ok {
-				for _, d := range ds.Decls {
-					out[d.Name] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // execComputeBlock runs an offloaded structured block. The block body
@@ -948,140 +996,6 @@ func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
 			return // break inside a work-shared loop: stop this chunk
 		}
 	}
-}
-
-// --- scalar usage classification -------------------------------------
-
-// privatized lists, sorted, the names declared outside a region body
-// that the body writes outside atomic/critical/once constructs and
-// never under one, leaving out the construct's reduction variables:
-// each worker of the region gets its own copy of those holding
-// scalars (privatizeScalars).
-func privatized(body testlang.Stmt, plan *compiler.DirPlan) []string {
-	// plainWrites: written outside mutex-guarded constructs;
-	// protectedWrites: written under one.
-	plainWrites, protectedWrites := map[string]bool{}, map[string]bool{}
-	local := declaredIn(body)
-	var visit func(s testlang.Stmt, protected bool)
-	record := func(e testlang.Expr, protected bool) {
-		id, ok := e.(*testlang.IdentExpr)
-		if !ok || local[id.Name] {
-			return
-		}
-		if protected {
-			protectedWrites[id.Name] = true
-		} else {
-			plainWrites[id.Name] = true
-		}
-	}
-	var visitExpr func(e testlang.Expr, protected bool)
-	visitExpr = func(e testlang.Expr, protected bool) {
-		switch x := e.(type) {
-		case *testlang.AssignExpr:
-			record(x.L, protected)
-			visitExpr(x.R, protected)
-		case *testlang.UnaryExpr:
-			if x.Op == "++" || x.Op == "--" {
-				record(x.X, protected)
-			}
-			visitExpr(x.X, protected)
-		case *testlang.PostfixExpr:
-			record(x.X, protected)
-			visitExpr(x.X, protected)
-		case *testlang.BinaryExpr:
-			visitExpr(x.L, protected)
-			visitExpr(x.R, protected)
-		case *testlang.CondExpr:
-			visitExpr(x.Cond, protected)
-			visitExpr(x.Then, protected)
-			visitExpr(x.Else, protected)
-		case *testlang.CallExpr:
-			for _, a := range x.Args {
-				visitExpr(a, protected)
-			}
-		case *testlang.IndexExpr:
-			visitExpr(x.X, protected)
-			visitExpr(x.Index, protected)
-		case *testlang.CastExpr:
-			visitExpr(x.X, protected)
-		}
-	}
-	visit = func(s testlang.Stmt, protected bool) {
-		switch n := s.(type) {
-		case nil:
-		case *testlang.Block:
-			for _, st := range n.Stmts {
-				visit(st, protected)
-			}
-		case *testlang.DeclStmt:
-			for _, d := range n.Decls {
-				if d.Init != nil {
-					visitExpr(d.Init, protected)
-				}
-			}
-		case *testlang.ExprStmt:
-			visitExpr(n.X, protected)
-		case *testlang.IfStmt:
-			visitExpr(n.Cond, protected)
-			visit(n.Then, protected)
-			visit(n.Else, protected)
-		case *testlang.ForStmt:
-			visit(n.Init, protected)
-			if n.Cond != nil {
-				visitExpr(n.Cond, protected)
-			}
-			if n.Post != nil {
-				visitExpr(n.Post, protected)
-			}
-			visit(n.Body, protected)
-		case *testlang.WhileStmt:
-			visitExpr(n.Cond, protected)
-			visit(n.Body, protected)
-		case *testlang.ReturnStmt:
-			if n.X != nil {
-				visitExpr(n.X, protected)
-			}
-		case *testlang.DirectiveStmt:
-			prot := protected
-			if n.Dir != nil {
-				switch n.Dir.Name {
-				case "atomic", "critical", "single", "master":
-					prot = true
-				}
-				// Reduction vars of nested work-shared loops are
-				// protected (folded under mutex by the nested construct
-				// or accumulated locally).
-				for _, cl := range n.Dir.Clauses {
-					if cl.Name == "reduction" {
-						if _, vars, ok := testlang.ReductionParts(cl.Arg); ok {
-							for _, v := range vars {
-								if !local[v] {
-									protectedWrites[v] = true
-								}
-							}
-						}
-					}
-				}
-			}
-			visit(n.Body, prot)
-		}
-	}
-	visit(body, false)
-	// A name with any protected write must not be privatized, and a
-	// reduction variable gets the worker's accumulator instead.
-	for _, red := range plan.Reductions {
-		for _, name := range red.Vars {
-			protectedWrites[name] = true
-		}
-	}
-	var names []string
-	for name := range plainWrites {
-		if !protectedWrites[name] {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // --- reductions -------------------------------------------------------

@@ -365,14 +365,14 @@ func newHeapBlock(bytes int64) *block {
 	return &block{byteSize: bytes, name: "heap"}
 }
 
-// materialize sizes a heap block's elements for element type t.
-// Calling it again is a no-op: C-level type puns read and write the
-// elements the first type sized, converting through its conv.
-func (b *block) materialize(t testlang.Type) {
+// materialize sizes a heap block's elements for element type elem, the
+// type a pointer to the block points to. Calling it again is a no-op:
+// C-level type puns read and write the elements the first type sized,
+// converting through its conv.
+func (b *block) materialize(elem testlang.Type) {
 	if b.materialized {
 		return
 	}
-	elem := testlang.Type{Base: t.Base}
 	n := b.byteSize / sizeOf(elem)
 	if n < 0 {
 		n = 0

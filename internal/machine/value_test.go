@@ -187,6 +187,9 @@ func TestFloatPayloads(t *testing.T) {
 // arrays, and data movement of every numeric type. Each row was
 // recorded while every array element was still a value, and must
 // reproduce its return code, output and step count at Workers 1 and 4.
+// The rows of arrays of typed pointers give what C prints: their
+// elements are pointers, not numbers. So are a void **'s: in
+// pointer-elements, the ill-typed store pp[2] = 2.5 keeps the double.
 var numericBlockRows = []floatRow{
 	{name: "truncating-stores", dialect: spec.OpenMP, src: `#include <stdio.h>
 int main() {
@@ -271,7 +274,43 @@ int main() {
     free(pp);
     return 0;
 }
-`, rc: 0, stdout: "0 5\n4.5 1 2 0\n0x25587f2724c9f800\n9\n", steps: 89},
+`, rc: 0, stdout: "0 5\n4.5 1 2.5 0\n0x25587f2724c9f800\n9\n", steps: 89},
+	{name: "array-of-pointers", dialect: spec.OpenMP, src: `#include <stdio.h>
+int main() {
+    double a[3];
+    a[1] = 2.5;
+    double *rows[2];
+    int *ids[3];
+    int k = 9;
+    rows[0] = a;
+    ids[2] = &k;
+    double *r = rows[0];
+    r[2] = 4;
+    int *q = ids[2];
+    printf("%d %d %g %g %d\n", rows[0] == a, rows[1] == 0, r[1], a[2], q[0]);
+    return 0;
+}
+`, rc: 0, stdout: "1 1 2.5 4 9\n", steps: 61},
+	{name: "heap-pointer-to-pointer", dialect: spec.OpenMP, src: `#include <stdio.h>
+#include <stdlib.h>
+int main() {
+    double a[3];
+    a[1] = 2.5;
+    double **h = (double **) malloc(2 * sizeof(double *));
+    int **m = malloc(3 * sizeof(int *));
+    int b[2];
+    h[0] = a;
+    h[1] = 0;
+    m[2] = b;
+    h[0][0] = 7;
+    m[2][1] = 3;
+    printf("%d %g %g %d\n", h[0] == a, h[0][1], a[0], h[1] == 0);
+    printf("%d %d\n", b[1], m[0] == 0);
+    free(h);
+    free(m);
+    return 0;
+}
+`, rc: 0, stdout: "1 2.5 7 1\n3 1\n", steps: 88},
 	{name: "zero-length", dialect: spec.OpenACC, src: `#include <stdio.h>
 #include <stdlib.h>
 int main() {

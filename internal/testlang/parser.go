@@ -413,7 +413,7 @@ func (p *Parser) parseStmt() Stmt {
 		return &EmptyStmt{position: position(t.Line)}
 	case isTypeStart(t):
 		return p.parseDeclStmt()
-	case t.Kind == Keyword:
+	case t.Kind == Keyword && t.Text != "sizeof": // sizeof starts an expression
 		switch t.Text {
 		case "if":
 			return p.parseIf()
