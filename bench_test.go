@@ -243,10 +243,10 @@ func benchName(workers int) string {
 // BenchmarkAblationAgentInfo — ablation A2: accuracy delta from tool
 // information, same model, same suite.
 func BenchmarkAblationAgentInfo(b *testing.B) {
-	var r AblationAgentInfoResult
+	var r AblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = mustRunner(b, WithSeed(DefaultModelSeed)).AblationAgentInfo(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(benchScale))
+		r, err = mustRunner(b, WithSeed(DefaultModelSeed)).Ablation(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,10 +259,10 @@ func BenchmarkAblationAgentInfo(b *testing.B) {
 // BenchmarkAblationStages — ablation A3: accuracy of compile-only,
 // compile+run, and the full pipeline.
 func BenchmarkAblationStages(b *testing.B) {
-	var r AblationStagesResult
+	var r AblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = mustRunner(b, WithSeed(DefaultModelSeed)).AblationStages(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(benchScale))
+		r, err = mustRunner(b, WithSeed(DefaultModelSeed)).Ablation(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(benchScale))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 package llm4vv
 
 // Result types of the paper's fixed experiments, each produced by its
-// Runner method (Runner.PartTwo, Runner.AblationStages, ...) or
+// Runner method (Runner.PartTwo, Runner.Ablation, ...) or
 // dispatched by name through RunExperiment.
 
 import (
@@ -35,23 +35,21 @@ type PartTwoResult struct {
 	Stats pipeline.Stats
 }
 
-// AblationStagesResult scores the pipeline with progressively more
-// stages enabled: compile only, compile+execute, and the full pipeline
-// with the agent-direct judge. It quantifies DESIGN.md ablation A3
-// (how much accuracy each stage contributes).
-type AblationStagesResult struct {
+// AblationResult carries ablations A2 and A3 for one dialect, scored
+// from Part Two's agent-direct record-all pipeline run and its
+// direct-judging run (DESIGN.md §6).
+type AblationResult struct {
+	// A2, tool information in the prompt: the same model judging the
+	// same suite with the direct prompt and with the agent-direct
+	// prompt, holding everything else fixed.
+	WithoutTools metrics.Summary
+	WithTools    metrics.Summary
+	// A3, stage contribution: the pipeline with progressively more
+	// stages counted — compile only, compile+execute, and the full
+	// pipeline with the agent-direct judge.
 	CompileOnly   metrics.Summary
 	CompileAndRun metrics.Summary
 	FullPipeline  metrics.Summary
-}
-
-// AblationAgentInfoResult compares the same model judging the same
-// suite with and without tool information (DESIGN.md ablation A2): the
-// direct prompt versus the agent-direct prompt, holding everything
-// else fixed.
-type AblationAgentInfoResult struct {
-	WithoutTools metrics.Summary
-	WithTools    metrics.Summary
 }
 
 // PipelineThroughputResult measures the short-circuiting win

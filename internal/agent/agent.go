@@ -45,18 +45,28 @@ func (o *Outcome) RunPassed() bool { return o.Run != nil && o.Run.ReturnCode == 
 func (t *Tools) Gather(name, src string, lang testlang.Language) *Outcome {
 	out := &Outcome{}
 	out.Compile = t.Personality.Compile(name, src, lang)
-	out.Info = judge.ToolInfo{
-		CompileRC:     out.Compile.ReturnCode,
-		CompileStderr: out.Compile.Stderr,
-		CompileStdout: out.Compile.Stdout,
+	if out.Compile.OK && out.Compile.Object != nil {
+		out.Run = machine.Run(out.Compile.Object, t.MachineOpts)
 	}
-	if !out.Compile.OK || out.Compile.Object == nil {
-		return out
-	}
-	out.Run = machine.Run(out.Compile.Object, t.MachineOpts)
-	out.Info.Ran = true
-	out.Info.RunRC = out.Run.ReturnCode
-	out.Info.RunStderr = out.Run.Stderr
-	out.Info.RunStdout = out.Run.Stdout
+	out.Info = Info(out.Compile, out.Run)
 	return out
+}
+
+// Info packages a file's compile result and, when it ran, its
+// execution result into the prompt's tool-information block. A nil
+// run (compile failed, or nothing executable) leaves Ran false.
+func Info(c *compiler.Result, r *machine.Result) judge.ToolInfo {
+	info := judge.ToolInfo{}
+	if c != nil {
+		info.CompileRC = c.ReturnCode
+		info.CompileStderr = c.Stderr
+		info.CompileStdout = c.Stdout
+	}
+	if r != nil {
+		info.Ran = true
+		info.RunRC = r.ReturnCode
+		info.RunStderr = r.Stderr
+		info.RunStdout = r.Stdout
+	}
+	return info
 }

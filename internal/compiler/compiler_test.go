@@ -365,15 +365,30 @@ int main() {
 	}
 }
 
+// TestSubscriptNonArray: a subscript needs an array or a pointer, and
+// indexing a declared array strips its dimension before any pointer
+// level of its element type. Both compilers agree on every row.
 func TestSubscriptNonArray(t *testing.T) {
-	src := `
-int main() {
-    int x = 1;
-    return x[0];
-}
-`
-	if res := compileACC(t, src); res.OK {
-		t.Fatal("subscripting a scalar compiled")
+	for _, row := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"scalar", "int x = 1;\n    return x[0];", false},
+		{"array-of-pointers", "double a[2];\n    double *rows[2];\n    rows[0] = a;\n    return rows[0][1];", true},
+		{"pointer-to-pointer", "double **pp = 0;\n    return pp[0][1];", true},
+		{"2d-array", "int m[2][3];\n    return m[1][2];", true},
+		{"2d-array-overindexed", "int m[2][3];\n    return m[1][2][0];", false},
+	} {
+		src := "int main() {\n    " + row.body + "\n}\n"
+		for _, compile := range []func(*testing.T, string) *Result{compileACC, compileOMP} {
+			res := compile(t, src)
+			if res.OK != row.ok {
+				t.Errorf("%s: compiled %v, want %v:\n%s", row.name, res.OK, row.ok, res.Stderr)
+			}
+			if !row.ok && !strings.Contains(res.Stderr, "subscripted value is not an array or pointer") {
+				t.Errorf("%s: rejected without the subscript diagnostic:\n%s", row.name, res.Stderr)
+			}
+		}
 	}
 }
 

@@ -358,6 +358,23 @@ func firstWord(s string) string {
 	return s
 }
 
+// arrayDims counts the declared array dimensions an expression still
+// has: a declared array's own, less one per subscript applied to it.
+// Anything else, pointers included, has none.
+func (c *checker) arrayDims(e testlang.Expr) int {
+	switch n := e.(type) {
+	case *testlang.IdentExpr:
+		if sym, found := c.scope.lookup(n.Name); found && sym.isArray {
+			return sym.dims
+		}
+	case *testlang.IndexExpr:
+		if dims := c.arrayDims(n.X); dims > 0 {
+			return dims - 1
+		}
+	}
+	return 0
+}
+
 // typeOf infers a light static type for an expression; the bool result
 // reports whether the expression denotes an indexable object (array or
 // pointer).
@@ -418,22 +435,14 @@ func (c *checker) typeOf(e testlang.Expr) (testlang.Type, bool) {
 		return testlang.Type{Base: "int"}, false
 	case *testlang.IndexExpr:
 		t, _ := c.typeOf(n.X)
+		// Indexing a declared array strips one of its dimensions before
+		// any pointer level of its element type: for double *rows[2],
+		// rows[0] is a double *, still indexable.
+		if dims := c.arrayDims(n.X); dims > 0 {
+			return t, dims > 1 || t.Ptr > 0
+		}
 		if t.Ptr > 0 {
 			return testlang.Type{Base: t.Base, Ptr: t.Ptr - 1}, t.Ptr-1 > 0
-		}
-		// Indexing a declared array: element type; nested dims handled
-		// by repeated IndexExprs, each stripping one dimension.
-		if id, ok := n.X.(*testlang.IdentExpr); ok {
-			if sym, found := c.scope.lookup(id.Name); found && sym.isArray {
-				if sym.dims > 1 {
-					return sym.typ, true
-				}
-				return sym.typ, false
-			}
-		}
-		if inner, ok := n.X.(*testlang.IndexExpr); ok {
-			it, _ := c.typeOf(inner)
-			return it, false
 		}
 		return t, false
 	case *testlang.CastExpr:

@@ -184,8 +184,9 @@ func TestFloatPayloads(t *testing.T) {
 // numericBlockRows pin what arrays of each element type hold: stores
 // that truncate through the block's conversion, a heap block reused
 // under a second pointer type, %p of arrays, arrays of pointers, empty
-// arrays, and data movement of every numeric type. Each row was
-// recorded while every array element was still a value, and must
+// arrays, and data movement of every numeric type. Every row but
+// array-of-pointers-subscript (which the compiler rejected then) was
+// recorded while every array element was still a value; each must
 // reproduce its return code, output and step count at Workers 1 and 4.
 // The rows of arrays of typed pointers give what C prints: their
 // elements are pointers, not numbers. So are a void **'s: in
@@ -291,6 +292,17 @@ int main() {
     return 0;
 }
 `, rc: 0, stdout: "1 1 2.5 4 9\n", steps: 61},
+	{name: "array-of-pointers-subscript", dialect: spec.OpenACC, src: `#include <stdio.h>
+int main() {
+    double a[3];
+    a[1] = 2.5;
+    double *rows[2];
+    rows[0] = a;
+    rows[0][2] = rows[0][1] * 2;
+    printf("%g %g\n", rows[0][1], a[2]);
+    return 0;
+}
+`, rc: 0, stdout: "2.5 5\n", steps: 40},
 	{name: "heap-pointer-to-pointer", dialect: spec.OpenMP, src: `#include <stdio.h>
 #include <stdlib.h>
 int main() {

@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/agent"
-	"repro/internal/compiler"
 	"repro/internal/judge"
 	"repro/internal/machine"
 	"repro/internal/testlang"
@@ -57,8 +56,9 @@ type Input struct {
 type Config struct {
 	// Tools supplies the compiler personality and machine options.
 	Tools *agent.Tools
-	// Judge is the stage-3 judge; nil disables the judge stage (used
-	// by the stage-contribution ablation).
+	// Judge is the stage-3 judge, required by Run. A custom chain run
+	// through RunChain leaves it nil when it has no judge stage whose
+	// verdict the final verdict defers to.
 	Judge *judge.Judge
 	// Stages overrides the built-in stages' specs by name
 	// (StageCompile, StageExec, StageJudge): each entry's non-zero
@@ -93,9 +93,11 @@ type Config struct {
 }
 
 // builtinSpecs resolves the effective specs of the default chain:
-// Config.Stages laid over the one-worker defaults, with the judge
-// stage dropped when no judge is configured.
+// Config.Stages laid over the one-worker defaults.
 func (cfg *Config) builtinSpecs() ([]StageSpec, error) {
+	if cfg.Judge == nil {
+		return nil, fmt.Errorf("pipeline: Run needs a Judge (a chain without a judge stage runs through RunChain)")
+	}
 	if err := ValidateStages(cfg.Stages); err != nil {
 		return nil, err
 	}
@@ -105,9 +107,6 @@ func (cfg *Config) builtinSpecs() ([]StageSpec, error) {
 	// "judge.batch".
 	if specs[2].Batch < 1 {
 		specs[2].Batch = 1
-	}
-	if cfg.Judge == nil {
-		specs = specs[:2]
 	}
 	return specs, nil
 }
@@ -226,7 +225,8 @@ type Stats struct {
 // further work and Run returns the partial results with the first
 // error; files whose processing never finished keep their zero-valued
 // stage flags. A misconfigured Config (negative workers, unknown
-// stage names in Stages) is an error before any file runs.
+// stage names in Stages, a nil Judge) is an error before any file
+// runs.
 func Run(ctx context.Context, cfg Config, files []Input) ([]FileResult, Stats, error) {
 	stats := Stats{Files: len(files)}
 	specs, err := cfg.builtinSpecs()
@@ -238,10 +238,9 @@ func Run(ctx context.Context, cfg Config, files []Input) ([]FileResult, Stats, e
 }
 
 // builtinStages declares the paper's three stages as a chain, bound to
-// cfg's tools and counters, in spec order: compile, exec, and — when a
-// judge is configured — judge.
+// cfg's tools, judge and counters, in spec order: compile, exec, judge.
 func builtinStages(cfg *Config, specs []StageSpec, stats *Stats) []StageFunc {
-	stages := []StageFunc{
+	return []StageFunc{
 		{
 			StageSpec: specs[0],
 			RunFunc: func(_ context.Context, items []*Item) error {
@@ -283,55 +282,35 @@ func builtinStages(cfg *Config, specs []StageSpec, stats *Stats) []StageFunc {
 				return nil
 			},
 		},
-	}
-	if cfg.Judge == nil {
-		return stages
-	}
-	return append(stages, StageFunc{
-		StageSpec: specs[2],
-		RunFunc: func(ctx context.Context, items []*Item) error {
-			atomic.AddInt64(&stats.JudgeCalls, int64(len(items)))
-			atomic.AddInt64(&stats.JudgeBatches, 1)
-			codes := make([]string, len(items))
-			infos := make([]*judge.ToolInfo, len(items))
-			for i, it := range items {
-				codes[i] = it.Input.Source
-				info := buildToolInfo(it.Compile, it.Exec)
-				infos[i] = &info
-			}
-			evs, err := cfg.Judge.EvaluateBatch(ctx, codes, infos)
-			if err != nil {
-				return err // backend or context failure; abort the run
-			}
-			for i, it := range items {
-				r := it.Result()
-				r.JudgeRan = true
-				r.Verdict = evs[i].Verdict
-				if cfg.KeepResponses {
-					evCopy := evs[i]
-					r.Evaluation = &evCopy
+		{
+			StageSpec: specs[2],
+			RunFunc: func(ctx context.Context, items []*Item) error {
+				atomic.AddInt64(&stats.JudgeCalls, int64(len(items)))
+				atomic.AddInt64(&stats.JudgeBatches, 1)
+				codes := make([]string, len(items))
+				infos := make([]*judge.ToolInfo, len(items))
+				for i, it := range items {
+					codes[i] = it.Input.Source
+					info := agent.Info(it.Compile, it.Exec)
+					infos[i] = &info
 				}
-			}
-			return nil
+				evs, err := cfg.Judge.EvaluateBatch(ctx, codes, infos)
+				if err != nil {
+					return err // backend or context failure; abort the run
+				}
+				for i, it := range items {
+					r := it.Result()
+					r.JudgeRan = true
+					r.Verdict = evs[i].Verdict
+					if cfg.KeepResponses {
+						evCopy := evs[i]
+						r.Evaluation = &evCopy
+					}
+				}
+				return nil
+			},
 		},
-	})
-}
-
-// buildToolInfo assembles the agent prompt block from stage results.
-func buildToolInfo(c *compiler.Result, r *machine.Result) judge.ToolInfo {
-	info := judge.ToolInfo{}
-	if c != nil {
-		info.CompileRC = c.ReturnCode
-		info.CompileStderr = c.Stderr
-		info.CompileStdout = c.Stdout
 	}
-	if r != nil {
-		info.Ran = true
-		info.RunRC = r.ReturnCode
-		info.RunStderr = r.Stderr
-		info.RunStdout = r.Stdout
-	}
-	return info
 }
 
 // finalVerdict computes the pipeline verdict for one file.

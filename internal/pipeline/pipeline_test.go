@@ -164,25 +164,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestNilJudgeMechanicalOnly(t *testing.T) {
-	inputs, _ := testInputs(t, spec.OpenACC, 18)
-	cfg := acceptingConfig(spec.OpenACC, nil, true)
-	cfg.Judge = nil
-	results, st := runBG(t, cfg, inputs)
-	if st.JudgeCalls != 0 {
-		t.Fatalf("judge calls = %d with nil judge", st.JudgeCalls)
-	}
-	for i, r := range results {
-		if r.JudgeRan {
-			t.Fatalf("file %d judged with nil judge", i)
-		}
-		mech := r.CompileOK && (!r.ExecRan || r.ExecOK)
-		if r.Valid != mech {
-			t.Fatalf("file %d: mechanical-only verdict wrong", i)
-		}
-	}
-}
-
 func TestKeepResponses(t *testing.T) {
 	inputs, _ := testInputs(t, spec.OpenACC, 6)
 	cfg := acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, true)

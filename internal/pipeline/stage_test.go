@@ -93,6 +93,11 @@ func TestConfigStagesValidation(t *testing.T) {
 	if _, _, err := Run(context.Background(), cfg, inputs); err == nil || !strings.Contains(err.Error(), "duplicate stage") {
 		t.Errorf("duplicate stage spec: err=%v", err)
 	}
+	cfg = base
+	cfg.Judge = nil
+	if _, _, err := Run(context.Background(), cfg, inputs); err == nil || !strings.Contains(err.Error(), "needs a Judge") {
+		t.Errorf("nil judge: err=%v", err)
+	}
 }
 
 // TestMergeStages pins the one field-wise override rule behind

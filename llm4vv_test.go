@@ -2,8 +2,10 @@ package llm4vv
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/spec"
 )
@@ -194,7 +196,7 @@ func TestDirectProbingDeterministic(t *testing.T) {
 }
 
 func TestAblationAgentInfoShape(t *testing.T) {
-	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).AblationAgentInfo(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(4))
+	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).Ablation(context.Background(), PartTwoSpec(spec.OpenACC).Scaled(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +206,37 @@ func TestAblationAgentInfoShape(t *testing.T) {
 	}
 }
 
+// TestAblationMatchesPartTwo: the ablations read Part Two's own
+// phases, so A2's two judges and A3's full pipeline are Part Two's
+// LLMJ1, Direct and Pipeline1 summaries, field for field.
+func TestAblationMatchesPartTwo(t *testing.T) {
+	for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
+		s := PartTwoSpec(d).Scaled(4)
+		ab, err := mustRunner(t, WithSeed(DefaultModelSeed)).Ablation(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := mustRunner(t, WithSeed(DefaultModelSeed)).PartTwo(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want metrics.Summary
+		}{
+			{"WithTools/LLMJ1", ab.WithTools, p2.LLMJ1},
+			{"WithoutTools/Direct", ab.WithoutTools, p2.Direct},
+			{"FullPipeline/Pipeline1", ab.FullPipeline, p2.Pipeline1},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%v %s:\n ablation  %+v\n part two %+v", d, c.name, c.got, c.want)
+			}
+		}
+	}
+}
+
 func TestAblationStagesShape(t *testing.T) {
-	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).AblationStages(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(2))
+	r, err := mustRunner(t, WithSeed(DefaultModelSeed)).Ablation(context.Background(), PartTwoSpec(spec.OpenMP).Scaled(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,9 @@ func WithResume(on bool) Option {
 // every stage for every file (how the paper gathered Part-Two data),
 // false lets files that fail an early stage skip the expensive later
 // ones. Experiments whose measurements require a specific mode
-// (PartTwo needs record-all, PipelineThroughput measures both) ignore
-// this setting. Default: false (short-circuit, the production mode).
+// (PartTwo and Ablation read record-all runs, PipelineThroughput
+// measures both) ignore this setting. Default: false (short-circuit,
+// the production mode).
 func WithRecordAll(on bool) Option {
 	return func(r *Runner) { r.recordAll = on }
 }

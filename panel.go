@@ -78,7 +78,7 @@ func (r *Runner) PanelProbing(ctx context.Context, s SuiteSpec) (PanelDialectRes
 			return nil
 		},
 		extend: func(i int, rec *store.Record) { rec.Votes = ensemble.EncodeVotes(strategies[i], votes[i]) },
-	}, j, nil, func(i int, ev judge.Evaluation) error {
+	}, j, func(i int, ev judge.Evaluation) error {
 		strat, vs, ok := ensemble.ParseVotes(ev.Response)
 		if !ok {
 			return fmt.Errorf("llm4vv: backend %q returned a single-judge response for %s; the panel experiment needs an ensemble backend (ensemble:a+b+c) or a daemon serving one",

@@ -431,29 +431,22 @@ func (r *Runner) runPipeline(ctx context.Context, name string, jd *judge.Judge, 
 // judgeSuite runs a direct-judging phase on a one-stage chain whose
 // only stage is the Runner's judge stage (judgeSpec): each ready batch
 // goes to j.EvaluateBatch in one call — one CompleteBatch for endpoints
-// implementing judge.BatchLLM — with tool information from info when
-// set. seal, when set, vets file i's evaluation before the file seals;
-// its error (the panel's vote parse rejecting a single-judge response)
-// aborts the run before that batch reaches the store. Resumed files
-// need no batch coalescing: runPhase filters them out before the chain
-// runs, and the ready queue fills whole batches.
-func (r *Runner) judgeSuite(ctx context.Context, ph phase, j *judge.Judge, info func(in pipeline.Input) *judge.ToolInfo, seal func(i int, ev judge.Evaluation) error) ([]pipeline.FileResult, error) {
+// implementing judge.BatchLLM. seal, when set, vets file i's
+// evaluation before the file seals; its error (the panel's vote parse
+// rejecting a single-judge response) aborts the run before that batch
+// reaches the store. Resumed files need no batch coalescing: runPhase
+// filters them out before the chain runs, and the ready queue fills
+// whole batches.
+func (r *Runner) judgeSuite(ctx context.Context, ph phase, j *judge.Judge, seal func(i int, ev judge.Evaluation) error) ([]pipeline.FileResult, error) {
 	ph.run = func(cfg pipeline.Config, pending []pipeline.Input, orig []int) ([]pipeline.FileResult, pipeline.Stats, error) {
 		return pipeline.RunChain(ctx, cfg, []pipeline.StageFunc{{
 			StageSpec: r.judgeSpec(len(pending)),
 			RunFunc: func(ctx context.Context, items []*pipeline.Item) error {
 				codes := make([]string, len(items))
-				var infos []*judge.ToolInfo
-				if info != nil {
-					infos = make([]*judge.ToolInfo, len(items))
-				}
 				for k, it := range items {
 					codes[k] = it.Input.Source
-					if info != nil {
-						infos[k] = info(it.Input)
-					}
 				}
-				evs, err := j.EvaluateBatch(ctx, codes, infos)
+				evs, err := j.EvaluateBatch(ctx, codes, nil)
 				if err != nil {
 					return err
 				}
@@ -475,19 +468,29 @@ func (r *Runner) judgeSuite(ctx context.Context, ph phase, j *judge.Judge, info 
 }
 
 // judgeDirect runs one direct-judging phase over the suite and scores
-// each file's verdict; info, when set, supplies per-file tool
-// information (the agent-info ablation).
-func (r *Runner) judgeDirect(ctx context.Context, name string, j *judge.Judge, suite []probe.ProbedFile, info func(in pipeline.Input) *judge.ToolInfo) ([]metrics.Outcome, error) {
-	results, err := r.judgeSuite(ctx, phase{name: name, key: name, inputs: suiteInputs(suite)}, j, info, nil)
+// each file's verdict.
+func (r *Runner) judgeDirect(ctx context.Context, name string, j *judge.Judge, suite []probe.ProbedFile) (metrics.Summary, error) {
+	results, err := r.judgeSuite(ctx, phase{name: name, key: name, inputs: suiteInputs(suite)}, j, nil)
 	if err != nil {
-		return nil, err
+		return metrics.Summary{}, err
 	}
-	outcomes := make([]metrics.Outcome, len(results))
-	for i, fr := range results {
-		outcomes[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: fr.Verdict == judge.Valid}
-	}
-	return outcomes, nil
+	return score(j.Dialect, suite, results, judgedValid), nil
 }
+
+// score rates every file of the suite by valid applied to its result.
+func score(d spec.Dialect, suite []probe.ProbedFile, results []pipeline.FileResult, valid func(pipeline.FileResult) bool) metrics.Summary {
+	out := make([]metrics.Outcome, len(results))
+	for i, fr := range results {
+		out[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: valid(fr)}
+	}
+	return metrics.Score(d, out)
+}
+
+// judgedValid is the judge's verdict on a file.
+func judgedValid(fr pipeline.FileResult) bool { return fr.Verdict == judge.Valid }
+
+// pipelineValid is the pipeline's final verdict on a file.
+func pipelineValid(fr pipeline.FileResult) bool { return fr.Valid }
 
 // suiteInputs lists a probed suite as pipeline inputs.
 func suiteInputs(suite []probe.ProbedFile) []pipeline.Input {
@@ -508,11 +511,7 @@ func (r *Runner) DirectProbing(ctx context.Context, s SuiteSpec) (metrics.Summar
 		return metrics.Summary{}, err
 	}
 	j := &judge.Judge{LLM: r.newLLM(), Style: judge.Direct, Dialect: s.Dialect}
-	outcomes, err := r.judgeDirect(ctx, "direct-probing", j, suite, nil)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	return metrics.Score(s.Dialect, outcomes), nil
+	return r.judgeDirect(ctx, "direct-probing", j, suite)
 }
 
 // ValidateSuite streams a probed suite through the compile → execute →
@@ -539,113 +538,63 @@ func (r *Runner) PartTwo(ctx context.Context, s SuiteSpec) (PartTwoResult, error
 	if err != nil {
 		return PartTwoResult{}, err
 	}
-	inputs := suiteInputs(suite)
 	llm := r.newLLM()
-	tools := agent.NewTools(s.Dialect)
-
 	var res PartTwoResult
-	run := func(style judge.Style) (judgeSum, pipeSum metrics.Summary, stats pipeline.Stats, err error) {
-		jd := &judge.Judge{LLM: llm, Style: style, Dialect: s.Dialect}
-		results, st, err := r.runPipeline(ctx, "part2/"+style.String(), jd, tools, true, inputs)
-		if err != nil {
-			return metrics.Summary{}, metrics.Summary{}, st, err
-		}
-		judgeOut := make([]metrics.Outcome, len(results))
-		pipeOut := make([]metrics.Outcome, len(results))
-		for i, fr := range results {
-			judgeOut[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: fr.Verdict == judge.Valid}
-			pipeOut[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: fr.Valid}
-		}
-		return metrics.Score(s.Dialect, judgeOut), metrics.Score(s.Dialect, pipeOut), st, nil
-	}
-	if res.LLMJ1, res.Pipeline1, res.Stats, err = run(judge.AgentDirect); err != nil {
+	results, st, err := r.partTwoPipeline(ctx, llm, judge.AgentDirect, s.Dialect, suite)
+	if err != nil {
 		return res, err
 	}
-	if res.LLMJ2, res.Pipeline2, _, err = run(judge.AgentIndirect); err != nil {
+	res.Stats = st
+	res.LLMJ1 = score(s.Dialect, suite, results, judgedValid)
+	res.Pipeline1 = score(s.Dialect, suite, results, pipelineValid)
+	if results, _, err = r.partTwoPipeline(ctx, llm, judge.AgentIndirect, s.Dialect, suite); err != nil {
 		return res, err
 	}
-
+	res.LLMJ2 = score(s.Dialect, suite, results, judgedValid)
+	res.Pipeline2 = score(s.Dialect, suite, results, pipelineValid)
 	// The non-agent judge on the same suite (Figures 5/6 baseline).
-	direct := &judge.Judge{LLM: llm, Style: judge.Direct, Dialect: s.Dialect}
-	outcomes, err := r.judgeDirect(ctx, "part2/direct", direct, suite, nil)
-	if err != nil {
-		return res, err
-	}
-	res.Direct = metrics.Score(s.Dialect, outcomes)
-	return res, nil
+	res.Direct, err = r.partTwoDirect(ctx, llm, s.Dialect, suite)
+	return res, err
 }
 
-// AblationStages runs ablation A3 (stage contribution) on the suite.
-func (r *Runner) AblationStages(ctx context.Context, s SuiteSpec) (AblationStagesResult, error) {
-	suite, err := BuildSuite(s)
-	if err != nil {
-		return AblationStagesResult{}, err
-	}
-	tools := agent.NewTools(s.Dialect)
-	inputs := suiteInputs(suite)
-
-	score := func(phase string, judgeOn, execOn bool) (metrics.Summary, error) {
-		var jd *judge.Judge
-		if judgeOn {
-			jd = &judge.Judge{LLM: r.newLLM(), Style: judge.AgentDirect, Dialect: s.Dialect}
-		}
-		results, _, err := r.runPipeline(ctx, "ablation-stages/"+phase, jd, tools, true, inputs)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		out := make([]metrics.Outcome, len(results))
-		for i, fr := range results {
-			valid := fr.CompileOK
-			if execOn && fr.ExecRan {
-				valid = valid && fr.ExecOK
-			}
-			if judgeOn {
-				valid = valid && fr.Verdict == judge.Valid
-			}
-			out[i] = metrics.Outcome{Issue: suite[i].Issue, JudgedValid: valid}
-		}
-		return metrics.Score(s.Dialect, out), nil
-	}
-	var res AblationStagesResult
-	if res.CompileOnly, err = score("compile", false, false); err != nil {
-		return res, err
-	}
-	if res.CompileAndRun, err = score("compile+run", false, true); err != nil {
-		return res, err
-	}
-	if res.FullPipeline, err = score("full", true, true); err != nil {
-		return res, err
-	}
-	return res, nil
+// partTwoPipeline runs Part Two's record-all pipeline phase for one
+// agent judge style.
+func (r *Runner) partTwoPipeline(ctx context.Context, llm judge.LLM, style judge.Style, d spec.Dialect, suite []probe.ProbedFile) ([]pipeline.FileResult, pipeline.Stats, error) {
+	jd := &judge.Judge{LLM: llm, Style: style, Dialect: d}
+	return r.runPipeline(ctx, "part2/"+style.String(), jd, agent.NewTools(d), true, suiteInputs(suite))
 }
 
-// AblationAgentInfo runs ablation A2 (tool information in the prompt).
-func (r *Runner) AblationAgentInfo(ctx context.Context, s SuiteSpec) (AblationAgentInfoResult, error) {
+// partTwoDirect runs Part Two's direct-judging phase.
+func (r *Runner) partTwoDirect(ctx context.Context, llm judge.LLM, d spec.Dialect, suite []probe.ProbedFile) (metrics.Summary, error) {
+	return r.judgeDirect(ctx, "part2/direct", &judge.Judge{LLM: llm, Style: judge.Direct, Dialect: d}, suite)
+}
+
+// Ablation scores ablations A2 (tool information in the prompt) and A3
+// (stage contribution) on the suite. Both ask questions Part Two's own
+// data answers, so it runs exactly Part Two's agent-direct record-all
+// pipeline phase and its direct-judging phase, under the same phase
+// names and store keys: with resume on, a stored Part Two run supplies
+// every verdict and no file is judged again.
+func (r *Runner) Ablation(ctx context.Context, s SuiteSpec) (AblationResult, error) {
 	suite, err := BuildSuite(s)
 	if err != nil {
-		return AblationAgentInfoResult{}, err
+		return AblationResult{}, err
 	}
 	llm := r.newLLM()
-	tools := agent.NewTools(s.Dialect)
-	direct := &judge.Judge{LLM: llm, Style: judge.Direct, Dialect: s.Dialect}
-	agentJudge := &judge.Judge{LLM: llm, Style: judge.AgentDirect, Dialect: s.Dialect}
-
-	without, err := r.judgeDirect(ctx, "ablation-agent-info/direct", direct, suite, nil)
+	results, _, err := r.partTwoPipeline(ctx, llm, judge.AgentDirect, s.Dialect, suite)
 	if err != nil {
-		return AblationAgentInfoResult{}, err
+		return AblationResult{}, err
 	}
-	with, err := r.judgeDirect(ctx, "ablation-agent-info/agent", agentJudge, suite, func(in pipeline.Input) *judge.ToolInfo {
-		outcome := tools.Gather(in.Name, in.Source, in.Lang)
-		info := outcome.Info
-		return &info
-	})
-	if err != nil {
-		return AblationAgentInfoResult{}, err
+	res := AblationResult{
+		WithTools:   score(s.Dialect, suite, results, judgedValid),
+		CompileOnly: score(s.Dialect, suite, results, func(fr pipeline.FileResult) bool { return fr.CompileOK }),
+		CompileAndRun: score(s.Dialect, suite, results, func(fr pipeline.FileResult) bool {
+			return fr.CompileOK && (!fr.ExecRan || fr.ExecOK)
+		}),
+		FullPipeline: score(s.Dialect, suite, results, pipelineValid),
 	}
-	return AblationAgentInfoResult{
-		WithoutTools: metrics.Score(s.Dialect, without),
-		WithTools:    metrics.Score(s.Dialect, with),
-	}, nil
+	res.WithoutTools, err = r.partTwoDirect(ctx, llm, s.Dialect, suite)
+	return res, err
 }
 
 // PipelineThroughput runs ablation A1 (short-circuiting) on the suite,

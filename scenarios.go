@@ -180,24 +180,18 @@ func (r *Part2ScenarioResult) Report() string {
 // dialect.
 type AblationsScenarioResult struct {
 	Dialects   []spec.Dialect
-	AgentInfo  map[spec.Dialect]AblationAgentInfoResult
-	Stages     map[spec.Dialect]AblationStagesResult
+	Ablation   map[spec.Dialect]AblationResult
 	Throughput map[spec.Dialect]PipelineThroughputResult
 }
 
 func runAblationsScenario(ctx context.Context, r *Runner, p ExperimentParams) (ExperimentResult, error) {
 	res := &AblationsScenarioResult{
-		AgentInfo:  map[spec.Dialect]AblationAgentInfoResult{},
-		Stages:     map[spec.Dialect]AblationStagesResult{},
+		Ablation:   map[spec.Dialect]AblationResult{},
 		Throughput: map[spec.Dialect]PipelineThroughputResult{},
 	}
 	for _, d := range p.EffectiveDialects() {
 		s := PartTwoSpec(d).Scaled(p.EffectiveScale())
-		ai, err := r.AblationAgentInfo(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		st, err := r.AblationStages(ctx, s)
+		ab, err := r.Ablation(ctx, s)
 		if err != nil {
 			return nil, err
 		}
@@ -206,8 +200,7 @@ func runAblationsScenario(ctx context.Context, r *Runner, p ExperimentParams) (E
 			return nil, err
 		}
 		res.Dialects = append(res.Dialects, d)
-		res.AgentInfo[d] = ai
-		res.Stages[d] = st
+		res.Ablation[d] = ab
 		res.Throughput[d] = tp
 	}
 	return res, nil
@@ -217,16 +210,15 @@ func (r *AblationsScenarioResult) Report() string {
 	var b strings.Builder
 	b.WriteString("================ ABLATIONS (DESIGN.md A1-A3) ================\n")
 	for _, d := range r.Dialects {
-		ai := r.AgentInfo[d]
+		ab := r.Ablation[d]
 		fmt.Fprintf(&b, "A2 (%v): tool information in the prompt\n", d)
-		fmt.Fprintf(&b, "  without tools: acc=%.2f%% bias=%+.3f\n", 100*ai.WithoutTools.Accuracy(), ai.WithoutTools.Bias())
-		fmt.Fprintf(&b, "  with tools:    acc=%.2f%% bias=%+.3f\n\n", 100*ai.WithTools.Accuracy(), ai.WithTools.Bias())
+		fmt.Fprintf(&b, "  without tools: acc=%.2f%% bias=%+.3f\n", 100*ab.WithoutTools.Accuracy(), ab.WithoutTools.Bias())
+		fmt.Fprintf(&b, "  with tools:    acc=%.2f%% bias=%+.3f\n\n", 100*ab.WithTools.Accuracy(), ab.WithTools.Bias())
 
-		st := r.Stages[d]
 		fmt.Fprintf(&b, "A3 (%v): stage contribution\n", d)
-		fmt.Fprintf(&b, "  compile only:        acc=%.2f%%\n", 100*st.CompileOnly.Accuracy())
-		fmt.Fprintf(&b, "  compile + execute:   acc=%.2f%%\n", 100*st.CompileAndRun.Accuracy())
-		fmt.Fprintf(&b, "  full pipeline:       acc=%.2f%%\n\n", 100*st.FullPipeline.Accuracy())
+		fmt.Fprintf(&b, "  compile only:        acc=%.2f%%\n", 100*ab.CompileOnly.Accuracy())
+		fmt.Fprintf(&b, "  compile + execute:   acc=%.2f%%\n", 100*ab.CompileAndRun.Accuracy())
+		fmt.Fprintf(&b, "  full pipeline:       acc=%.2f%%\n\n", 100*ab.FullPipeline.Accuracy())
 
 		tp := r.Throughput[d]
 		fmt.Fprintf(&b, "A1 (%v): short-circuiting\n", d)

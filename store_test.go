@@ -204,6 +204,43 @@ func TestResumeSkipsCompletedFiles(t *testing.T) {
 	}
 }
 
+// TestAblationResumesFromPartTwo: the ablations run Part Two's own
+// phases under the same store keys, so after a stored Part Two a
+// resuming Ablation judges nothing and reproduces a fresh run's result.
+func TestAblationResumesFromPartTwo(t *testing.T) {
+	name, c := registerCounting(t)
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	s := PartTwoSpec(spec.OpenMP).Scaled(8)
+
+	first := mustRunner(t, WithBackend(name), WithStore(path))
+	if _, err := first.PartTwo(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	judged := c.n.Load()
+
+	resumed := mustRunner(t, WithBackend(name), WithStore(path), WithResume(true))
+	got, err := resumed.Ablation(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.n.Load() - judged; n != 0 {
+		t.Errorf("resumed ablation sent %d prompts to the endpoint, want 0", n)
+	}
+	want, err := mustRunner(t).Ablation(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed ablation diverged from a fresh run:\n %+v\n %+v", got, want)
+	}
+}
+
 // TestInterruptedRunResumesExactly is the acceptance-criteria test:
 // cancel a stored run mid-flight, resume it, and require (a) zero
 // stored files re-judged and (b) metrics byte-identical to a run that
