@@ -51,8 +51,9 @@
 // "<seed>:point=kind[@freq][/dur][#count],..." — at the daemon's named
 // injection points: "daemon.complete" (malformed completions, errors,
 // latency at the fronted endpoint), "daemon.handler" (slow responses,
-// hangs, 500s at the completion handlers), and "store.write" /
-// "store.sync" / "store.rename" (failed file I/O in the run store).
+// hangs, 500s at the completion handlers), and "store.write",
+// "store.sync", "store.rename", "store.dirsync", "store.truncate" and
+// "store.remove" (failed file I/O in the run store).
 // Identical seeds and schedules reproduce identical fault sequences;
 // injected counts surface in the llm4vv_resilience_* metric families.
 // See docs/OPERATIONS.md §8 for the chaos runbook.

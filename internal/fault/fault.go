@@ -538,8 +538,9 @@ func (l *faultBatchLLM) CompleteBatch(ctx context.Context, prompts []string) ([]
 
 // Hook adapts an injector to the store's Options.FaultHook contract:
 // the returned function is consulted with low-level operation names
-// ("write", "sync", "rename") and fails them when "<prefix>.<op>"
-// draws any fault kind. A nil injector returns nil (no hook).
+// ("write", "sync", "rename", "dirsync", "truncate", "remove") and
+// fails them when "<prefix>.<op>" draws any fault kind. A nil injector
+// returns nil (no hook).
 func Hook(in *Injector, prefix string) func(op string) error {
 	if in == nil {
 		return nil

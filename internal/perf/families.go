@@ -39,6 +39,7 @@ var (
 	FamStoreActiveBytes  = FamilyDef{"llm4vv_store_active_bytes", "gauge", "Bytes in the run store's active segment (buffered included)."}
 	FamStoreDropped      = FamilyDef{"llm4vv_store_dropped_lines", "gauge", "Corrupt or truncated store lines skipped at open."}
 	FamStoreMergeFailing = FamilyDef{"llm4vv_store_merge_failing", "gauge", "1 while the last background segment merge failed, else 0."}
+	FamStoreReadErrors   = FamilyDef{"llm4vv_store_read_errors_total", "counter", "Run-store lookups whose file read failed (answered as absent)."}
 )
 
 // Router (llm4vv-router) families, labelled router="<name>" (some
@@ -96,6 +97,7 @@ func Families() []FamilyDef {
 		FamStoreActiveBytes,
 		FamStoreDropped,
 		FamStoreMergeFailing,
+		FamStoreReadErrors,
 		FamRouterAdmitted,
 		FamRouterShed,
 		FamRouterQuotaRejected,

@@ -609,5 +609,6 @@ func (s *Server) emitMetrics(p *perf.Prom) {
 			mergeFailing = 1
 		}
 		p.EmitValue(perf.FamStoreMergeFailing, mergeFailing, replica)
+		p.EmitValue(perf.FamStoreReadErrors, float64(sst.ReadErrors), replica)
 	}
 }

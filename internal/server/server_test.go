@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -584,6 +585,41 @@ func TestMetricsReportMergeFailure(t *testing.T) {
 	}
 	if body := metric(); !strings.Contains(body, failing) {
 		t.Fatalf("/metrics missing %q after a failed merge:\n%s", failing, body)
+	}
+}
+
+// TestMetricsReportStoreReadErrors: a lookup that fails to read the
+// daemon's store — here a sealed segment cut short under it — answers
+// "absent", and llm4vv_store_read_errors_total counts it.
+func TestMetricsReportStoreReadErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.jsonl")
+	st, err := store.OpenWith(path, store.Options{SealBytes: 1, MergeThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts, _ := startServer(t, server.Config{LLM: echoLLM{}, Backend: "echo", Seed: 7, Store: st, ReplicaID: "replica-r"})
+	rec := store.Record{Experiment: "e", Backend: "echo", Seed: 7, FileHash: "h0", Response: "r"}
+	if err := st.Put(rec); err != nil { // sealed at once
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path+".seg-000001", 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(rec.Key()); ok {
+		t.Fatal("Get answered from a truncated segment")
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `llm4vv_store_read_errors_total{replica="replica-r"} 1`; !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, body)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -171,5 +172,96 @@ func TestFaultHookFromInjector(t *testing.T) {
 	}
 	if got := inj.InjectedTotal(); got != 1 {
 		t.Fatalf("InjectedTotal = %d, want 1", got)
+	}
+}
+
+// TestFaultEachOpReopensWithFlushedRecords fails each operation the
+// FaultHook names — after letting its first call through — under a
+// workload of puts, overwrites, flushes, seals, background merges and a
+// Compact, then reopens the store without faults. Every record whose
+// Flush returned before the failure must be there, holding its flushed
+// value or a value put after it (a later write may or may not have
+// reached the disk), and no key that was never put may appear.
+func TestFaultEachOpReopensWithFlushedRecords(t *testing.T) {
+	for _, op := range []string{"write", "sync", "rename", "dirsync", "truncate", "remove"} {
+		t.Run(op, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "st.jsonl")
+			// Background merges consult the hook off the store's lock.
+			var mu sync.Mutex
+			calls := 0
+			failOp := opHook(op, 1)
+			hook := func(o string) error {
+				mu.Lock()
+				defer mu.Unlock()
+				if o == op {
+					calls++
+				}
+				return failOp(o)
+			}
+			s, err := OpenWith(path, Options{SealBytes: 1024, MergeThreshold: 2, FaultHook: hook})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			allowed := map[Key][]Record{} // flushed value, then later puts
+			var pending []Record
+			for i := 0; i < 120; i++ {
+				rec := mkrec("judge", "b", 1, fmt.Sprintf("h%03d", i%40), []string{"valid", "invalid", "unsure"}[i/40])
+				if err := s.Put(rec); err != nil {
+					break
+				}
+				if vals, ok := allowed[rec.Key()]; ok {
+					allowed[rec.Key()] = append(vals, rec)
+				}
+				pending = append(pending, rec)
+				if i%10 == 9 {
+					if err := s.Flush(); err != nil {
+						break
+					}
+					for _, p := range pending {
+						allowed[p.Key()] = []Record{p}
+					}
+					pending = pending[:0]
+				}
+			}
+			s.Compact() // may fail on the injected op; the store must still reopen
+			s.Close()
+			mu.Lock()
+			defer mu.Unlock()
+			if calls < 2 {
+				t.Fatalf("the workload reached %q %d times; the fault never fired", op, calls)
+			}
+
+			r, err := Open(path)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer r.Close()
+			for k, vals := range allowed {
+				got, ok := r.Get(k)
+				if !ok {
+					t.Fatalf("flushed record %s lost", k.FileHash)
+				}
+				found := false
+				for _, v := range vals {
+					found = found || got == v
+				}
+				if !found {
+					t.Fatalf("record %s reopened as %q, never flushed or put after its flush", k.FileHash, got.Verdict)
+				}
+			}
+			n := 0
+			if err := r.Scan(Filter{}, func(rec Record) bool {
+				n++
+				if rec.Experiment != "judge" || rec.Backend != "b" || rec.Seed != 1 {
+					t.Errorf("reopened store holds a record never put: %+v", rec.Key())
+				}
+				return true
+			}); err != nil {
+				t.Fatalf("scan: %v", err)
+			}
+			if n != r.Len() || n < len(allowed) {
+				t.Fatalf("Scan yields %d records, Len = %d, flushed keys = %d", n, r.Len(), len(allowed))
+			}
+		})
 	}
 }

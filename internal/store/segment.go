@@ -230,8 +230,13 @@ func (sg *segment) get(k Key) (Record, bool, error) {
 		end = sg.sparse[i].off
 	}
 	r := bufio.NewReader(io.NewSectionReader(sg.f, start, end-start))
+	read := start
 	for {
 		line, err := readLine(r)
+		read += int64(len(line))
+		if err == nil {
+			read++ // the newline
+		}
 		if len(line) > 0 {
 			var rec Record
 			if uerr := json.Unmarshal(line, &rec); uerr == nil {
@@ -242,6 +247,11 @@ func (sg *segment) get(k Key) (Record, bool, error) {
 					return Record{}, false, nil // sorted: passed it
 				}
 			}
+		}
+		if err == io.EOF && read < end {
+			// The file ends inside a block the index says is there: it
+			// was cut short under the store.
+			err = io.ErrUnexpectedEOF
 		}
 		if err == io.EOF {
 			return Record{}, false, nil
@@ -258,6 +268,10 @@ func (sg *segment) get(k Key) (Record, bool, error) {
 type stream interface {
 	// peek returns the current record; ok is false when exhausted.
 	peek() (rec Record, ok bool)
+	// line returns the current record's line as the segment writer
+	// would encode it, when the stream holds it already; nil means the
+	// writer encodes the record itself. It is valid until advance.
+	line() []byte
 	// advance moves to the next record.
 	advance() error
 }
@@ -305,6 +319,8 @@ func newSegStream(sg *segment, startOff int64, indexing bool, interval int) (*se
 
 func (ss *segStream) peek() (Record, bool) { return ss.cur, ss.ok }
 
+func (ss *segStream) line() []byte { return nil }
+
 func (ss *segStream) advance() error {
 	for {
 		lineStart := ss.off
@@ -341,31 +357,83 @@ func (ss *segStream) advance() error {
 	}
 }
 
-// memStream walks an in-memory record map in sorted key order — the
-// active segment's face in a merge.
-type memStream struct {
-	recs map[Key]Record
+// activeRead is how much of each live line an activeStream reads.
+type activeRead int
+
+const (
+	// keysOnly reads nothing: records carry just the key fields, which
+	// is all Open's distinct-key count needs.
+	keysOnly activeRead = iota
+	// rawLines reads each line and, when it hashes as the canonical
+	// encoding the index recorded, passes it to the segment writer as
+	// it is, with a keys-only record; other lines (another writer's
+	// field order) are decoded. A seal needs no more.
+	rawLines
+	// records decodes every line: Scan yields whole records.
+	records
+)
+
+// activeStream walks the active segment's live lines in key order —
+// its face in a merge — reading each line back only when the walk
+// reaches it.
+type activeStream struct {
+	s    *Store
 	keys []Key
 	i    int
+	read activeRead
+	cur  Record
+	raw  []byte // the current line in rawLines mode; nil when decoded
+	buf  []byte // reused for lines read from the file
 }
 
-func newMemStream(recs map[Key]Record) *memStream {
-	keys := make([]Key, 0, len(recs))
-	for k := range recs {
-		keys = append(keys, k)
+// activeStream starts a walk over the active keys match selects
+// (nil selects all). Callers hold mu for the stream's life.
+func (s *Store) activeStream(match func(Key) bool, read activeRead) (*activeStream, error) {
+	keys := make([]Key, 0, len(s.index))
+	for k := range s.index {
+		if match == nil || match(k) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
-	return &memStream{recs: recs, keys: keys}
+	as := &activeStream{s: s, keys: keys, i: -1, read: read}
+	return as, as.advance()
 }
 
-func (ms *memStream) peek() (Record, bool) {
-	if ms.i >= len(ms.keys) {
-		return Record{}, false
+func (as *activeStream) peek() (Record, bool) { return as.cur, as.i < len(as.keys) }
+
+func (as *activeStream) line() []byte { return as.raw }
+
+func (as *activeStream) advance() error {
+	as.i++
+	as.cur, as.raw = Record{}, nil
+	if as.i >= len(as.keys) {
+		return nil
 	}
-	return ms.recs[ms.keys[ms.i]], true
+	k := as.keys[as.i]
+	e := as.s.index[k]
+	keyRec := Record{Experiment: k.Experiment, Backend: k.Backend, Seed: k.Seed, FileHash: k.FileHash}
+	switch as.read {
+	case keysOnly:
+		as.cur = keyRec
+		return nil
+	case rawLines:
+		b, err := as.s.line(e, as.buf)
+		if err != nil {
+			return err
+		}
+		if e.off < as.s.flushed {
+			as.buf = b[:0] // read from the file into as.buf, not the tail
+		}
+		if as.s.sum(b) == e.sum {
+			as.cur, as.raw = keyRec, b
+			return nil
+		}
+	}
+	var err error
+	as.cur, err = as.s.record(k, e)
+	return err
 }
-
-func (ms *memStream) advance() error { ms.i++; return nil }
 
 // mergeStreams k-way-merges sorted streams with last-write-wins
 // resolution: streams are ordered oldest first, and when several
@@ -447,13 +515,17 @@ func newSegWriter(storePath string, seq uint64, expected, interval int, fault fu
 	}, nil
 }
 
-func (sw *segWriter) add(rec Record) error {
+// add appends one record: its line as given, or, when line is nil,
+// the record encoded.
+func (sw *segWriter) add(rec Record, line []byte) error {
 	if err := sw.fault("write"); err != nil {
 		return err
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	if line == nil {
+		var err error
+		if line, err = json.Marshal(rec); err != nil {
+			return err
+		}
 	}
 	if sw.seg.count%sw.interval == 0 {
 		sw.seg.sparse = append(sw.seg.sparse, sparseEntry{key: rec.Key(), off: sw.seg.size})
@@ -499,7 +571,7 @@ func (sw *segWriter) finish() (*segment, error) {
 	if err := os.Rename(sw.tmpPath, sw.path); err != nil {
 		return fail(err)
 	}
-	if err := syncDir(sw.path); err != nil {
+	if err := syncDir(sw.path, sw.fault); err != nil {
 		sw.f.Close()
 		return nil, err
 	}
@@ -514,8 +586,12 @@ func (sw *segWriter) abort() {
 
 // syncDir fsyncs the directory containing path, making a just-renamed
 // entry durable: without it the rename itself could evaporate in a
-// crash even though the file's contents were synced.
-func syncDir(path string) error {
+// crash even though the file's contents were synced. The fault check
+// is consulted as "dirsync".
+func syncDir(path string, fault func(op string) error) error {
+	if err := fault("dirsync"); err != nil {
+		return err
+	}
 	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return err

@@ -10,11 +10,16 @@
 // (docs/STORE.md has the full design):
 //
 //   - The active segment is the JSONL file at the store path: one
-//     JSON object per line, append-only, fully indexed in memory.
-//     Appends are write-behind — records land in a buffered writer
-//     and reach the OS when the buffer fills, on an explicit Flush
-//     (a Runner checkpoints after every judge batch's worth of
-//     records and at phase end), and on Close.
+//     JSON object per line, append-only. Every key it holds is indexed
+//     in memory by where its live line sits — byte offset, length and
+//     a hash of the line — never by the decoded record (Bitcask's
+//     keydir: Sheehy & Smith, 2010), so an active key costs one 72-byte
+//     map slot however large its record. Appends are write-behind —
+//     lines land in the store's own append buffer and reach the OS
+//     when it fills, on an explicit Flush (a Runner checkpoints after
+//     every judge batch's worth of records and at phase end), and on
+//     Close; lookups read a line back from the file or, for the
+//     unflushed tail, straight from the buffer.
 //     A crash loses at most the un-flushed tail plus at most one torn
 //     final line, and Open tolerates exactly that: unparsable or
 //     incomplete lines are counted (Dropped) and skipped, recovery is
@@ -27,7 +32,7 @@
 //     and a sparse in-memory key index, so Get and Has on a store of
 //     millions of records are a binary search plus one bounded block
 //     read — never a scan of the world — and memory stays bounded by
-//     the active segment plus the sparse indexes.
+//     the active segment's offset index plus the sparse indexes.
 //   - Background compaction merges all sealed segments into one when
 //     their count crosses Options.MergeThreshold, without touching the
 //     active segment. Compact is the same merge run synchronously
@@ -46,11 +51,13 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"os"
 	"sort"
@@ -129,6 +136,11 @@ func HashSource(source string) string {
 // appends per write.
 const writeBufSize = 64 * 1024
 
+// maxLine is the longest line the active index can locate (its length
+// field is 32 bits). Put refuses a longer record and Open drops a
+// longer line as corrupt.
+const maxLine = 1<<32 - 1
+
 // DefaultSealBytes is the active-segment size that triggers a seal
 // when Options.SealBytes is zero: large enough that short experiment
 // runs stay a plain single file, small enough that a fleet writing
@@ -164,8 +176,10 @@ type Options struct {
 	// FaultHook, when set, is consulted before low-level file
 	// operations — "write" (active-segment appends and flushes,
 	// segment-writer output), "sync" (fsync of a new segment file),
-	// "rename" (the atomic publish of a new segment) — and a non-nil
-	// return fails that operation as if the disk had. The chaos suite
+	// "rename" (the atomic publish of a new segment), "dirsync" (the
+	// directory fsync after it), "truncate" (emptying the active file
+	// after a seal), "remove" (deleting a merge's input segments) —
+	// and a non-nil return fails that operation as if the disk had. The chaos suite
 	// and the daemons' -fault flag inject deterministic I/O failure
 	// through it (see internal/fault.Hook); production leaves it nil.
 	FaultHook func(op string) error
@@ -191,24 +205,27 @@ type Store struct {
 	path string
 	opts Options
 
-	// Active segment: the append-only JSONL file at path, indexed in
-	// full by the active map.
+	// Active segment: the append-only JSONL file at path. Its first
+	// flushed bytes are in f; the rest is the write-behind tail. index
+	// maps every key it holds to where the key's live line sits.
 	f           *os.File
-	w           *bufio.Writer // write-behind append buffer over f
-	enc         *json.Encoder // bound to w via a counting writer
+	flushed     int64         // bytes of the active file written to f
+	tail        tail          // unflushed lines, which start at offset flushed
+	enc         *json.Encoder // encodes into tail
 	scratch     *Record       // reused Encode argument; a plain rec would box into any per call
-	active      map[Key]Record
-	activeBytes int64 // bytes encoded into the active segment (buffered included)
-	activeLines int   // physical lines in the active file (valid, superseded, and corrupt)
+	index       map[Key]activeEntry
+	seed        maphash.Seed // for activeEntry.sum
+	activeLines int          // physical lines in the active file (valid, superseded, and corrupt)
 
 	// Sealed segments, oldest first (ascending seq).
 	segs     []*segment
 	segLines int    // physical record lines across sealed segments
 	nextSeq  uint64 // sequence number the next seal will use
 
-	distinct int // exact distinct keys across active + sealed segments
-	dropped  int
-	werr     error // first append failure, surfaced by Close
+	distinct   int // exact distinct keys across active + sealed segments
+	dropped    int
+	readErrors int   // lookups whose read failed (see Stats.ReadErrors)
+	werr       error // first append failure, surfaced by Close
 
 	// Background merge coordination: merging guards the one in-flight
 	// merge; mergeCond (on mu) wakes Compact/Close waiters when it
@@ -219,17 +236,26 @@ type Store struct {
 	mergeErr  error
 }
 
-// countingWriter tracks bytes encoded into the active segment so the
-// seal threshold fires on logical size, buffered bytes included.
-type countingWriter struct {
-	w io.Writer
-	n *int64
+// activeEntry locates a key's live line in the active file: its byte
+// offset, its length without the newline, and the low bits of a hash
+// of the record's canonical encoding (the bytes Put would write for
+// it), which lets an identical re-Put skip reading the line back
+// unless it is probably a replay. 16 bytes, so with its 56-byte Key a
+// map slot is 72.
+type activeEntry struct {
+	off int64
+	n   uint32
+	sum uint32
 }
 
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	*cw.n += int64(n)
-	return n, err
+// tail is the active file's write-behind buffer: the encoder appends
+// whole lines to it, Flush writes it out, and lookups of lines not yet
+// flushed slice it.
+type tail struct{ b []byte }
+
+func (t *tail) Write(p []byte) (int, error) {
+	t.b = append(t.b, p...)
+	return len(p), nil
 }
 
 // Open opens the store at path with default Options, creating it when
@@ -257,7 +283,9 @@ func OpenWith(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{path: path, opts: opts, f: f, active: map[Key]Record{}}
+	s := &Store{path: path, opts: opts, f: f, index: map[Key]activeEntry{}, seed: maphash.MakeSeed()}
+	s.enc = json.NewEncoder(&s.tail)
+	s.scratch = new(Record)
 	s.mergeCond = sync.NewCond(&s.mu)
 	fail := func(err error) (*Store, error) {
 		f.Close()
@@ -291,17 +319,31 @@ func OpenWith(path string, opts Options) (*Store, error) {
 	// whatever cap was chosen would not degrade to one dropped line —
 	// ErrTooLong aborts the whole scan and the store would refuse to
 	// open. readLine has no line-length ceiling, so arbitrarily large
-	// records round-trip and corruption stays line-local.
+	// records round-trip and corruption stays line-local. Each valid
+	// line is indexed by its offset, with the hash of its record's
+	// canonical encoding: a line another writer encoded in another
+	// field order still dedupes against a re-Put of its record.
 	r := bufio.NewReaderSize(f, 64*1024)
+	var off int64
 	for {
 		line, rerr := readLine(r)
+		lineOff := off
+		off += int64(len(line))
+		if rerr == nil {
+			off++ // the newline
+		}
 		if len(line) > 0 {
 			s.activeLines++
 			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil || rec.FileHash == "" || rec.Experiment == "" {
+			if err := json.Unmarshal(line, &rec); err != nil || rec.FileHash == "" || rec.Experiment == "" || int64(len(line)) > maxLine {
 				s.dropped++
 			} else {
-				s.active[rec.Key()] = rec
+				canon, err := s.encode(rec)
+				if err != nil {
+					return fail(err)
+				}
+				s.index[rec.Key()] = activeEntry{off: lineOff, n: uint32(len(line)), sum: s.sum(canon)}
+				s.tail.b = s.tail.b[:0]
 			}
 		}
 		if rerr == io.EOF {
@@ -312,8 +354,8 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		}
 	}
 
-	// One merge pass over every segment plus the active index does
-	// double duty: it builds each segment's sparse index and Bloom
+	// One merge pass over every segment plus the active index's keys
+	// does double duty: it builds each segment's sparse index and Bloom
 	// filter, and computes the exact distinct-key count in O(streams)
 	// memory (every stream is sorted, so duplicates meet at the merge
 	// head).
@@ -327,7 +369,11 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		segStreams[i] = ss
 		streams = append(streams, ss)
 	}
-	streams = append(streams, newMemStream(s.active))
+	keys, err := s.activeStream(nil, keysOnly)
+	if err != nil {
+		return fail(err)
+	}
+	streams = append(streams, keys)
 	err = mergeStreams(streams, func(Record, int, []int) bool {
 		s.distinct++
 		return true
@@ -361,13 +407,13 @@ func OpenWith(path string, opts Options) (*Store, error) {
 			end++
 		}
 	}
-	s.activeBytes = end
-	s.armWriter()
+	s.flushed = end
+	s.tail.b = make([]byte, 0, writeBufSize)
 
 	// Migration / crash catch-up: an oversized active segment seals
 	// right away, turning a legacy single-file store into a segmented
 	// one on first open.
-	if opts.SealBytes > 0 && s.activeBytes >= opts.SealBytes && len(s.active) > 0 {
+	if opts.SealBytes > 0 && s.flushed >= opts.SealBytes && len(s.index) > 0 {
 		if err := s.sealLocked(); err != nil {
 			return fail(err)
 		}
@@ -386,38 +432,106 @@ func (s *Store) fault(op string) error {
 	return s.opts.FaultHook(op)
 }
 
-// armWriter (re)binds the write-behind buffer, byte counter, and
-// encoder to the current active file handle.
-func (s *Store) armWriter() {
-	s.w = bufio.NewWriterSize(s.f, writeBufSize)
-	s.enc = json.NewEncoder(countingWriter{w: s.w, n: &s.activeBytes})
-	if s.scratch == nil {
-		s.scratch = new(Record)
+// encode appends rec's line to the write-behind tail through the
+// store's one encoder and returns it, newline excluded; it stays valid
+// until the tail next changes. The caller keeps the line (an append)
+// or cuts the tail back to drop it.
+func (s *Store) encode(rec Record) ([]byte, error) {
+	start := len(s.tail.b)
+	*s.scratch = rec
+	if err := s.enc.Encode(s.scratch); err != nil {
+		s.tail.b = s.tail.b[:start]
+		return nil, err
 	}
+	return s.tail.b[start : len(s.tail.b)-1], nil
 }
 
-// Get returns the stored record for a key: the active segment first,
-// then sealed segments newest-first, each a Bloom-filtered point
-// lookup (one bounded block read, no scan).
+// sum is the hash an activeEntry keeps of a canonical line.
+func (s *Store) sum(line []byte) uint32 {
+	return uint32(maphash.Bytes(s.seed, line))
+}
+
+// activeSize is the active segment's logical size, the write-behind
+// tail included: what the seal threshold is measured against.
+func (s *Store) activeSize() int64 {
+	return s.flushed + int64(len(s.tail.b))
+}
+
+// line returns the bytes of an active line: ReadAt for the part that
+// is flushed, into buf when it is large enough, and the write-behind
+// tail for the rest. A line wholly in the tail is returned without a
+// copy and stays valid until the tail next changes. Callers hold mu.
+func (s *Store) line(e activeEntry, buf []byte) ([]byte, error) {
+	end := e.off + int64(e.n)
+	if e.off >= s.flushed {
+		return s.tail.b[e.off-s.flushed : end-s.flushed], nil
+	}
+	b := buf[:0]
+	if cap(b) < int(e.n) {
+		b = make([]byte, e.n)
+	}
+	b = b[:e.n]
+	onDisk := min(end, s.flushed) - e.off
+	if _, err := s.f.ReadAt(b[:onDisk], e.off); err != nil {
+		return nil, fmt.Errorf("store: reading %s at %d: %w", s.path, e.off, err)
+	}
+	copy(b[onDisk:], s.tail.b)
+	return b, nil
+}
+
+// record reads and decodes the live line of an active key. A line that
+// no longer decodes to a record of that key — the file was changed
+// under the store — is a read error. Callers hold mu.
+func (s *Store) record(k Key, e activeEntry) (Record, error) {
+	b, err := s.line(e, nil)
+	if err != nil {
+		return Record{}, err
+	}
+	var rec Record
+	if err := json.Unmarshal(b, &rec); err != nil || rec.Key() != k {
+		return Record{}, fmt.Errorf("store: %s at %d no longer holds its record", s.path, e.off)
+	}
+	return rec, nil
+}
+
+// Get returns the stored record for a key: the active segment first
+// (one line read back, from the write-behind tail when it is not yet
+// flushed), then sealed segments newest-first, each a Bloom-filtered
+// point lookup (one bounded block read, no scan). A read that fails
+// answers false and counts in Stats.ReadErrors.
 func (s *Store) Get(k Key) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec, ok := s.active[k]; ok {
-		return rec, true
+	var (
+		rec Record
+		ok  bool
+		err error
+	)
+	if e, in := s.index[k]; in {
+		rec, err = s.record(k, e)
+		ok = err == nil
+	} else {
+		rec, ok, err = s.segLookup(k)
 	}
-	rec, ok, _ := s.segLookup(k)
+	if err != nil {
+		s.readErrors++
+	}
 	return rec, ok
 }
 
-// Has reports whether a record is stored under the key, at the same
-// cost as Get.
+// Has reports whether a record is stored under the key. An active key
+// is answered from the index alone; a sealed one costs what Get does,
+// and a failed read answers false and counts in Stats.ReadErrors.
 func (s *Store) Has(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.active[k]; ok {
+	if _, ok := s.index[k]; ok {
 		return true
 	}
-	_, ok, _ := s.segLookup(k)
+	_, ok, err := s.segLookup(k)
+	if err != nil {
+		s.readErrors++
+	}
 	return ok
 }
 
@@ -454,28 +568,44 @@ func (s *Store) Put(rec Record) error {
 	return s.put(rec)
 }
 
-// put is Put without the lock. The encoder writes the record and its
-// terminating '\n' straight into the write-behind buffer: no
-// intermediate marshal slice, no per-record syscall. New keys consult
-// the sealed segments (Bloom filters make the fresh-key path a few
-// hash probes, not a read) so identical replays dedupe and the
-// distinct-key count stays exact.
+// put is Put without the lock. The record is encoded straight onto the
+// write-behind tail — no intermediate marshal slice, no per-record
+// syscall — and cut back off again when it turns out to be a replay.
+// An active key is a replay when its line hashes the same and the old
+// bytes confirm it; new keys consult the sealed segments (Bloom
+// filters make the fresh-key path a few hash probes, not a read) so
+// identical replays dedupe and the distinct-key count stays exact.
 func (s *Store) put(rec Record) error {
 	if s.werr != nil {
 		return s.werr
 	}
+	start := len(s.tail.b)
+	line, err := s.encode(rec)
+	if err != nil {
+		s.werr = fmt.Errorf("store: append: %w", err)
+		return s.werr
+	}
+	if int64(len(line)) > maxLine {
+		s.tail.b = s.tail.b[:start]
+		return fmt.Errorf("store: append: a record of %d bytes is too long", len(line))
+	}
 	k := rec.Key()
-	if old, ok := s.active[k]; ok {
-		if old == rec {
+	sum := s.sum(line)
+	if old, ok := s.index[k]; ok {
+		if old.sum == sum && s.sameLine(k, old, line) {
+			s.tail.b = s.tail.b[:start]
 			return nil
 		}
 	} else if len(s.segs) > 0 {
 		old, ok, err := s.segLookup(k)
 		switch {
 		case err != nil:
+			s.tail.b = s.tail.b[:start]
+			s.readErrors++
 			s.werr = fmt.Errorf("store: append: %w", err)
 			return s.werr
 		case ok && old == rec:
+			s.tail.b = s.tail.b[:start]
 			return nil
 		case !ok:
 			s.distinct++
@@ -484,17 +614,19 @@ func (s *Store) put(rec Record) error {
 		s.distinct++
 	}
 	if err := s.fault("write"); err != nil {
+		s.tail.b = s.tail.b[:start]
 		s.werr = fmt.Errorf("store: append: %w", err)
 		return s.werr
 	}
-	*s.scratch = rec
-	if err := s.enc.Encode(s.scratch); err != nil {
-		s.werr = fmt.Errorf("store: append: %w", err)
-		return s.werr
-	}
+	s.index[k] = activeEntry{off: s.flushed + int64(start), n: uint32(len(line)), sum: sum}
 	s.activeLines++
-	s.active[k] = rec
-	if s.opts.SealBytes > 0 && s.activeBytes >= s.opts.SealBytes {
+	if len(s.tail.b) >= writeBufSize {
+		if err := s.writeTail(); err != nil {
+			s.werr = fmt.Errorf("store: append: %w", err)
+			return s.werr
+		}
+	}
+	if s.opts.SealBytes > 0 && s.activeSize() >= s.opts.SealBytes {
 		if err := s.sealLocked(); err != nil {
 			s.werr = fmt.Errorf("store: seal: %w", err)
 			return s.werr
@@ -504,8 +636,42 @@ func (s *Store) put(rec Record) error {
 	return nil
 }
 
+// sameLine confirms that an active key's live line holds the record
+// just encoded as line: byte-equal, or — for a line another writer
+// encoded in another field order — decoding to an equal record. A
+// failed read counts in Stats.ReadErrors and answers false, so the
+// record is appended again, which is harmless. Callers hold mu.
+func (s *Store) sameLine(k Key, e activeEntry, line []byte) bool {
+	old, err := s.line(e, nil)
+	if err != nil {
+		s.readErrors++
+		return false
+	}
+	if bytes.Equal(old, line) {
+		return true
+	}
+	rec, err := s.record(k, e)
+	if err != nil {
+		s.readErrors++
+		return false
+	}
+	return rec == *s.scratch
+}
+
+// writeTail writes the write-behind tail to the active file.
+func (s *Store) writeTail() error {
+	n, err := s.f.Write(s.tail.b)
+	s.flushed += int64(n)
+	s.tail.b = s.tail.b[:copy(s.tail.b, s.tail.b[n:])]
+	if len(s.tail.b) == 0 && cap(s.tail.b) > 4*writeBufSize {
+		// A huge record grew the buffer; do not keep that much idle.
+		s.tail.b = make([]byte, 0, writeBufSize)
+	}
+	return err
+}
+
 // sealLocked turns the active segment into a sealed one: live records
-// written sorted and deduplicated to "<path>.seg-NNNNNN" by
+// read back in key order and written to "<path>.seg-NNNNNN" by
 // writeSegment, then the active file truncated back to empty. A crash
 // before the segment's rename leaves the active file intact (it is
 // flushed first); a crash after it leaves the records duplicated in
@@ -513,22 +679,26 @@ func (s *Store) put(rec Record) error {
 // absorb. An active file holding only corrupt lines is truncated
 // without writing a segment. Callers hold mu.
 func (s *Store) sealLocked() error {
-	if s.activeBytes == 0 {
+	if s.activeSize() == 0 {
 		return nil
 	}
 	if s.opts.Tracer != nil {
 		_, span := s.opts.Tracer.StartTrace(context.Background(), "store.seal")
-		span.SetAttr("records", strconv.Itoa(len(s.active)))
+		span.SetAttr("records", strconv.Itoa(len(s.index)))
 		defer span.End()
 	}
 	if err := s.fault("write"); err != nil {
 		return err
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.writeTail(); err != nil {
 		return err
 	}
-	if len(s.active) > 0 {
-		seg, err := s.writeSegment(s.nextSeq, []stream{newMemStream(s.active)}, len(s.active))
+	if len(s.index) > 0 {
+		live, err := s.activeStream(nil, rawLines)
+		if err != nil {
+			return err
+		}
+		seg, err := s.writeSegment(s.nextSeq, []stream{live}, len(s.index))
 		if err != nil {
 			return err
 		}
@@ -537,16 +707,18 @@ func (s *Store) sealLocked() error {
 		s.segLines += seg.count
 	}
 
+	if err := s.fault("truncate"); err != nil {
+		return err
+	}
 	if err := s.f.Truncate(0); err != nil {
 		return err
 	}
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	s.activeBytes = 0
+	s.flushed = 0
 	s.activeLines = 0
-	s.active = make(map[Key]Record)
-	s.armWriter()
+	s.index = make(map[Key]activeEntry)
 	return nil
 }
 
@@ -561,8 +733,8 @@ func (s *Store) writeSegment(seq uint64, streams []stream, expected int) (*segme
 		return nil, err
 	}
 	var addErr error
-	err = mergeStreams(streams, func(rec Record, _ int, _ []int) bool {
-		addErr = sw.add(rec)
+	err = mergeStreams(streams, func(rec Record, winner int, _ []int) bool {
+		addErr = sw.add(rec, streams[winner].line())
 		return addErr == nil
 	})
 	if err == nil {
@@ -596,10 +768,10 @@ func (s *Store) mergeSegments(snapshot []*segment) {
 	defer s.mergeWG.Done()
 	merged, err := s.runMerge(snapshot)
 	s.mu.Lock()
-	s.mergeErr = err
 	if err == nil {
-		s.installMerged(snapshot, merged)
+		err = s.installMerged(snapshot, merged)
 	}
+	s.mergeErr = err
 	s.merging = false
 	s.mergeCond.Broadcast()
 	s.mu.Unlock()
@@ -638,17 +810,29 @@ func (s *Store) runMerge(snapshot []*segment) (merged *segment, err error) {
 // installMerged swaps a merged segment in for the snapshot it was
 // merged from, then closes and removes the inputs. The snapshot is
 // still the prefix of s.segs: seals that landed while it merged stay
-// behind the merged segment. Callers hold mu.
-func (s *Store) installMerged(snapshot []*segment, merged *segment) {
+// behind the merged segment. It returns the first failed removal: the
+// swap stands, and an input left on disk holds only records the merged
+// segment supersedes or duplicates, which the next merge folds away.
+// Callers hold mu.
+func (s *Store) installMerged(snapshot []*segment, merged *segment) error {
 	s.segs = append([]*segment{merged}, s.segs[len(snapshot):]...)
 	s.segLines += merged.count
+	var first error
 	for _, sg := range snapshot {
 		s.segLines -= sg.count
 		sg.f.Close()
-		if sg.path != merged.path {
-			os.Remove(sg.path)
+		if sg.path == merged.path {
+			continue
+		}
+		err := s.fault("remove")
+		if err == nil {
+			err = os.Remove(sg.path)
+		}
+		if first == nil {
+			first = err
 		}
 	}
+	return first
 }
 
 // Flush forces every buffered append down to the OS — the checkpoint
@@ -670,7 +854,7 @@ func (s *Store) flushLocked() error {
 		s.werr = fmt.Errorf("store: flush: %w", err)
 		return s.werr
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.writeTail(); err != nil {
 		s.werr = fmt.Errorf("store: flush: %w", err)
 		return s.werr
 	}
@@ -713,7 +897,9 @@ func (s *Store) Compact() (removed int, err error) {
 		if err != nil {
 			return 0, fmt.Errorf("store: compact: %w", err)
 		}
-		s.installMerged(s.segs, merged)
+		if err := s.installMerged(s.segs, merged); err != nil {
+			return 0, fmt.Errorf("store: compact: %w", err)
+		}
 	}
 	s.dropped = 0
 	return before - s.segLines, nil
@@ -784,9 +970,9 @@ func (f Filter) startKey() Key {
 // order (for a fixed (experiment, backend, seed) prefix that is file-
 // hash order), without materialising the result set: sealed segments
 // contribute one bounded range read each, merged last-write-wins with
-// the active index. yield returning false stops the scan. The store's
-// lock is held for the duration — yield must not call back into the
-// store.
+// the active segment's matching lines, each read back as the scan
+// reaches it. yield returning false stops the scan. The store's lock
+// is held for the duration — yield must not call back into the store.
 func (s *Store) Scan(f Filter, yield func(Record) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -813,13 +999,11 @@ func (s *Store) Scan(f Filter, yield func(Record) bool) error {
 		}
 		streams = append(streams, ss)
 	}
-	matching := make(map[Key]Record)
-	for k, rec := range s.active {
-		if f.match(k) {
-			matching[k] = rec
-		}
+	active, err := s.activeStream(f.match, records)
+	if err != nil {
+		return err
 	}
-	streams = append(streams, newMemStream(matching))
+	streams = append(streams, active)
 	return mergeStreams(streams, func(rec Record, _ int, _ []int) bool {
 		k := rec.Key()
 		if f.beyond(k) {
@@ -886,8 +1070,13 @@ type Stats struct {
 	ActiveLines   int   // physical lines in the active file
 	ActiveBytes   int64 // bytes in the active segment (buffered included)
 	Dropped       int
-	Segments      []SegmentStats
-	MergeErr      string // last background-merge failure, if any
+	// ReadErrors counts lookups (Get, Has, and Put's replay check)
+	// whose read of the active file or of a sealed segment failed since
+	// Open. Such a Get or Has answers "absent", so a caller re-does the
+	// work; a rising count means the files changed under the store.
+	ReadErrors int
+	Segments   []SegmentStats
+	MergeErr   string // last background-merge failure, if any
 }
 
 // SegmentCount reports the number of sealed segments.
@@ -910,10 +1099,11 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Path:          s.path,
 		Keys:          s.distinct,
-		ActiveRecords: len(s.active),
+		ActiveRecords: len(s.index),
 		ActiveLines:   s.activeLines,
-		ActiveBytes:   s.activeBytes,
+		ActiveBytes:   s.activeSize(),
 		Dropped:       s.dropped,
+		ReadErrors:    s.readErrors,
 	}
 	if s.mergeErr != nil {
 		st.MergeErr = s.mergeErr.Error()
