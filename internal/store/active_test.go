@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,19 +16,27 @@ import (
 )
 
 // TestActiveIndexByteBudget: the active segment is indexed by where a
-// key's line sits, not by the decoded record, so the heap a store keeps
-// per active key does not grow with the record. 10k records each
-// carrying a distinct 300-byte Response must cost at most 256 bytes of
-// retained heap apiece (map slot, key strings and the write buffer
-// amortised); holding the records themselves would cost several times
-// that.
+// key's line sits, under a fingerprint of the key, not by the decoded
+// record or the key's strings, so the heap a store keeps per active key
+// does not grow with the record. 10k records each carrying a distinct
+// 300-byte Response must cost at most 96 bytes of retained heap apiece
+// (map slot and the write buffer amortised); holding the records, or
+// just their keys' 64-byte hashes, would cost several times that. The
+// index's key and value types must hold no pointers, so the garbage
+// collector never scans the map.
 func TestActiveIndexByteBudget(t *testing.T) {
-	const n, budget = 10000, 256
+	const n, budget = 10000, 96
 	s, err := Open(filepath.Join(t.TempDir(), "run.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	index := reflect.TypeOf(s.index)
+	for _, typ := range []reflect.Type{index.Key(), index.Elem()} {
+		if p := pointerPath(typ); p != "" {
+			t.Errorf("index %s holds a pointer at %s", typ, p)
+		}
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -53,6 +62,31 @@ func TestActiveIndexByteBudget(t *testing.T) {
 		t.Fatalf("retained heap per active record = %d B, want <= %d", per, budget)
 	}
 	runtime.KeepAlive(s)
+}
+
+// pointerPath names where typ holds a pointer — a pointer, string,
+// slice, map, channel, function or interface, however deeply nested in
+// arrays and structs — or returns "" when it holds none.
+func pointerPath(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		if p := pointerPath(typ.Elem()); p != "" {
+			return "[]" + p
+		}
+		return ""
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerPath(typ.Field(i).Type); p != "" {
+				return typ.Field(i).Name + "." + p
+			}
+		}
+		return ""
+	}
+	return typ.Kind().String()
 }
 
 // TestActiveReadsTailWithoutFlush: Get and Scan read records still in

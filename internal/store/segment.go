@@ -20,12 +20,14 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,21 +61,28 @@ func compareKey(a, b Key) int {
 func lessKey(a, b Key) bool { return compareKey(a, b) < 0 }
 
 // keyHash returns two independent 64-bit hashes of a key for the
-// Bloom filter's double hashing.
+// Bloom filter's double hashing: FNV-1a over the key's fields, each
+// field but the last followed by 0xff and the seed as 8 little-endian
+// bytes, computed in place (hash/fnv would copy every string it is
+// given and allocate its state on each call).
 func keyHash(k Key) (uint64, uint64) {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, k.Experiment)
-	_, _ = h.Write([]byte{0xff})
-	_, _ = io.WriteString(h, k.Backend)
-	_, _ = h.Write([]byte{0xff})
-	var seed [8]byte
-	for i := 0; i < 8; i++ {
-		seed[i] = byte(k.Seed >> (8 * i))
+	const prime = 1099511628211
+	h1 := uint64(14695981039346656037)
+	str := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h1 = (h1 ^ uint64(s[i])) * prime
+		}
 	}
-	_, _ = h.Write(seed[:])
-	_, _ = h.Write([]byte{0xff})
-	_, _ = io.WriteString(h, k.FileHash)
-	h1 := h.Sum64()
+	sep := func() { h1 = (h1 ^ 0xff) * prime }
+	str(k.Experiment)
+	sep()
+	str(k.Backend)
+	sep()
+	for i := 0; i < 8; i++ {
+		h1 = (h1 ^ uint64(byte(k.Seed>>(8*i)))) * prime
+	}
+	sep()
+	str(k.FileHash)
 	// Murmur3 finalizer decorrelates the second hash from the first.
 	h2 := h1
 	h2 ^= h2 >> 33
@@ -198,20 +207,169 @@ func listSegments(storePath string) (paths []string, seqs []uint64, err error) {
 	return paths, seqs, nil
 }
 
-// readLine reads one newline-terminated line without a length ceiling
-// (records can exceed bufio.Scanner's 64KiB token cap). The returned
-// slice excludes the terminator; io.EOF surfaces after the last line.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
+// lineReader reads newline-terminated lines without a length ceiling
+// (records can exceed bufio.Scanner's 64KiB token cap) and without an
+// allocation per line: a line is a slice of the reader's buffer, or of
+// long (reused) when it outgrows the buffer. It excludes the
+// terminator, stays valid until the next read, and io.EOF surfaces
+// after the last line.
+type lineReader struct {
+	r    *bufio.Reader
+	long []byte
+}
+
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		lr.long = append(lr.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = lr.r.ReadSlice('\n')
+			lr.long = append(lr.long, line...)
+		}
+		line = lr.long
+	}
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
 	return line, err
 }
 
+// keyRef is a line's key read in place: slices of the line itself, so
+// comparing it with a Key allocates nothing.
+type keyRef struct {
+	experiment, backend, fileHash []byte
+	seed                          uint64
+}
+
+// parseKeyRef reads a line's key from its first four fields without
+// decoding the rest. Every line the store writes starts with them, in
+// Record's field order: {"experiment":"…","backend":"…","seed":N,
+// "file_hash":"…" followed by a comma or the closing brace. Any other
+// shape — another field order, spacing, a key string with an escape or
+// a byte outside printable ASCII, a seed with a leading zero — reports
+// false, and the caller decodes the whole line instead.
+func parseKeyRef(line []byte) (keyRef, bool) {
+	var r keyRef
+	var ok bool
+	if line, ok = bytes.CutPrefix(line, []byte(`{"experiment":`)); !ok {
+		return r, false
+	}
+	if r.experiment, line, ok = cutPlainString(line); !ok {
+		return r, false
+	}
+	if line, ok = bytes.CutPrefix(line, []byte(`,"backend":`)); !ok {
+		return r, false
+	}
+	if r.backend, line, ok = cutPlainString(line); !ok {
+		return r, false
+	}
+	if line, ok = bytes.CutPrefix(line, []byte(`,"seed":`)); !ok {
+		return r, false
+	}
+	n := 0
+	for ; n < len(line) && line[n] >= '0' && line[n] <= '9'; n++ {
+		d := uint64(line[n] - '0')
+		if r.seed > (math.MaxUint64-d)/10 {
+			return r, false
+		}
+		r.seed = r.seed*10 + d
+	}
+	if n == 0 || n > 1 && line[0] == '0' {
+		return r, false
+	}
+	if line, ok = bytes.CutPrefix(line[n:], []byte(`,"file_hash":`)); !ok {
+		return r, false
+	}
+	if r.fileHash, line, ok = cutPlainString(line); !ok {
+		return r, false
+	}
+	return r, len(line) > 0 && (line[0] == ',' || line[0] == '}')
+}
+
+// cutPlainString cuts a JSON string holding only printable ASCII and no
+// escapes — which decodes to its bytes as they stand — off the front of
+// b, returning its contents and the rest.
+func cutPlainString(b []byte) (s, rest []byte, ok bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return nil, nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return b[1:i], b[i+1:], true
+		case c == '\\' || c < 0x20 || c >= 0x7f:
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+// compare orders the line's key against k, as compareKey does.
+func (r keyRef) compare(k Key) int {
+	if c := compareBytes(r.experiment, k.Experiment); c != 0 {
+		return c
+	}
+	if c := compareBytes(r.backend, k.Backend); c != 0 {
+		return c
+	}
+	if r.seed != k.Seed {
+		if r.seed < k.Seed {
+			return -1
+		}
+		return 1
+	}
+	return compareBytes(r.fileHash, k.FileHash)
+}
+
+// compareBytes is strings.Compare(string(b), s) without the copy.
+func compareBytes(b []byte, s string) int {
+	switch {
+	case string(b) == s:
+		return 0
+	case string(b) < s:
+		return -1
+	}
+	return 1
+}
+
+// key copies the line's key out, reusing prev's experiment and backend
+// strings when they are equal (consecutive lines mostly share them).
+func (r keyRef) key(prev Key) Key {
+	k := Key{Experiment: prev.Experiment, Backend: prev.Backend, Seed: r.seed, FileHash: string(r.fileHash)}
+	if string(r.experiment) != k.Experiment {
+		k.Experiment = string(r.experiment)
+	}
+	if string(r.backend) != k.Backend {
+		k.Backend = string(r.backend)
+	}
+	return k
+}
+
+// decodeLine decodes a record line. A line holds a record when it
+// decodes, names an experiment and a file hash, and — when it starts
+// with the key prefix parseKeyRef reads — its decoded key is the one
+// that prefix names (a later duplicate field could say otherwise). So
+// a line's key can be read from its prefix wherever that parses, and
+// only lines of another shape need a full decode to find their key.
+func decodeLine(line []byte) (Record, bool) {
+	var rec Record
+	if err := json.Unmarshal(line, &rec); err != nil || rec.FileHash == "" || rec.Experiment == "" {
+		return Record{}, false
+	}
+	if ref, ok := parseKeyRef(line); ok && ref.compare(rec.Key()) != 0 {
+		return Record{}, false
+	}
+	return rec, true
+}
+
 // get is the point lookup: Bloom filter, then binary search over the
 // sparse index for the block that could hold k, then one bounded
-// block read — never a full-segment scan.
+// block read — never a full-segment scan. Each line's key is compared
+// from its prefix; only the line holding k is decoded. The walk keeps
+// to segStream's rule for which lines count (see segStream): a line
+// keyed past k ends the search, and so does a line keyed k that does
+// not hold a record, since a later line of the same key is out of
+// order.
 func (sg *segment) get(k Key) (Record, bool, error) {
 	h1, h2 := keyHash(k)
 	if !sg.filter.may(h1, h2) {
@@ -229,23 +387,29 @@ func (sg *segment) get(k Key) (Record, bool, error) {
 	if i < len(sg.sparse) {
 		end = sg.sparse[i].off
 	}
-	r := bufio.NewReader(io.NewSectionReader(sg.f, start, end-start))
+	r := lineReader{r: bufio.NewReader(io.NewSectionReader(sg.f, start, end-start))}
 	read := start
 	for {
-		line, err := readLine(r)
+		line, err := r.next()
 		read += int64(len(line))
 		if err == nil {
 			read++ // the newline
 		}
 		if len(line) > 0 {
-			var rec Record
-			if uerr := json.Unmarshal(line, &rec); uerr == nil {
-				switch c := compareKey(rec.Key(), k); {
-				case c == 0:
-					return rec, true, nil
-				case c > 0:
-					return Record{}, false, nil // sorted: passed it
-				}
+			var c int
+			if ref, ok := parseKeyRef(line); ok {
+				c = ref.compare(k)
+			} else if rec, ok := decodeLine(line); ok {
+				c = compareKey(rec.Key(), k)
+			} else {
+				c = -1 // no key: skipped, as segStream skips it
+			}
+			switch {
+			case c == 0:
+				rec, ok := decodeLine(line)
+				return rec, ok, nil
+			case c > 0:
+				return Record{}, false, nil // sorted: passed it
 			}
 		}
 		if err == io.EOF && read < end {
@@ -279,14 +443,24 @@ type stream interface {
 // segStream walks a segment file from a byte offset. When index is
 // non-nil the walk also (re)builds the segment's sparse index, Bloom
 // filter, count, and size — how Open constructs lookup structures in
-// the same pass that feeds the distinct-key merge. Unparsable lines
-// (outside interference with a sealed file) are skipped and counted.
+// the same pass that feeds the distinct-key merge. A line counts only
+// when it holds a record (decodeLine) keyed strictly after every keyed
+// line before it: unparsable lines and lines out of key order (outside
+// interference with a sealed file) are skipped and counted. A line is
+// keyed when its key can be read — from its prefix (parseKeyRef) or by
+// decoding it — and a keyed line that is skipped still raises the bar,
+// which is what lets get stop at the first line keyed past its key
+// without decoding it. Every walk starts at a line that counts (the
+// file's start or a sparse-index offset), so walks from different
+// offsets agree on which lines count.
 type segStream struct {
 	sg       *segment
-	r        *bufio.Reader
+	r        lineReader
 	off      int64 // offset of the next unread line
 	cur      Record
 	ok       bool
+	last     Key  // the greatest key read so far
+	keyed    bool // whether last is set
 	indexing bool
 	interval int
 	dropped  int
@@ -309,7 +483,7 @@ func newSegStream(sg *segment, startOff int64, indexing bool, interval int) (*se
 	}
 	ss := &segStream{
 		sg:       sg,
-		r:        bufio.NewReaderSize(io.NewSectionReader(sg.f, startOff, size-startOff), 64*1024),
+		r:        lineReader{r: bufio.NewReaderSize(io.NewSectionReader(sg.f, startOff, size-startOff), 64*1024)},
 		off:      startOff,
 		indexing: indexing,
 		interval: interval,
@@ -324,28 +498,23 @@ func (ss *segStream) line() []byte { return nil }
 func (ss *segStream) advance() error {
 	for {
 		lineStart := ss.off
-		line, err := readLine(ss.r)
+		line, err := ss.r.next()
 		ss.off += int64(len(line))
 		if err == nil {
 			ss.off++ // the newline
 		}
-		if len(line) > 0 {
-			var rec Record
-			if uerr := json.Unmarshal(line, &rec); uerr != nil || rec.FileHash == "" || rec.Experiment == "" {
-				ss.dropped++
-			} else {
-				if ss.indexing {
-					if ss.sg.count%ss.interval == 0 {
-						ss.sg.sparse = append(ss.sg.sparse, sparseEntry{key: rec.Key(), off: lineStart})
-					}
-					h1, h2 := keyHash(rec.Key())
-					ss.sg.filter.add(h1, h2)
-					ss.sg.count++
-					ss.sg.size = ss.off
+		if len(line) > 0 && ss.take(line) {
+			if ss.indexing {
+				if ss.sg.count%ss.interval == 0 {
+					ss.sg.sparse = append(ss.sg.sparse, sparseEntry{key: ss.cur.Key(), off: lineStart})
 				}
-				ss.cur, ss.ok = rec, true
-				return nil
+				h1, h2 := keyHash(ss.cur.Key())
+				ss.sg.filter.add(h1, h2)
+				ss.sg.count++
+				ss.sg.size = ss.off
 			}
+			ss.ok = true
+			return nil
 		}
 		if err == io.EOF {
 			ss.cur, ss.ok = Record{}, false
@@ -355,6 +524,31 @@ func (ss *segStream) advance() error {
 			return fmt.Errorf("store: reading %s: %w", ss.sg.path, err)
 		}
 	}
+}
+
+// take decides whether a line counts (see segStream), making its record
+// current when it does and counting it dropped when it does not.
+func (ss *segStream) take(line []byte) bool {
+	rec, ok := decodeLine(line)
+	k := rec.Key()
+	if !ok {
+		ref, keyed := parseKeyRef(line)
+		if !keyed {
+			ss.dropped++
+			return false
+		}
+		k = ref.key(ss.last)
+	}
+	after := !ss.keyed || compareKey(k, ss.last) > 0
+	if after {
+		ss.last, ss.keyed = k, true
+	}
+	if !ok || !after {
+		ss.dropped++
+		return false
+	}
+	ss.cur = rec
+	return true
 }
 
 // activeRead is how much of each live line an activeStream reads.
@@ -373,45 +567,48 @@ const (
 	records
 )
 
-// activeStream walks the active segment's live lines in key order —
-// its face in a merge — reading each line back only when the walk
-// reaches it.
-type activeStream struct {
-	s    *Store
-	keys []Key
-	i    int
-	read activeRead
-	cur  Record
-	raw  []byte // the current line in rawLines mode; nil when decoded
-	buf  []byte // reused for lines read from the file
+// activePair is one live active line: its key and its index entry.
+type activePair struct {
+	key Key
+	e   activeEntry
 }
 
-// activeStream starts a walk over the active keys match selects
-// (nil selects all). Callers hold mu for the stream's life.
-func (s *Store) activeStream(match func(Key) bool, read activeRead) (*activeStream, error) {
-	keys := make([]Key, 0, len(s.index))
-	for k := range s.index {
-		if match == nil || match(k) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
-	as := &activeStream{s: s, keys: keys, i: -1, read: read}
+// sortPairs puts live lines in key order, the order they merge in.
+func sortPairs(pairs []activePair) {
+	slices.SortFunc(pairs, func(a, b activePair) int { return compareKey(a.key, b.key) })
+}
+
+// activeStream walks live active lines in key order — the active
+// segment's face in a merge — reading each line back only when the
+// walk reaches it.
+type activeStream struct {
+	s     *Store
+	pairs []activePair // sorted by key
+	i     int
+	read  activeRead
+	cur   Record
+	raw   []byte // the current line in rawLines mode; nil when decoded
+	buf   []byte // reused for lines read from the file
+}
+
+// activeStream starts a walk over sorted live pairs. Callers hold mu for
+// the stream's life.
+func (s *Store) activeStream(pairs []activePair, read activeRead) (*activeStream, error) {
+	as := &activeStream{s: s, pairs: pairs, i: -1, read: read}
 	return as, as.advance()
 }
 
-func (as *activeStream) peek() (Record, bool) { return as.cur, as.i < len(as.keys) }
+func (as *activeStream) peek() (Record, bool) { return as.cur, as.i < len(as.pairs) }
 
 func (as *activeStream) line() []byte { return as.raw }
 
 func (as *activeStream) advance() error {
 	as.i++
 	as.cur, as.raw = Record{}, nil
-	if as.i >= len(as.keys) {
+	if as.i >= len(as.pairs) {
 		return nil
 	}
-	k := as.keys[as.i]
-	e := as.s.index[k]
+	k, e := as.pairs[as.i].key, as.pairs[as.i].e
 	keyRec := Record{Experiment: k.Experiment, Backend: k.Backend, Seed: k.Seed, FileHash: k.FileHash}
 	switch as.read {
 	case keysOnly:

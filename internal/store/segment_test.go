@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -563,4 +564,281 @@ func TestCompactFoldsSegmentsIntoCanonicalFile(t *testing.T) {
 	if s2.Len() != n+1 || s2.Dropped() != 0 {
 		t.Fatalf("reopened Len=%d Dropped=%d, want %d/0", s2.Len(), s2.Dropped(), n+1)
 	}
+}
+
+// openWithSegment writes lines as sealed segment 1 beside an active
+// file holding active, and opens the store with a sparse index entry
+// every interval records.
+func openWithSegment(t testing.TB, segment, active []byte, interval int) (*Store, string, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, active, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath(path, 1), segment, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWith(path, Options{SparseInterval: interval, MergeThreshold: -1})
+	return s, path, err
+}
+
+// scanAll returns every record Scan yields.
+func scanAll(t testing.TB, s *Store) []Record {
+	t.Helper()
+	var recs []Record
+	if err := s.Scan(Filter{}, func(rec Record) bool {
+		recs = append(recs, rec)
+		return true
+	}); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return recs
+}
+
+// TestSegmentGetReadsKeysFromPrefix: a sealed-segment lookup reads each
+// line's key from its leading fields and decodes only the line that
+// holds the asked key. Key-like text elsewhere in a line — a Response
+// quoting a later key, or a whole key prefix — must not match; a line
+// of another field order is still found; and a line whose prefix a
+// later field contradicts, or that is out of key order, counts for
+// neither Get nor Scan. Each case runs with one block and with a
+// sparse entry every two records.
+func TestSegmentGetReadsKeysFromPrefix(t *testing.T) {
+	enc := func(recs ...Record) string {
+		var b strings.Builder
+		for _, r := range recs {
+			line, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(line)
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	rec := func(hash, response string) Record {
+		r := mkrec("p", "b", 1, hash, "valid")
+		r.Response = response
+		return r
+	}
+	cases := []struct {
+		name    string
+		segment string
+		present []Record
+		absent  []string
+	}{
+		{
+			name:    "response quotes a later key",
+			segment: enc(rec("h1", `x","file_hash":"h3","name":"fake`), rec("h2", `"file_hash":"h3"`), rec("h3", "")),
+			present: []Record{rec("h1", `x","file_hash":"h3","name":"fake`), rec("h2", `"file_hash":"h3"`), rec("h3", "")},
+			absent:  []string{"h0", "h25", "h4"},
+		},
+		{
+			name:    "response holds a whole key prefix",
+			segment: enc(rec("h1", `{"experiment":"p","backend":"b","seed":1,"file_hash":"h9"}`), rec("h2", "")),
+			present: []Record{rec("h1", `{"experiment":"p","backend":"b","seed":1,"file_hash":"h9"}`), rec("h2", "")},
+			absent:  []string{"h9"},
+		},
+		{
+			name: "another field order",
+			segment: enc(rec("h1", "")) +
+				`{"name":"t-h2","file_hash":"h2","seed":1,"backend":"b","experiment":"p","judge_ran":true,"verdict":"valid","valid":true}` + "\n" +
+				enc(rec("h3", "")),
+			present: []Record{rec("h1", ""), rec("h2", ""), rec("h3", "")},
+		},
+		{
+			name:    "escaped key",
+			segment: enc(rec("h1", "")) + enc(rec("h2<&>", "")) + enc(rec("h3", "")),
+			present: []Record{rec("h1", ""), rec("h2<&>", ""), rec("h3", "")},
+		},
+		{
+			name: "prefix contradicted by a later field",
+			segment: enc(rec("h1", "")) +
+				`{"experiment":"p","backend":"b","seed":1,"file_hash":"h2","file_hash":"h25"}` + "\n" +
+				enc(rec("h3", "")),
+			present: []Record{rec("h1", ""), rec("h3", "")},
+			absent:  []string{"h2", "h25"},
+		},
+		{
+			name:    "line out of key order",
+			segment: enc(rec("h1", ""), rec("h3", ""), rec("h2", ""), rec("h4", "")),
+			present: []Record{rec("h1", ""), rec("h3", ""), rec("h4", "")},
+			absent:  []string{"h2"},
+		},
+		{
+			name: "keyed line that does not decode",
+			segment: enc(rec("h1", "")) +
+				`{"experiment":"p","backend":"b","seed":1,"file_hash":"h2","valid":"yes"}` + "\n" +
+				enc(rec("h2", ""), rec("h3", "")),
+			present: []Record{rec("h1", ""), rec("h3", "")},
+			absent:  []string{"h2"},
+		},
+	}
+	for _, tc := range cases {
+		for _, interval := range []int{64, 2} {
+			t.Run(fmt.Sprintf("%s/interval=%d", tc.name, interval), func(t *testing.T) {
+				s, _, err := openWithSegment(t, []byte(tc.segment), nil, interval)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if got := scanAll(t, s); fmt.Sprint(got) != fmt.Sprint(tc.present) {
+					t.Errorf("Scan = %+v\nwant %+v", got, tc.present)
+				}
+				if s.Len() != len(tc.present) {
+					t.Errorf("Len = %d, want %d", s.Len(), len(tc.present))
+				}
+				for _, want := range tc.present {
+					if got, ok := s.Get(want.Key()); !ok || got != want {
+						t.Errorf("Get(%s) = %+v, %v; want %+v", want.FileHash, got, ok, want)
+					}
+				}
+				for _, h := range tc.absent {
+					if got, ok := s.Get(rec(h, "").Key()); ok {
+						t.Errorf("Get(%s) = %+v, want absent", h, got)
+					}
+				}
+				if n := s.Stats().ReadErrors; n != 0 {
+					t.Errorf("ReadErrors = %d", n)
+				}
+			})
+		}
+	}
+}
+
+// TestParseKeyRef pins which lines have their key read from the prefix:
+// exactly Record's leading fields in order, unescaped printable ASCII
+// strings, and a plain decimal seed.
+func TestParseKeyRef(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want string // the key as "exp/backend/seed/hash"; "" = not read from the prefix
+	}{
+		{`{"experiment":"p","backend":"b","seed":1,"file_hash":"h"}`, "p/b/1/h"},
+		{`{"experiment":"p","backend":"b","seed":0,"file_hash":"h","name":"x"}`, "p/b/0/h"},
+		{`{"experiment":"p","backend":"b","seed":18446744073709551615,"file_hash":"h"}`, "p/b/18446744073709551615/h"},
+		{`{"experiment":"p","backend":"b","seed":18446744073709551616,"file_hash":"h"}`, ""},
+		{`{"experiment":"p","backend":"b","seed":01,"file_hash":"h"}`, ""},
+		{`{"experiment":"p","backend":"b","seed":-1,"file_hash":"h"}`, ""},
+		{`{"experiment":"p","backend":"b","seed":1,"file_hash":"h"`, ""},
+		{`{"experiment":"p","backend":"b","seed":1,"file_hash":"h"x`, ""},
+		{`{"experiment":"p<","backend":"b","seed":1,"file_hash":"h"}`, "p</b/1/h"},
+		{`{"experiment":"p\u003c","backend":"b","seed":1,"file_hash":"h"}`, ""},
+		{`{"experiment":"p\"","backend":"b","seed":1,"file_hash":"h"}`, ""},
+		{"{\"experiment\":\"p\xc3\xa9\",\"backend\":\"b\",\"seed\":1,\"file_hash\":\"h\"}", ""},
+		{`{ "experiment":"p","backend":"b","seed":1,"file_hash":"h"}`, ""},
+		{`{"backend":"b","experiment":"p","seed":1,"file_hash":"h"}`, ""},
+	} {
+		got := ""
+		if ref, ok := parseKeyRef([]byte(tc.line)); ok {
+			k := ref.key(Key{})
+			got = fmt.Sprintf("%s/%s/%d/%s", k.Experiment, k.Backend, k.Seed, k.FileHash)
+		}
+		if got != tc.want {
+			t.Errorf("parseKeyRef(%s) = %q, want %q", tc.line, got, tc.want)
+		}
+	}
+}
+
+// fuzzActive is the valid active file FuzzOpenSegment opens beside each
+// input: one key the seeds also hold, with another verdict, and one
+// they do not.
+var fuzzActive = func() []byte {
+	var b []byte
+	for _, r := range []Record{mkrec("p", "b", 1, "h2", "invalid"), mkrec("p", "b", 1, "h9", "valid")} {
+		line, err := json.Marshal(r)
+		if err != nil {
+			panic(err)
+		}
+		b = append(append(b, line...), '\n')
+	}
+	return b
+}()
+
+// FuzzOpenSegment: arbitrary bytes as sealed segment 1, beside a valid
+// active file, with a sparse index entry every two records so small
+// inputs span several blocks. Open never panics; when it succeeds, Scan
+// yields strictly ascending keys, as many as Len reports; Get and Has
+// find every one of them, and find no other key that any line of the
+// input carries; nothing reads with an error; and the records re-encode
+// to the same bytes: Compact writes exactly their canonical encodings,
+// which scan back as the same records. The checked-in seeds
+// (testdata/fuzz/FuzzOpenSegment) hold a torn block, a duplicate key
+// across a sparse-index boundary, an unsorted block and garbage; each
+// is under 64 KiB.
+func FuzzOpenSegment(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, path, err := openWithSegment(t, data, fuzzActive, 2)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		recs := scanAll(t, s)
+		if len(recs) != s.Len() {
+			t.Fatalf("Scan yielded %d records, Len = %d", len(recs), s.Len())
+		}
+		held := make(map[Key]bool, len(recs))
+		for i, rec := range recs {
+			if i > 0 && !lessKey(recs[i-1].Key(), rec.Key()) {
+				t.Fatalf("Scan out of key order at %d: %+v after %+v", i, rec.Key(), recs[i-1].Key())
+			}
+			held[rec.Key()] = true
+			if got, ok := s.Get(rec.Key()); !ok || got != rec {
+				t.Fatalf("Get(%+v) = %v, %+v; Scan gave %+v", rec.Key(), ok, got, rec)
+			}
+			if !s.Has(rec.Key()) {
+				t.Fatalf("Has(%+v) = false", rec.Key())
+			}
+		}
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			k, ok := Key{}, false
+			if ref, keyed := parseKeyRef(line); keyed {
+				k, ok = ref.key(Key{}), true
+			} else if rec, valid := decodeLine(line); valid {
+				k, ok = rec.Key(), true
+			}
+			if ok && !held[k] {
+				if got, ok := s.Get(k); ok {
+					t.Fatalf("Get(%+v) = %+v for a key Scan did not yield", k, got)
+				}
+				if s.Has(k) {
+					t.Fatalf("Has(%+v) for a key Scan did not yield", k)
+				}
+			}
+		}
+		if n := s.Stats().ReadErrors; n != 0 {
+			t.Fatalf("ReadErrors = %d", n)
+		}
+		if _, err := s.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		var want []byte
+		for _, rec := range recs {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, line...), '\n')
+		}
+		segs := segFiles(t, path)
+		if len(recs) == 0 {
+			if len(segs) != 0 {
+				t.Fatalf("compacting no records left segments %v", segs)
+			}
+			return
+		}
+		if len(segs) != 1 {
+			t.Fatalf("compacted store has segments %v, want one", segs)
+		}
+		got, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("compacted segment:\n%s\nwant the records' encodings:\n%s", got, want)
+		}
+		if again := scanAll(t, s); fmt.Sprint(again) != fmt.Sprint(recs) {
+			t.Fatalf("records changed through re-encoding:\n%+v\nwant %+v", again, recs)
+		}
+	})
 }

@@ -13,13 +13,14 @@
 //     JSON object per line, append-only. Every key it holds is indexed
 //     in memory by where its live line sits — byte offset, length and
 //     a hash of the line — never by the decoded record (Bitcask's
-//     keydir: Sheehy & Smith, 2010), so an active key costs one 72-byte
-//     map slot however large its record. Appends are write-behind —
-//     lines land in the store's own append buffer and reach the OS
-//     when it fills, on an explicit Flush (a Runner checkpoints after
-//     every judge batch's worth of records and at phase end), and on
-//     Close; lookups read a line back from the file or, for the
-//     unflushed tail, straight from the buffer.
+//     keydir: Sheehy & Smith, 2010) — and under a 128-bit fingerprint
+//     of the key, never the key's strings, so an active key costs one
+//     32-byte, pointer-free map slot however large its record or key.
+//     Appends are write-behind — lines land in the store's own append
+//     buffer and reach the OS when it fills, on an explicit Flush (a
+//     Runner checkpoints after every judge batch's worth of records
+//     and at phase end), and on Close; lookups read a line back from
+//     the file or, for the unflushed tail, straight from the buffer.
 //     A crash loses at most the un-flushed tail plus at most one torn
 //     final line, and Open tolerates exactly that: unparsable or
 //     incomplete lines are counted (Dropped) and skipped, recovery is
@@ -213,9 +214,9 @@ type Store struct {
 	tail        tail          // unflushed lines, which start at offset flushed
 	enc         *json.Encoder // encodes into tail
 	scratch     *Record       // reused Encode argument; a plain rec would box into any per call
-	index       map[Key]activeEntry
-	seed        maphash.Seed // for activeEntry.sum
-	activeLines int          // physical lines in the active file (valid, superseded, and corrupt)
+	index       map[fingerprint]activeEntry
+	seeds       [2]maphash.Seed // for fingerprints; seeds[0] also for activeEntry.sum
+	activeLines int             // physical lines in the active file (valid, superseded, and corrupt)
 
 	// Sealed segments, oldest first (ascending seq).
 	segs     []*segment
@@ -240,12 +241,30 @@ type Store struct {
 // offset, its length without the newline, and the low bits of a hash
 // of the record's canonical encoding (the bytes Put would write for
 // it), which lets an identical re-Put skip reading the line back
-// unless it is probably a replay. 16 bytes, so with its 56-byte Key a
-// map slot is 72.
+// unless it is probably a replay. 16 bytes, so with its 16-byte
+// fingerprint a map slot is 32, and neither holds a pointer: the index
+// keeps no key strings alive and the garbage collector never scans it.
 type activeEntry struct {
 	off int64
 	n   uint32
 	sum uint32
+}
+
+// fingerprint is the active index's key: a 128-bit hash of a whole Key
+// (experiment, backend, seed and file hash), two 64-bit hashes under
+// independent seeds drawn when the store opens. The index trusts it
+// as the key's identity, on the same footing as the SHA-256 FileHash
+// the store already treats as a file's identity: two distinct keys
+// share a fingerprint with probability 2⁻¹²⁸, and since the seeds are
+// random per store, no input can be crafted to collide. Get still
+// confirms that the line it reads holds the asked key. Whatever needs
+// a key's fields or key order (Open's distinct-key count, a seal, a
+// filtered Scan) reads them from the lines.
+type fingerprint struct{ a, b uint64 }
+
+// fp is k's fingerprint in this store.
+func (s *Store) fp(k Key) fingerprint {
+	return fingerprint{maphash.Comparable(s.seeds[0], k), maphash.Comparable(s.seeds[1], k)}
 }
 
 // tail is the active file's write-behind buffer: the encoder appends
@@ -283,7 +302,8 @@ func OpenWith(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{path: path, opts: opts, f: f, index: map[Key]activeEntry{}, seed: maphash.MakeSeed()}
+	s := &Store{path: path, opts: opts, f: f, index: map[fingerprint]activeEntry{}}
+	s.seeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 	s.enc = json.NewEncoder(&s.tail)
 	s.scratch = new(Record)
 	s.mergeCond = sync.NewCond(&s.mu)
@@ -318,15 +338,18 @@ func OpenWith(path string, opts Options) (*Store, error) {
 	// default), and a record whose response or transcript outgrew
 	// whatever cap was chosen would not degrade to one dropped line —
 	// ErrTooLong aborts the whole scan and the store would refuse to
-	// open. readLine has no line-length ceiling, so arbitrarily large
+	// open. lineReader has no line-length ceiling, so arbitrarily large
 	// records round-trip and corruption stays line-local. Each valid
 	// line is indexed by its offset, with the hash of its record's
 	// canonical encoding: a line another writer encoded in another
-	// field order still dedupes against a re-Put of its record.
-	r := bufio.NewReaderSize(f, 64*1024)
+	// field order still dedupes against a re-Put of its record. The
+	// keys the replay decodes are kept until the distinct-key count
+	// below, so it needs no second read.
+	r := lineReader{r: bufio.NewReaderSize(f, 64*1024)}
 	var off int64
+	var replayed []activePair
 	for {
-		line, rerr := readLine(r)
+		line, rerr := r.next()
 		lineOff := off
 		off += int64(len(line))
 		if rerr == nil {
@@ -334,15 +357,16 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		}
 		if len(line) > 0 {
 			s.activeLines++
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil || rec.FileHash == "" || rec.Experiment == "" || int64(len(line)) > maxLine {
+			if rec, ok := decodeLine(line); !ok || int64(len(line)) > maxLine {
 				s.dropped++
 			} else {
 				canon, err := s.encode(rec)
 				if err != nil {
 					return fail(err)
 				}
-				s.index[rec.Key()] = activeEntry{off: lineOff, n: uint32(len(line)), sum: s.sum(canon)}
+				e := activeEntry{off: lineOff, n: uint32(len(line)), sum: s.sum(canon)}
+				s.index[s.fp(rec.Key())] = e
+				replayed = append(replayed, activePair{rec.Key(), e})
 				s.tail.b = s.tail.b[:0]
 			}
 		}
@@ -354,11 +378,12 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		}
 	}
 
-	// One merge pass over every segment plus the active index's keys
-	// does double duty: it builds each segment's sparse index and Bloom
-	// filter, and computes the exact distinct-key count in O(streams)
-	// memory (every stream is sorted, so duplicates meet at the merge
-	// head).
+	// One merge pass over every segment plus the active segment's live
+	// keys does double duty: it builds each segment's sparse index and
+	// Bloom filter, and computes the exact distinct-key count in
+	// O(streams) memory (every stream is sorted, so duplicates meet at
+	// the merge head). A replayed line is live when its key's index
+	// entry still points at it.
 	segStreams := make([]*segStream, len(s.segs))
 	streams := make([]stream, 0, len(s.segs)+1)
 	for i, sg := range s.segs {
@@ -369,7 +394,14 @@ func OpenWith(path string, opts Options) (*Store, error) {
 		segStreams[i] = ss
 		streams = append(streams, ss)
 	}
-	keys, err := s.activeStream(nil, keysOnly)
+	live := replayed[:0]
+	for _, p := range replayed {
+		if s.index[s.fp(p.key)] == p.e {
+			live = append(live, p)
+		}
+	}
+	sortPairs(live)
+	keys, err := s.activeStream(live, keysOnly)
 	if err != nil {
 		return fail(err)
 	}
@@ -448,7 +480,7 @@ func (s *Store) encode(rec Record) ([]byte, error) {
 
 // sum is the hash an activeEntry keeps of a canonical line.
 func (s *Store) sum(line []byte) uint32 {
-	return uint32(maphash.Bytes(s.seed, line))
+	return uint32(maphash.Bytes(s.seeds[0], line))
 }
 
 // activeSize is the active segment's logical size, the write-behind
@@ -507,7 +539,7 @@ func (s *Store) Get(k Key) (Record, bool) {
 		ok  bool
 		err error
 	)
-	if e, in := s.index[k]; in {
+	if e, in := s.index[s.fp(k)]; in {
 		rec, err = s.record(k, e)
 		ok = err == nil
 	} else {
@@ -525,7 +557,7 @@ func (s *Store) Get(k Key) (Record, bool) {
 func (s *Store) Has(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[k]; ok {
+	if _, ok := s.index[s.fp(k)]; ok {
 		return true
 	}
 	_, ok, err := s.segLookup(k)
@@ -590,8 +622,9 @@ func (s *Store) put(rec Record) error {
 		return fmt.Errorf("store: append: a record of %d bytes is too long", len(line))
 	}
 	k := rec.Key()
+	fp := s.fp(k)
 	sum := s.sum(line)
-	if old, ok := s.index[k]; ok {
+	if old, ok := s.index[fp]; ok {
 		if old.sum == sum && s.sameLine(k, old, line) {
 			s.tail.b = s.tail.b[:start]
 			return nil
@@ -618,7 +651,7 @@ func (s *Store) put(rec Record) error {
 		s.werr = fmt.Errorf("store: append: %w", err)
 		return s.werr
 	}
-	s.index[k] = activeEntry{off: s.flushed + int64(start), n: uint32(len(line)), sum: sum}
+	s.index[fp] = activeEntry{off: s.flushed + int64(start), n: uint32(len(line)), sum: sum}
 	s.activeLines++
 	if len(s.tail.b) >= writeBufSize {
 		if err := s.writeTail(); err != nil {
@@ -658,6 +691,52 @@ func (s *Store) sameLine(k Key, e activeEntry, line []byte) bool {
 	return rec == *s.scratch
 }
 
+// livePairs reads the active segment once in file order — the flushed
+// bytes, then the write-behind tail — and returns the live lines whose
+// key f's prefix selects, sorted by key. A line is live when its key's
+// index entry points at it. Keys are read from the lines' prefixes and
+// checked against f in place, so only lines of another shape are
+// decoded and only selected keys are copied out. Callers hold mu.
+func (s *Store) livePairs(f Filter) ([]activePair, error) {
+	r := lineReader{r: bufio.NewReaderSize(io.MultiReader(io.NewSectionReader(s.f, 0, s.flushed), bytes.NewReader(s.tail.b)), 64*1024)}
+	var pairs []activePair
+	if f == (Filter{}) {
+		pairs = make([]activePair, 0, len(s.index))
+	}
+	var off int64
+	var k Key
+	for {
+		line, err := r.next()
+		lineOff := off
+		off += int64(len(line))
+		if err == nil {
+			off++ // the newline
+		}
+		selected := false
+		if ref, ok := parseKeyRef(line); ok {
+			if selected = f.matchRef(ref); selected {
+				k = ref.key(k)
+			}
+		} else if rec, ok := decodeLine(line); ok {
+			k = rec.Key()
+			selected = f.match(k)
+		}
+		if selected {
+			if e, in := s.index[s.fp(k)]; in && e.off == lineOff {
+				pairs = append(pairs, activePair{k, e})
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: reading %s: %w", s.path, err)
+		}
+	}
+	sortPairs(pairs)
+	return pairs, nil
+}
+
 // writeTail writes the write-behind tail to the active file.
 func (s *Store) writeTail() error {
 	n, err := s.f.Write(s.tail.b)
@@ -694,7 +773,16 @@ func (s *Store) sealLocked() error {
 		return err
 	}
 	if len(s.index) > 0 {
-		live, err := s.activeStream(nil, rawLines)
+		pairs, err := s.livePairs(Filter{})
+		if err != nil {
+			return err
+		}
+		if len(pairs) != len(s.index) {
+			// The file changed under the store: fail the seal rather
+			// than drop the records it no longer holds.
+			return fmt.Errorf("store: %s no longer holds %d of its %d active records", s.path, len(s.index)-len(pairs), len(s.index))
+		}
+		live, err := s.activeStream(pairs, rawLines)
 		if err != nil {
 			return err
 		}
@@ -718,7 +806,7 @@ func (s *Store) sealLocked() error {
 	}
 	s.flushed = 0
 	s.activeLines = 0
-	s.index = make(map[Key]activeEntry)
+	s.index = make(map[fingerprint]activeEntry)
 	return nil
 }
 
@@ -932,6 +1020,13 @@ func (f Filter) match(k Key) bool {
 	return true
 }
 
+// matchRef is match for a key read in place from a line.
+func (f Filter) matchRef(r keyRef) bool {
+	return (f.Experiment == "" || string(r.experiment) == f.Experiment) &&
+		(f.Backend == "" || string(r.backend) == f.Backend) &&
+		(f.Seed == nil || r.seed == *f.Seed)
+}
+
 // beyond reports that k sorts past the filter's prefix range — every
 // later key in a sorted stream misses too, so the scan can stop.
 func (f Filter) beyond(k Key) bool {
@@ -970,8 +1065,10 @@ func (f Filter) startKey() Key {
 // order (for a fixed (experiment, backend, seed) prefix that is file-
 // hash order), without materialising the result set: sealed segments
 // contribute one bounded range read each, merged last-write-wins with
-// the active segment's matching lines, each read back as the scan
-// reaches it. yield returning false stops the scan. The store's lock
+// the active segment's matching lines. Those are found by one read of
+// the whole active file (at most SealBytes), which decodes no line the
+// filter's prefix rules out, and each is read back and decoded as the
+// scan reaches it. yield returning false stops the scan. The store's lock
 // is held for the duration — yield must not call back into the store.
 func (s *Store) Scan(f Filter, yield func(Record) bool) error {
 	s.mu.Lock()
@@ -999,7 +1096,11 @@ func (s *Store) Scan(f Filter, yield func(Record) bool) error {
 		}
 		streams = append(streams, ss)
 	}
-	active, err := s.activeStream(f.match, records)
+	pairs, err := s.livePairs(f)
+	if err != nil {
+		return err
+	}
+	active, err := s.activeStream(pairs, records)
 	if err != nil {
 		return err
 	}
