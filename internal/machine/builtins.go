@@ -16,7 +16,7 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 	if fd, ok := l.obj.Funcs[n.Fun]; ok && fd.Body != nil {
 		fn, args := l.function(n.Fun, fd), l.exprs(n.Args)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return ex.callFunction(fn, args)
 		}
 	}
@@ -41,7 +41,7 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 		}
 		size := arg(0)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			bytes := size(ex).asInt()
 			if bytes < 0 || bytes > 1<<28 {
 				return nullVal()
@@ -54,7 +54,7 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 		}
 		count, size := arg(0), arg(1)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			c := count(ex).asInt()
 			total := c * size(ex).asInt()
 			if total < 0 || total > 1<<28 {
@@ -68,7 +68,7 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 		}
 		ptr := arg(0)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			v := ptr(ex)
 			if v.k == kNull || (v.k == kInt && v.i == 0) {
 				return intVal(0) // free(NULL) is a no-op
@@ -86,19 +86,19 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 	case "exit":
 		if len(n.Args) == 0 {
 			return func(ex *exec) value {
-				ex.bud.step()
+				ex.in.step()
 				panic(exitSignal{code: 0})
 			}
 		}
 		code := arg(0)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			panic(exitSignal{code: int(code(ex).asInt())})
 		}
 	case "abs", "labs":
 		x := arg(0)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			v := x(ex).asInt()
 			if v < 0 {
 				v = -v
@@ -129,7 +129,7 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 		return math2(arg(0), arg(1), math.Min)
 	case "omp_get_num_threads":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			if ex.regionWidth > 0 {
 				return intVal(int64(ex.regionWidth))
 			}
@@ -137,19 +137,19 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 		}
 	case "omp_get_thread_num":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return intVal(int64(ex.workerID))
 		}
 	case "omp_get_max_threads":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return intVal(int64(ex.in.opts.Workers))
 		}
 	case "omp_get_num_devices", "acc_get_num_devices":
 		return constant(intVal(1))
 	case "omp_is_initial_device":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return boolToInt(!ex.inDevice)
 		}
 	case "acc_get_device_num":
@@ -165,7 +165,7 @@ func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 		msg:  fmt.Sprintf("symbol lookup error: undefined symbol: %s", n.Fun),
 	}
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		panic(link)
 	}
 }
@@ -177,14 +177,14 @@ func missingArg(*exec) value { panic(segfault()) }
 
 func math1(x evalFn, f func(float64) float64) evalFn {
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		return floatVal(f(x(ex).asFloat()))
 	}
 }
 
 func math2(x, y evalFn, f func(float64, float64) float64) evalFn {
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		a := x(ex).asFloat()
 		return floatVal(f(a, y(ex).asFloat()))
 	}
@@ -205,7 +205,7 @@ func (l *lowerer) printf(args []testlang.Expr, toErr bool) evalFn {
 	}
 	rest := l.exprs(args[1:])
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		f := format
 		if formatFn != nil {
 			f = formatFn(ex).str()

@@ -5,7 +5,8 @@ import (
 )
 
 // exec is one thread of interpretation: shared interpreter state plus
-// the running function's frame and region context.
+// the running function's frame and region context. Region workers each
+// get their own, but run one after another on the goroutine of Run.
 type exec struct {
 	in *interp
 	// frame holds the running function's variables, one cell per slot
@@ -14,9 +15,6 @@ type exec struct {
 	frame []*cell
 	// store backs the cells the frame's own declarations bind (own).
 	store []cell
-	// bud is the step budget of the goroutine running this exec;
-	// callees share it.
-	bud *budget
 	// inDevice is true inside a device compute region (affects fault
 	// flavour and nested construct behaviour).
 	inDevice bool
@@ -28,9 +26,6 @@ type exec struct {
 	// each worker runs a different slice of iterations. Nested loop
 	// directives work-share only in redundant regions.
 	redundant bool
-	// locked is true while this goroutine holds atomicMu: inside a
-	// critical, atomic, single or master body.
-	locked bool
 	// callDepth guards against runaway recursion.
 	callDepth int
 	// ret carries a return statement's value while it unwinds the call.
@@ -327,11 +322,9 @@ func (ex *exec) callFunction(fn *funcCode, args []evalFn) value {
 	callee := &exec{
 		in:          ex.in,
 		frame:       make([]*cell, fn.slots),
-		bud:         ex.bud,
 		inDevice:    ex.inDevice,
 		workerID:    ex.workerID,
 		regionWidth: ex.regionWidth,
-		locked:      ex.locked,
 		callDepth:   ex.callDepth + 1,
 	}
 	for i, a := range args {

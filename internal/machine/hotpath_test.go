@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -79,6 +78,9 @@ int main() {
 	}
 }
 
+// Region workers run one after another on one step counter, so a run
+// that hits the limit inside a parallel region traps at exactly step
+// StepLimit+1, at any width.
 func TestStepLimitBoundsParallelWorkers(t *testing.T) {
 	src := `
 int main() {
@@ -96,56 +98,17 @@ int main() {
 		t.Fatalf("compile failed:\n%s", res.Stderr)
 	}
 	const limit = 200_000
-	for i := 0; i < 10; i++ {
-		r := Run(res.Object, Options{Workers: 4, StepLimit: limit})
+	for _, w := range []int{1, 4, 16} {
+		r := Run(res.Object, Options{Workers: w, StepLimit: limit})
 		if r.ReturnCode != 124 || r.Trap != "step-limit" {
-			t.Fatalf("rc = %d trap = %q, want 124 step-limit", r.ReturnCode, r.Trap)
+			t.Fatalf("Workers %d: rc = %d trap = %q, want 124 step-limit", w, r.ReturnCode, r.Trap)
 		}
-		if r.Steps > limit {
-			t.Fatalf("ran %d steps past StepLimit %d", r.Steps, limit)
+		if r.Steps != limit {
+			t.Fatalf("Workers %d: ran %d steps, want exactly StepLimit %d", w, r.Steps, limit)
 		}
 		if !strings.Contains(r.Stderr, "time limit") {
-			t.Fatalf("stderr = %q", r.Stderr)
+			t.Fatalf("Workers %d: stderr = %q", w, r.Stderr)
 		}
-	}
-}
-
-// Budgets claiming from one limit on concurrent goroutines spend it
-// exactly: none steps past the limit, and every claimed step is either
-// spent or returned.
-func TestBudgetsShareLimitConcurrently(t *testing.T) {
-	const limit, workers = 100_003, 8
-	in := &interp{}
-	in.remaining.Store(limit)
-	spent := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			b := &budget{in: in}
-			defer func() {
-				b.release()
-				if _, ok := recover().(trapSignal); !ok {
-					t.Errorf("worker %d ended without a step-limit trap", w)
-				}
-			}()
-			for {
-				b.step()
-				spent[w]++
-				if spent[w]%5000 == 0 {
-					b.release() // as a worker forking a nested region does
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, n := range spent {
-		total += n
-	}
-	if total != limit || in.remaining.Load() != 0 {
-		t.Fatalf("spent %d steps with %d unclaimed, want %d and 0", total, in.remaining.Load(), limit)
 	}
 }
 

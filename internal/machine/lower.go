@@ -22,8 +22,9 @@ import (
 //     target, an undefined function, an unbound name) lowers to a
 //     closure that faults when, and only when, it runs.
 //   - Sharing: lowered code is immutable once Run starts executing, so
-//     concurrent region workers share it. Anything a closure needs
-//     per execution lives on the exec, its frame, or its stack.
+//     every region worker, and every fork of a nested region, runs the
+//     same closures. Anything a closure needs per execution lives on
+//     the exec, its frame, or its stack.
 //   - Names: every variable use resolves, here, to slots of its
 //     function's frame (varRef); nothing compares a name at run time.
 //     Each declaration site owns a slot, and each global a function
@@ -349,7 +350,7 @@ func clearSlots(ex *exec, slots []int) {
 func nopStmt(*exec) {}
 
 // stepStmt is a statement that does nothing but take its step.
-func stepStmt(ex *exec) { ex.bud.step() }
+func stepStmt(ex *exec) { ex.in.step() }
 
 func (l *lowerer) stmts(list []testlang.Stmt) []execFn {
 	out := make([]execFn, len(list))
@@ -372,7 +373,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 		l.cond = cond
 		if len(clear) > 0 {
 			return func(ex *exec) {
-				ex.bud.step()
+				ex.in.step()
 				clearSlots(ex, clear)
 				for _, f := range body {
 					f(ex)
@@ -380,7 +381,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			}
 		}
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			for _, f := range body {
 				f(ex)
 			}
@@ -391,7 +392,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			decls[i] = l.declare(d)
 		}
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			for _, d := range decls {
 				d(ex)
 			}
@@ -399,14 +400,14 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 	case *testlang.ExprStmt:
 		x := l.expr(n.X)
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			x(ex)
 		}
 	case *testlang.IfStmt:
 		cond := l.expr(n.Cond)
 		then, els := l.bare(n.Then), l.bare(n.Else)
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			if cond(ex).truthy() {
 				then(ex)
 			} else {
@@ -416,7 +417,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 	case *testlang.ForStmt:
 		loop := l.forLoop(n, "", nil)
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			loop.run(ex)
 		}
 	case *testlang.WhileStmt:
@@ -424,7 +425,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 		cond := l.expr(n.Cond)
 		body := l.bare(n.Body)
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			for cond(ex).truthy() {
 				if runBody(ex, body) {
 					return
@@ -434,31 +435,31 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 	case *testlang.ReturnStmt:
 		if n.X == nil {
 			return func(ex *exec) {
-				ex.bud.step()
+				ex.in.step()
 				ex.ret.v = intVal(0)
 				panic(&ex.ret)
 			}
 		}
 		x := l.expr(n.X)
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			ex.ret.v = x(ex)
 			panic(&ex.ret)
 		}
 	case *testlang.BreakStmt:
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			panic(breakSignal{})
 		}
 	case *testlang.ContinueStmt:
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			panic(continueSignal{})
 		}
 	case *testlang.DirectiveStmt:
 		d := l.directive(n)
 		return func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			d.run(ex)
 		}
 	default:
@@ -605,7 +606,7 @@ func (f *forLoop) run(ex *exec) {
 // constant is an expression whose value lowering already knows.
 func constant(v value) evalFn {
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		return v
 	}
 }
@@ -613,7 +614,7 @@ func constant(v value) evalFn {
 // evalZero is an absent expression where one is evaluated anyway: it
 // steps and yields 0.
 func evalZero(ex *exec) value {
-	ex.bud.step()
+	ex.in.step()
 	return intVal(0)
 }
 
@@ -648,7 +649,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.PostfixExpr:
 		p, d := l.place(n.X), delta(n.Op)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			pl := p(ex)
 			old := pl.load()
 			pl.store(applyDelta(old, d))
@@ -659,7 +660,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.CondExpr:
 		cond, then, els := l.expr(n.Cond), l.expr(n.Then), l.expr(n.Else)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			if cond(ex).truthy() {
 				return then(ex)
 			}
@@ -678,7 +679,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 		if to.Ptr > 0 {
 			pointee := testlang.Type{Base: to.Base, Ptr: to.Ptr - 1}
 			return func(ex *exec) value {
-				ex.bud.step()
+				ex.in.step()
 				v := x(ex)
 				if v.k == kRef && !v.b.materialized {
 					v.b.materialize(pointee)
@@ -688,7 +689,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 		}
 		cv := convOf(to)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return cv.apply(x(ex))
 		}
 	case *testlang.InitList:
@@ -697,7 +698,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 		}
 		first := l.expr(n.Elems[0])
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return first(ex)
 		}
 	default:
@@ -745,7 +746,7 @@ func (l *lowerer) ident(name string) evalFn {
 	case len(r) == 1:
 		s := r[0]
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			if c := ex.frame[s]; c != nil {
 				return c.v
 			}
@@ -756,7 +757,7 @@ func (l *lowerer) ident(name string) evalFn {
 		}
 	}
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		if c := ex.cellOf(r); c != nil {
 			return c.v
 		}
@@ -777,7 +778,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 	switch op {
 	case "&&":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			if !x(ex).truthy() {
 				return intVal(0)
 			}
@@ -785,7 +786,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "||":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			if x(ex).truthy() {
 				return intVal(1)
 			}
@@ -793,7 +794,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "+":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -805,7 +806,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "-":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -817,7 +818,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "*":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -829,7 +830,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "<":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -841,7 +842,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "<=":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -853,7 +854,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case ">":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -865,7 +866,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case ">=":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -877,7 +878,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "==":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -889,7 +890,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	case "!=":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			a, b := x(ex), y(ex)
 			switch {
 			case a.k == kInt && b.k == kInt:
@@ -901,7 +902,7 @@ func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
 		}
 	}
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		a, b := x(ex), y(ex)
 		return arith(op, a, b)
 	}
@@ -912,7 +913,7 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 	case "*":
 		p := l.deref(n.X)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return p(ex).load()
 		}
 	case "&":
@@ -920,7 +921,7 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 	case "++", "--":
 		p, d := l.place(n.X), delta(n.Op)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			pl := p(ex)
 			nv := applyDelta(pl.load(), d)
 			pl.store(nv)
@@ -931,12 +932,12 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 	switch n.Op {
 	case "!":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return boolToInt(!x(ex).truthy())
 		}
 	case "-":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			v := x(ex)
 			if v.k == kFloat {
 				return floatVal(-v.f())
@@ -945,12 +946,12 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 		}
 	case "~":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			return intVal(^x(ex).asInt())
 		}
 	}
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		return x(ex)
 	}
 }
@@ -961,14 +962,14 @@ func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 	case *testlang.IndexExpr:
 		ref := l.chain(t, false)
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			b, off := ref(ex)
 			return elemRef(b.b, off)
 		}
 	case *testlang.IdentExpr:
 		x, name := l.ident(t.Name), t.Name
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			v := x(ex)
 			if v.k == kRef {
 				return v
@@ -1070,7 +1071,7 @@ func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) func(*exec) (value, 
 	}
 	return func(ex *exec) (value, int) {
 		for i := 0; i < steps; i++ {
-			ex.bud.step()
+			ex.in.step()
 		}
 		v := base(ex)
 		last := len(idx) - 1
@@ -1088,7 +1089,7 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 	switch n.Op {
 	case "=":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			pl := p(ex)
 			rhs := r(ex)
 			out := coerceLike(pl.load(), rhs)
@@ -1097,7 +1098,7 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 		}
 	case "+=":
 		return func(ex *exec) value {
-			ex.bud.step()
+			ex.in.step()
 			pl := p(ex)
 			rhs := r(ex)
 			cur := pl.load()
@@ -1116,7 +1117,7 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 	}
 	op := strings.TrimSuffix(n.Op, "=")
 	return func(ex *exec) value {
-		ex.bud.step()
+		ex.in.step()
 		pl := p(ex)
 		rhs := r(ex)
 		out := arith(op, pl.load(), rhs)

@@ -247,16 +247,14 @@ int main() {
 	}
 }
 
-// Concurrent region workers share one program's lowered code, so
-// nothing a region computes once per directive may be written while it
-// runs. Here each worker of a host parallel region forks a work-shared
+// Every region worker runs one program's lowered code, so nothing a
+// region computes once per directive may be changed by running it.
+// Here each worker of a host parallel region forks a work-shared
 // reduction of its own, twenty times over. Before the region analyses
 // moved to lowering time, each fork deleted the reduction name from the
-// loop's use set (which also holds last, so it never empties); with
-// that set shared, the deletes race each other and the other workers'
-// reads, which the Go runtime reports as a fatal concurrent map write.
-// Race builds run region workers one after another (race_on.go), so
-// only repetition at a real width shows the fault.
+// loop's use set (which also holds last, so it never empties), a set
+// every fork shares. Repeating the region at a real width pins that
+// no worker's run changes what the next one sees.
 func TestNestedReductionRepeatable(t *testing.T) {
 	res := compileMaybe(`#include <stdio.h>
 #include <omp.h>
@@ -597,11 +595,9 @@ int main() {
 
 // A reduction clause on a work-shared loop inside a parallel region
 // gives each worker's chunk an accumulator of its own, folded into the
-// shared variable under atomicMu once the chunk is done, so concurrent
-// workers never race on it. Inside a single construct, worker 0 already
-// holds atomicMu: the fold must not take it again (a deadlock). Only
-// worker 0 runs a single body, so only its quarter of the iterations
-// runs.
+// shared variable once the chunk is done. Inside a single construct
+// only worker 0 runs the body, so only its quarter of the iterations
+// runs, and its fold must still finish.
 func TestChunkedLoopReduction(t *testing.T) {
 	const loop = `
             #pragma omp for reduction(+:sum)
@@ -640,11 +636,10 @@ int main() {
 	}
 }
 
-// atomicMu stands for every critical name and every atomic at once, so
-// a mutual-exclusion construct nested in another (real OpenMP allows a
+// A mutual-exclusion construct nested in another (real OpenMP allows a
 // critical in a differently named one, and an atomic in a critical)
-// runs under the lock its goroutine already holds instead of taking it
-// again. Each case must finish with every worker's update counted.
+// runs its body like the outer one. Each case must finish with every
+// worker's update counted.
 func TestNestedMutualExclusion(t *testing.T) {
 	cases := []struct {
 		name, body string
@@ -711,10 +706,9 @@ int main() {
 }
 
 // TestNestedParallelInExclusive runs an omp parallel inside a critical,
-// single or master body whose workers take the lock again (atomic or
-// critical). The encountering goroutine holds that lock while it waits
-// for the inner workers, so they must run under it: on its goroutine,
-// one after another. Each case deadlocked before that. All cases share
+// single or master body whose workers enter an atomic or critical of
+// their own. Each case must finish with every inner update counted;
+// when mutual exclusion was a lock, each deadlocked. All cases share
 // one deadline, so a regression fails in seconds rather than per case.
 func TestNestedParallelInExclusive(t *testing.T) {
 	type outcome struct {

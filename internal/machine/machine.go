@@ -3,8 +3,6 @@ package machine
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/compiler"
 )
@@ -16,13 +14,9 @@ type Options struct {
 	Workers int
 	// StepLimit bounds total interpreted steps across all workers;
 	// exceeding it kills the run with ReturnCode 124, modelling the
-	// batch-system time limit the paper's pipeline runs under. A run
-	// never executes more than StepLimit steps. Steps that run one
-	// after another (code outside parallel regions, and region workers
-	// run serially: one worker, or a race-detector build) trap at
-	// exactly step StepLimit+1. Concurrent region workers claim steps
-	// in chunks of 1024, so one may trap while another still holds
-	// unspent steps: up to 1024 steps per worker sooner.
+	// batch-system time limit the paper's pipeline runs under. Region
+	// workers run one after another, so every run traps at exactly
+	// step StepLimit+1, at any Workers.
 	// 0 means DefaultStepLimit.
 	StepLimit int64
 	// OutputLimit bounds captured stdout/stderr bytes (each).
@@ -48,10 +42,10 @@ type Result struct {
 	// reports; the judge only sees ReturnCode/Stderr like a real run.
 	Trap string
 	// Steps is the number of interpreted steps, for benchmarks. It
-	// never exceeds Options.StepLimit. For a completed run it is exact
-	// and independent of scheduling: a work-shared loop costs the same
-	// steps at any Options.Workers (a redundant omp parallel body runs
-	// once per worker, so it costs more at a larger width).
+	// never exceeds Options.StepLimit, and equals it when the run hit
+	// the limit. A work-shared loop costs the same steps at any
+	// Options.Workers (a redundant omp parallel body runs once per
+	// worker, so it costs more at a larger width).
 	Steps int64
 }
 
@@ -77,23 +71,16 @@ type continueSignal struct{}
 type interp struct {
 	opts Options
 
-	outMu    sync.Mutex
 	stdout   strings.Builder
 	stderr   strings.Builder
 	outTrunc bool
 
-	// remaining is the part of the step limit no goroutine has
-	// claimed; budgets claim it in chunks and return what they do not
-	// spend.
-	remaining atomic.Int64
-
-	// atomicMu serialises atomic updates and critical sections.
-	atomicMu sync.Mutex
+	// stepsLeft is the part of the step limit not yet spent.
+	stepsLeft int64
 
 	// presence is the device data environment: host block -> device
 	// mirror with a structured/dynamic reference count.
-	presenceMu sync.Mutex
-	presence   map[*block]*presenceEntry
+	presence map[*block]*presenceEntry
 
 	// globals is the frame of the file-scope variables: one slot per
 	// distinct name, which a redeclaration fills anew.
@@ -119,13 +106,10 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	if opts.OutputLimit <= 0 {
 		opts.OutputLimit = DefaultOutputLimit
 	}
-	in := &interp{opts: opts, presence: map[*block]*presenceEntry{}}
-	in.remaining.Store(opts.StepLimit)
-	bud := &budget{in: in}
+	in := &interp{opts: opts, stepsLeft: opts.StepLimit, presence: map[*block]*presenceEntry{}}
 	res = &Result{}
 	defer func() {
-		bud.release()
-		res.Steps = opts.StepLimit - in.remaining.Load()
+		res.Steps = opts.StepLimit - in.stepsLeft
 		res.Stdout = in.stdout.String()
 		res.Stderr = in.stderr.String()
 		switch sig := recover().(type) {
@@ -151,7 +135,7 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	}
 	prog := lower(obj)
 	in.globals = make([]*cell, prog.nglobals)
-	ex := &exec{in: in, frame: in.globals, bud: bud}
+	ex := &exec{in: in, frame: in.globals}
 	for _, g := range prog.globals {
 		g(ex)
 	}
@@ -163,54 +147,15 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	return res
 }
 
-// stepChunk is how many steps a budget claims from the shared
-// counter at a time: large enough that the shared cache line is
-// touched once per thousand steps, small enough that concurrent
-// workers strand little of the limit.
-const stepChunk = 1024
-
-// budget is one goroutine's share of the step limit. Only its own
-// goroutine touches left, so a step costs no shared-memory traffic.
-type budget struct {
-	in   *interp
-	left int64
-}
-
 // step counts one interpreted step and enforces the step limit.
-func (b *budget) step() {
-	if b.left == 0 {
-		b.claim()
+func (in *interp) step() {
+	if in.stepsLeft == 0 {
+		panic(trapSignal{kind: "step-limit", rc: 124, msg: "Killed: execution time limit exceeded"})
 	}
-	b.left--
-}
-
-// claim takes the next chunk from the unclaimed steps, trapping when
-// none are left.
-func (b *budget) claim() {
-	for {
-		r := b.in.remaining.Load()
-		if r <= 0 {
-			panic(trapSignal{kind: "step-limit", rc: 124, msg: "Killed: execution time limit exceeded"})
-		}
-		n := min64(r, stepChunk)
-		if b.in.remaining.CompareAndSwap(r, r-n) {
-			b.left = n
-			return
-		}
-	}
-}
-
-// release returns the unspent steps to the shared counter.
-func (b *budget) release() {
-	if b.left > 0 {
-		b.in.remaining.Add(b.left)
-		b.left = 0
-	}
+	in.stepsLeft--
 }
 
 func (in *interp) printOut(s string) {
-	in.outMu.Lock()
-	defer in.outMu.Unlock()
 	if in.stdout.Len()+len(s) > in.opts.OutputLimit {
 		if !in.outTrunc {
 			in.stdout.WriteString("\n[output truncated]\n")
@@ -222,8 +167,6 @@ func (in *interp) printOut(s string) {
 }
 
 func (in *interp) printErr(s string) {
-	in.outMu.Lock()
-	defer in.outMu.Unlock()
 	if in.stderr.Len()+len(s) > in.opts.OutputLimit {
 		return
 	}

@@ -2,7 +2,7 @@ package machine
 
 import (
 	"math"
-	"sync"
+	"runtime"
 
 	"repro/internal/compiler"
 	"repro/internal/spec"
@@ -10,7 +10,7 @@ import (
 )
 
 // maxRegionWorkers caps requested parallelism (num_gangs(100000) must
-// not spawn 100000 goroutines).
+// not run a region body 100000 times).
 const maxRegionWorkers = 64
 
 // dirCode is one lowered directive: its compiled plan with every
@@ -98,7 +98,7 @@ func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 		d.loop = l.forLoop(fs, d.shape.varName, rg)
 		loop := d.loop
 		d.body = func(ex *exec) {
-			ex.bud.step()
+			ex.in.step()
 			loop.run(ex)
 		}
 	}
@@ -266,14 +266,14 @@ func (d *dirCode) run(ex *exec) {
 	}
 
 	switch plan.Kind {
-	case compiler.KindNoop, compiler.KindInline:
+	case compiler.KindNoop, compiler.KindInline, compiler.KindCritical, compiler.KindAtomic:
+		// Region workers run one after another, so a critical or
+		// atomic body is already exclusive.
 		d.body(ex)
 	case compiler.KindOnce:
 		if ex.workerID == 0 {
-			ex.exclusive(d.body)
+			d.body(ex)
 		}
-	case compiler.KindCritical, compiler.KindAtomic:
-		ex.exclusive(d.body)
 	case compiler.KindData:
 		releases := ex.applyDataOps(d.data, true)
 		d.body(ex)
@@ -309,25 +309,6 @@ func (d *dirCode) run(ex *exec) {
 	default:
 		d.body(ex)
 	}
-}
-
-// exclusive runs a critical, atomic, single or master body, or a
-// reduction fold, holding atomicMu. atomicMu stands for every critical
-// name and every atomic at once, so a body nested in another such
-// construct runs under the lock its goroutine already holds: taking it
-// again would block forever.
-func (ex *exec) exclusive(body execFn) {
-	if ex.locked {
-		body(ex)
-		return
-	}
-	ex.in.atomicMu.Lock()
-	ex.locked = true
-	defer func() {
-		ex.locked = false
-		ex.in.atomicMu.Unlock()
-	}()
-	body(ex)
 }
 
 // --- device data environment ---------------------------------------
@@ -384,8 +365,6 @@ func (ex *exec) sectionBounds(sec sectionCode, blk *block) (lo, n int) {
 // follows the OpenACC present_or_* semantics: an already-present block
 // is reused without a fresh copy.
 func (in *interp) ensurePresent(host *block, name string, copyIn bool, lo, n int) *block {
-	in.presenceMu.Lock()
-	defer in.presenceMu.Unlock()
 	if e, ok := in.presence[host]; ok {
 		e.refcount++
 		return e.dev
@@ -400,8 +379,6 @@ func (in *interp) ensurePresent(host *block, name string, copyIn bool, lo, n int
 }
 
 func (in *interp) lookupPresent(host *block) (*block, bool) {
-	in.presenceMu.Lock()
-	defer in.presenceMu.Unlock()
 	e, ok := in.presence[host]
 	if !ok {
 		return nil, false
@@ -412,8 +389,6 @@ func (in *interp) lookupPresent(host *block) (*block, bool) {
 // releaseOne decrements a presence refcount, copying the section back
 // when requested, and frees the mirror at zero.
 func (in *interp) releaseOne(host *block, copyOut bool, lo, n int) {
-	in.presenceMu.Lock()
-	defer in.presenceMu.Unlock()
 	e, ok := in.presence[host]
 	if !ok {
 		return
@@ -513,14 +488,12 @@ func (ex *exec) applyUpdates(ops []dataOpCode) {
 				panic(deviceFault(sec.name, "in update directive was not found on device"))
 			}
 			lo, n := ex.sectionBounds(sec, hb)
-			ex.in.presenceMu.Lock()
 			switch op.mode {
 			case compiler.MUpdateHost:
 				hb.copyFrom(dev, lo, n)
 			case compiler.MUpdateDevice:
 				dev.copyFrom(hb, lo, n)
 			}
-			ex.in.presenceMu.Unlock()
 		}
 	}
 }
@@ -636,8 +609,8 @@ func zeroLike(v value) value {
 func (ex *exec) execHostParallel(d *dirCode) {
 	w := ex.workerCount(d)
 	reds := ex.newReductionSet(d)
-	ex.runWorkers(w, func(id int, bud *budget) {
-		wEx := ex.worker(d, bud, id, w)
+	runWorkers(w, func(id int) {
+		wEx := ex.worker(d, id, w)
 		wEx.redundant = true
 		reds.bindWorker(wEx, id)
 		d.body(wEx)
@@ -647,64 +620,45 @@ func (ex *exec) execHostParallel(d *dirCode) {
 
 // worker returns worker id's exec for a region of width w, on a frame
 // of its own with the clause and privatized variables bound.
-func (ex *exec) worker(d *dirCode, bud *budget, id, w int) *exec {
+func (ex *exec) worker(d *dirCode, id, w int) *exec {
 	wEx := ex.fork()
-	wEx.bud = bud
 	wEx.workerID = id
 	wEx.regionWidth = w
-	// Workers that run concurrently hold no lock; workers forked under
-	// one run serially on the goroutine that holds it (runWorkers).
-	wEx.locked = ex.locked
 	wEx.bindPrivates(d)
 	wEx.privatizeScalars(d.private)
 	return wEx
 }
 
-// runWorkers executes body(id, bud) for id in [0,w), one goroutine
-// per worker, re-raising the first worker panic after all finish.
-// Each worker gets its own step budget and returns what it did not
-// spend, trap or not; the forking exec returns its unspent steps
-// first, so workers run one after another trap at exactly the step a
-// single counter would. Workers forked inside a critical, atomic,
-// single or master body run serially on the goroutine holding
-// atomicMu, since their own exclusive constructs would otherwise block
-// on the lock it holds while it waits for them. Under race-detector
-// builds the workers also run serially: the corpus contains
-// deliberately racy test programs whose shared writes the detector
-// would flag inside the simulator (see race_on.go).
-func (ex *exec) runWorkers(w int, body func(id int, bud *budget)) {
-	ex.bud.release()
-	panics := make(chan any, w)
-	guarded := func(id int) {
-		bud := &budget{in: ex.in}
-		defer func() {
-			bud.release()
-			if r := recover(); r != nil {
-				panics <- r
-			}
-		}()
-		body(id, bud)
+// runWorkers executes body(id) for id in [0,w) one after another on
+// the calling goroutine, so a run's output and step count never depend
+// on a schedule. Every worker runs even after an earlier one traps;
+// the first trap is then re-raised.
+func runWorkers(w int, body func(id int)) {
+	if w > 1 {
+		// A sweep's execute and judge stages share few Ps, and a run
+		// never blocks. Without a yield point here the judge stage
+		// starves while programs run: its batches grow and every
+		// judge call waits longer. A region of width > 1 is where a
+		// program with real parallelism would park on its workers.
+		runtime.Gosched()
 	}
-	if raceEnabled || w == 1 || ex.locked {
-		for id := 0; id < w; id++ {
-			guarded(id)
+	var first any
+	for id := 0; id < w; id++ {
+		if p := runWorker(body, id); p != nil && first == nil {
+			first = p
 		}
-	} else {
-		var wg sync.WaitGroup
-		for id := 0; id < w; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				guarded(id)
-			}(id)
-		}
-		wg.Wait()
 	}
-	select {
-	case p := <-panics:
-		panic(p)
-	default:
+	if first != nil {
+		panic(first)
 	}
+}
+
+// runWorker runs body(id), returning what it panicked with, if
+// anything.
+func runWorker(body func(id int), id int) (p any) {
+	defer func() { p = recover() }()
+	body(id)
+	return nil
 }
 
 // workerCount resolves the region width.
@@ -765,7 +719,7 @@ func (ex *exec) execParallelLoop(d *dirCode) {
 // execChunkedLoop work-shares a nested loop directive among the
 // workers of an enclosing host parallel region: worker k executes the
 // k-th chunk. A reduction variable gets an accumulator per chunk,
-// folded into the variable the worker sees under atomicMu.
+// folded into the variable the worker sees once the chunk is done.
 func (ex *exec) execChunkedLoop(d *dirCode) {
 	if d.loop == nil {
 		d.body(ex)
@@ -788,7 +742,7 @@ func (ex *exec) execChunkedLoop(d *dirCode) {
 	if len(reds.items) == 0 {
 		return
 	}
-	ex.exclusive(func(*exec) { reds.fold() })
+	reds.fold()
 }
 
 // loopSpec is the analysed canonical form of a work-shared loop.
@@ -972,9 +926,9 @@ func (ex *exec) runDistributed(d *dirCode, spec loopSpec) {
 		return
 	}
 	reds := ex.newReductionSet(d)
-	ex.runWorkers(w, func(id int, bud *budget) {
+	runWorkers(w, func(id int) {
 		lo, hi := chunk(spec.count, w, id)
-		wEx := ex.worker(d, bud, id, w)
+		wEx := ex.worker(d, id, w)
 		wEx.redundant = false
 		reds.bindWorker(wEx, id)
 		wEx.runChunk(d.loop, spec, lo, hi)

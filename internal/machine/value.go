@@ -9,8 +9,9 @@
 //     drives the pipeline results (OpenACC performs implicit copies for
 //     unmapped aggregates; OpenMP 4.5 traps on unmapped device
 //     accesses);
-//   - goroutine-backed parallel execution of compute constructs with
-//     privatization, reductions, atomics and critical sections;
+//   - parallel execution of compute constructs, each region's workers
+//     run one after another, with privatization, reductions, atomics
+//     and critical sections;
 //   - a trap model producing the return codes and stderr text a real
 //     run would hand the agent-based judge (segfaults, device presence
 //     faults, step-limit kills, abort).

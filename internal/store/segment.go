@@ -234,6 +234,27 @@ func (lr *lineReader) next() ([]byte, error) {
 	return line, err
 }
 
+// segReader reads one block of a sealed segment for a lookup. A Store
+// keeps one and points it at each lookup's block, so a lookup
+// allocates no read buffer; lookups hold the store's mutex, so they
+// never share it.
+type segReader struct {
+	sec io.SectionReader
+	lr  lineReader
+}
+
+// reset points r at bytes [off, off+n) of f and returns its line
+// reader.
+func (r *segReader) reset(f *os.File, off, n int64) *lineReader {
+	r.sec = *io.NewSectionReader(f, off, n)
+	if r.lr.r == nil {
+		r.lr.r = bufio.NewReader(&r.sec)
+	} else {
+		r.lr.r.Reset(&r.sec)
+	}
+	return &r.lr
+}
+
 // keyRef is a line's key read in place: slices of the line itself, so
 // comparing it with a Key allocates nothing.
 type keyRef struct {
@@ -370,7 +391,7 @@ func decodeLine(line []byte) (Record, bool) {
 // keyed past k ends the search, and so does a line keyed k that does
 // not hold a record, since a later line of the same key is out of
 // order.
-func (sg *segment) get(k Key) (Record, bool, error) {
+func (sg *segment) get(k Key, sr *segReader) (Record, bool, error) {
 	h1, h2 := keyHash(k)
 	if !sg.filter.may(h1, h2) {
 		return Record{}, false, nil
@@ -387,7 +408,7 @@ func (sg *segment) get(k Key) (Record, bool, error) {
 	if i < len(sg.sparse) {
 		end = sg.sparse[i].off
 	}
-	r := lineReader{r: bufio.NewReader(io.NewSectionReader(sg.f, start, end-start))}
+	r := sr.reset(sg.f, start, end-start)
 	read := start
 	for {
 		line, err := r.next()

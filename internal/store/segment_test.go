@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -841,4 +842,58 @@ func FuzzOpenSegment(f *testing.F) {
 			t.Fatalf("records changed through re-encoding:\n%+v\nwant %+v", again, recs)
 		}
 	})
+}
+
+// TestSegmentLookupByteBudget: a store reuses one read buffer for
+// every sealed-segment lookup, so a Get that reads a sealed block
+// allocates only the record it decodes (about 540 bytes). A fresh
+// 4 KiB bufio.Reader per lookup would cost several times the budget.
+func TestSegmentLookupByteBudget(t *testing.T) {
+	const n, budget = 2000, 1024
+	s, err := OpenWith(filepath.Join(t.TempDir(), "run.jsonl"), Options{SealBytes: 16 << 10, MergeThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([]Key, n)
+	for i := range keys {
+		rec := testRecord("lookup", HashSource(fmt.Sprint(i)), "valid")
+		keys[i] = rec.Key()
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sealed []Key
+	for _, k := range keys {
+		if _, active := s.index[s.fp(k)]; !active {
+			sealed = append(sealed, k)
+		}
+	}
+	if len(sealed) < n/2 {
+		t.Fatalf("only %d of %d keys sealed", len(sealed), n)
+	}
+	got := bytesPerCall(len(sealed), func(i int) {
+		if rec, ok := s.Get(sealed[i]); !ok || rec.FileHash != sealed[i].FileHash {
+			t.Fatalf("Get(%v) = %v, %v", sealed[i], rec, ok)
+		}
+	})
+	t.Logf("%d bytes per sealed lookup", got)
+	if got > budget {
+		t.Fatalf("a sealed lookup allocated %d bytes, want at most %d", got, budget)
+	}
+}
+
+// bytesPerCall is the mean heap bytes one call of f allocates, over
+// f(0) .. f(runs-1) on one P so that no other goroutine's allocations
+// land in the measurement.
+func bytesPerCall(runs int, f func(i int)) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f(0) // warm up lazily built state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f(i)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -220,8 +220,9 @@ type Store struct {
 
 	// Sealed segments, oldest first (ascending seq).
 	segs     []*segment
-	segLines int    // physical record lines across sealed segments
-	nextSeq  uint64 // sequence number the next seal will use
+	segRead  segReader // reused by every segment lookup
+	segLines int       // physical record lines across sealed segments
+	nextSeq  uint64    // sequence number the next seal will use
 
 	distinct   int // exact distinct keys across active + sealed segments
 	dropped    int
@@ -571,7 +572,7 @@ func (s *Store) Has(k Key) bool {
 // (the first hit is the live record). Callers hold mu.
 func (s *Store) segLookup(k Key) (Record, bool, error) {
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		rec, ok, err := s.segs[i].get(k)
+		rec, ok, err := s.segs[i].get(k, &s.segRead)
 		if err != nil {
 			return Record{}, false, err
 		}
