@@ -62,15 +62,18 @@ func RegisterBackend(name string, factory BackendFactory) {
 //   - "remote:ADDR" is the judging daemon or router at ADDR; a
 //     comma-separated replica list routes through the fleet Router,
 //     exactly as "fleet:ADDR,..." does;
-//   - "fleet:ADDR,..." is the fleet Router over those replicas, one
-//     per distinct list (see fleetRouter);
+//   - "fleet:ADDR,..." is a fleet Router freshly dialled over those
+//     replicas;
 //   - "ensemble:SPEC" is the voting panel NewPanel(SPEC, seed).
 //
-// The seed is inert for remote and fleet endpoints: a daemon's backend
-// and seed are fixed when it starts, so experiments needing a
-// particular seed must run against a daemon started with it. Unknown
-// names and failed constructions are errors, not panics, because names
-// arrive from flags and requests at runtime.
+// The caller owns the result and closes it, when it has a Close
+// method, once done: a fleet Router runs a health loop until its
+// Close, and a panel's Close closes its members. The seed is inert for remote and
+// fleet endpoints: a daemon's backend and seed are fixed when it
+// starts, so experiments needing a particular seed must run against a
+// daemon started with it. Unknown names and failed constructions are
+// errors, not panics, because names arrive from flags and requests at
+// runtime.
 func NewBackend(name string, seed uint64) (judge.LLM, error) {
 	_, llm, err := resolveBackend(name, seed)
 	return llm, err
@@ -97,7 +100,7 @@ func resolveBackend(name string, seed uint64) (string, judge.LLM, error) {
 		}
 		fallthrough
 	case "fleet":
-		rt, err := fleetRouter(arg)
+		rt, err := fleet.Dial(strings.Join(fleet.SplitAddrs(arg), ","))
 		if err != nil {
 			return "", nil, fmt.Errorf("llm4vv: replica list %q: %w", arg, err)
 		}
@@ -139,29 +142,6 @@ func Backends() []string {
 	return names
 }
 
-// fleetRouters memoizes one Router per canonical address list: a
-// Router owns a background health loop, so every spelling of one fleet
-// must share the instance rather than leak a second watcher.
-var fleetRouters = struct {
-	sync.Mutex
-	routers map[string]*fleet.Router
-}{routers: map[string]*fleet.Router{}}
-
-func fleetRouter(addrs string) (*fleet.Router, error) {
-	key := strings.Join(fleet.SplitAddrs(addrs), ",")
-	fleetRouters.Lock()
-	defer fleetRouters.Unlock()
-	if rt, ok := fleetRouters.routers[key]; ok {
-		return rt, nil
-	}
-	rt, err := fleet.Dial(key)
-	if err != nil {
-		return nil, err
-	}
-	fleetRouters.routers[key] = rt
-	return rt, nil
-}
-
 // NewPanel constructs a voting ensemble from a member spec
 // ("a+b+c[:strategy]", the argument of an "ensemble:" backend name):
 // each member backend is resolved through NewBackend — including
@@ -181,15 +161,27 @@ func NewPanel(spec string, seed uint64) (*ensemble.Panel, error) {
 	if err != nil {
 		return nil, err
 	}
-	members := make([]ensemble.Member, len(names))
+	members := make([]ensemble.Member, 0, len(names))
 	for i, n := range names {
 		llm, err := NewBackend(n, panelMemberSeed(seed, i, n))
 		if err != nil {
+			for _, m := range members {
+				closeEndpoint(m.LLM)
+			}
 			return nil, fmt.Errorf("llm4vv: ensemble member %d: %w", i, err)
 		}
-		members[i] = ensemble.Member{Name: fmt.Sprintf("%s#%d", n, i), LLM: llm}
+		members = append(members, ensemble.Member{Name: fmt.Sprintf("%s#%d", n, i), LLM: llm})
 	}
 	return ensemble.New(ensemble.Config{Members: members, Strategy: strategy})
+}
+
+// closeEndpoint releases an endpoint NewBackend built: a fleet
+// Router's health loop, or a panel's members. Endpoints without a
+// Close method hold nothing to release.
+func closeEndpoint(llm judge.LLM) {
+	if c, ok := llm.(interface{ Close() }); ok {
+		c.Close()
+	}
 }
 
 // panelMemberSeed derives member i's sampling seed from the panel

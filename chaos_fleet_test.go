@@ -102,10 +102,8 @@ func TestChaosFleetByteIdenticalReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := NewRunner(append(opts, WithBackend(name))...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := mustRunner(t, append(opts, WithBackend(name))...)
+	t.Cleanup(func() { cr.Close() })
 	cres, err := RunExperiment(context.Background(), cr, "part1", params)
 	if err != nil {
 		t.Fatalf("sweep failed under chaos: %v", err)

@@ -84,7 +84,10 @@ func TestChaosStoreHealthSharedAcrossBackendCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := r.withBackend(DefaultBackend)
+	r2, err := r.withBackend(DefaultBackend)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r2.putRecord(store.Record{Experiment: "chaos", Backend: "b", Seed: 1, FileHash: "h1", JudgeRan: true})
 	if !r.StoreDegraded() {
 		t.Fatal("degradation through a backend copy not visible on the original")

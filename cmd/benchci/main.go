@@ -168,10 +168,8 @@ func main() {
 	fail(json.Unmarshal(data, &baseline))
 
 	failures, checked := gateMetrics(metrics, baseline, opts)
-	for k := range metrics {
-		if _, ok := baseline[k]; !ok && classify(k) != classReport {
-			fmt.Printf("benchci: new metric %s = %.4f (not in baseline; regenerate to gate it)\n", k, metrics[k])
-		}
+	for _, k := range ungatedNew(metrics, baseline, opts) {
+		fmt.Printf("benchci: new metric %s = %.4f (not in baseline; regenerate to gate it)\n", k, metrics[k])
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "benchci: %d metric(s) drifted from %s:\n", len(failures), *baselinePath)
@@ -212,12 +210,26 @@ func (o gateOptions) gated(c metricClass) bool {
 // from the 3x throughput run. Returns how many keys were refreshed.
 func mergeBaseline(base, metrics map[string]float64, opts gateOptions) (refreshed int) {
 	for k, v := range metrics {
-		if c := classify(k); c != classReport && opts.gated(c) {
+		if opts.gated(classify(k)) {
 			base[k] = v
 			refreshed++
 		}
 	}
 	return refreshed
+}
+
+// ungatedNew lists, sorted, the run's metrics that the selected gate
+// would check but the baseline lacks: the keys a regenerated baseline
+// would start gating. Keys of classes the gate ignores are not news.
+func ungatedNew(metrics, baseline map[string]float64, opts gateOptions) []string {
+	var keys []string
+	for k := range metrics {
+		if _, ok := baseline[k]; !ok && opts.gated(classify(k)) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // gateMetrics compares a run's metrics against the baseline under the

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,32 @@ func TestGateMetricsGateSelection(t *testing.T) {
 	}
 	if len(failures) != 1 || !strings.Contains(failures[0], "allocs/op") || !strings.Contains(failures[0], "missing") {
 		t.Fatalf("perf gate: want one missing-allocs failure, got %v", failures)
+	}
+}
+
+// TestUngatedNewFollowsGate: a metric missing from the baseline is
+// announced only when the selected gate would check its class.
+func TestUngatedNewFollowsGate(t *testing.T) {
+	baseline := map[string]float64{"B/acc%": 50}
+	run := map[string]float64{
+		"B/acc%":         50,
+		"B/bias":         0.1,
+		"B/files/sec":    1000,
+		"B/allocs/op":    100,
+		"B/judge-p99-ns": 1,
+	}
+	for _, tc := range []struct {
+		gate string
+		want []string
+	}{
+		{"all", []string{"B/allocs/op", "B/bias", "B/files/sec"}},
+		{"accuracy", []string{"B/bias"}},
+		{"perf", []string{"B/allocs/op", "B/files/sec"}},
+	} {
+		got := ungatedNew(run, baseline, gateOptions{Gate: tc.gate})
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("gate=%s: new metrics %v, want %v", tc.gate, got, tc.want)
+		}
 	}
 }
 

@@ -249,6 +249,9 @@ func main() {
 				fail(fmt.Errorf("backend %q cannot describe what it serves", *backend))
 			}
 			info, err := d.Info(ctx)
+			if c, ok := llm.(interface{ Close() }); ok {
+				c.Close() // a fleet Router's health loop
+			}
 			fail(err)
 			if !strings.HasPrefix(info.Serving, "ensemble:") {
 				fail(fmt.Errorf("daemon at %s serves backend %q, not an ensemble; start llm4vvd with -backend ensemble:a+b+c", *serveAddr, info.Serving))
@@ -379,6 +382,9 @@ func showTranscripts(ctx context.Context, d spec.Dialect, suiteSpec llm4vv.Suite
 	fail(err)
 	llm, err := llm4vv.NewBackend(backend, seed)
 	fail(err)
+	if c, ok := llm.(interface{ Close() }); ok {
+		defer c.Close() // a fleet Router's health loop, a panel's members
+	}
 	jd := &judge.Judge{LLM: llm, Style: style, Dialect: d}
 	if style == judge.Direct {
 		outcomes := make([]metrics.Outcome, len(suite))

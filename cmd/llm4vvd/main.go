@@ -170,6 +170,9 @@ func main() {
 		logger.Error("llm4vvd: shutdown", "err", err)
 	}
 	srv.Close()
+	if c, ok := llm.(interface{ Close() }); ok {
+		c.Close() // a fleet Router's health loop, a panel's members
+	}
 	if st != nil {
 		fail(st.Close())
 	}

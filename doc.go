@@ -23,7 +23,9 @@
 //     WithStore, WithStoreOptions, WithResume), its
 //     context-aware methods
 //     run every experiment cancellably and can stream per-file
-//     progress. Every phase runs on the pipeline's stage chain —
+//     progress. A Runner builds its backend's endpoint once and
+//     owns it; Close releases it with the run store. Every phase
+//     runs on the pipeline's stage chain —
 //     direct judging as a one-stage chain of the judge stage — and
 //     each judge batch's prompts reach the endpoint in one call when
 //     it supports that.

@@ -71,6 +71,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer fleet.Close() // stops the Runner's fleet Router
 	fleetSum, err := fleet.DirectProbing(ctx, suite)
 	if err != nil {
 		panic(err)

@@ -12,12 +12,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/judge"
+	"repro/internal/leakcheck"
 	"repro/internal/server"
 	"repro/internal/spec"
 )
@@ -54,10 +57,8 @@ func TestExperimentViaFleetParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := NewRunner(WithBackend("fleet:" + addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := mustRunner(t, WithBackend("fleet:"+addrs))
+	t.Cleanup(func() { fr.Close() })
 	fres, err := RunExperiment(context.Background(), fr, "part1", params)
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +68,9 @@ func TestExperimentViaFleetParity(t *testing.T) {
 			lres.Report(), fres.Report())
 	}
 
-	rt, err := fleetRouter(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	served := 0
 	var total int64
-	for _, st := range rt.Replicas() {
+	for _, st := range fr.llm.(*fleet.Router).Replicas() {
 		if st.Prompts > 0 {
 			served++
 		}
@@ -131,10 +128,8 @@ func TestFleetReplicaKillMidSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr, err := NewRunner(append(opts, WithBackend(tc.backend(t, addrs)))...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fr := mustRunner(t, append(opts, WithBackend(tc.backend(t, addrs)))...)
+			t.Cleanup(func() { fr.Close() })
 			if fr.backend != "fleet:"+addrs {
 				t.Fatalf("Runner backend %q, want the fleet router's name", fr.backend)
 			}
@@ -152,11 +147,7 @@ func TestFleetReplicaKillMidSweep(t *testing.T) {
 			if afterKill.Load() == 0 {
 				t.Fatal("no request reached the killed replica after the kill")
 			}
-			rt, err := fleetRouter(addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rt.Stats().Failovers == 0 {
+			if fr.llm.(*fleet.Router).Stats().Failovers == 0 {
 				t.Error("requests hit the dead replica but no failovers were recorded")
 			}
 		})
@@ -164,26 +155,79 @@ func TestFleetReplicaKillMidSweep(t *testing.T) {
 }
 
 // TestFleetSpellingsShareOneRouter: spellings of one address list that
-// differ only in prefix, spaces and empty entries resolve through
-// NewBackend to one Router, so a fleet runs one health loop.
+// differ only in prefix, spaces and empty entries give a Runner keyed
+// by the one canonical fleet name, and every experiment that Runner
+// runs goes through the one Router it dialled over that list, which its
+// Close releases.
 func TestFleetSpellingsShareOneRouter(t *testing.T) {
 	a, b := startFleetReplica(t, nil), startFleetReplica(t, nil)
-	var first judge.LLM
+	canonical := "fleet:" + a + "," + b
 	for _, list := range []string{a + "," + b, a + ", " + b, a + "," + b + ",", " " + a + ",," + b} {
 		for _, prefix := range []string{"fleet:", "remote:"} {
-			llm, err := NewBackend(prefix+list, 1)
-			if err != nil {
+			r := mustRunner(t, WithBackend(prefix+list))
+			if r.backend != canonical {
+				t.Errorf("NewRunner(WithBackend(%q)) keeps %q, want %q", prefix+list, r.backend, canonical)
+			}
+			rt, ok := r.llm.(*fleet.Router)
+			if !ok {
+				r.Close()
+				t.Fatalf("%q resolved to %T, want *fleet.Router", prefix+list, r.llm)
+			}
+			var addrs []string
+			for _, st := range rt.Replicas() {
+				addrs = append(addrs, st.Addr)
+			}
+			if got := strings.Join(addrs, ","); got != a+","+b {
+				t.Errorf("%q dialled replicas %q, want %q", prefix+list, got, a+","+b)
+			}
+			routed := rt.Stats().RoutedPrompts
+			for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
+				if _, err := r.DirectProbing(context.Background(), PartOneSpec(d).Scaled(8)); err != nil {
+					r.Close()
+					t.Fatal(err)
+				}
+				if r.llm != judge.LLM(rt) {
+					t.Errorf("%q: the %v experiment replaced the Runner's Router", prefix+list, d)
+				}
+				if n := rt.Stats().RoutedPrompts; n <= routed {
+					t.Errorf("%q: the %v experiment routed no prompt through the Runner's Router", prefix+list, d)
+				} else {
+					routed = n
+				}
+			}
+			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := llm.(*fleet.Router); !ok {
-				t.Fatalf("NewBackend(%q) = %T, want *fleet.Router", prefix+list, llm)
-			}
-			if first == nil {
-				first = llm
-			} else if llm != first {
-				t.Errorf("NewBackend(%q) started a second Router for one fleet", prefix+list)
-			}
 		}
+	}
+}
+
+// TestRunnerCloseReleasesFleet: a Runner owns the fleet Router it
+// dials, so closing it stops the Router's health loop. Twenty Runners
+// on one-replica fleets, each closed along with its daemon, leave the
+// goroutine count where it started.
+func TestRunnerCloseReleasesFleet(t *testing.T) {
+	llm, err := NewBackend(DefaultBackend, DefaultModelSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := PartOneSpec(spec.OpenACC).Scaled(64)
+	start := runtime.NumGoroutine()
+	for range 20 {
+		srv := server.New(server.Config{LLM: llm, Backend: DefaultBackend, Seed: DefaultModelSeed})
+		ts := httptest.NewServer(srv.Handler())
+		r := mustRunner(t, WithBackend("fleet:"+strings.TrimPrefix(ts.URL, "http://")))
+		if _, err := r.DirectProbing(context.Background(), suite); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ts.Close()
+		srv.Close()
+	}
+	if n := leakcheck.Settle(start, time.Second); n > start {
+		t.Errorf("%d goroutines after closing 20 fleet Runners, %d before", n, start)
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/judge"
 	"repro/internal/trace"
@@ -97,8 +98,8 @@ func knownStrategy(name string) bool {
 // Member is one judging endpoint on the panel.
 type Member struct {
 	// Name labels the member's votes; it must be non-empty, unique on
-	// the panel, and free of whitespace and '=' (the vote encoding's
-	// separators). llm4vv.NewPanel names members "backend#index".
+	// the panel, and free of '=' and of whitespace of any kind (the
+	// vote encoding's separators). llm4vv.NewPanel names members "backend#index".
 	Name string
 	// LLM answers the member's prompts. judge.BatchLLM and
 	// judge.ContextLLM are honoured when implemented.
@@ -141,7 +142,7 @@ func New(cfg Config) (*Panel, error) {
 		if m.LLM == nil {
 			return nil, fmt.Errorf("ensemble: member %d (%q) has a nil endpoint", i, m.Name)
 		}
-		if m.Name == "" || strings.ContainsAny(m.Name, " \t\n=") {
+		if m.Name == "" || badName(m.Name) {
 			return nil, fmt.Errorf("ensemble: member %d name %q must be non-empty without whitespace or '='", i, m.Name)
 		}
 		if seen[m.Name] {
@@ -190,6 +191,17 @@ func (p *Panel) Reweighted(weights []float64) (*Panel, error) {
 		cfg.Members[i].Weight = weights[i]
 	}
 	return New(cfg)
+}
+
+// Close closes every member endpoint that has a Close method, such as
+// a fleet Router and its health loop. The panel owns its members; a
+// Reweighted copy shares them, so close only one of the two.
+func (p *Panel) Close() {
+	for _, m := range p.cfg.Members {
+		if c, ok := m.LLM.(interface{ Close() }); ok {
+			c.Close()
+		}
+	}
 }
 
 // Complete implements judge.LLM. The error-free contract has nowhere
@@ -546,11 +558,18 @@ func ParseSpec(arg string) (members []string, strategy Strategy, err error) {
 		if strings.HasPrefix(m, "ensemble:") {
 			return nil, 0, fmt.Errorf("ensemble: nested ensemble member %q is not supported", m)
 		}
-		if strings.ContainsAny(m, " \t\n=") {
+		if badName(m) {
 			return nil, 0, fmt.Errorf("ensemble: member name %q must not contain whitespace or '='", m)
 		}
 	}
 	return members, strategy, nil
+}
+
+// badName reports whether a member name contains whitespace of any
+// kind or '=', the separators of the transcript and the store encoding
+// (DecodeVotes splits on every Unicode space).
+func badName(name string) bool {
+	return strings.ContainsRune(name, '=') || strings.ContainsFunc(name, unicode.IsSpace)
 }
 
 // WeightsFromVotes computes calibration weights for the Weighted

@@ -369,9 +369,14 @@ func TestNewValidation(t *testing.T) {
 		t.Error("duplicate member names accepted")
 	}
 	bad := members("valid")
-	bad[0].Name = "has space"
-	if _, err := New(Config{Members: bad}); err == nil {
-		t.Error("member name with whitespace accepted")
+	for _, name := range []string{"has space", "form\ffeed", "no\u00a0break", "a=b"} {
+		bad[0].Name = name
+		if _, err := New(Config{Members: bad}); err == nil {
+			t.Errorf("member name %q accepted", name)
+		}
+		if _, _, err := ParseSpec(name + "+b"); err == nil {
+			t.Errorf("ParseSpec accepted member name %q", name)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/spec"
 )
@@ -387,9 +388,11 @@ func (j *Judge) BuildPrompt(code string, info *ToolInfo) string {
 // collision-free for any realistic workload.
 type PromptKey [sha256.Size]byte
 
-// KeyOf hashes a prompt to its cache key.
+// KeyOf hashes a prompt to its cache key. It hashes the string's own
+// bytes: sha256.Sum256 only reads its argument, so the prompt is not
+// copied to a []byte first.
 func KeyOf(prompt string) PromptKey {
-	return sha256.Sum256([]byte(prompt))
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(prompt), len(prompt)))
 }
 
 // Hex returns the key in lowercase hex — byte-identical to

@@ -137,3 +137,17 @@ func TestPromptKeyHexMatchesStoreHash(t *testing.T) {
 		t.Fatal("distinct prompts produced the same key")
 	}
 }
+
+// TestKeyOfAllocatesNothing: KeyOf hashes the prompt in place. The
+// fleet router's placement and the daemon's dedup each key every
+// prompt, so a copy per call would cost a prompt's length in garbage.
+func TestKeyOfAllocatesNothing(t *testing.T) {
+	prompt := strings.Repeat("long prompt ", 1000)
+	var key PromptKey
+	if n := testing.AllocsPerRun(100, func() { key = KeyOf(prompt) }); n != 0 {
+		t.Errorf("KeyOf allocates %v times per call, want 0", n)
+	}
+	if key != KeyOf(strings.Clone(prompt)) {
+		t.Error("KeyOf depends on the string's storage, not its bytes")
+	}
+}

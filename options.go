@@ -13,8 +13,8 @@ type Option func(*Runner)
 
 // WithBackend selects the LLM endpoint the Runner judges and generates
 // with: a registered name, or a "remote:<addr>", "fleet:<list>" or
-// "ensemble:<spec>" name (see NewBackend). The name is resolved when
-// NewRunner runs, so an unknown name fails fast there rather than
+// "ensemble:<spec>" name (see NewBackend). NewRunner builds the
+// endpoint once, so an unknown name fails fast there rather than
 // mid-experiment. Default: DefaultBackend.
 func WithBackend(name string) Option {
 	return func(r *Runner) { r.backend = name }

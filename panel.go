@@ -97,8 +97,9 @@ func (r *Runner) PanelProbing(ctx context.Context, s SuiteSpec) (PanelDialectRes
 	return scorePanel(s.Dialect, suite, verdicts, votes, strategies)
 }
 
-// panelLLM constructs the experiment's endpoint, recalibrating a
-// Weighted in-process panel from run-store history when one exists:
+// panelLLM is the experiment's endpoint: the Runner's own, or for a
+// Weighted in-process panel a reweighted copy sharing its members,
+// recalibrated from run-store history when one exists:
 // prior records under this exact (phase, backend, seed) provide each
 // member's agreement rate with the stored panel verdict, which
 // becomes its vote weight (ensemble.WeightsFromVotes). The history
@@ -108,10 +109,9 @@ func (r *Runner) PanelProbing(ctx context.Context, s SuiteSpec) (PanelDialectRes
 // through a remote daemon, which hides the panel — the constructed
 // weights stand.
 func (r *Runner) panelLLM() judge.LLM {
-	llm := r.newLLM()
-	p, ok := llm.(*ensemble.Panel)
+	p, ok := r.llm.(*ensemble.Panel)
 	if !ok || p.Strategy() != ensemble.Weighted || r.store == nil {
-		return llm
+		return r.llm
 	}
 	seed := r.seed
 	seen := 0
@@ -126,13 +126,13 @@ func (r *Runner) panelLLM() judge.LLM {
 		return true
 	})
 	if seen == 0 {
-		return llm
+		return p
 	}
 	weights := ensemble.WeightsFromVotes(p.Members(), history, panelVerdicts)
 	if rp, err := p.Reweighted(weights); err == nil {
 		return rp
 	}
-	return llm
+	return p
 }
 
 // scorePanel aggregates one suite's panel outcomes. Member names and
@@ -195,8 +195,9 @@ type PanelScenarioResult struct {
 // trusted to front a panel daemon-side (its responses carry the
 // votes), and any other backend is wrapped in the Runner's panel spec
 // (WithPanel; default three seats of itself, each under its own
-// derived member seed). The wrap is validated eagerly so a bad member spec fails
-// before any judging starts.
+// derived member seed). The wrap is built before any judging starts,
+// so a bad member spec fails first. A wrapping copy owns its panel,
+// which the caller closes when rp != r.
 func (r *Runner) panelRunner() (*Runner, error) {
 	b := r.backend
 	if prefix, _ := backendPrefix(b); prefix != "" {
@@ -206,16 +207,16 @@ func (r *Runner) panelRunner() (*Runner, error) {
 	if memberSpec == "" {
 		memberSpec = b + "+" + b + "+" + b
 	}
-	if _, err := NewPanel(memberSpec, r.seed); err != nil {
-		return nil, err
-	}
-	return r.withBackend("ensemble:" + memberSpec), nil
+	return r.withBackend("ensemble:" + memberSpec)
 }
 
 func runPanelScenario(ctx context.Context, r *Runner, p ExperimentParams) (ExperimentResult, error) {
 	rp, err := r.panelRunner()
 	if err != nil {
 		return nil, err
+	}
+	if rp != r {
+		defer closeEndpoint(rp.llm)
 	}
 	res := &PanelScenarioResult{Results: map[spec.Dialect]PanelDialectResult{}}
 	for _, d := range p.EffectiveDialects() {

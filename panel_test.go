@@ -95,10 +95,8 @@ func TestPanelViaRemoteParity(t *testing.T) {
 				addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
 			}
 			remoteName := "remote:" + strings.Join(addrs, ",")
-			rr, err := NewRunner(WithBackend(remoteName))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rr := mustRunner(t, WithBackend(remoteName))
+			t.Cleanup(func() { rr.Close() })
 			rres, err := RunExperiment(context.Background(), rr, "panel", panelParams(spec.OpenACC))
 			if err != nil {
 				t.Fatal(err)

@@ -19,17 +19,20 @@ import (
 )
 
 // Runner is the configured entry point to every experiment: a backend
-// selection, a sampling seed, per-stage workers and batching, a run store,
-// and streaming hooks, shared by concurrent experiment calls.
+// endpoint, a sampling seed, per-stage workers and batching, a run
+// store, and streaming hooks, shared by concurrent experiment calls.
 // Construct one with NewRunner and functional options; the zero value
 // is not usable.
 //
 // A Runner is immutable after construction and safe for concurrent use
 // — a service can hold one Runner and dispatch many experiments over
-// it, each governed by its own context. A Runner holding a run store
-// (WithStore) should be Closed when done with it.
+// it, each governed by its own context. Every experiment judges with
+// the one endpoint NewRunner built, which the Runner owns: Close it
+// when done, to stop a fleet Router's health loop and release the run
+// store.
 type Runner struct {
 	backend   string
+	llm       judge.LLM
 	seed      uint64
 	workers   int
 	stages    []pipeline.StageSpec
@@ -78,11 +81,12 @@ func (h *storeHealth) failure() error {
 	return h.err
 }
 
-// NewRunner builds a Runner from options, resolving the backend name
-// — and opening the run store, when one is configured — so
+// NewRunner builds a Runner from options, building the backend's
+// endpoint — and opening the run store, when one is configured — so
 // misconfiguration fails here rather than mid-experiment. The Runner
-// keeps the name's canonical spelling (see resolveBackend), so every
-// spelling of one fleet shares its store records.
+// keeps the endpoint for its whole life and the name's canonical
+// spelling (see resolveBackend), so every spelling of one fleet shares
+// its store records.
 func NewRunner(opts ...Option) (*Runner, error) {
 	r := &Runner{
 		backend: DefaultBackend,
@@ -93,14 +97,14 @@ func NewRunner(opts ...Option) (*Runner, error) {
 	for _, opt := range opts {
 		opt(r)
 	}
-	name, _, err := resolveBackend(r.backend, r.seed)
-	if err != nil {
-		return nil, err
-	}
-	r.backend = name
 	if err := pipeline.ValidateStages(r.stages); err != nil {
 		return nil, err
 	}
+	name, llm, err := resolveBackend(r.backend, r.seed)
+	if err != nil {
+		return nil, err
+	}
+	r.backend, r.llm = name, llm
 	if r.storePath != "" {
 		opts := r.storeOpts
 		if opts.Tracer == nil {
@@ -108,6 +112,7 @@ func NewRunner(opts ...Option) (*Runner, error) {
 		}
 		st, err := store.OpenWith(r.storePath, opts)
 		if err != nil {
+			closeEndpoint(llm)
 			return nil, err
 		}
 		r.store = st
@@ -115,11 +120,14 @@ func NewRunner(opts ...Option) (*Runner, error) {
 	return r, nil
 }
 
-// Close releases the Runner's run store, surfacing the first write
-// failure from the store's lifetime — whether remembered by the store
-// itself or latched when the Runner degraded to store-less operation
-// mid-sweep. It is a no-op for store-less Runners.
+// Close releases what the Runner holds: the endpoint it built (a fleet
+// Router's health loop, a panel's members) and the run store. It
+// surfaces the first store write failure of the store's lifetime —
+// whether remembered by the store itself or latched when the Runner
+// degraded to store-less operation mid-sweep. The Runner is unusable
+// afterwards.
 func (r *Runner) Close() error {
+	closeEndpoint(r.llm)
 	if r.store == nil {
 		return nil
 	}
@@ -166,12 +174,18 @@ func (r *Runner) degradeStore(err error) {
 }
 
 // withBackend returns a copy of the Runner aimed at another backend,
-// sharing the store — how the compare scenario sweeps every
-// backend through one configuration.
-func (r *Runner) withBackend(name string) *Runner {
+// sharing the store — how the compare scenario sweeps every backend
+// through one configuration. The copy owns the endpoint it builds; its
+// caller releases that with closeEndpoint(copy.llm), never Close,
+// which would close the shared store.
+func (r *Runner) withBackend(name string) (*Runner, error) {
+	canon, llm, err := resolveBackend(name, r.seed)
+	if err != nil {
+		return nil, err
+	}
 	r2 := *r
-	r2.backend = name
-	return &r2
+	r2.backend, r2.llm = canon, llm
+	return &r2, nil
 }
 
 // pipelineStages resolves the per-stage specs for one pipeline run
@@ -190,15 +204,6 @@ func (r *Runner) pipelineStages(n int) []pipeline.StageSpec {
 // the run store's checkpoints in every phase.
 func (r *Runner) judgeSpec(n int) pipeline.StageSpec {
 	return r.pipelineStages(n)[2]
-}
-
-// newLLM constructs a fresh endpoint for one experiment call. The
-// backend name was resolved at construction — NewRunner errors on
-// unknown names and failed constructions alike — so resolving it
-// again here cannot fail.
-func (r *Runner) newLLM() judge.LLM {
-	llm, _ := NewBackend(r.backend, r.seed)
-	return llm
 }
 
 // tracker counts completed files for one experiment phase and relays
@@ -510,7 +515,7 @@ func (r *Runner) DirectProbing(ctx context.Context, s SuiteSpec) (metrics.Summar
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	j := &judge.Judge{LLM: r.newLLM(), Style: judge.Direct, Dialect: s.Dialect}
+	j := &judge.Judge{LLM: r.llm, Style: judge.Direct, Dialect: s.Dialect}
 	return r.judgeDirect(ctx, "direct-probing", j, suite)
 }
 
@@ -524,7 +529,7 @@ func (r *Runner) ValidateSuite(ctx context.Context, s SuiteSpec, style judge.Sty
 	if err != nil {
 		return nil, pipeline.Stats{}, err
 	}
-	jd := &judge.Judge{LLM: r.newLLM(), Style: style, Dialect: s.Dialect}
+	jd := &judge.Judge{LLM: r.llm, Style: style, Dialect: s.Dialect}
 	return r.runPipeline(ctx, "pipeline/"+style.String(), jd, agent.NewTools(s.Dialect), r.recordAll, suiteInputs(suite))
 }
 
@@ -538,35 +543,34 @@ func (r *Runner) PartTwo(ctx context.Context, s SuiteSpec) (PartTwoResult, error
 	if err != nil {
 		return PartTwoResult{}, err
 	}
-	llm := r.newLLM()
 	var res PartTwoResult
-	results, st, err := r.partTwoPipeline(ctx, llm, judge.AgentDirect, s.Dialect, suite)
+	results, st, err := r.partTwoPipeline(ctx, judge.AgentDirect, s.Dialect, suite)
 	if err != nil {
 		return res, err
 	}
 	res.Stats = st
 	res.LLMJ1 = score(s.Dialect, suite, results, judgedValid)
 	res.Pipeline1 = score(s.Dialect, suite, results, pipelineValid)
-	if results, _, err = r.partTwoPipeline(ctx, llm, judge.AgentIndirect, s.Dialect, suite); err != nil {
+	if results, _, err = r.partTwoPipeline(ctx, judge.AgentIndirect, s.Dialect, suite); err != nil {
 		return res, err
 	}
 	res.LLMJ2 = score(s.Dialect, suite, results, judgedValid)
 	res.Pipeline2 = score(s.Dialect, suite, results, pipelineValid)
 	// The non-agent judge on the same suite (Figures 5/6 baseline).
-	res.Direct, err = r.partTwoDirect(ctx, llm, s.Dialect, suite)
+	res.Direct, err = r.partTwoDirect(ctx, s.Dialect, suite)
 	return res, err
 }
 
 // partTwoPipeline runs Part Two's record-all pipeline phase for one
 // agent judge style.
-func (r *Runner) partTwoPipeline(ctx context.Context, llm judge.LLM, style judge.Style, d spec.Dialect, suite []probe.ProbedFile) ([]pipeline.FileResult, pipeline.Stats, error) {
-	jd := &judge.Judge{LLM: llm, Style: style, Dialect: d}
+func (r *Runner) partTwoPipeline(ctx context.Context, style judge.Style, d spec.Dialect, suite []probe.ProbedFile) ([]pipeline.FileResult, pipeline.Stats, error) {
+	jd := &judge.Judge{LLM: r.llm, Style: style, Dialect: d}
 	return r.runPipeline(ctx, "part2/"+style.String(), jd, agent.NewTools(d), true, suiteInputs(suite))
 }
 
 // partTwoDirect runs Part Two's direct-judging phase.
-func (r *Runner) partTwoDirect(ctx context.Context, llm judge.LLM, d spec.Dialect, suite []probe.ProbedFile) (metrics.Summary, error) {
-	return r.judgeDirect(ctx, "part2/direct", &judge.Judge{LLM: llm, Style: judge.Direct, Dialect: d}, suite)
+func (r *Runner) partTwoDirect(ctx context.Context, d spec.Dialect, suite []probe.ProbedFile) (metrics.Summary, error) {
+	return r.judgeDirect(ctx, "part2/direct", &judge.Judge{LLM: r.llm, Style: judge.Direct, Dialect: d}, suite)
 }
 
 // Ablation scores ablations A2 (tool information in the prompt) and A3
@@ -580,8 +584,7 @@ func (r *Runner) Ablation(ctx context.Context, s SuiteSpec) (AblationResult, err
 	if err != nil {
 		return AblationResult{}, err
 	}
-	llm := r.newLLM()
-	results, _, err := r.partTwoPipeline(ctx, llm, judge.AgentDirect, s.Dialect, suite)
+	results, _, err := r.partTwoPipeline(ctx, judge.AgentDirect, s.Dialect, suite)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -593,7 +596,7 @@ func (r *Runner) Ablation(ctx context.Context, s SuiteSpec) (AblationResult, err
 		}),
 		FullPipeline: score(s.Dialect, suite, results, pipelineValid),
 	}
-	res.WithoutTools, err = r.partTwoDirect(ctx, llm, s.Dialect, suite)
+	res.WithoutTools, err = r.partTwoDirect(ctx, s.Dialect, suite)
 	return res, err
 }
 
@@ -614,7 +617,7 @@ func (r *Runner) PipelineThroughput(ctx context.Context, s SuiteSpec) (PipelineT
 		tr := r.track("throughput", len(inputs))
 		_, st, err := pipeline.Run(ctx, pipeline.Config{
 			Tools:     tools,
-			Judge:     &judge.Judge{LLM: r.newLLM(), Style: judge.AgentDirect, Dialect: s.Dialect},
+			Judge:     &judge.Judge{LLM: r.llm, Style: judge.AgentDirect, Dialect: s.Dialect},
 			Stages:    r.pipelineStages(len(inputs)),
 			RecordAll: recordAll,
 			OnResult:  func(fr pipeline.FileResult) { tr.file(fr.Name) },
@@ -646,7 +649,7 @@ func (r *Runner) GenerationLoop(ctx context.Context, d spec.Dialect, perFeature 
 		ModelSeed:   r.seed,
 		JudgeStyle:  judge.AgentDirect,
 	}
-	if author, ok := r.newLLM().(genloop.Author); ok {
+	if author, ok := r.llm.(genloop.Author); ok {
 		cfg.Author = author
 	}
 	return genloop.Run(ctx, cfg)

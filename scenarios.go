@@ -247,7 +247,8 @@ type CompareScenarioResult struct {
 // dispatching Runner that shares its run store, so a stored, resumed
 // sweep skips every (backend, file) pair a previous run already
 // judged — adding one backend to a finished sweep judges only the new
-// backend's files.
+// backend's files. Each copy builds its own endpoint and closes it
+// when its row is done.
 func runCompareScenario(ctx context.Context, r *Runner, p ExperimentParams) (ExperimentResult, error) {
 	names := Backends()
 	if i, found := slices.BinarySearch(names, r.backend); !found {
@@ -259,15 +260,20 @@ func runCompareScenario(ctx context.Context, r *Runner, p ExperimentParams) (Exp
 		Summaries: map[string]map[spec.Dialect]metrics.Summary{},
 	}
 	for _, name := range res.Backends {
-		rb := r.withBackend(name)
+		rb, err := r.withBackend(name)
+		if err != nil {
+			return nil, err
+		}
 		res.Summaries[name] = map[spec.Dialect]metrics.Summary{}
 		for _, d := range res.Dialects {
 			sum, err := rb.DirectProbing(ctx, PartOneSpec(d).Scaled(p.EffectiveScale()))
 			if err != nil {
+				closeEndpoint(rb.llm)
 				return nil, err
 			}
 			res.Summaries[name][d] = sum
 		}
+		closeEndpoint(rb.llm)
 	}
 	return res, nil
 }

@@ -14,10 +14,10 @@ package llm4vv
 
 import (
 	"context"
-	"net/http/httptest"
+	"net/http"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ensemble"
@@ -25,36 +25,8 @@ import (
 	"repro/internal/judge"
 	"repro/internal/model"
 	"repro/internal/remote"
-	"repro/internal/server"
 	"repro/internal/spec"
 )
-
-// testDaemon boots one shared in-process judging daemon over the
-// default backend and seed, named "remote:<addr>". It stays up for the
-// process lifetime by design.
-var testDaemon struct {
-	once sync.Once
-	name string
-	srv  *server.Server
-}
-
-func remoteBackendName(t *testing.T) string {
-	t.Helper()
-	testDaemon.once.Do(func() {
-		llm, err := NewBackend(DefaultBackend, DefaultModelSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testDaemon.srv = server.New(server.Config{
-			LLM:     llm,
-			Backend: DefaultBackend,
-			Seed:    DefaultModelSeed,
-		})
-		ts := httptest.NewServer(testDaemon.srv.Handler())
-		testDaemon.name = "remote:" + strings.TrimPrefix(ts.URL, "http://")
-	})
-	return testDaemon.name
-}
 
 // TestCompareViaRemoteParity is the acceptance check for the service:
 // the compare experiment, dispatched on a Runner aimed at the
@@ -62,11 +34,16 @@ func remoteBackendName(t *testing.T) string {
 // daemon fronting the same backend and seed, and their accuracy/bias
 // metrics must be byte-identical.
 func TestCompareViaRemoteParity(t *testing.T) {
-	remoteName := remoteBackendName(t)
-	r, err := NewRunner(WithBackend(remoteName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var requests atomic.Int64
+	remoteName := "remote:" + startFleetReplica(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/complete") {
+				requests.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	r := mustRunner(t, WithBackend(remoteName))
 	res, err := RunExperiment(context.Background(), r, "compare",
 		ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC, spec.OpenMP}, Scale: 8})
 	if err != nil {
@@ -89,7 +66,7 @@ func TestCompareViaRemoteParity(t *testing.T) {
 			t.Errorf("%v compare judged zero files", d)
 		}
 	}
-	if st := testDaemon.srv.Stats(); st.BatchRequests == 0 && st.Requests == 0 {
+	if requests.Load() == 0 {
 		t.Error("compare sweep never reached the daemon")
 	}
 }
@@ -97,7 +74,7 @@ func TestCompareViaRemoteParity(t *testing.T) {
 // TestExperimentViaRemoteParity: a full experiment dispatched against
 // the remote backend returns the same report as in-process.
 func TestExperimentViaRemoteParity(t *testing.T) {
-	remoteName := remoteBackendName(t)
+	remoteName := "remote:" + startFleetReplica(t, nil)
 	params := ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC}, Scale: 8}
 
 	local := newTestRunner(t)
@@ -181,13 +158,17 @@ func TestNewBackendNilProducingFactory(t *testing.T) {
 
 // TestNewBackendNames: every way of naming a backend resolves through
 // NewBackend alone, NewRunner keeps the canonical spelling, and every
-// failure names its cause. Replica lists run on live in-process
-// daemons, since a fleet Router probes its replicas.
+// failure names its cause. Every spelling of one replica list, under
+// either prefix, resolves to a fleet Router named by the one
+// canonical list that store records are keyed by
+// (TestFleetResumeAcrossSpellings pins that they share them). Replica
+// lists run on live in-process daemons, since a fleet Router probes
+// its replicas; each resolves to a Router of its own, which the test
+// closes.
 func TestNewBackendNames(t *testing.T) {
 	a, b := startFleetReplica(t, nil), startFleetReplica(t, nil)
 	fleetName := "fleet:" + a + "," + b
 	members := DefaultBackend + "+" + DefaultBackend
-	var router *fleet.Router
 	for _, tc := range []struct {
 		name, canonical string
 		check           func(t *testing.T, llm judge.LLM)
@@ -206,7 +187,10 @@ func TestNewBackendNames(t *testing.T) {
 				t.Error("remote endpoint does not implement judge.ContextLLM")
 			}
 		}},
+		{name: "remote:" + a + "," + b, canonical: fleetName},
 		{name: "remote:" + a + ", " + b, canonical: fleetName},
+		{name: "remote:" + a + "," + b + ",", canonical: fleetName},
+		{name: "remote: " + a + ",," + b, canonical: fleetName},
 		{name: fleetName, canonical: fleetName},
 		{name: "fleet:" + a + ", " + b, canonical: fleetName},
 		{name: "fleet:" + a + ",," + b + ",", canonical: fleetName},
@@ -237,19 +221,15 @@ func TestNewBackendNames(t *testing.T) {
 		if err != nil || rerr != nil {
 			t.Fatalf("%q: NewBackend: %v; NewRunner: %v", tc.name, err, rerr)
 		}
+		closeEndpoint(llm)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 		if r.backend != tc.canonical {
 			t.Errorf("NewRunner(WithBackend(%q)) keeps %q, want %q", tc.name, r.backend, tc.canonical)
 		}
-		if tc.canonical == fleetName {
-			rt, ok := llm.(*fleet.Router)
-			if !ok {
-				t.Fatalf("%q resolved to %T, want *fleet.Router", tc.name, llm)
-			}
-			if router == nil {
-				router = rt
-			} else if rt != router {
-				t.Errorf("%q started a second Router for one fleet", tc.name)
-			}
+		if _, ok := llm.(*fleet.Router); ok != (tc.canonical == fleetName) {
+			t.Errorf("%q resolved to %T", tc.name, llm)
 		}
 		if tc.check != nil {
 			tc.check(t, llm)

@@ -49,10 +49,8 @@ func TestFleetFailoverTraceContinuity(t *testing.T) {
 
 	var buf bytes.Buffer // tracer serialises writes under its own lock
 	tracer := trace.New(trace.WithWriter(&buf), trace.WithProcess("test-worker"))
-	fr, err := NewRunner(WithBackend("fleet:"+addrs), judgeBatch(2), WithTracer(tracer))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := mustRunner(t, WithBackend("fleet:"+addrs), judgeBatch(2), WithTracer(tracer))
+	t.Cleanup(func() { fr.Close() })
 	params := ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC}, Scale: 16}
 	if _, err := RunExperiment(context.Background(), fr, "part1", params); err != nil {
 		t.Fatalf("sweep failed after replica kill: %v", err)
