@@ -67,7 +67,7 @@ func chaosRouter(t *testing.T, inj *fault.Injector, addrs []string) *fleet.Route
 
 // TestChaosFleetByteIdenticalReport is the headline degradation
 // guarantee: a three-replica fleet with one replica flapping in and
-// out of the ring, ~5% of requests drawing injected 5xx and
+// out of the fleet, ~5% of requests drawing injected 5xx and
 // connection resets, and one response body torn mid-read still
 // produces a report byte-identical to the fault-free in-process run.
 func TestChaosFleetByteIdenticalReport(t *testing.T) {

@@ -6,20 +6,20 @@
 // Usage:
 //
 //	llm4vv-router -replicas ADDR1,ADDR2,... [-addr HOST:PORT] \
-//	              [-id NAME] [-vnodes N] [-load-factor F] \
+//	              [-id NAME] [-load-factor F] \
 //	              [-health-interval D] [-queue N] [-bulk-queue N] \
 //	              [-client-quota N] [-retry-after D] [-trace F] \
 //	              [-fault SPEC] [-cpuprofile F] [-memprofile F]
 //
-// Prompts are placed by consistent hashing on their content key, so
-// each replica's dedup store stays authoritative for its share of the
-// key space; bounded-load routing (-load-factor) spills
-// hot arcs, and a background health loop (-health-interval) evicts
-// dead replicas from the ring and readmits recoveries, with request
-// failures failing over to the key's next successor. With every
-// replica serving the same backend and seed, reports produced through
-// the router are byte-identical to a single daemon's — including
-// across a replica dying mid-sweep.
+// Prompts are placed by rendezvous hashing on their content key over
+// the -replicas list, so each replica's dedup store stays
+// authoritative for its share of the key space; bounded-load routing
+// (-load-factor) spills keys off a hot replica, and a background
+// health loop (-health-interval) evicts dead replicas and readmits
+// recoveries, with request failures failing over to the key's next
+// successor. With every replica serving the same backend and seed,
+// reports produced through the router are byte-identical to a single
+// daemon's — including across a replica dying mid-sweep.
 //
 // Admission is priority-aware: requests carrying the X-LLM4VV-Priority
 // header are classed interactive or bulk (unlabelled batch requests
@@ -45,7 +45,7 @@
 // injection points: "remote.send" (connection resets, 5xx, latency,
 // torn bodies on the router→replica hop; per-replica sub-points
 // "remote.send:<host:port>") and "fleet.probe:<addr>" (failed health
-// probes, flapping a replica in and out of the ring). Identical seeds
+// probes, flapping a replica in and out of the fleet). Identical seeds
 // and schedules reproduce identical fault sequences; injected counts
 // surface in the llm4vv_resilience_* metric families. See
 // docs/OPERATIONS.md §8 for the chaos runbook.
@@ -74,7 +74,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated llm4vvd replica addresses (required)")
 	id := flag.String("id", "", "router instance name in /healthz and /metrics labels (default: the listen address)")
-	vnodes := flag.Int("vnodes", fleet.DefaultVnodes, "virtual nodes per replica on the hash ring")
 	loadFactor := flag.Float64("load-factor", fleet.DefaultLoadFactor, "bounded-load spill threshold over the fair per-replica share")
 	healthInterval := flag.Duration("health-interval", fleet.DefaultHealthInterval, "background replica health-check period")
 	queue := flag.Int("queue", fleet.DefaultQueueLimit, "admission: max in-flight prompts (interactive ceiling)")
@@ -123,7 +122,6 @@ func main() {
 		logger.Info("llm4vv-router: chaos fault schedule armed", "seed", injector.Seed(), "spec", *faultSpec)
 	}
 	router, err := fleet.DialConfig(*replicas, fleet.Config{
-		Vnodes:         *vnodes,
 		LoadFactor:     *loadFactor,
 		HealthInterval: *healthInterval,
 		Logger:         logger,

@@ -67,10 +67,10 @@
 // "fleet:<list>" backend below.
 //
 // Daemons scale horizontally as a fleet: cmd/llm4vv-router fronts N
-// replicas behind one address, consistent-hash routing each prompt to
-// the replica owning its content key (so per-replica stores and
-// caches stay authoritative), with bounded-load spill, health-watched
-// ring membership with request failover, priority-class load shedding
+// replicas behind one address, rendezvous-hashing each prompt to the
+// replica owning its content key (so per-replica stores and caches
+// stay authoritative), with bounded-load spill, health-watched
+// membership with request failover, priority-class load shedding
 // (bulk sweeps yield to interactive traffic), per-client quotas, and
 // Prometheus /metrics on both tiers. The "fleet:addr1,addr2,..."
 // backend routes in-process, and reports stay

@@ -47,7 +47,7 @@ func startFleetReplica(t *testing.T, wrap func(http.Handler) http.Handler) strin
 
 // TestExperimentViaFleetParity: a part1 sweep routed across three
 // replicas by the fleet backend returns the same report as in-process,
-// and the prompts genuinely spread over the ring.
+// and the prompts genuinely spread over the replicas.
 func TestExperimentViaFleetParity(t *testing.T) {
 	addrs := startFleetReplica(t, nil) + "," + startFleetReplica(t, nil) + "," + startFleetReplica(t, nil)
 	params := ExperimentParams{Dialects: []spec.Dialect{spec.OpenACC}, Scale: 8}
@@ -77,7 +77,7 @@ func TestExperimentViaFleetParity(t *testing.T) {
 		total += st.Prompts
 	}
 	if served < 2 {
-		t.Errorf("fleet sweep used %d of 3 replicas; ring not splitting", served)
+		t.Errorf("fleet sweep used %d of 3 replicas; placement not splitting", served)
 	}
 	if total == 0 {
 		t.Error("fleet sweep routed zero prompts")
@@ -88,7 +88,7 @@ func TestExperimentViaFleetParity(t *testing.T) {
 // of three replicas dies after serving its first shard, the sweep
 // completes with every verdict intact, and the report stays
 // byte-identical to in-process. The dead replica keeps answering
-// health probes here, so it stays in the ring and every later shard
+// health probes here, so it stays healthy and every later shard
 // that hashes to it exercises the request-path failover rather than a
 // quiet eviction. A replica list given as a daemon address (the
 // -serve-addr path) must fail over through the same fleet Router.

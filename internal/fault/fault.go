@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/judge"
+	"repro/internal/rng"
 )
 
 // Kind enumerates the injectable fault kinds. Not every kind is
@@ -160,15 +161,6 @@ func matches(rulePoint, point string) bool {
 	return strings.HasPrefix(point, rulePoint+":")
 }
 
-// splitmix64 is the avalanche behind rate decisions: uniform output
-// from structured (seed, point, index) input.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 func pointHash(point string) uint64 {
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, point)
@@ -192,7 +184,9 @@ func (in *Injector) At(point string) Decision {
 		case r.Every > 0:
 			fire = n%int64(r.Every) == 0
 		case r.Rate > 0:
-			h := splitmix64(in.seed ^ pointHash(point) ^ uint64(n))
+			// rng.Mix: uniform output from structured (seed, point,
+			// index) input.
+			h := rng.Mix(in.seed ^ pointHash(point) ^ uint64(n))
 			fire = float64(h>>11)/(1<<53) < r.Rate
 		default:
 			fire = true

@@ -4,24 +4,27 @@
 // and panel runs unmodified against a whole fleet — and scales by
 // adding replicas.
 //
-// Placement is consistent hashing on judge.PromptKey over a virtual-
-// node ring (Ring): each prompt's completion — and therefore its
+// Placement is rendezvous (highest-random-weight) hashing of
+// judge.PromptKey over the fixed replica list: every replica scores
+// every key, and the key's successor order is the replicas by
+// descending score. Each prompt's completion — and therefore its
 // replica-side dedup store record — lives on exactly one replica,
-// every client agrees which, and membership changes move only the
-// departed replica's ~1/N share of the key space, so resume sweeps
-// stay store-hot through churn. Routing is bounded-load: a
-// replica already carrying more than LoadFactor times its fair share
-// of in-flight prompts is skipped and the key spills to the next ring
-// successor, which keeps one hot arc from serialising a sweep.
+// every client agrees which, and an evicted replica is simply skipped
+// in that order, so only its ~1/N share of the key space moves and
+// readmission restores the old placement: resume sweeps stay
+// store-hot through churn. Routing is bounded-load: a replica already
+// carrying more than LoadFactor times its fair share of in-flight
+// prompts is skipped and the key spills to its next successor, which
+// keeps one hot key range from serialising a sweep.
 //
 // Health is watched two ways: a background loop pings every replica
-// (Config.HealthInterval) and evicts/readmits ring membership, and a
-// failed request triggers an immediate probe so a dead replica leaves
-// the ring within one health check rather than failing requests until
-// the next tick. Requests that catch a replica dying fail over to the
-// key's next ring successor; with every replica serving the same
-// backend and seed, the completion — and the finished report — is
-// byte-identical wherever it resolves, and re-resolution after a kill
+// (Config.HealthInterval) and evicts/readmits it, and a failed request
+// triggers an immediate probe so a dead replica is evicted within one
+// health check rather than failing requests until the next tick.
+// Requests that catch a replica dying fail over to the key's next
+// successor; with every replica serving the same backend and seed,
+// the completion — and the finished report — is byte-identical
+// wherever it resolves, and re-resolution after a kill
 // costs at most re-judging the keys whose owner died (their store
 // dedup on the new owner absorbs repeats).
 //
@@ -32,6 +35,8 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"strconv"
@@ -44,6 +49,7 @@ import (
 	"repro/internal/judge"
 	"repro/internal/remote"
 	"repro/internal/resilience"
+	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
@@ -73,8 +79,8 @@ type Client interface {
 	Ping(ctx context.Context) error
 }
 
-// Replica is one fleet member: its address (the ring identity and the
-// metrics label) and its client.
+// Replica is one fleet member: its address (the placement identity and
+// the metrics label) and its client.
 type Replica struct {
 	Addr   string
 	Client Client
@@ -83,8 +89,6 @@ type Replica struct {
 // Config configures a Router. Replicas is the only required field.
 type Config struct {
 	Replicas []Replica
-	// Vnodes per replica on the ring; <= 0 means DefaultVnodes.
-	Vnodes int
 	// LoadFactor is the bounded-load threshold; <= 1 means
 	// DefaultLoadFactor.
 	LoadFactor float64
@@ -112,11 +116,13 @@ type Config struct {
 	Fault *fault.Injector
 }
 
-// replicaState is one member's runtime: health, load, breaker, and
-// counters.
+// replicaState is one member's runtime: placement seed, health, load,
+// breaker, and counters. healthy is the only record of membership: an
+// evicted replica keeps its place in the list and placement skips it.
 type replicaState struct {
 	addr     string
 	client   Client
+	seed     uint64 // first 8 bytes of SHA-256(addr); see score
 	breaker  *resilience.Breaker
 	healthy  atomic.Bool
 	inflight atomic.Int64
@@ -128,9 +134,7 @@ type replicaState struct {
 // Construct with NewRouter or Dial; Close stops the health loop.
 type Router struct {
 	cfg      Config
-	ring     *Ring
 	replicas []*replicaState
-	byAddr   map[string]*replicaState
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -165,22 +169,21 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	rt := &Router{
-		cfg:    cfg,
-		ring:   NewRing(cfg.Vnodes),
-		byAddr: make(map[string]*replicaState, len(cfg.Replicas)),
-		done:   make(chan struct{}),
-	}
+	rt := &Router{cfg: cfg, done: make(chan struct{})}
+	seen := make(map[string]bool, len(cfg.Replicas))
 	for _, r := range cfg.Replicas {
 		if r.Addr == "" || r.Client == nil {
 			return nil, fmt.Errorf("fleet: replica with empty address or nil client")
 		}
-		if _, dup := rt.byAddr[r.Addr]; dup {
+		if seen[r.Addr] {
 			return nil, fmt.Errorf("fleet: replica %s configured twice", r.Addr)
 		}
+		seen[r.Addr] = true
+		sum := sha256.Sum256([]byte(r.Addr))
 		st := &replicaState{
 			addr:   r.Addr,
 			client: r.Client,
+			seed:   binary.BigEndian.Uint64(sum[:8]),
 			breaker: resilience.NewBreaker(resilience.BreakerConfig{
 				Threshold: cfg.BreakerThreshold,
 				Cooldown:  cfg.BreakerCooldown,
@@ -188,8 +191,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		}
 		st.healthy.Store(true)
 		rt.replicas = append(rt.replicas, st)
-		rt.byAddr[r.Addr] = st
-		rt.ring.Add(r.Addr)
 	}
 	if cfg.HealthInterval > 0 {
 		rt.wg.Add(1)
@@ -207,7 +208,7 @@ func Dial(addrs string, opts ...remote.Option) (*Router, error) {
 }
 
 // DialConfig is Dial with the routing knobs exposed: cfg carries
-// Vnodes, LoadFactor, HealthInterval, and PingTimeout, while
+// LoadFactor, HealthInterval, and PingTimeout, while
 // cfg.Replicas is replaced by clients dialled from the address list.
 func DialConfig(addrs string, cfg Config, opts ...remote.Option) (*Router, error) {
 	cfg.Replicas = nil
@@ -236,8 +237,8 @@ func (rt *Router) Close() {
 	rt.wg.Wait()
 }
 
-// healthLoop pings every replica each interval, evicting failures from
-// the ring and readmitting recoveries.
+// healthLoop pings every replica each interval, evicting failures and
+// readmitting recoveries.
 func (rt *Router) healthLoop() {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(rt.cfg.HealthInterval)
@@ -274,7 +275,7 @@ func (rt *Router) CheckNow() {
 // probe pings one replica within the ping timeout, with the
 // "fleet.probe:<addr>" fault injection point applied on top: a drawn
 // fault fails an otherwise healthy probe, which is how a chaos
-// schedule makes a live replica flap in and out of the ring.
+// schedule makes a live replica flap in and out of the fleet.
 func (rt *Router) probe(st *replicaState) error {
 	if d := rt.cfg.Fault.At("fleet.probe:" + st.addr); d.Kind != fault.None {
 		return fmt.Errorf("%w: probe of %s", fault.ErrInjected, st.addr)
@@ -284,24 +285,23 @@ func (rt *Router) probe(st *replicaState) error {
 	return st.client.Ping(ctx)
 }
 
-// markDown evicts a replica from the ring (idempotent).
+// markDown evicts a replica (idempotent): placement skips it until
+// markUp.
 func (rt *Router) markDown(st *replicaState) {
 	if st.healthy.CompareAndSwap(true, false) {
-		rt.ring.Remove(st.addr)
 		rt.cfg.Logger.Warn("fleet: replica evicted", "replica_id", st.addr, "failures", st.failures.Load())
 	}
 }
 
-// markUp readmits a replica to the ring (idempotent).
+// markUp readmits a replica (idempotent): its keys come back to it.
 func (rt *Router) markUp(st *replicaState) {
 	if st.healthy.CompareAndSwap(false, true) {
-		rt.ring.Add(st.addr)
 		rt.cfg.Logger.Info("fleet: replica readmitted", "replica_id", st.addr)
 	}
 }
 
 // probeAsync verifies a replica that just failed a request, off the
-// request path: a dead replica leaves the ring as soon as the probe
+// request path: a dead replica is evicted as soon as the probe
 // fails instead of waiting for the next health tick, while a replica
 // that merely served one bad response stays seated.
 func (rt *Router) probeAsync(st *replicaState) {
@@ -315,18 +315,20 @@ func (rt *Router) probeAsync(st *replicaState) {
 }
 
 // loadBound is the bounded-load admission ceiling: LoadFactor times
-// the fair per-replica share of the current in-flight total (counting
-// the prompt being placed), never below 1.
+// the fair per-healthy-replica share of the current in-flight total
+// (counting the prompt being placed), never below 1.
 func (rt *Router) loadBound() int64 {
-	n := rt.ring.Len()
-	if n == 0 {
-		n = len(rt.replicas)
-	}
-	var total int64
+	var total, n int64
 	for _, st := range rt.replicas {
 		total += st.inflight.Load()
+		if st.healthy.Load() {
+			n++
+		}
 	}
-	fair := (total + int64(n)) / int64(n) // ceil((total+1)/n)
+	if n == 0 {
+		n = int64(len(rt.replicas))
+	}
+	fair := (total + n) / n // ceil((total+1)/n)
 	bound := int64(rt.cfg.LoadFactor * float64(fair))
 	if bound < 1 {
 		bound = 1
@@ -334,31 +336,88 @@ func (rt *Router) loadBound() int64 {
 	return bound
 }
 
-// pick selects the replica for a key, excluding already-tried members:
-// the ring owner when it is under the load bound and its circuit
-// breaker admits, else the first successor passing both checks (a
-// bounded-load spill or a breaker shed — either way the key moves to
-// its next ring successor, so batch grouping and reassembly order are
-// untouched), else the owner regardless — progress beats balance and
-// protection both. With the whole ring evicted it falls back to the
-// configured order, so a fleet whose health probes all fail still
-// serves whatever is actually alive.
+// score is a replica's rendezvous weight for a key hashing to h: a
+// SplitMix64 mix of the key hash XOR the replica's seed, so each
+// replica ranks the key space independently of every other.
+func score(h, seed uint64) uint64 { return rng.Mix(h ^ seed) }
+
+// keyHash folds a prompt key to 64 bits: the first 8 bytes of the
+// SHA-256 already are a uniform value.
+func keyHash(key judge.PromptKey) uint64 {
+	return binary.BigEndian.Uint64(key[:8])
+}
+
+// next returns the index of the replica ranked just after replica prev
+// in the successor order of a key hashing to h (prev < 0 asks for the
+// first), or -1 past the last. The order is descending score with
+// ties to the lower configured index — a total order over the fixed
+// replica list, so walking it visits every replica once, every caller
+// walks it identically, and skipping a replica is the same as
+// removing it.
+func (rt *Router) next(h uint64, prev int) int {
+	var prevScore uint64
+	if prev >= 0 {
+		prevScore = score(h, rt.replicas[prev].seed)
+	}
+	best, bestScore := -1, uint64(0)
+	for i, st := range rt.replicas {
+		s := score(h, st.seed)
+		if prev >= 0 && (s > prevScore || s == prevScore && i <= prev) {
+			continue // ranked at or before prev
+		}
+		if best < 0 || s > bestScore {
+			best, bestScore = i, s
+		}
+	}
+	return best
+}
+
+// owner is the index of a key's owner — its best-scored healthy
+// replica — or -1 with every replica evicted.
+func (rt *Router) owner(key judge.PromptKey) int {
+	h := keyHash(key)
+	for i := rt.next(h, -1); i >= 0; i = rt.next(h, i) {
+		if rt.replicas[i].healthy.Load() {
+			return i
+		}
+	}
+	return -1
+}
+
+// pick selects the replica index for a key, excluding evicted replicas
+// and those marked in tried (nil tries none): the owner when it is
+// under the load bound and its circuit breaker admits, else the first
+// successor passing both checks (a bounded-load spill or a breaker
+// shed — either way the key moves to its next successor, so batch
+// grouping and reassembly order are untouched), else the owner
+// regardless — progress beats balance and protection both. With every
+// replica evicted it falls back to the first untried replica in
+// successor order, so a fleet whose health probes all fail still
+// serves whatever is actually alive. It returns -1 once every replica
+// has been tried, and allocates nothing.
 //
 // consume distinguishes placement from dispatch: a dispatching pick
 // (route) claims a tripped replica's half-open probe slot via
 // Breaker.Allow, while a planning pick (batch grouping, which route
 // re-picks behind) only reads the breaker state so it cannot leak the
 // probe slot on a request that is regrouped before it is sent.
-func (rt *Router) pick(key judge.PromptKey, tried map[string]bool, consume bool) *replicaState {
-	var first *replicaState
+func (rt *Router) pick(key judge.PromptKey, tried []bool, consume bool) int {
+	h := keyHash(key)
+	first, fallback := -1, -1
 	bound := rt.loadBound()
-	for _, addr := range rt.ring.Successors(key, len(rt.replicas)) {
-		if tried[addr] {
+	for i := rt.next(h, -1); i >= 0; i = rt.next(h, i) {
+		if tried != nil && tried[i] {
 			continue
 		}
-		st := rt.byAddr[addr]
-		if first == nil {
-			first = st
+		if fallback < 0 {
+			fallback = i
+		}
+		st := rt.replicas[i]
+		if !st.healthy.Load() {
+			continue
+		}
+		if first < 0 {
+			first = i
 		}
 		if st.inflight.Load() >= bound {
 			continue
@@ -370,43 +429,39 @@ func (rt *Router) pick(key judge.PromptKey, tried map[string]bool, consume bool)
 		} else if st.breaker.State() == resilience.StateOpen {
 			continue
 		}
-		if st != first {
+		if i != first {
 			rt.spills.Add(1)
 		}
-		return st
+		return i
 	}
-	if first != nil {
+	if first >= 0 {
 		return first
 	}
-	for _, st := range rt.replicas {
-		if !tried[st.addr] {
-			return st
-		}
-	}
-	return nil
+	return fallback
 }
 
-// route resolves one group of prompts that share a ring placement key:
-// try the pick, fail over to the key's next successor on error, at
-// most once per replica. A success on any replica readmits it. When
+// route resolves one group of prompts that share a placement key: try
+// the pick, fail over to the key's next successor on error, at most
+// once per replica. A success on any replica readmits it. When
 // the context carries a trace, every attempt — the owner placement,
 // bounded-load spills, failover hops — records a "fleet.attempt" span,
 // so a traced file explains exactly which replicas it visited and why
 // it left them.
 func (rt *Router) route(ctx context.Context, key judge.PromptKey, prompts []string) ([]string, error) {
-	tried := make(map[string]bool, 2)
+	tried := make([]bool, len(rt.replicas))
 	var lastErr error
-	for hop := 0; len(tried) < len(rt.replicas); hop++ {
-		st := rt.pick(key, tried, true)
-		if st == nil {
-			break
+	for hop := 0; ; hop++ {
+		i := rt.pick(key, tried, true)
+		if i < 0 {
+			return nil, fmt.Errorf("fleet: no replica served the request (%d tried): %w", hop, lastErr)
 		}
+		st := rt.replicas[i]
 		actx, span := trace.Start(ctx, "fleet.attempt")
 		if span != nil {
 			span.SetAttr("replica", st.addr)
 			span.SetAttr("hop", strconv.Itoa(hop))
 			span.SetAttr("prompts", strconv.Itoa(len(prompts)))
-			if owners := rt.ring.Successors(key, 1); len(owners) == 1 && owners[0] != st.addr {
+			if o := rt.owner(key); o >= 0 && o != i {
 				span.SetAttr("spill", "true")
 			}
 		}
@@ -440,11 +495,10 @@ func (rt *Router) route(ctx context.Context, key judge.PromptKey, prompts []stri
 		st.failures.Add(1)
 		st.breaker.Failure()
 		rt.probeAsync(st)
-		tried[st.addr] = true
+		tried[i] = true
 		lastErr = err
 		rt.failovers.Add(1)
 	}
-	return nil, fmt.Errorf("fleet: no replica served the request (%d tried): %w", len(tried), lastErr)
 }
 
 // Complete implements judge.LLM; like the remote client, the
@@ -458,7 +512,7 @@ func (rt *Router) Complete(prompt string) string {
 }
 
 // CompleteContext implements judge.ContextLLM: one prompt, routed to
-// its ring owner with health-aware failover.
+// its owner with health-aware failover.
 func (rt *Router) CompleteContext(ctx context.Context, prompt string) (string, error) {
 	rt.requests.Add(1)
 	resps, err := rt.route(ctx, judge.KeyOf(prompt), []string{prompt})
@@ -468,7 +522,7 @@ func (rt *Router) CompleteContext(ctx context.Context, prompt string) (string, e
 	return resps[0], nil
 }
 
-// CompleteBatch implements judge.BatchLLM: the shard is split by ring
+// CompleteBatch implements judge.BatchLLM: the shard is split by
 // owner, the per-replica groups are fanned out concurrently — one
 // CompleteBatch wire call each — and the responses are reassembled in
 // prompt order. A group whose owner dies mid-call fails over to the
@@ -484,18 +538,15 @@ func (rt *Router) CompleteBatch(ctx context.Context, prompts []string) ([]string
 		idxs    []int
 		prompts []string
 	}
-	groups := map[string]*group{}
+	groups := make([]*group, len(rt.replicas)) // by picked replica
 	var order []*group
 	for i, p := range prompts {
 		key := judge.KeyOf(p)
-		st := rt.pick(key, nil, false)
-		if st == nil {
-			return nil, fmt.Errorf("fleet: no replicas available")
-		}
-		g, ok := groups[st.addr]
-		if !ok {
+		r := rt.pick(key, nil, false)
+		g := groups[r]
+		if g == nil {
 			g = &group{key: key}
-			groups[st.addr] = g
+			groups[r] = g
 			order = append(order, g)
 		}
 		g.idxs = append(g.idxs, i)

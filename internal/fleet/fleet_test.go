@@ -88,6 +88,26 @@ func (f *fakeReplica) Ping(ctx context.Context) error {
 	return nil
 }
 
+// ownerAddr is the address of a key's owner, "" with every replica
+// evicted.
+func ownerAddr(rt *Router, key judge.PromptKey) string {
+	if i := rt.owner(key); i >= 0 {
+		return rt.replicas[i].addr
+	}
+	return ""
+}
+
+// healthyCount reads how many replicas Replicas reports healthy.
+func healthyCount(rt *Router) int {
+	n := 0
+	for _, st := range rt.Replicas() {
+		if st.Healthy {
+			n++
+		}
+	}
+	return n
+}
+
 // testRouter builds a Router over fakes with the background health
 // loop disabled, so membership changes only when the test asks.
 func testRouter(t *testing.T, fakes ...*fakeReplica) *Router {
@@ -120,7 +140,7 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 }
 
-// TestRouterStickiness: a prompt always lands on its ring owner, so
+// TestRouterStickiness: a prompt always lands on its owner, so
 // the owner's dedup store and cache see every repeat.
 func TestRouterStickiness(t *testing.T) {
 	a, b := newFakeReplica("a"), newFakeReplica("b")
@@ -132,14 +152,14 @@ func TestRouterStickiness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owner, _ := rt.ring.Owner(judge.KeyOf(prompt))
+		owner := ownerAddr(rt, judge.KeyOf(prompt))
 		if want := owner + ":" + prompt; resp != want {
-			t.Fatalf("prompt %q answered by %q, ring owner is %q", prompt, resp, owner)
+			t.Fatalf("prompt %q answered by %q, owner is %q", prompt, resp, owner)
 		}
 	}
 }
 
-// TestRouterBatchSplitAndOrder: a mixed shard splits by ring owner,
+// TestRouterBatchSplitAndOrder: a mixed shard splits by owner,
 // fans out, and reassembles in prompt order.
 func TestRouterBatchSplitAndOrder(t *testing.T) {
 	a, b, c := newFakeReplica("a"), newFakeReplica("b"), newFakeReplica("c")
@@ -167,7 +187,7 @@ func TestRouterBatchSplitAndOrder(t *testing.T) {
 		}
 	}
 	if used < 2 {
-		t.Fatalf("60 prompts landed on %d replica(s); ring not splitting", used)
+		t.Fatalf("60 prompts landed on %d replica(s); placement not splitting", used)
 	}
 	if got := rt.Stats().RoutedPrompts; got != int64(len(prompts)) {
 		t.Fatalf("RoutedPrompts = %d, want %d", got, len(prompts))
@@ -178,7 +198,7 @@ func TestRouterBatchSplitAndOrder(t *testing.T) {
 }
 
 // TestRouterFailover: a dead replica's keys fail over to the next
-// ring successor without surfacing an error, and every response stays
+// successor without surfacing an error, and every response stays
 // correct for its prompt.
 func TestRouterFailover(t *testing.T) {
 	a, b := newFakeReplica("a"), newFakeReplica("b")
@@ -213,9 +233,9 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
-// TestRouterHealthEvictReadmit: CheckNow evicts a dead replica from
-// the ring (moving its keys) and readmits it on recovery (restoring
-// the original placement).
+// TestRouterHealthEvictReadmit: CheckNow evicts a dead replica (moving
+// its keys) and readmits it on recovery (restoring the original
+// placement).
 func TestRouterHealthEvictReadmit(t *testing.T) {
 	a, b, c := newFakeReplica("a"), newFakeReplica("b"), newFakeReplica("c")
 	rt := testRouter(t, a, b, c)
@@ -223,7 +243,7 @@ func TestRouterHealthEvictReadmit(t *testing.T) {
 	before := make([]string, len(keys))
 	for i := range keys {
 		keys[i] = judge.KeyOf(fmt.Sprintf("hm-%d", i))
-		before[i], _ = rt.ring.Owner(keys[i])
+		before[i] = ownerAddr(rt, keys[i])
 	}
 	b.dead.Store(true)
 	rt.CheckNow()
@@ -231,11 +251,11 @@ func TestRouterHealthEvictReadmit(t *testing.T) {
 	if st[0].Healthy != true || st[1].Healthy != false || st[2].Healthy != true {
 		t.Fatalf("health after eviction: %+v", st)
 	}
-	if rt.ring.Len() != 2 {
-		t.Fatalf("ring has %d members after eviction, want 2", rt.ring.Len())
+	if n := healthyCount(rt); n != 2 {
+		t.Fatalf("%d healthy replicas after eviction, want 2", n)
 	}
 	for i, key := range keys {
-		owner, _ := rt.ring.Owner(key)
+		owner := ownerAddr(rt, key)
 		if owner == "b" {
 			t.Fatal("evicted replica still owns keys")
 		}
@@ -245,11 +265,11 @@ func TestRouterHealthEvictReadmit(t *testing.T) {
 	}
 	b.dead.Store(false)
 	rt.CheckNow()
-	if rt.ring.Len() != 3 {
-		t.Fatalf("ring has %d members after readmission, want 3", rt.ring.Len())
+	if n := healthyCount(rt); n != 3 {
+		t.Fatalf("%d healthy replicas after readmission, want 3", n)
 	}
 	for i, key := range keys {
-		if owner, _ := rt.ring.Owner(key); owner != before[i] {
+		if owner := ownerAddr(rt, key); owner != before[i] {
 			t.Fatalf("key %d not restored after readmission", i)
 		}
 	}
@@ -269,7 +289,7 @@ func TestRouterRequestPathEviction(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.ring.Len() != 1 {
+	for healthyCount(rt) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("dead replica not evicted by request-path probe")
 		}
@@ -278,32 +298,31 @@ func TestRouterRequestPathEviction(t *testing.T) {
 	// A success readmits: markUp runs on every successful route.
 	b.dead.Store(false)
 	rt.CheckNow()
-	if rt.ring.Len() != 2 {
+	if healthyCount(rt) != 2 {
 		t.Fatal("replica not readmitted after recovery")
 	}
 }
 
 // TestRouterBoundedLoadSpill: a replica pinned far above the load
-// bound stops receiving new keys; they spill to its ring successor.
+// bound stops receiving new keys; they spill to its successor.
 func TestRouterBoundedLoadSpill(t *testing.T) {
 	a, b := newFakeReplica("a"), newFakeReplica("b")
 	rt := testRouter(t, a, b)
 	// Pin a's in-flight count sky-high; every key owned by a must
 	// spill to b.
-	rt.byAddr["a"].inflight.Store(1000)
+	rt.replicas[0].inflight.Store(1000)
 	for i := 0; i < 30; i++ {
-		st := rt.pick(judge.KeyOf(fmt.Sprintf("spill-%d", i)), nil, true)
-		if st.addr != "b" {
-			t.Fatalf("key routed to overloaded replica %s", st.addr)
+		if got := rt.pick(judge.KeyOf(fmt.Sprintf("spill-%d", i)), nil, true); got != 1 {
+			t.Fatalf("key routed to overloaded replica %d", got)
 		}
 	}
 	if rt.spills.Load() == 0 {
 		t.Fatal("no spills recorded")
 	}
 	// Both over the bound: fall back to the owner rather than failing.
-	rt.byAddr["b"].inflight.Store(1000)
-	if st := rt.pick(judge.KeyOf("spill-anyway"), nil, true); st == nil {
-		t.Fatal("pick returned nil with all replicas over bound")
+	rt.replicas[1].inflight.Store(1000)
+	if got := rt.pick(judge.KeyOf("spill-anyway"), nil, true); got < 0 {
+		t.Fatal("pick found no replica with all replicas over bound")
 	}
 }
 
@@ -321,14 +340,14 @@ func TestRouterHealthLoop(t *testing.T) {
 	defer rt.Close()
 	b.dead.Store(true)
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.ring.Len() != 1 {
+	for healthyCount(rt) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("health loop never evicted the dead replica")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	b.dead.Store(false)
-	for rt.ring.Len() != 2 {
+	for healthyCount(rt) != 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("health loop never readmitted the recovered replica")
 		}
@@ -395,8 +414,8 @@ func TestRouterHungProbeBoundedByInterval(t *testing.T) {
 	if elapsed >= DefaultPingTimeout {
 		t.Fatalf("health pass took %v with a hung replica; probe timeout not bounded by the interval", elapsed)
 	}
-	if rt.ring.Len() != 1 {
-		t.Fatalf("ring has %d replicas after the pass; the hung replica was not evicted", rt.ring.Len())
+	if n := healthyCount(rt); n != 1 {
+		t.Fatalf("%d healthy replicas after the pass; the hung replica was not evicted", n)
 	}
 
 	// An explicit PingTimeout always wins over the derivation.
@@ -435,7 +454,7 @@ func (s *sickReplica) Ping(ctx context.Context) error { return nil }
 
 // TestBreakerShedsToSuccessorPreservingOrder: a replica that pings
 // healthy but fails every request trips its breaker; its keys shed to
-// ring successors at placement time, and batch responses still come
+// successors at placement time, and batch responses still come
 // back in prompt order.
 func TestBreakerShedsToSuccessorPreservingOrder(t *testing.T) {
 	a := &sickReplica{addr: "a"}
@@ -455,7 +474,7 @@ func TestBreakerShedsToSuccessorPreservingOrder(t *testing.T) {
 	for i := range prompts {
 		prompts[i] = fmt.Sprintf("order-%d", i)
 	}
-	// Single-prompt traffic first: every request whose ring owner is a
+	// Single-prompt traffic first: every request whose owner is a
 	// fails there once and fails over to a successor, so a accumulates
 	// consecutive failures until its breaker trips. Health stays green
 	// throughout — pings succeed — so the breaker, not eviction, is
@@ -469,7 +488,7 @@ func TestBreakerShedsToSuccessorPreservingOrder(t *testing.T) {
 			t.Fatalf("sick replica produced a response for %q", p)
 		}
 	}
-	if got := rt.byAddr["a"].breaker.State(); got.String() != "open" {
+	if got := rt.replicas[0].breaker.State(); got.String() != "open" {
 		t.Fatalf("sick replica breaker %v after a full batch of failures", got)
 	}
 	if !rt.Replicas()[0].Healthy {
@@ -499,7 +518,7 @@ func TestBreakerShedsToSuccessorPreservingOrder(t *testing.T) {
 
 // TestProbeFaultInjectionFlapsReplica: a fleet.probe fault schedule
 // makes a perfectly healthy replica flap out of and back into the
-// ring, deterministically.
+// fleet, deterministically.
 func TestProbeFaultInjectionFlapsReplica(t *testing.T) {
 	a, b := newFakeReplica("a"), newFakeReplica("b")
 	inj := fault.New(7, &fault.Rule{Point: "fleet.probe:a", Kind: fault.Flap, Every: 2})

@@ -153,7 +153,7 @@ func (f *Frontend) route(ctx context.Context, prompt string, release func()) (st
 }
 
 // routeBatch is the router's batch endpoint: the shard fans out by
-// ring owner, one CompleteBatch wire call per replica.
+// owner, one CompleteBatch wire call per replica.
 func (f *Frontend) routeBatch(ctx context.Context, prompts []string) ([]string, error) {
 	defer func(start time.Time) { f.rec.Observe("route_batch", time.Since(start)) }(time.Now())
 	return f.cfg.Router.CompleteBatch(ctx, prompts)

@@ -16,7 +16,7 @@ type RouterStats struct {
 	// RoutedPrompts counts prompts delivered to replicas successfully.
 	RoutedPrompts int64 `json:"routed_prompts"`
 	// Failovers counts replica attempts that failed and moved a
-	// request to the key's next ring successor.
+	// request to the key's next successor.
 	Failovers int64 `json:"failovers"`
 	// Spills counts bounded-load placements: keys routed past an
 	// over-loaded owner to a later successor.

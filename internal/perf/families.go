@@ -51,10 +51,10 @@ var (
 	FamRouterRequests        = FamilyDef{"llm4vv_router_requests_total", "counter", "Single-prompt routing requests."}
 	FamRouterBatchRequests   = FamilyDef{"llm4vv_router_batch_requests_total", "counter", "Batch routing requests."}
 	FamRouterRoutedPrompts   = FamilyDef{"llm4vv_router_routed_prompts_total", "counter", "Prompts delivered to replicas."}
-	FamRouterFailovers       = FamilyDef{"llm4vv_router_failovers_total", "counter", "Requests moved to a ring successor after a replica failure."}
+	FamRouterFailovers       = FamilyDef{"llm4vv_router_failovers_total", "counter", "Requests moved to the key's next successor after a replica failure."}
 	FamRouterSpills          = FamilyDef{"llm4vv_router_spills_total", "counter", "Bounded-load placements past an overloaded owner."}
 	FamRouterInflight        = FamilyDef{"llm4vv_router_inflight_prompts", "gauge", "Prompts admitted and not yet answered."}
-	FamRouterReplicaHealthy  = FamilyDef{"llm4vv_router_replica_healthy", "gauge", "Replica ring membership: 1 healthy, 0 evicted."}
+	FamRouterReplicaHealthy  = FamilyDef{"llm4vv_router_replica_healthy", "gauge", "Replica membership: 1 healthy, 0 evicted."}
 	FamRouterReplicaPrompts  = FamilyDef{"llm4vv_router_replica_prompts_total", "counter", "Prompts answered per replica."}
 	FamRouterReplicaFailures = FamilyDef{"llm4vv_router_replica_failures_total", "counter", "Failed requests per replica."}
 	FamRouterStageSeconds    = FamilyDef{"llm4vv_router_stage_seconds", "summary", "Routing latency quantiles (route = one prompt, route_batch = one shard)."}

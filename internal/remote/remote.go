@@ -22,10 +22,12 @@
 // list is the fleet Router's job (internal/fleet), which holds one
 // Backend per replica.
 //
-// Requests carry the fleet admission headers: WithPriority tags the
-// priority class (PriorityHeader; batch calls default to bulk, the
-// class routers shed first under overload) and WithClientID the
-// quota identity (ClientHeader) — semantics in docs/OPERATIONS.md.
+// A Backend sends neither fleet admission header. A router classes
+// its unlabelled requests by shape (a batch is bulk, the class it
+// sheds first under overload; a single prompt is interactive) and
+// keys its per-client quota on the connection's remote host; other
+// clients may set PriorityHeader and ClientHeader themselves —
+// semantics in docs/OPERATIONS.md.
 package remote
 
 import (
@@ -80,12 +82,10 @@ const (
 // Backend is a remote judging endpoint: one daemon or router.
 // Construct with New; the zero value is not usable.
 type Backend struct {
-	base     string
-	hc       *http.Client
-	retries  int
-	backoff  time.Duration
-	priority string
-	client   string
+	base    string
+	hc      *http.Client
+	retries int
+	backoff time.Duration
 
 	policy  *resilience.Policy
 	retried atomic.Int64 // retry waits performed (metrics)
@@ -107,15 +107,6 @@ func WithBackoff(d time.Duration) Option { return func(b *Backend) { b.backoff =
 // WithHTTPClient substitutes the HTTP client (tests inject
 // httptest clients; production code keeps the shared transport).
 func WithHTTPClient(hc *http.Client) Option { return func(b *Backend) { b.hc = hc } }
-
-// WithPriority stamps every request with a priority class
-// (PriorityInteractive or PriorityBulk) for the router's load
-// shedding; daemons ignore the header.
-func WithPriority(class string) Option { return func(b *Backend) { b.priority = class } }
-
-// WithClientID stamps every request with a client name for the
-// router's per-client admission quotas.
-func WithClientID(id string) Option { return func(b *Backend) { b.client = id } }
 
 // New returns a client for the daemon or router at addr ("host:port"
 // or a full http:// URL).
@@ -251,12 +242,6 @@ func (b *Backend) doPost(ctx context.Context, path string, in, out any) error {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		if b.priority != "" {
-			req.Header.Set(PriorityHeader, b.priority)
-		}
-		if b.client != "" {
-			req.Header.Set(ClientHeader, b.client)
-		}
 		trace.Inject(ctx, req.Header)
 		resp, err := b.hc.Do(req)
 		var retryAfter time.Duration

@@ -189,32 +189,32 @@ func TestZeroBackoffRetriesImmediately(t *testing.T) {
 	}
 }
 
+// TestPriorityAndClientHeaders: a Backend sends neither fleet admission
+// header, on singles or batches, so a router classes its requests by
+// shape (a batch is bulk) and keys its quota on the remote host.
 func TestPriorityAndClientHeaders(t *testing.T) {
-	var gotPriority, gotClient atomic.Value
+	var sent atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotPriority.Store(r.Header.Get(remote.PriorityHeader))
-		gotClient.Store(r.Header.Get(remote.ClientHeader))
+		sent.Store(r.Header.Get(remote.PriorityHeader) + r.Header.Get(remote.ClientHeader))
+		if r.URL.Path == "/v1/complete_batch" {
+			_ = json.NewEncoder(w).Encode(server.CompleteBatchResponse{Responses: []string{"ok"}})
+			return
+		}
 		_ = json.NewEncoder(w).Encode(server.CompleteResponse{Response: "ok"})
 	}))
 	defer ts.Close()
-	b := remote.New(ts.URL, remote.WithPriority(remote.PriorityBulk), remote.WithClientID("sweep-7"))
+	b := remote.New(ts.URL)
 	if _, err := b.CompleteContext(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	if got := gotPriority.Load(); got != remote.PriorityBulk {
-		t.Errorf("priority header = %v, want %q", got, remote.PriorityBulk)
+	if got := sent.Load(); got != "" {
+		t.Errorf("single request carried admission headers %q", got)
 	}
-	if got := gotClient.Load(); got != "sweep-7" {
-		t.Errorf("client header = %v, want sweep-7", got)
-	}
-	// Without the options the headers stay absent, so daemons see the
-	// exact requests older clients sent.
-	plain := remote.New(ts.URL)
-	if _, err := plain.CompleteContext(context.Background(), "p"); err != nil {
+	if _, err := b.CompleteBatch(context.Background(), []string{"p"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := gotPriority.Load(); got != "" {
-		t.Errorf("unconfigured client sent priority %q", got)
+	if got := sent.Load(); got != "" {
+		t.Errorf("batch request carried admission headers %q", got)
 	}
 }
 

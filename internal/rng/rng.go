@@ -45,11 +45,18 @@ func New(seed uint64) *Source {
 // splitMix64 advances the SplitMix64 state and returns the next state
 // and output value.
 func splitMix64(state uint64) (next, out uint64) {
-	state += 0x9e3779b97f4a7c15
-	z := state
+	return state + 0x9e3779b97f4a7c15, Mix(state)
+}
+
+// Mix is one SplitMix64 step as a pure function: x advanced by the
+// golden gamma, then avalanched, so every input bit flips about half
+// the output bits. It turns structured input (seeds, hashes XORed with
+// IDs) into uniform 64-bit values.
+func Mix(x uint64) uint64 {
+	z := x + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return state, z ^ (z >> 31)
+	return z ^ (z >> 31)
 }
 
 // Uint64 returns the next 64 random bits (xoshiro256**).
