@@ -12,7 +12,7 @@ import (
 // operator or compares a variable's name, because lowering made those
 // decisions, once.
 //
-// Four rules keep the lowered code equivalent to a walk of the AST.
+// Five rules keep the lowered code equivalent to a walk of the AST.
 //   - Steps: a statement or an expression takes one step on entry, as
 //     a walk would, so Result.Steps and the step-limit trap point
 //     follow the AST. Assignment targets (places) and a call's
@@ -36,6 +36,18 @@ import (
 //     its bare body's declarations from the previous iteration. So a
 //     use reads the latest declaration of its name that ran in a scope
 //     enclosing it, and a global when there is none.
+//   - Fused leaves: a leaf is a variable resolved to one slot that
+//     names no builtin constant, or an int literal. An index chain of
+//     leaves (a[i][k]) as a value or a place, an int comparison of two
+//     leaves (k < N) and an increment of a leaf (k++) also get a fused
+//     closure, which reads the leaves in place and takes every step
+//     the generic closures would in one subtraction. It does so only
+//     when that many steps are left and its checks show that the
+//     generic walk would neither fault nor leave the int fast path;
+//     otherwise it calls the generic closure, built exactly as without
+//     it, which stays the one definition of the node's semantics. A
+//     loop body that cannot break or continue (lowerer.jumps) runs
+//     without runBody's recover.
 
 type (
 	// evalFn evaluates one expression.
@@ -66,6 +78,10 @@ type funcCode struct {
 	slots int
 	// aliases fill the slots of the globals the function uses.
 	aliases []globalAlias
+	// jumps is set when a call may unwind the caller's loop with a
+	// break or continue: the body holds what lowerer.jumps counts. It
+	// is set while the body is lowered, so a recursive call counts.
+	jumps bool
 }
 
 type paramCode struct {
@@ -172,6 +188,11 @@ type lowerer struct {
 	// single or master around this point nests in.
 	regions   []*region
 	exclusive int
+	// jumps counts what may unwind a loop body with a break or
+	// continue, as it is lowered: break and continue statements,
+	// statements of a kind lowering does not know, and calls of user
+	// functions whose bodies hold any of these.
+	jumps int
 }
 
 // lower compiles obj's globals and its main function, with every user
@@ -199,10 +220,11 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 	if fc, ok := l.funcs[name]; ok {
 		return fc
 	}
-	fc := &funcCode{params: make([]paramCode, len(fd.Params))}
+	fc := &funcCode{params: make([]paramCode, len(fd.Params)), jumps: true}
 	l.funcs[name] = fc
-	// A callee is not part of the regions around its first call.
-	fn, sc, cond, regions, exclusive := l.fn, l.sc, l.cond, l.regions, l.exclusive
+	// A callee is not part of the regions around its first call, nor
+	// of the loops.
+	fn, sc, cond, regions, exclusive, jumps := l.fn, l.sc, l.cond, l.regions, l.exclusive, l.jumps
 	l.fn, l.sc, l.cond, l.regions, l.exclusive = fc, &scope{}, false, nil, 0
 	for i, p := range fd.Params {
 		c := convOf(p.Type)
@@ -212,7 +234,8 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 		fc.params[i] = paramCode{slot: l.declSlot(p.Name), typ: p.Type, conv: c}
 	}
 	fc.body = l.stmt(fd.Body)
-	l.fn, l.sc, l.cond, l.regions, l.exclusive = fn, sc, cond, regions, exclusive
+	fc.jumps = l.jumps != jumps
+	l.fn, l.sc, l.cond, l.regions, l.exclusive, l.jumps = fn, sc, cond, regions, exclusive, jumps
 	return fc
 }
 
@@ -422,8 +445,16 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 		}
 	case *testlang.WhileStmt:
 		l.predeclare(n.Body)
-		cond := l.expr(n.Cond)
+		cond, jumps := l.expr(n.Cond), l.jumps
 		body := l.bare(n.Body)
+		if l.jumps == jumps {
+			return func(ex *exec) {
+				ex.in.step()
+				for cond(ex).truthy() {
+					body(ex)
+				}
+			}
+		}
 		return func(ex *exec) {
 			ex.in.step()
 			for cond(ex).truthy() {
@@ -447,11 +478,13 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			panic(&ex.ret)
 		}
 	case *testlang.BreakStmt:
+		l.jumps++
 		return func(ex *exec) {
 			ex.in.step()
 			panic(breakSignal{})
 		}
 	case *testlang.ContinueStmt:
+		l.jumps++
 		return func(ex *exec) {
 			ex.in.step()
 			panic(continueSignal{})
@@ -462,9 +495,14 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			ex.in.step()
 			d.run(ex)
 		}
-	default:
+	case *testlang.EmptyStmt, *testlang.UnknownPragmaStmt:
 		// Empty statements and unknown pragmas (ignored at run time,
 		// as a real compiler's codegen would) still cost their step.
+		return stepStmt
+	default:
+		// A statement of a kind lowering does not know takes its
+		// step, and a loop around it keeps runBody's recover.
+		l.jumps++
 		return stepStmt
 	}
 }
@@ -555,6 +593,10 @@ type forLoop struct {
 	// iv is a loop directive's variable as the body sees it, which a
 	// work-shared chunk binds to a cell of its own.
 	iv varRef
+	// direct is set when the body can neither break nor continue
+	// (lowerer.jumps), so an iteration runs it without runBody's
+	// recover.
+	direct bool
 }
 
 // forLoop lowers a for statement in a scope of its own; iv names the
@@ -578,7 +620,9 @@ func (l *lowerer) forLoop(n *testlang.ForStmt, iv string, rg *region) *forLoop {
 	if rg != nil {
 		rg.writes = true
 	}
+	jumps := l.jumps
 	f.body = l.bare(n.Body)
+	f.direct = l.jumps == jumps
 	f.clear = l.pop()
 	l.cond = cond
 	return f
@@ -592,13 +636,22 @@ func (f *forLoop) run(ex *exec) {
 		if f.cond != nil && !f.cond(ex).truthy() {
 			return
 		}
-		if runBody(ex, f.body) {
+		if f.iterate(ex) {
 			return
 		}
 		if f.post != nil {
 			f.post(ex)
 		}
 	}
+}
+
+// iterate runs the body once and reports whether it broke the loop.
+func (f *forLoop) iterate(ex *exec) bool {
+	if f.direct {
+		f.body(ex)
+		return false
+	}
+	return runBody(ex, f.body)
 }
 
 // --- expressions ------------------------------------------------------
@@ -647,14 +700,19 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.UnaryExpr:
 		return l.unary(n)
 	case *testlang.PostfixExpr:
-		p, d := l.place(n.X), delta(n.Op)
-		return func(ex *exec) value {
+		p, o, leaf := l.placeLeaf(n.X)
+		d := delta(n.Op)
+		f := func(ex *exec) value {
 			ex.in.step()
 			pl := p(ex)
 			old := pl.load()
 			pl.store(applyDelta(old, d))
 			return old
 		}
+		if leaf {
+			return stepLeaf(f, o.slot, d)
+		}
+		return f
 	case *testlang.AssignExpr:
 		return l.assign(n)
 	case *testlang.CondExpr:
@@ -669,11 +727,16 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.CallExpr:
 		return l.call(n)
 	case *testlang.IndexExpr:
-		ref := l.chain(n, true)
-		return func(ex *exec) value {
-			b, off := ref(ex)
+		c := l.chain(n, true)
+		walk := c.walk
+		f := func(ex *exec) value {
+			b, off := walk(ex)
 			return b.viewOrLoad(off)
 		}
+		if c.leaves {
+			return c.load(f)
+		}
+		return f
 	case *testlang.CastExpr:
 		x, to := l.expr(n.X), n.To
 		if to.Ptr > 0 {
@@ -738,7 +801,11 @@ func builtinConst(name string) (value, bool) {
 // its builtin constant, or faults: sema rules that out for compiled
 // programs.
 func (l *lowerer) ident(name string) evalFn {
-	r := l.resolve(name)
+	return identAt(name, l.resolve(name))
+}
+
+// identAt lowers a read of name, resolved to r.
+func identAt(name string, r varRef) evalFn {
 	fallback, isConst := builtinConst(name)
 	switch {
 	case len(r) == 0 && isConst:
@@ -774,7 +841,17 @@ func (l *lowerer) ident(name string) evalFn {
 // mixed kinds) and every other operator goes through arith and
 // compare, which define the semantics.
 func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
-	x, y, op := l.expr(n.L), l.expr(n.R), n.Op
+	x, xo, xleaf := l.leaf(n.L)
+	y, yo, yleaf := l.leaf(n.R)
+	f := binaryOp(n.Op, x, y)
+	if test, ok := intCompares[n.Op]; ok && xleaf && yleaf {
+		return compareLeaves(f, xo, yo, test)
+	}
+	return f
+}
+
+// binaryOp lowers operator op over lowered operands.
+func binaryOp(op string, x, y evalFn) evalFn {
 	switch op {
 	case "&&":
 		return func(ex *exec) value {
@@ -960,10 +1037,10 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 	switch t := e.(type) {
 	case *testlang.IndexExpr:
-		ref := l.chain(t, false)
+		walk := l.chain(t, false).walk
 		return func(ex *exec) value {
 			ex.in.step()
-			b, off := ref(ex)
+			b, off := walk(ex)
 			return elemRef(b.b, off)
 		}
 	case *testlang.IdentExpr:
@@ -990,10 +1067,18 @@ func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 // of its own: the assignment, increment or dereference that needs it
 // already took one.
 func (l *lowerer) place(e testlang.Expr) placeFn {
+	p, _, _ := l.placeLeaf(e)
+	return p
+}
+
+// placeLeaf lowers an assignment target as place does and, when it is
+// a leaf variable, returns it as an operand too.
+func (l *lowerer) placeLeaf(e testlang.Expr) (placeFn, operand, bool) {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
 		r := l.resolve(n.Name)
 		l.wrote(r, false)
+		o, leaf := leafOf(n.Name, r)
 		if len(r) == 1 {
 			s := r[0]
 			return func(ex *exec) place {
@@ -1001,29 +1086,34 @@ func (l *lowerer) place(e testlang.Expr) placeFn {
 					return place{c: c}
 				}
 				panic(segfault())
-			}
+			}, o, leaf
 		}
 		return func(ex *exec) place {
 			if c := ex.cellOf(r); c != nil {
 				return place{c: c}
 			}
 			panic(segfault())
-		}
+		}, o, leaf
 	case *testlang.IndexExpr:
-		ref := l.chain(n, false)
-		return func(ex *exec) place {
-			b, off := ref(ex)
+		c := l.chain(n, false)
+		walk := c.walk
+		f := func(ex *exec) place {
+			b, off := walk(ex)
 			if b.viewRank() > 1 {
 				panic(ex.pointerFault()) // assigning to a whole row
 			}
 			return place{blk: b.b, off: off}
 		}
+		if c.leaves {
+			return c.store(f), operand{}, false
+		}
+		return f, operand{}, false
 	case *testlang.UnaryExpr:
 		if n.Op == "*" {
-			return l.deref(n.X)
+			return l.deref(n.X), operand{}, false
 		}
 	}
-	return func(*exec) place { panic(segfault()) }
+	return func(*exec) place { panic(segfault()) }, operand{}, false
 }
 
 // deref lowers the place *x.
@@ -1044,13 +1134,22 @@ func (l *lowerer) deref(x testlang.Expr) placeFn {
 	}
 }
 
-// chain lowers a fused a[i][k]... chain to a function returning the
-// ref its outermost index applies to and the element offset. Every
-// index node of the chain that steps does so before the base is
-// evaluated, as a walk of the nested IndexExprs would: all of them
-// where the chain is a value, all but the outermost where it is a
-// place or an address.
-func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) func(*exec) (value, int) {
+// indexChain is a lowered a[i][k]... chain. walk returns the ref its
+// outermost index applies to and the element offset. leaves is set
+// when its base is a leaf variable, in slot base, and its indices are
+// leaves (idx), so a fused node can resolve it in place (leafElem).
+type indexChain struct {
+	walk   func(*exec) (value, int)
+	leaves bool
+	base   int
+	idx    []operand
+}
+
+// chain lowers a fused a[i][k]... chain. Every index node of the chain
+// that steps does so before the base is evaluated, as a walk of the
+// nested IndexExprs would: all of them where the chain is a value, all
+// but the outermost where it is a place or an address.
+func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) indexChain {
 	var nodes []*testlang.IndexExpr
 	var e testlang.Expr = n
 	for {
@@ -1061,15 +1160,22 @@ func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) func(*exec) (value, 
 		nodes = append(nodes, ix)
 		e = ix.X
 	}
-	base, idx := l.expr(e), make([]evalFn, len(nodes))
+	c := indexChain{idx: make([]operand, len(nodes))}
+	base, bo, leaves := l.leaf(e)
+	c.base = bo.slot
+	leaves = leaves && bo.slot >= 0
+	idx := make([]evalFn, len(nodes))
 	for i, ix := range nodes {
-		idx[len(nodes)-1-i] = l.expr(ix.Index)
+		f, o, leaf := l.leaf(ix.Index)
+		idx[len(nodes)-1-i], c.idx[len(nodes)-1-i] = f, o
+		leaves = leaves && leaf
 	}
+	c.leaves = leaves
 	steps := len(nodes) - 1
 	if rvalue {
 		steps++
 	}
-	return func(ex *exec) (value, int) {
+	c.walk = func(ex *exec) (value, int) {
 		for i := 0; i < steps; i++ {
 			ex.in.step()
 		}
@@ -1081,6 +1187,7 @@ func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) func(*exec) (value, 
 		}
 		return ex.index(v, idx[last])
 	}
+	return c
 }
 
 // assign lowers =, and the compound assignments through arith.
@@ -1124,4 +1231,150 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 		pl.store(out)
 		return out
 	}
+}
+
+// --- fused leaves -------------------------------------------------------
+
+// operand is a leaf, which a fused node reads in place instead of
+// calling its closure: a variable resolved to a single slot that names
+// no builtin constant, or an int literal (slot < 0).
+type operand struct {
+	slot int
+	lit  int64
+}
+
+// leafOf is the operand a use of name resolved to r is, if a leaf.
+func leafOf(name string, r varRef) (operand, bool) {
+	if _, isConst := builtinConst(name); len(r) != 1 || isConst {
+		return operand{}, false
+	}
+	return operand{slot: r[0]}, true
+}
+
+// leaf lowers e as expr does and, when e is a leaf, returns it as an
+// operand too, from the same resolution.
+func (l *lowerer) leaf(e testlang.Expr) (evalFn, operand, bool) {
+	switch n := e.(type) {
+	case *testlang.IntLitExpr:
+		return constant(intVal(n.Value)), operand{slot: -1, lit: n.Value}, true
+	case *testlang.IdentExpr:
+		r := l.resolve(n.Name)
+		o, ok := leafOf(n.Name, r)
+		return identAt(n.Name, r), o, ok
+	}
+	return l.expr(e), operand{}, false
+}
+
+// intOf reads an int operand; ok is false when its slot is unbound or
+// holds anything but an int.
+func (ex *exec) intOf(o operand) (int64, bool) {
+	if o.slot < 0 {
+		return o.lit, true
+	}
+	c := ex.frame[o.slot]
+	if c == nil || c.v.k != kInt {
+		return 0, false
+	}
+	return c.v.i, true
+}
+
+// intCompares are the comparisons fused over two int leaves.
+var intCompares = map[string]func(a, b int64) bool{
+	"<":  func(a, b int64) bool { return a < b },
+	"<=": func(a, b int64) bool { return a <= b },
+	">":  func(a, b int64) bool { return a > b },
+	">=": func(a, b int64) bool { return a >= b },
+	"==": func(a, b int64) bool { return a == b },
+	"!=": func(a, b int64) bool { return a != b },
+}
+
+// compareLeaves fuses generic, a comparison of the leaves x and y: its
+// own step and one per leaf.
+func compareLeaves(generic evalFn, x, y operand, test func(a, b int64) bool) evalFn {
+	return func(ex *exec) value {
+		if ex.in.stepsLeft >= 3 {
+			a, aok := ex.intOf(x)
+			b, bok := ex.intOf(y)
+			if aok && bok {
+				ex.in.stepsLeft -= 3
+				return boolToInt(test(a, b))
+			}
+		}
+		return generic(ex)
+	}
+}
+
+// stepLeaf fuses generic, an increment by d of the variable in slot s,
+// when that holds an int: its one step, and the update in its cell.
+func stepLeaf(generic evalFn, s int, d int64) evalFn {
+	return func(ex *exec) value {
+		if c := ex.frame[s]; ex.in.stepsLeft >= 1 && c != nil && c.v.k == kInt {
+			ex.in.stepsLeft--
+			old := c.v
+			c.v = intVal(old.i + d)
+			return old
+		}
+		return generic(ex)
+	}
+}
+
+// load fuses generic, the value of a leaf chain of n indices: the
+// chain's n steps, the base's and one per index.
+func (c *indexChain) load(generic evalFn) evalFn {
+	base, idx, k := c.base, c.idx, int64(2*len(c.idx)+1)
+	return func(ex *exec) value {
+		if b, off, ok := ex.leafElem(base, idx, k); ok {
+			return b.get(off)
+		}
+		return generic(ex)
+	}
+}
+
+// store fuses generic, a leaf chain of n indices as a place: the
+// chain's n-1 steps, the base's and one per index.
+func (c *indexChain) store(generic placeFn) placeFn {
+	base, idx, k := c.base, c.idx, int64(2*len(c.idx))
+	return func(ex *exec) place {
+		if b, off, ok := ex.leafElem(base, idx, k); ok {
+			return place{blk: b, off: off}
+		}
+		return generic(ex)
+	}
+}
+
+// leafElem resolves the element a chain of leaves names, the array in
+// slot base indexed by idx, and takes the k steps of its generic walk
+// at once. It does so only when the budget covers them and the walk
+// would end on an element without faulting, materializing a block or
+// leaving the int fast path; otherwise it takes nothing and ok is
+// false, and the caller runs the generic walk.
+func (ex *exec) leafElem(base int, idx []operand, k int64) (*block, int, bool) {
+	c := ex.frame[base]
+	if c == nil || c.v.k != kRef || ex.in.stepsLeft < k {
+		return nil, 0, false
+	}
+	blk, off := c.v.b, int(c.v.i)
+	if blk == nil || blk.freed || !blk.materialized {
+		return nil, 0, false
+	}
+	// The view's rank is exactly consumed: every index but the last
+	// selects a row, and the last an element.
+	dims, n := blk.dims[c.v.d:], len(idx)
+	if len(dims) != n && (n > 1 || len(dims) > 1) {
+		return nil, 0, false
+	}
+	row := 0
+	for j, o := range idx[:n-1] {
+		i, isInt := ex.intOf(o)
+		if !isInt || i < 0 || i >= int64(dims[j]) {
+			return nil, 0, false
+		}
+		row = (row + int(i)) * dims[j+1]
+	}
+	i, isInt := ex.intOf(idx[n-1])
+	if off += row + int(i); !isInt || off < 0 || off >= blk.length() {
+		return nil, 0, false
+	}
+	ex.in.stepsLeft -= k
+	return blk, off, true
 }

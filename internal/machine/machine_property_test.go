@@ -135,41 +135,40 @@ func TestMutatedCorpusNeverPanics(t *testing.T) {
 }
 
 func BenchmarkInterpreterVecAdd(b *testing.B) {
-	tf, err := corpus.InstantiateTemplate(spec.OpenACC, "parallel_loop_vecadd", testlang.LangC, 1)
+	benchTemplate(b, spec.OpenACC, "parallel_loop_vecadd")
+}
+
+func BenchmarkInterpreterMatmul(b *testing.B) {
+	benchTemplate(b, spec.OpenMP, "collapse_matmul_target")
+}
+
+// BenchmarkInterpreterRoutine is a loop whose body calls a user
+// function, so each iteration pays a call: a callee exec, frame and
+// return unwind.
+func BenchmarkInterpreterRoutine(b *testing.B) {
+	benchTemplate(b, spec.OpenACC, "routine_seq")
+}
+
+// benchTemplate compiles corpus template id of dialect d, at seed 1,
+// runs it b.N times and reports the interpreter's cost per step.
+func benchTemplate(b *testing.B, d spec.Dialect, id string) {
+	tf, err := corpus.InstantiateTemplate(d, id, testlang.LangC, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := compiler.Reference(spec.OpenACC).Compile(tf.Name, tf.Source, tf.Lang)
+	res := compiler.Reference(d).Compile(tf.Name, tf.Source, tf.Lang)
 	if !res.OK {
 		b.Fatal(res.Stderr)
 	}
 	b.ReportAllocs()
-	runInterpreterBench(b, res.Object)
-	b.ReportMetric(float64(Run(res.Object, Options{}).Steps), "steps/run")
-}
-
-func BenchmarkInterpreterMatmul(b *testing.B) {
-	tf, err := corpus.InstantiateTemplate(spec.OpenMP, "collapse_matmul_target", testlang.LangC, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := compiler.Reference(spec.OpenMP).Compile(tf.Name, tf.Source, tf.Lang)
-	if !res.OK {
-		b.Fatal(res.Stderr)
-	}
-	runInterpreterBench(b, res.Object)
-}
-
-// runInterpreterBench runs obj b.N times and reports the interpreter's
-// cost per step.
-func runInterpreterBench(b *testing.B, obj *compiler.Object) {
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		r := Run(obj, Options{})
+		r := Run(res.Object, Options{})
 		if r.ReturnCode != 0 {
 			b.Fatal(r.Stderr)
 		}
 		steps += r.Steps
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/run")
 }

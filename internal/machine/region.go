@@ -946,7 +946,7 @@ func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
 	ex.rebind(loop.iv, iv)
 	for i := lo; i < hi; i++ {
 		iv.v = intVal(spec.start + i*spec.step)
-		if runBody(ex, loop.body) {
+		if loop.iterate(ex) {
 			return // break inside a work-shared loop: stop this chunk
 		}
 	}

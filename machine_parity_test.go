@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/agent"
+	"repro/internal/machine"
 	"repro/internal/spec"
 )
 
@@ -21,9 +22,7 @@ const (
 	// machineDigestSeed is the corpus seed the digest was recorded at.
 	machineDigestSeed = 4242
 	// machineCorpusDigest is SHA-256 over (name, ReturnCode, Stdout,
-	// Stderr, Trap, Steps) of every run, Steps omitted for step-limit
-	// traps, whose count depends on how the budget is split between
-	// concurrent workers.
+	// Stderr, Trap, Steps) of every run.
 	machineCorpusDigest = "a9bf9969a9381f41b90a0a90b49e568d3a95826b9c6a9959079f29b9e01438fe"
 	machineDigestRuns   = 1270
 )
@@ -50,9 +49,7 @@ func TestMachineCorpusDigest(t *testing.T) {
 			writeField(h, r.Stdout)
 			writeField(h, r.Stderr)
 			writeField(h, r.Trap)
-			if r.Trap != "step-limit" {
-				writeInt(h, r.Steps)
-			}
+			writeInt(h, r.Steps)
 			runs++
 		}
 	}
@@ -60,6 +57,69 @@ func TestMachineCorpusDigest(t *testing.T) {
 	if runs != machineDigestRuns || got != machineCorpusDigest {
 		t.Fatalf("machine corpus digest over %d runs = %s, want %s over %d runs",
 			runs, got, machineCorpusDigest, machineDigestRuns)
+	}
+}
+
+const (
+	// machineCutDigest is SHA-256 over (name, L, ReturnCode, Stdout,
+	// Stderr, Trap, Steps) of every digest-corpus run rerun at each
+	// StepLimit L of cutPoints.
+	machineCutDigest = "abe30eed7cb0f432d1572d3e8ac89b56996590f38ef740b3e88c8380c59e28de"
+	machineCutRuns   = 12700
+)
+
+// cutPoints are the step limits a run of full steps is cut at: the
+// first few steps, fractions of the run, and its last few steps.
+func cutPoints(full int64) []int64 {
+	var out []int64
+	for _, l := range []int64{1, 2, 3, 5, 7, full / 3, full / 2, full - 3, full - 2, full - 1} {
+		if l > 0 {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// TestMachineCutDigest pins where and how a run stops when its step
+// budget runs out mid-program: the digest corpus holds no step-limit
+// run of its own, so this is what pins that the machine charges every
+// step where a walk of the AST would, however its nodes are fused.
+func TestMachineCutDigest(t *testing.T) {
+	h := sha256.New()
+	runs := 0
+	for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
+		s := PartTwoSpec(d)
+		s.Seed = machineDigestSeed
+		suite, err := BuildSuite(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tools := agent.NewTools(d)
+		for _, pf := range suite {
+			res := tools.Personality.Compile(pf.Name, pf.Source, pf.Lang)
+			if !res.OK || res.Object == nil {
+				continue
+			}
+			full := machine.Run(res.Object, tools.MachineOpts)
+			for _, l := range cutPoints(full.Steps) {
+				opts := tools.MachineOpts
+				opts.StepLimit = l
+				r := machine.Run(res.Object, opts)
+				writeField(h, pf.Name)
+				writeInt(h, l)
+				writeInt(h, int64(r.ReturnCode))
+				writeField(h, r.Stdout)
+				writeField(h, r.Stderr)
+				writeField(h, r.Trap)
+				writeInt(h, r.Steps)
+				runs++
+			}
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if runs != machineCutRuns || got != machineCutDigest {
+		t.Fatalf("machine cut digest over %d runs = %s, want %s over %d runs",
+			runs, got, machineCutDigest, machineCutRuns)
 	}
 }
 
