@@ -106,6 +106,12 @@ type checker struct {
 	// directiveDepth > 0 while inside a compute construct, to validate
 	// orphaned loop directives.
 	directiveDepth int
+	// loops counts the loops between the statement being checked and
+	// the nearest function or directive body, and inDirective is set
+	// inside a directive body: a break or continue needs a loop, and a
+	// return must not leave a directive body.
+	loops       int
+	inDirective bool
 	// coveredStack holds, per enclosing directive, the set of variable
 	// names whose device bounds are known from data clauses. It backs
 	// the OpenACC "size of the GPU copy is unknown" restriction.
@@ -314,16 +320,27 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 		if n.Post != nil {
 			c.checkExpr(n.Post)
 		}
-		c.checkStmt(n.Body)
+		c.loopBody(n.Body)
 		c.pop()
 	case *testlang.WhileStmt:
 		c.checkExpr(n.Cond)
-		c.checkStmt(n.Body)
+		c.loopBody(n.Body)
 	case *testlang.ReturnStmt:
+		if c.inDirective {
+			c.errorf(n.Pos(), "cannot return from %s region", c.pers.Dialect)
+		}
 		if n.X != nil {
 			c.checkExpr(n.X)
 		}
-	case *testlang.BreakStmt, *testlang.ContinueStmt, *testlang.EmptyStmt:
+	case *testlang.BreakStmt:
+		if c.loops == 0 {
+			c.errorf(n.Pos(), "'break' statement not in loop or switch statement")
+		}
+	case *testlang.ContinueStmt:
+		if c.loops == 0 {
+			c.errorf(n.Pos(), "'continue' statement not in loop statement")
+		}
+	case *testlang.EmptyStmt:
 	case *testlang.DirectiveStmt:
 		plan := c.validateDirective(n, false)
 		c.plans[n] = plan
@@ -334,12 +351,13 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 			}
 		}
 		if n.Body != nil {
-			wasInside := c.directiveDepth
+			wasInside, loops, inDirective := c.directiveDepth, c.loops, c.inDirective
 			if plan != nil && plan.Kind.opensComputeRegion() {
 				c.directiveDepth++
 			}
+			c.loops, c.inDirective = 0, true
 			c.checkStmt(n.Body)
-			c.directiveDepth = wasInside
+			c.directiveDepth, c.loops, c.inDirective = wasInside, loops, inDirective
 		}
 		if plan != nil {
 			c.coveredStack = c.coveredStack[:len(c.coveredStack)-1]
@@ -347,6 +365,13 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 	case *testlang.UnknownPragmaStmt:
 		c.warnf(n.Pos(), "ignoring unrecognised #pragma %s", firstWord(n.Raw))
 	}
+}
+
+// loopBody checks the body of a for or while loop.
+func (c *checker) loopBody(body testlang.Stmt) {
+	c.loops++
+	c.checkStmt(body)
+	c.loops--
 }
 
 func firstWord(s string) string {

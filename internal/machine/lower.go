@@ -12,7 +12,7 @@ import (
 // operator or compares a variable's name, because lowering made those
 // decisions, once.
 //
-// Five rules keep the lowered code equivalent to a walk of the AST.
+// Six rules keep the lowered code equivalent to a walk of the AST.
 //   - Steps: a statement or an expression takes one step on entry, as
 //     a walk would, so Result.Steps and the step-limit trap point
 //     follow the AST. Assignment targets (places) and a call's
@@ -45,24 +45,41 @@ import (
 //     when that many steps are left and its checks show that the
 //     generic walk would neither fault nor leave the int fast path;
 //     otherwise it calls the generic closure, built exactly as without
-//     it, which stays the one definition of the node's semantics. A
-//     loop body that cannot break or continue (lowerer.jumps) runs
-//     without runBody's recover.
+//     it, which stays the one definition of the node's semantics.
+//   - Flow: a statement returns how it ended (flow), and the block,
+//     loop or call around it acts on that; nothing unwinds by panic
+//     but a trap or exit(). The compiler rejects a break or continue
+//     with no loop between it and its function or directive body, and
+//     a return inside a directive body, so a function body ends only
+//     with flowNext or flowReturn and a directive body only with
+//     flowNext: region code ignores what a body returns, except that a
+//     break ends a work-shared chunk (runChunk).
 
 type (
 	// evalFn evaluates one expression.
 	evalFn func(*exec) value
-	// execFn executes one statement.
-	execFn func(*exec)
+	// execFn executes one statement and returns how it ended.
+	execFn func(*exec) flow
 	// placeFn resolves an assignment target to its storage.
 	placeFn func(*exec) place
+)
+
+// flow is how a statement ended: by running to its end, or by a break,
+// continue or return that the enclosing loop or call acts on.
+type flow uint8
+
+const (
+	flowNext flow = iota
+	flowBreak
+	flowContinue
+	flowReturn
 )
 
 // program is one object's lowered code.
 type program struct {
 	// globals declare the file-scope variables, in order, into a frame
 	// of nglobals slots, one per distinct global name.
-	globals  []execFn
+	globals  []func(*exec)
 	nglobals int
 	// main is nil when the object defines no main body.
 	main *funcCode
@@ -78,10 +95,6 @@ type funcCode struct {
 	slots int
 	// aliases fill the slots of the globals the function uses.
 	aliases []globalAlias
-	// jumps is set when a call may unwind the caller's loop with a
-	// break or continue: the body holds what lowerer.jumps counts. It
-	// is set while the body is lowered, so a recursive call counts.
-	jumps bool
 }
 
 type paramCode struct {
@@ -188,11 +201,6 @@ type lowerer struct {
 	// single or master around this point nests in.
 	regions   []*region
 	exclusive int
-	// jumps counts what may unwind a loop body with a break or
-	// continue, as it is lowered: break and continue statements,
-	// statements of a kind lowering does not know, and calls of user
-	// functions whose bodies hold any of these.
-	jumps int
 }
 
 // lower compiles obj's globals and its main function, with every user
@@ -204,7 +212,7 @@ func lower(obj *compiler.Object) *program {
 			l.globals[g.Name] = len(l.globals)
 		}
 	}
-	p := &program{globals: make([]execFn, len(obj.Globals)), nglobals: len(l.globals)}
+	p := &program{globals: make([]func(*exec), len(obj.Globals)), nglobals: len(l.globals)}
 	for i, g := range obj.Globals {
 		p.globals[i] = l.declare(g)
 	}
@@ -220,11 +228,10 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 	if fc, ok := l.funcs[name]; ok {
 		return fc
 	}
-	fc := &funcCode{params: make([]paramCode, len(fd.Params)), jumps: true}
+	fc := &funcCode{params: make([]paramCode, len(fd.Params))}
 	l.funcs[name] = fc
-	// A callee is not part of the regions around its first call, nor
-	// of the loops.
-	fn, sc, cond, regions, exclusive, jumps := l.fn, l.sc, l.cond, l.regions, l.exclusive, l.jumps
+	// A callee is not part of the regions around its first call.
+	fn, sc, cond, regions, exclusive := l.fn, l.sc, l.cond, l.regions, l.exclusive
 	l.fn, l.sc, l.cond, l.regions, l.exclusive = fc, &scope{}, false, nil, 0
 	for i, p := range fd.Params {
 		c := convOf(p.Type)
@@ -234,8 +241,7 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 		fc.params[i] = paramCode{slot: l.declSlot(p.Name), typ: p.Type, conv: c}
 	}
 	fc.body = l.stmt(fd.Body)
-	fc.jumps = l.jumps != jumps
-	l.fn, l.sc, l.cond, l.regions, l.exclusive, l.jumps = fn, sc, cond, regions, exclusive, jumps
+	l.fn, l.sc, l.cond, l.regions, l.exclusive = fn, sc, cond, regions, exclusive
 	return fc
 }
 
@@ -370,10 +376,24 @@ func clearSlots(ex *exec, slots []int) {
 // --- statements -------------------------------------------------------
 
 // nopStmt is an absent statement: it takes no step.
-func nopStmt(*exec) {}
+func nopStmt(*exec) flow { return flowNext }
 
 // stepStmt is a statement that does nothing but take its step.
-func stepStmt(ex *exec) { ex.in.step() }
+func stepStmt(ex *exec) flow {
+	ex.in.step()
+	return flowNext
+}
+
+// runStmts runs a block's statements in order until one ends other
+// than by running to its end, and returns how the block ended.
+func runStmts(ex *exec, body []execFn) flow {
+	for _, f := range body {
+		if fl := f(ex); fl != flowNext {
+			return fl
+		}
+	}
+	return flowNext
+}
 
 func (l *lowerer) stmts(list []testlang.Stmt) []execFn {
 	out := make([]execFn, len(list))
@@ -395,114 +415,102 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 		clear := l.pop()
 		l.cond = cond
 		if len(clear) > 0 {
-			return func(ex *exec) {
+			return func(ex *exec) flow {
 				ex.in.step()
 				clearSlots(ex, clear)
-				for _, f := range body {
-					f(ex)
-				}
+				return runStmts(ex, body)
 			}
 		}
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
-			for _, f := range body {
-				f(ex)
-			}
+			return runStmts(ex, body)
 		}
 	case *testlang.DeclStmt:
-		decls := make([]execFn, len(n.Decls))
+		decls := make([]func(*exec), len(n.Decls))
 		for i, d := range n.Decls {
 			decls[i] = l.declare(d)
 		}
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
 			for _, d := range decls {
 				d(ex)
 			}
+			return flowNext
 		}
 	case *testlang.ExprStmt:
 		x := l.expr(n.X)
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
 			x(ex)
+			return flowNext
 		}
 	case *testlang.IfStmt:
 		cond := l.expr(n.Cond)
 		then, els := l.bare(n.Then), l.bare(n.Else)
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
 			if cond(ex).truthy() {
-				then(ex)
-			} else {
-				els(ex)
+				return then(ex)
 			}
+			return els(ex)
 		}
 	case *testlang.ForStmt:
 		loop := l.forLoop(n, "", nil)
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
-			loop.run(ex)
+			return loop.run(ex)
 		}
 	case *testlang.WhileStmt:
 		l.predeclare(n.Body)
-		cond, jumps := l.expr(n.Cond), l.jumps
+		cond := l.expr(n.Cond)
 		body := l.bare(n.Body)
-		if l.jumps == jumps {
-			return func(ex *exec) {
-				ex.in.step()
-				for cond(ex).truthy() {
-					body(ex)
-				}
-			}
-		}
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
 			for cond(ex).truthy() {
-				if runBody(ex, body) {
-					return
+				switch body(ex) {
+				case flowBreak:
+					return flowNext
+				case flowReturn:
+					return flowReturn
 				}
 			}
+			return flowNext
 		}
 	case *testlang.ReturnStmt:
+		// A call's ret starts as int 0, the value of a bare return.
 		if n.X == nil {
-			return func(ex *exec) {
+			return func(ex *exec) flow {
 				ex.in.step()
-				ex.ret.v = intVal(0)
-				panic(&ex.ret)
+				return flowReturn
 			}
 		}
 		x := l.expr(n.X)
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
-			ex.ret.v = x(ex)
-			panic(&ex.ret)
+			ex.ret = x(ex)
+			return flowReturn
 		}
 	case *testlang.BreakStmt:
-		l.jumps++
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
-			panic(breakSignal{})
+			return flowBreak
 		}
 	case *testlang.ContinueStmt:
-		l.jumps++
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
-			panic(continueSignal{})
+			return flowContinue
 		}
 	case *testlang.DirectiveStmt:
 		d := l.directive(n)
-		return func(ex *exec) {
+		return func(ex *exec) flow {
 			ex.in.step()
 			d.run(ex)
+			return flowNext
 		}
-	case *testlang.EmptyStmt, *testlang.UnknownPragmaStmt:
-		// Empty statements and unknown pragmas (ignored at run time,
-		// as a real compiler's codegen would) still cost their step.
-		return stepStmt
 	default:
-		// A statement of a kind lowering does not know takes its
-		// step, and a loop around it keeps runBody's recover.
-		l.jumps++
+		// Empty statements, unknown pragmas (ignored at run time, as a
+		// real compiler's codegen would) and statements of a kind
+		// lowering does not know still cost their step.
 		return stepStmt
 	}
 }
@@ -511,7 +519,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 // initialiser (an array's dimensions) resolves names before the
 // declaration binds its own, and an array's element initialisers
 // after, in the order they run.
-func (l *lowerer) declare(v *testlang.VarDecl) execFn {
+func (l *lowerer) declare(v *testlang.VarDecl) func(*exec) {
 	name := v.Name
 	if len(v.ArrayDims) > 0 {
 		dims := make([]evalFn, len(v.ArrayDims))
@@ -593,10 +601,6 @@ type forLoop struct {
 	// iv is a loop directive's variable as the body sees it, which a
 	// work-shared chunk binds to a cell of its own.
 	iv varRef
-	// direct is set when the body can neither break nor continue
-	// (lowerer.jumps), so an iteration runs it without runBody's
-	// recover.
-	direct bool
 }
 
 // forLoop lowers a for statement in a scope of its own; iv names the
@@ -620,38 +624,32 @@ func (l *lowerer) forLoop(n *testlang.ForStmt, iv string, rg *region) *forLoop {
 	if rg != nil {
 		rg.writes = true
 	}
-	jumps := l.jumps
 	f.body = l.bare(n.Body)
-	f.direct = l.jumps == jumps
 	f.clear = l.pop()
 	l.cond = cond
 	return f
 }
 
-// run executes the loop; the for statement's own step is the caller's.
-func (f *forLoop) run(ex *exec) {
+// run executes the loop and returns how it ended; the for statement's
+// own step is the caller's.
+func (f *forLoop) run(ex *exec) flow {
 	clearSlots(ex, f.clear)
 	f.init(ex)
 	for {
 		if f.cond != nil && !f.cond(ex).truthy() {
-			return
+			return flowNext
 		}
-		if f.iterate(ex) {
-			return
+		// A break ends the loop, a return the loop and the call.
+		switch f.body(ex) {
+		case flowBreak:
+			return flowNext
+		case flowReturn:
+			return flowReturn
 		}
 		if f.post != nil {
 			f.post(ex)
 		}
 	}
-}
-
-// iterate runs the body once and reports whether it broke the loop.
-func (f *forLoop) iterate(ex *exec) bool {
-	if f.direct {
-		f.body(ex)
-		return false
-	}
-	return runBody(ex, f.body)
 }
 
 // --- expressions ------------------------------------------------------

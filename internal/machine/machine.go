@@ -56,16 +56,8 @@ type trapSignal struct {
 	msg  string
 }
 
-// exitSignal unwinds to Run on exit()/main return.
+// exitSignal unwinds to Run on exit().
 type exitSignal struct{ code int }
-
-// returnSignal unwinds one function call. A return statement panics
-// with a pointer to its exec's ret, so returning allocates nothing.
-type returnSignal struct{ v value }
-
-// breakSignal / continueSignal unwind loop bodies.
-type breakSignal struct{}
-type continueSignal struct{}
 
 // interp is the shared interpreter state for one run.
 type interp struct {

@@ -97,9 +97,9 @@ func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 	} else {
 		d.loop = l.forLoop(fs, d.shape.varName, rg)
 		loop := d.loop
-		d.body = func(ex *exec) {
+		d.body = func(ex *exec) flow {
 			ex.in.step()
-			loop.run(ex)
+			return loop.run(ex)
 		}
 	}
 	l.exclusive = exclusive
@@ -946,7 +946,7 @@ func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
 	ex.rebind(loop.iv, iv)
 	for i := lo; i < hi; i++ {
 		iv.v = intVal(spec.start + i*spec.step)
-		if loop.iterate(ex) {
+		if loop.body(ex) == flowBreak {
 			return // break inside a work-shared loop: stop this chunk
 		}
 	}
