@@ -128,7 +128,7 @@ func TestPlanContents(t *testing.T) {
 	if loopPlan.Kind != KindComputeLoop || !loopPlan.Device {
 		t.Fatalf("loop plan = %+v", loopPlan)
 	}
-	if len(loopPlan.Reductions) != 1 || loopPlan.Reductions[0].Op != "+" || loopPlan.Reductions[0].Vars[0] != "sum" {
+	if len(loopPlan.Reductions) != 1 || loopPlan.Reductions[0].Op != "+" || loopPlan.Reductions[0].Vars[0].Name != "sum" {
 		t.Fatalf("reductions = %+v", loopPlan.Reductions)
 	}
 }

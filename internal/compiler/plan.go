@@ -120,10 +120,16 @@ type DataOp struct {
 	Sections []testlang.Section
 }
 
+// Var is a variable a clause lists, with the declaration it binds.
+type Var struct {
+	Name string
+	Bind testlang.Binding
+}
+
 // ReductionPlan is one reduction clause.
 type ReductionPlan struct {
 	Op   string
-	Vars []string
+	Vars []Var
 }
 
 // DirPlan is the lowered, machine-executable form of one directive.
@@ -135,9 +141,9 @@ type DirPlan struct {
 	Data []DataOp
 	// Reductions across the construct.
 	Reductions []ReductionPlan
-	// Private and FirstPrivate variable names.
-	Private      []string
-	FirstPrivate []string
+	// Private and FirstPrivate variables.
+	Private      []Var
+	FirstPrivate []Var
 	// NumWorkers is the requested parallelism expression (num_gangs,
 	// num_threads, num_teams, ...), nil when unspecified.
 	NumWorkers testlang.Expr
@@ -292,16 +298,19 @@ func (c *checker) validateDirective(ds *testlang.DirectiveStmt, atFileScope bool
 			c.errorf(dir.Pos(), "invalid clause %q on %s directive %q", cl.Name, c.pers.Dialect, dir.Name)
 			continue
 		}
-		c.checkClauseShape(dir, cl, arg)
-		c.lowerClause(plan, dir, cl)
+		expr, secs, parsed := c.checkClauseShape(dir, cl, arg)
+		c.lowerClause(plan, dir, cl, expr, secs, parsed)
 	}
 
 	c.checkAssociation(ds, sd, plan, atFileScope)
 	return plan
 }
 
-// checkClauseShape validates the argument form of one clause.
-func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClause, arg spec.ClauseArg) {
+// checkClauseShape validates the argument form of one clause. It
+// returns the argument it checked, which carries the checker's
+// bindings: an expression (nil unless one parsed), or a variable list
+// and whether all of it parsed.
+func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClause, arg spec.ClauseArg) (expr testlang.Expr, secs []testlang.Section, parsed bool) {
 	switch arg {
 	case spec.ArgNone:
 		if cl.HasParens {
@@ -312,17 +321,17 @@ func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClaus
 			c.errorf(dir.Pos(), "clause %q requires an argument", cl.Name)
 			return
 		}
-		c.checkClauseExpr(dir, cl.Name, cl.Arg)
+		expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
 	case spec.ArgOptionalIntExpr:
 		if cl.HasParens && strings.TrimSpace(cl.Arg) != "" {
-			c.checkClauseExpr(dir, cl.Name, cl.Arg)
+			expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
 		}
 	case spec.ArgIfExpr:
 		if !cl.HasParens || strings.TrimSpace(cl.Arg) == "" {
 			c.errorf(dir.Pos(), "clause %q requires a condition", cl.Name)
 			return
 		}
-		c.checkClauseExpr(dir, cl.Name, cl.Arg)
+		expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
 	case spec.ArgVarList:
 		if !cl.HasParens {
 			c.errorf(dir.Pos(), "clause %q requires a variable list", cl.Name)
@@ -337,7 +346,7 @@ func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClaus
 			cl.Name == "linear" {
 			return
 		}
-		c.checkSections(dir, cl.Name, cl.Arg)
+		secs, parsed = c.checkSections(dir, cl.Name, cl.Arg)
 	case spec.ArgReduction:
 		if !cl.HasParens {
 			c.errorf(dir.Pos(), "reduction clause requires operator and variables")
@@ -366,8 +375,9 @@ func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClaus
 		if !spec.ValidMapType(mt) {
 			c.errorf(dir.Pos(), "invalid map type %q", mt)
 		}
-		c.checkSections(dir, cl.Name, afterTopColon(cl.Arg))
+		secs, parsed = c.checkSections(dir, cl.Name, afterTopColon(cl.Arg))
 	}
+	return
 }
 
 func afterTopColon(arg string) string {
@@ -387,77 +397,91 @@ func afterTopColon(arg string) string {
 	return arg
 }
 
-func (c *checker) checkClauseExpr(dir *testlang.Directive, clause, text string) {
+// checkClauseExpr checks a clause's expression argument and returns it,
+// or nil when it does not parse.
+func (c *checker) checkClauseExpr(dir *testlang.Directive, clause, text string) testlang.Expr {
 	e, errs := testlang.ParseExprString(text)
 	if len(errs) > 0 {
 		c.errorf(dir.Pos(), "malformed argument to clause %q: %q", clause, text)
-		return
+		return nil
 	}
 	c.checkExpr(e)
+	return e
 }
 
-func (c *checker) checkSections(dir *testlang.Directive, clause, arg string) {
+// checkSections checks a clause's variable list and returns it, bound,
+// and whether all of it parsed.
+func (c *checker) checkSections(dir *testlang.Directive, clause, arg string) ([]testlang.Section, bool) {
 	secs, errs := testlang.ParseSections(arg)
 	if len(errs) > 0 {
 		c.errorf(dir.Pos(), "malformed variable list in clause %q: %q", clause, arg)
 	}
-	for _, s := range secs {
-		c.checkClauseVar(dir, clause, s.Name)
+	for i, s := range secs {
+		secs[i].Bind = c.checkClauseVar(dir, clause, s.Name)
 		if s.Lo != nil {
 			c.checkExpr(s.Lo)
 			c.checkExpr(s.Len)
 		}
 	}
+	return secs, len(errs) == 0
 }
 
-func (c *checker) checkClauseVar(dir *testlang.Directive, clause, name string) {
-	if _, ok := c.scope.lookup(name); ok {
-		return
+// checkClauseVar checks that a clause variable is declared, and returns
+// the declaration it binds.
+func (c *checker) checkClauseVar(dir *testlang.Directive, clause, name string) testlang.Binding {
+	if sym, ok := c.lookup(name); ok {
+		return sym.bind
 	}
-	if _, ok := builtinConsts[name]; ok {
-		return
+	if _, ok := builtinConsts[name]; !ok {
+		c.errorf(dir.Pos(), "variable %q in clause %q is not declared", name, clause)
 	}
-	c.errorf(dir.Pos(), "variable %q in clause %q is not declared", name, clause)
+	return 0
 }
 
-// lowerClause records the runtime effect of one (already shape-checked)
-// clause in the plan.
-func (c *checker) lowerClause(plan *DirPlan, dir *testlang.Directive, cl testlang.DirClause) {
+// vars binds the variables a clause lists.
+func (c *checker) vars(names []string) []Var {
+	out := make([]Var, len(names))
+	for i, name := range names {
+		out[i].Name = name
+		if sym, ok := c.lookup(name); ok {
+			out[i].Bind = sym.bind
+		}
+	}
+	return out
+}
+
+// lowerClause records the runtime effect of one clause in the plan,
+// from the argument checkClauseShape checked.
+func (c *checker) lowerClause(plan *DirPlan, dir *testlang.Directive, cl testlang.DirClause, expr testlang.Expr, secs []testlang.Section, parsed bool) {
 	switch cl.Name {
 	case "reduction":
 		if op, vars, ok := testlang.ReductionParts(cl.Arg); ok {
-			plan.Reductions = append(plan.Reductions, ReductionPlan{Op: op, Vars: vars})
+			plan.Reductions = append(plan.Reductions, ReductionPlan{Op: op, Vars: c.vars(vars)})
 		}
 	case "private":
-		plan.Private = append(plan.Private, testlang.ClauseVars(cl.Arg)...)
+		plan.Private = append(plan.Private, c.vars(testlang.ClauseVars(cl.Arg))...)
 	case "firstprivate":
-		plan.FirstPrivate = append(plan.FirstPrivate, testlang.ClauseVars(cl.Arg)...)
+		plan.FirstPrivate = append(plan.FirstPrivate, c.vars(testlang.ClauseVars(cl.Arg))...)
 	case "num_gangs", "num_workers", "num_threads", "num_teams", "vector_length", "thread_limit":
-		if plan.NumWorkers == nil && cl.HasParens {
-			if e, errs := testlang.ParseExprString(cl.Arg); len(errs) == 0 {
-				plan.NumWorkers = e
-			}
+		if plan.NumWorkers == nil {
+			plan.NumWorkers = expr
 		}
 	case "if":
-		if cl.HasParens {
-			if e, errs := testlang.ParseExprString(cl.Arg); len(errs) == 0 {
-				plan.If = e
-			}
+		if expr != nil {
+			plan.If = expr
 		}
 	case "read", "write", "update", "capture":
 		if plan.Kind == KindAtomic {
 			plan.AtomicKind = cl.Name
 		}
 	case "map":
-		mt, _ := testlang.MapParts(cl.Arg)
-		if secs, errs := testlang.ParseSections(afterTopColon(cl.Arg)); len(errs) == 0 {
+		if parsed {
+			mt, _ := testlang.MapParts(cl.Arg)
 			plan.Data = append(plan.Data, DataOp{Mode: mapTypeMode(mt), Sections: secs})
 		}
 	default:
-		if mode, isData := clauseDataMode(c.pers.Dialect, dir.Name, cl.Name); isData {
-			if secs, errs := testlang.ParseSections(cl.Arg); len(errs) == 0 {
-				plan.Data = append(plan.Data, DataOp{Mode: mode, Sections: secs})
-			}
+		if mode, isData := clauseDataMode(c.pers.Dialect, dir.Name, cl.Name); isData && parsed {
+			plan.Data = append(plan.Data, DataOp{Mode: mode, Sections: secs})
 		}
 	}
 }

@@ -60,33 +60,13 @@ var builtinConsts = map[string]testlang.Type{
 	"EXIT_FAILURE":       {Base: "int"},
 }
 
-// symbol is one declared name in a scope.
+// symbol is one declared name: its type and the declaration it binds.
 type symbol struct {
+	name    string
 	typ     testlang.Type
 	isArray bool
 	dims    int
-}
-
-type scope struct {
-	parent *scope
-	vars   map[string]*symbol
-}
-
-func (s *scope) lookup(name string) (*symbol, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if sym, ok := cur.vars[name]; ok {
-			return sym, true
-		}
-	}
-	return nil, false
-}
-
-func (s *scope) declare(name string, sym *symbol) bool {
-	if _, exists := s.vars[name]; exists {
-		return false
-	}
-	s.vars[name] = sym
-	return true
+	bind    testlang.Binding
 }
 
 // checker performs semantic analysis over one parsed file.
@@ -97,7 +77,13 @@ type checker struct {
 	funcs   map[string]*testlang.FuncDecl
 	globals []*testlang.VarDecl
 	plans   map[*testlang.DirectiveStmt]*DirPlan
-	scope   *scope
+	// syms holds the declarations in scope, innermost last, and scopes
+	// the index in syms where each open scope starts: the file's scope,
+	// then one per function, block, for and statement body.
+	syms   []symbol
+	scopes []int
+	// locals numbers the declarations of the function being checked.
+	locals int
 	// implicitWarned avoids repeating the implicit-declaration
 	// diagnostic for the same function name.
 	implicitWarned map[string]bool
@@ -126,15 +112,15 @@ func coveredVars(plan *DirPlan) map[string]bool {
 			out[sec.Name] = true
 		}
 	}
-	for _, name := range plan.Private {
-		out[name] = true
+	for _, v := range plan.Private {
+		out[v.Name] = true
 	}
-	for _, name := range plan.FirstPrivate {
-		out[name] = true
+	for _, v := range plan.FirstPrivate {
+		out[v.Name] = true
 	}
 	for _, red := range plan.Reductions {
-		for _, name := range red.Vars {
-			out[name] = true
+		for _, v := range red.Vars {
+			out[v.Name] = true
 		}
 	}
 	return out
@@ -187,7 +173,7 @@ func (c *checker) checkDeviceBounds(ds *testlang.DirectiveStmt) {
 		if !ok || local[id.Name] || reported[id.Name] {
 			return
 		}
-		sym, found := c.scope.lookup(id.Name)
+		sym, found := c.lookup(id.Name)
 		if !found || sym.isArray || sym.typ.Ptr == 0 {
 			return
 		}
@@ -209,15 +195,54 @@ func (c *checker) warnf(line int, format string, args ...any) {
 	c.diags = append(c.diags, Diagnostic{Line: line, Warning: true, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (c *checker) push() { c.scope = &scope{parent: c.scope, vars: map[string]*symbol{}} }
-func (c *checker) pop()  { c.scope = c.scope.parent }
+func (c *checker) push() { c.scopes = append(c.scopes, len(c.syms)) }
+
+func (c *checker) pop() {
+	n := len(c.scopes) - 1
+	c.syms = c.syms[:c.scopes[n]]
+	c.scopes = c.scopes[:n]
+}
+
+// lookup finds the innermost declaration of name in scope.
+func (c *checker) lookup(name string) (*symbol, bool) {
+	for i := len(c.syms) - 1; i >= 0; i-- {
+		if c.syms[i].name == name {
+			return &c.syms[i], true
+		}
+	}
+	return nil, false
+}
+
+// declare adds sym to the innermost scope; it reports false when that
+// scope already declares the name.
+func (c *checker) declare(sym symbol) bool {
+	for _, prev := range c.syms[c.scopes[len(c.scopes)-1]:] {
+		if prev.name == sym.name {
+			return false
+		}
+	}
+	c.syms = append(c.syms, sym)
+	return true
+}
+
+// declareVar declares a variable and gives it the next binding of its
+// function, or of the file's variables when it is a global.
+func (c *checker) declareVar(d *testlang.VarDecl) bool {
+	if c.curFunc != nil {
+		d.Bind = testlang.LocalBinding(c.locals)
+		c.locals++
+	} else {
+		d.Bind = testlang.GlobalBinding(len(c.globals) - 1)
+	}
+	return c.declare(symbol{name: d.Name, typ: d.Type, isArray: len(d.ArrayDims) > 0, dims: len(d.ArrayDims), bind: d.Bind})
+}
 
 // check runs all semantic checks and returns the diagnostics.
 func (c *checker) check() []Diagnostic {
 	c.funcs = map[string]*testlang.FuncDecl{}
 	c.plans = map[*testlang.DirectiveStmt]*DirPlan{}
 	c.implicitWarned = map[string]bool{}
-	c.scope = &scope{vars: map[string]*symbol{}}
+	c.push()
 
 	// Pass 1: collect file-scope names so call order does not matter.
 	for _, d := range c.file.Decls {
@@ -231,8 +256,7 @@ func (c *checker) check() []Diagnostic {
 			}
 		case *testlang.VarDecl:
 			c.globals = append(c.globals, n)
-			sym := &symbol{typ: n.Type, isArray: len(n.ArrayDims) > 0, dims: len(n.ArrayDims)}
-			if !c.scope.declare(n.Name, sym) {
+			if !c.declareVar(n) {
 				c.errorf(n.Pos(), "redefinition of %q", n.Name)
 			}
 		}
@@ -272,19 +296,20 @@ func (c *checker) checkFunc(fd *testlang.FuncDecl) {
 	if fd.Body == nil {
 		return
 	}
-	c.curFunc = fd
+	c.curFunc, c.locals = fd, len(fd.Params)
 	c.push()
-	for _, p := range fd.Params {
-		sym := &symbol{typ: p.Type, isArray: p.Array}
+	for i, p := range fd.Params {
+		sym := symbol{name: p.Name, typ: p.Type, isArray: p.Array, bind: testlang.LocalBinding(i)}
 		if p.Array {
 			sym.dims = 1
 		}
-		if p.Name != "" && !c.scope.declare(p.Name, sym) {
+		if p.Name != "" && !c.declare(sym) {
 			c.errorf(fd.Pos(), "duplicate parameter %q", p.Name)
 		}
 	}
 	c.checkStmt(fd.Body)
 	c.pop()
+	fd.Locals = c.locals
 	c.curFunc = nil
 }
 
@@ -300,8 +325,7 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 	case *testlang.DeclStmt:
 		for _, d := range n.Decls {
 			c.checkVarInit(d)
-			sym := &symbol{typ: d.Type, isArray: len(d.ArrayDims) > 0, dims: len(d.ArrayDims)}
-			if !c.scope.declare(d.Name, sym) {
+			if !c.declareVar(d) {
 				c.errorf(d.Pos(), "redefinition of %q", d.Name)
 			}
 		}
@@ -309,8 +333,8 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 		c.checkExpr(n.X)
 	case *testlang.IfStmt:
 		c.checkExpr(n.Cond)
-		c.checkStmt(n.Then)
-		c.checkStmt(n.Else)
+		c.body(n.Then, "'if'")
+		c.body(n.Else, "'else'")
 	case *testlang.ForStmt:
 		c.push()
 		c.checkStmt(n.Init)
@@ -320,11 +344,11 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 		if n.Post != nil {
 			c.checkExpr(n.Post)
 		}
-		c.loopBody(n.Body)
+		c.loopBody(n.Body, "'for'")
 		c.pop()
 	case *testlang.WhileStmt:
 		c.checkExpr(n.Cond)
-		c.loopBody(n.Body)
+		c.loopBody(n.Body, "'while'")
 	case *testlang.ReturnStmt:
 		if c.inDirective {
 			c.errorf(n.Pos(), "cannot return from %s region", c.pers.Dialect)
@@ -356,7 +380,7 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 				c.directiveDepth++
 			}
 			c.loops, c.inDirective = 0, true
-			c.checkStmt(n.Body)
+			c.body(n.Body, "a directive")
 			c.directiveDepth, c.loops, c.inDirective = wasInside, loops, inDirective
 		}
 		if plan != nil {
@@ -368,10 +392,22 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 }
 
 // loopBody checks the body of a for or while loop.
-func (c *checker) loopBody(body testlang.Stmt) {
+func (c *checker) loopBody(s testlang.Stmt, of string) {
 	c.loops++
-	c.checkStmt(body)
+	c.body(s, of)
 	c.loops--
+}
+
+// body checks the body of an if, else, while, for or directive in a
+// scope of its own. A declaration is not a statement in C, so it cannot
+// be such a body, as gcc and clang rule; C++ scopes it to the body.
+func (c *checker) body(s testlang.Stmt, of string) {
+	if d, ok := s.(*testlang.DeclStmt); ok && c.file.Lang == testlang.LangC {
+		c.errorf(d.Pos(), "expected a statement: a declaration cannot be the body of %s in C", of)
+	}
+	c.push()
+	c.checkStmt(s)
+	c.pop()
 }
 
 func firstWord(s string) string {
@@ -389,7 +425,7 @@ func firstWord(s string) string {
 func (c *checker) arrayDims(e testlang.Expr) int {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
-		if sym, found := c.scope.lookup(n.Name); found && sym.isArray {
+		if sym, found := c.lookup(n.Name); found && sym.isArray {
 			return sym.dims
 		}
 	case *testlang.IndexExpr:
@@ -406,7 +442,7 @@ func (c *checker) arrayDims(e testlang.Expr) int {
 func (c *checker) typeOf(e testlang.Expr) (testlang.Type, bool) {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
-		if sym, ok := c.scope.lookup(n.Name); ok {
+		if sym, ok := c.lookup(n.Name); ok {
 			return sym.typ, sym.isArray || sym.typ.Ptr > 0
 		}
 		if t, ok := builtinConsts[n.Name]; ok {
@@ -485,7 +521,8 @@ func (c *checker) checkExpr(e testlang.Expr) {
 	switch n := e.(type) {
 	case nil:
 	case *testlang.IdentExpr:
-		if _, ok := c.scope.lookup(n.Name); ok {
+		if sym, ok := c.lookup(n.Name); ok {
+			n.Bind = sym.bind
 			return
 		}
 		if _, ok := builtinConsts[n.Name]; ok {

@@ -50,7 +50,7 @@ func (ex *exec) fork() *exec {
 // has exited or the declaration replaced it, no expression of this
 // frame is mid-evaluation across a statement, and regions, whose
 // copies of the frame share its cells, end before the frame runs on.
-func (ex *exec) own(s int) *cell {
+func (ex *exec) own(s varRef) *cell {
 	if ex.store == nil {
 		ex.store = make([]cell, len(ex.frame))
 	}
@@ -298,38 +298,67 @@ func arith(op string, l, r value) value {
 }
 
 // callFunction invokes a user function, evaluating its arguments in
-// the caller. Each argument binds to its parameter as it is evaluated:
-// the callee's frame is invisible until the call, so this is the same
-// as evaluating them all first. The callee's global aliases read the
-// globals themselves, never a region's overlay in the caller.
+// the caller. The callee's global aliases read the globals themselves,
+// never a region's overlay in the caller.
 func (ex *exec) callFunction(fn *funcCode, args []evalFn) value {
-	callee := &exec{
-		in:          ex.in,
-		frame:       make([]*cell, fn.slots),
-		inDevice:    ex.inDevice,
-		workerID:    ex.workerID,
-		regionWidth: ex.regionWidth,
-		callDepth:   ex.callDepth + 1,
-	}
-	for i, a := range args {
-		v := a(ex)
-		if i < len(fn.params) {
-			p := fn.params[i]
-			callee.own(p.slot).v = p.conv.apply(v)
-		}
-	}
-	for i := len(args); i < len(fn.params); i++ {
-		p := fn.params[i]
-		callee.own(p.slot).v = zeroValue(p.typ)
-	}
-	for _, a := range fn.aliases {
-		callee.frame[a.slot] = ex.in.globals[a.global]
+	// An argument may itself call at the callee's depth (f(g(1), g(2))),
+	// so every argument is evaluated, onto the run's argument stack,
+	// before the callee takes its exec.
+	in := ex.in
+	base := len(in.args)
+	for _, a := range args {
+		in.args = append(in.args, a(ex))
 	}
 	if ex.callDepth > 2000 {
 		panic(segfault()) // stack overflow
+	}
+	callee := in.enter(ex, fn.slots)
+	for i, p := range fn.params {
+		v := zeroValue(p.typ)
+		if i < len(args) {
+			v = p.conv.apply(in.args[base+i])
+		}
+		callee.own(varRef(i)).v = v
+	}
+	in.args = in.args[:base]
+	for _, a := range fn.aliases {
+		callee.frame[a.slot] = in.globals[a.global]
 	}
 	// The body ends with flowNext or flowReturn (sema); either way, ret
 	// is the call's value.
 	fn.body(callee)
 	return callee.ret
+}
+
+// enter returns the exec of a call from caller with a frame of n empty
+// slots, reusing the exec, frame and cell store of the last call that
+// ran at its depth. That call has ended: a call at one depth ends before
+// the next at that depth starts, since a region's workers run one after
+// another. Nor does any of its cells outlive it: &x of a scalar copies
+// it, an array lives in a block of its own, and a region's copies of a
+// frame end with the region. The store keeps its old cells, which
+// nothing reaches: only own puts a cell in the frame, and it sets the
+// cell's value. A depth's exec gets in and callDepth when it is made,
+// and every other field here, one by one: copying a whole new exec in
+// made a 2000-deep recursion a third slower.
+func (in *interp) enter(caller *exec, n int) *exec {
+	depth := caller.callDepth + 1
+	for len(in.calls) <= depth {
+		in.calls = append(in.calls, &exec{in: in, callDepth: len(in.calls)})
+	}
+	callee := in.calls[depth]
+	if cap(callee.frame) < n {
+		callee.frame = make([]*cell, n)
+	} else {
+		callee.frame = callee.frame[:n]
+		clear(callee.frame)
+	}
+	if cap(callee.store) < n {
+		callee.store = nil // own makes it
+	} else {
+		callee.store = callee.store[:n]
+	}
+	callee.inDevice, callee.workerID, callee.regionWidth = caller.inDevice, caller.workerID, caller.regionWidth
+	callee.redundant, callee.ret = false, value{}
+	return callee
 }

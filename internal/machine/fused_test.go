@@ -24,7 +24,9 @@ int main() {
 // bodies with and without break or continue, next to what must send
 // it down the generic path. The expectations were recorded before the fused nodes
 // existed: a fused node must reproduce them, and where its run is cut,
-// trap at the same step.
+// trap at the same step. The "shadowed in a branch" row, which took the
+// place of a bare-body declaration that C does not compile, was
+// recorded before lowering took the checker's bindings.
 var fusedRows = []struct {
 	name string
 	// pers is the compiler; nil means ClangSim.
@@ -111,15 +113,15 @@ var fusedRows = []struct {
     int RAND_MAX = 2;
     printf("%d %d %d\n", s, a[RAND_MAX], s < RAND_MAX);`,
 		rc: 0, stdout: "100 30 0\n", trap: "", steps: 90},
-	{name: "conditional slot", body: `int x = 1;
+	{name: "shadowed in a branch", body: `int x = 1;
     for (int i = 0; i < 3; i++) {
-        if (i > 1) int x = 3;
+        if (i > 1) { int x = 3; s += a[x]; x++; }
         s += a[x];
         x++;
         printf("%d %d\n", s, x < 3);
     }
     printf("%d\n", x);`,
-		rc: 0, stdout: "20 1\n50 0\n90 0\n3\n", trap: "", steps: 99},
+		rc: 0, stdout: "20 1\n50 0\n130 0\n4\n", trap: "", steps: 107},
 	{name: "break and continue", body: `for (int i = 0; i < 4; i++) {
         if (i == 1) continue;
         if (i == 3) break;

@@ -13,12 +13,13 @@ import (
 const fuzzStepLimit = 200_000
 
 // FuzzCompileRun drives the compiler and the machine together on every
-// C input the dialect's compiler accepts: the run returns a Result
-// instead of panicking, takes at most its step limit, and takes all of
-// it exactly when it traps on the limit, and a second run of the same
-// object is identical. The seeds are the corpus templates of both
-// dialects; plain go test runs those, go test -fuzz FuzzCompileRun
-// searches past them.
+// input the dialect's compiler accepts as C or as C++, which scope a
+// declaration as a statement's bare body differently: the run returns
+// a Result instead of panicking, takes at most its step limit, and
+// takes all of it exactly when it traps on the limit, and a second run
+// of the same object is identical. The seeds are the corpus templates
+// of both dialects and the files in testdata/fuzz; plain go test runs
+// those, go test -fuzz FuzzCompileRun searches past them.
 func FuzzCompileRun(f *testing.F) {
 	for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
 		for _, id := range corpus.TemplateIDs(d) {
@@ -34,17 +35,19 @@ func FuzzCompileRun(f *testing.F) {
 		if openmp {
 			dialect = spec.OpenMP
 		}
-		res := compiler.ForDialect(dialect).Compile("fuzz.c", src, testlang.LangC)
-		if !res.OK || res.Object == nil {
-			return
-		}
-		opts := Options{StepLimit: fuzzStepLimit}
-		first := Run(res.Object, opts)
-		if first.Steps > fuzzStepLimit || first.Trap == "step-limit" && first.Steps != fuzzStepLimit {
-			t.Fatalf("steps %d trap %q at StepLimit %d", first.Steps, first.Trap, fuzzStepLimit)
-		}
-		if again := Run(res.Object, opts); *again != *first {
-			t.Fatalf("runs differ:\n%+v\n%+v", *first, *again)
+		for _, lang := range []testlang.Language{testlang.LangC, testlang.LangCPP} {
+			res := compiler.ForDialect(dialect).Compile("fuzz"+lang.Ext(), src, lang)
+			if !res.OK || res.Object == nil {
+				continue
+			}
+			opts := Options{StepLimit: fuzzStepLimit}
+			first := Run(res.Object, opts)
+			if first.Steps > fuzzStepLimit || first.Trap == "step-limit" && first.Steps != fuzzStepLimit {
+				t.Fatalf("%s: steps %d trap %q at StepLimit %d", lang, first.Steps, first.Trap, fuzzStepLimit)
+			}
+			if again := Run(res.Object, opts); *again != *first {
+				t.Fatalf("%s: runs differ:\n%+v\n%+v", lang, *first, *again)
+			}
 		}
 	})
 }

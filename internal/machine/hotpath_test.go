@@ -148,9 +148,8 @@ int main() {
 	}
 }
 
-// Blocks without declarations share the enclosing scope; anything that
-// declares, directly or through a bare if/while/for body, still gets
-// its own, so shadowing is unchanged.
+// A declaration in a block, in an if's, for's or while's braced body,
+// or in a block of its own, shadows an outer name only inside it.
 func TestScopesOnlyWhereDeclared(t *testing.T) {
 	r := run(t, `
 #include <stdio.h>
@@ -158,11 +157,11 @@ int main() {
     int x = 1;
     int s = 0;
     { int x = 2; s += x; }
-    { if (s) int x = 3; }
+    { if (s) { int x = 3; } }
     for (int i = 0; i < 3; i++) { s += i; }
     int j;
-    { for (j = 0; j < 2; j++) int x = 4; }
-    { while (s > 100) int x = 5; }
+    { for (j = 0; j < 2; j++) { int x = 4; } }
+    { while (s > 100) { int x = 5; } }
     { s += x; }
     printf("%d %d %d\n", x, s, j);
     return 0;

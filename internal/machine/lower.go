@@ -19,29 +19,27 @@ import (
 //     argument list take no step of their own.
 //   - Faults: lowering never panics and never traps. A construct that
 //     must fault (a missing builtin argument, an invalid assignment
-//     target, an undefined function, an unbound name) lowers to a
-//     closure that faults when, and only when, it runs.
+//     target, an undefined function, a function used as a value)
+//     lowers to a closure that faults when, and only when, it runs.
 //   - Sharing: lowered code is immutable once Run starts executing, so
 //     every region worker, and every fork of a nested region, runs the
 //     same closures. Anything a closure needs per execution lives on
 //     the exec, its frame, or its stack.
-//   - Names: every variable use resolves, here, to slots of its
-//     function's frame (varRef); nothing compares a name at run time.
-//     Each declaration site owns a slot, and each global a function
-//     uses gets an alias slot, filled from the globals at call time. A
-//     declaration that may not run (one in the bare body of an if,
-//     while, for or directive) owns a conditional slot: its scope
-//     empties it on entry, and a use that finds it empty falls back to
-//     the slot the name had outside. A loop's condition and post see
-//     its bare body's declarations from the previous iteration. So a
-//     use reads the latest declaration of its name that ran in a scope
-//     enclosing it, and a global when there is none.
-//   - Fused leaves: a leaf is a variable resolved to one slot that
-//     names no builtin constant, or an int literal. An index chain of
-//     leaves (a[i][k]) as a value or a place, an int comparison of two
-//     leaves (k < N) and an increment of a leaf (k++) also get a fused
-//     closure, which reads the leaves in place and takes every step
-//     the generic closures would in one subtraction. It does so only
+//   - Names: lowering keeps no scopes. The checker bound every use to
+//     its declaration with C's scoping (testlang.Binding), and lowering
+//     gives each use one slot of its function's frame (varRef), so
+//     nothing compares a name at run time: a function's declaration n
+//     owns slot n, and each global the function uses gets an alias slot
+//     after those, filled from the globals at call time. C rejects a
+//     declaration as the bare body of an if, while, for or directive,
+//     and C++ scopes it to that body, so a use always follows the run of
+//     the declaration it binds.
+//   - Fused leaves: a leaf is a variable, read in its slot, or an int
+//     literal. An index chain of leaves (a[i][k]) as a value or a
+//     place, an int comparison of two leaves (k < N) and an increment
+//     of a leaf (k++) also get a fused closure, which reads the leaves
+//     in place and takes every step the generic closures would in one
+//     subtraction. It does so only
 //     when that many steps are left and its checks show that the
 //     generic walk would neither fault nor leave the int fast path;
 //     otherwise it calls the generic closure, built exactly as without
@@ -78,28 +76,28 @@ const (
 // program is one object's lowered code.
 type program struct {
 	// globals declare the file-scope variables, in order, into a frame
-	// of nglobals slots, one per distinct global name.
-	globals  []func(*exec)
-	nglobals int
+	// of one slot each.
+	globals []func(*exec)
 	// main is nil when the object defines no main body.
 	main *funcCode
 }
 
-// funcCode is one lowered user function. body, slots and aliases are
-// set after the funcCode enters the lowerer's table, so recursive
-// calls bind to it.
+// funcCode is one lowered user function. body and aliases are set
+// after the funcCode enters the lowerer's table, so recursive calls
+// bind to it.
 type funcCode struct {
+	// params are the function's declarations 0 to len(params)-1.
 	params []paramCode
 	body   execFn
-	// slots is the size of the function's frame.
+	// slots is the size of the function's frame: one slot per
+	// declaration, then one per alias.
 	slots int
 	// aliases fill the slots of the globals the function uses.
 	aliases []globalAlias
 }
 
 type paramCode struct {
-	slot int
-	typ  testlang.Type
+	typ testlang.Type
 	// conv converts arguments to typ (scalars convert, pointers and
 	// array parameters keep their value).
 	conv conv
@@ -109,76 +107,28 @@ type paramCode struct {
 // global's cell into it, so a region's overlay on the global in the
 // caller stays invisible to the callee.
 type globalAlias struct {
-	slot, global int
+	slot   varRef
+	global int
 }
 
-// varRef is a resolved variable: the frame slots that may hold its
-// cell, innermost first. A use reads the first slot that holds a cell.
-// Only a name in reach of a conditional declaration has more than one
-// slot, and only a builtin constant resolves to none.
-type varRef []int
+// varRef is a resolved variable: the frame slot that holds its cell,
+// or -1 for a name that binds no variable (a builtin constant, or a
+// function used as a value).
+type varRef int
 
 // cellOf returns the cell r names in ex's frame, or nil.
 func (ex *exec) cellOf(r varRef) *cell {
-	for _, s := range r {
-		if c := ex.frame[s]; c != nil {
-			return c
-		}
+	if r < 0 {
+		return nil
 	}
-	return nil
+	return ex.frame[r]
 }
 
-// rebind makes r name c in ex's frame, as a declaration in a scope
-// between r's declarations and its uses would: it replaces the cell a
-// use would read, or fills r's outermost slot when none is bound. The
-// caller owns ex's frame (fork).
+// rebind makes r name c in ex's frame, which the caller owns (fork).
 func (ex *exec) rebind(r varRef, c *cell) {
-	if len(r) == 0 {
-		return
+	if r >= 0 {
+		ex.frame[r] = c
 	}
-	for _, s := range r[:len(r)-1] {
-		if ex.frame[s] != nil {
-			ex.frame[s] = c
-			return
-		}
-	}
-	ex.frame[r[len(r)-1]] = c
-}
-
-// scope is one lexical scope while lowering a function.
-type scope struct {
-	up   *scope
-	vars []scopeVar
-	// clear lists the conditional slots declared into this scope; the
-	// scope empties them on entry.
-	clear []int
-}
-
-// scopeVar is a name bound in a scope. cond marks a conditional slot
-// of this scope, which further conditional declarations of the name in
-// it reuse, so a use reads whichever of them ran last.
-type scopeVar struct {
-	name string
-	ref  varRef
-	cond bool
-}
-
-func (sc *scope) local(name string) *scopeVar {
-	for i := range sc.vars {
-		if sc.vars[i].name == name {
-			return &sc.vars[i]
-		}
-	}
-	return nil
-}
-
-// bind binds a name in sc, replacing an earlier binding of it.
-func (sc *scope) bind(v scopeVar) {
-	if old := sc.local(v.name); old != nil {
-		*old = v
-		return
-	}
-	sc.vars = append(sc.vars, v)
 }
 
 // lowerer holds the per-run lowering state.
@@ -186,15 +136,8 @@ type lowerer struct {
 	obj *compiler.Object
 	// funcs binds each called user function to its lowered code.
 	funcs map[string]*funcCode
-	// globals numbers the distinct global names.
-	globals map[string]int
-	// fn is the function being lowered, nil for global initializers;
-	// sc is its innermost scope.
+	// fn is the function being lowered, nil for global initializers.
 	fn *funcCode
-	sc *scope
-	// cond is set while lowering a bare body: declarations there may
-	// not run.
-	cond bool
 	// regions are the planned directives whose bodies enclose this
 	// point of the function, outermost first (region.go). Writes here
 	// are protected in regions[:exclusive]: those an atomic, critical,
@@ -206,13 +149,8 @@ type lowerer struct {
 // lower compiles obj's globals and its main function, with every user
 // function main and the globals reach, into closures.
 func lower(obj *compiler.Object) *program {
-	l := &lowerer{obj: obj, funcs: map[string]*funcCode{}, globals: map[string]int{}}
-	for _, g := range obj.Globals {
-		if _, ok := l.globals[g.Name]; !ok {
-			l.globals[g.Name] = len(l.globals)
-		}
-	}
-	p := &program{globals: make([]func(*exec), len(obj.Globals)), nglobals: len(l.globals)}
+	l := &lowerer{obj: obj, funcs: map[string]*funcCode{}}
+	p := &program{globals: make([]func(*exec), len(obj.Globals))}
 	for i, g := range obj.Globals {
 		p.globals[i] = l.declare(g)
 	}
@@ -228,149 +166,56 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 	if fc, ok := l.funcs[name]; ok {
 		return fc
 	}
-	fc := &funcCode{params: make([]paramCode, len(fd.Params))}
+	fc := &funcCode{params: make([]paramCode, len(fd.Params)), slots: fd.Locals}
 	l.funcs[name] = fc
-	// A callee is not part of the regions around its first call.
-	fn, sc, cond, regions, exclusive := l.fn, l.sc, l.cond, l.regions, l.exclusive
-	l.fn, l.sc, l.cond, l.regions, l.exclusive = fc, &scope{}, false, nil, 0
 	for i, p := range fd.Params {
 		c := convOf(p.Type)
 		if p.Array {
 			c = convKeep
 		}
-		fc.params[i] = paramCode{slot: l.declSlot(p.Name), typ: p.Type, conv: c}
+		fc.params[i] = paramCode{typ: p.Type, conv: c}
 	}
+	// A callee is not part of the regions around its first call.
+	fn, regions, exclusive := l.fn, l.regions, l.exclusive
+	l.fn, l.regions, l.exclusive = fc, nil, 0
 	fc.body = l.stmt(fd.Body)
-	l.fn, l.sc, l.cond, l.regions, l.exclusive = fn, sc, cond, regions, exclusive
+	l.fn, l.regions, l.exclusive = fn, regions, exclusive
 	return fc
 }
 
 // --- names ------------------------------------------------------------
 
-// resolve returns the slots a use of name reads at this point of the
-// program, and records the use in the open regions.
-func (l *lowerer) resolve(name string) varRef {
-	r := l.lookup(name)
+// ref returns the slot a use of name, bound to b, reads, and records
+// the use in the open regions.
+func (l *lowerer) ref(name string, b testlang.Binding) varRef {
+	r := l.slot(b)
 	l.used(name, r)
 	return r
 }
 
-// lookup resolves name. Inside a function, a name no scope binds
-// becomes a slot of the function's outermost scope: an alias of the
-// global of that name, or a slot nothing declares (a region may still
-// bind it).
-func (l *lowerer) lookup(name string) varRef {
-	for sc := l.sc; sc != nil; sc = sc.up {
-		if v := sc.local(name); v != nil {
-			return v.ref
+// slot is the frame slot of the variable b binds: a local's own, a
+// global's in the frame of the globals or, inside a function, the
+// alias slot the function fills from it at each call.
+func (l *lowerer) slot(b testlang.Binding) varRef {
+	if n, ok := b.Local(); ok {
+		return varRef(n)
+	}
+	g, ok := b.Global()
+	switch {
+	case !ok:
+		return -1
+	case l.fn == nil:
+		return varRef(g)
+	}
+	for _, a := range l.fn.aliases {
+		if a.global == g {
+			return a.slot
 		}
 	}
-	g, global := l.globals[name]
-	if l.fn == nil {
-		if global {
-			return varRef{g}
-		}
-		return nil
-	}
-	if _, ok := builtinConst(name); ok && !global {
-		return nil
-	}
-	ref := varRef{l.newSlot()}
-	if global {
-		l.fn.aliases = append(l.fn.aliases, globalAlias{slot: ref[0], global: g})
-	}
-	root := l.sc
-	for root.up != nil {
-		root = root.up
-	}
-	root.vars = append(root.vars, scopeVar{name: name, ref: ref})
-	return ref
-}
-
-func (l *lowerer) newSlot() int {
+	a := globalAlias{slot: varRef(l.fn.slots), global: g}
 	l.fn.slots++
-	return l.fn.slots - 1
-}
-
-// declSlot binds name to the slot a declaration at this point fills. A
-// global's slot is its own; a local declaration gets a new slot, and a
-// conditional one a conditional slot that falls back to the name's
-// slots outside it. The slot is local to every open region.
-func (l *lowerer) declSlot(name string) int {
-	if l.fn == nil {
-		return l.globals[name]
-	}
-	sc := l.sc
-	if !l.cond {
-		slot := l.newSlot()
-		sc.bind(scopeVar{name: name, ref: varRef{slot}})
-		return l.declared(slot)
-	}
-	if v := sc.local(name); v != nil && v.cond {
-		return l.declared(v.ref[0])
-	}
-	outer := l.lookup(name)
-	slot := l.newSlot()
-	sc.bind(scopeVar{name: name, ref: append(varRef{slot}, outer...), cond: true})
-	sc.clear = append(sc.clear, slot)
-	return l.declared(slot)
-}
-
-// push opens a scope; pop closes it and returns its conditional slots.
-func (l *lowerer) push() {
-	l.sc = &scope{up: l.sc}
-}
-
-func (l *lowerer) pop() []int {
-	clear := l.sc.clear
-	l.sc = l.sc.up
-	return clear
-}
-
-// bare lowers the bare body of an if, while, for or directive: it runs
-// in the enclosing scope, but may not run at all.
-func (l *lowerer) bare(s testlang.Stmt) execFn {
-	cond := l.cond
-	l.cond = true
-	f := l.stmt(s)
-	l.cond = cond
-	return f
-}
-
-// predeclare binds the declarations a loop's bare body makes into the
-// current scope before the loop's condition and post are lowered: from
-// the second iteration on, they read them.
-func (l *lowerer) predeclare(body testlang.Stmt) {
-	cond := l.cond
-	l.cond = true
-	bareDecls(body, func(name string) { l.declSlot(name) })
-	l.cond = cond
-}
-
-// bareDecls calls f for each name s declares into the scope it runs
-// in: a declaration, or one in the bare body of an if, while or
-// directive. A block or a for declares into a scope of its own.
-func bareDecls(s testlang.Stmt, f func(string)) {
-	switch n := s.(type) {
-	case *testlang.DeclStmt:
-		for _, d := range n.Decls {
-			f(d.Name)
-		}
-	case *testlang.IfStmt:
-		bareDecls(n.Then, f)
-		bareDecls(n.Else, f)
-	case *testlang.WhileStmt:
-		bareDecls(n.Body, f)
-	case *testlang.DirectiveStmt:
-		bareDecls(n.Body, f)
-	}
-}
-
-// clearSlots empties a scope's conditional slots on entry.
-func clearSlots(ex *exec, slots []int) {
-	for _, s := range slots {
-		ex.frame[s] = nil
-	}
+	l.fn.aliases = append(l.fn.aliases, a)
+	return a.slot
 }
 
 // --- statements -------------------------------------------------------
@@ -408,19 +253,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 	case nil:
 		return nopStmt
 	case *testlang.Block:
-		cond := l.cond
-		l.cond = false
-		l.push()
 		body := l.stmts(n.Stmts)
-		clear := l.pop()
-		l.cond = cond
-		if len(clear) > 0 {
-			return func(ex *exec) flow {
-				ex.in.step()
-				clearSlots(ex, clear)
-				return runStmts(ex, body)
-			}
-		}
 		return func(ex *exec) flow {
 			ex.in.step()
 			return runStmts(ex, body)
@@ -446,7 +279,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 		}
 	case *testlang.IfStmt:
 		cond := l.expr(n.Cond)
-		then, els := l.bare(n.Then), l.bare(n.Else)
+		then, els := l.stmt(n.Then), l.stmt(n.Else)
 		return func(ex *exec) flow {
 			ex.in.step()
 			if cond(ex).truthy() {
@@ -455,15 +288,13 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			return els(ex)
 		}
 	case *testlang.ForStmt:
-		loop := l.forLoop(n, "", nil)
+		loop := l.forLoop(n, nil, nil)
 		return func(ex *exec) flow {
 			ex.in.step()
 			return loop.run(ex)
 		}
 	case *testlang.WhileStmt:
-		l.predeclare(n.Body)
-		cond := l.expr(n.Cond)
-		body := l.bare(n.Body)
+		cond, body := l.expr(n.Cond), l.stmt(n.Body)
 		return func(ex *exec) flow {
 			ex.in.step()
 			for cond(ex).truthy() {
@@ -515,12 +346,9 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 	}
 }
 
-// declare lowers one variable declaration into the current scope. Its
-// initialiser (an array's dimensions) resolves names before the
-// declaration binds its own, and an array's element initialisers
-// after, in the order they run.
+// declare lowers one variable declaration, which fills its own slot.
 func (l *lowerer) declare(v *testlang.VarDecl) func(*exec) {
-	name := v.Name
+	name, slot := v.Name, l.declared(l.slot(v.Bind))
 	if len(v.ArrayDims) > 0 {
 		dims := make([]evalFn, len(v.ArrayDims))
 		for i, d := range v.ArrayDims {
@@ -528,7 +356,6 @@ func (l *lowerer) declare(v *testlang.VarDecl) func(*exec) {
 				dims[i] = l.expr(d)
 			}
 		}
-		slot := l.declSlot(name)
 		var elems []evalFn
 		if il, ok := v.Init.(*testlang.InitList); ok {
 			elems = l.initElems(il, nil)
@@ -559,11 +386,9 @@ func (l *lowerer) declare(v *testlang.VarDecl) func(*exec) {
 	typ := v.Type
 	if v.Init == nil {
 		zero := zeroValue(typ)
-		slot := l.declSlot(name)
 		return func(ex *exec) { ex.own(slot).v = zero }
 	}
-	init := l.expr(v.Init)
-	slot, cv := l.declSlot(name), convOf(typ)
+	init, cv := l.expr(v.Init), convOf(typ)
 	pointee := testlang.Type{Base: typ.Base, Ptr: typ.Ptr - 1}
 	return func(ex *exec) {
 		val := cv.apply(init(ex))
@@ -595,25 +420,18 @@ type forLoop struct {
 	cond evalFn
 	post evalFn
 	body execFn
-	// clear lists the conditional slots of the loop's scope, which its
-	// bare body declares into.
-	clear []int
 	// iv is a loop directive's variable as the body sees it, which a
 	// work-shared chunk binds to a cell of its own.
 	iv varRef
 }
 
-// forLoop lowers a for statement in a scope of its own; iv names the
-// loop variable of a loop directive ("" for a plain for), and rg is the
-// directive's region, whose writes count in the loop body only.
-func (l *lowerer) forLoop(n *testlang.ForStmt, iv string, rg *region) *forLoop {
-	cond := l.cond
-	l.cond = false
-	l.push()
-	f := &forLoop{init: l.stmt(n.Init)}
-	l.predeclare(n.Body)
-	if iv != "" {
-		f.iv = l.resolve(iv)
+// forLoop lowers a for statement; shape is a loop directive's analysis
+// of it (nil for a plain for), and rg is the directive's region, whose
+// writes count in the loop body only.
+func (l *lowerer) forLoop(n *testlang.ForStmt, shape *loopShape, rg *region) *forLoop {
+	f := &forLoop{init: l.stmt(n.Init), iv: -1}
+	if shape != nil && shape.varName != "" {
+		f.iv = l.ref(shape.varName, shape.varBind)
 	}
 	if n.Cond != nil {
 		f.cond = l.expr(n.Cond)
@@ -624,16 +442,13 @@ func (l *lowerer) forLoop(n *testlang.ForStmt, iv string, rg *region) *forLoop {
 	if rg != nil {
 		rg.writes = true
 	}
-	f.body = l.bare(n.Body)
-	f.clear = l.pop()
-	l.cond = cond
+	f.body = l.stmt(n.Body)
 	return f
 }
 
 // run executes the loop and returns how it ended; the for statement's
 // own step is the caller's.
 func (f *forLoop) run(ex *exec) flow {
-	clearSlots(ex, f.clear)
 	f.init(ex)
 	for {
 		if f.cond != nil && !f.cond(ex).truthy() {
@@ -692,7 +507,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.SizeofExpr:
 		return constant(intVal(sizeOf(n.Of)))
 	case *testlang.IdentExpr:
-		return l.ident(n.Name)
+		return identAt(n.Name, l.ref(n.Name, n.Bind))
 	case *testlang.BinaryExpr:
 		return l.binary(n)
 	case *testlang.UnaryExpr:
@@ -795,39 +610,25 @@ func builtinConst(name string) (value, bool) {
 	return value{}, false
 }
 
-// ident lowers a variable read. A name bound nowhere at run time reads
-// its builtin constant, or faults: sema rules that out for compiled
-// programs.
-func (l *lowerer) ident(name string) evalFn {
-	return identAt(name, l.resolve(name))
-}
-
-// identAt lowers a read of name, resolved to r.
+// identAt lowers a read of name, resolved to r. A name that binds no
+// variable is a builtin constant or a function, which has no value
+// here; a variable whose slot is empty is a global read by a function
+// that a global initializer called before the global's declaration
+// ran. Both fault.
 func identAt(name string, r varRef) evalFn {
-	fallback, isConst := builtinConst(name)
-	switch {
-	case len(r) == 0 && isConst:
-		return constant(fallback)
-	case len(r) == 1:
-		s := r[0]
+	if r < 0 {
+		if v, ok := builtinConst(name); ok {
+			return constant(v)
+		}
 		return func(ex *exec) value {
 			ex.in.step()
-			if c := ex.frame[s]; c != nil {
-				return c.v
-			}
-			if isConst {
-				return fallback
-			}
 			panic(segfault())
 		}
 	}
 	return func(ex *exec) value {
 		ex.in.step()
-		if c := ex.cellOf(r); c != nil {
+		if c := ex.frame[r]; c != nil {
 			return c.v
-		}
-		if isConst {
-			return fallback
 		}
 		panic(segfault())
 	}
@@ -1042,7 +843,7 @@ func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 			return elemRef(b.b, off)
 		}
 	case *testlang.IdentExpr:
-		x, name := l.ident(t.Name), t.Name
+		x, name := identAt(t.Name, l.ref(t.Name, t.Bind)), t.Name
 		return func(ex *exec) value {
 			ex.in.step()
 			v := x(ex)
@@ -1074,24 +875,16 @@ func (l *lowerer) place(e testlang.Expr) placeFn {
 func (l *lowerer) placeLeaf(e testlang.Expr) (placeFn, operand, bool) {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
-		r := l.resolve(n.Name)
+		r := l.ref(n.Name, n.Bind)
 		l.wrote(r, false)
-		o, leaf := leafOf(n.Name, r)
-		if len(r) == 1 {
-			s := r[0]
+		if r >= 0 {
 			return func(ex *exec) place {
-				if c := ex.frame[s]; c != nil {
+				if c := ex.frame[r]; c != nil {
 					return place{c: c}
 				}
 				panic(segfault())
-			}, o, leaf
+			}, operand{slot: r}, true
 		}
-		return func(ex *exec) place {
-			if c := ex.cellOf(r); c != nil {
-				return place{c: c}
-			}
-			panic(segfault())
-		}, o, leaf
 	case *testlang.IndexExpr:
 		c := l.chain(n, false)
 		walk := c.walk
@@ -1139,7 +932,7 @@ func (l *lowerer) deref(x testlang.Expr) placeFn {
 type indexChain struct {
 	walk   func(*exec) (value, int)
 	leaves bool
-	base   int
+	base   varRef
 	idx    []operand
 }
 
@@ -1234,19 +1027,11 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 // --- fused leaves -------------------------------------------------------
 
 // operand is a leaf, which a fused node reads in place instead of
-// calling its closure: a variable resolved to a single slot that names
-// no builtin constant, or an int literal (slot < 0).
+// calling its closure: a variable, in its slot, or an int literal
+// (slot < 0).
 type operand struct {
-	slot int
+	slot varRef
 	lit  int64
-}
-
-// leafOf is the operand a use of name resolved to r is, if a leaf.
-func leafOf(name string, r varRef) (operand, bool) {
-	if _, isConst := builtinConst(name); len(r) != 1 || isConst {
-		return operand{}, false
-	}
-	return operand{slot: r[0]}, true
 }
 
 // leaf lowers e as expr does and, when e is a leaf, returns it as an
@@ -1256,9 +1041,8 @@ func (l *lowerer) leaf(e testlang.Expr) (evalFn, operand, bool) {
 	case *testlang.IntLitExpr:
 		return constant(intVal(n.Value)), operand{slot: -1, lit: n.Value}, true
 	case *testlang.IdentExpr:
-		r := l.resolve(n.Name)
-		o, ok := leafOf(n.Name, r)
-		return identAt(n.Name, r), o, ok
+		r := l.ref(n.Name, n.Bind)
+		return identAt(n.Name, r), operand{slot: r}, r >= 0
 	}
 	return l.expr(e), operand{}, false
 }
@@ -1304,7 +1088,7 @@ func compareLeaves(generic evalFn, x, y operand, test func(a, b int64) bool) eva
 
 // stepLeaf fuses generic, an increment by d of the variable in slot s,
 // when that holds an int: its one step, and the update in its cell.
-func stepLeaf(generic evalFn, s int, d int64) evalFn {
+func stepLeaf(generic evalFn, s varRef, d int64) evalFn {
 	return func(ex *exec) value {
 		if c := ex.frame[s]; ex.in.stepsLeft >= 1 && c != nil && c.v.k == kInt {
 			ex.in.stepsLeft--
@@ -1346,7 +1130,7 @@ func (c *indexChain) store(generic placeFn) placeFn {
 // would end on an element without faulting, materializing a block or
 // leaving the int fast path; otherwise it takes nothing and ok is
 // false, and the caller runs the generic walk.
-func (ex *exec) leafElem(base int, idx []operand, k int64) (*block, int, bool) {
+func (ex *exec) leafElem(base varRef, idx []operand, k int64) (*block, int, bool) {
 	c := ex.frame[base]
 	if c == nil || c.v.k != kRef || ex.in.stepsLeft < k {
 		return nil, 0, false

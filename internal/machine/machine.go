@@ -74,9 +74,14 @@ type interp struct {
 	// mirror with a structured/dynamic reference count.
 	presence map[*block]*presenceEntry
 
-	// globals is the frame of the file-scope variables: one slot per
-	// distinct name, which a redeclaration fills anew.
+	// globals is the frame of the file-scope variables, one slot each.
 	globals []*cell
+
+	// calls holds the exec of the running call at each call depth, with
+	// its frame and cell store, and args the arguments of the calls
+	// being made (callFunction).
+	calls []*exec
+	args  []value
 }
 
 type presenceEntry struct {
@@ -126,7 +131,7 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 		panic(trapSignal{kind: "no-object", rc: 127, msg: "exec format error"})
 	}
 	prog := lower(obj)
-	in.globals = make([]*cell, prog.nglobals)
+	in.globals = make([]*cell, len(prog.globals))
 	ex := &exec{in: in, frame: in.globals}
 	for _, g := range prog.globals {
 		g(ex)

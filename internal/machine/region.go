@@ -93,9 +93,9 @@ func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 		l.regions = append(l.regions, rg)
 	}
 	if !isFor {
-		d.body = l.bare(ds.Body)
+		d.body = l.stmt(ds.Body)
 	} else {
-		d.loop = l.forLoop(fs, d.shape.varName, rg)
+		d.loop = l.forLoop(fs, &d.shape, rg)
 		loop := d.loop
 		d.body = func(ex *exec) flow {
 			ex.in.step()
@@ -107,7 +107,7 @@ func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 		l.regions = l.regions[:len(l.regions)-1]
 		d.free = rg.free
 		for _, v := range rg.free {
-			if protected, ok := rg.written[v.ref[0]]; ok && !protected {
+			if protected, ok := rg.written[v.ref]; ok && !protected {
 				d.private = append(d.private, v.ref)
 			}
 		}
@@ -135,22 +135,22 @@ func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) *region {
 	for i, op := range plan.Data {
 		d.data[i] = dataOpCode{mode: op.Mode, secs: make([]sectionCode, len(op.Sections))}
 		for j, sec := range op.Sections {
-			sc := sectionCode{name: sec.Name, ref: l.resolve(sec.Name)}
+			sc := sectionCode{name: sec.Name, ref: l.ref(sec.Name, sec.Bind)}
 			if sec.Lo != nil {
 				sc.lo, sc.n = l.expr(sec.Lo), l.expr(sec.Len)
 			}
 			d.data[i].secs[j] = sc
 		}
 	}
-	for _, name := range plan.Private {
-		d.privates = append(d.privates, l.resolve(name))
+	for _, v := range plan.Private {
+		d.privates = append(d.privates, l.ref(v.Name, v.Bind))
 	}
-	for _, name := range plan.FirstPrivate {
-		d.firstprivates = append(d.firstprivates, l.resolve(name))
+	for _, v := range plan.FirstPrivate {
+		d.firstprivates = append(d.firstprivates, l.ref(v.Name, v.Bind))
 	}
 	for _, red := range plan.Reductions {
-		for _, name := range red.Vars {
-			d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.resolve(name)})
+		for _, v := range red.Vars {
+			d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.ref(v.Name, v.Bind)})
 		}
 	}
 	loop := false
@@ -169,11 +169,11 @@ func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) *region {
 		return nil
 	}
 	// A loop directive's writes count from its loop body on (forLoop).
-	rg := &region{local: map[int]bool{}, seen: map[int]bool{}, written: map[int]bool{}, writes: !loop}
+	rg := &region{local: map[varRef]bool{}, seen: map[varRef]bool{}, written: map[varRef]bool{}, writes: !loop}
 	// A worker copies a written scalar only when no clause bound it.
 	bound := func(r varRef) {
-		if len(r) > 0 {
-			rg.written[r[0]] = true
+		if r >= 0 {
+			rg.written[r] = true
 		}
 	}
 	for _, r := range d.privates {
@@ -194,32 +194,26 @@ func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) *region {
 // body calls.
 type region struct {
 	// local marks the slots declared inside the body.
-	local map[int]bool
+	local map[varRef]bool
 	// free lists the variables from outside the body that it uses, each
-	// once, in first-use order; seen holds their first slots.
+	// once, in first-use order; seen holds their slots.
 	free []namedRef
-	seen map[int]bool
+	seen map[varRef]bool
 	// writes is set while the body's writes count: from the start, or
-	// from a loop directive's loop body on. written maps the first slot
-	// of each outside variable written there to whether some write is
+	// from a loop directive's loop body on. written maps the slot of
+	// each outside variable written there to whether some write is
 	// protected: inside a nested atomic, critical, single or master, a
 	// nested directive's reduction variable, or one of the directive's
 	// own clause variables.
 	writes  bool
-	written map[int]bool
+	written map[varRef]bool
 }
 
-// outside strips from r the slots the region declares: what is left is
-// the variable a use reads when none of them is bound.
-func (rg *region) outside(r varRef) varRef {
-	for len(r) > 0 && rg.local[r[0]] {
-		r = r[1:]
-	}
-	return r
-}
+// outside reports whether r is a variable from outside the region.
+func (rg *region) outside(r varRef) bool { return r >= 0 && !rg.local[r] }
 
 // declared makes slot local to every open region.
-func (l *lowerer) declared(slot int) int {
+func (l *lowerer) declared(slot varRef) varRef {
 	for _, rg := range l.regions {
 		rg.local[slot] = true
 	}
@@ -229,9 +223,9 @@ func (l *lowerer) declared(slot int) int {
 // used records a use of name, resolved to r, in every open region.
 func (l *lowerer) used(name string, r varRef) {
 	for _, rg := range l.regions {
-		if o := rg.outside(r); len(o) > 0 && !rg.seen[o[0]] {
-			rg.seen[o[0]] = true
-			rg.free = append(rg.free, namedRef{name: name, ref: o})
+		if rg.outside(r) && !rg.seen[r] {
+			rg.seen[r] = true
+			rg.free = append(rg.free, namedRef{name: name, ref: r})
 		}
 	}
 }
@@ -239,8 +233,8 @@ func (l *lowerer) used(name string, r varRef) {
 // wrote records a write of r in every open region that collects writes.
 func (l *lowerer) wrote(r varRef, protected bool) {
 	for i, rg := range l.regions {
-		if o := rg.outside(r); rg.writes && len(o) > 0 {
-			rg.written[o[0]] = rg.written[o[0]] || protected || i < l.exclusive
+		if rg.writes && rg.outside(r) {
+			rg.written[r] = rg.written[r] || protected || i < l.exclusive
 		}
 	}
 }
@@ -758,7 +752,9 @@ type loopSpec struct {
 // evaluates them per execution, exactly those the analysis reads
 // before it can tell that a loop is not canonical.
 type loopShape struct {
+	// varName is the loop variable, bound to varBind.
 	varName string
+	varBind testlang.Binding
 	// start is nil when the init is not canonical; bound is nil when
 	// the condition is not; stride is the step expression of a
 	// "v += e" or "v -= e" post, nil for ++ and --.
@@ -779,7 +775,7 @@ func (l *lowerer) loopShape(loop *testlang.ForStmt) loopShape {
 		if len(init.Decls) != 1 || init.Decls[0].Init == nil {
 			return s
 		}
-		s.varName = init.Decls[0].Name
+		s.varName, s.varBind = init.Decls[0].Name, init.Decls[0].Bind
 		if init.Decls[0].Type.IsFloat() {
 			return s
 		}
@@ -793,7 +789,7 @@ func (l *lowerer) loopShape(loop *testlang.ForStmt) loopShape {
 		if !ok {
 			return s
 		}
-		s.varName = id.Name
+		s.varName, s.varBind = id.Name, id.Bind
 		s.start = l.expr(asg.R)
 	default:
 		return s
@@ -937,11 +933,9 @@ func (ex *exec) runDistributed(d *dirCode, spec loopSpec) {
 }
 
 // runChunk executes iterations [lo,hi) of an analysed loop on ex's own
-// frame (fork): the loop's scope starts empty and its variable is a
-// cell of the chunk's. Under nested work-sharing, privatization was
+// frame (fork): its variable is a cell of the chunk's. Under nested work-sharing, privatization was
 // handled by the enclosing region.
 func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
-	clearSlots(ex, loop.clear)
 	iv := &cell{v: intVal(0)}
 	ex.rebind(loop.iv, iv)
 	for i := lo; i < hi; i++ {

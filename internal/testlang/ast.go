@@ -72,6 +72,27 @@ func (t Type) IsNumeric() bool {
 	return t.Ptr == 0 && (t.Base == "int" || t.Base == "long" || t.Base == "float" || t.Base == "double" || t.Base == "char" || t.Base == "bool")
 }
 
+// Binding is the declaration a name binds, as the checker resolved it
+// with C's scoping. A function numbers its parameters and then its local
+// declarations densely from 0, in order; a file numbers its variables
+// in order. The zero Binding binds no variable: a builtin constant, a
+// function name, or a name no checker has bound.
+type Binding int32
+
+// LocalBinding binds a function's parameter or local variable n.
+func LocalBinding(n int) Binding { return Binding(n + 1) }
+
+// GlobalBinding binds the file's variable g.
+func GlobalBinding(g int) Binding { return Binding(-g - 1) }
+
+// Local returns the number of the local variable b binds, if it binds
+// one.
+func (b Binding) Local() (int, bool) { return int(b) - 1, b > 0 }
+
+// Global returns the number of the file variable b binds, if it binds
+// one.
+func (b Binding) Global() (int, bool) { return int(-b) - 1, b < 0 }
+
 // Node is the interface implemented by all AST nodes.
 type Node interface {
 	// Pos returns the 1-based source line of the node (0 if synthetic).
@@ -105,6 +126,9 @@ type FuncDecl struct {
 	// Pragmas holds directives written immediately before the function
 	// (e.g. "#pragma acc routine seq").
 	Pragmas []*DirectiveStmt
+	// Locals is the number of parameters and local variables the
+	// checker numbered (Binding).
+	Locals int
 	position
 }
 
@@ -133,6 +157,8 @@ type VarDecl struct {
 	Init Expr
 	// Const records a const qualifier (semantically ignored).
 	Const bool
+	// Bind is this declaration's own binding, which the checker sets.
+	Bind Binding
 	position
 }
 
@@ -256,6 +282,8 @@ type Expr interface {
 // IdentExpr references a variable or function by name.
 type IdentExpr struct {
 	Name string
+	// Bind is the declaration the name binds, which the checker sets.
+	Bind Binding
 	position
 }
 

@@ -24,6 +24,8 @@ func ParseExprString(s string) (Expr, []error) {
 // accepted by the Fortran front end separately.
 type Section struct {
 	Name string
+	// Bind is the declaration Name binds, which the checker sets.
+	Bind Binding
 	Lo   Expr // nil when the whole object is referenced
 	Len  Expr // nil when the whole object is referenced
 }
