@@ -154,6 +154,15 @@ type DirPlan struct {
 	// Device reports whether the construct runs in the device data
 	// environment.
 	Device bool
+	// Free lists the variables from outside the body that the body
+	// uses, each once, in first-use order; a compute construct's device
+	// data environment maps those holding aggregates. PlainWrites lists
+	// those of them the body writes, none of them under protection (see
+	// region) and none a clause of the construct binds; a parallel
+	// region's workers copy those holding scalars. Only a compute
+	// construct, a host parallel region or a loop directive has them,
+	// and a loop directive's writes count from its loop body on.
+	Free, PlainWrites []Var
 }
 
 // kindOf maps a spec directive name to its machine kind.
@@ -298,19 +307,29 @@ func (c *checker) validateDirective(ds *testlang.DirectiveStmt, atFileScope bool
 			c.errorf(dir.Pos(), "invalid clause %q on %s directive %q", cl.Name, c.pers.Dialect, dir.Name)
 			continue
 		}
-		expr, secs, parsed := c.checkClauseShape(dir, cl, arg)
-		c.lowerClause(plan, dir, cl, expr, secs, parsed)
+		c.lowerClause(plan, dir, cl, c.checkClauseShape(dir, cl, arg))
 	}
 
 	c.checkAssociation(ds, sd, plan, atFileScope)
 	return plan
 }
 
-// checkClauseShape validates the argument form of one clause. It
-// returns the argument it checked, which carries the checker's
-// bindings: an expression (nil unless one parsed), or a variable list
-// and whether all of it parsed.
-func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClause, arg spec.ClauseArg) (expr testlang.Expr, secs []testlang.Section, parsed bool) {
+// clauseArg is a clause's argument as checkClauseShape checked it,
+// with the checker's bindings.
+type clauseArg struct {
+	// expr is an expression argument, nil unless one parsed.
+	expr testlang.Expr
+	// vars is a variable list, and parsed reports whether all of it
+	// parsed.
+	vars   []testlang.Section
+	parsed bool
+	// op is a reduction's operator or a map's type.
+	op string
+}
+
+// checkClauseShape validates the argument form of one clause and
+// returns the argument it checked.
+func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClause, arg spec.ClauseArg) (a clauseArg) {
 	switch arg {
 	case spec.ArgNone:
 		if cl.HasParens {
@@ -321,17 +340,17 @@ func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClaus
 			c.errorf(dir.Pos(), "clause %q requires an argument", cl.Name)
 			return
 		}
-		expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
+		a.expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
 	case spec.ArgOptionalIntExpr:
 		if cl.HasParens && strings.TrimSpace(cl.Arg) != "" {
-			expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
+			a.expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
 		}
 	case spec.ArgIfExpr:
 		if !cl.HasParens || strings.TrimSpace(cl.Arg) == "" {
 			c.errorf(dir.Pos(), "clause %q requires a condition", cl.Name)
 			return
 		}
-		expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
+		a.expr = c.checkClauseExpr(dir, cl.Name, cl.Arg)
 	case spec.ArgVarList:
 		if !cl.HasParens {
 			c.errorf(dir.Pos(), "clause %q requires a variable list", cl.Name)
@@ -346,13 +365,13 @@ func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClaus
 			cl.Name == "linear" {
 			return
 		}
-		secs, parsed = c.checkSections(dir, cl.Name, cl.Arg)
+		a.vars, a.parsed = c.checkSections(dir, cl.Name, cl.Arg)
 	case spec.ArgReduction:
 		if !cl.HasParens {
 			c.errorf(dir.Pos(), "reduction clause requires operator and variables")
 			return
 		}
-		op, vars, ok := testlang.ReductionParts(cl.Arg)
+		op, names, ok := testlang.ReductionParts(cl.Arg)
 		if !ok {
 			c.errorf(dir.Pos(), "malformed reduction clause %q", cl.Arg)
 			return
@@ -360,22 +379,23 @@ func (c *checker) checkClauseShape(dir *testlang.Directive, cl testlang.DirClaus
 		if !spec.ValidReductionOp(op) {
 			c.errorf(dir.Pos(), "invalid reduction operator %q", op)
 		}
-		if len(vars) == 0 {
+		if len(names) == 0 {
 			c.errorf(dir.Pos(), "reduction clause lists no variables")
 		}
-		for _, v := range vars {
-			c.checkClauseVar(dir, cl.Name, v)
+		a.op, a.parsed = op, true
+		for _, name := range names {
+			a.vars = append(a.vars, testlang.Section{Name: name, Bind: c.checkClauseVar(dir, cl.Name, name)})
 		}
 	case spec.ArgMap:
 		if !cl.HasParens {
 			c.errorf(dir.Pos(), "map clause requires an argument")
 			return
 		}
-		mt, _ := testlang.MapParts(cl.Arg)
-		if !spec.ValidMapType(mt) {
-			c.errorf(dir.Pos(), "invalid map type %q", mt)
+		a.op, _ = testlang.MapParts(cl.Arg)
+		if !spec.ValidMapType(a.op) {
+			c.errorf(dir.Pos(), "invalid map type %q", a.op)
 		}
-		secs, parsed = c.checkSections(dir, cl.Name, afterTopColon(cl.Arg))
+		a.vars, a.parsed = c.checkSections(dir, cl.Name, afterTopColon(cl.Arg))
 	}
 	return
 }
@@ -438,50 +458,46 @@ func (c *checker) checkClauseVar(dir *testlang.Directive, clause, name string) t
 	return 0
 }
 
-// vars binds the variables a clause lists.
-func (c *checker) vars(names []string) []Var {
-	out := make([]Var, len(names))
-	for i, name := range names {
-		out[i].Name = name
-		if sym, ok := c.lookup(name); ok {
-			out[i].Bind = sym.bind
-		}
+// clauseVars returns the variables of a checked clause argument.
+func clauseVars(secs []testlang.Section) []Var {
+	out := make([]Var, len(secs))
+	for i, s := range secs {
+		out[i] = Var{Name: s.Name, Bind: s.Bind}
 	}
 	return out
 }
 
 // lowerClause records the runtime effect of one clause in the plan,
 // from the argument checkClauseShape checked.
-func (c *checker) lowerClause(plan *DirPlan, dir *testlang.Directive, cl testlang.DirClause, expr testlang.Expr, secs []testlang.Section, parsed bool) {
+func (c *checker) lowerClause(plan *DirPlan, dir *testlang.Directive, cl testlang.DirClause, a clauseArg) {
 	switch cl.Name {
 	case "reduction":
-		if op, vars, ok := testlang.ReductionParts(cl.Arg); ok {
-			plan.Reductions = append(plan.Reductions, ReductionPlan{Op: op, Vars: c.vars(vars)})
+		if a.parsed {
+			plan.Reductions = append(plan.Reductions, ReductionPlan{Op: a.op, Vars: clauseVars(a.vars)})
 		}
 	case "private":
-		plan.Private = append(plan.Private, c.vars(testlang.ClauseVars(cl.Arg))...)
+		plan.Private = append(plan.Private, clauseVars(a.vars)...)
 	case "firstprivate":
-		plan.FirstPrivate = append(plan.FirstPrivate, c.vars(testlang.ClauseVars(cl.Arg))...)
+		plan.FirstPrivate = append(plan.FirstPrivate, clauseVars(a.vars)...)
 	case "num_gangs", "num_workers", "num_threads", "num_teams", "vector_length", "thread_limit":
 		if plan.NumWorkers == nil {
-			plan.NumWorkers = expr
+			plan.NumWorkers = a.expr
 		}
 	case "if":
-		if expr != nil {
-			plan.If = expr
+		if a.expr != nil {
+			plan.If = a.expr
 		}
 	case "read", "write", "update", "capture":
 		if plan.Kind == KindAtomic {
 			plan.AtomicKind = cl.Name
 		}
 	case "map":
-		if parsed {
-			mt, _ := testlang.MapParts(cl.Arg)
-			plan.Data = append(plan.Data, DataOp{Mode: mapTypeMode(mt), Sections: secs})
+		if a.parsed {
+			plan.Data = append(plan.Data, DataOp{Mode: mapTypeMode(a.op), Sections: a.vars})
 		}
 	default:
-		if mode, isData := clauseDataMode(c.pers.Dialect, dir.Name, cl.Name); isData && parsed {
-			plan.Data = append(plan.Data, DataOp{Mode: mode, Sections: secs})
+		if mode, isData := clauseDataMode(c.pers.Dialect, dir.Name, cl.Name); isData && a.parsed {
+			plan.Data = append(plan.Data, DataOp{Mode: mode, Sections: a.vars})
 		}
 	}
 }

@@ -251,36 +251,3 @@ int main() {
 		t.Fatal("nvc personality accepted tile")
 	}
 }
-
-func TestCoveredVarsCollectsAllClauseKinds(t *testing.T) {
-	src := `
-#include <stdlib.h>
-int main() {
-    int n = 64;
-    double *x = (double *)malloc(n * sizeof(double));
-    double s = 0.0;
-    double t = 0.0;
-#pragma acc parallel loop copyin(x[0:n]) private(t) reduction(+:s)
-    for (int i = 0; i < n; i++) {
-        t = x[i];
-        s += t;
-    }
-    return s >= 0 ? 0 : 1;
-}
-`
-	res := NVCSim().Compile("t.c", src, testlang.LangC)
-	if !res.OK {
-		t.Fatalf("compile: %s", res.Stderr)
-	}
-	for ds, p := range res.Object.Plans {
-		if ds.Dir.Name != "parallel loop" {
-			continue
-		}
-		cov := coveredVars(p)
-		for _, want := range []string{"x", "t", "s"} {
-			if !cov[want] {
-				t.Errorf("coveredVars missing %q", want)
-			}
-		}
-	}
-}

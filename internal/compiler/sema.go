@@ -3,7 +3,6 @@ package compiler
 import (
 	"fmt"
 
-	"repro/internal/spec"
 	"repro/internal/testlang"
 )
 
@@ -98,93 +97,17 @@ type checker struct {
 	// return must not leave a directive body.
 	loops       int
 	inDirective bool
-	// coveredStack holds, per enclosing directive, the set of variable
-	// names whose device bounds are known from data clauses. It backs
-	// the OpenACC "size of the GPU copy is unknown" restriction.
-	coveredStack []map[string]bool
-}
-
-// coveredVars collects the clause-covered variable names of a plan.
-func coveredVars(plan *DirPlan) map[string]bool {
-	out := map[string]bool{}
-	for _, op := range plan.Data {
-		for _, sec := range op.Sections {
-			out[sec.Name] = true
-		}
-	}
-	for _, v := range plan.Private {
-		out[v.Name] = true
-	}
-	for _, v := range plan.FirstPrivate {
-		out[v.Name] = true
-	}
-	for _, red := range plan.Reductions {
-		for _, v := range red.Vars {
-			out[v.Name] = true
-		}
-	}
-	return out
-}
-
-// checkDeviceBounds enforces the OpenACC compiler restriction that a
-// heap pointer referenced inside a device compute construct must have
-// its bounds known from a data clause on the construct or a lexically
-// enclosing construct. Declared arrays have known sizes and are
-// implicitly copied; bare pointers without bounds are a hard error on
-// real OpenACC compilers ("size of the GPU copy of 'a' is unknown"),
-// and that error is what catches many "removed data clause" probes at
-// the pipeline's compile stage.
-func (c *checker) checkDeviceBounds(ds *testlang.DirectiveStmt) {
-	if ds.Body == nil {
-		return
-	}
-	local := map[string]bool{}
-	testlang.Walk(ds.Body, func(s testlang.Stmt) bool {
-		switch n := s.(type) {
-		case *testlang.DeclStmt:
-			for _, d := range n.Decls {
-				local[d.Name] = true
-			}
-		case *testlang.ForStmt:
-			if init, ok := n.Init.(*testlang.DeclStmt); ok {
-				for _, d := range init.Decls {
-					local[d.Name] = true
-				}
-			}
-		case *testlang.DirectiveStmt:
-			// Nested directives' clauses also provide bounds.
-			if plan := c.plans[n]; plan != nil {
-				for name := range coveredVars(plan) {
-					local[name] = true
-				}
-			} else if n.Dir != nil {
-				for _, cl := range n.Dir.Clauses {
-					for _, v := range testlang.ClauseVars(cl.Arg) {
-						local[v] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	reported := map[string]bool{}
-	testlang.WalkExprs(ds.Body, func(e testlang.Expr) {
-		id, ok := e.(*testlang.IdentExpr)
-		if !ok || local[id.Name] || reported[id.Name] {
-			return
-		}
-		sym, found := c.lookup(id.Name)
-		if !found || sym.isArray || sym.typ.Ptr == 0 {
-			return
-		}
-		for _, covered := range c.coveredStack {
-			if covered[id.Name] {
-				return
-			}
-		}
-		reported[id.Name] = true
-		c.errorf(ds.Dir.Pos(), "Accelerator restriction: size of the GPU copy of %q is unknown", id.Name)
-	})
+	// regions are the planned directives whose bodies enclose the
+	// statement being checked, outermost first, each collecting its
+	// region analyses; writes are protected in regions[:exclusive], those
+	// an atomic, critical, single or master around the statement nests
+	// in.
+	regions   []*region
+	exclusive int
+	// covered holds the variables the clauses of the planned directives
+	// around the statement being checked name. It backs the OpenACC
+	// "size of the GPU copy is unknown" restriction.
+	covered []testlang.Binding
 }
 
 func (c *checker) errorf(line int, format string, args ...any) {
@@ -344,6 +267,10 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 		if n.Post != nil {
 			c.checkExpr(n.Post)
 		}
+		// A loop directive's writes count from its loop body on.
+		if k := len(c.regions) - 1; k >= 0 && c.regions[k].loop == n {
+			c.regions[k].writes = true
+		}
 		c.loopBody(n.Body, "'for'")
 		c.pop()
 	case *testlang.WhileStmt:
@@ -366,26 +293,7 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 		}
 	case *testlang.EmptyStmt:
 	case *testlang.DirectiveStmt:
-		plan := c.validateDirective(n, false)
-		c.plans[n] = plan
-		if plan != nil {
-			c.coveredStack = append(c.coveredStack, coveredVars(plan))
-			if plan.Device && c.pers.Dialect == spec.OpenACC {
-				c.checkDeviceBounds(n)
-			}
-		}
-		if n.Body != nil {
-			wasInside, loops, inDirective := c.directiveDepth, c.loops, c.inDirective
-			if plan != nil && plan.Kind.opensComputeRegion() {
-				c.directiveDepth++
-			}
-			c.loops, c.inDirective = 0, true
-			c.body(n.Body, "a directive")
-			c.directiveDepth, c.loops, c.inDirective = wasInside, loops, inDirective
-		}
-		if plan != nil {
-			c.coveredStack = c.coveredStack[:len(c.coveredStack)-1]
-		}
+		c.directive(n)
 	case *testlang.UnknownPragmaStmt:
 		c.warnf(n.Pos(), "ignoring unrecognised #pragma %s", firstWord(n.Raw))
 	}
@@ -523,6 +431,7 @@ func (c *checker) checkExpr(e testlang.Expr) {
 	case *testlang.IdentExpr:
 		if sym, ok := c.lookup(n.Name); ok {
 			n.Bind = sym.bind
+			c.use(n.Name, n.Bind)
 			return
 		}
 		if _, ok := builtinConsts[n.Name]; ok {
@@ -545,12 +454,17 @@ func (c *checker) checkExpr(e testlang.Expr) {
 			}
 		}
 		c.checkExpr(n.X)
+		if n.Op == "++" || n.Op == "--" {
+			c.wroteTo(n.X)
+		}
 	case *testlang.PostfixExpr:
 		c.requireLvalue(n.X)
 		c.checkExpr(n.X)
+		c.wroteTo(n.X)
 	case *testlang.AssignExpr:
 		c.requireLvalue(n.L)
 		c.checkExpr(n.L)
+		c.wroteTo(n.L)
 		c.checkExpr(n.R)
 	case *testlang.CondExpr:
 		c.checkExpr(n.Cond)

@@ -33,7 +33,9 @@ import (
 //     after those, filled from the globals at call time. C rejects a
 //     declaration as the bare body of an if, while, for or directive,
 //     and C++ scopes it to that body, so a use always follows the run of
-//     the declaration it binds.
+//     the declaration it binds. The checker also decides, by binding,
+//     what a directive's body takes from outside (compiler.DirPlan's
+//     Free and PlainWrites), and lowering resolves those lists to slots.
 //   - Fused leaves: a leaf is a variable, read in its slot, or an int
 //     literal. An index chain of leaves (a[i][k]) as a value or a
 //     place, an int comparison of two leaves (k < N) and an increment
@@ -138,12 +140,6 @@ type lowerer struct {
 	funcs map[string]*funcCode
 	// fn is the function being lowered, nil for global initializers.
 	fn *funcCode
-	// regions are the planned directives whose bodies enclose this
-	// point of the function, outermost first (region.go). Writes here
-	// are protected in regions[:exclusive]: those an atomic, critical,
-	// single or master around this point nests in.
-	regions   []*region
-	exclusive int
 }
 
 // lower compiles obj's globals and its main function, with every user
@@ -175,23 +171,14 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 		}
 		fc.params[i] = paramCode{typ: p.Type, conv: c}
 	}
-	// A callee is not part of the regions around its first call.
-	fn, regions, exclusive := l.fn, l.regions, l.exclusive
-	l.fn, l.regions, l.exclusive = fc, nil, 0
+	fn := l.fn
+	l.fn = fc
 	fc.body = l.stmt(fd.Body)
-	l.fn, l.regions, l.exclusive = fn, regions, exclusive
+	l.fn = fn
 	return fc
 }
 
 // --- names ------------------------------------------------------------
-
-// ref returns the slot a use of name, bound to b, reads, and records
-// the use in the open regions.
-func (l *lowerer) ref(name string, b testlang.Binding) varRef {
-	r := l.slot(b)
-	l.used(name, r)
-	return r
-}
 
 // slot is the frame slot of the variable b binds: a local's own, a
 // global's in the frame of the globals or, inside a function, the
@@ -288,7 +275,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			return els(ex)
 		}
 	case *testlang.ForStmt:
-		loop := l.forLoop(n, nil, nil)
+		loop := l.forLoop(n, nil)
 		return func(ex *exec) flow {
 			ex.in.step()
 			return loop.run(ex)
@@ -348,7 +335,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 
 // declare lowers one variable declaration, which fills its own slot.
 func (l *lowerer) declare(v *testlang.VarDecl) func(*exec) {
-	name, slot := v.Name, l.declared(l.slot(v.Bind))
+	name, slot := v.Name, l.slot(v.Bind)
 	if len(v.ArrayDims) > 0 {
 		dims := make([]evalFn, len(v.ArrayDims))
 		for i, d := range v.ArrayDims {
@@ -426,21 +413,17 @@ type forLoop struct {
 }
 
 // forLoop lowers a for statement; shape is a loop directive's analysis
-// of it (nil for a plain for), and rg is the directive's region, whose
-// writes count in the loop body only.
-func (l *lowerer) forLoop(n *testlang.ForStmt, shape *loopShape, rg *region) *forLoop {
+// of it, nil for a plain for.
+func (l *lowerer) forLoop(n *testlang.ForStmt, shape *loopShape) *forLoop {
 	f := &forLoop{init: l.stmt(n.Init), iv: -1}
 	if shape != nil && shape.varName != "" {
-		f.iv = l.ref(shape.varName, shape.varBind)
+		f.iv = l.slot(shape.varBind)
 	}
 	if n.Cond != nil {
 		f.cond = l.expr(n.Cond)
 	}
 	if n.Post != nil {
 		f.post = l.expr(n.Post)
-	}
-	if rg != nil {
-		rg.writes = true
 	}
 	f.body = l.stmt(n.Body)
 	return f
@@ -507,7 +490,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.SizeofExpr:
 		return constant(intVal(sizeOf(n.Of)))
 	case *testlang.IdentExpr:
-		return identAt(n.Name, l.ref(n.Name, n.Bind))
+		return identAt(n.Name, l.slot(n.Bind))
 	case *testlang.BinaryExpr:
 		return l.binary(n)
 	case *testlang.UnaryExpr:
@@ -843,7 +826,7 @@ func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 			return elemRef(b.b, off)
 		}
 	case *testlang.IdentExpr:
-		x, name := identAt(t.Name, l.ref(t.Name, t.Bind)), t.Name
+		x, name := identAt(t.Name, l.slot(t.Bind)), t.Name
 		return func(ex *exec) value {
 			ex.in.step()
 			v := x(ex)
@@ -875,9 +858,7 @@ func (l *lowerer) place(e testlang.Expr) placeFn {
 func (l *lowerer) placeLeaf(e testlang.Expr) (placeFn, operand, bool) {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
-		r := l.ref(n.Name, n.Bind)
-		l.wrote(r, false)
-		if r >= 0 {
+		if r := l.slot(n.Bind); r >= 0 {
 			return func(ex *exec) place {
 				if c := ex.frame[r]; c != nil {
 					return place{c: c}
@@ -1041,7 +1022,7 @@ func (l *lowerer) leaf(e testlang.Expr) (evalFn, operand, bool) {
 	case *testlang.IntLitExpr:
 		return constant(intVal(n.Value)), operand{slot: -1, lit: n.Value}, true
 	case *testlang.IdentExpr:
-		r := l.ref(n.Name, n.Bind)
+		r := l.slot(n.Bind)
 		return identAt(n.Name, r), operand{slot: r}, r >= 0
 	}
 	return l.expr(e), operand{}, false

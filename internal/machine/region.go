@@ -14,8 +14,8 @@ import (
 const maxRegionWorkers = 64
 
 // dirCode is one lowered directive: its compiled plan with every
-// expression the plan and its clauses evaluate lowered, and the region
-// analyses of its body done once.
+// expression the plan and its clauses evaluate lowered, and every
+// variable it names resolved to its slot.
 type dirCode struct {
 	// plan is nil for a directive the compiler left unplanned.
 	plan    *compiler.DirPlan
@@ -32,27 +32,13 @@ type dirCode struct {
 	loop  *forLoop
 	shape loopShape
 	// The variables the directive binds or looks up, resolved where it
-	// stands (the body's own declarations are out of reach).
-	//
-	// free lists the variables the body uses but does not declare, in
-	// first-use order; a compute construct's device data environment
-	// maps those holding aggregates.
-	free []namedRef
-	// privates and firstprivates are the clauses' variables;
-	// reductions the reduction clauses' variables.
+	// stands (the body's own declarations are out of reach): free and
+	// private are the plan's Free and PlainWrites; privates and
+	// firstprivates are the clauses' variables, reductions the
+	// reduction clauses'.
+	free, private           []varRef
 	privates, firstprivates []varRef
 	reductions              []reductionCode
-	// private lists the variables the body writes but does not
-	// declare, none of them under protection (see region), without the
-	// construct's clause variables; a parallel region's workers copy
-	// those holding scalars. Only a loop directive's loop body counts.
-	private []varRef
-}
-
-// namedRef is a resolved variable with its name, for fault messages.
-type namedRef struct {
-	name string
-	ref  varRef
 }
 
 type reductionCode struct {
@@ -73,58 +59,30 @@ type sectionCode struct {
 	lo, n evalFn
 }
 
-// directive lowers one directive statement with the analyses its kind
-// needs.
+// directive lowers one directive statement.
 func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 	d := &dirCode{plan: l.obj.Plans[ds], dialect: l.obj.Dialect}
 	fs, isFor := ds.Body.(*testlang.ForStmt)
-	var rg *region
 	if d.plan != nil {
-		rg = l.planCode(d, fs)
-	}
-	exclusive := l.exclusive
-	if ds.Dir != nil {
-		switch ds.Dir.Name {
-		case "atomic", "critical", "single", "master":
-			l.exclusive = len(l.regions)
-		}
-	}
-	if rg != nil {
-		l.regions = append(l.regions, rg)
+		l.planCode(d, fs)
 	}
 	if !isFor {
 		d.body = l.stmt(ds.Body)
-	} else {
-		d.loop = l.forLoop(fs, &d.shape, rg)
-		loop := d.loop
-		d.body = func(ex *exec) flow {
-			ex.in.step()
-			return loop.run(ex)
-		}
+		return d
 	}
-	l.exclusive = exclusive
-	if rg != nil {
-		l.regions = l.regions[:len(l.regions)-1]
-		d.free = rg.free
-		for _, v := range rg.free {
-			if protected, ok := rg.written[v.ref]; ok && !protected {
-				d.private = append(d.private, v.ref)
-			}
-		}
+	d.loop = l.forLoop(fs, &d.shape)
+	loop := d.loop
+	d.body = func(ex *exec) flow {
+		ex.in.step()
+		return loop.run(ex)
 	}
 	return d
 }
 
 // planCode lowers what a planned directive evaluates and binds before
-// its body runs, and returns the region that collects its body's
-// analyses, nil when its kind needs none. fs is its body when that is
-// a for statement.
-func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) *region {
+// its body runs. fs is its body when that is a for statement.
+func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) {
 	plan := d.plan
-	// The regions around the directive do not see its clauses, except
-	// that its reduction variables count as protected writes.
-	regions := l.regions
-	l.regions = nil
 	if plan.If != nil {
 		d.cond = l.expr(plan.If)
 	}
@@ -135,7 +93,7 @@ func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) *region {
 	for i, op := range plan.Data {
 		d.data[i] = dataOpCode{mode: op.Mode, secs: make([]sectionCode, len(op.Sections))}
 		for j, sec := range op.Sections {
-			sc := sectionCode{name: sec.Name, ref: l.ref(sec.Name, sec.Bind)}
+			sc := sectionCode{name: sec.Name, ref: l.slot(sec.Bind)}
 			if sec.Lo != nil {
 				sc.lo, sc.n = l.expr(sec.Lo), l.expr(sec.Len)
 			}
@@ -143,98 +101,26 @@ func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) *region {
 		}
 	}
 	for _, v := range plan.Private {
-		d.privates = append(d.privates, l.ref(v.Name, v.Bind))
+		d.privates = append(d.privates, l.slot(v.Bind))
 	}
 	for _, v := range plan.FirstPrivate {
-		d.firstprivates = append(d.firstprivates, l.ref(v.Name, v.Bind))
+		d.firstprivates = append(d.firstprivates, l.slot(v.Bind))
 	}
 	for _, red := range plan.Reductions {
 		for _, v := range red.Vars {
-			d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.ref(v.Name, v.Bind)})
+			d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.slot(v.Bind)})
 		}
 	}
-	loop := false
+	for _, v := range plan.Free {
+		d.free = append(d.free, l.slot(v.Bind))
+	}
+	for _, v := range plan.PlainWrites {
+		d.private = append(d.private, l.slot(v.Bind))
+	}
 	switch plan.Kind {
 	case compiler.KindComputeLoop, compiler.KindHostLoop, compiler.KindLoop:
 		if fs != nil {
 			d.shape = l.loopShape(fs)
-			loop = true
-		}
-	}
-	l.regions = regions
-	for _, red := range d.reductions {
-		l.wrote(red.ref, true)
-	}
-	if !loop && plan.Kind != compiler.KindComputeBlock && plan.Kind != compiler.KindHostParallel {
-		return nil
-	}
-	// A loop directive's writes count from its loop body on (forLoop).
-	rg := &region{local: map[varRef]bool{}, seen: map[varRef]bool{}, written: map[varRef]bool{}, writes: !loop}
-	// A worker copies a written scalar only when no clause bound it.
-	bound := func(r varRef) {
-		if r >= 0 {
-			rg.written[r] = true
-		}
-	}
-	for _, r := range d.privates {
-		bound(r)
-	}
-	for _, r := range d.firstprivates {
-		bound(r)
-	}
-	for _, red := range d.reductions {
-		bound(red.ref)
-	}
-	return rg
-}
-
-// region collects a planned directive's region analyses while its body
-// is lowered, from the slots the body's names resolve to. A region sees
-// the bodies of the directives nested in it, but not the functions its
-// body calls.
-type region struct {
-	// local marks the slots declared inside the body.
-	local map[varRef]bool
-	// free lists the variables from outside the body that it uses, each
-	// once, in first-use order; seen holds their slots.
-	free []namedRef
-	seen map[varRef]bool
-	// writes is set while the body's writes count: from the start, or
-	// from a loop directive's loop body on. written maps the slot of
-	// each outside variable written there to whether some write is
-	// protected: inside a nested atomic, critical, single or master, a
-	// nested directive's reduction variable, or one of the directive's
-	// own clause variables.
-	writes  bool
-	written map[varRef]bool
-}
-
-// outside reports whether r is a variable from outside the region.
-func (rg *region) outside(r varRef) bool { return r >= 0 && !rg.local[r] }
-
-// declared makes slot local to every open region.
-func (l *lowerer) declared(slot varRef) varRef {
-	for _, rg := range l.regions {
-		rg.local[slot] = true
-	}
-	return slot
-}
-
-// used records a use of name, resolved to r, in every open region.
-func (l *lowerer) used(name string, r varRef) {
-	for _, rg := range l.regions {
-		if rg.outside(r) && !rg.seen[r] {
-			rg.seen[r] = true
-			rg.free = append(rg.free, namedRef{name: name, ref: r})
-		}
-	}
-}
-
-// wrote records a write of r in every open region that collects writes.
-func (l *lowerer) wrote(r varRef, protected bool) {
-	for i, rg := range l.regions {
-		if rg.writes && rg.outside(r) {
-			rg.written[r] = rg.written[r] || protected || i < l.exclusive
 		}
 	}
 }
@@ -506,9 +392,9 @@ func (ex *exec) releaseData(releases []structuredRelease) {
 // dialect's implicit-mapping rules to unmapped aggregates.
 func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 	var releases []structuredRelease
-	for _, fv := range d.free {
-		name := fv.name
-		c := ex.cellOf(fv.ref)
+	for i, r := range d.free {
+		name := d.plan.Free[i].Name
+		c := ex.cellOf(r)
 		if c == nil || (c.v.k != kRef && c.v.k != kNull) {
 			continue
 		}
@@ -526,7 +412,7 @@ func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 			panic(segfault())
 		}
 		if dev, present := ex.in.lookupPresent(host); present {
-			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
+			ex.rebind(r, &cell{v: c.v.on(dev)})
 			continue
 		}
 		if d.dialect == spec.OpenACC {
@@ -537,7 +423,7 @@ func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 				host.materialize(testlang.Type{Base: "int"})
 			}
 			dev := ex.in.ensurePresent(host, name, true, 0, host.length())
-			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
+			ex.rebind(r, &cell{v: c.v.on(dev)})
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: host.length()})
 			continue
 		}
@@ -546,12 +432,12 @@ func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 		// the device.
 		if c.v.viewRank() > 0 {
 			dev := ex.in.ensurePresent(host, name, true, 0, host.length())
-			ex.rebind(fv.ref, &cell{v: c.v.on(dev)})
+			ex.rebind(r, &cell{v: c.v.on(dev)})
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: host.length()})
 			continue
 		}
 		faultBlk := &block{materialized: true, onDevice: true, name: name}
-		ex.rebind(fv.ref, &cell{v: refVal(ref{blk: faultBlk, off: 0})})
+		ex.rebind(r, &cell{v: refVal(ref{blk: faultBlk, off: 0})})
 	}
 	return releases
 }
