@@ -200,6 +200,11 @@ nvc: 1 error(s) generated.
 		omp:      "#pragma omp parallel\n{\n#pragma omp for reduction(+:s)\nfor (int i = 0; i < 4; i++) { s += i; }\n}",
 		accLists: "parallel[s@5|] loop[s@5|]",
 		ompLists: "parallel[s@5|] for[s@5|]"},
+	{name: "a compute block's reduction variable is protected in its loop directive",
+		acc:      "#pragma acc parallel reduction(+:s)\n{\n#pragma acc loop\nfor (int i = 0; i < 4; i++) { s += i; t = i; }\n}",
+		omp:      "#pragma omp target teams reduction(+:s)\n{\n#pragma omp distribute\nfor (int i = 0; i < 4; i++) { s += i; t = i; }\n}",
+		accLists: "parallel[s@5 t@6|t@6] loop[s@5 t@6|t@6]",
+		ompLists: "target teams[s@5 t@6|t@6] distribute[s@5 t@6|t@6]"},
 	{name: "the construct's own clause variables are protected",
 		acc:      "#pragma acc parallel private(s) firstprivate(n) reduction(+:t)\n{ s = 1; n = 2; t = 3; }",
 		omp:      "#pragma omp parallel private(s) firstprivate(n) reduction(+:t)\n{ s = 1; n = 2; t = 3; }",

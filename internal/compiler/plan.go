@@ -28,9 +28,11 @@ const (
 	// KindHostLoop: omp parallel for (simd) — host work-shared loop.
 	KindHostLoop
 	// KindLoop: a loop directive nested inside an enclosing region
-	// (acc loop, omp for / simd / distribute). Work-shared when the
-	// region is parallel; the simulation distributes the enclosing
-	// construct, so nested loop directives execute their loop inline.
+	// (acc loop, omp for / simd / distribute). Inside an omp parallel
+	// region each worker runs its chunk of the iterations; inside a
+	// compute block's single driver the directive forks workers of its
+	// own; anywhere else (inside a distributed loop, or outside any
+	// region) its loop runs inline.
 	KindLoop
 	// KindData: structured data region (acc data, omp target data).
 	KindData
@@ -41,7 +43,8 @@ const (
 	KindUpdate
 	// KindAtomic: atomic read/write/update/capture.
 	KindAtomic
-	// KindCritical: omp critical — body under a global mutex.
+	// KindCritical: omp critical. Region workers run one after
+	// another, so the body runs inline and is already exclusive.
 	KindCritical
 	// KindOnce: omp single / master — body executes on one thread.
 	KindOnce
@@ -141,6 +144,12 @@ type DirPlan struct {
 	Data []DataOp
 	// Reductions across the construct.
 	Reductions []ReductionPlan
+	// Inherited holds, on a loop directive whose nearest enclosing
+	// region is a compute block, that block's reductions of the
+	// variables the directive's own clauses do not bind: the block runs
+	// on one driver, and the directive's workers reduce those variables
+	// into the driver's copies.
+	Inherited []ReductionPlan
 	// Private and FirstPrivate variables.
 	Private      []Var
 	FirstPrivate []Var
@@ -163,6 +172,26 @@ type DirPlan struct {
 	// construct, a host parallel region or a loop directive has them,
 	// and a loop directive's writes count from its loop body on.
 	Free, PlainWrites []Var
+	// Loop is the canonical form of a loop-associated directive's loop.
+	Loop *LoopForm
+}
+
+// LoopForm is a work-shared loop's canonical form as the checker
+// accepted it: "for (v = Start; v Op Bound; v += Sign*Step)".
+type LoopForm struct {
+	// Var is the loop variable as the condition names it, so it binds
+	// the loop variable's declaration.
+	Var *testlang.IdentExpr
+	// Start is the variable's initial value and Bound what the
+	// condition compares it with.
+	Start, Bound testlang.Expr
+	// Op is the condition's comparison, read with the variable on its
+	// left: "<", "<=", ">", ">=" or "!=".
+	Op string
+	// Step is the stride of a "+=" or "-=" increment, nil for "++" and
+	// "--"; Sign is -1 for "--" and "-=", else 1.
+	Step testlang.Expr
+	Sign int64
 }
 
 // kindOf maps a spec directive name to its machine kind.
@@ -518,7 +547,7 @@ func (c *checker) checkAssociation(ds *testlang.DirectiveStmt, sd *spec.Directiv
 			c.errorf(dir.Pos(), "for loop expected after %s directive %q", c.pers.Dialect, dir.Name)
 			return
 		}
-		c.checkCanonicalLoop(dir, fs)
+		plan.Loop = c.checkCanonicalLoop(dir, fs)
 	case spec.AssocBlock:
 		if ds.Body == nil && !atFileScope {
 			c.errorf(dir.Pos(), "structured block expected after directive %q", dir.Name)
@@ -529,19 +558,91 @@ func (c *checker) checkAssociation(ds *testlang.DirectiveStmt, sd *spec.Directiv
 }
 
 // checkCanonicalLoop enforces the canonical loop form both models
-// require for work-sharing: initialised loop variable, bounded test,
-// monotonic step.
-func (c *checker) checkCanonicalLoop(dir *testlang.Directive, fs *testlang.ForStmt) {
+// require for work-sharing, and returns the loop's form, or nil when it
+// reported an error. A canonical loop declares or assigns one scalar
+// loop variable that is not a float, compares it with <, <=, >, >= or
+// !=, and steps it by ++, --, += or -=.
+func (c *checker) checkCanonicalLoop(dir *testlang.Directive, fs *testlang.ForStmt) *LoopForm {
 	if fs.Cond == nil {
 		c.errorf(dir.Pos(), "associated loop has no termination condition (not in canonical form)")
-		return
+		return nil
 	}
-	if b, ok := fs.Cond.(*testlang.BinaryExpr); !ok || (b.Op != "<" && b.Op != "<=" && b.Op != ">" && b.Op != ">=" && b.Op != "!=") {
+	cond, ok := fs.Cond.(*testlang.BinaryExpr)
+	if ok = ok && flippedOp[cond.Op] != ""; !ok {
 		c.errorf(dir.Pos(), "associated loop condition is not in canonical form")
 	}
 	if fs.Post == nil {
 		c.errorf(dir.Pos(), "associated loop has no increment (not in canonical form)")
+		return nil
 	}
+	if !ok {
+		return nil
+	}
+	f := &LoopForm{Sign: 1}
+	name, float := "", false
+	switch init := fs.Init.(type) {
+	case *testlang.DeclStmt:
+		if len(init.Decls) == 1 && init.Decls[0].Init != nil && len(init.Decls[0].ArrayDims) == 0 {
+			d := init.Decls[0]
+			name, f.Start, float = d.Name, d.Init, d.Type.IsFloat()
+		}
+	case *testlang.ExprStmt:
+		if asg, ok := init.X.(*testlang.AssignExpr); ok && asg.Op == "=" {
+			if id, ok := asg.L.(*testlang.IdentExpr); ok {
+				if sym, ok := c.lookup(id.Name); ok && !sym.isArray {
+					name, f.Start, float = id.Name, asg.R, sym.typ.IsFloat()
+				}
+			}
+		}
+	}
+	switch {
+	case name == "":
+		c.errorf(dir.Pos(), "associated loop does not initialize one loop variable (not in canonical form)")
+		return nil
+	case float:
+		c.errorf(dir.Pos(), "loop variable %q has floating-point type (not in canonical form)", name)
+		return nil
+	}
+	if id, ok := loopVar(cond.L, name); ok {
+		f.Var, f.Op, f.Bound = id, cond.Op, cond.R
+	} else if id, ok := loopVar(cond.R, name); ok {
+		f.Var, f.Op, f.Bound = id, flippedOp[cond.Op], cond.L
+	} else {
+		c.errorf(dir.Pos(), "associated loop condition does not test loop variable %q (not in canonical form)", name)
+		return nil
+	}
+	var stepped testlang.Expr
+	op := ""
+	switch post := fs.Post.(type) {
+	case *testlang.UnaryExpr:
+		stepped, op = post.X, post.Op
+	case *testlang.PostfixExpr:
+		stepped, op = post.X, post.Op
+	case *testlang.AssignExpr:
+		stepped, op, f.Step = post.L, post.Op, post.R
+	}
+	switch op {
+	case "--", "-=":
+		f.Sign = -1
+	case "++", "+=":
+	default:
+		stepped = nil
+	}
+	if _, ok := loopVar(stepped, name); !ok {
+		c.errorf(dir.Pos(), "associated loop increment does not step loop variable %q (not in canonical form)", name)
+		return nil
+	}
+	return f
+}
+
+// flippedOp maps each comparison a canonical loop condition may use to
+// the one it becomes with its operands swapped.
+var flippedOp = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "!=": "!="}
+
+// loopVar returns e as the identifier name, if it is that.
+func loopVar(e testlang.Expr, name string) (*testlang.IdentExpr, bool) {
+	id, ok := e.(*testlang.IdentExpr)
+	return id, ok && id.Name == name
 }
 
 // checkAtomicBody validates the statement under an atomic directive.

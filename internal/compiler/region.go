@@ -116,14 +116,36 @@ func (c *checker) clauseBindings(ds *testlang.DirectiveStmt, plan *DirPlan) []te
 	return out
 }
 
-// bound returns the variables the private, firstprivate and reduction
-// clauses of a plan bind.
+// bound returns the variables a plan's workers bind: those of its
+// private, firstprivate and reduction clauses, and the reductions it
+// inherits.
 func (p *DirPlan) bound() []Var {
 	out := append(slices.Clip(p.Private), p.FirstPrivate...)
 	for _, red := range p.Reductions {
 		out = append(out, red.Vars...)
 	}
+	for _, red := range p.Inherited {
+		out = append(out, red.Vars...)
+	}
 	return out
+}
+
+// inherit records on a loop directive's plan the reductions of block,
+// the compute block it forks in, of the variables its own clauses do
+// not bind.
+func (p *DirPlan) inherit(block *DirPlan) {
+	own := p.bound()
+	for _, red := range block.Reductions {
+		var vars []Var
+		for _, v := range red.Vars {
+			if !slices.ContainsFunc(own, func(o Var) bool { return o.Bind == v.Bind }) {
+				vars = append(vars, v)
+			}
+		}
+		if vars != nil {
+			p.Inherited = append(p.Inherited, ReductionPlan{Op: red.Op, Vars: vars})
+		}
+	}
 }
 
 // open starts the region analyses of a planned directive whose kind
@@ -138,6 +160,9 @@ func (c *checker) open(plan *DirPlan, body testlang.Stmt) *region {
 		rg.loop, _ = body.(*testlang.ForStmt)
 	default:
 		return nil
+	}
+	if n := len(c.regions); plan.Kind == KindLoop && n > 0 && c.regions[n-1].plan.Kind == KindComputeBlock {
+		plan.inherit(c.regions[n-1].plan)
 	}
 	// A worker copies a written scalar only when no clause binds it.
 	rg.written = map[testlang.Binding]bool{}

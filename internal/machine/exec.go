@@ -359,6 +359,6 @@ func (in *interp) enter(caller *exec, n int) *exec {
 		callee.store = callee.store[:n]
 	}
 	callee.inDevice, callee.workerID, callee.regionWidth = caller.inDevice, caller.workerID, caller.regionWidth
-	callee.redundant, callee.ret = false, value{}
+	callee.redundant, callee.ret = caller.redundant, value{}
 	return callee
 }

@@ -275,7 +275,7 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 			return els(ex)
 		}
 	case *testlang.ForStmt:
-		loop := l.forLoop(n, nil)
+		loop := l.forLoop(n, -1)
 		return func(ex *exec) flow {
 			ex.in.step()
 			return loop.run(ex)
@@ -412,13 +412,10 @@ type forLoop struct {
 	iv varRef
 }
 
-// forLoop lowers a for statement; shape is a loop directive's analysis
-// of it, nil for a plain for.
-func (l *lowerer) forLoop(n *testlang.ForStmt, shape *loopShape) *forLoop {
-	f := &forLoop{init: l.stmt(n.Init), iv: -1}
-	if shape != nil && shape.varName != "" {
-		f.iv = l.slot(shape.varBind)
-	}
+// forLoop lowers a for statement; iv is a loop directive's variable,
+// -1 for a plain for.
+func (l *lowerer) forLoop(n *testlang.ForStmt, iv varRef) *forLoop {
+	f := &forLoop{init: l.stmt(n.Init), iv: iv}
 	if n.Cond != nil {
 		f.cond = l.expr(n.Cond)
 	}

@@ -27,16 +27,16 @@ type dirCode struct {
 	cond     evalFn
 	nworkers evalFn
 	data     []dataOpCode
-	// loop is the body when it is a for statement, shape its canonical
-	// form; loop is nil otherwise.
+	// loop is the body when it is a for statement, shape the canonical
+	// form of a loop directive's loop; loop is nil otherwise.
 	loop  *forLoop
 	shape loopShape
 	// The variables the directive binds or looks up, resolved where it
 	// stands (the body's own declarations are out of reach): free and
-	// private are the plan's Free and PlainWrites; privates and
+	// plainWrites are the plan's Free and PlainWrites; privates and
 	// firstprivates are the clauses' variables, reductions the
-	// reduction clauses'.
-	free, private           []varRef
+	// reduction clauses' and then the inherited ones.
+	free, plainWrites       []varRef
 	privates, firstprivates []varRef
 	reductions              []reductionCode
 }
@@ -62,15 +62,19 @@ type sectionCode struct {
 // directive lowers one directive statement.
 func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 	d := &dirCode{plan: l.obj.Plans[ds], dialect: l.obj.Dialect}
-	fs, isFor := ds.Body.(*testlang.ForStmt)
+	iv := varRef(-1)
 	if d.plan != nil {
-		l.planCode(d, fs)
+		l.planCode(d)
+		if f := d.plan.Loop; f != nil {
+			iv = l.slot(f.Var.Bind)
+		}
 	}
+	fs, isFor := ds.Body.(*testlang.ForStmt)
 	if !isFor {
 		d.body = l.stmt(ds.Body)
 		return d
 	}
-	d.loop = l.forLoop(fs, &d.shape)
+	d.loop = l.forLoop(fs, iv)
 	loop := d.loop
 	d.body = func(ex *exec) flow {
 		ex.in.step()
@@ -80,8 +84,8 @@ func (l *lowerer) directive(ds *testlang.DirectiveStmt) *dirCode {
 }
 
 // planCode lowers what a planned directive evaluates and binds before
-// its body runs. fs is its body when that is a for statement.
-func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) {
+// its body runs.
+func (l *lowerer) planCode(d *dirCode) {
 	plan := d.plan
 	if plan.If != nil {
 		d.cond = l.expr(plan.If)
@@ -106,21 +110,23 @@ func (l *lowerer) planCode(d *dirCode, fs *testlang.ForStmt) {
 	for _, v := range plan.FirstPrivate {
 		d.firstprivates = append(d.firstprivates, l.slot(v.Bind))
 	}
-	for _, red := range plan.Reductions {
-		for _, v := range red.Vars {
-			d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.slot(v.Bind)})
+	for _, reds := range [][]compiler.ReductionPlan{plan.Reductions, plan.Inherited} {
+		for _, red := range reds {
+			for _, v := range red.Vars {
+				d.reductions = append(d.reductions, reductionCode{op: red.Op, ref: l.slot(v.Bind)})
+			}
 		}
 	}
 	for _, v := range plan.Free {
 		d.free = append(d.free, l.slot(v.Bind))
 	}
 	for _, v := range plan.PlainWrites {
-		d.private = append(d.private, l.slot(v.Bind))
+		d.plainWrites = append(d.plainWrites, l.slot(v.Bind))
 	}
-	switch plan.Kind {
-	case compiler.KindComputeLoop, compiler.KindHostLoop, compiler.KindLoop:
-		if fs != nil {
-			d.shape = l.loopShape(fs)
+	if f := plan.Loop; f != nil {
+		d.shape = loopShape{start: l.expr(f.Start), bound: l.expr(f.Bound), op: f.Op, sign: f.Sign}
+		if f.Step != nil {
+			d.shape.stride = l.expr(f.Step)
 		}
 	}
 }
@@ -164,28 +170,9 @@ func (d *dirCode) run(ex *exec) {
 		ex.applyExitData(d.data)
 	case compiler.KindUpdate:
 		ex.applyUpdates(d.data)
-	case compiler.KindComputeBlock:
-		ex.execComputeBlock(d)
-	case compiler.KindComputeLoop, compiler.KindHostLoop:
-		ex.execParallelLoop(d)
-	case compiler.KindHostParallel:
-		ex.execHostParallel(d)
-	case compiler.KindLoop:
-		// Orphaned / nested loop directive. Three situations:
-		//  - inside a redundant host region (omp parallel): each worker
-		//    executes its chunk of the iterations (work-sharing);
-		//  - inside a single-driver device block (acc parallel/kernels,
-		//    omp target): this directive is the fork-join point;
-		//  - inside an already-distributed loop (gang loop + nested
-		//    vector loop): the loop runs inline per outer iteration.
-		switch {
-		case ex.redundant && ex.regionWidth > 1:
-			ex.execChunkedLoop(d)
-		case ex.inDevice && ex.regionWidth <= 1:
-			ex.execParallelLoop(d)
-		default:
-			d.body(ex)
-		}
+	case compiler.KindComputeBlock, compiler.KindComputeLoop,
+		compiler.KindHostParallel, compiler.KindHostLoop, compiler.KindLoop:
+		ex.region(d)
 	default:
 		d.body(ex)
 	}
@@ -442,21 +429,150 @@ func (ex *exec) deviceBindings(d *dirCode) []structuredRelease {
 	return releases
 }
 
-// execComputeBlock runs an offloaded structured block. The block body
-// runs on a single driver thread (gang-redundant execution is not
-// modelled); nested loop directives fork-join their own workers.
-func (ex *exec) execComputeBlock(d *dirCode) {
-	releases := ex.applyDataOps(d.data, true)
-	regionEx := ex.fork()
-	implicit := regionEx.deviceBindings(d)
-	regionEx.inDevice = true
-	regionEx.redundant = false
-	regionEx.workerID = 0
-	regionEx.regionWidth = 1
-	regionEx.bindPrivates(d)
-	d.body(regionEx)
+// region runs a compute construct, a host parallel region or a loop
+// directive. A device construct entered from the host first enters the
+// device data environment, on a fork of ex; then the construct's
+// workers run (forkJoin). Per construct only the width, the work each
+// worker runs and whether the workers copy the scalars the body writes
+// unprotected differ (DESIGN.md tabulates them). A loop directive
+// outside a compute block's driver and an omp parallel region (in a
+// distributed loop, or outside every region) runs its loop inline.
+func (ex *exec) region(d *dirCode) {
+	kind := d.plan.Kind
+	// A loop directive's loop is shared among the workers of an omp
+	// parallel region around it, each running its own chunk.
+	shared := kind == compiler.KindLoop && ex.redundant && ex.regionWidth > 1
+	if kind == compiler.KindLoop && !shared && !(ex.inDevice && ex.regionWidth <= 1) {
+		d.body(ex)
+		return
+	}
+	base := ex
+	var releases, implicit []structuredRelease
+	if d.plan.Device && !ex.inDevice {
+		releases = ex.applyDataOps(d.data, true)
+		base = ex.fork()
+		implicit = base.deviceBindings(d)
+		base.inDevice = true
+	}
+	owned := base != ex
+	switch kind {
+	case compiler.KindComputeBlock:
+		base.forkJoin(d, 1, false, owned, func(wEx *exec, _ int) {
+			wEx.redundant = false
+			d.body(wEx)
+		})
+	case compiler.KindHostParallel:
+		base.forkJoin(d, base.workerCount(d), true, owned, func(wEx *exec, _ int) {
+			wEx.redundant = true
+			d.body(wEx)
+		})
+	default:
+		spec, ok := d.shape.analyze(base)
+		switch {
+		case !ok:
+			// A zero stride: the loop runs whole, once.
+			if !shared || ex.workerID == 0 {
+				d.loop.run(base)
+			}
+		case shared:
+			// The chunk's fork runs as the region worker it is on.
+			id, width := ex.workerID, ex.regionWidth
+			base.forkJoin(d, 1, false, owned, func(cEx *exec, _ int) {
+				cEx.workerID, cEx.regionWidth = id, width
+				lo, hi := chunk(spec.count, width, id)
+				cEx.runChunk(d.loop, spec, lo, hi)
+			})
+		default:
+			w := base.workerCount(d)
+			if spec.count == 0 {
+				break
+			}
+			w = int(min(int64(w), spec.count))
+			base.forkJoin(d, w, true, owned, func(wEx *exec, id int) {
+				wEx.redundant = false
+				lo, hi := chunk(spec.count, w, id)
+				wEx.runChunk(d.loop, spec, lo, hi)
+			})
+		}
+	}
 	ex.releaseData(implicit)
 	ex.releaseData(releases)
+}
+
+// forkJoin runs work on w workers, one after another on the calling
+// goroutine, so a run's output and step count never depend on a
+// schedule. Worker id runs as worker id of w on a fork of ex (on ex
+// itself when it is the only one and owned says ex is the region's own
+// fork), with d's private and firstprivate variables bound to cells of
+// its own, with copies of the scalars d's body writes unprotected when
+// privatize is set, and with d's reduction variables bound to
+// accumulators set to the operator's identity. The accumulators fold
+// into the variables in worker order once every worker has run. Every
+// worker runs even after an earlier one traps; the first trap is then
+// re-raised.
+func (ex *exec) forkJoin(d *dirCode, w int, privatize, owned bool, work func(wEx *exec, id int)) {
+	if w > 1 {
+		// A sweep's execute and judge stages share few Ps, and a run
+		// never blocks. Without a yield point here the judge stage
+		// starves while programs run: its batches grow and every
+		// judge call waits longer. A region of width > 1 is where a
+		// program with real parallelism would park on its workers.
+		runtime.Gosched()
+	}
+	// vars holds each reduction variable's cell as the region found it,
+	// nil for a name that binds none, and accs worker id's accumulator
+	// for reduction i at id*n+i.
+	n := len(d.reductions)
+	var vars []*cell
+	var accs []cell
+	if n > 0 {
+		vars, accs = make([]*cell, n), make([]cell, w*n)
+		for i, red := range d.reductions {
+			if vars[i] = ex.cellOf(red.ref); vars[i] != nil {
+				for id := 0; id < w; id++ {
+					accs[id*n+i].v = identity(red.op, vars[i].v.k == kFloat)
+				}
+			}
+		}
+	}
+	var first any
+	for id := 0; id < w; id++ {
+		wEx := ex
+		if w > 1 || !owned {
+			wEx = ex.fork()
+		}
+		wEx.workerID, wEx.regionWidth = id, w
+		wEx.bindPrivates(d)
+		if privatize {
+			wEx.privatizeScalars(d.plainWrites)
+		}
+		for i, red := range d.reductions {
+			if vars[i] != nil {
+				wEx.rebind(red.ref, &accs[id*n+i])
+			}
+		}
+		if p := runWorker(work, wEx, id); p != nil && first == nil {
+			first = p
+		}
+	}
+	if first != nil {
+		panic(first)
+	}
+	for i, red := range d.reductions {
+		if v := vars[i]; v != nil {
+			for id := 0; id < w; id++ {
+				v.v = combine(red.op, v.v, accs[id*n+i].v)
+			}
+		}
+	}
+}
+
+// runWorker runs work(wEx, id), returning what it panicked with, if
+// anything.
+func runWorker(work func(*exec, int), wEx *exec, id int) (p any) {
+	defer func() { p = recover() }()
+	work(wEx, id)
+	return nil
 }
 
 // bindPrivates binds private/firstprivate clause variables to fresh
@@ -483,62 +599,6 @@ func zeroLike(v value) value {
 	default:
 		return intVal(0)
 	}
-}
-
-// execHostParallel runs "omp parallel": the body once per worker.
-func (ex *exec) execHostParallel(d *dirCode) {
-	w := ex.workerCount(d)
-	reds := ex.newReductionSet(d)
-	runWorkers(w, func(id int) {
-		wEx := ex.worker(d, id, w)
-		wEx.redundant = true
-		reds.bindWorker(wEx, id)
-		d.body(wEx)
-	})
-	reds.fold()
-}
-
-// worker returns worker id's exec for a region of width w, on a frame
-// of its own with the clause and privatized variables bound.
-func (ex *exec) worker(d *dirCode, id, w int) *exec {
-	wEx := ex.fork()
-	wEx.workerID = id
-	wEx.regionWidth = w
-	wEx.bindPrivates(d)
-	wEx.privatizeScalars(d.private)
-	return wEx
-}
-
-// runWorkers executes body(id) for id in [0,w) one after another on
-// the calling goroutine, so a run's output and step count never depend
-// on a schedule. Every worker runs even after an earlier one traps;
-// the first trap is then re-raised.
-func runWorkers(w int, body func(id int)) {
-	if w > 1 {
-		// A sweep's execute and judge stages share few Ps, and a run
-		// never blocks. Without a yield point here the judge stage
-		// starves while programs run: its batches grow and every
-		// judge call waits longer. A region of width > 1 is where a
-		// program with real parallelism would park on its workers.
-		runtime.Gosched()
-	}
-	var first any
-	for id := 0; id < w; id++ {
-		if p := runWorker(body, id); p != nil && first == nil {
-			first = p
-		}
-	}
-	if first != nil {
-		panic(first)
-	}
-}
-
-// runWorker runs body(id), returning what it panicked with, if
-// anything.
-func runWorker(body func(id int), id int) (p any) {
-	defer func() { p = recover() }()
-	body(id)
-	return nil
 }
 
 // workerCount resolves the region width.
@@ -570,61 +630,6 @@ func (ex *exec) privatizeScalars(refs []varRef) {
 	}
 }
 
-// execParallelLoop runs a combined compute+loop construct: iterations
-// distributed over workers, with device data setup when the construct
-// is a device one.
-func (ex *exec) execParallelLoop(d *dirCode) {
-	if d.loop == nil {
-		d.body(ex)
-		return
-	}
-	var releases, implicit []structuredRelease
-	base := ex
-	if d.plan.Device && !ex.inDevice {
-		releases = ex.applyDataOps(d.data, true)
-		base = ex.fork()
-		implicit = base.deviceBindings(d)
-		base.inDevice = true
-	}
-	spec, canonical := d.shape.analyze(base)
-	if !canonical {
-		d.loop.run(base)
-	} else {
-		base.runDistributed(d, spec)
-	}
-	ex.releaseData(implicit)
-	ex.releaseData(releases)
-}
-
-// execChunkedLoop work-shares a nested loop directive among the
-// workers of an enclosing host parallel region: worker k executes the
-// k-th chunk. A reduction variable gets an accumulator per chunk,
-// folded into the variable the worker sees once the chunk is done.
-func (ex *exec) execChunkedLoop(d *dirCode) {
-	if d.loop == nil {
-		d.body(ex)
-		return
-	}
-	spec, canonical := d.shape.analyze(ex)
-	if !canonical {
-		// Non-canonical loops under work-sharing were rejected at
-		// compile time; execute on worker 0 for robustness.
-		if ex.workerID == 0 {
-			d.loop.run(ex)
-		}
-		return
-	}
-	lo, hi := chunk(spec.count, ex.regionWidth, ex.workerID)
-	cEx := ex.fork()
-	reds := cEx.newReductionSet(d)
-	reds.bindWorker(cEx, ex.workerID)
-	cEx.runChunk(d.loop, spec, lo, hi)
-	if len(reds.items) == 0 {
-		return
-	}
-	reds.fold()
-}
-
 // loopSpec is the analysed canonical form of a work-shared loop.
 type loopSpec struct {
 	start int64
@@ -632,123 +637,33 @@ type loopSpec struct {
 	count int64
 }
 
-// loopShape is a loop directive's for statement analysed for its
-// canonical form at lowering time. Which expressions give the start,
-// bound and stride is static; their values are not, so analyze
-// evaluates them per execution, exactly those the analysis reads
-// before it can tell that a loop is not canonical.
+// loopShape is a loop directive's canonical form (compiler.LoopForm)
+// lowered. Which expressions give the start, bound and stride is
+// static; their values are not, so analyze evaluates them per
+// execution.
 type loopShape struct {
-	// varName is the loop variable, bound to varBind.
-	varName string
-	varBind testlang.Binding
-	// start is nil when the init is not canonical; bound is nil when
-	// the condition is not; stride is the step expression of a
-	// "v += e" or "v -= e" post, nil for ++ and --.
+	// stride is nil for ++ and --.
 	start, bound, stride evalFn
-	// sign is the step's direction: -1 for "--" and "-=", else 1.
+	// op is the condition's comparison with the variable on its left,
+	// sign the step's direction: -1 for "--" and "-=", else 1.
+	op   string
 	sign int64
-	// condOp is the condition's comparison operator.
-	condOp string
-	// ok is false when the post or the condition's operator is not
-	// canonical.
-	ok bool
-}
-
-func (l *lowerer) loopShape(loop *testlang.ForStmt) loopShape {
-	var s loopShape
-	switch init := loop.Init.(type) {
-	case *testlang.DeclStmt:
-		if len(init.Decls) != 1 || init.Decls[0].Init == nil {
-			return s
-		}
-		s.varName, s.varBind = init.Decls[0].Name, init.Decls[0].Bind
-		if init.Decls[0].Type.IsFloat() {
-			return s
-		}
-		s.start = l.expr(init.Decls[0].Init)
-	case *testlang.ExprStmt:
-		asg, ok := init.X.(*testlang.AssignExpr)
-		if !ok || asg.Op != "=" {
-			return s
-		}
-		id, ok := asg.L.(*testlang.IdentExpr)
-		if !ok {
-			return s
-		}
-		s.varName, s.varBind = id.Name, id.Bind
-		s.start = l.expr(asg.R)
-	default:
-		return s
-	}
-
-	cond, ok := loop.Cond.(*testlang.BinaryExpr)
-	if !ok {
-		return s
-	}
-	condVar, ok := cond.L.(*testlang.IdentExpr)
-	if !ok || condVar.Name != s.varName {
-		return s
-	}
-	s.bound = l.expr(cond.R)
-	s.condOp = cond.Op
-
-	s.sign = 1
-	switch post := loop.Post.(type) {
-	case *testlang.UnaryExpr:
-		if post.Op == "--" {
-			s.sign = -1
-		} else if post.Op != "++" {
-			return s
-		}
-	case *testlang.PostfixExpr:
-		if post.Op == "--" {
-			s.sign = -1
-		} else if post.Op != "++" {
-			return s
-		}
-	case *testlang.AssignExpr:
-		id, ok := post.L.(*testlang.IdentExpr)
-		if !ok || id.Name != s.varName {
-			return s
-		}
-		s.stride = l.expr(post.R)
-		switch post.Op {
-		case "+=":
-		case "-=":
-			s.sign = -1
-		default:
-			return s
-		}
-	default:
-		return s
-	}
-	switch s.condOp {
-	case "<", "<=", ">", ">=", "!=":
-		s.ok = true
-	}
-	return s
 }
 
 // analyze evaluates the loop's start, bound and stride and computes
-// its trip count; ok=false falls back to sequential execution.
-func (s *loopShape) analyze(ex *exec) (loopSpec, bool) {
-	var spec loopSpec
-	if s.start == nil {
-		return spec, false
-	}
+// its trip count; ok is false for a zero stride, which only a run can
+// show, and the loop then runs whole on one worker.
+func (s *loopShape) analyze(ex *exec) (spec loopSpec, ok bool) {
 	spec.start = s.start(ex).asInt()
-	if s.bound == nil {
-		return spec, false
-	}
 	bound := s.bound(ex).asInt()
 	spec.step = s.sign
 	if s.stride != nil {
 		spec.step = s.sign * s.stride(ex).asInt()
 	}
-	if !s.ok || spec.step == 0 {
+	if spec.step == 0 {
 		return spec, false
 	}
-	switch s.condOp {
+	switch s.op {
 	case "<":
 		spec.count = ceilDiv(bound-spec.start, spec.step)
 	case "<=":
@@ -783,7 +698,7 @@ func ceilDiv(a, b int64) int64 {
 func chunk(n int64, workers, k int) (lo, hi int64) {
 	per := n / int64(workers)
 	rem := n % int64(workers)
-	lo = int64(k)*per + min64(int64(k), rem)
+	lo = int64(k)*per + min(int64(k), rem)
 	size := per
 	if int64(k) < rem {
 		size++
@@ -791,36 +706,8 @@ func chunk(n int64, workers, k int) (lo, hi int64) {
 	return lo, lo + size
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// runDistributed forks workers over the iteration space.
-func (ex *exec) runDistributed(d *dirCode, spec loopSpec) {
-	w := ex.workerCount(d)
-	if spec.count < int64(w) && spec.count > 0 {
-		w = int(spec.count)
-	}
-	if spec.count == 0 {
-		return
-	}
-	reds := ex.newReductionSet(d)
-	runWorkers(w, func(id int) {
-		lo, hi := chunk(spec.count, w, id)
-		wEx := ex.worker(d, id, w)
-		wEx.redundant = false
-		reds.bindWorker(wEx, id)
-		wEx.runChunk(d.loop, spec, lo, hi)
-	})
-	reds.fold()
-}
-
 // runChunk executes iterations [lo,hi) of an analysed loop on ex's own
-// frame (fork): its variable is a cell of the chunk's. Under nested work-sharing, privatization was
-// handled by the enclosing region.
+// frame (fork): its variable is a cell of the chunk's.
 func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
 	iv := &cell{v: intVal(0)}
 	ex.rebind(loop.iv, iv)
@@ -833,38 +720,6 @@ func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
 }
 
 // --- reductions -------------------------------------------------------
-
-// reductionSet manages per-worker accumulators for a construct's
-// reduction clauses.
-type reductionSet struct {
-	items []reductionItem
-}
-
-type reductionItem struct {
-	op      string
-	ref     varRef
-	host    *cell
-	workers []*cell
-	isFloat bool
-}
-
-func (ex *exec) newReductionSet(d *dirCode) *reductionSet {
-	rs := &reductionSet{}
-	for _, red := range d.reductions {
-		host := ex.cellOf(red.ref)
-		if host == nil {
-			continue
-		}
-		rs.items = append(rs.items, reductionItem{
-			op:      red.op,
-			ref:     red.ref,
-			host:    host,
-			isFloat: host.v.k == kFloat,
-			workers: make([]*cell, maxRegionWorkers),
-		})
-	}
-	return rs
-}
 
 // identity returns the reduction identity for op.
 func identity(op string, isFloat bool) value {
@@ -895,33 +750,6 @@ func identity(op string, isFloat bool) value {
 		return intVal(0)
 	default:
 		return intVal(0)
-	}
-}
-
-// bindWorker binds fresh accumulators for worker id in wEx's own
-// frame.
-func (rs *reductionSet) bindWorker(wEx *exec, id int) {
-	for i := range rs.items {
-		it := &rs.items[i]
-		c := &cell{v: identity(it.op, it.isFloat)}
-		it.workers[id] = c
-		wEx.rebind(it.ref, c)
-	}
-}
-
-// fold combines worker accumulators into the host cells, in worker
-// order for deterministic floating-point results.
-func (rs *reductionSet) fold() {
-	for i := range rs.items {
-		it := &rs.items[i]
-		acc := it.host.v
-		for _, wc := range it.workers {
-			if wc == nil {
-				continue
-			}
-			acc = combine(it.op, acc, wc.v)
-		}
-		it.host.v = acc
 	}
 }
 

@@ -40,58 +40,6 @@ func (r *Recorder) Observe(stage string, d time.Duration) {
 	r.mu.Unlock()
 }
 
-// Stages returns the recorded stage names, sorted.
-func (r *Recorder) Stages() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.samples))
-	for s := range r.samples {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Count reports how many samples a stage holds.
-func (r *Recorder) Count(stage string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples[stage])
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of a stage's
-// samples by the nearest-rank method; 0 when the stage has no samples.
-// q outside [0, 1] is clamped.
-func (r *Recorder) Quantile(stage string, q float64) time.Duration {
-	r.mu.Lock()
-	samples := append([]time.Duration(nil), r.samples[stage]...)
-	r.mu.Unlock()
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int(q*float64(len(samples)) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(samples) {
-		rank = len(samples)
-	}
-	return samples[rank-1]
-}
-
-// P50 is Quantile(stage, 0.50).
-func (r *Recorder) P50(stage string) time.Duration { return r.Quantile(stage, 0.50) }
-
-// P99 is Quantile(stage, 0.99).
-func (r *Recorder) P99(stage string) time.Duration { return r.Quantile(stage, 0.99) }
-
 // StageStats is one stage's aggregate view at Snapshot time: the
 // sample count plus the p50/p99 latency quantiles the /metrics
 // exposition exports. Count is the monotone series Prometheus derives
@@ -129,8 +77,8 @@ func (r *Recorder) Snapshot() []StageStats {
 	return out
 }
 
-// nearestRank is the quantile method of Quantile over an already
-// sorted sample slice.
+// nearestRank returns the q-th quantile (0 <= q <= 1) of an already
+// sorted sample slice by the nearest-rank method; 0 when it is empty.
 func nearestRank(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

@@ -7,43 +7,43 @@ import (
 	"time"
 )
 
+// stageStats returns the Snapshot entry of stage, and whether there is
+// one.
+func stageStats(r *Recorder, stage string) (StageStats, bool) {
+	for _, st := range r.Snapshot() {
+		if st.Stage == stage {
+			return st, true
+		}
+	}
+	return StageStats{}, false
+}
+
 func TestQuantileNearestRank(t *testing.T) {
 	r := NewRecorder()
 	// 1..100ms, inserted out of order.
 	for i := 100; i >= 1; i-- {
 		r.Observe("judge", time.Duration(i)*time.Millisecond)
 	}
-	if got := r.P50("judge"); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v, want 50ms", got)
+	st, _ := stageStats(r, "judge")
+	if st.P50 != 50*time.Millisecond {
+		t.Errorf("p50 = %v, want 50ms", st.P50)
 	}
-	if got := r.P99("judge"); got != 99*time.Millisecond {
-		t.Errorf("p99 = %v, want 99ms", got)
+	if st.P99 != 99*time.Millisecond {
+		t.Errorf("p99 = %v, want 99ms", st.P99)
 	}
-	if got := r.Quantile("judge", 1); got != 100*time.Millisecond {
-		t.Errorf("q1.0 = %v, want 100ms", got)
+	if st.Count != 100 {
+		t.Errorf("Count = %d, want 100", st.Count)
 	}
-	if got := r.Quantile("judge", 0); got != 1*time.Millisecond {
-		t.Errorf("q0 = %v, want 1ms (nearest rank clamps to the first sample)", got)
-	}
-	// Out-of-range q is clamped, not a panic.
-	if got := r.Quantile("judge", 2); got != 100*time.Millisecond {
-		t.Errorf("q2.0 = %v, want clamp to max", got)
-	}
-	if got := r.Quantile("missing", 0.5); got != 0 {
-		t.Errorf("missing stage quantile = %v, want 0", got)
-	}
-	if got := r.Count("judge"); got != 100 {
-		t.Errorf("Count = %d, want 100", got)
+	if _, ok := stageStats(r, "missing"); ok {
+		t.Errorf("a stage with no samples is in the snapshot")
 	}
 }
 
 func TestQuantileSingleSample(t *testing.T) {
 	r := NewRecorder()
 	r.Observe("exec", 7*time.Millisecond)
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := r.Quantile("exec", q); got != 7*time.Millisecond {
-			t.Errorf("Quantile(%v) = %v, want 7ms", q, got)
-		}
+	if st, _ := stageStats(r, "exec"); st.P50 != 7*time.Millisecond || st.P99 != 7*time.Millisecond {
+		t.Errorf("p50 %v p99 %v, want 7ms both", st.P50, st.P99)
 	}
 }
 
@@ -61,15 +61,14 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Count("compile"); got != 800 {
-		t.Errorf("Count(compile) = %d, want 800", got)
+	snap := r.Snapshot()
+	if len(snap) != 2 || snap[0].Stage != "compile" || snap[1].Stage != "exec" {
+		t.Fatalf("Snapshot = %+v, want stages [compile exec]", snap)
 	}
-	if got := r.Count("exec"); got != 800 {
-		t.Errorf("Count(exec) = %d, want 800", got)
-	}
-	stages := r.Stages()
-	if len(stages) != 2 || stages[0] != "compile" || stages[1] != "exec" {
-		t.Errorf("Stages = %v, want [compile exec]", stages)
+	for _, st := range snap {
+		if st.Count != 800 {
+			t.Errorf("Count(%s) = %d, want 800", st.Stage, st.Count)
+		}
 	}
 }
 
