@@ -71,6 +71,9 @@ type Object struct {
 	Globals []*testlang.VarDecl
 	// Plans maps each directive statement to its execution plan.
 	Plans map[*testlang.DirectiveStmt]*DirPlan
+	// Loops maps each for statement in canonical loop form to that form,
+	// a loop directive's own loop included (its plan's Loop).
+	Loops map[*testlang.ForStmt]*LoopForm
 }
 
 // Personality is a simulated compiler's feature-support profile.
@@ -165,6 +168,7 @@ func (p *Personality) Compile(name, src string, lang testlang.Language) *Result 
 		Funcs:   c.funcs,
 		Globals: c.globals,
 		Plans:   c.plans,
+		Loops:   c.loopForms,
 	})
 }
 

@@ -49,6 +49,18 @@ var loopRows = []struct {
 		acc:  "#pragma acc parallel loop\nfor (int k = 0; k < n; k += j) a[k] = k;",
 		omp:  "#pragma omp parallel for\nfor (int k = 0; k < n; k += j) a[k] = k;",
 		form: "k@5 < n from 0 by +j"},
+	{name: "assigned sum of the variable and a stride",
+		acc:  "#pragma acc parallel loop\nfor (int k = 0; k < n; k = k + 2) a[k] = k;",
+		omp:  "#pragma omp parallel for\nfor (int k = 0; k < n; k = k + 2) a[k] = k;",
+		form: "k@5 < n from 0 by +2"},
+	{name: "assigned sum of a stride and the variable",
+		acc:  "#pragma acc parallel loop\nfor (int k = 0; k < n; k = j + k) a[k] = k;",
+		omp:  "#pragma omp parallel for\nfor (int k = 0; k < n; k = j + k) a[k] = k;",
+		form: "k@5 < n from 0 by +j"},
+	{name: "assigned difference of the variable and a stride",
+		acc:  "#pragma acc parallel loop\nfor (i = n - 1; i >= 0; i = i - 1) a[i] = i;",
+		omp:  "#pragma omp parallel for\nfor (i = n - 1; i >= 0; i = i - 1) a[i] = i;",
+		form: "i@1 >= 0 from n - 1 by -1"},
 
 	// Rejected. Before the checker and the machine shared one canonical-
 	// loop rule, every row from here up to "no condition" compiled.
@@ -116,8 +128,55 @@ func TestCanonicalLoops(t *testing.T) {
 				if len(forms) != 1 || forms[0] != row.form {
 					t.Fatalf("forms %q, want %q", forms, row.form)
 				}
+				// The plan's form is the one the object records for the loop.
+				if len(res.Object.Loops) != 1 {
+					t.Fatalf("object records %d loop forms, want 1", len(res.Object.Loops))
+				}
+				for _, f := range res.Object.Loops {
+					if got := loopForm(f); got != row.form {
+						t.Fatalf("recorded form %q, want %q", got, row.form)
+					}
+				}
 			})
 		}
+	}
+}
+
+// TestPlainLoopForms pins that the checker records the canonical form of
+// every for statement, with or without a directive, by the same rule,
+// and records none for a loop without one.
+func TestPlainLoopForms(t *testing.T) {
+	src := loopsPrelude + `    for (int k = 0; k < n; k++) a[k] = k;
+    for (i = n - 1; i >= 0; i = i - 2) a[i] = i;
+    for (int k = n; k != 0; --k) { for (j = 0; k > j; j += 3) x += 1.0; }
+    for (int k = 0; k < n; k *= 2) a[0] = k;
+    for (x = 0.0; x < 1.0; x += 0.5) a[0] = 1;
+    for (int k = 0; ; k++) break;
+    for (; i < n; i++) a[0] = 1;
+    while (i < n) i++;
+    printf("%d\n", a[0]);
+    return 0;
+}
+`
+	res := NVCSim().Compile("loops.c", src, testlang.LangC)
+	if !res.OK {
+		t.Fatalf("rejected:\n%s", res.Stderr)
+	}
+	var got []string
+	testlang.Walk(res.Object.Funcs["main"].Body, func(n testlang.Stmt) bool {
+		if fs, ok := n.(*testlang.ForStmt); ok {
+			if f := res.Object.Loops[fs]; f != nil {
+				got = append(got, loopForm(f))
+			} else {
+				got = append(got, "-")
+			}
+		}
+		return true
+	})
+	want := []string{"k@5 < n from 0 by +1", "i@1 >= 0 from n - 1 by -2", "k@6 != 0 from n by -1",
+		"j@2 < k from 0 by +3", "-", "-", "-", "-"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("forms\n%q\nwant\n%q", got, want)
 	}
 }
 

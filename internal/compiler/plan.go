@@ -559,20 +559,40 @@ func (c *checker) checkAssociation(ds *testlang.DirectiveStmt, sd *spec.Directiv
 
 // checkCanonicalLoop enforces the canonical loop form both models
 // require for work-sharing, and returns the loop's form, or nil when it
-// reported an error. A canonical loop declares or assigns one scalar
-// loop variable that is not a float, compares it with <, <=, >, >= or
-// !=, and steps it by ++, --, += or -=.
+// reported an error.
 func (c *checker) checkCanonicalLoop(dir *testlang.Directive, fs *testlang.ForStmt) *LoopForm {
+	f := c.canonicalLoop(fs, func(format string, args ...any) {
+		c.errorf(dir.Pos(), format, args...)
+	})
+	if f != nil {
+		c.loopForms[fs] = f
+	}
+	return f
+}
+
+// canonicalLoop returns the canonical form of a for statement, or nil
+// when it has none; report, when not nil, receives why. A canonical
+// loop declares or assigns one scalar loop variable that is not a
+// float, compares it with <, <=, >, >= or !=, and steps it by ++, --,
+// += or -=, or by an assignment of itself plus or minus a stride
+// (i = i + c, i = c + i, i = i - c), as OpenMP's canonical loop form
+// allows.
+func (c *checker) canonicalLoop(fs *testlang.ForStmt, report func(format string, args ...any)) *LoopForm {
+	fail := func(format string, args ...any) {
+		if report != nil {
+			report(format, args...)
+		}
+	}
 	if fs.Cond == nil {
-		c.errorf(dir.Pos(), "associated loop has no termination condition (not in canonical form)")
+		fail("associated loop has no termination condition (not in canonical form)")
 		return nil
 	}
 	cond, ok := fs.Cond.(*testlang.BinaryExpr)
 	if ok = ok && flippedOp[cond.Op] != ""; !ok {
-		c.errorf(dir.Pos(), "associated loop condition is not in canonical form")
+		fail("associated loop condition is not in canonical form")
 	}
 	if fs.Post == nil {
-		c.errorf(dir.Pos(), "associated loop has no increment (not in canonical form)")
+		fail("associated loop has no increment (not in canonical form)")
 		return nil
 	}
 	if !ok {
@@ -597,10 +617,10 @@ func (c *checker) checkCanonicalLoop(dir *testlang.Directive, fs *testlang.ForSt
 	}
 	switch {
 	case name == "":
-		c.errorf(dir.Pos(), "associated loop does not initialize one loop variable (not in canonical form)")
+		fail("associated loop does not initialize one loop variable (not in canonical form)")
 		return nil
 	case float:
-		c.errorf(dir.Pos(), "loop variable %q has floating-point type (not in canonical form)", name)
+		fail("loop variable %q has floating-point type (not in canonical form)", name)
 		return nil
 	}
 	if id, ok := loopVar(cond.L, name); ok {
@@ -608,7 +628,7 @@ func (c *checker) checkCanonicalLoop(dir *testlang.Directive, fs *testlang.ForSt
 	} else if id, ok := loopVar(cond.R, name); ok {
 		f.Var, f.Op, f.Bound = id, flippedOp[cond.Op], cond.L
 	} else {
-		c.errorf(dir.Pos(), "associated loop condition does not test loop variable %q (not in canonical form)", name)
+		fail("associated loop condition does not test loop variable %q (not in canonical form)", name)
 		return nil
 	}
 	var stepped testlang.Expr
@@ -620,6 +640,9 @@ func (c *checker) checkCanonicalLoop(dir *testlang.Directive, fs *testlang.ForSt
 		stepped, op = post.X, post.Op
 	case *testlang.AssignExpr:
 		stepped, op, f.Step = post.L, post.Op, post.R
+		if sum, isSum := post.R.(*testlang.BinaryExpr); op == "=" && isSum {
+			op, f.Step = selfStep(sum, name)
+		}
 	}
 	switch op {
 	case "--", "-=":
@@ -629,10 +652,28 @@ func (c *checker) checkCanonicalLoop(dir *testlang.Directive, fs *testlang.ForSt
 		stepped = nil
 	}
 	if _, ok := loopVar(stepped, name); !ok {
-		c.errorf(dir.Pos(), "associated loop increment does not step loop variable %q (not in canonical form)", name)
+		fail("associated loop increment does not step loop variable %q (not in canonical form)", name)
 		return nil
 	}
 	return f
+}
+
+// selfStep reads the right side of an increment "name = sum" as the
+// compound assignment it is: i + c and c + i step by += c, i - c by
+// -= c. op is empty when sum is none of those.
+func selfStep(sum *testlang.BinaryExpr, name string) (op string, step testlang.Expr) {
+	_, left := loopVar(sum.L, name)
+	switch {
+	case sum.Op == "+" && left:
+		return "+=", sum.R
+	case sum.Op == "+":
+		if _, right := loopVar(sum.R, name); right {
+			return "+=", sum.L
+		}
+	case sum.Op == "-" && left:
+		return "-=", sum.R
+	}
+	return "", nil
 }
 
 // flippedOp maps each comparison a canonical loop condition may use to

@@ -76,6 +76,9 @@ type checker struct {
 	funcs   map[string]*testlang.FuncDecl
 	globals []*testlang.VarDecl
 	plans   map[*testlang.DirectiveStmt]*DirPlan
+	// loopForms records the canonical form of every for statement that
+	// has one (Object.Loops).
+	loopForms map[*testlang.ForStmt]*LoopForm
 	// syms holds the declarations in scope, innermost last, and scopes
 	// the index in syms where each open scope starts: the file's scope,
 	// then one per function, block, for and statement body.
@@ -164,6 +167,7 @@ func (c *checker) declareVar(d *testlang.VarDecl) bool {
 func (c *checker) check() []Diagnostic {
 	c.funcs = map[string]*testlang.FuncDecl{}
 	c.plans = map[*testlang.DirectiveStmt]*DirPlan{}
+	c.loopForms = map[*testlang.ForStmt]*LoopForm{}
 	c.implicitWarned = map[string]bool{}
 	c.push()
 
@@ -259,6 +263,12 @@ func (c *checker) checkStmt(s testlang.Stmt) {
 		c.body(n.Then, "'if'")
 		c.body(n.Else, "'else'")
 	case *testlang.ForStmt:
+		// A loop directive's own loop already has its form, if any.
+		if _, seen := c.loopForms[n]; !seen {
+			if f := c.canonicalLoop(n, nil); f != nil {
+				c.loopForms[n] = f
+			}
+		}
 		c.push()
 		c.checkStmt(n.Init)
 		if n.Cond != nil {

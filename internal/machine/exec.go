@@ -175,14 +175,18 @@ func applyDelta(v value, d int64) value {
 func compare(op string, l, r value) value {
 	if l.k == kRef || r.k == kRef || l.k == kNull || r.k == kNull {
 		eq := pointerEqual(l, r)
-		switch op {
-		case "==":
+		switch {
+		case op == "==":
 			return boolToInt(eq)
-		case "!=":
+		case op == "!=":
 			return boolToInt(!eq)
-		default:
+		case l.k != kRef || r.k != kRef || l.b != r.b:
+			// Ordering pointers into different objects, or a pointer and
+			// null, is undefined in C.
 			return intVal(0)
 		}
+		// Two pointers into one block order by element offset.
+		l, r = intVal(l.i), intVal(r.i)
 	}
 	if l.k == kFloat || r.k == kFloat {
 		a, b := l.asFloat(), r.asFloat()

@@ -16,10 +16,11 @@ const fuzzStepLimit = 200_000
 // input the dialect's compiler accepts as C or as C++, which scope a
 // declaration as a statement's bare body differently: the run returns
 // a Result instead of panicking, takes at most its step limit, and
-// takes all of it exactly when it traps on the limit, and a second run
-// of the same object is identical. The seeds are the corpus templates
-// of both dialects and the files in testdata/fuzz; plain go test runs
-// those, go test -fuzz FuzzCompileRun searches past them.
+// takes all of it exactly when it traps on the limit, a second run of
+// the same object is identical, and so is a run without loop kernels.
+// The seeds are the corpus templates of both dialects and the files in
+// testdata/fuzz (the kernel-* ones are TestLoopKernels' rows); plain go
+// test runs those, go test -fuzz FuzzCompileRun searches past them.
 func FuzzCompileRun(f *testing.F) {
 	for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
 		for _, id := range corpus.TemplateIDs(d) {
@@ -47,6 +48,9 @@ func FuzzCompileRun(f *testing.F) {
 			}
 			if again := Run(res.Object, opts); *again != *first {
 				t.Fatalf("%s: runs differ:\n%+v\n%+v", lang, *first, *again)
+			}
+			if off, _ := execute(res.Object, opts, false); *off != *first {
+				t.Fatalf("%s: with loop kernels\n%+v\nwithout\n%+v", lang, *first, *off)
 			}
 		}
 	})

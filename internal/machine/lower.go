@@ -12,7 +12,7 @@ import (
 // operator or compares a variable's name, because lowering made those
 // decisions, once.
 //
-// Six rules keep the lowered code equivalent to a walk of the AST.
+// Seven rules keep the lowered code equivalent to a walk of the AST.
 //   - Steps: a statement or an expression takes one step on entry, as
 //     a walk would, so Result.Steps and the step-limit trap point
 //     follow the AST. Assignment targets (places) and a call's
@@ -46,6 +46,15 @@ import (
 //     generic walk would neither fault nor leave the int fast path;
 //     otherwise it calls the generic closure, built exactly as without
 //     it, which stays the one definition of the node's semantics.
+//   - Loop kernels: the same rule for a whole loop. A for statement in
+//     canonical form (compiler.Object.Loops) whose body is straight-line
+//     arithmetic also gets a kernel (kernel.go): on each entry, a serial
+//     loop's after its init or a work-shared chunk's, it resolves the
+//     body's operands once, and runs the iterations as one Go loop and
+//     takes every step the generic closures would, only when its checks
+//     show that they would neither fault, leave the int and float fast
+//     paths nor run out of steps; otherwise the generic closures run the
+//     loop from its start.
 //   - Flow: a statement returns how it ended (flow), and the block,
 //     loop or call around it acts on that; nothing unwinds by panic
 //     but a trap or exit(). The compiler rejects a break or continue
@@ -140,12 +149,18 @@ type lowerer struct {
 	funcs map[string]*funcCode
 	// fn is the function being lowered, nil for global initializers.
 	fn *funcCode
+	// types holds the declared type of each local of fn lowered so far,
+	// by local number (declared).
+	types []declType
+	// kernels is unset only when a test lowers without loop kernels.
+	kernels bool
 }
 
 // lower compiles obj's globals and its main function, with every user
-// function main and the globals reach, into closures.
-func lower(obj *compiler.Object) *program {
-	l := &lowerer{obj: obj, funcs: map[string]*funcCode{}}
+// function main and the globals reach, into closures; a counted loop of
+// straight-line arithmetic also gets a kernel when kernels is set.
+func lower(obj *compiler.Object, kernels bool) *program {
+	l := &lowerer{obj: obj, funcs: map[string]*funcCode{}, kernels: kernels}
 	p := &program{globals: make([]func(*exec), len(obj.Globals))}
 	for i, g := range obj.Globals {
 		p.globals[i] = l.declare(g)
@@ -164,17 +179,18 @@ func (l *lowerer) function(name string, fd *testlang.FuncDecl) *funcCode {
 	}
 	fc := &funcCode{params: make([]paramCode, len(fd.Params)), slots: fd.Locals}
 	l.funcs[name] = fc
+	fn, types := l.fn, l.types
+	l.fn, l.types = fc, make([]declType, fd.Locals)
 	for i, p := range fd.Params {
 		c := convOf(p.Type)
 		if p.Array {
 			c = convKeep
 		}
 		fc.params[i] = paramCode{typ: p.Type, conv: c}
+		l.types[i] = declType{p.Type, p.Array}
 	}
-	fn := l.fn
-	l.fn = fc
 	fc.body = l.stmt(fd.Body)
-	l.fn = fn
+	l.fn, l.types = fn, types
 	return fc
 }
 
@@ -336,6 +352,9 @@ func (l *lowerer) stmt(s testlang.Stmt) execFn {
 // declare lowers one variable declaration, which fills its own slot.
 func (l *lowerer) declare(v *testlang.VarDecl) func(*exec) {
 	name, slot := v.Name, l.slot(v.Bind)
+	if n, local := v.Bind.Local(); local && n < len(l.types) {
+		l.types[n] = declType{v.Type, len(v.ArrayDims) > 0}
+	}
 	if len(v.ArrayDims) > 0 {
 		dims := make([]evalFn, len(v.ArrayDims))
 		for i, d := range v.ArrayDims {
@@ -410,6 +429,8 @@ type forLoop struct {
 	// iv is a loop directive's variable as the body sees it, which a
 	// work-shared chunk binds to a cell of its own.
 	iv varRef
+	// kern is the loop's kernel, nil when it has none.
+	kern *kernel
 }
 
 // forLoop lowers a for statement; iv is a loop directive's variable,
@@ -423,6 +444,9 @@ func (l *lowerer) forLoop(n *testlang.ForStmt, iv varRef) *forLoop {
 		f.post = l.expr(n.Post)
 	}
 	f.body = l.stmt(n.Body)
+	if form := l.obj.Loops[n]; form != nil && l.kernels {
+		f.kern = l.kernel(n, form)
+	}
 	return f
 }
 
@@ -430,6 +454,9 @@ func (l *lowerer) forLoop(n *testlang.ForStmt, iv varRef) *forLoop {
 // own step is the caller's.
 func (f *forLoop) run(ex *exec) flow {
 	f.init(ex)
+	if f.kern != nil && f.kern.serial(ex) {
+		return flowNext
+	}
 	for {
 		if f.cond != nil && !f.cond(ex).truthy() {
 			return flowNext
@@ -1110,20 +1137,14 @@ func (c *indexChain) store(generic placeFn) placeFn {
 // false, and the caller runs the generic walk.
 func (ex *exec) leafElem(base varRef, idx []operand, k int64) (*block, int, bool) {
 	c := ex.frame[base]
-	if c == nil || c.v.k != kRef || ex.in.stepsLeft < k {
+	if c == nil || ex.in.stepsLeft < k {
 		return nil, 0, false
 	}
-	blk, off := c.v.b, int(c.v.i)
-	if blk == nil || blk.freed || !blk.materialized {
+	blk, off, dims, ok := chainView(c.v, len(idx))
+	if !ok {
 		return nil, 0, false
 	}
-	// The view's rank is exactly consumed: every index but the last
-	// selects a row, and the last an element.
-	dims, n := blk.dims[c.v.d:], len(idx)
-	if len(dims) != n && (n > 1 || len(dims) > 1) {
-		return nil, 0, false
-	}
-	row := 0
+	n, row := len(idx), 0
 	for j, o := range idx[:n-1] {
 		i, isInt := ex.intOf(o)
 		if !isInt || i < 0 || i >= int64(dims[j]) {
@@ -1137,4 +1158,25 @@ func (ex *exec) leafElem(base varRef, idx []operand, k int64) (*block, int, bool
 	}
 	ex.in.stepsLeft -= k
 	return blk, off, true
+}
+
+// chainView returns the block, element offset and view dimensions of
+// v when a chain of n indices applied to it would end on an element of
+// a live, sized block without materializing it: v is a ref and the
+// view's rank is exactly consumed, every index but the last selecting a
+// row and the last an element. Both fused chains and loop kernels
+// resolve a chain only through it.
+func chainView(v value, n int) (blk *block, off int, dims []int, ok bool) {
+	if v.k != kRef {
+		return nil, 0, nil, false
+	}
+	blk, off = v.b, int(v.i)
+	if blk == nil || blk.freed || !blk.materialized {
+		return nil, 0, nil, false
+	}
+	dims = blk.dims[v.d:]
+	if len(dims) != n && (n > 1 || len(dims) > 1) {
+		return nil, 0, nil, false
+	}
+	return blk, off, dims, true
 }

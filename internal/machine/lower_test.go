@@ -156,7 +156,7 @@ var loweredOperatorRows = []opRow{
 		rc: 0, stdout: "40 30 30 10\n", trap: "", steps: 50},
 	{name: "ref-null", body: `printf("%d %d %d %d %d ", p == q, p != q, q == NULL, NULL == q, q != NULL);
     printf("%d %d %d %d\n", p == p, p == p + 1, q == 0, p < p + 1);`,
-		rc: 0, stdout: "0 1 1 1 0 1 0 1 0\n", trap: "", steps: 59},
+		rc: 0, stdout: "0 1 1 1 0 1 0 1 1\n", trap: "", steps: 59},
 	{name: "null-zero", body: `printf("%d %d %d %d\n", NULL == 0, 0 == NULL, NULL != 0, q == z);`,
 		rc: 0, stdout: "1 1 0 1\n", trap: "", steps: 38},
 	// Division by zero: integers trap, floats do not.

@@ -82,6 +82,11 @@ type interp struct {
 	// being made (callFunction).
 	calls []*exec
 	args  []value
+
+	// kern holds the operands of the loop kernel running, if any, and
+	// kernelSteps counts the steps kernels took.
+	kern        kstate
+	kernelSteps int64
 }
 
 type presenceEntry struct {
@@ -93,7 +98,15 @@ type presenceEntry struct {
 // behaviour. It never panics: all simulated faults are converted to
 // return codes and stderr text, and internal interpreter failures on
 // pathological (mutated) inputs surface as a simulated crash.
-func Run(obj *compiler.Object, opts Options) (res *Result) {
+func Run(obj *compiler.Object, opts Options) *Result {
+	res, _ := execute(obj, opts, true)
+	return res
+}
+
+// execute is Run, with loop kernels when kernels is set, and also
+// returns how many of the run's steps kernels took. Kernels change how
+// fast a run is, never its Result: tests compare runs without them.
+func execute(obj *compiler.Object, opts Options, kernels bool) (res *Result, inKernels int64) {
 	if opts.Workers <= 0 {
 		opts.Workers = DefaultWorkers
 	}
@@ -106,7 +119,7 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	in := &interp{opts: opts, stepsLeft: opts.StepLimit, presence: map[*block]*presenceEntry{}}
 	res = &Result{}
 	defer func() {
-		res.Steps = opts.StepLimit - in.stepsLeft
+		res.Steps, inKernels = opts.StepLimit-in.stepsLeft, in.kernelSteps
 		res.Stdout = in.stdout.String()
 		res.Stderr = in.stderr.String()
 		switch sig := recover().(type) {
@@ -130,7 +143,7 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	if obj == nil || obj.File == nil {
 		panic(trapSignal{kind: "no-object", rc: 127, msg: "exec format error"})
 	}
-	prog := lower(obj)
+	prog := lower(obj, kernels)
 	in.globals = make([]*cell, len(prog.globals))
 	ex := &exec{in: in, frame: in.globals}
 	for _, g := range prog.globals {
@@ -141,7 +154,7 @@ func Run(obj *compiler.Object, opts Options) (res *Result) {
 	}
 	ret := ex.callFunction(prog.main, nil)
 	res.ReturnCode = int(ret.asInt()) & 255
-	return res
+	return res, 0
 }
 
 // step counts one interpreted step and enforces the step limit.

@@ -142,6 +142,13 @@ func BenchmarkInterpreterMatmul(b *testing.B) {
 	benchTemplate(b, spec.OpenMP, "collapse_matmul_target")
 }
 
+// BenchmarkInterpreterJacobi sweeps a 1-D stencil over device mirrors
+// of heap arrays, then checks it against a host sweep: loop kernels
+// with index offsets, work-shared and serial.
+func BenchmarkInterpreterJacobi(b *testing.B) {
+	benchTemplate(b, spec.OpenACC, "jacobi_sweeps")
+}
+
 // BenchmarkInterpreterRoutine is a loop whose body calls a user
 // function, so each iteration pays a call: a callee exec, frame and
 // return unwind.

@@ -711,6 +711,9 @@ func chunk(n int64, workers, k int) (lo, hi int64) {
 func (ex *exec) runChunk(loop *forLoop, spec loopSpec, lo, hi int64) {
 	iv := &cell{v: intVal(0)}
 	ex.rebind(loop.iv, iv)
+	if loop.kern != nil && loop.kern.chunk(ex, iv, spec, lo, hi) {
+		return
+	}
 	for i := lo; i < hi; i++ {
 		iv.v = intVal(spec.start + i*spec.step)
 		if loop.body(ex) == flowBreak {

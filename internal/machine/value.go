@@ -335,18 +335,23 @@ func (c conv) apply(v value) value {
 	case convFloat:
 		return floatVal(v.asFloat())
 	}
-	iv := v.asInt()
+	return intVal(c.narrow(v.asInt()))
+}
+
+// narrow converts an int to an integer type's range.
+func (c conv) narrow(i int64) int64 {
 	switch c {
 	case convChar:
-		iv = int64(int8(iv))
+		return int64(int8(i))
 	case convInt:
-		iv = int64(int32(iv))
+		return int64(int32(i))
 	case convBool:
-		if iv != 0 {
-			iv = 1
+		if i != 0 {
+			return 1
 		}
+		return 0
 	}
-	return intVal(iv)
+	return i
 }
 
 // newArrayBlock allocates a declared array.

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -225,6 +226,12 @@ coalesce:
 	for _, it := range buf {
 		sc.advance(it, s+1)
 	}
+	// Let the stage the batch went to run before this worker takes its
+	// next file. On few Ps a fast upstream stage otherwise keeps its P
+	// and piles files up before a slower one downstream, whose calls
+	// (the judge's) then carry bigger batches and each file waits
+	// longer in them.
+	runtime.Gosched()
 	return buf
 }
 
