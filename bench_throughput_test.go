@@ -32,6 +32,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/testlang"
 	"repro/internal/trace"
 )
 
@@ -296,6 +297,40 @@ func BenchmarkThroughputMachine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range progs {
 			machine.Run(p.obj, p.opts)
+			files++
+		}
+	}
+	b.ReportMetric(perf.Rate(files, b.Elapsed()), "files/sec")
+}
+
+// BenchmarkThroughputCompile — the compile layer alone: every file of
+// both dialects' scaled Part-Two suites through the agent toolchain's
+// compiler personality (front end, checker and plans). The suites are
+// built outside the timer, so files/sec and allocs/op are the
+// compiler's own.
+func BenchmarkThroughputCompile(b *testing.B) {
+	type source struct {
+		pers       *compiler.Personality
+		name, text string
+		lang       testlang.Language
+	}
+	var srcs []source
+	for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
+		suite, err := BuildSuite(PartTwoSpec(d).Scaled(benchScale))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pers := agent.NewTools(d).Personality
+		for _, pf := range suite {
+			srcs = append(srcs, source{pers, pf.Name, pf.Source, pf.Lang})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	files := 0
+	for i := 0; i < b.N; i++ {
+		for _, s := range srcs {
+			s.pers.Compile(s.name, s.text, s.lang)
 			files++
 		}
 	}

@@ -61,11 +61,14 @@ func (ex *exec) own(s varRef) *cell {
 
 // place is an assignable storage location: a variable's cell, or
 // element off of blk when c is nil. It is returned by value, so
-// resolving an assignment target allocates nothing.
+// resolving an assignment target allocates nothing. conv converts a
+// store into a cell to the variable's declared type, as a block's conv
+// does for its elements.
 type place struct {
-	c   *cell
-	blk *block
-	off int
+	c    *cell
+	blk  *block
+	off  int
+	conv conv
 }
 
 func (p place) load() value {
@@ -75,12 +78,20 @@ func (p place) load() value {
 	return p.blk.get(p.off)
 }
 
-func (p place) store(v value) {
+// store stores v and returns what a cell now holds; an element's value
+// returns as given.
+func (p place) store(v value) value {
 	if p.c != nil {
+		if p.conv == convKeep {
+			v = coerceLike(p.c.v, v)
+		} else {
+			v = p.conv.store(v)
+		}
 		p.c.v = v
-		return
+		return v
 	}
 	p.blk.set(p.off, v)
+	return v
 }
 
 // index applies one index step to base, trapping on null, freed, or

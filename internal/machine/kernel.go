@@ -56,8 +56,10 @@ type kernel struct {
 
 // kscalar is a scalar the kernel holds in a register of its kind.
 type kscalar struct {
-	slot    varRef
-	float   bool
+	slot  varRef
+	float bool
+	// conv narrows a store into an int scalar to its declared type.
+	conv    conv
 	reg     int
 	written bool
 	// term is set when an index, the bound or the stride reads it, temp
@@ -146,7 +148,9 @@ func (b *kbuild) scalar(r varRef) (int, bool) {
 // returns nil when its shape does not qualify.
 func (l *lowerer) kernel(fs *testlang.ForStmt, form *compiler.LoopForm) *kernel {
 	iv := l.slot(form.Var.Bind)
-	if t, ok := l.declared(form.Var.Bind); !ok || iv < 0 || t.array || convOf(t.typ) == convKeep || t.typ.IsFloat() {
+	// A char or bool loop variable would wrap where the kernel's trip
+	// count does not.
+	if t, ok := l.declared(form.Var.Bind); !ok || iv < 0 || t.array || t.typ.Ptr > 0 || convOf(t.typ) != convInt && convOf(t.typ) != convLong {
 		return nil
 	}
 	b := &kbuild{l: l, k: kernel{iv: iv, op: form.Op, sign: form.Sign}}
@@ -216,7 +220,7 @@ func (b *kbuild) reg(id *testlang.IdentExpr) (int, bool) {
 	if !ok || r < 0 || r == b.k.iv || t.array || t.typ.Ptr > 0 || convOf(t.typ) == convKeep {
 		return 0, false
 	}
-	s := kscalar{slot: r, float: t.typ.IsFloat()}
+	s := kscalar{slot: r, float: t.typ.IsFloat(), conv: convOf(t.typ)}
 	if s.float {
 		s.reg, b.k.floats = b.k.floats, b.k.floats+1
 	} else {
@@ -433,7 +437,7 @@ func (b *kbuild) declare(v *testlang.VarDecl) (func(*kstate), int64, bool) {
 			return nil, 0, false
 		}
 	}
-	sc := kscalar{slot: r, float: c == convFloat, written: true, temp: true}
+	sc := kscalar{slot: r, float: c == convFloat, conv: c, written: true, temp: true}
 	if sc.float {
 		sc.reg, b.k.floats = b.k.floats, b.k.floats+1
 		reg, x := sc.reg, init.asFloat()
@@ -478,7 +482,6 @@ func (b *kbuild) effect(e testlang.Expr) (func(*kstate), int64, bool) {
 	steps := 1 + rhs.steps
 	var cur kval
 	var set func(kval) func(*kstate)
-	intScalar := false
 	switch t := target.(type) {
 	case *testlang.IdentExpr:
 		r, ok := b.reg(t)
@@ -487,11 +490,10 @@ func (b *kbuild) effect(e testlang.Expr) (func(*kstate), int64, bool) {
 		}
 		b.k.scalars[r].written = true
 		cur, set = b.scalarVal(r), b.scalarSet(r)
-		intScalar = cur.i != nil
-		if op == "+=" {
+		if op == "+=" && (cur.i == nil || rhs.f == nil) {
 			// The loops' hottest statement (s += a[i][k] * b[k][j]) adds
 			// in its register, as assign's own += fast path does.
-			return b.scalarAdd(r, rhs), steps, !intScalar || rhs.f == nil
+			return b.scalarAdd(r, rhs), steps, true
 		}
 	case *testlang.IndexExpr:
 		var ok bool
@@ -504,9 +506,7 @@ func (b *kbuild) effect(e testlang.Expr) (func(*kstate), int64, bool) {
 	}
 	if op != "=" {
 		var ok bool
-		// An int scalar's compound assignment of a float would change the
-		// scalar's kind.
-		if rhs, ok = arithK(op[:1], cur, rhs); !ok || intScalar && rhs.f != nil {
+		if rhs, ok = arithK(op[:1], cur, rhs); !ok {
 			return nil, 0, false
 		}
 	}
@@ -523,30 +523,35 @@ func (b *kbuild) scalarVal(r int) kval {
 }
 
 // scalarSet stores a value into the kernel's scalar r, converted to its
-// kind as coerceLike converts it.
+// declared type as a store into its cell converts it.
 func (b *kbuild) scalarSet(r int) func(kval) func(*kstate) {
-	reg := b.k.scalars[r].reg
-	if b.k.scalars[r].float {
+	sc := b.k.scalars[r]
+	reg := sc.reg
+	if sc.float {
 		return func(v kval) func(*kstate) {
 			x := v.asFloat()
 			return func(s *kstate) { s.floats[reg] = x(s) }
 		}
 	}
 	return func(v kval) func(*kstate) {
-		x := asIntK(v)
+		x := narrowK(sc.conv, asIntK(v))
 		return func(s *kstate) { s.ints[reg] = x(s) }
 	}
 }
 
-// scalarAdd adds a value to the kernel's scalar r, a float one in
-// float.
+// scalarAdd adds a value, an int one to an int scalar, to the kernel's
+// scalar r, a float one in float.
 func (b *kbuild) scalarAdd(r int, v kval) func(*kstate) {
-	reg := b.k.scalars[r].reg
-	if b.k.scalars[r].float {
+	sc := b.k.scalars[r]
+	reg := sc.reg
+	if sc.float {
 		x := v.asFloat()
 		return func(s *kstate) { s.floats[reg] = float64(s.floats[reg] + x(s)) }
 	}
 	x := v.i
+	if c := sc.conv; c != convLong {
+		return func(s *kstate) { s.ints[reg] = c.narrow(s.ints[reg] + x(s)) }
+	}
 	return func(s *kstate) { s.ints[reg] += x(s) }
 }
 

@@ -21,6 +21,8 @@ var kernelRows = []struct {
 	kernel  bool
 	// limit is the row's step limit, set only for a row that hits it.
 	limit int64
+	// stdout, when set, is what gcc prints for the row.
+	stdout string
 }{
 	{name: "written scalar as an index", src: `int main() {
     int a[8] = {0};
@@ -100,16 +102,16 @@ var kernelRows = []struct {
     }
     printf("%g %d %d %ld %d %g %g\n", x, k, a[5], l, c, d[0], d[5]);
     return 0;
-}`, kernel: true},
+}`, kernel: true, stdout: "-102.5 9 79 5987103994000079 -122 0.5 89.5\n"},
 	{name: "int scalar turned float", src: `int main() {
     int u = 0;
     u += 0.5;
     for (int i = 0; i < 4; i++) u += i;
     int v = 1;
     for (int i = 0; i < 4; i++) v += 0.25;
-    printf("%g %g\n", u, v);
+    printf("%d %d\n", u, v);
     return 0;
-}`},
+}`, kernel: true, stdout: "6 1\n"},
 	{name: "zero trips", src: `int main() {
     int a[4] = {1, 2, 3, 4};
     int s = 0;
@@ -235,6 +237,9 @@ func TestLoopKernels(t *testing.T) {
 				full := sameWithoutKernels(t, res.Object, Options{Workers: w, StepLimit: row.limit}, row.kernel)
 				if (full.Trap == "step-limit") != (row.limit > 0) {
 					t.Fatalf("Workers %d: trap %q at step limit %d", w, full.Trap, row.limit)
+				}
+				if row.stdout != "" && full.Stdout != row.stdout {
+					t.Fatalf("Workers %d: printed %q, want %q", w, full.Stdout, row.stdout)
 				}
 				for _, limit := range cutPoints(full.Steps) {
 					sameWithoutKernels(t, res.Object, Options{Workers: w, StepLimit: limit}, false)

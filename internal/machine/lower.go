@@ -530,7 +530,7 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 			return old
 		}
 		if leaf {
-			return stepLeaf(f, o.slot, d)
+			return stepLeaf(f, o.slot, d, l.scalarConv(n.X))
 		}
 		return f
 	case *testlang.AssignExpr:
@@ -806,9 +806,7 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 		return func(ex *exec) value {
 			ex.in.step()
 			pl := p(ex)
-			nv := applyDelta(pl.load(), d)
-			pl.store(nv)
-			return nv
+			return pl.store(applyDelta(pl.load(), d))
 		}
 	}
 	x := l.expr(n.X)
@@ -883,9 +881,10 @@ func (l *lowerer) placeLeaf(e testlang.Expr) (placeFn, operand, bool) {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
 		if r := l.slot(n.Bind); r >= 0 {
+			cv := l.scalarConv(n)
 			return func(ex *exec) place {
 				if c := ex.frame[r]; c != nil {
-					return place{c: c}
+					return place{c: c, conv: cv}
 				}
 				panic(segfault())
 			}, operand{slot: r}, true
@@ -910,6 +909,18 @@ func (l *lowerer) placeLeaf(e testlang.Expr) (placeFn, operand, bool) {
 		}
 	}
 	return func(*exec) place { panic(segfault()) }, operand{}, false
+}
+
+// scalarConv is the conversion a store into e takes when e names a
+// scalar variable: to its declared type. Anything else keeps the value
+// (convKeep), and a cell then converts as coerceLike does.
+func (l *lowerer) scalarConv(e testlang.Expr) conv {
+	if id, ok := e.(*testlang.IdentExpr); ok {
+		if t, ok := l.declared(id.Bind); ok && !t.array {
+			return convOf(t.typ)
+		}
+	}
+	return convKeep
 }
 
 // deref lowers the place *x.
@@ -995,9 +1006,7 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 			ex.in.step()
 			pl := p(ex)
 			rhs := r(ex)
-			out := coerceLike(pl.load(), rhs)
-			pl.store(out)
-			return out
+			return pl.store(coerceLike(pl.load(), rhs))
 		}
 	case "+=":
 		return func(ex *exec) value {
@@ -1014,8 +1023,7 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 			default:
 				out = arith("+", cur, rhs)
 			}
-			pl.store(out)
-			return out
+			return pl.store(out)
 		}
 	}
 	op := strings.TrimSuffix(n.Op, "=")
@@ -1023,9 +1031,7 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 		ex.in.step()
 		pl := p(ex)
 		rhs := r(ex)
-		out := arith(op, pl.load(), rhs)
-		pl.store(out)
-		return out
+		return pl.store(arith(op, pl.load(), rhs))
 	}
 }
 
@@ -1092,13 +1098,14 @@ func compareLeaves(generic evalFn, x, y operand, test func(a, b int64) bool) eva
 }
 
 // stepLeaf fuses generic, an increment by d of the variable in slot s,
-// when that holds an int: its one step, and the update in its cell.
-func stepLeaf(generic evalFn, s varRef, d int64) evalFn {
+// when that holds an int: its one step, and the update in its cell,
+// narrowed as cv, the variable's conversion, narrows it.
+func stepLeaf(generic evalFn, s varRef, d int64, cv conv) evalFn {
 	return func(ex *exec) value {
 		if c := ex.frame[s]; ex.in.stepsLeft >= 1 && c != nil && c.v.k == kInt {
 			ex.in.stepsLeft--
 			old := c.v
-			c.v = intVal(old.i + d)
+			c.v = intVal(cv.narrow(old.i + d))
 			return old
 		}
 		return generic(ex)

@@ -749,3 +749,47 @@ int main() {
 		}
 	}
 }
+
+// TestStoreConversions pins that a store into a typed scalar converts
+// to the declared type, as gcc does: =, +=, -= and *= of a double into
+// char, short, int and long, straight and in a one-trip loop, with and
+// without loop kernels. Each prints x and x * 2, so a fraction left in
+// the cell shows. The dialect folds short into int (and reads
+// "short" alone as no type), so the short int rows stay inside short's
+// range.
+func TestStoreConversions(t *testing.T) {
+	for _, row := range []struct {
+		decl, stmt string
+		want       int64
+	}{
+		{"char x = 0;", "x = d;", 44},
+		{"char x = 100;", "x += d;", -112},
+		{"char x = 5;", "x -= n * 100;", -1},
+		{"char x = 3;", "x *= d;", -122},
+		{"short int x = 0;", "x = d * 10;", 3007},
+		{"short int x = 100;", "x += d;", 400},
+		{"short int x = 7;", "x -= n;", 9},
+		{"short int x = 9;", "x *= n;", -22},
+		{"int x = 0;", "x = d * 1e6;", 300750000},
+		{"int x = 2000000;", "x += d;", 2000300},
+		{"int x = 7;", "x -= n;", 9},
+		{"int x = 9;", "x *= n;", -22},
+		{"long x = 0;", "x = d * 1e7;", 3007500000},
+		{"long x = 2147483000;", "x += d * 10;", 2147486007},
+		{"long x = 7;", "x -= n;", 9},
+		{"long x = 9;", "x *= n;", -22},
+	} {
+		for _, body := range []string{row.stmt, "for (int i = 0; i < 1; i++) " + row.stmt} {
+			src := "#include <stdio.h>\nint main() {\n    double d = 300.75;\n    double n = -2.5;\n    " +
+				row.decl + "\n    " + body + "\n    printf(\"%ld %ld\\n\", (long)x, (long)(x * 2));\n    return 0;\n}\n"
+			res := compiler.ForDialect(spec.OpenACC).Compile("test.c", src, testlang.LangC)
+			if !res.OK {
+				t.Fatalf("%s %s: compile failed:\n%s", row.decl, body, res.Stderr)
+			}
+			want := fmt.Sprintf("%d %d\n", row.want, 2*row.want)
+			if r := sameWithoutKernels(t, res.Object, Options{}, false); r.Stdout != want {
+				t.Errorf("%s %s: printed %q, want %q", row.decl, body, r.Stdout, want)
+			}
+		}
+	}
+}

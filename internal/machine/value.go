@@ -338,6 +338,16 @@ func (c conv) apply(v value) value {
 	return intVal(c.narrow(v.asInt()))
 }
 
+// store converts v for a store into a scalar declared with c, as the
+// declaration's initializer converts, except that a pointer stored into
+// an integer keeps its ref, as coerceLike keeps it.
+func (c conv) store(v value) value {
+	if c != convFloat && (v.k == kRef || v.k == kNull) {
+		return v
+	}
+	return c.apply(v)
+}
+
 // narrow converts an int to an integer type's range.
 func (c conv) narrow(i int64) int64 {
 	switch c {

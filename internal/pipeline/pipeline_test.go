@@ -3,13 +3,16 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/agent"
+	"repro/internal/compiler"
 	"repro/internal/corpus"
 	"repro/internal/judge"
 	"repro/internal/probe"
@@ -387,5 +390,80 @@ func TestUnparsableResponsesFailSafe(t *testing.T) {
 		if r.JudgeRan && r.Verdict != judge.Unparsable {
 			t.Errorf("file %d verdict = %v, want unparsable", i, r.Verdict)
 		}
+	}
+}
+
+// TestSealReleasesEvidence pins that a sealed file's evidence is
+// collectable before the run returns: once every file but one has
+// sealed, a collection frees each sealed file's compiler.Object, while
+// the file still inside a stage keeps its own.
+func TestSealReleasesEvidence(t *testing.T) {
+	const n = 6
+	d := spec.OpenACC
+	inputs := make([]Input, n)
+	for i, f := range corpus.Generate(corpus.Config{Dialect: d, Seed: 55}, n) {
+		inputs[i] = Input{Name: f.Name, Source: f.Source, Lang: f.Lang}
+	}
+	cfg := Config{Tools: agent.NewTools(d), RecordAll: true}
+	var stats Stats
+	stages := builtinStages(&cfg, []StageSpec{{Name: StageCompile}, {Name: StageExec}, {Name: StageJudge}}, &stats)[:2]
+
+	objs := make([]weak.Pointer[compiler.Object], n)
+	compile := stages[0].RunFunc
+	stages[0].RunFunc = func(ctx context.Context, items []*Item) error {
+		err := compile(ctx, items)
+		for _, it := range items {
+			if it.Compile.Object == nil {
+				t.Errorf("%s: no object: %s", it.Input.Name, it.Compile.Stderr)
+				continue
+			}
+			objs[it.Index] = weak.Make(it.Compile.Object)
+		}
+		return err
+	}
+	// File 0 waits in a last stage until the check is done, so the run
+	// is still going while the others are sealed.
+	held, release := make(chan struct{}), make(chan struct{})
+	stages = append(stages, StageFunc{
+		StageSpec:   StageSpec{Name: "hold"},
+		AppliesFunc: func(it *Item) bool { return it.Index == 0 },
+		RunFunc: func(context.Context, []*Item) error {
+			close(held)
+			<-release
+			return nil
+		},
+	})
+	var sealed atomic.Int64
+	others := make(chan struct{})
+	cfg.OnResult = func(FileResult) {
+		if sealed.Add(1) == n-1 {
+			close(others)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RunChain(context.Background(), cfg, stages, inputs)
+		done <- err
+	}()
+	for _, ch := range []chan struct{}{held, others} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatal("files did not reach the hold stage or seal")
+		}
+	}
+	runtime.GC()
+	for i := 1; i < n; i++ {
+		if objs[i].Value() != nil {
+			t.Errorf("file %d sealed, but its compiler.Object is still reachable", i)
+		}
+	}
+	if objs[0].Value() == nil {
+		t.Error("file 0 has not sealed, but its compiler.Object was collected")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

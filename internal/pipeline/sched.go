@@ -26,7 +26,7 @@ type Item struct {
 	Input Input
 	// Compile and Exec carry tool evidence between stages; the
 	// built-in stages populate them, custom stages may read or extend
-	// them.
+	// them. Both are nil once the file seals.
 	Compile *compiler.Result
 	Exec    *machine.Result
 
@@ -267,12 +267,16 @@ func (sc *scheduler) run(st *StageFunc, batch []*Item) {
 
 // seal fixes a file's fate: its final verdict is computable from the
 // stages that ran, so it streams to the caller without waiting for
-// the rest of the suite. Sealing ends the file's trace. Aborted runs
+// the rest of the suite, and the Item drops its Compile and Exec
+// evidence. Sealing ends the file's trace. Aborted runs
 // drain without streaming — partial files keep the zero-valued flags
 // of the stages they never ran — but still end the trace, its root
 // carrying the run error, so the spans recorded before the abort (a
 // failed fleet attempt, say) reach the sink.
 func (sc *scheduler) seal(it *Item) {
+	// No stage reads a sealed file again: let its evidence go now, not
+	// when the suite returns, so the collector stops marking it.
+	it.Compile, it.Exec = nil, nil
 	if sc.aborted() {
 		if it.span != nil {
 			it.span.SetAttr("error", sc.abortErr().Error())

@@ -17,12 +17,22 @@ import (
 // Known=false so the compiler can report "unknown directive" (the
 // shape negative-probing mutation 0 produces).
 func ParseDirective(body string, dialect spec.Dialect, line int) (*Directive, bool) {
-	fields := splitDirectiveWords(body)
+	d, _, ok := parseDirective(body, dialect, line, nil, nil)
+	return d, ok
+}
+
+// parseDirective is ParseDirective taking the Directive and its
+// clauses from a parse's slabs (nil slabs allocate them), which also
+// returns the spec table's entry of a known directive.
+func parseDirective(body string, dialect spec.Dialect, line int, dirs *slab[Directive], clauses *slab[DirClause]) (*Directive, *spec.Directive, bool) {
+	var buf [16]string
+	fields := splitDirectiveWords(body, buf[:0])
 	if len(fields) == 0 || fields[0] != dialect.Sentinel() {
-		return nil, false
+		return nil, nil, false
 	}
 	rest := fields[1:]
-	d := &Directive{
+	d := dirs.new()
+	*d = Directive{
 		Dialect:  dialect,
 		Raw:      body,
 		position: position(line),
@@ -36,13 +46,13 @@ func ParseDirective(body string, dialect spec.Dialect, line int) (*Directive, bo
 			rest = rest[1:]
 		}
 		d.Known = false
-		d.Clauses = parseClauses(rest)
-		return d, true
+		d.Clauses = parseClauses(rest, clauses)
+		return d, nil, true
 	}
 	d.Name = dir.Name
 	d.Known = true
-	d.Clauses = parseClauses(rest[consumed:])
-	return d, true
+	d.Clauses = parseClauses(rest[consumed:], clauses)
+	return d, dir, true
 }
 
 // stripClauseParens removes a trailing "(...)" from a word, so an
@@ -54,11 +64,11 @@ func stripClauseParens(w string) string {
 	return w
 }
 
-// splitDirectiveWords splits a directive body into words, keeping each
-// clause's parenthesised argument attached to the clause word even if
-// it contains spaces or commas: "reduction( + : sum )" is one word.
-func splitDirectiveWords(body string) []string {
-	var words []string
+// splitDirectiveWords appends the words of a directive body to words,
+// keeping each clause's parenthesised argument attached to the clause
+// word even if it contains spaces or commas: "reduction( + : sum )" is
+// one word. No word is empty.
+func splitDirectiveWords(body string, words []string) []string {
 	i := 0
 	n := len(body)
 	for i < n {
@@ -89,16 +99,17 @@ func splitDirectiveWords(body string) []string {
 }
 
 // parseClauses parses the remaining words of a directive body as
-// clauses. A clause is NAME or NAME(arg...).
-func parseClauses(words []string) []DirClause {
-	var out []DirClause
-	for _, w := range words {
-		if w == "" {
-			continue
-		}
+// clauses, one per word, taking them from clauses. A clause is NAME or
+// NAME(arg...).
+func parseClauses(words []string, clauses *slab[DirClause]) []DirClause {
+	if len(words) == 0 {
+		return nil
+	}
+	out := clauses.take(len(words))
+	for i, w := range words {
 		open := strings.IndexByte(w, '(')
 		if open < 0 {
-			out = append(out, DirClause{Name: w})
+			out[i] = DirClause{Name: w}
 			continue
 		}
 		name := w[:open]
@@ -108,7 +119,7 @@ func parseClauses(words []string) []DirClause {
 		if strings.HasSuffix(arg, ")") {
 			arg = arg[:len(arg)-1]
 		}
-		out = append(out, DirClause{Name: name, Arg: strings.TrimSpace(arg), HasParens: true})
+		out[i] = DirClause{Name: name, Arg: strings.TrimSpace(arg), HasParens: true}
 	}
 	return out
 }

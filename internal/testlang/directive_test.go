@@ -160,7 +160,7 @@ func TestMapParts(t *testing.T) {
 }
 
 func TestSplitDirectiveWords(t *testing.T) {
-	words := splitDirectiveWords("acc parallel loop reduction(+ : sum) copyin(a[0:n], b[0:n])")
+	words := splitDirectiveWords("acc parallel loop reduction(+ : sum) copyin(a[0:n], b[0:n])", nil)
 	want := []string{"acc", "parallel", "loop", "reduction(+ : sum)", "copyin(a[0:n], b[0:n])"}
 	if !reflect.DeepEqual(words, want) {
 		t.Fatalf("words = %q, want %q", words, want)

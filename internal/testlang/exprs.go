@@ -2,6 +2,7 @@ package testlang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -9,11 +10,22 @@ import (
 // directive clause arguments like "num_gangs(n*2)"). It returns the
 // expression and any syntax errors.
 func ParseExprString(s string) (Expr, []error) {
-	p := newParser(s, 0, 0)
+	// A lone name or decimal literal, the usual section bound, needs no
+	// Parser.
+	if isIdentifierWord(s) && keywordCode(s) == opNone {
+		return &IdentExpr{Name: s, position: 1}, nil
+	}
+	if isDecimal(s) {
+		if v, err := parseInt(s); err == nil {
+			return &IntLitExpr{Value: v, position: 1}, nil
+		}
+	}
+	var p Parser
+	p.init(s, 0, 0)
 	e := p.parseExpr()
 	errs := p.finish()
-	if p.cur().Kind != EOF {
-		errs = append(errs, &ParseError{Line: p.cur().Line, Msg: fmt.Sprintf("unexpected trailing %q in expression", p.cur().Text)})
+	if p.tok.Kind != EOF {
+		errs = append(errs, &ParseError{Line: p.tok.Line, Msg: fmt.Sprintf("unexpected trailing %q in expression", p.tok.Text)})
 	}
 	return e, errs
 }
@@ -33,9 +45,11 @@ type Section struct {
 // ParseSections parses a data-clause variable list with optional array
 // sections: "a[0:n], b, c[2:8]".
 func ParseSections(arg string) ([]Section, []error) {
-	var secs []Section
+	var secBuf [4]Section
+	var partBuf [8]string
+	secs := secBuf[:0]
 	var errs []error
-	for _, part := range splitTopLevelCommas(arg) {
+	for _, part := range splitTopLevelCommas(arg, partBuf[:0]) {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
@@ -86,7 +100,10 @@ func ParseSections(arg string) ([]Section, []error) {
 		sec.Len = ln
 		secs = append(secs, sec)
 	}
-	return secs, errs
+	if len(secs) == 0 {
+		return nil, errs
+	}
+	return append([]Section(nil), secs...), errs
 }
 
 func topLevelColon(s string) int {
@@ -112,6 +129,33 @@ func isIdentifierWord(s string) bool {
 	}
 	for i := 1; i < len(s); i++ {
 		if !isIdentCont(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// parseInt reads an integer literal's text as C does (a 0x prefix is
+// hex, a leading 0 octal) into an int64.
+func parseInt(s string) (int64, error) {
+	if len(s) > 18 || !isDecimal(s) {
+		return strconv.ParseInt(s, 0, 64)
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		v = v*10 + int64(s[i]-'0')
+	}
+	return v, nil
+}
+
+// isDecimal reports whether s is a decimal literal the lexer reads as
+// one integer token: digits, with no leading zero unless s is "0".
+func isDecimal(s string) bool {
+	if s == "" || s[0] == '0' && len(s) > 1 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if !isDigit(s[i]) {
 			return false
 		}
 	}

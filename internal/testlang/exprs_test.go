@@ -1,6 +1,7 @@
 package testlang
 
 import (
+	"strconv"
 	"testing"
 )
 
@@ -127,5 +128,19 @@ func TestParseSectionsEmptyParts(t *testing.T) {
 	}
 	if len(secs) != 2 {
 		t.Fatalf("sections = %d, want 2", len(secs))
+	}
+}
+
+// TestParseInt checks the integer-literal reader against strconv's
+// base-0 parse, which it stands in for, on each kind of literal the
+// lexer emits and on both sides of int64's range.
+func TestParseInt(t *testing.T) {
+	for _, s := range []string{"0", "7", "42", "010", "08", "0x1F", "0X0", "1024",
+		"999999999999999999", "1000000000000000000", "9223372036854775807", "9223372036854775808"} {
+		v, err := parseInt(s)
+		w, werr := strconv.ParseInt(s, 0, 64)
+		if v != w || (err == nil) != (werr == nil) {
+			t.Errorf("parseInt(%q) = %d, %v; strconv gives %d, %v", s, v, err, w, werr)
+		}
 	}
 }

@@ -394,7 +394,7 @@ func (c *fortranChecker) handleDeclaration(line string, lineNo int) {
 			return
 		}
 	}
-	for _, name := range splitTopLevelCommas(names) {
+	for _, name := range splitTopLevelCommas(names, nil) {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -416,8 +416,9 @@ func (c *fortranChecker) handleDeclaration(line string, lineNo int) {
 	}
 }
 
-func splitTopLevelCommas(s string) []string {
-	var parts []string
+// splitTopLevelCommas appends to parts the pieces of s between the
+// commas outside parentheses.
+func splitTopLevelCommas(s string, parts []string) []string {
 	depth, start := 0, 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {

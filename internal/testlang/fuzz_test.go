@@ -6,10 +6,10 @@ import (
 	"repro/internal/spec"
 )
 
-// FuzzRenderRoundTrip checks the renderer on every C input that parses
-// without errors: the rendered text parses without errors too, and
-// rendering that gives the same text, so Render is a fixed point after
-// one round trip. Plain go test runs the seeds in
+// FuzzRenderRoundTrip checks the renderer on every input that parses
+// without errors, as C and as C++: the rendered text parses without
+// errors too, and rendering that gives the same text, so Render is a
+// fixed point after one round trip. Plain go test runs the seeds in
 // testdata/fuzz/FuzzRenderRoundTrip; go test -fuzz FuzzRenderRoundTrip
 // searches for more.
 func FuzzRenderRoundTrip(f *testing.F) {
@@ -18,17 +18,19 @@ func FuzzRenderRoundTrip(f *testing.F) {
 		if openmp {
 			dialect = spec.OpenMP
 		}
-		file, errs := ParseFile(src, LangC, dialect)
-		if len(errs) > 0 {
-			return
-		}
-		out := Render(file)
-		again, errs := ParseFile(out, LangC, dialect)
-		if len(errs) > 0 {
-			t.Fatalf("rendered text does not parse: %v\n--- input\n%s\n--- rendered\n%s", errs, src, out)
-		}
-		if out2 := Render(again); out2 != out {
-			t.Fatalf("render is not a fixed point:\n--- first\n%s\n--- second\n%s", out, out2)
+		for _, lang := range []Language{LangC, LangCPP} {
+			file, errs := ParseFile(src, lang, dialect)
+			if len(errs) > 0 {
+				continue
+			}
+			out := Render(file)
+			again, errs := ParseFile(out, lang, dialect)
+			if len(errs) > 0 {
+				t.Fatalf("%s: rendered text does not parse: %v\n--- input\n%s\n--- rendered\n%s", lang, errs, src, out)
+			}
+			if out2 := Render(again); out2 != out {
+				t.Fatalf("%s: render is not a fixed point:\n--- first\n%s\n--- second\n%s", lang, out, out2)
+			}
 		}
 	})
 }

@@ -24,17 +24,37 @@ type Lexer struct {
 	src  string
 	pos  int
 	line int
-	// defines holds each macro's tokenised body. It and defineText
-	// are made at the first #define; most sources have one or none.
-	defines map[string][]Token
-	// defineText keeps each macro's raw body for textual expansion
-	// inside pragma operands, where real preprocessors also expand
-	// object-like macros.
-	defineText map[string]string
+	// macros holds every #define in the order first defined; most
+	// sources have one or none, so a scan beats a map. macroFirst
+	// marks the bytes their names start with.
+	macros     []macro
+	macroFirst [4]uint64
 	errs       []error
-	// expandQueue holds tokens produced by macro expansion that must be
-	// returned before scanning resumes.
-	expandQueue []Token
+	// pending holds the rest of a macro body being expanded, returned
+	// at the use site's line before scanning resumes.
+	pending     []Token
+	pendingLine int
+	// ahead is a token the parser peeked at, which Next returns first.
+	ahead  Token
+	peeked bool
+	// strs holds the text of the string literals that needed an escape
+	// decoded: each is a slice of its String, so the literals share a
+	// few buffers instead of one each.
+	strs strings.Builder
+}
+
+// macro is one object-like #define.
+type macro struct {
+	name string
+	// toks is the tokenised body; nil for an empty one, which expands
+	// to the name itself.
+	toks []Token
+	// text is the raw body, for textual expansion inside pragma
+	// operands, where real preprocessors also expand object-like
+	// macros. An empty redefinition leaves it as it was.
+	text string
+	// names reports whether text holds an identifier.
+	names bool
 }
 
 // NewLexer returns a lexer over src.
@@ -73,26 +93,19 @@ func (l *Lexer) advance() byte {
 }
 
 // Next returns the next token, expanding macros.
-func (l *Lexer) Next() Token {
-	if len(l.expandQueue) > 0 {
-		t := l.expandQueue[0]
-		l.expandQueue = l.expandQueue[1:]
-		return t
+func (l *Lexer) Next() Token { return l.scan() }
+
+// macro returns the #define of name, or nil.
+func (l *Lexer) macro(name string) *macro {
+	if l.macroFirst[name[0]>>6]&(1<<(name[0]&63)) == 0 {
+		return nil
 	}
-	t := l.scan()
-	if t.Kind == Ident {
-		if body, ok := l.defines[t.Text]; ok && len(body) > 0 {
-			// Substitute, preserving the use-site line number.
-			subst := make([]Token, len(body))
-			for i, bt := range body {
-				bt.Line = t.Line
-				subst[i] = bt
-			}
-			l.expandQueue = append(subst[1:], l.expandQueue...)
-			return subst[0]
+	for i := range l.macros {
+		if m := &l.macros[i]; m.name[0] == name[0] && m.name == name {
+			return m
 		}
 	}
-	return t
+	return nil
 }
 
 func isIdentStart(c byte) bool {
@@ -103,14 +116,36 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// identByte marks the bytes an identifier continues with.
+var identByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = isIdentCont(byte(c))
+	}
+	return t
+}()
+
 func (l *Lexer) scan() Token {
+	if l.peeked {
+		l.peeked = false
+		return l.ahead
+	}
+	if len(l.pending) > 0 {
+		t := l.pending[0]
+		l.pending = l.pending[1:]
+		t.Line = l.pendingLine
+		return t
+	}
 	for {
-		l.skipSpaceAndComments()
-		if l.pos >= len(l.src) {
+		src := l.src
+		if l.pos < len(src) {
+			if c := src[l.pos]; c <= ' ' || c == '/' || c == '\\' {
+				l.skipSpaceAndComments()
+			}
+		}
+		if l.pos >= len(src) {
 			return Token{Kind: EOF, Line: l.line}
 		}
-		c := l.peekByte()
-		startLine := l.line
+		c := src[l.pos]
 		switch {
 		case c == '#':
 			if t, emitted := l.scanDirectiveLine(); emitted {
@@ -119,17 +154,30 @@ func (l *Lexer) scan() Token {
 			continue // #define or unknown preprocessor line consumed
 		case isIdentStart(c):
 			start := l.pos
-			for l.pos < len(l.src) && isIdentCont(l.peekByte()) {
-				l.pos++
+			i := start + 1
+			for i < len(src) && identByte[src[i]] {
+				i++
 			}
-			text := l.src[start:l.pos]
-			kind := Ident
+			l.pos = i
+			text := src[start:i]
 			// Every keyword is 2 to 8 lower-case letters; most
-			// identifiers are ruled out before the map lookup.
-			if n := len(text); n >= 2 && n <= 8 && text[0] >= 'a' && text[0] <= 'z' && keywords[text] {
-				kind = Keyword
+			// identifiers are ruled out before the keyword switch.
+			if n := len(text); n >= 2 && n <= 8 && c >= 'a' && c <= 'z' {
+				if kw := keywordCode(text); kw != opNone {
+					return Token{Kind: Keyword, op: kw, Text: text, Line: l.line}
+				}
 			}
-			return Token{Kind: kind, Text: text, Line: startLine}
+			if len(l.macros) > 0 {
+				if m := l.macro(text); m != nil && len(m.toks) > 0 {
+					// Substitute, keeping the use site's line. A body's
+					// tokens are not expanded again.
+					l.pending, l.pendingLine = m.toks[1:], l.line
+					t := m.toks[0]
+					t.Line = l.line
+					return t
+				}
+			}
+			return Token{Kind: Ident, Text: text, Line: l.line}
 		case isDigit(c) || (c == '.' && isDigit(l.byteAt(1))):
 			return l.scanNumber()
 		case c == '"':
@@ -142,38 +190,61 @@ func (l *Lexer) scan() Token {
 	}
 }
 
+// skipSpaceAndComments moves past white space, backslash-newlines and
+// comments.
 func (l *Lexer) skipSpaceAndComments() {
-	for l.pos < len(l.src) {
-		c := l.peekByte()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '\\' && l.byteAt(1) == '\n':
-			l.advance()
-			l.advance()
-		case c == '/' && l.byteAt(1) == '/':
-			for l.pos < len(l.src) && l.peekByte() != '\n' {
-				l.pos++
+	src, pos, line := l.src, l.pos, l.line
+loop:
+	for pos < len(src) {
+		c := src[pos]
+		if c == ' ' {
+			pos++
+			continue
+		}
+		if c > ' ' && c != '/' && c != '\\' {
+			break
+		}
+		switch c {
+		case '\n':
+			line++
+			pos++
+		case '\t', '\r':
+			pos++
+		case '\\':
+			if pos+1 == len(src) || src[pos+1] != '\n' {
+				break loop
 			}
-		case c == '/' && l.byteAt(1) == '*':
-			l.pos += 2
-			closed := false
-			for l.pos < len(l.src) {
-				if l.peekByte() == '*' && l.byteAt(1) == '/' {
-					l.pos += 2
-					closed = true
-					break
+			pos += 2
+			line++
+		case '/':
+			if pos+1 == len(src) {
+				break loop
+			}
+			switch src[pos+1] {
+			case '/':
+				if i := strings.IndexByte(src[pos:], '\n'); i >= 0 {
+					pos += i
+				} else {
+					pos = len(src)
 				}
-				l.advance()
-			}
-			if !closed {
-				l.errorf("unterminated block comment")
-				return
+			case '*':
+				body := src[pos+2:]
+				end := strings.Index(body, "*/")
+				if end < 0 {
+					l.pos, l.line = len(src), line+strings.Count(body, "\n")
+					l.errorf("unterminated block comment")
+					return
+				}
+				line += strings.Count(body[:end], "\n")
+				pos += 2 + end + 2
+			default:
+				break loop
 			}
 		default:
-			return
+			break loop
 		}
 	}
+	l.pos, l.line = pos, line
 }
 
 // scanDirectiveLine handles a line starting with '#'. It returns a
@@ -191,7 +262,7 @@ func (l *Lexer) scanDirectiveLine() (Token, bool) {
 		body := strings.TrimSpace(strings.TrimPrefix(trimmed, "include"))
 		return Token{Kind: Include, Text: body, Line: startLine}, true
 	case strings.HasPrefix(trimmed, "define"):
-		l.recordDefine(strings.TrimSpace(strimPrefixWord(trimmed, "define")), startLine)
+		l.recordDefine(strings.TrimSpace(strings.TrimPrefix(trimmed, "define")), startLine)
 		return Token{}, false
 	case strings.HasPrefix(trimmed, "ifdef"), strings.HasPrefix(trimmed, "ifndef"),
 		strings.HasPrefix(trimmed, "endif"), strings.HasPrefix(trimmed, "else"),
@@ -205,28 +276,27 @@ func (l *Lexer) scanDirectiveLine() (Token, bool) {
 	}
 }
 
-func strimPrefixWord(s, word string) string {
-	return strings.TrimPrefix(s, word)
-}
-
 // readLogicalLine consumes the rest of the current line, folding
 // backslash continuations, and returns its text: a substring of the
 // source unless a continuation was folded.
 func (l *Lexer) readLogicalLine() string {
 	start := l.pos
-	for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-		if l.src[l.pos] == '\\' && l.byteAt(1) == '\n' {
-			var b strings.Builder
-			b.WriteString(l.src[start:l.pos])
-			return l.foldLine(&b)
-		}
-		l.pos++
+	end := len(l.src)
+	if i := strings.IndexByte(l.src[start:], '\n'); i >= 0 {
+		end = start + i
 	}
-	line := l.src[start:l.pos]
+	if end > start && end < len(l.src) && l.src[end-1] == '\\' {
+		// A continuation: fold from the backslash on.
+		l.pos = end - 1
+		var b strings.Builder
+		b.WriteString(l.src[start:l.pos])
+		return l.foldLine(&b)
+	}
+	l.pos = end
 	if l.pos < len(l.src) {
 		l.advance()
 	}
-	return line
+	return l.src[start:end]
 }
 
 // foldLine appends the rest of a continued line to b.
@@ -268,17 +338,20 @@ func (l *Lexer) recordDefine(rest string, line int) {
 		l.errorf("function-like macro %q not supported", name)
 		return
 	}
-	if l.defines == nil {
-		l.defines = map[string][]Token{}
-		l.defineText = map[string]string{}
+	m := l.macro(name)
+	if m == nil {
+		l.macros = append(l.macros, macro{name: name})
+		l.macroFirst[name[0]>>6] |= 1 << (name[0] & 63)
+		m = &l.macros[len(l.macros)-1]
 	}
 	body := strings.TrimSpace(rest[i:])
 	if body == "" {
-		l.defines[name] = nil
+		m.toks = nil
 		return
 	}
-	sub := NewLexer(body)
-	var toks []Token
+	sub := Lexer{src: body, line: 1}
+	var buf [8]Token
+	toks := buf[:0]
 	for {
 		t := sub.Next()
 		if t.Kind == EOF {
@@ -287,23 +360,25 @@ func (l *Lexer) recordDefine(rest string, line int) {
 		t.Line = line
 		toks = append(toks, t)
 	}
-	l.errs = append(l.errs, sub.Errors()...)
-	l.defines[name] = toks
-	l.defineText[name] = body
+	l.errs = append(l.errs, sub.errs...)
+	m.toks = append([]Token(nil), toks...)
+	m.text = body
+	m.names = strings.ContainsFunc(body, func(r rune) bool { return r < 0x80 && isIdentStart(byte(r)) })
 }
 
 // expandInText performs textual object-like macro substitution over
 // free text (pragma operands). A few passes handle shallow macro
 // chains; corpus macros never recurse.
 func (l *Lexer) expandInText(text string) string {
-	if len(l.defineText) == 0 {
+	if len(l.macros) == 0 {
 		return text
 	}
 	for pass := 0; pass < 4; pass++ {
 		// b receives text up to copied, the first byte not yet
-		// written, once a macro has been found.
+		// written, once a macro has been found. Only a body that
+		// names an identifier can leave one for the next pass.
 		var b strings.Builder
-		changed := false
+		changed, rescan := false, false
 		copied := 0
 		i := 0
 		for i < len(text) {
@@ -312,14 +387,18 @@ func (l *Lexer) expandInText(text string) string {
 				continue
 			}
 			start := i
-			for i < len(text) && isIdentCont(text[i]) {
+			for i < len(text) && identByte[text[i]] {
 				i++
 			}
-			if repl, ok := l.defineText[text[start:i]]; ok && repl != "" {
+			if m := l.macro(text[start:i]); m != nil && m.text != "" {
+				if !changed {
+					b.Grow(len(text) + len(m.text))
+				}
 				b.WriteString(text[copied:start])
-				b.WriteString(repl)
+				b.WriteString(m.text)
 				copied = i
 				changed = true
+				rescan = rescan || m.names
 			}
 		}
 		if !changed {
@@ -327,6 +406,9 @@ func (l *Lexer) expandInText(text string) string {
 		}
 		b.WriteString(text[copied:])
 		text = b.String()
+		if !rescan {
+			break
+		}
 	}
 	return text
 }
@@ -388,10 +470,43 @@ func isHexDigit(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
+// minStrBuffer is the smallest buffer the lexer takes for decoded
+// string literals.
+const minStrBuffer = 128
+
 func (l *Lexer) scanString() Token {
 	startLine := l.line
 	l.advance() // opening quote
-	var b strings.Builder
+	start := l.pos
+	// A literal without escapes is its source text.
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		if c == '"' {
+			l.pos++
+			return Token{Kind: StringLit, Text: l.src[start : l.pos-1], Line: startLine}
+		}
+		if c == '\\' || c == '\n' {
+			break
+		}
+		l.pos++
+	}
+	// The decoded text is at most as long as the source text up to the
+	// closing quote or the line's end. A buffer too small for it is
+	// left to the literals already cut from it, not copied.
+	end := l.pos
+	for end < len(l.src) && l.src[end] != '"' && l.src[end] != '\n' {
+		if l.src[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	if need := end - start; l.strs.Cap()-l.strs.Len() < need {
+		l.strs = strings.Builder{}
+		l.strs.Grow(max(need, minStrBuffer))
+	}
+	mark := l.strs.Len()
+	b := &l.strs
+	b.WriteString(l.src[start:l.pos])
 	for {
 		if l.pos >= len(l.src) || l.peekByte() == '\n' {
 			l.errorf("unterminated string literal")
@@ -399,7 +514,7 @@ func (l *Lexer) scanString() Token {
 		}
 		c := l.advance()
 		if c == '"' {
-			return Token{Kind: StringLit, Text: b.String(), Line: startLine}
+			break
 		}
 		if c == '\\' {
 			if l.pos >= len(l.src) {
@@ -429,8 +544,18 @@ func (l *Lexer) scanString() Token {
 		}
 		b.WriteByte(c)
 	}
-	return Token{Kind: StringLit, Text: b.String(), Line: startLine}
+	return Token{Kind: StringLit, Text: b.String()[mark:], Line: startLine}
 }
+
+// asciiText holds every byte below 0x80 in order, so a char literal's
+// one-byte text is a slice of it rather than an allocation.
+var asciiText = func() string {
+	b := make([]byte, 0x80)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return string(b)
+}()
 
 func (l *Lexer) scanChar() Token {
 	startLine := l.line
@@ -461,35 +586,123 @@ func (l *Lexer) scanChar() Token {
 	} else {
 		l.errorf("unterminated character literal")
 	}
-	return Token{Kind: CharLit, Text: string(val), Line: startLine}
+	// The text is val's UTF-8 encoding as a rune, not the raw byte.
+	text := string(rune(val))
+	if val < 0x80 {
+		text = asciiText[val : val+1]
+	}
+	return Token{Kind: CharLit, Text: text, Line: startLine}
 }
 
-// opsByByte lists, for each byte, the multiOps entries that start with
-// it, in multiOps order.
-var opsByByte = func() (t [256][]string) {
-	for _, op := range multiOps {
-		t[op[0]] = append(t[op[0]], op)
+// singleOps codes each one-byte punctuator by its byte.
+var singleOps = func() (t [256]op) {
+	for o := opLBrace; o <= opPeriod; o++ {
+		t[opText[o][0]] = o
 	}
 	return t
 }()
 
+// scanOperator takes the longest punctuator at the current byte.
 func (l *Lexer) scanOperator() Token {
-	startLine := l.line
-	rest := l.src[l.pos:]
-	for _, op := range opsByByte[rest[0]] {
-		if strings.HasPrefix(rest, op) {
-			l.pos += len(op)
-			return Token{Kind: Punct, Text: op, Line: startLine}
+	src, pos := l.src, l.pos
+	c := src[pos]
+	var c1, c2 byte
+	if pos+1 < len(src) {
+		c1 = src[pos+1]
+	}
+	if pos+2 < len(src) {
+		c2 = src[pos+2]
+	}
+	o := singleOps[c]
+	switch c {
+	case '<':
+		switch {
+		case c1 == '<' && c2 == '=':
+			o = opShlAssign
+		case c1 == '=':
+			o = opLeq
+		case c1 == '<':
+			o = opShl
+		}
+	case '>':
+		switch {
+		case c1 == '>' && c2 == '=':
+			o = opShrAssign
+		case c1 == '=':
+			o = opGeq
+		case c1 == '>':
+			o = opShr
+		}
+	case '.':
+		if c1 == '.' && c2 == '.' {
+			o = opEllipsis
+		}
+	case '=':
+		if c1 == '=' {
+			o = opEql
+		}
+	case '!':
+		if c1 == '=' {
+			o = opNeq
+		}
+	case '&':
+		switch c1 {
+		case '&':
+			o = opLAnd
+		case '=':
+			o = opAndAssign
+		}
+	case '|':
+		switch c1 {
+		case '|':
+			o = opLOr
+		case '=':
+			o = opOrAssign
+		}
+	case '+':
+		switch c1 {
+		case '+':
+			o = opInc
+		case '=':
+			o = opAddAssign
+		}
+	case '-':
+		switch c1 {
+		case '-':
+			o = opDec
+		case '=':
+			o = opSubAssign
+		case '>':
+			o = opArrow
+		}
+	case '*':
+		if c1 == '=' {
+			o = opMulAssign
+		}
+	case '/':
+		if c1 == '=' {
+			o = opQuoAssign
+		}
+	case '%':
+		if c1 == '=' {
+			o = opRemAssign
+		}
+	case '^':
+		if c1 == '=' {
+			o = opXorAssign
+		}
+	case ':':
+		if c1 == ':' {
+			o = opScope
 		}
 	}
-	c := l.advance()
-	switch c {
-	case '{', '}', '(', ')', '[', ']', ';', ',', '+', '-', '*', '/', '%',
-		'<', '>', '=', '!', '&', '|', '^', '~', '?', ':', '.':
-		return Token{Kind: Punct, Text: rest[:1], Line: startLine}
-	default:
+	if o == opNone {
+		l.pos++
 		// string(c) is c's UTF-8 encoding as a rune, not the raw byte.
 		l.errorf("unexpected character %q", string(c))
-		return Token{Kind: Punct, Text: string(c), Line: startLine}
+		return Token{Kind: Punct, Text: string(c), Line: l.line}
 	}
+	text := opText[o]
+	l.pos += len(text)
+	return Token{Kind: Punct, op: o, Text: text, Line: l.line}
 }

@@ -292,6 +292,14 @@ func TestTokenLayoutCompact(t *testing.T) {
 	}
 }
 
+// multiOps lists the multi-byte punctuators.
+var multiOps = func() (ops []string) {
+	for o := opShlAssign; o <= opScope; o++ {
+		ops = append(ops, opText[o])
+	}
+	return ops
+}()
+
 // TestLexerTable pins how the lexer splits every operator, punctuator
 // and keyword, and identifiers that come close to a keyword. It was
 // recorded before the operator and keyword scans were narrowed to the

@@ -21,11 +21,17 @@ func (e *ParseError) Error() string { return fmt.Sprintf("line %d: syntax error:
 const maxParseErrors = 25
 
 // Parser parses C-dialect source into a *File. It never rewinds, so
-// it holds a window of two tokens, the current one and the one after
-// it, and pulls the rest from its Lexer as it advances.
+// it holds only the current token and pulls the rest from its Lexer as
+// it advances; where it must look one further, the Lexer keeps that
+// token for it. It dispatches on token codes, not spellings.
+//
+// A Parser lives for one parse and keeps nothing across files. It
+// takes the frequent nodes and every list from its slabs, and builds
+// each list in a small array on the frame of the function parsing it
+// before copying it out at exact length.
 type Parser struct {
-	lex        *Lexer
-	tok, ahead Token // cur and peek
+	lex Lexer
+	tok Token // the current token
 	// n counts the tokens consumed, so parseBlock can tell whether a
 	// statement made progress.
 	n       int
@@ -33,20 +39,23 @@ type Parser struct {
 	dialect spec.Dialect
 	lang    Language
 	bailed  bool
+
+	nodes
 }
 
-func newParser(src string, lang Language, dialect spec.Dialect) *Parser {
-	p := &Parser{lex: NewLexer(src), dialect: dialect, lang: lang}
+func (p *Parser) init(src string, lang Language, dialect spec.Dialect) {
+	p.lex = Lexer{src: src, line: 1}
+	p.dialect, p.lang = dialect, lang
 	p.tok = p.lex.Next()
-	p.ahead = p.lex.Next()
-	return p
 }
 
 // ParseFile lexes and parses C-dialect source. The returned file is
 // best-effort when errors are present; callers must treat a non-empty
 // error slice as a failed compile.
 func ParseFile(src string, lang Language, dialect spec.Dialect) (*File, []error) {
-	p := newParser(src, lang, dialect)
+	var p Parser
+	p.init(src, lang, dialect)
+	p.size(len(src))
 	f := p.parseFile()
 	return f, p.finish()
 }
@@ -54,34 +63,39 @@ func ParseFile(src string, lang Language, dialect spec.Dialect) (*File, []error)
 // finish lexes the rest of the source, past where the parser stopped,
 // and returns every lexical error ahead of the syntax errors.
 func (p *Parser) finish() []error {
-	for t := p.ahead; t.Kind != EOF; t = p.lex.Next() {
+	for t := p.tok; t.Kind != EOF; t = p.lex.Next() {
 	}
 	return append(p.lex.Errors(), p.errs...)
 }
 
-func (p *Parser) cur() Token  { return p.tok }
-func (p *Parser) peek() Token { return p.ahead }
-
-// next consumes the current token and returns it; at EOF it stays.
-func (p *Parser) next() Token {
-	t := p.tok
-	if t.Kind != EOF {
-		p.tok = p.ahead
-		p.ahead = p.lex.Next()
+// next consumes the current token; at EOF it stays.
+func (p *Parser) next() {
+	if p.tok.Kind != EOF {
+		p.tok = p.lex.Next()
 		p.n++
 	}
+}
+
+// peek returns the token after the current one, leaving it for the
+// lexer to return next.
+func (p *Parser) peek() Token {
+	if !p.lex.peeked {
+		p.lex.ahead, p.lex.peeked = p.lex.scan(), true
+	}
+	return p.lex.ahead
+}
+
+// take consumes the current token and returns it.
+func (p *Parser) take() Token {
+	t := p.tok
+	p.next()
 	return t
 }
 
-func (p *Parser) at(kind Kind, text string) bool {
-	t := p.cur()
-	return t.Kind == kind && (text == "" || t.Text == text)
-}
+func (p *Parser) at(o op) bool { return p.tok.op == o }
 
-func (p *Parser) atPunct(text string) bool { return p.at(Punct, text) }
-
-func (p *Parser) accept(kind Kind, text string) bool {
-	if p.at(kind, text) {
+func (p *Parser) accept(o op) bool {
+	if p.tok.op == o {
 		p.next()
 		return true
 	}
@@ -96,12 +110,12 @@ func (p *Parser) errorf(line int, format string, args ...any) {
 	p.errs = append(p.errs, &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (p *Parser) expectPunct(text string) bool {
-	if p.accept(Punct, text) {
+func (p *Parser) expect(o op) bool {
+	if p.accept(o) {
 		return true
 	}
-	t := p.cur()
-	p.errorf(t.Line, "expected %q, found %s %q", text, t.Kind, t.Text)
+	t := p.tok
+	p.errorf(t.Line, "expected %q, found %s %q", opText[o], t.Kind, t.Text)
 	return false
 }
 
@@ -109,23 +123,20 @@ func (p *Parser) expectPunct(text string) bool {
 // brace, to resume after a statement-level error.
 func (p *Parser) sync() {
 	depth := 0
-	for p.cur().Kind != EOF {
-		t := p.cur()
-		if t.Kind == Punct {
-			switch t.Text {
-			case ";":
-				if depth == 0 {
-					p.next()
-					return
-				}
-			case "{":
-				depth++
-			case "}":
-				if depth == 0 {
-					return
-				}
-				depth--
+	for p.tok.Kind != EOF {
+		switch p.tok.op {
+		case opSemi:
+			if depth == 0 {
+				p.next()
+				return
 			}
+		case opLBrace:
+			depth++
+		case opRBrace:
+			if depth == 0 {
+				return
+			}
+			depth--
 		}
 		p.next()
 	}
@@ -134,98 +145,81 @@ func (p *Parser) sync() {
 func (p *Parser) parseFile() *File {
 	f := &File{Lang: p.lang, position: 1}
 	var pendingPragmas []*DirectiveStmt
-	for p.cur().Kind != EOF && !p.bailed {
-		t := p.cur()
+	var buf [16]Decl
+	decls := buf[:0]
+	for p.tok.Kind != EOF && !p.bailed {
+		t := p.tok
 		switch {
 		case t.Kind == Include:
 			f.Includes = append(f.Includes, t.Text)
 			p.next()
 		case t.Kind == Pragma:
 			p.next()
-			if dir, ok := ParseDirective(t.Text, p.dialect, t.Line); ok {
+			if dir, _, ok := parseDirective(t.Text, p.dialect, t.Line, &p.directives, &p.clauses); ok {
 				pendingPragmas = append(pendingPragmas, &DirectiveStmt{Dir: dir, position: position(t.Line)})
 			}
 			// Non-directive pragmas at file scope (e.g. "#pragma once")
 			// are ignored, as real compilers do.
-		case t.Kind == Keyword && (t.Text == "using" || t.Text == "extern" || t.Text == "typedef"):
+		case t.op == kwExtern || t.op == kwTypedef || (t.Kind == Ident && t.Text == "using"):
 			// Tolerated C++/C boilerplate: skip the whole statement.
 			p.skipToSemicolon()
-		case t.Kind == Ident && t.Text == "using":
-			p.skipToSemicolon()
 		case isTypeStart(t):
-			decl := p.parseTopDecl(pendingPragmas)
+			decls = p.parseTopDecl(pendingPragmas, decls)
 			pendingPragmas = nil
-			if decl != nil {
-				f.Decls = append(f.Decls, decl...)
-			}
 		default:
 			p.errorf(t.Line, "unexpected %s %q at file scope", t.Kind, t.Text)
 			p.next()
 			p.sync()
 		}
 	}
+	if len(decls) > 0 {
+		f.Decls = append([]Decl(nil), decls...)
+	}
 	return f
 }
 
 func (p *Parser) skipToSemicolon() {
-	for p.cur().Kind != EOF && !p.atPunct(";") {
+	for p.tok.Kind != EOF && !p.at(opSemi) {
 		p.next()
 	}
-	p.accept(Punct, ";")
+	p.accept(opSemi)
 }
 
-func isTypeStart(t Token) bool {
-	if t.Kind != Keyword {
-		return false
-	}
-	switch t.Text {
-	case "int", "long", "float", "double", "char", "void", "short",
-		"unsigned", "signed", "const", "static", "bool":
-		return true
-	}
-	return false
-}
+func isTypeStart(t Token) bool { return t.op >= kwInt && t.op <= kwBool }
 
 // parseType parses a type specifier: qualifiers, base, pointer stars.
 // isConst reports whether a const qualifier was seen.
 func (p *Parser) parseType() (typ Type, isConst bool, ok bool) {
-	seenBase := ""
+	base := opNone
 	long := 0
+loop:
 	for {
-		t := p.cur()
-		if t.Kind != Keyword {
-			break
-		}
-		switch t.Text {
-		case "const":
+		t := p.tok
+		switch t.op {
+		case kwConst:
 			isConst = true
-		case "static", "unsigned", "signed", "short":
+		case kwStatic, kwUnsigned, kwSigned, kwShort:
 			// Folded away: the dialect models int/long/float/double.
-		case "long":
+		case kwLong:
 			long++
-		case "int", "float", "double", "char", "void", "bool":
-			if seenBase != "" {
+		case kwInt, kwFloat, kwDouble, kwChar, kwVoid, kwBool:
+			if base != opNone {
 				p.errorf(t.Line, "multiple base types in declaration")
 			}
-			seenBase = t.Text
+			base = t.op
 		default:
-			goto done
+			break loop
 		}
 		p.next()
 	}
-done:
-	if seenBase == "" {
-		if long > 0 {
-			seenBase = "long"
-		} else {
-			return Type{}, isConst, false
-		}
+	switch {
+	case base == opNone && long == 0:
+		return Type{}, isConst, false
+	case base == opNone, base == kwInt && long > 0:
+		base = kwLong
 	}
-	if seenBase == "int" && long > 0 {
-		seenBase = "long"
-	}
-	typ = Type{Base: seenBase}
-	for p.atPunct("*") {
+	typ = Type{Base: opText[base]}
+	for p.at(opMul) {
 		p.next()
 		typ.Ptr++
 	}
@@ -233,44 +227,38 @@ done:
 }
 
 // parseTopDecl parses a function definition or a variable declaration
-// list at file scope.
-func (p *Parser) parseTopDecl(pragmas []*DirectiveStmt) []Decl {
-	startLine := p.cur().Line
+// list at file scope and appends it to decls.
+func (p *Parser) parseTopDecl(pragmas []*DirectiveStmt, decls []Decl) []Decl {
+	startLine := p.tok.Line
 	typ, isConst, ok := p.parseType()
 	if !ok {
 		p.errorf(startLine, "expected type")
 		p.sync()
-		return nil
+		return decls
 	}
-	nameTok := p.cur()
+	nameTok := p.tok
 	if nameTok.Kind != Ident {
 		p.errorf(nameTok.Line, "expected identifier after type, found %q", nameTok.Text)
 		p.sync()
-		return nil
+		return decls
 	}
 	p.next()
-	if p.atPunct("(") {
-		fd := p.parseFuncRest(typ, nameTok, pragmas)
-		if fd == nil {
-			return nil
-		}
-		return []Decl{fd}
+	if p.at(opLParen) {
+		return append(decls, p.parseFuncRest(typ, nameTok, pragmas))
 	}
-	decls := p.parseVarDeclRest(typ, isConst, nameTok)
-	out := make([]Decl, len(decls))
-	for i, d := range decls {
-		out[i] = d
+	for _, d := range p.parseVarDeclRest(typ, isConst, nameTok) {
+		decls = append(decls, d)
 	}
-	return out
+	return decls
 }
 
 func (p *Parser) parseFuncRest(ret Type, nameTok Token, pragmas []*DirectiveStmt) *FuncDecl {
 	fd := &FuncDecl{Name: nameTok.Text, Ret: ret, Pragmas: pragmas, position: position(nameTok.Line)}
-	p.expectPunct("(")
-	if !p.atPunct(")") {
+	p.expect(opLParen)
+	if !p.at(opRParen) {
 		for {
-			t := p.cur()
-			if t.Kind == Keyword && t.Text == "void" && p.peek().Kind == Punct && p.peek().Text == ")" {
+			t := p.tok
+			if t.op == kwVoid && p.peek().op == opRParen {
 				p.next()
 				break
 			}
@@ -280,31 +268,31 @@ func (p *Parser) parseFuncRest(ret Type, nameTok Token, pragmas []*DirectiveStmt
 				break
 			}
 			param := Param{Type: ptyp}
-			if p.cur().Kind == Ident {
-				param.Name = p.next().Text
+			if p.tok.Kind == Ident {
+				param.Name = p.take().Text
 			}
-			for p.atPunct("[") {
+			for p.at(opLBrack) {
 				p.next()
 				// Dimension expressions on params are parsed and dropped.
-				if !p.atPunct("]") {
+				if !p.at(opRBrack) {
 					p.parseExpr()
 				}
-				p.expectPunct("]")
+				p.expect(opRBrack)
 				param.Array = true
 			}
 			fd.Params = append(fd.Params, param)
-			if !p.accept(Punct, ",") {
+			if !p.accept(opComma) {
 				break
 			}
 		}
 	}
-	p.expectPunct(")")
-	if p.accept(Punct, ";") {
+	p.expect(opRParen)
+	if p.accept(opSemi) {
 		// Prototype: keep the declaration, no body.
 		return fd
 	}
-	if !p.atPunct("{") {
-		t := p.cur()
+	if !p.at(opLBrace) {
+		t := p.tok
 		p.errorf(t.Line, "expected function body, found %q", t.Text)
 		p.sync()
 		return fd
@@ -316,38 +304,43 @@ func (p *Parser) parseFuncRest(ret Type, nameTok Token, pragmas []*DirectiveStmt
 // parseVarDeclRest parses "name [dims] [= init] (, declarator)* ;"
 // after the first identifier has been consumed.
 func (p *Parser) parseVarDeclRest(typ Type, isConst bool, first Token) []*VarDecl {
-	var decls []*VarDecl
+	var buf [4]*VarDecl
+	decls := buf[:0]
 	cur := first
 	curType := typ
 	for {
-		vd := &VarDecl{Name: cur.Text, Type: curType, Const: isConst, position: position(cur.Line)}
-		for p.atPunct("[") {
+		vd := p.varDecls.new()
+		*vd = VarDecl{Name: cur.Text, Type: curType, Const: isConst, position: position(cur.Line)}
+		var dimBuf [4]Expr
+		dims := dimBuf[:0]
+		for p.at(opLBrack) {
 			p.next()
-			if p.atPunct("]") {
-				vd.ArrayDims = append(vd.ArrayDims, nil)
-			} else {
-				vd.ArrayDims = append(vd.ArrayDims, p.parseExpr())
+			var dim Expr
+			if !p.at(opRBrack) {
+				dim = p.parseExpr()
 			}
-			p.expectPunct("]")
+			dims = append(dims, dim)
+			p.expect(opRBrack)
 		}
-		if p.accept(Punct, "=") {
-			if p.atPunct("{") {
+		vd.ArrayDims = p.exprLists.clone(dims)
+		if p.accept(opAssign) {
+			if p.at(opLBrace) {
 				vd.Init = p.parseInitList()
 			} else {
 				vd.Init = p.parseAssign()
 			}
 		}
 		decls = append(decls, vd)
-		if !p.accept(Punct, ",") {
+		if !p.accept(opComma) {
 			break
 		}
 		// Subsequent declarators may add their own pointer stars.
 		curType = Type{Base: typ.Base}
-		for p.atPunct("*") {
+		for p.at(opMul) {
 			p.next()
 			curType.Ptr++
 		}
-		nt := p.cur()
+		nt := p.tok
 		if nt.Kind != Ident {
 			p.errorf(nt.Line, "expected declarator after ','")
 			break
@@ -355,87 +348,96 @@ func (p *Parser) parseVarDeclRest(typ Type, isConst bool, first Token) []*VarDec
 		p.next()
 		cur = nt
 	}
-	p.expectPunct(";")
-	return decls
+	p.expect(opSemi)
+	return p.declLists.clone(decls)
 }
 
 func (p *Parser) parseInitList() *InitList {
-	il := &InitList{position: position(p.cur().Line)}
-	p.expectPunct("{")
-	if !p.atPunct("}") {
+	il := &InitList{position: position(p.tok.Line)}
+	p.expect(opLBrace)
+	var buf [8]Expr
+	elems := buf[:0]
+	if !p.at(opRBrace) {
 		for {
-			if p.atPunct("{") {
-				il.Elems = append(il.Elems, p.parseInitList())
+			var el Expr
+			if p.at(opLBrace) {
+				el = p.parseInitList()
 			} else {
-				il.Elems = append(il.Elems, p.parseAssign())
+				el = p.parseAssign()
 			}
-			if !p.accept(Punct, ",") {
+			elems = append(elems, el)
+			if !p.accept(opComma) {
 				break
 			}
 		}
 	}
-	p.expectPunct("}")
+	il.Elems = p.exprLists.clone(elems)
+	p.expect(opRBrace)
 	return il
 }
 
 func (p *Parser) parseBlock() *Block {
-	b := &Block{position: position(p.cur().Line)}
-	p.expectPunct("{")
-	for !p.atPunct("}") && p.cur().Kind != EOF && !p.bailed {
+	b := p.blocks.new()
+	b.position = position(p.tok.Line)
+	p.expect(opLBrace)
+	var buf [16]Stmt
+	stmts := buf[:0]
+	for !p.at(opRBrace) && p.tok.Kind != EOF && !p.bailed {
 		before := p.n
-		st := p.parseStmt()
-		if st != nil {
-			b.Stmts = append(b.Stmts, st)
+		if st := p.parseStmt(); st != nil {
+			stmts = append(stmts, st)
 		}
 		if p.n == before {
 			// No progress: consume one token to guarantee termination.
-			p.errorf(p.cur().Line, "unexpected token %q", p.cur().Text)
+			p.errorf(p.tok.Line, "unexpected token %q", p.tok.Text)
 			p.next()
 		}
 	}
-	b.EndLine = p.cur().Line
-	if !p.accept(Punct, "}") {
-		p.errorf(p.cur().Line, "expected '}' to close block opened at line %d", b.Pos())
+	b.Stmts = p.stmtLists.clone(stmts)
+	b.EndLine = p.tok.Line
+	if !p.accept(opRBrace) {
+		p.errorf(p.tok.Line, "expected '}' to close block opened at line %d", b.Pos())
 	}
 	return b
 }
 
 func (p *Parser) parseStmt() Stmt {
-	t := p.cur()
+	t := p.tok
 	switch {
 	case t.Kind == Pragma:
 		p.next()
 		return p.parsePragmaStmt(t)
-	case t.Kind == Punct && t.Text == "{":
+	case t.op == opLBrace:
 		return p.parseBlock()
-	case t.Kind == Punct && t.Text == ";":
+	case t.op == opSemi:
 		p.next()
 		return &EmptyStmt{position: position(t.Line)}
 	case isTypeStart(t):
 		return p.parseDeclStmt()
-	case t.Kind == Keyword && t.Text != "sizeof": // sizeof starts an expression
-		switch t.Text {
-		case "if":
+	case t.Kind == Keyword && t.op != kwSizeof: // sizeof starts an expression
+		switch t.op {
+		case kwIf:
 			return p.parseIf()
-		case "for":
+		case kwFor:
 			return p.parseFor()
-		case "while":
+		case kwWhile:
 			return p.parseWhile()
-		case "return":
+		case kwReturn:
 			p.next()
-			rs := &ReturnStmt{position: position(t.Line)}
-			if !p.atPunct(";") {
+			rs := p.returns.new()
+			rs.position = position(t.Line)
+			if !p.at(opSemi) {
 				rs.X = p.parseExpr()
 			}
-			p.expectPunct(";")
+			p.expect(opSemi)
 			return rs
-		case "break":
+		case kwBreak:
 			p.next()
-			p.expectPunct(";")
+			p.expect(opSemi)
 			return &BreakStmt{position: position(t.Line)}
-		case "continue":
+		case kwContinue:
 			p.next()
-			p.expectPunct(";")
+			p.expect(opSemi)
 			return &ContinueStmt{position: position(t.Line)}
 		default:
 			p.errorf(t.Line, "unsupported keyword %q in statement position", t.Text)
@@ -445,37 +447,39 @@ func (p *Parser) parseStmt() Stmt {
 		}
 	default:
 		x := p.parseExpr()
-		p.expectPunct(";")
-		if x == nil {
-			return nil
-		}
-		return &ExprStmt{X: x, position: position(t.Line)}
+		p.expect(opSemi)
+		return p.exprStmt(x, t.Line)
 	}
+}
+
+func (p *Parser) exprStmt(x Expr, line int) *ExprStmt {
+	es := p.exprStmts.new()
+	*es = ExprStmt{X: x, position: position(line)}
+	return es
 }
 
 // parsePragmaStmt handles a pragma token in statement position,
 // attaching the following construct according to the directive's
 // association.
 func (p *Parser) parsePragmaStmt(t Token) Stmt {
-	dir, ok := ParseDirective(t.Text, p.dialect, t.Line)
+	dir, sd, ok := parseDirective(t.Text, p.dialect, t.Line, &p.directives, &p.clauses)
 	if !ok {
 		return &UnknownPragmaStmt{Raw: t.Text, position: position(t.Line)}
 	}
-	ds := &DirectiveStmt{Dir: dir, position: position(t.Line)}
+	ds := p.dirStmts.new()
+	*ds = DirectiveStmt{Dir: dir, position: position(t.Line)}
 	assoc := spec.AssocNone
 	if dir.Known {
-		if sd, found := spec.ForDialect(p.dialect).Lookup(dir.Name); found {
-			if sd.Standalone {
-				return ds
-			}
-			assoc = sd.Association
+		if sd.Standalone {
+			return ds
 		}
+		assoc = sd.Association
 	} else {
 		// Unknown directive: attach a following construct only if one
 		// plausibly belongs to it (a brace block or loop), mirroring how
 		// real compilers recover; otherwise treat as standalone. The
 		// compiler rejects the directive either way.
-		if p.atPunct("{") || p.at(Keyword, "for") {
+		if p.at(opLBrace) || p.at(kwFor) {
 			ds.Body = p.parseStmt()
 		}
 		return ds
@@ -484,7 +488,7 @@ func (p *Parser) parsePragmaStmt(t Token) Stmt {
 	case spec.AssocNone:
 		return ds
 	default:
-		if p.atPunct("}") || p.cur().Kind == EOF {
+		if p.at(opRBrace) || p.tok.Kind == EOF {
 			p.errorf(t.Line, "directive %q requires a following statement", dir.Name)
 			return ds
 		}
@@ -494,85 +498,90 @@ func (p *Parser) parsePragmaStmt(t Token) Stmt {
 }
 
 func (p *Parser) parseDeclStmt() Stmt {
-	startLine := p.cur().Line
+	startLine := p.tok.Line
 	typ, isConst, ok := p.parseType()
 	if !ok {
 		p.errorf(startLine, "expected type in declaration")
 		p.sync()
 		return nil
 	}
-	nameTok := p.cur()
+	nameTok := p.tok
 	if nameTok.Kind != Ident {
 		p.errorf(nameTok.Line, "expected identifier in declaration, found %q", nameTok.Text)
 		p.sync()
 		return nil
 	}
 	p.next()
-	decls := p.parseVarDeclRest(typ, isConst, nameTok)
-	return &DeclStmt{Decls: decls, position: position(startLine)}
+	ds := p.declStmts.new()
+	ds.Decls = p.parseVarDeclRest(typ, isConst, nameTok)
+	ds.position = position(startLine)
+	return ds
 }
 
 func (p *Parser) parseIf() Stmt {
-	t := p.next() // 'if'
-	is := &IfStmt{position: position(t.Line)}
-	p.expectPunct("(")
+	t := p.take() // 'if'
+	is := p.ifs.new()
+	is.position = position(t.Line)
+	p.expect(opLParen)
 	is.Cond = p.parseExpr()
-	p.expectPunct(")")
+	p.expect(opRParen)
 	is.Then = p.parseStmt()
-	if p.at(Keyword, "else") {
-		p.next()
+	if p.accept(kwElse) {
 		is.Else = p.parseStmt()
 	}
 	return is
 }
 
 func (p *Parser) parseFor() Stmt {
-	t := p.next() // 'for'
-	fs := &ForStmt{position: position(t.Line)}
-	p.expectPunct("(")
-	if !p.atPunct(";") {
-		if isTypeStart(p.cur()) {
-			startLine := p.cur().Line
-			typ, isConst, _ := p.parseType()
-			nameTok := p.cur()
-			if nameTok.Kind == Ident {
-				p.next()
-				vd := &VarDecl{Name: nameTok.Text, Type: typ, Const: isConst, position: position(nameTok.Line)}
-				if p.accept(Punct, "=") {
-					vd.Init = p.parseAssign()
-				}
-				fs.Init = &DeclStmt{Decls: []*VarDecl{vd}, position: position(startLine)}
-				p.expectPunct(";")
-			} else {
-				p.errorf(nameTok.Line, "expected loop variable name")
-				p.sync()
-			}
-		} else {
-			x := p.parseExpr()
-			fs.Init = &ExprStmt{X: x, position: position(t.Line)}
-			p.expectPunct(";")
+	t := p.take() // 'for'
+	fs := p.fors.new()
+	fs.position = position(t.Line)
+	p.expect(opLParen)
+	switch {
+	case p.accept(opSemi):
+	case isTypeStart(p.tok):
+		startLine := p.tok.Line
+		typ, isConst, _ := p.parseType()
+		nameTok := p.tok
+		if nameTok.Kind != Ident {
+			p.errorf(nameTok.Line, "expected loop variable name")
+			p.sync()
+			break
 		}
-	} else {
 		p.next()
+		vd := p.varDecls.new()
+		*vd = VarDecl{Name: nameTok.Text, Type: typ, Const: isConst, position: position(nameTok.Line)}
+		if p.accept(opAssign) {
+			vd.Init = p.parseAssign()
+		}
+		ds := p.declStmts.new()
+		ds.Decls = p.declLists.take(1)
+		ds.Decls[0] = vd
+		ds.position = position(startLine)
+		fs.Init = ds
+		p.expect(opSemi)
+	default:
+		fs.Init = p.exprStmt(p.parseExpr(), t.Line)
+		p.expect(opSemi)
 	}
-	if !p.atPunct(";") {
+	if !p.at(opSemi) {
 		fs.Cond = p.parseExpr()
 	}
-	p.expectPunct(";")
-	if !p.atPunct(")") {
+	p.expect(opSemi)
+	if !p.at(opRParen) {
 		fs.Post = p.parseExpr()
 	}
-	p.expectPunct(")")
+	p.expect(opRParen)
 	fs.Body = p.parseStmt()
 	return fs
 }
 
 func (p *Parser) parseWhile() Stmt {
-	t := p.next() // 'while'
+	t := p.take() // 'while'
 	ws := &WhileStmt{position: position(t.Line)}
-	p.expectPunct("(")
+	p.expect(opLParen)
 	ws.Cond = p.parseExpr()
-	p.expectPunct(")")
+	p.expect(opRParen)
 	ws.Body = p.parseStmt()
 	return ws
 }
@@ -583,105 +592,85 @@ func (p *Parser) parseExpr() Expr { return p.parseAssign() }
 
 func (p *Parser) parseAssign() Expr {
 	lhs := p.parseTernary()
-	t := p.cur()
-	if t.Kind == Punct {
-		switch t.Text {
-		case "=", "+=", "-=", "*=", "/=", "%=":
-			p.next()
-			rhs := p.parseAssign()
-			return &AssignExpr{Op: t.Text, L: lhs, R: rhs, position: position(t.Line)}
-		}
+	t := p.tok
+	switch t.op {
+	case opAssign, opAddAssign, opSubAssign, opMulAssign, opQuoAssign, opRemAssign:
+		p.next()
+		rhs := p.parseAssign()
+		a := p.assigns.new()
+		*a = AssignExpr{Op: t.Text, L: lhs, R: rhs, position: position(t.Line)}
+		return a
 	}
 	return lhs
 }
 
 func (p *Parser) parseTernary() Expr {
-	cond := p.parseBinary(0)
-	if p.atPunct("?") {
-		t := p.next()
+	cond := p.parseBinary(1)
+	if p.at(opQuest) {
+		t := p.take()
 		then := p.parseExpr()
-		p.expectPunct(":")
+		p.expect(opColon)
 		els := p.parseTernary()
 		return &CondExpr{Cond: cond, Then: then, Else: els, position: position(t.Line)}
 	}
 	return cond
 }
 
-// binary operator precedence, higher binds tighter.
-var binPrec = map[string]int{
-	"||": 1,
-	"&&": 2,
-	"|":  3,
-	"^":  4,
-	"&":  5,
-	"==": 6, "!=": 6,
-	"<": 7, ">": 7, "<=": 7, ">=": 7,
-	"<<": 8, ">>": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
-}
-
-func (p *Parser) parseBinary(minPrec int) Expr {
+// parseBinary parses operands joined by binary operators of precedence
+// minPrec (at least 1) or higher.
+func (p *Parser) parseBinary(minPrec uint8) Expr {
 	lhs := p.parseUnary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
-			return lhs
-		}
-		prec, ok := binPrec[t.Text]
-		if !ok || prec < minPrec {
+		t := p.tok
+		prec := binPrec[t.op]
+		if prec < minPrec {
 			return lhs
 		}
 		p.next()
 		rhs := p.parseBinary(prec + 1)
-		lhs = &BinaryExpr{Op: t.Text, L: lhs, R: rhs, position: position(t.Line)}
+		b := p.binaries.new()
+		*b = BinaryExpr{Op: t.Text, L: lhs, R: rhs, position: position(t.Line)}
+		lhs = b
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
-	t := p.cur()
-	if t.Kind == Punct {
-		switch t.Text {
-		case "!", "-", "+", "*", "&", "~":
-			p.next()
-			x := p.parseUnary()
-			if t.Text == "+" {
-				return x
-			}
-			return &UnaryExpr{Op: t.Text, X: x, position: position(t.Line)}
-		case "++", "--":
-			p.next()
-			x := p.parseUnary()
-			return &UnaryExpr{Op: t.Text, X: x, position: position(t.Line)}
-		case "(":
-			// Cast or parenthesised expression.
-			if isTypeStart(p.peek()) {
-				p.next()
-				typ, _, ok := p.parseType()
-				if !ok {
-					p.errorf(t.Line, "bad cast type")
-				}
-				p.expectPunct(")")
-				x := p.parseUnary()
-				return &CastExpr{To: typ, X: x, position: position(t.Line)}
-			}
-		}
-	}
-	if t.Kind == Keyword && t.Text == "sizeof" {
+	t := p.tok
+	switch t.op {
+	case opNot, opSub, opAdd, opMul, opAnd, opTilde, opInc, opDec:
 		p.next()
-		p.expectPunct("(")
-		if isTypeStart(p.cur()) {
+		x := p.parseUnary()
+		if t.op == opAdd {
+			return x
+		}
+		return &UnaryExpr{Op: t.Text, X: x, position: position(t.Line)}
+	case opLParen:
+		// Cast or parenthesised expression.
+		if isTypeStart(p.peek()) {
+			p.next()
+			typ, _, ok := p.parseType()
+			if !ok {
+				p.errorf(t.Line, "bad cast type")
+			}
+			p.expect(opRParen)
+			x := p.parseUnary()
+			c := p.casts.new()
+			*c = CastExpr{To: typ, X: x, position: position(t.Line)}
+			return c
+		}
+	case kwSizeof:
+		p.next()
+		p.expect(opLParen)
+		if isTypeStart(p.tok) {
 			typ, _, _ := p.parseType()
-			p.expectPunct(")")
+			p.expect(opRParen)
 			return &SizeofExpr{Of: typ, position: position(t.Line)}
 		}
-		// sizeof(expr): evaluate to the size of the expression's type;
-		// modelled as sizeof its type after checking, but the corpus
-		// only uses sizeof(type). Parse the expression, wrap as sizeof
-		// of a long for tolerance.
-		x := p.parseExpr()
-		p.expectPunct(")")
-		_ = x
+		// sizeof(expr): the corpus only uses sizeof(type), so the
+		// expression is parsed for its errors and the operand taken
+		// as a long.
+		p.parseExpr()
+		p.expect(opRParen)
 		return &SizeofExpr{Of: Type{Base: "long"}, position: position(t.Line)}
 	}
 	return p.parsePostfix()
@@ -690,23 +679,24 @@ func (p *Parser) parseUnary() Expr {
 func (p *Parser) parsePostfix() Expr {
 	x := p.parsePrimary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
-			return x
-		}
-		switch t.Text {
-		case "[":
+		t := p.tok
+		switch t.op {
+		case opLBrack:
 			p.next()
 			idx := p.parseExpr()
-			p.expectPunct("]")
-			x = &IndexExpr{X: x, Index: idx, position: position(t.Line)}
-		case "++", "--":
+			p.expect(opRBrack)
+			ix := p.indexes.new()
+			*ix = IndexExpr{X: x, Index: idx, position: position(t.Line)}
+			x = ix
+		case opInc, opDec:
 			p.next()
-			x = &PostfixExpr{Op: t.Text, X: x, position: position(t.Line)}
-		case ".", "->":
+			pf := p.postfixes.new()
+			*pf = PostfixExpr{Op: t.Text, X: x, position: position(t.Line)}
+			x = pf
+		case opPeriod, opArrow:
 			p.errorf(t.Line, "member access is not supported by the test dialect")
 			p.next()
-			if p.cur().Kind == Ident {
+			if p.tok.Kind == Ident {
 				p.next()
 			}
 			return x
@@ -717,21 +707,23 @@ func (p *Parser) parsePostfix() Expr {
 }
 
 func (p *Parser) parsePrimary() Expr {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case Ident:
 		p.next()
-		if p.atPunct("(") {
+		if p.at(opLParen) {
 			return p.parseCall(t)
 		}
-		return &IdentExpr{Name: t.Text, position: position(t.Line)}
+		id := p.idents.new()
+		*id = IdentExpr{Name: t.Text, position: position(t.Line)}
+		return id
 	case IntLit:
 		p.next()
-		v, err := strconv.ParseInt(t.Text, 0, 64)
+		v, err := parseInt(t.Text)
 		if err != nil {
 			p.errorf(t.Line, "bad integer literal %q", t.Text)
 		}
-		return &IntLitExpr{Value: v, position: position(t.Line)}
+		return p.intLit(v, t.Line)
 	case FloatLit:
 		p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)
@@ -741,7 +733,9 @@ func (p *Parser) parsePrimary() Expr {
 		return &FloatLitExpr{Value: v, Text: t.Text, position: position(t.Line)}
 	case StringLit:
 		p.next()
-		return &StringLitExpr{Value: t.Text, position: position(t.Line)}
+		sl := p.strs.new()
+		*sl = StringLitExpr{Value: t.Text, position: position(t.Line)}
+		return sl
 	case CharLit:
 		p.next()
 		var b byte
@@ -750,30 +744,40 @@ func (p *Parser) parsePrimary() Expr {
 		}
 		return &CharLitExpr{Value: b, position: position(t.Line)}
 	case Punct:
-		if t.Text == "(" {
+		if t.op == opLParen {
 			p.next()
 			x := p.parseExpr()
-			p.expectPunct(")")
+			p.expect(opRParen)
 			return x
 		}
 	}
 	p.errorf(t.Line, "expected expression, found %s %q", t.Kind, t.Text)
 	p.next()
-	return &IntLitExpr{Value: 0, position: position(t.Line)}
+	return p.intLit(0, t.Line)
+}
+
+func (p *Parser) intLit(v int64, line int) *IntLitExpr {
+	n := p.ints.new()
+	*n = IntLitExpr{Value: v, position: position(line)}
+	return n
 }
 
 func (p *Parser) parseCall(nameTok Token) Expr {
-	call := &CallExpr{Fun: nameTok.Text, position: position(nameTok.Line)}
-	p.expectPunct("(")
-	if !p.atPunct(")") {
+	call := p.calls.new()
+	*call = CallExpr{Fun: nameTok.Text, position: position(nameTok.Line)}
+	p.expect(opLParen)
+	var buf [8]Expr
+	args := buf[:0]
+	if !p.at(opRParen) {
 		for {
-			call.Args = append(call.Args, p.parseAssign())
-			if !p.accept(Punct, ",") {
+			args = append(args, p.parseAssign())
+			if !p.accept(opComma) {
 				break
 			}
 		}
 	}
-	p.expectPunct(")")
+	call.Args = p.exprLists.clone(args)
+	p.expect(opRParen)
 	return call
 }
 

@@ -28,9 +28,19 @@ func (r *renderer) line(format string, args ...any) {
 	r.b.WriteByte('\n')
 }
 
+// hashLine writes a preprocessor line. A text ending in a backslash
+// gets a space after it, which the lexer trims again, so the line does
+// not continue onto the next.
+func (r *renderer) hashLine(directive, text string) {
+	if strings.HasSuffix(text, "\\") {
+		text += " "
+	}
+	r.line("%s %s", directive, text)
+}
+
 func (r *renderer) file(f *File) {
 	for _, inc := range f.Includes {
-		r.line("#include %s", inc)
+		r.hashLine("#include", inc)
 	}
 	if len(f.Includes) > 0 {
 		r.b.WriteByte('\n')
@@ -73,7 +83,7 @@ func (r *renderer) varDecl(v *VarDecl) string {
 
 func (r *renderer) funcDecl(fd *FuncDecl) {
 	for _, pr := range fd.Pragmas {
-		r.line("#pragma %s", pr.Dir.String())
+		r.hashLine("#pragma", pr.Dir.String())
 	}
 	var params []string
 	if len(fd.Params) == 0 {
@@ -158,12 +168,12 @@ func (r *renderer) stmt(s Stmt) {
 	case *ContinueStmt:
 		r.line("continue;")
 	case *DirectiveStmt:
-		r.line("#pragma %s", n.Dir.String())
+		r.hashLine("#pragma", n.Dir.String())
 		if n.Body != nil {
 			r.stmt(n.Body)
 		}
 	case *UnknownPragmaStmt:
-		r.line("#pragma %s", n.Raw)
+		r.hashLine("#pragma", n.Raw)
 	}
 }
 
@@ -198,7 +208,7 @@ func RenderExpr(e Expr) string {
 		}
 		return s
 	case *StringLitExpr:
-		return strconv.Quote(n.Value)
+		return quoteC(n.Value)
 	case *CharLitExpr:
 		switch n.Value {
 		case '\n':
@@ -261,6 +271,34 @@ func RenderExpr(e Expr) string {
 	}
 }
 
+// quoteC quotes s as a C string literal the lexer reads back as s: it
+// escapes only what the lexer decodes, and writes every other byte as
+// it is.
+func quoteC(s string) string {
+	var b strings.Builder
+	b.Grow(len(s) + 2)
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		case '\r':
+			b.WriteString(`\r`)
+		case 0:
+			b.WriteString(`\0`)
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
 // renderOperand parenthesises operands of binary expressions whenever
 // precedence could be ambiguous. The renderer prefers a few redundant
 // parentheses over subtle precedence bugs in generated tests.
@@ -276,7 +314,7 @@ func renderOperand(e Expr, parentOp string, left bool) string {
 		}
 		return s
 	}
-	pp, cp := binPrec[parentOp], binPrec[b.Op]
+	pp, cp := binPrec[punctCode(parentOp)], binPrec[punctCode(b.Op)]
 	if cp < pp || (cp == pp && !left) {
 		return "(" + s + ")"
 	}
