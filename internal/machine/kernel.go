@@ -17,8 +17,8 @@ import (
 // shows the generic walk of the whole loop would take the same path:
 //
 //   - every operand has the kind its declaration gives, so each node
-//     takes the generic fast path the typed closure copies, or arith's
-//     int→float promotion;
+//     takes the int or float case of arith or compare that the typed
+//     closure copies, or arith's int→float promotion;
 //   - no index, checked at the first and last iteration, leaves its
 //     dimension or its block: an index is a leaf or leaf ± literal
 //     whose variable is the loop's or one the body never writes, so an
@@ -399,7 +399,8 @@ type ktest struct {
 // taken as C truth.
 func (b *kbuild) test(e testlang.Expr) (ktest, bool) {
 	if n, ok := e.(*testlang.BinaryExpr); ok {
-		if _, isCmp := intCompares[n.Op]; isCmp {
+		switch n.Op {
+		case "<", "<=", ">", ">=", "==", "!=":
 			x, okx := b.expr(n.L)
 			y, oky := b.expr(n.R)
 			if !okx || !oky {
@@ -492,7 +493,7 @@ func (b *kbuild) effect(e testlang.Expr) (func(*kstate), int64, bool) {
 		cur, set = b.scalarVal(r), b.scalarSet(r)
 		if op == "+=" && (cur.i == nil || rhs.f == nil) {
 			// The loops' hottest statement (s += a[i][k] * b[k][j]) adds
-			// in its register, as assign's own += fast path does.
+			// in its register, as arith adds for assign's +=.
 			return b.scalarAdd(r, rhs), steps, true
 		}
 	case *testlang.IndexExpr:
@@ -629,7 +630,7 @@ func (b *kbuild) expr(e testlang.Expr) (kval, bool) {
 	case *testlang.IntLitExpr:
 		return constK(n.Value), true
 	case *testlang.CharLitExpr:
-		return constK(int64(n.Value)), true
+		return constK(int64(int8(n.Value))), true
 	case *testlang.FloatLitExpr:
 		v := n.Value
 		return kval{f: func(*kstate) float64 { return v }, steps: 1}, true
@@ -689,7 +690,8 @@ func (b *kbuild) expr(e testlang.Expr) (kval, bool) {
 			return kval{}, false
 		}
 		steps := 1 + x.steps + y.steps
-		if _, isCmp := intCompares[n.Op]; isCmp {
+		switch n.Op {
+		case "<", "<=", ">", ">=", "==", "!=":
 			test := compareK(n.Op, x, y)
 			return kval{i: func(s *kstate) int64 {
 				if test(s) {
@@ -962,8 +964,8 @@ func (k *kernel) run(ex *exec, s *kstate, v0, st, trips, loopSteps, tail int64) 
 }
 
 // resolve resolves every access for loop variables first to last: its
-// block through the chain check leafElem makes, and its element offset
-// as an affine function of the variable. It fails unless the element's
+// block through chainView, and its element offset as an affine function
+// of the variable. It fails unless the element's
 // block has the conv the declaration gives and, at both ends, every
 // index but the last stays inside its dimension and the element inside
 // its block: the checks ex.index makes, on functions whose extremes are

@@ -8,10 +8,10 @@ import (
 	"repro/internal/testlang"
 )
 
-// fusedPrologue declares the arrays and scalars the fused-leaf rows
-// index, compare and increment. Each row appends statements and the
-// closing return.
-const fusedPrologue = `#include <stdio.h>
+// leafPrologue declares the arrays and scalars the leaf rows index,
+// compare and increment. Each row appends statements and the closing
+// return.
+const leafPrologue = `#include <stdio.h>
 #include <stdlib.h>
 int main() {
     int a[4] = {10, 20, 30, 40};
@@ -19,15 +19,17 @@ int main() {
     int s = 0;
 `
 
-// fusedRows cover each leaf shape lowering fuses (an index chain read,
-// an element store, an int comparison, an int increment), in loop
-// bodies with and without break or continue, next to what must send
-// it down the generic path. The expectations were recorded before the fused nodes
-// existed: a fused node must reproduce them, and where its run is cut,
-// trap at the same step. The "shadowed in a branch" row, which took the
-// place of a bare-body declaration that C does not compile, was
-// recorded before lowering took the checker's bindings.
-var fusedRows = []struct {
+// leafRows cover the generic walk of the hot shapes over leaves
+// (variables and int literals): an index chain read, an element store,
+// an int comparison and an int increment, in loop bodies with and
+// without break or continue, next to what takes a different path: a
+// float, a freed or unmaterialized block, an index out of range, a row
+// used whole. The expectations were recorded from the generic closures
+// alone, and a run cut at any step must trap there. The "shadowed in a
+// branch" row, which took the place of a bare-body declaration that C
+// does not compile, was recorded before lowering took the checker's
+// bindings.
+var leafRows = []struct {
 	name string
 	// pers is the compiler; nil means ClangSim.
 	pers   *compiler.Personality
@@ -143,15 +145,17 @@ var fusedRows = []struct {
 		rc: 0, stdout: "480\n", trap: "", steps: 78},
 }
 
-// TestFusedLeavesFallBack runs every row through checkCuts.
+// TestFusedLeavesFallBack runs every row through checkCuts. It keeps
+// the name of the fused closures the rows were first written for, which
+// CI's GOMAXPROCS step selects it by.
 func TestFusedLeavesFallBack(t *testing.T) {
-	for _, row := range fusedRows {
+	for _, row := range leafRows {
 		t.Run(row.name, func(t *testing.T) {
 			pers := row.pers
 			if pers == nil {
 				pers = compiler.ClangSim()
 			}
-			src := fusedPrologue + "    " + row.body + "\n    return 0;\n}\n"
+			src := leafPrologue + "    " + row.body + "\n    return 0;\n}\n"
 			checkCuts(t, pers, src, row.rc, row.stdout, row.trap, row.steps)
 		})
 	}

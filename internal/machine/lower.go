@@ -12,7 +12,7 @@ import (
 // operator or compares a variable's name, because lowering made those
 // decisions, once.
 //
-// Seven rules keep the lowered code equivalent to a walk of the AST.
+// Six rules keep the lowered code equivalent to a walk of the AST.
 //   - Steps: a statement or an expression takes one step on entry, as
 //     a walk would, so Result.Steps and the step-limit trap point
 //     follow the AST. Assignment targets (places) and a call's
@@ -36,24 +36,16 @@ import (
 //     the declaration it binds. The checker also decides, by binding,
 //     what a directive's body takes from outside (compiler.DirPlan's
 //     Free and PlainWrites), and lowering resolves those lists to slots.
-//   - Fused leaves: a leaf is a variable, read in its slot, or an int
-//     literal. An index chain of leaves (a[i][k]) as a value or a
-//     place, an int comparison of two leaves (k < N) and an increment
-//     of a leaf (k++) also get a fused closure, which reads the leaves
-//     in place and takes every step the generic closures would in one
-//     subtraction. It does so only
-//     when that many steps are left and its checks show that the
-//     generic walk would neither fault nor leave the int fast path;
-//     otherwise it calls the generic closure, built exactly as without
-//     it, which stays the one definition of the node's semantics.
-//   - Loop kernels: the same rule for a whole loop. A for statement in
-//     canonical form (compiler.Object.Loops) whose body is straight-line
-//     arithmetic also gets a kernel (kernel.go): on each entry, a serial
-//     loop's after its init or a work-shared chunk's, it resolves the
-//     body's operands once, and runs the iterations as one Go loop and
-//     takes every step the generic closures would, only when its checks
-//     show that they would neither fault, leave the int and float fast
-//     paths nor run out of steps; otherwise the generic closures run the
+//   - Loop kernels: every expression runs through its generic closure,
+//     where arith, compare and coerceLike define each operator, except
+//     in a loop kernel. A for statement in canonical form
+//     (compiler.Object.Loops) whose body is straight-line arithmetic
+//     also gets a kernel (kernel.go): on each entry, a serial loop's
+//     after its init or a work-shared chunk's, it resolves the body's
+//     operands once, and runs the iterations as one Go loop and takes
+//     every step the generic closures would, only when its checks show
+//     that they would neither fault, leave the kinds the declarations
+//     give nor run out of steps; otherwise the generic closures run the
 //     loop from its start.
 //   - Flow: a statement returns how it ended (flow), and the block,
 //     loop or call around it acts on that; nothing unwinds by panic
@@ -510,7 +502,8 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.StringLitExpr:
 		return constant(strVal(&n.Value))
 	case *testlang.CharLitExpr:
-		return constant(intVal(int64(n.Value)))
+		// char is signed, as on gcc's x86 targets: '\xff' is -1.
+		return constant(intVal(int64(int8(n.Value))))
 	case *testlang.SizeofExpr:
 		return constant(intVal(sizeOf(n.Of)))
 	case *testlang.IdentExpr:
@@ -520,19 +513,14 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.UnaryExpr:
 		return l.unary(n)
 	case *testlang.PostfixExpr:
-		p, o, leaf := l.placeLeaf(n.X)
-		d := delta(n.Op)
-		f := func(ex *exec) value {
+		p, d := l.place(n.X), delta(n.Op)
+		return func(ex *exec) value {
 			ex.in.step()
 			pl := p(ex)
 			old := pl.load()
 			pl.store(applyDelta(old, d))
 			return old
 		}
-		if leaf {
-			return stepLeaf(f, o.slot, d, l.scalarConv(n.X))
-		}
-		return f
 	case *testlang.AssignExpr:
 		return l.assign(n)
 	case *testlang.CondExpr:
@@ -547,16 +535,11 @@ func (l *lowerer) expr(e testlang.Expr) evalFn {
 	case *testlang.CallExpr:
 		return l.call(n)
 	case *testlang.IndexExpr:
-		c := l.chain(n, true)
-		walk := c.walk
-		f := func(ex *exec) value {
+		walk := l.chain(n, true)
+		return func(ex *exec) value {
 			b, off := walk(ex)
 			return b.viewOrLoad(off)
 		}
-		if c.leaves {
-			return c.load(f)
-		}
-		return f
 	case *testlang.CastExpr:
 		x, to := l.expr(n.X), n.To
 		if to.Ptr > 0 {
@@ -641,23 +624,11 @@ func identAt(name string, r varRef) evalFn {
 	}
 }
 
-// binary lowers a binary operator. The arithmetic and comparison
-// operators the corpus's loops spend their time in get int/int and
-// float/float fast paths; every other operand pairing (refs, null,
-// mixed kinds) and every other operator goes through arith and
-// compare, which define the semantics.
+// binary lowers a binary operator: && and || short-circuit, the
+// comparisons go through compare and every other operator through
+// arith, which define the semantics for every pairing of operand kinds.
 func (l *lowerer) binary(n *testlang.BinaryExpr) evalFn {
-	x, xo, xleaf := l.leaf(n.L)
-	y, yo, yleaf := l.leaf(n.R)
-	f := binaryOp(n.Op, x, y)
-	if test, ok := intCompares[n.Op]; ok && xleaf && yleaf {
-		return compareLeaves(f, xo, yo, test)
-	}
-	return f
-}
-
-// binaryOp lowers operator op over lowered operands.
-func binaryOp(op string, x, y evalFn) evalFn {
+	x, y, op := l.expr(n.L), l.expr(n.R), n.Op
 	switch op {
 	case "&&":
 		return func(ex *exec) value {
@@ -675,113 +646,11 @@ func binaryOp(op string, x, y evalFn) evalFn {
 			}
 			return boolToInt(y(ex).truthy())
 		}
-	case "+":
+	case "<", "<=", ">", ">=", "==", "!=":
 		return func(ex *exec) value {
 			ex.in.step()
 			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return intVal(a.i + b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return floatVal(a.f() + b.f())
-			}
-			return arith("+", a, b)
-		}
-	case "-":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return intVal(a.i - b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return floatVal(a.f() - b.f())
-			}
-			return arith("-", a, b)
-		}
-	case "*":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return intVal(a.i * b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return floatVal(a.f() * b.f())
-			}
-			return arith("*", a, b)
-		}
-	case "<":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return boolToInt(a.i < b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f() < b.f())
-			}
-			return compare("<", a, b)
-		}
-	case "<=":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return boolToInt(a.i <= b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f() <= b.f())
-			}
-			return compare("<=", a, b)
-		}
-	case ">":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return boolToInt(a.i > b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f() > b.f())
-			}
-			return compare(">", a, b)
-		}
-	case ">=":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return boolToInt(a.i >= b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f() >= b.f())
-			}
-			return compare(">=", a, b)
-		}
-	case "==":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return boolToInt(a.i == b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f() == b.f())
-			}
-			return compare("==", a, b)
-		}
-	case "!=":
-		return func(ex *exec) value {
-			ex.in.step()
-			a, b := x(ex), y(ex)
-			switch {
-			case a.k == kInt && b.k == kInt:
-				return boolToInt(a.i != b.i)
-			case a.k == kFloat && b.k == kFloat:
-				return boolToInt(a.f() != b.f())
-			}
-			return compare("!=", a, b)
+			return compare(op, a, b)
 		}
 	}
 	return func(ex *exec) value {
@@ -841,7 +710,7 @@ func (l *lowerer) unary(n *testlang.UnaryExpr) evalFn {
 func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 	switch t := e.(type) {
 	case *testlang.IndexExpr:
-		walk := l.chain(t, false).walk
+		walk := l.chain(t, false)
 		return func(ex *exec) value {
 			ex.in.step()
 			b, off := walk(ex)
@@ -871,13 +740,6 @@ func (l *lowerer) addressOf(e testlang.Expr) evalFn {
 // of its own: the assignment, increment or dereference that needs it
 // already took one.
 func (l *lowerer) place(e testlang.Expr) placeFn {
-	p, _, _ := l.placeLeaf(e)
-	return p
-}
-
-// placeLeaf lowers an assignment target as place does and, when it is
-// a leaf variable, returns it as an operand too.
-func (l *lowerer) placeLeaf(e testlang.Expr) (placeFn, operand, bool) {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
 		if r := l.slot(n.Bind); r >= 0 {
@@ -887,28 +749,23 @@ func (l *lowerer) placeLeaf(e testlang.Expr) (placeFn, operand, bool) {
 					return place{c: c, conv: cv}
 				}
 				panic(segfault())
-			}, operand{slot: r}, true
+			}
 		}
 	case *testlang.IndexExpr:
-		c := l.chain(n, false)
-		walk := c.walk
-		f := func(ex *exec) place {
+		walk := l.chain(n, false)
+		return func(ex *exec) place {
 			b, off := walk(ex)
 			if b.viewRank() > 1 {
 				panic(ex.pointerFault()) // assigning to a whole row
 			}
 			return place{blk: b.b, off: off}
 		}
-		if c.leaves {
-			return c.store(f), operand{}, false
-		}
-		return f, operand{}, false
 	case *testlang.UnaryExpr:
 		if n.Op == "*" {
-			return l.deref(n.X), operand{}, false
+			return l.deref(n.X)
 		}
 	}
-	return func(*exec) place { panic(segfault()) }, operand{}, false
+	return func(*exec) place { panic(segfault()) }
 }
 
 // scalarConv is the conversion a store into e takes when e names a
@@ -941,22 +798,12 @@ func (l *lowerer) deref(x testlang.Expr) placeFn {
 	}
 }
 
-// indexChain is a lowered a[i][k]... chain. walk returns the ref its
-// outermost index applies to and the element offset. leaves is set
-// when its base is a leaf variable, in slot base, and its indices are
-// leaves (idx), so a fused node can resolve it in place (leafElem).
-type indexChain struct {
-	walk   func(*exec) (value, int)
-	leaves bool
-	base   varRef
-	idx    []operand
-}
-
-// chain lowers a fused a[i][k]... chain. Every index node of the chain
-// that steps does so before the base is evaluated, as a walk of the
-// nested IndexExprs would: all of them where the chain is a value, all
-// but the outermost where it is a place or an address.
-func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) indexChain {
+// chain lowers an a[i][k]... chain to a walk that returns the ref its
+// outermost index applies to and the element offset. Every index node
+// of the chain that steps does so before the base is evaluated, as a
+// walk of the nested IndexExprs would: all of them where the chain is a
+// value, all but the outermost where it is a place or an address.
+func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) func(*exec) (value, int) {
 	var nodes []*testlang.IndexExpr
 	var e testlang.Expr = n
 	for {
@@ -967,22 +814,16 @@ func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) indexChain {
 		nodes = append(nodes, ix)
 		e = ix.X
 	}
-	c := indexChain{idx: make([]operand, len(nodes))}
-	base, bo, leaves := l.leaf(e)
-	c.base = bo.slot
-	leaves = leaves && bo.slot >= 0
+	base := l.expr(e)
 	idx := make([]evalFn, len(nodes))
 	for i, ix := range nodes {
-		f, o, leaf := l.leaf(ix.Index)
-		idx[len(nodes)-1-i], c.idx[len(nodes)-1-i] = f, o
-		leaves = leaves && leaf
+		idx[len(nodes)-1-i] = l.expr(ix.Index)
 	}
-	c.leaves = leaves
 	steps := len(nodes) - 1
 	if rvalue {
 		steps++
 	}
-	c.walk = func(ex *exec) (value, int) {
+	return func(ex *exec) (value, int) {
 		for i := 0; i < steps; i++ {
 			ex.in.step()
 		}
@@ -994,7 +835,6 @@ func (l *lowerer) chain(n *testlang.IndexExpr, rvalue bool) indexChain {
 		}
 		return ex.index(v, idx[last])
 	}
-	return c
 }
 
 // assign lowers =, and the compound assignments through arith.
@@ -1008,23 +848,6 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 			rhs := r(ex)
 			return pl.store(coerceLike(pl.load(), rhs))
 		}
-	case "+=":
-		return func(ex *exec) value {
-			ex.in.step()
-			pl := p(ex)
-			rhs := r(ex)
-			cur := pl.load()
-			var out value
-			switch {
-			case cur.k == kInt && rhs.k == kInt:
-				out = intVal(cur.i + rhs.i)
-			case cur.k == kFloat && rhs.k == kFloat:
-				out = floatVal(cur.f() + rhs.f())
-			default:
-				out = arith("+", cur, rhs)
-			}
-			return pl.store(out)
-		}
 	}
 	op := strings.TrimSuffix(n.Op, "=")
 	return func(ex *exec) value {
@@ -1035,144 +858,12 @@ func (l *lowerer) assign(n *testlang.AssignExpr) evalFn {
 	}
 }
 
-// --- fused leaves -------------------------------------------------------
-
-// operand is a leaf, which a fused node reads in place instead of
-// calling its closure: a variable, in its slot, or an int literal
-// (slot < 0).
-type operand struct {
-	slot varRef
-	lit  int64
-}
-
-// leaf lowers e as expr does and, when e is a leaf, returns it as an
-// operand too, from the same resolution.
-func (l *lowerer) leaf(e testlang.Expr) (evalFn, operand, bool) {
-	switch n := e.(type) {
-	case *testlang.IntLitExpr:
-		return constant(intVal(n.Value)), operand{slot: -1, lit: n.Value}, true
-	case *testlang.IdentExpr:
-		r := l.slot(n.Bind)
-		return identAt(n.Name, r), operand{slot: r}, r >= 0
-	}
-	return l.expr(e), operand{}, false
-}
-
-// intOf reads an int operand; ok is false when its slot is unbound or
-// holds anything but an int.
-func (ex *exec) intOf(o operand) (int64, bool) {
-	if o.slot < 0 {
-		return o.lit, true
-	}
-	c := ex.frame[o.slot]
-	if c == nil || c.v.k != kInt {
-		return 0, false
-	}
-	return c.v.i, true
-}
-
-// intCompares are the comparisons fused over two int leaves.
-var intCompares = map[string]func(a, b int64) bool{
-	"<":  func(a, b int64) bool { return a < b },
-	"<=": func(a, b int64) bool { return a <= b },
-	">":  func(a, b int64) bool { return a > b },
-	">=": func(a, b int64) bool { return a >= b },
-	"==": func(a, b int64) bool { return a == b },
-	"!=": func(a, b int64) bool { return a != b },
-}
-
-// compareLeaves fuses generic, a comparison of the leaves x and y: its
-// own step and one per leaf.
-func compareLeaves(generic evalFn, x, y operand, test func(a, b int64) bool) evalFn {
-	return func(ex *exec) value {
-		if ex.in.stepsLeft >= 3 {
-			a, aok := ex.intOf(x)
-			b, bok := ex.intOf(y)
-			if aok && bok {
-				ex.in.stepsLeft -= 3
-				return boolToInt(test(a, b))
-			}
-		}
-		return generic(ex)
-	}
-}
-
-// stepLeaf fuses generic, an increment by d of the variable in slot s,
-// when that holds an int: its one step, and the update in its cell,
-// narrowed as cv, the variable's conversion, narrows it.
-func stepLeaf(generic evalFn, s varRef, d int64, cv conv) evalFn {
-	return func(ex *exec) value {
-		if c := ex.frame[s]; ex.in.stepsLeft >= 1 && c != nil && c.v.k == kInt {
-			ex.in.stepsLeft--
-			old := c.v
-			c.v = intVal(cv.narrow(old.i + d))
-			return old
-		}
-		return generic(ex)
-	}
-}
-
-// load fuses generic, the value of a leaf chain of n indices: the
-// chain's n steps, the base's and one per index.
-func (c *indexChain) load(generic evalFn) evalFn {
-	base, idx, k := c.base, c.idx, int64(2*len(c.idx)+1)
-	return func(ex *exec) value {
-		if b, off, ok := ex.leafElem(base, idx, k); ok {
-			return b.get(off)
-		}
-		return generic(ex)
-	}
-}
-
-// store fuses generic, a leaf chain of n indices as a place: the
-// chain's n-1 steps, the base's and one per index.
-func (c *indexChain) store(generic placeFn) placeFn {
-	base, idx, k := c.base, c.idx, int64(2*len(c.idx))
-	return func(ex *exec) place {
-		if b, off, ok := ex.leafElem(base, idx, k); ok {
-			return place{blk: b, off: off}
-		}
-		return generic(ex)
-	}
-}
-
-// leafElem resolves the element a chain of leaves names, the array in
-// slot base indexed by idx, and takes the k steps of its generic walk
-// at once. It does so only when the budget covers them and the walk
-// would end on an element without faulting, materializing a block or
-// leaving the int fast path; otherwise it takes nothing and ok is
-// false, and the caller runs the generic walk.
-func (ex *exec) leafElem(base varRef, idx []operand, k int64) (*block, int, bool) {
-	c := ex.frame[base]
-	if c == nil || ex.in.stepsLeft < k {
-		return nil, 0, false
-	}
-	blk, off, dims, ok := chainView(c.v, len(idx))
-	if !ok {
-		return nil, 0, false
-	}
-	n, row := len(idx), 0
-	for j, o := range idx[:n-1] {
-		i, isInt := ex.intOf(o)
-		if !isInt || i < 0 || i >= int64(dims[j]) {
-			return nil, 0, false
-		}
-		row = (row + int(i)) * dims[j+1]
-	}
-	i, isInt := ex.intOf(idx[n-1])
-	if off += row + int(i); !isInt || off < 0 || off >= blk.length() {
-		return nil, 0, false
-	}
-	ex.in.stepsLeft -= k
-	return blk, off, true
-}
-
 // chainView returns the block, element offset and view dimensions of
 // v when a chain of n indices applied to it would end on an element of
 // a live, sized block without materializing it: v is a ref and the
 // view's rank is exactly consumed, every index but the last selecting a
-// row and the last an element. Both fused chains and loop kernels
-// resolve a chain only through it.
+// row and the last an element. Loop kernels resolve a chain only
+// through it.
 func chainView(v value, n int) (blk *block, off int, dims []int, ok bool) {
 	if v.k != kRef {
 		return nil, 0, nil, false

@@ -754,9 +754,8 @@ int main() {
 // to the declared type, as gcc does: =, +=, -= and *= of a double into
 // char, short, int and long, straight and in a one-trip loop, with and
 // without loop kernels. Each prints x and x * 2, so a fraction left in
-// the cell shows. The dialect folds short into int (and reads
-// "short" alone as no type), so the short int rows stay inside short's
-// range.
+// the cell shows. The dialect folds short into int, so the short int
+// rows stay inside short's range.
 func TestStoreConversions(t *testing.T) {
 	for _, row := range []struct {
 		decl, stmt string
@@ -791,5 +790,22 @@ func TestStoreConversions(t *testing.T) {
 				t.Errorf("%s %s: printed %q, want %q", row.decl, body, r.Stdout, want)
 			}
 		}
+	}
+}
+
+// TestCharLiteralsAsC pins a char literal's value as gcc gives it on
+// x86, where char is signed: a raw byte of 0x80 or more is negative,
+// equal to a char holding it, and the simple escapes decode, in the
+// generic closures and in a loop kernel.
+func TestCharLiteralsAsC(t *testing.T) {
+	src := "#include <stdio.h>\nint main() {\n    char c = '\xff';\n    int n = 0;\n" +
+		"    for (int i = 0; i < 4; i++) n += '\xff' + '\\r';\n" +
+		"    printf(\"%d %d %d %d %d\\n\", '\xff', c == '\xff', '\\r', '\\a' + '\\v', n);\n    return 0;\n}\n"
+	res := compiler.ForDialect(spec.OpenMP).Compile("test.c", src, testlang.LangC)
+	if !res.OK {
+		t.Fatalf("compile failed:\n%s", res.Stderr)
+	}
+	if r := sameWithoutKernels(t, res.Object, Options{}, true); r.Stdout != "-1 1 13 18 48\n" {
+		t.Fatalf("printed %q, want %q", r.Stdout, "-1 1 13 18 48\n")
 	}
 }

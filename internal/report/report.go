@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/probe"
 )
 
 // Table builds a fixed-width ASCII table.
@@ -192,22 +191,6 @@ func RadarSeries(title string, names []string, summaries []metrics.Summary) stri
 			bar := strings.Repeat("#", int(ax.Value*30+0.5))
 			fmt.Fprintf(&b, "  %-*s %5.1f%% |%-30s|\n", width, ax.Label, 100*ax.Value, bar)
 		}
-	}
-	return b.String()
-}
-
-// Markdown renders a summary as a markdown table row set, used by
-// EXPERIMENTS.md generation.
-func MarkdownPerIssue(s metrics.Summary, extra map[probe.Issue]string) string {
-	var b strings.Builder
-	b.WriteString("| Issue | Count | Correct | Accuracy |\n|---|---|---|---|\n")
-	for _, p := range s.PerIssue {
-		fmt.Fprintf(&b, "| %s | %d | %d | %.0f%% |",
-			p.Issue.Description(s.Dialect), p.Count, p.Correct, 100*p.Accuracy())
-		if extra != nil {
-			b.WriteString(" " + extra[p.Issue])
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -107,13 +107,3 @@ func TestRadarSeriesEmpty(t *testing.T) {
 		t.Fatal("empty radar lost title")
 	}
 }
-
-func TestMarkdownPerIssue(t *testing.T) {
-	out := MarkdownPerIssue(sampleSummary(spec.OpenACC), nil)
-	if !strings.Contains(out, "| Issue | Count | Correct | Accuracy |") {
-		t.Fatalf("markdown header missing:\n%s", out)
-	}
-	if strings.Count(out, "\n") < probe.NumIssues {
-		t.Fatalf("markdown rows missing:\n%s", out)
-	}
-}

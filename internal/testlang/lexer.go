@@ -521,25 +521,7 @@ func (l *Lexer) scanString() Token {
 				l.errorf("unterminated escape in string literal")
 				break
 			}
-			e := l.advance()
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '\\':
-				b.WriteByte('\\')
-			case '"':
-				b.WriteByte('"')
-			case '\'':
-				b.WriteByte('\'')
-			case '0':
-				b.WriteByte(0)
-			default:
-				b.WriteByte(e)
-			}
+			b.WriteByte(unescape(l.advance()))
 			continue
 		}
 		b.WriteByte(c)
@@ -547,51 +529,59 @@ func (l *Lexer) scanString() Token {
 	return Token{Kind: StringLit, Text: b.String()[mark:], Line: startLine}
 }
 
-// asciiText holds every byte below 0x80 in order, so a char literal's
-// one-byte text is a slice of it rather than an allocation.
-var asciiText = func() string {
-	b := make([]byte, 0x80)
+// byteText holds every byte in order, so a char literal's one-byte
+// text is a slice of it rather than an allocation.
+var byteText = func() string {
+	b := make([]byte, 256)
 	for i := range b {
 		b[i] = byte(i)
 	}
 	return string(b)
 }()
 
+// unescape decodes the simple escape sequence backslash e as C does;
+// any other byte stands for itself.
+func unescape(e byte) byte {
+	switch e {
+	case 'n':
+		return '\n'
+	case 't':
+		return '\t'
+	case 'r':
+		return '\r'
+	case 'a':
+		return '\a'
+	case 'b':
+		return '\b'
+	case 'f':
+		return '\f'
+	case 'v':
+		return '\v'
+	case '0':
+		return 0
+	}
+	return e
+}
+
+// scanChar reads a one-byte character literal. Its text is that byte,
+// raw or decoded from a simple escape, whatever its value.
 func (l *Lexer) scanChar() Token {
 	startLine := l.line
 	l.advance() // opening quote
-	var val byte
 	if l.pos >= len(l.src) {
 		l.errorf("unterminated character literal")
 		return Token{Kind: CharLit, Line: startLine}
 	}
-	c := l.advance()
-	if c == '\\' && l.pos < len(l.src) {
-		e := l.advance()
-		switch e {
-		case 'n':
-			val = '\n'
-		case 't':
-			val = '\t'
-		case '0':
-			val = 0
-		default:
-			val = e
-		}
-	} else {
-		val = c
+	val := l.advance()
+	if val == '\\' && l.pos < len(l.src) {
+		val = unescape(l.advance())
 	}
 	if l.pos < len(l.src) && l.peekByte() == '\'' {
 		l.advance()
 	} else {
 		l.errorf("unterminated character literal")
 	}
-	// The text is val's UTF-8 encoding as a rune, not the raw byte.
-	text := string(rune(val))
-	if val < 0x80 {
-		text = asciiText[val : val+1]
-	}
-	return Token{Kind: CharLit, Text: text, Line: startLine}
+	return Token{Kind: CharLit, Text: byteText[val : int(val)+1], Line: startLine}
 }
 
 // singleOps codes each one-byte punctuator by its byte.

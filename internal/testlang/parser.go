@@ -192,14 +192,19 @@ func isTypeStart(t Token) bool { return t.op >= kwInt && t.op <= kwBool }
 func (p *Parser) parseType() (typ Type, isConst bool, ok bool) {
 	base := opNone
 	long := 0
+	intWord := false
 loop:
 	for {
 		t := p.tok
 		switch t.op {
 		case kwConst:
 			isConst = true
-		case kwStatic, kwUnsigned, kwSigned, kwShort:
+		case kwStatic:
+			// A storage class, no part of the type.
+		case kwUnsigned, kwSigned, kwShort:
 			// Folded away: the dialect models int/long/float/double.
+			// With no base type they name int, as in C.
+			intWord = true
 		case kwLong:
 			long++
 		case kwInt, kwFloat, kwDouble, kwChar, kwVoid, kwBool:
@@ -213,8 +218,10 @@ loop:
 		p.next()
 	}
 	switch {
-	case base == opNone && long == 0:
+	case base == opNone && long == 0 && !intWord:
 		return Type{}, isConst, false
+	case base == opNone && long == 0:
+		base = kwInt
 	case base == opNone, base == kwInt && long > 0:
 		base = kwLong
 	}

@@ -450,3 +450,107 @@ func TestWalkExprsVisitsEverything(t *testing.T) {
 		}
 	}
 }
+
+func TestParseTypeWords(t *testing.T) {
+	tests := []struct {
+		name string
+		decl string
+		want string // "" when the words name no type
+	}{
+		{"int", "int x;", "int"},
+		{"short", "short x;", "int"},
+		{"short_int", "short int x;", "int"},
+		{"unsigned", "unsigned x = 1;", "int"},
+		{"unsigned_int", "unsigned int x;", "int"},
+		{"signed", "signed x;", "int"},
+		{"unsigned_pointer", "unsigned *p;", "int*"},
+		{"const_unsigned", "const unsigned x = 1;", "int"},
+		{"static_short", "static short x;", "int"},
+		{"unsigned_char", "unsigned char c;", "char"},
+		{"signed_char", "signed char c;", "char"},
+		{"long", "long x;", "long"},
+		{"unsigned_long", "unsigned long x;", "long"},
+		{"long_int", "long int x;", "long"},
+		// C99 has no implicit int; GCC 14 rejects these too.
+		{"static_alone", "static x;", ""},
+		{"const_alone", "const x = 1;", ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			for _, src := range []string{
+				tt.decl + "\nint main() { return 0; }\n",
+				"int main() { " + tt.decl + " return 0; }\n",
+			} {
+				f, errs := ParseFile(src, LangC, spec.OpenMP)
+				if tt.want == "" {
+					if len(errs) == 0 {
+						t.Fatalf("%q parsed without errors", src)
+					}
+					continue
+				}
+				if len(errs) != 0 {
+					t.Fatalf("%q: parse errors: %v", src, errs)
+				}
+				vd, ok := f.Decls[0].(*VarDecl)
+				if !ok {
+					vd = f.Decls[0].(*FuncDecl).Body.Stmts[0].(*DeclStmt).Decls[0]
+				}
+				if got := vd.Type.String(); got != tt.want {
+					t.Fatalf("%q: type %s, want %s", src, got, tt.want)
+				}
+			}
+		})
+	}
+}
+
+// TestCharLiteralValues pins the byte each char literal decodes to, as
+// C gives it, and that Render writes a literal that decodes to it again.
+func TestCharLiteralValues(t *testing.T) {
+	tests := []struct {
+		name string
+		lit  string
+		want byte
+	}{
+		{"letter", `'a'`, 'a'},
+		{"newline", `'\n'`, 10},
+		{"tab", `'\t'`, 9},
+		{"carriage_return", `'\r'`, 13},
+		{"alert", `'\a'`, 7},
+		{"backspace", `'\b'`, 8},
+		{"form_feed", `'\f'`, 12},
+		{"vertical_tab", `'\v'`, 11},
+		{"nul", `'\0'`, 0},
+		{"backslash", `'\\'`, '\\'},
+		{"quote", `'\''`, '\''},
+		{"double_quote", `'"'`, '"'},
+		{"escaped_double_quote", `'\"'`, '"'},
+		{"unknown_escape", `'\q'`, 'q'},
+		{"raw_control_byte", "'\x01'", 1},
+		{"raw_byte_0x7f", "'\x7f'", 0x7f},
+		{"raw_byte_0x80", "'\x80'", 0x80},
+		{"raw_byte_0xc3", "'\xc3'", 0xc3},
+		{"raw_byte_0xff", "'\xff'", 0xff},
+	}
+	value := func(t *testing.T, src string) byte {
+		t.Helper()
+		f := mustParse(t, src, LangC, spec.OpenMP)
+		ret := f.Decls[0].(*FuncDecl).Body.Stmts[0].(*ReturnStmt)
+		lit, ok := ret.X.(*CharLitExpr)
+		if !ok {
+			t.Fatalf("return value = %T, want a char literal", ret.X)
+		}
+		return lit.Value
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			src := "int main() { return " + tt.lit + "; }\n"
+			if got := value(t, src); got != tt.want {
+				t.Fatalf("%s = %#x, want %#x", tt.lit, got, tt.want)
+			}
+			out := Render(mustParse(t, src, LangC, spec.OpenMP))
+			if got := value(t, out); got != tt.want {
+				t.Fatalf("%s rendered as\n%s\ndecodes to %#x", tt.lit, out, got)
+			}
+		})
+	}
+}

@@ -210,18 +210,10 @@ func RenderExpr(e Expr) string {
 	case *StringLitExpr:
 		return quoteC(n.Value)
 	case *CharLitExpr:
-		switch n.Value {
-		case '\n':
-			return `'\n'`
-		case '\t':
-			return `'\t'`
-		case '\'':
-			return `'\''`
-		case '\\':
-			return `'\\'`
-		default:
-			return "'" + string(n.Value) + "'"
+		if esc := escapeC(n.Value, '\''); esc != "" {
+			return "'" + esc + "'"
 		}
+		return "'" + byteText[n.Value:int(n.Value)+1] + "'"
 	case *BinaryExpr:
 		return fmt.Sprintf("%s %s %s", renderOperand(n.L, n.Op, true), n.Op, renderOperand(n.R, n.Op, false))
 	case *UnaryExpr:
@@ -271,32 +263,53 @@ func RenderExpr(e Expr) string {
 	}
 }
 
-// quoteC quotes s as a C string literal the lexer reads back as s: it
-// escapes only what the lexer decodes, and writes every other byte as
-// it is.
+// quoteC quotes s as a C string literal the lexer reads back as s.
 func quoteC(s string) string {
 	var b strings.Builder
 	b.Grow(len(s) + 2)
 	b.WriteByte('"')
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		case 0:
-			b.WriteString(`\0`)
-		case '"', '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		default:
-			b.WriteByte(c)
+		if esc := escapeC(s[i], '"'); esc != "" {
+			b.WriteString(esc)
+		} else {
+			b.WriteByte(s[i])
 		}
 	}
 	b.WriteByte('"')
 	return b.String()
+}
+
+// escapeC is the escape sequence Render writes for c inside a literal
+// quoted by q, or "" when c is written as it is. Control bytes with a
+// simple escape, the backslash and q are escaped; the lexer decodes
+// each sequence back to c.
+func escapeC(c, q byte) string {
+	switch c {
+	case '\n':
+		return `\n`
+	case '\t':
+		return `\t`
+	case '\r':
+		return `\r`
+	case '\a':
+		return `\a`
+	case '\b':
+		return `\b`
+	case '\f':
+		return `\f`
+	case '\v':
+		return `\v`
+	case 0:
+		return `\0`
+	case '\\':
+		return `\\`
+	case q:
+		if q == '"' {
+			return `\"`
+		}
+		return `\'`
+	}
+	return ""
 }
 
 // renderOperand parenthesises operands of binary expressions whenever

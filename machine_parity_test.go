@@ -83,7 +83,8 @@ func cutPoints(full int64) []int64 {
 // TestMachineCutDigest pins where and how a run stops when its step
 // budget runs out mid-program: the digest corpus holds no step-limit
 // run of its own, so this is what pins that the machine charges every
-// step where a walk of the AST would, however its nodes are fused.
+// step where a walk of the AST would, in its closures and in its loop
+// kernels alike.
 func TestMachineCutDigest(t *testing.T) {
 	h := sha256.New()
 	runs := 0
